@@ -534,17 +534,24 @@ class ProfileCheck(BatchCheck):
 
 
 class UniquenessHLLCheck(BatchCheck):
-    """A7: mergeable HLL partial over the unique-key hashes (the exact
-    duplicate check is the separate hash-shuffle pass in pipeline.py)."""
+    """A7: mergeable HLL partial over the unique-key hashes, plus the
+    batch's sorted int64 key-hash run (8 bytes/row) as a ``key_hashes``
+    sketch row.  The driver concatenates a window's runs and persists them;
+    the exact table-wide duplicate check (``pipeline.uniqueness_violations``)
+    sorts the runs of every validated window, so it never re-reads or
+    shuffles the keys to find candidates."""
 
     def __init__(self, spec: TableSpec):
         self.key = spec.unique_key
 
     def process(self, ctx: CheckContext) -> None:
         if self.key and all(c in ctx.batch.column_names for c in self.key):
-            hll = HLL().update(hash_keys(ctx.batch, self.key))
-            ctx.append("sketch", "uniqueness", column="|".join(self.key),
-                       detail="hll", blob=sketches.dumps(hll))
+            h = hash_keys(ctx.batch, self.key)
+            column = "|".join(self.key)
+            ctx.append("sketch", "uniqueness", column=column,
+                       detail="hll", blob=sketches.dumps(HLL().update(h)))
+            ctx.append("sketch", "key_hashes", column=column, detail="run",
+                       blob=np.sort(h.view(np.int64)).tobytes())
 
 
 def build_checks(spec: TableSpec, hist_edges: dict, nbins: int,

@@ -194,15 +194,21 @@ def dedup_exact(ds: rd.Dataset, key_cols: list[str], order_col: str,
                           batch_size=batch_size, concurrency=actor_pool())
 
 
-def duplicate_values_sorted(ds: rd.Dataset, col: str,
+def duplicate_values_sorted(ds: rd.Dataset | np.ndarray, col: str | None = None,
                             sort_partitions: int = 64) -> np.ndarray:
-    """EXACT duplicate detection over a mostly-unique key column:
-    distributed range ``sort(col)`` + vectorized adjacent-equal scan per
-    batch.  A duplicate run spanning a batch boundary appears as one
-    batch's LAST value and the next batch's FIRST value, so each batch
-    also emits its boundary values; the driver keeps a boundary value only
-    when it occurs ≥2 times across the combined boundary multiset (a
-    single-row batch emits its one value once, not twice).  The result is
+    """EXACT duplicate detection over a mostly-unique key column.
+
+    A numpy array (e.g. 8-byte key hashes already collected on the driver)
+    is sorted in memory and scanned for adjacent-equal values; ``col`` and
+    ``sort_partitions`` are ignored.
+
+    A Dataset gets a distributed range ``sort(col)`` + vectorized
+    adjacent-equal scan per batch.  A duplicate run spanning a batch
+    boundary appears as one batch's LAST value and the next batch's FIRST
+    value, so each batch also emits its boundary values; the driver keeps a
+    boundary value only when it occurs ≥2 times across the combined
+    boundary multiset (a single-row batch emits its one value once, not
+    twice).  The result is
     exactly the set of duplicated values, so an all-unique table returns
     empty and callers keep their early-out.
 
@@ -217,6 +223,9 @@ def duplicate_values_sorted(ds: rd.Dataset, col: str,
     DRIVER's in-process object store — measured 4 GB of driver RSS on a
     320 M-row sort before this bound.  Size it ~4× cluster cores on a
     real cluster."""
+    if isinstance(ds, np.ndarray):
+        v = np.sort(ds)
+        return np.unique(v[1:][v[1:] == v[:-1]])
 
     def scan(t: pa.Table) -> pa.Table:
         v = t[col].to_numpy(zero_copy_only=False)

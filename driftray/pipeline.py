@@ -14,8 +14,11 @@ Scale notes
 * Referential membership is broadcast via ``ray.put`` (sets at test scale,
   Bloom filters at 100 TB scale) and probed inside the same kernel pass —
   no shuffle join.
-* Exact key-uniqueness is the one shuffle-shaped check; it reads ONLY the
-  key columns (column-pruned second scan) and shuffles just those.
+* Exact key-uniqueness needs no shuffle: the kernel pass emits each
+  batch's sorted 8-byte key-hash run, every window persists its run, and
+  the driver sorts the runs of all validated windows to find duplicate
+  hashes.  Only when some exist does one column-pruned read of the key
+  columns verify them exactly.
 * Windows are independent → embarrassingly parallel across the cluster;
   a killed run resumes by skipping windows whose ``_DONE`` marker exists.
 """
@@ -38,11 +41,10 @@ import ray.data as rd
 try:
     # Ray's path resolution re-attempts `from fsspec.implementations.http
     # import HTTPFileSystem` on EVERY read; with aiohttp absent the import
-    # fails each time, and two driver threads (the concurrent uniqueness
-    # pass + the chunk pass) racing that failing import can observe a
-    # partially-initialized module → uncaught ImportError.  Install a
-    # sentinel module once: imports then succeed deterministically and the
-    # isinstance check is False for every real filesystem.
+    # fails each time, and two driver threads racing that failing import
+    # can observe a partially-initialized module → uncaught ImportError.
+    # Install a sentinel module once: imports then succeed deterministically
+    # and the isinstance check is False for every real filesystem.
     import fsspec.implementations.http  # noqa: F401
 except ModuleNotFoundError:  # pragma: no cover - aiohttp absent in sandbox
     import sys as _sys
@@ -62,7 +64,6 @@ from .checks import ValidationKernel, join_key
 from .drift import js_divergence, ks_from_digests, mean_difference, psi, _kolmogorov_sf
 from .sketches import Histogram, Moments, TDigest, merge_all
 from .spec import TableSpec
-from .ops.pool import actor_pool
 
 # ---------------------------------------------------------------------------
 # profiles
@@ -109,6 +110,7 @@ class WindowResult:
     drift_rows: list = field(default_factory=list)
     drift_detected: bool = False
     wall_s: float = 0.0
+    key_hashes: np.ndarray | None = None  # sorted int64 key-hash run
 
     @property
     def total_violations(self) -> int:
@@ -232,20 +234,43 @@ def merge_findings(findings: pa.Table) -> tuple[dict, pa.Table, dict, float | No
 
 
 # ---------------------------------------------------------------------------
-# exact key uniqueness (the one shuffle-shaped check)
+# exact key uniqueness (no shuffle: driver-side sort of the kernel's runs)
 # ---------------------------------------------------------------------------
 
 
-def uniqueness_violations(ds: rd.Dataset | str, spec: TableSpec,
-                          read_filter=None) -> tuple[pa.Table, int, pa.Table | None]:
-    """Duplicate-key detection (the one shuffle-shaped check), two-tier:
+def _empty_violations() -> pa.Table:
+    return pa.table({c: pa.array([], pa.string())
+                     for c in ("check", "column", "row_ref", "detail")})
 
-    1. Shuffle 8-byte key HASHES, not key strings: per-batch vectorized
-       ``hash_keys`` → ``groupby(hash).count()`` — the exchange carries
-       one uint64 per row instead of a ~100-byte composite key.
-    2. Hash-level duplicates (a tiny candidate set: real dups + ~n²/2⁶⁴
-       collisions) are verified EXACTLY: candidate rows are re-read with a
-       broadcast hash filter and grouped on their full key strings.
+
+def _concat_runs(runs) -> np.ndarray:
+    """One int64 array from per-batch/per-window key-hash runs."""
+    runs = [r for r in runs if r is not None]
+    return np.concatenate(runs) if runs else np.empty(0, np.int64)
+
+
+def uniqueness_violations(ds: rd.Dataset | str, spec: TableSpec,
+                          key_hashes: np.ndarray | None = None, *,
+                          window_column: str | None = None,
+                          windows: list[int] | None = None,
+                          ) -> tuple[pa.Table, int, pa.Table | None]:
+    """Exact table-wide duplicate-key detection, two-tier:
+
+    1. Candidates: ``key_hashes`` holds one int64 ``hash_keys`` value per
+       row — the runs the kernel pass already emitted (``key_hashes``
+       findings rows), so no read and no shuffle.  The driver sorts them in
+       memory and keeps the adjacent-equal values (real duplicates plus
+       ~n²/2⁶⁴ collisions).  The driver holds 8 bytes per table row (96 KB
+       at 12k rows, 800 MB at 10⁸), plus one sorted copy while it scans.
+       Without ``key_hashes`` the key columns of ``ds`` are read and hashed
+       first.
+    2. Verification: only when candidates exist, ONE column-pruned read of
+       the key (+ order) columns keeps the candidate rows — plain tasks
+       probing the broadcast candidate array — and groups them on their
+       full key strings.
+
+    ``window_column`` + ``windows`` limit both reads to the rows of those
+    windows (the windows the hashes cover).
 
     Returns ``(violations, extra, winners)``: one violation row per
     duplicated key (detail = occurrence count), the exact count of EXTRA
@@ -259,59 +284,59 @@ def uniqueness_violations(ds: rd.Dataset | str, spec: TableSpec,
 
     key_cols = list(spec.unique_key or ())
     order_col = spec.order_column
-    empty = pa.table({"check": pa.array([], pa.string()),
-                      "column": pa.array([], pa.string()),
-                      "row_ref": pa.array([], pa.string()),
-                      "detail": pa.array([], pa.string())})
     if not key_cols:
-        return empty, 0, None
+        return _empty_violations(), 0, None
+    scoped = windows is not None and window_column is not None
 
-    def keys_ds(with_order: bool = False) -> rd.Dataset:
-        # a string input gets a fresh COLUMN-PRUNED read per pass (reading
-        # 3 key columns, not the multi-KB content rows)
-        cols = key_cols + ([order_col] if with_order and order_col
-                           and order_col not in key_cols else [])
+    def keys_ds(with_order: bool) -> rd.Dataset:
+        # a path gets a COLUMN-PRUNED read (the key columns, not the
+        # multi-KB content rows)
+        cols = key_cols + [c for c in ((order_col if with_order else None),
+                                       (window_column if scoped else None))
+                           if c and c not in key_cols]
         if isinstance(ds, str):
-            return rd.read_parquet(ds, columns=cols, filter=read_filter)
+            return rd.read_parquet(ds, columns=cols)
         return ds.select_columns(cols)
+
+    def in_scope(b: pa.Table) -> pa.Table:
+        if not scoped:
+            return b
+        w = b[window_column].to_numpy(zero_copy_only=False)
+        return b.filter(pa.array(np.isin(w, windows)))
+
+    if key_hashes is None:
+        hashed = keys_ds(False).map_batches(
+            lambda b: pa.table({"kh": hash_keys(in_scope(b), key_cols).view(np.int64)}),
+            batch_format="pyarrow")
+        key_hashes = _concat_runs(t["kh"].to_numpy()
+                                  for t in ray.get(hashed.to_arrow_refs()))
 
     from .ops.relational import duplicate_values_sorted
 
-    hashed = keys_ds().map_batches(
-        lambda b: pa.table({"kh": pa.array(hash_keys(b, key_cols).astype(np.int64))}),
-        batch_format="pyarrow")
-    # sort + adjacent-equal scan, NOT groupby.count: the aggregate's
-    # per-group overhead melts on ~all-unique keys (the common case here);
-    # the scan returns a tight superset (batch-boundary values included)
-    # and the second pass verifies exactly anyway
-    dup_h = duplicate_values_sorted(hashed, "kh")
+    dup_h = duplicate_values_sorted(key_hashes)
     if len(dup_h) == 0:
-        return empty, 0, None
+        return _empty_violations(), 0, None
 
-    cand_ref = ray.put(np.sort(dup_h.astype(np.int64)))
+    # a task resolves the ref itself: refs in fn_kwargs are NOT resolved
+    cand_ref = ray.put(dup_h)  # sorted unique int64
 
-    class FetchCandidates:
-        def __init__(self):
-            self.cand = ray.get(cand_ref)  # sorted int64 array
+    def fetch_candidates(b: pa.Table) -> pa.Table:
+        b = in_scope(b)
+        mask = np.isin(hash_keys(b, key_cols).view(np.int64), ray.get(cand_ref))
+        sub = b.filter(pa.array(mask))
+        out = {"key": pa.array(join_key(sub, key_cols), pa.string())}
+        if order_col and order_col in sub.column_names:
+            out["ord"] = sub[order_col]
+        return pa.table(out)
 
-        def __call__(self, b: pa.Table) -> pa.Table:
-            kh = hash_keys(b, key_cols).astype(np.int64)
-            # vectorized membership probe (np.isin against the sorted
-            # candidate array) — a per-row Python set probe costs ~1 µs/row
-            # and dominates at 10^6+ rows
-            mask = pa.array(np.isin(kh, self.cand))
-            sub = b.filter(mask)
-            out = {"key": pa.array(join_key(sub, key_cols))}
-            if order_col and order_col in sub.column_names:
-                out["ord"] = sub[order_col]
-            return pa.table(out)
-
-    cand = keys_ds(with_order=True).map_batches(
-        FetchCandidates, batch_format="pyarrow", concurrency=actor_pool()).to_pandas()
+    cand = keys_ds(True).map_batches(fetch_candidates,
+                                     batch_format="pyarrow").to_pandas()
+    if cand.empty:
+        return _empty_violations(), 0, None
     vc = cand["key"].value_counts()
     vc = vc[vc > 1]
     if len(vc) == 0:
-        return empty, 0, None
+        return _empty_violations(), 0, None
     extra = int((vc - 1).sum())
     colname = "|".join(key_cols)
     winners = None
@@ -479,8 +504,19 @@ def _findings_to_results(table: pa.Table, spec: TableSpec) -> dict[int, WindowRe
         sub = table.filter(pa.array((windows == w).to_numpy()))
         counters, violations, profiles, key_hll = merge_findings(sub)
         results[int(w)] = WindowResult(int(w), int(counters.get("rows", 0)),
-                                       counters, violations, profiles, key_hll)
+                                       counters, violations, profiles, key_hll,
+                                       key_hashes=_key_hash_run(sub, spec))
     return results
+
+
+def _key_hash_run(findings: pa.Table, spec: TableSpec) -> np.ndarray | None:
+    """The sorted key-hash run of one window's findings (None without a
+    unique key)."""
+    if not spec.unique_key:
+        return None
+    blobs = findings.filter(pc.equal(findings["check"], "key_hashes"))["blob"]
+    return np.sort(_concat_runs(np.frombuffer(b, np.int64)
+                               for b in blobs.to_pylist()))
 
 
 def validate_dataset(
@@ -494,21 +530,18 @@ def validate_dataset(
     check_uniqueness: bool = True,
     batch_size: int | None = None,
     kernel_concurrency=None,
-    uniqueness_input: str | None = None,
-    uniqueness_filter=None,
 ) -> dict[int, WindowResult]:
     """ONE streaming pass over the dataset validating every window in it.
 
     The kernel tags findings rows with the window id, so N windows cost one
     read + one (tiny) materialized findings table — per-window pipelines
     would pay N read/launch overheads.  Key uniqueness is table-GLOBAL
-    (a key may not repeat across windows): when the input spans multiple
+    (a key may not repeat across windows): it runs after the pass over the
+    key-hash runs the kernel emitted, and when the input spans multiple
     windows it is reported on a DEDICATED window -1 result (never silently
     folded into the first window's quality score); a single-window input
     reports it on that window."""
     t0 = time.perf_counter()
-    from concurrent.futures import ThreadPoolExecutor
-
     from .checks import FINDINGS_SCHEMA
 
     kernel = ValidationKernel(spec, hist_edges=hist_edges, membership=membership,
@@ -518,26 +551,17 @@ def validate_dataset(
     if kernel_concurrency:
         kwargs["concurrency"] = kernel_concurrency
 
-    # the uniqueness shuffle runs CONCURRENTLY with the kernel pass (its own
-    # Ray Data execution from a second driver thread) — the two pipelines
-    # interleave under the streaming executor instead of serializing
-    uniq_future = None
-    pool = ThreadPoolExecutor(1)
-    if check_uniqueness and spec.unique_key:
-        uniq_future = pool.submit(uniqueness_violations, uniqueness_input or ds,
-                                  spec, uniqueness_filter)
-
     findings = ds.map_batches(kernel, **kwargs).materialize()
     parts = [t for t in ray.get(findings.to_arrow_refs()) if t.num_rows]
     table = (pa.concat_tables([t.cast(FINDINGS_SCHEMA) for t in parts])
              if parts else FINDINGS_SCHEMA.empty_table())
     results = _findings_to_results(table, spec)
     if not results:
-        results = {-1: WindowResult(-1, 0, {}, FINDINGS_SCHEMA.empty_table().select(
-            ["check", "column", "row_ref", "detail"]), {}, None)}
+        results = {-1: WindowResult(-1, 0, {}, _empty_violations(), {}, None)}
 
-    if uniq_future is not None:
-        dup, extra, _winners = uniq_future.result()
+    if check_uniqueness and spec.unique_key:
+        dup, extra, _winners = uniqueness_violations(
+            ds, spec, _concat_runs(r.key_hashes for r in results.values()))
         if len(results) == 1:
             res = results[min(results)]  # single-window input → that window
         else:
@@ -545,11 +569,9 @@ def validate_dataset(
             # result so no data window's quality score absorbs table-wide
             # duplicates
             res = results.setdefault(-1, WindowResult(
-                -1, 0, {}, FINDINGS_SCHEMA.empty_table().select(
-                    ["check", "column", "row_ref", "detail"]), {}, None))
+                -1, 0, {}, _empty_violations(), {}, None))
         res.counters["uniqueness|" + "|".join(spec.unique_key)] = extra
         res.violations = pa.concat_tables([res.violations, dup])
-    pool.shutdown(wait=False)
 
     wall = time.perf_counter() - t0
     for res in results.values():
@@ -578,6 +600,9 @@ def validate_window(
     return res
 
 
+KEY_HASHES_FILE = "key_hashes.npy"   # a window's sorted int64 key-hash run
+
+
 def _window_dir(out_dir: str, window_id: int) -> str:
     return os.path.join(out_dir, f"window={window_id}")
 
@@ -601,8 +626,21 @@ def write_window_result(out_dir: str, res: WindowResult) -> None:
     lineage["key_hll_estimate"] = res.key_hll_estimate
     with open(os.path.join(wdir, "lineage.json"), "w") as f:
         json.dump(lineage, f, default=float)
+    if res.key_hashes is not None:
+        np.save(os.path.join(wdir, KEY_HASHES_FILE), res.key_hashes)
     with open(os.path.join(wdir, "_DONE"), "w") as f:
         f.write("ok\n")
+
+
+def done_windows(out_dir: str) -> list[int]:
+    """Every window under ``out_dir`` with a ``_DONE`` marker, sorted."""
+    import glob as _glob
+    import re as _re
+
+    return sorted(
+        int(_re.search(r"window=(-?\d+)$", d).group(1))
+        for d in _glob.glob(os.path.join(out_dir, "window=*"))
+        if os.path.exists(os.path.join(d, "_DONE")))
 
 
 def aggregate_profiles(out_dir: str,
@@ -618,14 +656,8 @@ def aggregate_profiles(out_dir: str,
     below without touching raw bytes again.
 
     ``windows=None`` merges every ``_DONE`` window under ``out_dir``."""
-    import glob as _glob
-    import re as _re
-
     if windows is None:
-        windows = sorted(
-            int(_re.search(r"window=(\d+)", d).group(1))
-            for d in _glob.glob(os.path.join(out_dir, "window=*"))
-            if os.path.exists(os.path.join(d, "_DONE")))
+        windows = done_windows(out_dir)
     merged: dict[tuple[str, str], ColumnProfile] = {}
     for w in windows:
         b = Baseline.load(os.path.join(_window_dir(out_dir, w),
@@ -691,8 +723,11 @@ def run_validation(
       ``windows_per_pass`` (window-tagged findings), each chunk writing
       per-window outputs + ``_DONE`` markers — a killed run loses at most
       one chunk and resumes past everything marked done (north_rule);
-    * key uniqueness is a TABLE-level check (global across windows),
-      checkpointed once under ``out_dir/table/`` with its own marker."""
+    * key uniqueness is a TABLE-level check (global across windows) over
+      the persisted key-hash runs of every ``_DONE`` window, checkpointed
+      under ``out_dir/table/``; ``table/lineage.json`` records the windows
+      it covers, and a run recomputes it whenever a ``_DONE`` window is
+      not covered (an appended window, a resumed run)."""
     os.makedirs(out_dir, exist_ok=True)
     t_run0 = time.perf_counter()
     stage_s: dict[str, float] = {}
@@ -805,50 +840,10 @@ def run_validation(
     _mark("window_discovery", t0)
     t0 = time.perf_counter()
 
-    # table-level uniqueness: GLOBAL across all windows, checkpointed under
-    # out_dir/table/ with its own _DONE (a key may not repeat anywhere in
-    # the table, so this check cannot be chunked per window).  It runs
-    # CONCURRENTLY with the window chunk passes from a second driver
-    # thread — its pruned key-column read + sort interleaves with the
-    # kernel pass under the streaming executor instead of serializing.
-    from concurrent.futures import ThreadPoolExecutor
-
-    tdir = os.path.join(out_dir, "table")
-    uniq_future = None
-    uniq_pool = None
-    uniq_t0 = time.perf_counter()
-    if check_uniqueness and spec.unique_key and             not os.path.exists(os.path.join(tdir, "_DONE")):
-        uniq_pool = ThreadPoolExecutor(1)
-        uniq_future = uniq_pool.submit(uniqueness_violations, input_path, spec)
-
-    uniq_done = [False]
-
-    def finish_uniqueness() -> None:
-        if uniq_future is None or uniq_done[0]:
-            return
-        uniq_done[0] = True
-        dup, extra, winners = uniq_future.result()
-        os.makedirs(tdir, exist_ok=True)
-        pq.write_table(dup, os.path.join(tdir, "uniqueness_violations.parquet"))
-        if winners is not None:
-            # lineage artifact: first-by-order winner per duplicated key.
-            # (materialize_silver re-resolves winners from the raw rows —
-            # it additionally tie-breaks on the full row when the order
-            # value is part of the key and ties.)
-            pq.write_table(winners, os.path.join(tdir, "uniqueness_winners.parquet"))
-        with open(os.path.join(tdir, "lineage.json"), "w") as f:
-            json.dump({"check": "uniqueness",
-                       "key": "|".join(spec.unique_key),
-                       "extra_rows": int(extra),
-                       "duplicate_keys": dup.num_rows}, f)
-        with open(os.path.join(tdir, "_DONE"), "w") as f:
-            f.write("ok\n")
-        uniq_pool.shutdown(wait=False)
-        # overlapped wall (submit → result); runs alongside the chunks
-        stage_s["uniqueness_overlapped"] = round(time.perf_counter() - uniq_t0, 3)
-
+    table_uniq = check_uniqueness and bool(spec.unique_key)
     if not pending:
-        finish_uniqueness()
+        if table_uniq:
+            _table_uniqueness(input_path, out_dir, spec, window_column, {})
         return []
 
     t0 = time.perf_counter()
@@ -864,42 +859,40 @@ def run_validation(
                 if bpath and os.path.exists(bpath) else None)
 
     # chunked passes: a killed run loses at most windows_per_pass windows
-    # of work — everything behind a _DONE marker is skipped on resume.
-    # If a chunk raises, the concurrent uniqueness result is still
-    # checkpointed best-effort so the resumed run does not repay the most
-    # expensive table-global check.
+    # of work — everything behind a _DONE marker is skipped on resume, and
+    # its persisted key-hash run still feeds the table uniqueness check.
     out = []
-    try:
-        for lo in range(0, len(pending), windows_per_pass):
-            chunk = pending[lo: lo + windows_per_pass]
-            # read_concurrency caps concurrent parquet-decode tasks: decode
-            # is memory-bandwidth-bound, and beyond ~a dozen concurrent
-            # decoders per memory domain added workers CONTEND rather than
-            # scale (see BASELINE.md §scaling); the kernel stage is uncapped
-            ds = _read_chunk(chunk, concurrency=read_concurrency)
-            results = validate_dataset(ds, spec, window_column=window_column,
-                                       membership=membership, baseline=baseline,
-                                       hist_edges=hist_edges,
-                                       check_uniqueness=False,
-                                       batch_size=batch_size)
-            for w in chunk:
-                res = results.get(w)
-                if res is None:
-                    res = WindowResult(w, 0, {}, pa.table(
-                        {"check": pa.array([], pa.string()),
-                         "column": pa.array([], pa.string()),
-                         "row_ref": pa.array([], pa.string()),
-                         "detail": pa.array([], pa.string())}), {}, None)
-                write_window_result(out_dir, res)
-                out.append(res)
-    except BaseException:
-        try:
-            finish_uniqueness()
-        except Exception:
-            pass  # surface the chunk failure, not the cleanup's
-        raise
+    for lo in range(0, len(pending), windows_per_pass):
+        chunk = pending[lo: lo + windows_per_pass]
+        # read_concurrency caps concurrent parquet-decode tasks: decode
+        # is memory-bandwidth-bound, and beyond ~a dozen concurrent
+        # decoders per memory domain added workers CONTEND rather than
+        # scale (see BASELINE.md §scaling); the kernel stage is uncapped
+        ds = _read_chunk(chunk, concurrency=read_concurrency)
+        results = validate_dataset(ds, spec, window_column=window_column,
+                                   membership=membership, baseline=baseline,
+                                   hist_edges=hist_edges,
+                                   check_uniqueness=False,
+                                   batch_size=batch_size)
+        for w in chunk:
+            res = results.get(w)
+            if res is None:
+                res = WindowResult(w, 0, {}, _empty_violations(), {}, None,
+                                   key_hashes=(np.empty(0, np.int64)
+                                               if spec.unique_key else None))
+            write_window_result(out_dir, res)
+            out.append(res)
 
-    finish_uniqueness()
+    # table-level uniqueness: GLOBAL across all windows (a key may not
+    # repeat anywhere in the table, so it cannot be chunked per window).
+    # It runs once, after the chunk passes, over the key-hash runs of every
+    # _DONE window, and only when some _DONE window is not yet covered by
+    # the persisted result under out_dir/table/.
+    if table_uniq:
+        uniq_s = _table_uniqueness(input_path, out_dir, spec, window_column,
+                                   {r.window_id: r.key_hashes for r in out})
+        if uniq_s is not None:
+            stage_s["uniqueness_overlapped"] = round(uniq_s, 3)
 
     # threshold alerting over the fresh verdicts (T5, DESIGN.md:674-747);
     # history appends under out_dir/alerts/.  Schema drift is RUN-level
@@ -918,9 +911,10 @@ def run_validation(
         verdict_rows)
 
     # run-level stage metrics (A8: per-stage wall time + rows/s) — appended
-    # per submission so resumed runs keep their history ("uniqueness_
-    # overlapped" runs concurrently with the chunks, so it is excluded
-    # from the serial-stage residual)
+    # per submission so resumed runs keep their history.  The
+    # "uniqueness_overlapped" key (kept for continuity: the pass no longer
+    # overlaps the chunks) times the uniqueness_violations call only and is
+    # also part of the validate_chunks residual.
     stage_s["validate_chunks"] = round(
         time.perf_counter() - t_run0
         - sum(v for k, v in stage_s.items() if k != "uniqueness_overlapped"),
@@ -942,6 +936,61 @@ def run_validation(
     # the run succeeded — NOW advance the schema baseline for the next run
     persist_snapshot(out_dir, schema_report["schema"])
     return out
+
+
+def _table_uniqueness(input_path: str, out_dir: str, spec: TableSpec,
+                     window_column: str, fresh: dict[int, np.ndarray]) -> float | None:
+    """Bring the table uniqueness result under ``out_dir/table/`` up to
+    date with every ``_DONE`` window; returns the seconds spent in
+    ``uniqueness_violations``, or None when the result already covered
+    exactly those windows (``table/lineage.json`` ``windows``).
+
+    Key-hash runs come from ``fresh`` (window → run of this process) or
+    from each window's persisted ``key_hashes.npy``.  A ``_DONE`` window
+    without a run file (written before runs were persisted) makes the check
+    hash the covered windows' keys from the input instead."""
+    tdir = os.path.join(out_dir, "table")
+    done = done_windows(out_dir)
+    if (os.path.exists(os.path.join(tdir, "_DONE"))
+            and load_table_report(out_dir).get("windows") == done):
+        return None
+    runs: list | None = []
+    for w in done:
+        run = fresh.get(w)
+        if run is None:
+            path = os.path.join(_window_dir(out_dir, w), KEY_HASHES_FILE)
+            if not os.path.exists(path):
+                runs = None
+                break
+            run = np.load(path)
+        runs.append(run)
+    t0 = time.perf_counter()
+    dup, extra, winners = uniqueness_violations(
+        input_path, spec, None if runs is None else _concat_runs(runs),
+        window_column=window_column, windows=done)
+    elapsed = time.perf_counter() - t0
+    # the marker goes first and comes back last: a kill mid-write leaves
+    # the result stale (recomputed next run), never half-trusted
+    os.makedirs(tdir, exist_ok=True)
+    for name in ("_DONE", "uniqueness_winners.parquet"):
+        if os.path.exists(os.path.join(tdir, name)):
+            os.remove(os.path.join(tdir, name))
+    pq.write_table(dup, os.path.join(tdir, "uniqueness_violations.parquet"))
+    if winners is not None:
+        # lineage artifact: first-by-order winner per duplicated key.
+        # (materialize_silver re-resolves winners from the raw rows —
+        # it additionally tie-breaks on the full row when the order
+        # value is part of the key and ties.)
+        pq.write_table(winners, os.path.join(tdir, "uniqueness_winners.parquet"))
+    with open(os.path.join(tdir, "lineage.json"), "w") as f:
+        json.dump({"check": "uniqueness",
+                   "key": "|".join(spec.unique_key),
+                   "extra_rows": int(extra),
+                   "duplicate_keys": dup.num_rows,
+                   "windows": done}, f)
+    with open(os.path.join(tdir, "_DONE"), "w") as f:
+        f.write("ok\n")
+    return elapsed
 
 
 def load_table_report(out_dir: str) -> dict:
@@ -1029,52 +1078,39 @@ def materialize_silver(
 
     bad_hashes = (np.sort(hash64(np.array(bad_refs, dtype=object)))
                   if bad_refs else np.array([], dtype=np.uint64))
+    # plain tasks resolve the broadcast refs themselves (refs passed in
+    # fn_kwargs are not resolved)
     ref = ray.put(bad_hashes)
     dup_ref = ray.put(dup_keys)
+    drop_bad = bool(len(bad_hashes)) and bool(key_cols)
+    drop_dup = bool(dup_keys) and bool(key_cols)
 
-    class DropViolating:
-        def __init__(self):
-            self.bad = ray.get(ref)  # sorted uint64 array
-            self.dup = ray.get(dup_ref)
+    def is_dup(t: pa.Table) -> np.ndarray:
+        import pandas as pd
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            import pandas as pd
+        return pd.Series(join_key(t, key_cols)).isin(ray.get(dup_ref)).to_numpy()
 
-            keep = np.ones(t.num_rows, dtype=bool)
-            if len(self.bad) and key_cols:
-                from .checks import row_refs
+    def drop_violating(t: pa.Table) -> pa.Table:
+        keep = np.ones(t.num_rows, dtype=bool)
+        if drop_bad:
+            from .checks import row_refs
 
-                refs = row_refs(t, spec)
-                kh = hash64(refs)
-                keep &= ~np.isin(kh, self.bad)
-            if self.dup and key_cols:
-                keys = join_key(t, key_cols)
-                keep &= ~pd.Series(keys).isin(self.dup).to_numpy()
-            if keep.all():
-                return t
-            return t.filter(pa.array(keep))
+            keep &= ~np.isin(hash64(row_refs(t, spec)), ray.get(ref))
+        if drop_dup:
+            keep &= ~is_dup(t)
+        if keep.all():
+            return t
+        return t.filter(pa.array(keep))
 
     ds = rd.read_parquet(input_path)
-    clean = ds.map_batches(DropViolating, batch_format="pyarrow",
-                           concurrency=actor_pool())
+    clean = ds.map_batches(drop_violating, batch_format="pyarrow")
     clean.write_parquet(silver_dir, partition_cols=[window_column])
 
     if dup_keys:
         # winners: first-by-order copy of each duplicated key, minus any that
         # also violate a per-row check
-        class FetchDups:
-            def __init__(self):
-                self.dup = ray.get(dup_ref)
-
-            def __call__(self, t: pa.Table) -> pa.Table:
-                import pandas as pd
-
-                keys = join_key(t, key_cols)
-                mask = pd.Series(keys).isin(self.dup).to_numpy()
-                return t.filter(pa.array(mask))
-
         dup_rows = rd.read_parquet(input_path).map_batches(
-            FetchDups, batch_format="pyarrow", concurrency=actor_pool()).to_pandas()
+            lambda t: t.filter(pa.array(is_dup(t))), batch_format="pyarrow").to_pandas()
         if len(dup_rows):
             sort_cols = ([order_col] if order_col else []) + [
                 c for c in dup_rows.columns if c != order_col]
