@@ -12,6 +12,8 @@ these ops expose the mechanism as a first-class, testable surface:
   map over FILES that opens footers only.  Useful on its own for data
   layout audits (is the table clustered on this column? what fraction of
   row groups would a given predicate prune?).
+* :func:`read_row_groups` — one read task per row group, planned from
+  the footers on the driver (no ``read_parquet`` planning pass).
 * :func:`pruned_read` — a range scan that consults the zone map first and
   schedules read tasks ONLY for overlapping row groups.  The zone map is
   metadata-scale (rows = row groups, not data rows), so collecting it on
@@ -29,15 +31,17 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray.data as rd
 
-__all__ = ["parquet_zone_map", "pruned_read", "build_bloom_index",
-           "bloom_pruned_read"]
+__all__ = ["parquet_zone_map", "read_row_groups", "pruned_read",
+           "build_bloom_index", "bloom_pruned_read"]
 
 
-def parquet_zone_map(paths: list[str], col: str) -> rd.Dataset:
+def parquet_zone_map(paths: list[str], col: str,
+                     values: bool = False) -> rd.Dataset:
     """Zone map of ``col`` across ``paths``: one row per row group with
     ``file, row_group, n_rows, vmin, vmax`` — computed from Parquet
     FOOTERS only (no data pages are read).
@@ -45,16 +49,27 @@ def parquet_zone_map(paths: list[str], col: str) -> rd.Dataset:
     Distributed over files (one map task per path batch); min/max carry
     the column's natural Arrow type.  Row groups written without
     statistics surface as null vmin/vmax (callers must treat null as
-    "cannot prune")."""
+    "cannot prune").
+
+    ``values=True`` adds ``values`` (the row group's distinct non-null
+    values of ``col``) and ``nulls`` (its null count).  A row group whose
+    statistics say min == max and count its nulls needs no data read;
+    any other row group has that one column chunk read inside the same
+    footer task.  On a table laid out one window per row group this
+    answers "which windows exist?" from metadata alone."""
     items = [{"path": p} for p in sorted(paths)]
 
     def footer_stats(t: pa.Table) -> pa.Table:
-        files, rgs, ns, mins, maxs = [], [], [], [], []
+        files, rgs, ns, mins, maxs, vals, nulls = [], [], [], [], [], [], []
+        vtype = None
         for path in t["path"].to_pylist():
-            md = pq.ParquetFile(path).metadata
+            pf = pq.ParquetFile(path)
+            md = pf.metadata
             names = {md.schema.column(i).name: i
                      for i in range(md.num_columns)}
             ci = names[col]
+            if values:
+                vtype = pf.schema_arrow.field(col).type
             for g in range(md.num_row_groups):
                 rg = md.row_group(g)
                 st = rg.column(ci).statistics
@@ -64,14 +79,63 @@ def parquet_zone_map(paths: list[str], col: str) -> rd.Dataset:
                 has = st is not None and st.has_min_max
                 mins.append(st.min if has else None)
                 maxs.append(st.max if has else None)
-        return pa.table({"file": pa.array(files, pa.string()),
-                         "row_group": pa.array(rgs, pa.int64()),
-                         "n_rows": pa.array(ns, pa.int64()),
-                         "vmin": pa.array(mins),
-                         "vmax": pa.array(maxs)})
+                if not values:
+                    continue
+                if has and st.min == st.max and st.has_null_count:
+                    vals.append([st.min])
+                    nulls.append(st.null_count)
+                else:
+                    v = pf.read_row_group(g, columns=[col])[col]
+                    vals.append(pc.unique(v.drop_null()).to_pylist())
+                    nulls.append(v.null_count)
+        out = {"file": pa.array(files, pa.string()),
+               "row_group": pa.array(rgs, pa.int64()),
+               "n_rows": pa.array(ns, pa.int64()),
+               "vmin": pa.array(mins),
+               "vmax": pa.array(maxs)}
+        if values:
+            out["values"] = pa.array(vals, pa.list_(vtype))
+            out["nulls"] = pa.array(nulls, pa.int64())
+        return pa.table(out)
 
     return rd.from_items(items).map_batches(footer_stats,
                                             batch_format="pyarrow")
+
+
+def read_row_groups(paths: list[str], columns: list[str] | None = None, *,
+                    row_groups: list[tuple[str, int]] | None = None,
+                    transform=None,
+                    concurrency: int | None = None) -> rd.Dataset:
+    """Read ``columns`` of Parquet ``paths`` with ONE read task per row
+    group — the parquet-native parallel grain, planned from the footers
+    on the driver with no ``read_parquet`` planning pass.
+
+    ``row_groups`` restricts the read to explicit ``(file, row_group)``
+    pairs (a pruned zone map's task list); by default every row group of
+    every path is read.  ``transform`` (``pa.Table -> pa.Table``) runs on
+    each row group inside its read task, e.g. an exact row filter.  With
+    no row group to read the result is a typed empty dataset."""
+    if row_groups is None:
+        row_groups = [(p, g) for p in sorted(paths)
+                      for g in range(pq.ParquetFile(p).metadata.num_row_groups)]
+    items = [{"file": f, "row_group": int(g)} for f, g in row_groups]
+    if not items:
+        schema = pq.read_schema(sorted(paths)[0])
+        if columns:
+            schema = pa.schema([schema.field(c) for c in columns])
+        return rd.from_arrow(schema.empty_table())
+
+    def read_groups(t: pa.Table) -> pa.Table:
+        parts = []
+        for f, g in zip(t["file"].to_pylist(), t["row_group"].to_pylist()):
+            tbl = pq.ParquetFile(f).read_row_group(g, columns=columns)
+            parts.append(tbl if transform is None else transform(tbl))
+        return pa.concat_tables(parts)
+
+    # one row group per read task: block size == row-group size
+    return (rd.from_items(items, override_num_blocks=len(items))
+            .map_batches(read_groups, batch_format="pyarrow",
+                         batch_size=1, concurrency=concurrency))
 
 
 def pruned_read(paths: list[str], col: str, lo, hi,
@@ -83,13 +147,13 @@ def pruned_read(paths: list[str], col: str, lo, hi,
     """Range scan ``lo <= col <= hi`` that schedules read tasks ONLY for
     row groups whose footer [vmin, vmax] overlaps the predicate.
 
-    Two phases: (1) the zone map (metadata-scale) is computed distributed
-    and collected — it IS the task list, one row per row group; (2) each
-    surviving (file, row_group) becomes one read item, fetched with
-    ``ParquetFile.read_row_group`` inside ``map_batches`` and, with
-    ``exact`` (default), filtered to the predicate (zone maps prove
-    *possible* overlap, not row-level membership).  Statistics-less row
-    groups are conservatively kept.
+    Three steps: (1) the zone map (metadata-scale) is computed distributed
+    and collected, and filtered to the overlapping row groups — it IS the
+    task list; (2) :func:`read_row_groups` reads each surviving
+    (file, row_group) in its own task; (3) with ``exact`` (default) each
+    row group is filtered to the predicate inside that task (zone maps
+    prove *possible* overlap, not row-level membership).  Statistics-less
+    row groups are conservatively kept.
 
     ``zone_map`` accepts a precomputed ``parquet_zone_map(...).to_pandas()``
     frame so a caller issuing many pruned reads over the same directory
@@ -105,42 +169,26 @@ def pruned_read(paths: list[str], col: str, lo, hi,
     zm = (parquet_zone_map(paths, col).to_pandas()
           if zone_map is None else zone_map)
     keep = zm["vmin"].isna() | ~((zm["vmax"] < lo) | (zm["vmin"] > hi))
-    tasks = zm.loc[keep, ["file", "row_group"]]
-    if len(tasks) == 0:
-        schema = pq.read_schema(sorted(paths)[0])
-        if columns:
-            schema = pa.schema([schema.field(c) for c in columns])
-        return rd.from_arrow(schema.empty_table())
-    items = [{"file": f, "row_group": int(g)}
-             for f, g in tasks.itertuples(index=False)]
-    members = list(value_set) if value_set is not None else None
+    tasks = list(zm.loc[keep, ["file", "row_group"]].itertuples(index=False))
+    if not exact or not tasks:
+        return read_row_groups(paths, columns, row_groups=tasks,
+                               concurrency=concurrency)
+    members = (pa.array(list(value_set)) if value_set is not None else None)
+    # the filter column is read with the row group even when not projected
+    read_cols = (None if columns is None
+                 else list(dict.fromkeys([*columns, col])))
 
-    def read_groups(t: pa.Table) -> pa.Table:
-        parts = []
-        for f, g in zip(t["file"].to_pylist(), t["row_group"].to_pylist()):
-            tbl = pq.ParquetFile(f).read_row_group(g, columns=columns)
-            if exact:
-                import pyarrow.compute as pc
+    def exact_filter(tbl: pa.Table) -> pa.Table:
+        v = tbl[col]
+        if members is not None:
+            mask = pc.is_in(v, value_set=members)
+        else:
+            mask = pc.and_(pc.greater_equal(v, lo), pc.less_equal(v, hi))
+        tbl = tbl.filter(pc.fill_null(mask, False))
+        return tbl if columns is None else tbl.select(columns)
 
-                v = tbl[col] if col in tbl.schema.names else None
-                if v is None:
-                    full = pq.ParquetFile(f).read_row_group(g,
-                                                            columns=[col])
-                    v = full[col]
-                if members is not None:
-                    mask = pc.is_in(v, value_set=pa.array(members))
-                else:
-                    mask = pc.and_(pc.greater_equal(v, lo),
-                                   pc.less_equal(v, hi))
-                tbl = tbl.filter(pc.fill_null(mask, False))
-            parts.append(tbl)
-        return pa.concat_tables(parts)
-
-    # one row-group per read task: block size == row-group size, the
-    # parquet-native parallel grain
-    return (rd.from_items(items, override_num_blocks=len(items))
-            .map_batches(read_groups, batch_format="pyarrow",
-                         batch_size=1, concurrency=concurrency))
+    return read_row_groups(paths, read_cols, row_groups=tasks,
+                           transform=exact_filter, concurrency=concurrency)
 
 
 def build_bloom_index(paths: list[str], col: str,
@@ -213,8 +261,6 @@ def bloom_pruned_read(paths: list[str], col: str, values,
     positives never reach the result, so output equals the unpruned
     ``read_parquet + is_in`` scan bit-for-bit (q189's oracle).
     """
-    import pyarrow.compute as pc
-
     idx = (build_bloom_index(paths, col, fpr=fpr).to_pandas()
            if index is None else index)
     keep = _bloom_keep_files(idx, values)

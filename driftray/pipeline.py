@@ -8,6 +8,11 @@ over Ray Data (SURVEY.md §3.4).
 
 Scale notes
 -----------
+* A run is planned from Parquet footers: the window zone map (one footer
+  task) lists each row group's window ids, histogram edges fold the
+  footer min/max (or come from the baseline), and every read is one task
+  per footer-planned row group.  No Ray job reads data before the kernel
+  pass, and none is an all-to-all job.
 * The raw input is read ONCE per window; the kernel's findings output
   (violations capped per batch + KB-sized sketches) is the only thing
   materialized.
@@ -17,8 +22,8 @@ Scale notes
 * Exact key-uniqueness needs no shuffle: the kernel pass emits each
   batch's sorted 8-byte key-hash run, every window persists its run, and
   the driver sorts the runs of all validated windows to find duplicate
-  hashes.  Only when some exist does one column-pruned read of the key
-  columns verify them exactly.
+  hashes.  Only when some exist does one zone-map-pruned read of the key
+  columns of those windows verify them exactly.
 * Windows are independent → embarrassingly parallel across the cluster;
   a killed run resumes by skipping windows whose ``_DONE`` marker exists.
 """
@@ -140,13 +145,16 @@ class WindowResult:
         }
 
 
-def build_membership(dim_ds: rd.Dataset | pa.Table, columns, *, use_bloom: bool = False,
+def build_membership(dim_ds: rd.Dataset | pa.Table | str, columns, *, use_bloom: bool = False,
                      capacity_hint: int | None = None, fpr: float = 1e-4):
     """Collect the dimension-side key set (exact) or Bloom filter (scale path).
 
     The dimension side is small relative to the fact table (repos, commit
     pairs) — it is aggregated to a single object and broadcast with
-    ``ray.put``; probes happen inside the fact kernel (no shuffle).
+    ``ray.put``; probes happen inside the fact kernel (no shuffle).  A
+    parquet file or directory path is read here, key columns only, one
+    ``ops.zonemap.read_row_groups`` task per row group (footer-planned, no
+    ``read_parquet``).
 
     Keys are stored as uint64 HASHES of the joined key columns (matching
     ``checks.hash_keys``), so fact-side probes never build per-row key
@@ -155,6 +163,11 @@ def build_membership(dim_ds: rd.Dataset | pa.Table, columns, *, use_bloom: bool 
     the Bloom FPR this degrades to at scale anyway."""
     from .checks import hash_keys
 
+    if isinstance(dim_ds, str):
+        from .ops.zonemap import read_row_groups
+        from .sources import parquet_files
+
+        dim_ds = read_row_groups(parquet_files(dim_ds), list(columns))
     if isinstance(dim_ds, pa.Table):
         batches = [dim_ds]
     else:
@@ -249,12 +262,11 @@ def _concat_runs(runs) -> np.ndarray:
     return np.concatenate(runs) if runs else np.empty(0, np.int64)
 
 
-def uniqueness_violations(ds: rd.Dataset | str, spec: TableSpec,
-                          key_hashes: np.ndarray | None = None, *,
-                          window_column: str | None = None,
-                          windows: list[int] | None = None,
+def uniqueness_violations(ds: rd.Dataset, spec: TableSpec,
+                          key_hashes: np.ndarray | None = None,
                           ) -> tuple[pa.Table, int, pa.Table | None]:
-    """Exact table-wide duplicate-key detection, two-tier:
+    """Exact table-wide duplicate-key detection over the rows of ``ds``,
+    two-tier:
 
     1. Candidates: ``key_hashes`` holds one int64 ``hash_keys`` value per
        row — the runs the kernel pass already emitted (``key_hashes``
@@ -264,13 +276,13 @@ def uniqueness_violations(ds: rd.Dataset | str, spec: TableSpec,
        at 12k rows, 800 MB at 10⁸), plus one sorted copy while it scans.
        Without ``key_hashes`` the key columns of ``ds`` are read and hashed
        first.
-    2. Verification: only when candidates exist, ONE column-pruned read of
-       the key (+ order) columns keeps the candidate rows — plain tasks
+    2. Verification: only when candidates exist, ONE pass over the key
+       (+ order) columns of ``ds`` keeps the candidate rows — plain tasks
        probing the broadcast candidate array — and groups them on their
        full key strings.
 
-    ``window_column`` + ``windows`` limit both reads to the rows of those
-    windows (the windows the hashes cover).
+    ``ds`` must hold exactly the rows the hashes cover (``run_validation``
+    passes its zone-map-pruned read of the validated windows).
 
     Returns ``(violations, extra, winners)``: one violation row per
     duplicated key (detail = occurrence count), the exact count of EXTRA
@@ -286,27 +298,15 @@ def uniqueness_violations(ds: rd.Dataset | str, spec: TableSpec,
     order_col = spec.order_column
     if not key_cols:
         return _empty_violations(), 0, None
-    scoped = windows is not None and window_column is not None
 
     def keys_ds(with_order: bool) -> rd.Dataset:
-        # a path gets a COLUMN-PRUNED read (the key columns, not the
-        # multi-KB content rows)
-        cols = key_cols + [c for c in ((order_col if with_order else None),
-                                       (window_column if scoped else None))
-                           if c and c not in key_cols]
-        if isinstance(ds, str):
-            return rd.read_parquet(ds, columns=cols)
+        cols = key_cols + ([order_col] if with_order and order_col
+                           and order_col not in key_cols else [])
         return ds.select_columns(cols)
-
-    def in_scope(b: pa.Table) -> pa.Table:
-        if not scoped:
-            return b
-        w = b[window_column].to_numpy(zero_copy_only=False)
-        return b.filter(pa.array(np.isin(w, windows)))
 
     if key_hashes is None:
         hashed = keys_ds(False).map_batches(
-            lambda b: pa.table({"kh": hash_keys(in_scope(b), key_cols).view(np.int64)}),
+            lambda b: pa.table({"kh": hash_keys(b, key_cols).view(np.int64)}),
             batch_format="pyarrow")
         key_hashes = _concat_runs(t["kh"].to_numpy()
                                   for t in ray.get(hashed.to_arrow_refs()))
@@ -321,7 +321,6 @@ def uniqueness_violations(ds: rd.Dataset | str, spec: TableSpec,
     cand_ref = ray.put(dup_h)  # sorted unique int64
 
     def fetch_candidates(b: pa.Table) -> pa.Table:
-        b = in_scope(b)
         mask = np.isin(hash_keys(b, key_cols).view(np.int64), ray.get(cand_ref))
         sub = b.filter(pa.array(mask))
         out = {"key": pa.array(join_key(sub, key_cols), pa.string())}
@@ -468,31 +467,58 @@ def drift_report(baseline: "Baseline", profiles: dict, spec: TableSpec) -> list[
 
 
 def infer_hist_edges(input_path: str, spec: TableSpec, nbins: int = 32) -> dict[str, np.ndarray]:
-    """Column-pruned min/max pre-pass fixing histogram bin edges.
+    """Histogram bin edges per profile column, from the table's min/max.
 
     Edges must be identical across windows so histogram partials merge and
     PSI/JS compare.  Heavy-tailed positive columns (hi/lo > 1000, e.g.
     content length) get log-spaced edges so the mass doesn't collapse into
-    one linear bin."""
-    from ray.data.aggregate import Max, Min
+    one linear bin.
+
+    The min/max is a driver-side fold over the Parquet footer statistics
+    of every row group (no Ray job, no data read).  A row group whose
+    column chunk has no min/max statistics has that one chunk read
+    instead; an all-null chunk contributes nothing, and a column with no
+    non-null value anywhere gets no edges (the kernel's default)."""
+    from .sources import parquet_files
 
     cols = list(spec.profile_columns)
     if not cols:
         return {}
-    ds = rd.read_parquet(input_path, columns=cols)
-    aggs = []
-    for c in cols:
-        aggs += [Min(c, alias_name=f"min_{c}"), Max(c, alias_name=f"max_{c}")]
-    row = ds.aggregate(*aggs)
+    lo: dict[str, float] = {}
+    hi: dict[str, float] = {}
+
+    def fold(c: str, vmin, vmax) -> None:
+        lo[c] = min(lo.get(c, float(vmin)), float(vmin))
+        hi[c] = max(hi.get(c, float(vmax)), float(vmax))
+
+    for path in parquet_files(input_path):
+        pf = pq.ParquetFile(path)
+        md = pf.metadata
+        index = {md.schema.column(i).path: i for i in range(md.num_columns)}
+        for g in range(md.num_row_groups):
+            rg = md.row_group(g)
+            for c in cols:
+                if c not in index:
+                    continue  # a schema version without this column
+                st = rg.column(index[c]).statistics
+                if st is not None and st.has_min_max:
+                    fold(c, st.min, st.max)
+                elif not (st is not None and st.has_null_count
+                          and st.null_count == rg.num_rows):
+                    mm = pc.min_max(pf.read_row_group(g, columns=[c])[c])
+                    if mm["min"].is_valid:
+                        fold(c, mm["min"].as_py(), mm["max"].as_py())
     edges: dict[str, np.ndarray] = {}
     for c in cols:
-        lo, hi = float(row[f"min_{c}"]), float(row[f"max_{c}"])
-        if not (hi > lo):
-            hi = lo + 1.0
-        if lo > 0 and hi / lo > 1000.0:
-            edges[c] = np.geomspace(lo, hi, nbins + 1)
+        if c not in lo:
+            continue
+        lo_c, hi_c = lo[c], hi[c]
+        if not (hi_c > lo_c):
+            hi_c = lo_c + 1.0
+        if lo_c > 0 and hi_c / lo_c > 1000.0:
+            edges[c] = np.geomspace(lo_c, hi_c, nbins + 1)
         else:
-            edges[c] = np.linspace(lo, hi, nbins + 1)
+            edges[c] = np.linspace(lo_c, hi_c, nbins + 1)
     return edges
 
 
@@ -698,6 +724,20 @@ def promote_baseline(out_dir: str, window_id: int, baseline_path: str,
     Baseline.load(src).save(baseline_file(baseline_path, table))
 
 
+def _zone_map_windows(zmaps: dict, window_column: str) -> list[int]:
+    """Every window id of the table, from the zone maps' ``values``; a row
+    group holding a null window id raises, naming its file and index."""
+    found: set[int] = set()
+    for zm in zmaps.values():
+        for r in zm.itertuples(index=False):
+            if r.nulls:
+                raise ValueError(
+                    f"{r.nulls} row(s) with a null {window_column!r} in "
+                    f"{r.file}, row group {r.row_group}")
+            found.update(int(w) for w in r.values)
+    return sorted(found)
+
+
 def run_validation(
     input_path: str,
     out_dir: str,
@@ -717,8 +757,14 @@ def run_validation(
 ) -> list[WindowResult]:
     """Validate every window of a partitioned Parquet table, resumably.
 
-    * dimension keys are collected ONCE and broadcast via ``ray.put``
-      (exact sets at test scale, Bloom filters with ``use_bloom=True``);
+    * the run is planned from Parquet footers: ``windows=None`` takes the
+      window ids from the window zone map (a null id raises, naming its
+      file and row group), and ``hist_edges=None`` takes the bin edges
+      from the baseline's histograms when a baseline is loaded, else from
+      the footer min/max (``infer_hist_edges``);
+    * dimension keys are collected ONCE, one read task per row group, and
+      broadcast via ``ray.put`` (exact sets at test scale, Bloom filters
+      with ``use_bloom=True``);
     * pending windows run in CHUNKED streaming passes of
       ``windows_per_pass`` (window-tagged findings), each chunk writing
       per-window outputs + ``_DONE`` markers — a killed run loses at most
@@ -727,7 +773,8 @@ def run_validation(
       the persisted key-hash runs of every ``_DONE`` window, checkpointed
       under ``out_dir/table/``; ``table/lineage.json`` records the windows
       it covers, and a run recomputes it whenever a ``_DONE`` window is
-      not covered (an appended window, a resumed run)."""
+      not covered (an appended window, a resumed run).  Its candidates are
+      verified on the zone-map-pruned read of those windows' key columns."""
     os.makedirs(out_dir, exist_ok=True)
     t_run0 = time.perf_counter()
     stage_s: dict[str, float] = {}
@@ -780,6 +827,9 @@ def run_validation(
     # table AND paid a slower filtered-read path (2x read amplification
     # at 2 chunks; on a resume with 1% pending it would be 100x).  Files
     # lacking the window column (or stats) fall back to the filter read.
+    # When the windows are not given, the same footer task also lists each
+    # row group's distinct window ids (``values``): window discovery is
+    # then a driver-side union of the zone maps, not a full-table unique.
     def _window_zone_maps():
         from .ops.zonemap import parquet_zone_map
 
@@ -788,16 +838,18 @@ def run_validation(
             for key, (sch, fs) in _fgroups.items():
                 if window_column not in sch.names:
                     return None
-                maps[key] = parquet_zone_map(fs, window_column).to_pandas()
+                maps[key] = parquet_zone_map(
+                    fs, window_column, values=windows is None).to_pandas()
             return maps
         except Exception:
             return None  # stats missing/odd layout: correctness via filter
 
     _zmaps = _window_zone_maps()
 
-    def _read_chunk(chunk: list[int], concurrency=None) -> rd.Dataset:
+    def _read_chunk(chunk: list[int], columns=None, concurrency=None) -> rd.Dataset:
         if _zmaps is None:
-            return _read(filter=pc.field(window_column).isin(chunk),
+            return _read(columns=columns,
+                         filter=pc.field(window_column).isin(chunk),
                          concurrency=concurrency)
         from .ops.relational import union_by_name
         from .ops.zonemap import pruned_read
@@ -811,10 +863,11 @@ def run_validation(
             if not hit.any():
                 continue  # whole schema group outside the chunk
             parts.append(pruned_read(
-                _fgroups[key][1], window_column, lo_w, hi_w,
+                _fgroups[key][1], window_column, lo_w, hi_w, columns=columns,
                 zone_map=zm, value_set=chunk, concurrency=concurrency))
         if not parts:
-            return _read(filter=pc.field(window_column).isin(chunk),
+            return _read(columns=columns,
+                         filter=pc.field(window_column).isin(chunk),
                          concurrency=concurrency)
         return parts[0] if len(parts) == 1 else union_by_name(parts)
 
@@ -827,29 +880,38 @@ def run_validation(
             path = dim_paths.get(fk.dim_table)
             if path is None:
                 continue
-            dim = rd.read_parquet(path, columns=list(fk.dim_columns))
-            m = build_membership(dim, fk.dim_columns, use_bloom=use_bloom)
+            m = build_membership(path, fk.dim_columns, use_bloom=use_bloom)
             membership[i] = ray.put(m)
 
     _mark("membership", t0)
     t0 = time.perf_counter()
-    if windows is None:
+    if windows is None and _zmaps is not None:
+        windows = _zone_map_windows(_zmaps, window_column)
+    elif windows is None:
+        # files without the window column or its zone map: full-column scan
         wvals = _read(columns=[window_column]).unique(window_column)
+        if None in wvals:
+            raise ValueError(f"null {window_column!r} in {input_path}")
         windows = sorted(int(w) for w in wvals)
     pending = [w for w in windows if not window_done(out_dir, w)]
     _mark("window_discovery", t0)
     t0 = time.perf_counter()
 
+    # table uniqueness verifies its candidates on the key (+ order)
+    # columns of the validated windows, through the same pruned read
     table_uniq = check_uniqueness and bool(spec.unique_key)
+    key_cols = list(spec.unique_key or ())
+    if spec.order_column and spec.order_column not in key_cols:
+        key_cols.append(spec.order_column)
+
+    def _read_keys(ws: list[int]) -> rd.Dataset:
+        return _read_chunk(ws, columns=key_cols)
+
     if not pending:
         if table_uniq:
-            _table_uniqueness(input_path, out_dir, spec, window_column, {})
+            _table_uniqueness(_read_keys, out_dir, spec, {})
         return []
 
-    t0 = time.perf_counter()
-    if hist_edges is None:
-        hist_edges = infer_hist_edges(input_path, spec)
-    _mark("hist_edges", t0)
     # per-table namespacing: a directory baseline store resolves to this
     # spec's file; a missing per-table file simply means no baseline yet
     bpath = (baseline_file(baseline_path, spec.name)
@@ -857,6 +919,17 @@ def run_validation(
              else baseline_path)
     baseline = (Baseline.load(bpath)
                 if bpath and os.path.exists(bpath) else None)
+    t0 = time.perf_counter()
+    # a baseline pins the bin edges (one set per column, shared by every
+    # group): every run's histograms then share the baseline's bins, so
+    # drift compares like bins and windows' profiles merge; only columns
+    # the baseline lacks get edges from the footers
+    if hist_edges is None:
+        hist_edges = ({c: p.hist.edges for (_g, c), p in baseline.profiles.items()}
+                      if baseline is not None else {})
+        if any(c not in hist_edges for c in spec.profile_columns):
+            hist_edges = {**infer_hist_edges(input_path, spec), **hist_edges}
+    _mark("hist_edges", t0)
 
     # chunked passes: a killed run loses at most windows_per_pass windows
     # of work — everything behind a _DONE marker is skipped on resume, and
@@ -889,7 +962,7 @@ def run_validation(
     # _DONE window, and only when some _DONE window is not yet covered by
     # the persisted result under out_dir/table/.
     if table_uniq:
-        uniq_s = _table_uniqueness(input_path, out_dir, spec, window_column,
+        uniq_s = _table_uniqueness(_read_keys, out_dir, spec,
                                    {r.window_id: r.key_hashes for r in out})
         if uniq_s is not None:
             stage_s["uniqueness_overlapped"] = round(uniq_s, 3)
@@ -938,17 +1011,19 @@ def run_validation(
     return out
 
 
-def _table_uniqueness(input_path: str, out_dir: str, spec: TableSpec,
-                     window_column: str, fresh: dict[int, np.ndarray]) -> float | None:
+def _table_uniqueness(read_keys, out_dir: str, spec: TableSpec,
+                      fresh: dict[int, np.ndarray]) -> float | None:
     """Bring the table uniqueness result under ``out_dir/table/`` up to
     date with every ``_DONE`` window; returns the seconds spent in
     ``uniqueness_violations``, or None when the result already covered
     exactly those windows (``table/lineage.json`` ``windows``).
 
     Key-hash runs come from ``fresh`` (window → run of this process) or
-    from each window's persisted ``key_hashes.npy``.  A ``_DONE`` window
-    without a run file (written before runs were persisted) makes the check
-    hash the covered windows' keys from the input instead."""
+    from each window's persisted ``key_hashes.npy``.  ``read_keys(windows)``
+    returns the lazy read of those windows' key (+ order) rows, which
+    verifies the candidates.  A ``_DONE`` window without a run file
+    (written before runs were persisted) makes the check hash the keys of
+    that read instead."""
     tdir = os.path.join(out_dir, "table")
     done = done_windows(out_dir)
     if (os.path.exists(os.path.join(tdir, "_DONE"))
@@ -964,10 +1039,10 @@ def _table_uniqueness(input_path: str, out_dir: str, spec: TableSpec,
                 break
             run = np.load(path)
         runs.append(run)
+    ds = read_keys(done)
     t0 = time.perf_counter()
     dup, extra, winners = uniqueness_violations(
-        input_path, spec, None if runs is None else _concat_runs(runs),
-        window_column=window_column, windows=done)
+        ds, spec, None if runs is None else _concat_runs(runs))
     elapsed = time.perf_counter() - t0
     # the marker goes first and comes back last: a kill mid-write leaves
     # the result stale (recomputed next run), never half-trusted

@@ -84,13 +84,9 @@ def union_sources(datasets: list[rd.Dataset], limit_per_source: int | None = Non
     return out
 
 
-def footer_schema_groups(path: str) -> dict[str, tuple[object, list[str]]]:
-    """Group a parquet file/directory's files by their exact footer
-    schema: ``{schema_key: (arrow_schema, [files])}``.  Footer reads
-    only — no data scanned, same cost at any table size.  One entry
-    means a schema-stable table; more means the table evolved."""
-    import pyarrow.parquet as pq
-
+def parquet_files(path: str) -> list[str]:
+    """The parquet files of a file or directory path (a directory is
+    walked recursively, in sorted order)."""
     files = []
     if os.path.isdir(path):
         for root, _dirs, names in os.walk(path):
@@ -100,8 +96,18 @@ def footer_schema_groups(path: str) -> dict[str, tuple[object, list[str]]]:
         files = [path]
     if not files:
         raise FileNotFoundError(f"no parquet files under {path}")
+    return files
+
+
+def footer_schema_groups(path: str) -> dict[str, tuple[object, list[str]]]:
+    """Group a parquet file/directory's files by their exact footer
+    schema: ``{schema_key: (arrow_schema, [files])}``.  Footer reads
+    only — no data scanned, same cost at any table size.  One entry
+    means a schema-stable table; more means the table evolved."""
+    import pyarrow.parquet as pq
+
     out: dict[str, tuple[object, list[str]]] = {}
-    for f in files:
+    for f in parquet_files(path):
         sch = pq.ParquetFile(f).schema_arrow
         key = sch.to_string()
         if key in out:
