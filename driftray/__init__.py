@@ -10,9 +10,13 @@ Kolmogorov-Smirnov, PSI, Jensen-Shannon) between stored baselines and
 current windows.
 
 Everything is expressed Ray-Data-first: ``ray.data.Dataset`` pipelines of
-``map_batches`` over zero-copy Arrow batches, actor pools for stateful
-stages, explicit groupby/sort shuffles.  No module in this package calls
-``ray.init()`` — sessions are owned by bench.py / tests / the driver.
+``map_batches`` over zero-copy Arrow batches.  ``run_validation`` and the
+sensor detector run no shuffle: where they need a cross-block order (table
+uniqueness, the detector's stream order) the driver sorts or merges
+per-block sorted runs.  Explicit groupby/sort shuffles and actor pools
+remain only in the ``ops/`` modules off those paths.  No module in this
+package calls ``ray.init()`` — sessions are owned by bench.py / tests /
+the driver.
 """
 
 __version__ = "0.1.0"

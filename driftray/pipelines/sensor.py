@@ -5,19 +5,25 @@ Reference: ``/root/reference/src/data_sources/iot/sensor.py:160-194`` —
 single-threaded loop, count-based window of 50, trigger when
 ``unusual_count / window_size > 0.10`` (constant divisor), reset only on
 drift.  Engine shape: ``read → normalize (map_batches: ISO-string →
-timestamp, M6) → derive/collect the 1-bit unusual column per ordered
-partition → replay the exact trigger math over that tiny column``.
+timestamp, M6) → per batch, project (order, flag[, group]) and sort it
+into a run (map_batches) → k-way merge the runs on the driver → replay the
+exact trigger math over the merged flag column``.  No sort shuffle runs:
+the sorted runs stay in the object store and the driver holds one chunk
+per run at a time.
 
 Partitioning note: the detector is inherently sequential within a stream,
 so the engine parallelizes ACROSS partitions (e.g. per sensor type or per
 zip shard) and runs the O(n) trigger replay on ONE BOOLEAN COLUMN per
-partition — 1 bit/row leaves the cluster, never the payload.  Conformance
-vs the reference loop is proven row-for-row in tests/test_sensor.py.
+partition — only the order, flag and group columns leave the cluster,
+never the payload.  Conformance vs the reference loop is proven
+row-for-row in tests/test_sensor.py.
 """
 
 from __future__ import annotations
 
-import pandas as pd
+from collections.abc import Iterator
+
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -39,22 +45,52 @@ def normalize_timestamps(ds: rd.Dataset, raw_col: str = "timestamp_raw",
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def collect_flags(ds: rd.Dataset, order_col: str, flag_col: str,
-                  group_col: str | None = None) -> dict[str, pd.DataFrame]:
-    """Project + collect the (order, flag[, group]) columns — kept for
-    small-data callers who want the frames; ``detect_stream`` no longer
-    goes through it (it streams the sorted flags instead)."""
-    cols = [order_col, flag_col] + ([group_col] if group_col else [])
+def _split_runs(block: pa.Table, order_col: str) -> list[pa.Table]:
+    """Cut ``block`` into its maximal sorted runs (non-null values
+    ascending, then a null tail).  A ``map_batches`` task concatenates the
+    sorted batches it returns into one block, so a block holds one run per
+    batch; a cut falls where the order descends or a null precedes a
+    value."""
+    order = block[order_col]
+    a, b = order.slice(0, block.num_rows - 1), order.slice(1)
+    cut = pc.or_(pc.fill_null(pc.greater(a, b), False),
+                 pc.and_(pc.is_null(a), pc.is_valid(b)))
+    bounds = [0, *(np.flatnonzero(cut.to_numpy()) + 1), block.num_rows]
+    return [block.slice(s, e - s) for s, e in zip(bounds, bounds[1:])]
 
-    def prj(t: pa.Table) -> pa.Table:
-        return t.select([c for c in cols if c in t.column_names])
 
-    pdf = ds.map_batches(prj, batch_format="pyarrow").to_pandas()
-    pdf[flag_col] = pdf[flag_col].fillna(False).astype(bool)
-    pdf = pdf.sort_values(order_col, kind="stable")
-    if group_col:
-        return {str(g): grp for g, grp in pdf.groupby(group_col)}
-    return {"": pdf}
+def _merge_runs(runs: list[pa.Table], order_col: str,
+                batch_size: int) -> Iterator[pa.Table]:
+    """Yield the rows of sorted ``runs`` in ``order_col`` order, in batches.
+
+    Each step slices the next chunk of every run (about ``batch_size /
+    runs`` rows, at least 1024) and emits every row ≤ the smallest chunk
+    tail among runs that have rows beyond their chunk; those rows cannot
+    be preceded by any row not yet sliced.  The run owning that tail emits
+    its whole chunk, so every step advances.  Rows with a null order value
+    come last, run by run, as ``Dataset.sort`` places them.  Bounds stay
+    Arrow scalars: no null, NaN or NaT is ever compared."""
+    heads = [r.slice(0, r.num_rows - r[order_col].null_count) for r in runs]
+    heads = [h for h in heads if h.num_rows]
+    chunk = max(1024, batch_size // max(len(heads), 1))
+    while heads:
+        parts = [h.slice(0, chunk) for h in heads]
+        tails = [p.slice(p.num_rows - 1)
+                 for p, h in zip(parts, heads) if h.num_rows > p.num_rows]
+        if tails:
+            bound = pc.min(pa.concat_tables(tails)[order_col])
+            cuts = [pc.sum(pc.less_equal(p[order_col], bound)).as_py()
+                    for p in parts]
+        else:
+            cuts = [p.num_rows for p in parts]
+        batch = pa.concat_tables([p.slice(0, c)
+                                  for p, c in zip(parts, cuts) if c])
+        yield batch.sort_by(order_col)
+        heads = [h.slice(c) for h, c in zip(heads, cuts) if h.num_rows > c]
+    for r in runs:
+        for off in range(r.num_rows - r[order_col].null_count, r.num_rows,
+                         batch_size):
+            yield r.slice(off, batch_size)
 
 
 def detect_stream(ds: rd.Dataset, *, order_col: str = "timestamp",
@@ -63,20 +99,42 @@ def detect_stream(ds: rd.Dataset, *, order_col: str = "timestamp",
                   batch_size: int = 65536) -> dict[str, list[WindowVerdict]]:
     """Run the reference detector per ordered partition; returns
     {partition → verdicts}.  ``group_col=None`` = one global stream
-    (exactly the reference's semantics).
+    (exactly the reference's semantics).  A null flag counts as not
+    unusual; a row with a null ``group_col`` belongs to no partition.
 
-    Scale shape: the (order, flag[, group]) projection is range-SORTED by
-    Ray (distributed, spillable) and then STREAMED through the driver in
-    batches — the driver holds only the current batch plus one tiny
-    ``UnusualRatioReplay`` state per group (rows-seen/start/count/index),
-    never the corpus.  This replaced the collect-then-pandas-sort path,
-    which pinned O(corpus) rows in driver memory.  Rows tying on
-    ``order_col`` may replay in either order across the distributed sort
-    (the reference's fixtures carry unique timestamps); a tie inside one
-    window is order-insensitive anyway since only the count enters the
-    trigger."""
+    Scale shape: ``map_batches`` tasks project each ``batch_size``-row
+    batch to (order, flag[, group]) and stable-sort it into a run; the
+    runs stay in the object store, and the driver k-way merges them
+    (``_merge_runs``) straight into one tiny ``UnusualRatioReplay`` state
+    per group (rows-seen/start/count/index).  No sort shuffle runs: the driver
+    receives every row in order to replay the detector anyway, so merging
+    there costs one vectorised sort per emitted batch instead of a
+    sampling pass plus map and reduce tasks.  The driver maps the runs
+    zero-copy from the object store and copies one chunk per run at a
+    time (about ``batch_size`` rows in all, at least 1024 per run), never
+    the corpus.  Rows with a null (or NaN) ``order_col`` replay after
+    every other row.  Rows tying on ``order_col`` (or both null) replay
+    in an order that depends on the block layout, ``batch_size`` and the
+    order tasks finish in (the reference's fixtures carry unique
+    timestamps); a tie inside one window is order-insensitive anyway since
+    only the count enters the trigger."""
     cols = [order_col, flag_col] + ([group_col] if group_col else [])
-    proj = ds.select_columns(cols).sort(order_col)
+
+    def sorted_run(t: pa.Table) -> pa.Table:
+        t = t.select(cols)
+        order = t[order_col]
+        if pa.types.is_floating(order.type):
+            # NaN joins the null tail, whose length is then the null count
+            t = t.set_column(t.schema.get_field_index(order_col), order_col,
+                             pc.if_else(pc.is_nan(order), None, order))
+        return t.sort_by(order_col)
+
+    # batch_size, not None: Ray Data then bundles small blocks into one
+    # task instead of running one task per block
+    refs = ds.map_batches(sorted_run, batch_format="pyarrow",
+                          batch_size=batch_size).materialize().to_arrow_refs()
+    runs = [r for block in ray.get(refs) if block.num_rows
+            for r in _split_runs(block, order_col)]
     states: dict[str, UnusualRatioReplay] = {}
 
     def state(g: str) -> UnusualRatioReplay:
@@ -85,14 +143,14 @@ def detect_stream(ds: rd.Dataset, *, order_col: str = "timestamp",
                                            threshold=threshold)
         return states[g]
 
-    for batch in proj.iter_batches(batch_format="pandas",
-                                   batch_size=batch_size):
-        flags = batch[flag_col].fillna(False).to_numpy(dtype=bool)
+    for batch in _merge_runs(runs, order_col, batch_size):
+        flags = pc.fill_null(batch[flag_col], False).to_numpy()
         if group_col is None:
             state("").feed(flags)
             continue
-        codes, uniques = pd.factorize(batch[group_col], sort=False)
-        for gi, g in enumerate(uniques):
+        enc = batch[group_col].combine_chunks().dictionary_encode()
+        codes = pc.fill_null(enc.indices, -1).to_numpy()
+        for gi, g in enumerate(enc.dictionary.to_pylist()):
             state(str(g)).feed(flags[codes == gi])
     if group_col is None and not states:
         state("")  # empty input still yields the global-stream key

@@ -73,3 +73,117 @@ class TestSensorPipeline:
         assert fired[0].end_row == 60
         assert fired[0].unusual_ratio == pytest.approx(0.12)
         assert fired[0].n_rows == 61
+
+
+def _drift_triples(verdicts):
+    return [(v.end_row, v.unusual_count, v.unusual_ratio)
+            for v in verdicts if v.drift]
+
+
+@pytest.fixture(scope="module")
+def multi_block(ray_session):
+    """Three blocks of shuffled rows: each block spans the whole time range,
+    so with batches smaller than the input the sorted runs interleave and
+    the driver merge decides the order."""
+    import ray.data as rd
+
+    table = sensor_readings(5000, seed=11, unusual_probability=0.08)
+    perm = np.random.default_rng(5).permutation(table.num_rows)
+    shuffled = table.take(perm)
+    blocks = [shuffled.slice(0, 1500), shuffled.slice(1500, 1700),
+              shuffled.slice(3200)]
+    return rd.from_arrow(blocks), table.to_pandas()
+
+
+class TestSortedRunMerge:
+    def test_multi_block_matches_reference_loop(self, multi_block):
+        from driftray.pipelines.sensor import detect_stream
+
+        ds, pdf = multi_block
+        pdf = pdf.sort_values("timestamp")
+        flags = pdf["unusual"].eq(True).tolist()
+        want = reference_loop_oracle(flags)
+        assert _drift_triples(detect_stream(ds)[""]) == want
+        per = detect_stream(ds, group_col="type")
+        assert set(per) == set(pdf["type"].unique())
+        for typ, verdicts in per.items():
+            flags = pdf[pdf["type"] == typ]["unusual"].eq(True).tolist()
+            assert _drift_triples(verdicts) == reference_loop_oracle(flags)
+
+    def test_small_batches_give_same_verdicts(self, multi_block):
+        """batch_size=100 merges 50 runs; 2000 gives runs longer than one
+        merge chunk, so the merge takes several bounded steps."""
+        from driftray.pipelines.sensor import detect_stream
+
+        ds, _ = multi_block
+        for group_col in (None, "type"):
+            want = detect_stream(ds, group_col=group_col)
+            for batch_size in (100, 2000):
+                assert detect_stream(ds, group_col=group_col,
+                                     batch_size=batch_size) == want
+
+    def test_merge_with_heavy_ties(self):
+        """Two distinct order values across three runs longer than one
+        merge chunk: every step must still advance, and the merged rows
+        are all rows, in order, with the null tail last."""
+        import itertools
+
+        import pyarrow as pa
+
+        from driftray.pipelines.sensor import _merge_runs
+
+        rng = np.random.default_rng(9)
+        runs, start = [], 0
+        for n in (1500, 2600, 1100):
+            order = pa.array(rng.integers(0, 2, n), mask=rng.random(n) < 0.05)
+            runs.append(pa.table({"timestamp": order,
+                                  "row": np.arange(start, start + n)})
+                        .sort_by("timestamp"))
+            start += n
+        batches = _merge_runs(runs, "timestamp", 100)
+        merged = pa.concat_tables(itertools.islice(batches, 1000))
+        assert sorted(merged["row"].to_pylist()) == list(range(start))
+        order = merged["timestamp"]
+        valid = order.length() - order.null_count
+        assert order.slice(valid).null_count == order.null_count
+        values = order.slice(0, valid).to_numpy()
+        assert (np.diff(values) >= 0).all()
+
+    def test_empty_dataset(self, ray_session):
+        import ray.data as rd
+
+        from driftray.pipelines.sensor import detect_stream
+
+        ds = rd.from_arrow(sensor_readings(10).slice(0, 0))
+        assert detect_stream(ds) == {"": []}
+        assert detect_stream(ds, group_col="type") == {}
+
+    @pytest.mark.parametrize("kind", ["int64", "float64", "timestamp"])
+    def test_null_order_values_replay_last(self, ray_session, kind):
+        """Two blocks mixing null (or NaN / NaT) order values with 2400
+        ordered rows: every null row is unusual and every other row is not,
+        so the verdicts show where the nulls were replayed."""
+        import ray.data as rd
+
+        from driftray.drift import unusual_ratio_verdicts
+        from driftray.pipelines.sensor import detect_stream
+
+        order = np.random.default_rng(3).permutation(2400).astype(float)
+        order = np.concatenate([order, np.full(600, np.nan)])
+        flags = np.isnan(order)
+        perm = np.random.default_rng(4).permutation(order.size)
+        order, flags = order[perm], flags[perm]
+        if kind == "int64":
+            col = pd.array([None if np.isnan(o) else int(o) for o in order],
+                           dtype="Int64")
+        elif kind == "timestamp":
+            col = (pd.Timestamp("2025-01-01", tz="UTC")
+                   + pd.to_timedelta(order, unit="s"))
+        else:
+            col = order
+        pdf = pd.DataFrame({"timestamp": col, "unusual": flags})
+        ds = rd.from_pandas([pdf.iloc[:1300], pdf.iloc[1300:]])
+        want = unusual_ratio_verdicts(np.repeat([False, True], [2400, 600]))
+        assert want[0].end_row == 2405  # drifts only once the nulls arrive
+        for batch_size in (65536, 2000, 100):
+            assert detect_stream(ds, batch_size=batch_size)[""] == want
