@@ -58,9 +58,9 @@ class UnusualRatioReplay:
     nondecreasing, so the first trip index is one ``searchsorted`` over
     the chunk cumsum (then clamped to the first evaluable index
     ``start + window_size - 1``).  O(drifts × log chunk) instead of a
-    per-row Python loop — this is what lets ``detect_stream`` replay a
-    100 TB flag column through the driver, in merge order, with O(1)
-    state."""
+    per-row Python loop — this is what lets ``detect_stream`` replay the
+    merged flag column through the driver with O(1) state (the merge, not
+    this replay, sets the detector's memory bound)."""
 
     def __init__(self, window_size: int = 50, threshold: float = 0.10):
         self.w = int(window_size)

@@ -96,31 +96,49 @@ def multi_block(ray_session):
 
 
 class TestSortedRunMerge:
-    def test_multi_block_matches_reference_loop(self, multi_block):
-        from driftray.pipelines.sensor import detect_stream
+    @pytest.mark.parametrize("batch_size", [65536, 2000, 100])
+    def test_multi_block_matches_reference_loop(self, multi_block, batch_size):
+        """batch_size 2000 gives runs longer than one merge chunk, so the
+        merge takes several bounded steps; 100 merges 50 runs."""
+        from driftray.pipelines.sensor import _sorted_runs, detect_stream
 
         ds, pdf = multi_block
+        runs = _sorted_runs(ds, ["timestamp"], "timestamp", batch_size)
+        assert (len(runs) > 1) == (batch_size < len(pdf))
         pdf = pdf.sort_values("timestamp")
         flags = pdf["unusual"].eq(True).tolist()
         want = reference_loop_oracle(flags)
-        assert _drift_triples(detect_stream(ds)[""]) == want
-        per = detect_stream(ds, group_col="type")
+        got = detect_stream(ds, batch_size=batch_size)[""]
+        assert _drift_triples(got) == want
+        per = detect_stream(ds, group_col="type", batch_size=batch_size)
         assert set(per) == set(pdf["type"].unique())
         for typ, verdicts in per.items():
             flags = pdf[pdf["type"] == typ]["unusual"].eq(True).tolist()
             assert _drift_triples(verdicts) == reference_loop_oracle(flags)
 
-    def test_small_batches_give_same_verdicts(self, multi_block):
-        """batch_size=100 merges 50 runs; 2000 gives runs longer than one
-        merge chunk, so the merge takes several bounded steps."""
-        from driftray.pipelines.sensor import detect_stream
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_merge_steps_are_bounded(self, overlap):
+        """400 runs of 30 rows, disjoint in time and listed out of order,
+        join into one chain that is replayed in batch_size batches without
+        a sort.  With one more run spanning them all, there are two chains,
+        and each step still empties the chunk of one of them."""
+        import pyarrow as pa
 
-        ds, _ = multi_block
-        for group_col in (None, "type"):
-            want = detect_stream(ds, group_col=group_col)
-            for batch_size in (100, 2000):
-                assert detect_stream(ds, group_col=group_col,
-                                     batch_size=batch_size) == want
+        from driftray.pipelines.sensor import _chain_runs, _merge_runs
+
+        order = np.random.default_rng(2).permutation(400)
+        runs = [pa.table({"t": np.arange(30 * i, 30 * i + 30)}) for i in order]
+        if overlap:
+            runs.append(pa.table({"t": np.arange(0, 12000, 4)}))
+        n = sum(r.num_rows for r in runs)
+        assert len(_chain_runs(runs, "t")) == 1 + overlap
+        batches = list(_merge_runs(runs, "t", 2000))
+        values = pa.concat_tables(batches)["t"].to_numpy()
+        assert len(values) == n and (np.diff(values) >= 0).all()
+        if overlap:  # chunk = 1024 rows: 12 + 3 chunks
+            assert len(batches) <= 15
+        else:
+            assert [b.num_rows for b in batches] == [2000] * 6
 
     def test_merge_with_heavy_ties(self):
         """Two distinct order values across three runs longer than one
