@@ -10,7 +10,11 @@ Kolmogorov-Smirnov, PSI, Jensen-Shannon) between stored baselines and
 current windows.
 
 Everything is expressed Ray-Data-first: ``ray.data.Dataset`` pipelines of
-``map_batches`` over zero-copy Arrow batches.  ``run_validation`` and the
+``map_batches`` over zero-copy Arrow batches.  Steps whose output is
+metadata-sized skip Ray Data's executor: ``run_validation``'s only Ray
+Data job is its kernel pass, and it plans on the driver from Parquet
+footers and hashes dimension keys and verifies uniqueness candidates in
+plain Ray tasks, one per row group.  ``run_validation`` and the
 sensor detector run no shuffle: where they need a cross-block order (table
 uniqueness, the detector's stream order) the driver sorts or merges
 per-block sorted runs.  Explicit groupby/sort shuffles and actor pools

@@ -7,11 +7,16 @@ possibly match — by reading a few KB of metadata per file instead of the
 data itself.  `read_parquet(filter=...)` does this implicitly inside Ray;
 these ops expose the mechanism as a first-class, testable surface:
 
-* :func:`parquet_zone_map` — the zone-map TABLE itself (one row per
-  row group: file, row_group, n_rows, vmin, vmax), built by a distributed
-  map over FILES that opens footers only.  Useful on its own for data
-  layout audits (is the table clustered on this column? what fraction of
-  row groups would a given predicate prune?).
+* :func:`footer_zone_map` — the zone-map TABLE itself (one row per row
+  group: file, row_group, n_rows, vmin, vmax), built on the driver by a
+  serial walk over the files' footers.  Useful on its own for data layout
+  audits (is the table clustered on this column? what fraction of row
+  groups would a given predicate prune?).  :func:`parquet_zone_map`
+  builds the same table as a Ray Data map over the files; both run one
+  per-file footer function.
+* :func:`map_row_groups` — ``fn(row_group_table)`` as one plain Ray task
+  per planned (file, row group), returning the (small) outputs: no Ray
+  Data execution, for steps whose output is metadata-sized.
 * :func:`read_row_groups` — one read task per row group, planned from
   the footers on the driver (no ``read_parquet`` planning pass).
 * :func:`pruned_read` — a range scan that consults the zone map first and
@@ -34,10 +39,68 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+import ray
 import ray.data as rd
 
-__all__ = ["parquet_zone_map", "read_row_groups", "pruned_read",
+__all__ = ["footer_zone_map", "parquet_zone_map", "map_row_groups",
+           "row_groups_of", "read_row_groups", "pruned_read",
            "build_bloom_index", "bloom_pruned_read"]
+
+
+def _zone_table(paths: list[str], col: str, values: bool) -> pa.Table:
+    """The zone-map rows of ``paths``' footers (see :func:`parquet_zone_map`),
+    in the order given: the one per-file footer walk behind both the
+    driver zone map and the Ray Data one."""
+    files, rgs, ns, mins, maxs, vals, nulls = [], [], [], [], [], [], []
+    vtype = None
+    for path in paths:
+        pf = pq.ParquetFile(path)
+        md = pf.metadata
+        names = {md.schema.column(i).name: i
+                 for i in range(md.num_columns)}
+        ci = names[col]
+        if values:
+            vtype = pf.schema_arrow.field(col).type
+        for g in range(md.num_row_groups):
+            rg = md.row_group(g)
+            st = rg.column(ci).statistics
+            files.append(path)
+            rgs.append(g)
+            ns.append(rg.num_rows)
+            has = st is not None and st.has_min_max
+            mins.append(st.min if has else None)
+            maxs.append(st.max if has else None)
+            if not values:
+                continue
+            if has and st.min == st.max and st.has_null_count:
+                vals.append([st.min])
+                nulls.append(st.null_count)
+            else:
+                v = pf.read_row_group(g, columns=[col])[col]
+                vals.append(pc.unique(v.drop_null()).to_pylist())
+                nulls.append(v.null_count)
+    out = {"file": pa.array(files, pa.string()),
+           "row_group": pa.array(rgs, pa.int64()),
+           "n_rows": pa.array(ns, pa.int64()),
+           "vmin": pa.array(mins),
+           "vmax": pa.array(maxs)}
+    if values:
+        out["values"] = pa.array(vals, pa.list_(vtype))
+        out["nulls"] = pa.array(nulls, pa.int64())
+    return pa.table(out)
+
+
+def footer_zone_map(paths: list[str], col: str,
+                    values: bool = False) -> pd.DataFrame:
+    """:func:`parquet_zone_map` built on the driver: one serial walk over
+    the sorted ``paths``' footers, no Ray job.  A footer is a few KB, so
+    for a run's own table this costs milliseconds where a Ray Data
+    execution costs its start-up.  With ``values`` a row group whose
+    statistics do not pin a single value has its ``col`` chunk read here,
+    on the driver."""
+    # null statistics stay None next to exact integers (no float64 upcast)
+    return _zone_table(sorted(paths), col, values).to_pandas(
+        integer_object_nulls=True)
 
 
 def parquet_zone_map(paths: list[str], col: str,
@@ -58,48 +121,40 @@ def parquet_zone_map(paths: list[str], col: str,
     footer task.  On a table laid out one window per row group this
     answers "which windows exist?" from metadata alone."""
     items = [{"path": p} for p in sorted(paths)]
+    return rd.from_items(items).map_batches(
+        lambda t: _zone_table(t["path"].to_pylist(), col, values),
+        batch_format="pyarrow")
 
-    def footer_stats(t: pa.Table) -> pa.Table:
-        files, rgs, ns, mins, maxs, vals, nulls = [], [], [], [], [], [], []
-        vtype = None
-        for path in t["path"].to_pylist():
-            pf = pq.ParquetFile(path)
-            md = pf.metadata
-            names = {md.schema.column(i).name: i
-                     for i in range(md.num_columns)}
-            ci = names[col]
-            if values:
-                vtype = pf.schema_arrow.field(col).type
-            for g in range(md.num_row_groups):
-                rg = md.row_group(g)
-                st = rg.column(ci).statistics
-                files.append(path)
-                rgs.append(g)
-                ns.append(rg.num_rows)
-                has = st is not None and st.has_min_max
-                mins.append(st.min if has else None)
-                maxs.append(st.max if has else None)
-                if not values:
-                    continue
-                if has and st.min == st.max and st.has_null_count:
-                    vals.append([st.min])
-                    nulls.append(st.null_count)
-                else:
-                    v = pf.read_row_group(g, columns=[col])[col]
-                    vals.append(pc.unique(v.drop_null()).to_pylist())
-                    nulls.append(v.null_count)
-        out = {"file": pa.array(files, pa.string()),
-               "row_group": pa.array(rgs, pa.int64()),
-               "n_rows": pa.array(ns, pa.int64()),
-               "vmin": pa.array(mins),
-               "vmax": pa.array(maxs)}
-        if values:
-            out["values"] = pa.array(vals, pa.list_(vtype))
-            out["nulls"] = pa.array(nulls, pa.int64())
-        return pa.table(out)
 
-    return rd.from_items(items).map_batches(footer_stats,
-                                            batch_format="pyarrow")
+@ray.remote
+def _row_group_task(path: str, row_group: int, columns, fn):
+    return fn(pq.ParquetFile(path).read_row_group(row_group, columns=columns))
+
+
+def row_groups_of(paths: list[str]) -> list[tuple[str, int]]:
+    """Every ``(file, row_group)`` of the sorted ``paths``, from their
+    footers."""
+    return [(p, g) for p in sorted(paths)
+            for g in range(pq.ParquetFile(p).metadata.num_row_groups)]
+
+
+def map_row_groups(row_groups: list[tuple[str, int]], fn,
+                   columns: list[str] | None = None) -> list:
+    """``fn(table)`` on ``columns`` of each planned ``(file, row_group)``,
+    as ONE plain ``@ray.remote`` task per row group; returns the outputs
+    in plan order.
+
+    For steps whose output is small (key hashes, candidate rows, a
+    metadata row): a plain task costs its own read and ``fn``, where a
+    Ray Data execution adds its streaming executor's start-up.  Every
+    output comes back to the driver, so ``fn`` should shrink its row
+    group.  ``fn`` is put in the object store once and shared by the
+    tasks; an exception it raises reaches the caller."""
+    if not row_groups:
+        return []
+    fn_ref = ray.put(fn)
+    return ray.get([_row_group_task.remote(f, int(g), columns, fn_ref)
+                    for f, g in row_groups])
 
 
 def read_row_groups(paths: list[str], columns: list[str] | None = None, *,
@@ -116,8 +171,7 @@ def read_row_groups(paths: list[str], columns: list[str] | None = None, *,
     each row group inside its read task, e.g. an exact row filter.  With
     no row group to read the result is a typed empty dataset."""
     if row_groups is None:
-        row_groups = [(p, g) for p in sorted(paths)
-                      for g in range(pq.ParquetFile(p).metadata.num_row_groups)]
+        row_groups = row_groups_of(paths)
     items = [{"file": f, "row_group": int(g)} for f, g in row_groups]
     if not items:
         schema = pq.read_schema(sorted(paths)[0])

@@ -8,11 +8,18 @@ over Ray Data (SURVEY.md §3.4).
 
 Scale notes
 -----------
-* A run is planned from Parquet footers: the window zone map (one footer
-  task) lists each row group's window ids, histogram edges fold the
-  footer min/max (or come from the baseline), and every read is one task
-  per footer-planned row group.  No Ray job reads data before the kernel
-  pass, and none is an all-to-all job.
+* Only the kernel pass is a Ray Data job: one execution per chunk of
+  windows (plus a one-block schema probe per footer schema when the
+  table has several).  Every other step skips the streaming executor,
+  unless a footer lacks the window column (reads then fall back to
+  filtered ``read_parquet`` jobs).  The run is planned from Parquet
+  footers on the driver: the window zone map lists each row group's
+  window ids, and histogram edges fold the footer min/max (or come from
+  the baseline).  Dimension keys and the uniqueness verify are plain
+  tasks, one per footer-planned row group (``ops.zonemap.map_row_groups``),
+  whose outputs are 8 B per row (key hashes) or the candidate rows.
+  Nothing is an all-to-all job, and ``run_lineage.jsonl`` counts each
+  stage's jobs (``jobs``).
 * The raw input is read ONCE per window; the kernel's findings output
   (violations capped per batch + KB-sized sketches) is the only thing
   materialized.
@@ -22,8 +29,9 @@ Scale notes
 * Exact key-uniqueness needs no shuffle: the kernel pass emits each
   batch's sorted 8-byte key-hash run, every window persists its run, and
   the driver sorts the runs of all validated windows to find duplicate
-  hashes.  Only when some exist does one zone-map-pruned read of the key
-  columns of those windows verify them exactly.
+  hashes.  Only when some exist do plain tasks over the zone-map-pruned
+  row groups of those windows return the candidate rows, which are
+  verified exactly on the driver.
 * Windows are independent → embarrassingly parallel across the cluster;
   a killed run resumes by skipping windows whose ``_DONE`` marker exists.
 """
@@ -33,6 +41,8 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import Counter
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +79,18 @@ from .checks import ValidationKernel, join_key
 from .drift import js_divergence, ks_from_digests, mean_difference, psi, _kolmogorov_sf
 from .sketches import Histogram, Moments, TDigest, merge_all
 from .spec import TableSpec
+
+# Ray Data executions ("ray_data") and plain row-group tasks
+# ("row_group_tasks") started by this thread's current run_validation call;
+# its run_lineage.jsonl line records them per stage ("jobs")
+_jobs: ContextVar[Counter | None] = ContextVar("driftray_jobs", default=None)
+
+
+def _count(kind: str, n: int = 1) -> None:
+    jobs = _jobs.get()
+    if jobs is not None:
+        jobs[kind] += n
+
 
 # ---------------------------------------------------------------------------
 # profiles
@@ -152,9 +174,10 @@ def build_membership(dim_ds: rd.Dataset | pa.Table | str, columns, *, use_bloom:
     The dimension side is small relative to the fact table (repos, commit
     pairs) — it is aggregated to a single object and broadcast with
     ``ray.put``; probes happen inside the fact kernel (no shuffle).  A
-    parquet file or directory path is read here, key columns only, one
-    ``ops.zonemap.read_row_groups`` task per row group (footer-planned, no
-    ``read_parquet``).
+    parquet file or directory path is hashed in plain tasks, one per
+    footer-planned row group (``ops.zonemap.map_row_groups``, no Ray Data
+    execution), each returning the uint64 hashes of its rows' keys: 8 B
+    per dimension row reaches the driver, not the key strings.
 
     Keys are stored as uint64 HASHES of the joined key columns (matching
     ``checks.hash_keys``), so fact-side probes never build per-row key
@@ -164,17 +187,22 @@ def build_membership(dim_ds: rd.Dataset | pa.Table | str, columns, *, use_bloom:
     from .checks import hash_keys
 
     if isinstance(dim_ds, str):
-        from .ops.zonemap import read_row_groups
+        from .ops.zonemap import map_row_groups, row_groups_of
         from .sources import parquet_files
 
-        dim_ds = read_row_groups(parquet_files(dim_ds), list(columns))
-    if isinstance(dim_ds, pa.Table):
-        batches = [dim_ds]
+        cols = list(columns)
+        plan = row_groups_of(parquet_files(dim_ds))
+        _count("row_group_tasks", len(plan))
+        arrays = map_row_groups(plan, lambda t: hash_keys(t, cols), cols)
     else:
-        batches = dim_ds.select_columns(list(columns)).iter_batches(
-            batch_size=65536, batch_format="pyarrow")
-    arrays = [hash_keys(pa.Table.from_batches([b]) if isinstance(b, pa.RecordBatch) else b,
-                        columns) for b in batches]
+        if isinstance(dim_ds, pa.Table):
+            batches = [dim_ds]
+        else:
+            _count("ray_data")
+            batches = dim_ds.select_columns(list(columns)).iter_batches(
+                batch_size=65536, batch_format="pyarrow")
+        arrays = [hash_keys(pa.Table.from_batches([b]) if isinstance(b, pa.RecordBatch) else b,
+                            columns) for b in batches]
     all_keys = np.concatenate(arrays) if arrays else np.array([], dtype=np.uint64)
     if use_bloom:
         bf = BloomFilter(capacity_hint or max(len(all_keys), 1), fpr)
@@ -262,7 +290,17 @@ def _concat_runs(runs) -> np.ndarray:
     return np.concatenate(runs) if runs else np.empty(0, np.int64)
 
 
-def uniqueness_violations(ds: rd.Dataset, spec: TableSpec,
+def _dataset_keys(ds: rd.Dataset, columns: list[str]):
+    """``map_keys`` over a Dataset: one Ray Data execution per call."""
+    def map_keys(fn) -> list[pa.Table]:
+        _count("ray_data")
+        return ray.get(ds.select_columns(columns).map_batches(
+            fn, batch_format="pyarrow").to_arrow_refs())
+
+    return map_keys
+
+
+def uniqueness_violations(ds, spec: TableSpec,
                           key_hashes: np.ndarray | None = None,
                           ) -> tuple[pa.Table, int, pa.Table | None]:
     """Exact table-wide duplicate-key detection over the rows of ``ds``,
@@ -274,15 +312,20 @@ def uniqueness_violations(ds: rd.Dataset, spec: TableSpec,
        memory and keeps the adjacent-equal values (real duplicates plus
        ~n²/2⁶⁴ collisions).  The driver holds 8 bytes per table row (96 KB
        at 12k rows, 800 MB at 10⁸), plus one sorted copy while it scans.
-       Without ``key_hashes`` the key columns of ``ds`` are read and hashed
-       first.
+       Without ``key_hashes`` the key columns are read and hashed first,
+       8 B per row back to the driver.
     2. Verification: only when candidates exist, ONE pass over the key
-       (+ order) columns of ``ds`` keeps the candidate rows — plain tasks
-       probing the broadcast candidate array — and groups them on their
+       (+ order) columns keeps the candidate rows (``fetch_candidates``,
+       probing the broadcast candidate array) and groups them on their
        full key strings.
 
-    ``ds`` must hold exactly the rows the hashes cover (``run_validation``
-    passes its zone-map-pruned read of the validated windows).
+    ``ds`` is a Ray Data Dataset (``validate_dataset``; one execution per
+    pass), or a ``map_keys(fn)`` callable that runs ``fn`` over the key
+    (+ order) rows and returns its outputs (``run_validation``'s
+    row-group plan: plain tasks, no Ray Data execution).  Both take the
+    same ``fetch_candidates``.  It must hold exactly the rows the hashes
+    cover (``run_validation`` passes its zone-map-pruned plan of the
+    validated windows).
 
     Returns ``(violations, extra, winners)``: one violation row per
     duplicated key (detail = occurrence count), the exact count of EXTRA
@@ -298,18 +341,14 @@ def uniqueness_violations(ds: rd.Dataset, spec: TableSpec,
     order_col = spec.order_column
     if not key_cols:
         return _empty_violations(), 0, None
-
-    def keys_ds(with_order: bool) -> rd.Dataset:
-        cols = key_cols + ([order_col] if with_order and order_col
-                           and order_col not in key_cols else [])
-        return ds.select_columns(cols)
+    map_keys = ds
+    if isinstance(ds, rd.Dataset):
+        map_keys = _dataset_keys(ds, key_cols + (
+            [order_col] if order_col and order_col not in key_cols else []))
 
     if key_hashes is None:
-        hashed = keys_ds(False).map_batches(
-            lambda b: pa.table({"kh": hash_keys(b, key_cols).view(np.int64)}),
-            batch_format="pyarrow")
-        key_hashes = _concat_runs(t["kh"].to_numpy()
-                                  for t in ray.get(hashed.to_arrow_refs()))
+        key_hashes = _concat_runs(t["kh"].to_numpy() for t in map_keys(
+            lambda b: pa.table({"kh": hash_keys(b, key_cols).view(np.int64)})))
 
     from .ops.relational import duplicate_values_sorted
 
@@ -317,7 +356,8 @@ def uniqueness_violations(ds: rd.Dataset, spec: TableSpec,
     if len(dup_h) == 0:
         return _empty_violations(), 0, None
 
-    # a task resolves the ref itself: refs in fn_kwargs are NOT resolved
+    # a task resolves the ref itself: refs captured by ``fn`` are NOT
+    # resolved
     cand_ref = ray.put(dup_h)  # sorted unique int64
 
     def fetch_candidates(b: pa.Table) -> pa.Table:
@@ -328,8 +368,10 @@ def uniqueness_violations(ds: rd.Dataset, spec: TableSpec,
             out["ord"] = sub[order_col]
         return pa.table(out)
 
-    cand = keys_ds(True).map_batches(fetch_candidates,
-                                     batch_format="pyarrow").to_pandas()
+    parts = map_keys(fetch_candidates)
+    if not parts:
+        return _empty_violations(), 0, None
+    cand = pa.concat_tables(parts).to_pandas()
     if cand.empty:
         return _empty_violations(), 0, None
     vc = cand["key"].value_counts()
@@ -577,6 +619,7 @@ def validate_dataset(
     if kernel_concurrency:
         kwargs["concurrency"] = kernel_concurrency
 
+    _count("ray_data")
     findings = ds.map_batches(kernel, **kwargs).materialize()
     parts = [t for t in ray.get(findings.to_arrow_refs()) if t.num_rows]
     table = (pa.concat_tables([t.cast(FINDINGS_SCHEMA) for t in parts])
@@ -738,6 +781,56 @@ def _zone_map_windows(zmaps: dict, window_column: str) -> list[int]:
     return sorted(found)
 
 
+def _row_group_keys(groups: dict, zmaps: dict, window_column: str,
+                    key_cols: list[str], windows: list[int]):
+    """``map_keys`` for :func:`uniqueness_violations` over the rows of
+    ``windows``: one plain task per zone-map-pruned row group of every
+    schema group (``ops.zonemap.map_row_groups``), each filtering its row
+    group to exactly ``windows`` and padding a key or order column its
+    schema group lacks with typed nulls, as ``union_by_name`` pads the
+    kernel pass's read.  ``fn``'s outputs come back to the driver."""
+    from .ops.zonemap import map_row_groups
+
+    types: dict[str, pa.DataType] = {}
+    for key in sorted(groups):
+        sch = groups[key][0]
+        for c in key_cols:
+            if c in sch.names:
+                types.setdefault(c, sch.field(c).type)
+    missing = [c for c in key_cols if c not in types]
+    if missing:
+        raise KeyError(f"columns {missing} in no schema group")
+    plans = []
+    if windows:
+        lo, hi = min(windows), max(windows)
+        for key in sorted(groups):
+            zm = zmaps[key]
+            hit = zm["vmin"].isna() | ~((zm["vmax"] < lo) | (zm["vmin"] > hi))
+            names = groups[key][0].names
+            plans.append((
+                list(zm.loc[hit, ["file", "row_group"]].itertuples(index=False,
+                                                                   name=None)),
+                [c for c in dict.fromkeys([*key_cols, window_column])
+                 if c in names]))
+    members = pa.array(windows, pa.int64())
+
+    def in_windows(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.fill_null(
+            pc.is_in(t[window_column], value_set=members), False))
+        return pa.table({c: t[c] if c in t.column_names
+                         else pa.nulls(t.num_rows, types[c]) for c in key_cols})
+
+    def map_keys(fn) -> list:
+        out = []
+        for row_groups, columns in plans:
+            _count("row_group_tasks", len(row_groups))
+            out += map_row_groups(row_groups, lambda t: fn(in_windows(t)),
+                                  columns)
+        return out
+
+    return map_keys
+
+
 def run_validation(
     input_path: str,
     out_dir: str,
@@ -762,9 +855,11 @@ def run_validation(
       file and row group), and ``hist_edges=None`` takes the bin edges
       from the baseline's histograms when a baseline is loaded, else from
       the footer min/max (``infer_hist_edges``);
-    * dimension keys are collected ONCE, one read task per row group, and
-      broadcast via ``ray.put`` (exact sets at test scale, Bloom filters
-      with ``use_bloom=True``);
+    * the window zone map is built on the driver from the footers (no Ray
+      job);
+    * dimension keys are hashed ONCE, one plain task per row group (8 B
+      per key back to the driver), and broadcast via ``ray.put`` (exact
+      sets at test scale, Bloom filters with ``use_bloom=True``);
     * pending windows run in CHUNKED streaming passes of
       ``windows_per_pass`` (window-tagged findings), each chunk writing
       per-window outputs + ``_DONE`` markers — a killed run loses at most
@@ -774,13 +869,29 @@ def run_validation(
       under ``out_dir/table/``; ``table/lineage.json`` records the windows
       it covers, and a run recomputes it whenever a ``_DONE`` window is
       not covered (an appended window, a resumed run).  Its candidates are
-      verified on the zone-map-pruned read of those windows' key columns."""
+      fetched by plain tasks over the zone-map-pruned row groups of those
+      windows (every schema group's; without zone maps, a filtered Ray
+      Data read).
+
+    So when every footer has the window column, the kernel pass is the
+    run's only Ray Data job, one execution per chunk.  Each
+    ``run_lineage.jsonl`` line records, under ``jobs``, the Ray Data
+    executions and plain row-group tasks every stage started."""
     os.makedirs(out_dir, exist_ok=True)
     t_run0 = time.perf_counter()
     stage_s: dict[str, float] = {}
+    jobs = Counter()
+    _jobs.set(jobs)
+    stage_jobs: dict[str, Counter] = {}
 
     def _mark(name: str, t0: float) -> None:
         stage_s[name] = round(stage_s.get(name, 0.0) + time.perf_counter() - t0, 3)
+        _mark_jobs(name)
+
+    def _mark_jobs(name: str) -> None:
+        # the jobs started since the previous mark belong to this stage
+        since = jobs - sum(stage_jobs.values(), Counter())
+        stage_jobs[name] = stage_jobs.get(name, Counter()) + since
 
     # schema preflight: metadata-only snapshot + drift vs the previous
     # run's snapshot (footer read — costs nothing at any scale); with
@@ -820,26 +931,27 @@ def run_validation(
                                          groups=_fgroups, **kw)
         return rd.read_parquet(input_path, columns=columns, **kw)
 
-    # window zone map (metadata-only, ONE footer-stats pass per run):
-    # each chunked validation pass reads ONLY the row groups whose
-    # [vmin, vmax] overlaps its windows.  read_parquet(filter=...) does
-    # NOT prune row groups — measured: every chunk re-scanned the whole
-    # table AND paid a slower filtered-read path (2x read amplification
+    # window zone map (metadata-only, ONE driver walk over the footers
+    # per run, no Ray job): each chunked validation pass reads ONLY the
+    # row groups whose [vmin, vmax] overlaps its windows.
+    # read_parquet(filter=...) does NOT prune row groups — measured:
+    # every chunk re-scanned the whole table AND paid a slower
+    # filtered-read path (2x read amplification
     # at 2 chunks; on a resume with 1% pending it would be 100x).  Files
     # lacking the window column (or stats) fall back to the filter read.
-    # When the windows are not given, the same footer task also lists each
+    # When the windows are not given, the same footer walk also lists each
     # row group's distinct window ids (``values``): window discovery is
     # then a driver-side union of the zone maps, not a full-table unique.
     def _window_zone_maps():
-        from .ops.zonemap import parquet_zone_map
+        from .ops.zonemap import footer_zone_map
 
         try:
             maps = {}
             for key, (sch, fs) in _fgroups.items():
                 if window_column not in sch.names:
                     return None
-                maps[key] = parquet_zone_map(
-                    fs, window_column, values=windows is None).to_pandas()
+                maps[key] = footer_zone_map(fs, window_column,
+                                            values=windows is None)
             return maps
         except Exception:
             return None  # stats missing/odd layout: correctness via filter
@@ -869,13 +981,20 @@ def run_validation(
             return _read(columns=columns,
                          filter=pc.field(window_column).isin(chunk),
                          concurrency=concurrency)
-        return parts[0] if len(parts) == 1 else union_by_name(parts)
+        if len(parts) == 1:
+            return parts[0]
+        # union_by_name fetches each part's schema: one small execution each
+        _count("ray_data", len(parts))
+        return union_by_name(parts)
 
     _mark("schema_preflight", t0)
 
     t0 = time.perf_counter()
     membership: dict[int, object] = {}
     if dim_paths:
+        # one dimension at a time: submitting every dimension's tasks at
+        # once spreads them over more workers, each of which then keeps
+        # the engine's imports resident
         for i, fk in enumerate(spec.foreign_keys):
             path = dim_paths.get(fk.dim_table)
             if path is None:
@@ -889,6 +1008,7 @@ def run_validation(
         windows = _zone_map_windows(_zmaps, window_column)
     elif windows is None:
         # files without the window column or its zone map: full-column scan
+        _count("ray_data")
         wvals = _read(columns=[window_column]).unique(window_column)
         if None in wvals:
             raise ValueError(f"null {window_column!r} in {input_path}")
@@ -898,14 +1018,17 @@ def run_validation(
     t0 = time.perf_counter()
 
     # table uniqueness verifies its candidates on the key (+ order)
-    # columns of the validated windows, through the same pruned read
+    # columns of the validated windows: plain tasks over the zone-map-pruned
+    # row groups, or without zone maps the filtered Dataset read
     table_uniq = check_uniqueness and bool(spec.unique_key)
     key_cols = list(spec.unique_key or ())
     if spec.order_column and spec.order_column not in key_cols:
         key_cols.append(spec.order_column)
 
-    def _read_keys(ws: list[int]) -> rd.Dataset:
-        return _read_chunk(ws, columns=key_cols)
+    def _read_keys(ws: list[int]):
+        if _zmaps is None:
+            return _read_chunk(ws, columns=key_cols)
+        return _row_group_keys(_fgroups, _zmaps, window_column, key_cols, ws)
 
     if not pending:
         if table_uniq:
@@ -962,10 +1085,12 @@ def run_validation(
     # _DONE window, and only when some _DONE window is not yet covered by
     # the persisted result under out_dir/table/.
     if table_uniq:
+        _mark_jobs("validate_chunks")
         uniq_s = _table_uniqueness(_read_keys, out_dir, spec,
                                    {r.window_id: r.key_hashes for r in out})
         if uniq_s is not None:
             stage_s["uniqueness_overlapped"] = round(uniq_s, 3)
+        _mark_jobs("uniqueness")
 
     # threshold alerting over the fresh verdicts (T5, DESIGN.md:674-747);
     # history appends under out_dir/alerts/.  Schema drift is RUN-level
@@ -992,11 +1117,16 @@ def run_validation(
         time.perf_counter() - t_run0
         - sum(v for k, v in stage_s.items() if k != "uniqueness_overlapped"),
         3)
+    _mark_jobs("validate_chunks")
     run_lineage = {
         "windows_validated": [r.window_id for r in out],
         "rows": int(sum(r.n_rows for r in out)),
         "total_s": round(time.perf_counter() - t_run0, 3),
         "stages_s": stage_s,
+        # per stage: Ray Data executions and plain row-group tasks started;
+        # unlike stages_s, "validate_chunks" excludes "uniqueness"
+        "jobs": {name: {k: int(c[k]) for k in ("ray_data", "row_group_tasks")}
+                 for name, c in stage_jobs.items()},
         "schema_drift": schema_report["drift"],
         "schema_violations": schema_report["spec_violations"],
         "schema_groups": n_schema_groups,
@@ -1020,10 +1150,13 @@ def _table_uniqueness(read_keys, out_dir: str, spec: TableSpec,
 
     Key-hash runs come from ``fresh`` (window → run of this process) or
     from each window's persisted ``key_hashes.npy``.  ``read_keys(windows)``
-    returns the lazy read of those windows' key (+ order) rows, which
-    verifies the candidates.  A ``_DONE`` window without a run file
-    (written before runs were persisted) makes the check hash the keys of
-    that read instead."""
+    returns those windows' key (+ order) rows as ``uniqueness_violations``
+    takes them, which verifies the candidates: with zone maps the
+    pruned row-group plan (plain tasks returning candidate rows, no Ray
+    Data execution), without them the filtered Dataset read.  A ``_DONE``
+    window without a run file (written before runs were persisted) makes
+    the check hash the keys there instead, 8 B per row back to the
+    driver."""
     tdir = os.path.join(out_dir, "table")
     done = done_windows(out_dir)
     if (os.path.exists(os.path.join(tdir, "_DONE"))

@@ -5,6 +5,7 @@ reads, and baseline-pinned histogram edges across appended windows."""
 import os
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -158,3 +159,17 @@ def test_appended_window_keeps_baseline_edges(ray_session, tmp_path):
     for (_g, c), p in new.items():
         assert np.array_equal(p.hist.edges, base[c])
     assert sum(p.hist.over for p in new.values()) > 0
+
+
+@pytest.mark.parametrize("values", [False, True])
+def test_driver_zone_map_equals_dataset_zone_map(ray_session, tmp_path, values):
+    """``run_validation``'s driver-built zone map is the Ray Data one."""
+    from driftray.ops.zonemap import footer_zone_map, parquet_zone_map
+
+    d = _window_table(tmp_path)
+    paths = sorted(str(p) for p in d.iterdir())
+    want = (parquet_zone_map(paths, "window_id", values=values).to_pandas()
+            .sort_values(["file", "row_group"]).reset_index(drop=True))
+    got = footer_zone_map(paths, "window_id", values=values)
+    assert got["file"].tolist() == [paths[0]] * 3 + [paths[1]]
+    pd.testing.assert_frame_equal(got, want)
