@@ -7,9 +7,9 @@ here (or in the ``driftray`` library) calls ``ray.init()`` /
 * ``entry()`` — flagship validation pipeline over /root/testdata/sf0.001:
   full constraint + profile + drift pass on the ``documents`` and
   ``events`` tables, returning the verdict table.
-* ``queries()`` — one entry per implemented operator/pipeline from
-  SURVEY.md §2 plus the training-data ops (dedup, ANN, text analysis,
-  multimodal, drift).
+* ``queries()`` — the 37 catalogue queries: SURVEY.md §2 operators,
+  constraint checks, drift scoring and footer planning, each built only
+  on the validation engine's own modules.
 * ``oracle_sql()`` — DuckDB-equivalent SQL for every SQL-expressible query
   (column names match the Ray outputs exactly).
 """

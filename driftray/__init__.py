@@ -14,13 +14,12 @@ Everything is expressed Ray-Data-first: ``ray.data.Dataset`` pipelines of
 metadata-sized skip Ray Data's executor: ``run_validation``'s only Ray
 Data job is its kernel pass, and it plans on the driver from Parquet
 footers and hashes dimension keys and verifies uniqueness candidates in
-plain Ray tasks, one per row group.  ``run_validation`` and the
-sensor detector run no shuffle: where they need a cross-block order (table
-uniqueness, the detector's stream order) the driver sorts or merges
-per-block sorted runs.  Explicit groupby/sort shuffles and actor pools
-remain only in the ``ops/`` modules off those paths.  No module in this
-package calls ``ray.init()`` — sessions are owned by bench.py / tests /
-the driver.
+plain Ray tasks, one per row group.  ``run_validation``, the news scan
+and the sensor detector run no shuffle and no actor pool: where they need
+a cross-block order (table uniqueness, a source's first rows, the
+detector's stream order) the driver sorts or merges per-block results.
+No module in this package calls ``ray.init()`` — sessions are owned by
+``perfbench/``, the tests, the CLI and the driver.
 """
 
 __version__ = "0.1.0"

@@ -7,10 +7,6 @@ Commands:
   promote   --out DIR --window N --baseline PATH
   alerts    --out DIR
   schema    --input PATH [--out DIR] [--spec CFG.json]
-  profile   --input PATH [--columns a,b,c]
-  compact   --input DIR --out DIR [--target-mb N] [--partition-col k]
-  snapshot  log|compact|expire|head --table DIR [--version N]
-            [--keep-last N] [--target-mb N]
 """
 
 from __future__ import annotations
@@ -59,26 +55,6 @@ def main(argv=None) -> int:
     s.add_argument("--spec", help="JSON TableSpec config for the preflight "
                    "findings (default: repo_files spec)")
 
-    pr = sub.add_parser("profile", help="whole-table auto-profile (one "
-                        "streaming pass, every column)")
-    pr.add_argument("--input", required=True)
-    pr.add_argument("--columns", help="comma-separated subset (default: all)")
-
-    co = sub.add_parser("compact", help="rewrite small parquet files into "
-                        "~target-size outputs, resumably per partition")
-    co.add_argument("--input", required=True)
-    co.add_argument("--out", required=True)
-    co.add_argument("--target-mb", type=int, default=128)
-    co.add_argument("--partition-col")
-
-    sn = sub.add_parser("snapshot", help="snapshot-versioned table ops: "
-                        "log / compact / expire / show a pinned version")
-    sn.add_argument("action", choices=["log", "compact", "expire", "head"])
-    sn.add_argument("--table", required=True)
-    sn.add_argument("--version", type=int, help="pin for 'head'")
-    sn.add_argument("--keep-last", type=int, default=2)
-    sn.add_argument("--target-mb", type=int, default=128)
-
     args = ap.parse_args(argv)
 
     if args.cmd == "validate":
@@ -107,46 +83,6 @@ def main(argv=None) -> int:
         t = AlertManager(history_path=f"{args.out}/alerts").history()
         for row in t.to_pylist():
             print(json.dumps(row))
-    elif args.cmd == "profile":
-        _init_ray()
-        import ray.data as rd
-
-        from driftray.ops.profile import profile_table
-
-        cols = args.columns.split(",") if args.columns else None
-        prof = profile_table(rd.read_parquet(args.input, columns=cols),
-                             columns=cols)
-        for row in prof.to_dict("records"):
-            print(json.dumps(row, default=str))
-    elif args.cmd == "compact":
-        _init_ray()
-        from driftray.ops.layout import compact_partitions
-
-        rep = compact_partitions(args.input, args.out,
-                                 target_mb=args.target_mb,
-                                 partition_col=args.partition_col)
-        for row in rep.to_dict("records"):
-            print(json.dumps(row))
-    elif args.cmd == "snapshot":
-        from driftray.ops.snapshots import (expire_snapshots, read_version,
-                                            snapshot_compact, snapshot_log)
-
-        if args.action == "log":
-            for row in snapshot_log(args.table):
-                print(json.dumps(row))
-        elif args.action == "compact":
-            _init_ray()
-            version, rep = snapshot_compact(args.table,
-                                            target_mb=args.target_mb)
-            print(json.dumps({"version": version, **rep}))
-        elif args.action == "expire":
-            print(json.dumps(expire_snapshots(args.table,
-                                              keep_last=args.keep_last)))
-        else:  # head: row count + schema of a pinned version
-            _init_ray()
-            ds = read_version(args.table, args.version)
-            print(json.dumps({"version": args.version, "rows": ds.count(),
-                              "schema": str(ds.schema())}))
     elif args.cmd == "schema":
         # footer-only: no Ray session needed at any input size
         from driftray.schema_drift import (record_and_diff, snapshot_schema,

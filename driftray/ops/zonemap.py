@@ -52,15 +52,16 @@ def _zone_table(paths: list[str], col: str, values: bool) -> pa.Table:
     in the order given: the one per-file footer walk behind both the
     driver zone map and the Ray Data one."""
     files, rgs, ns, mins, maxs, vals, nulls = [], [], [], [], [], [], []
-    vtype = None
+    ctype = None
     for path in paths:
         pf = pq.ParquetFile(path)
         md = pf.metadata
         names = {md.schema.column(i).name: i
                  for i in range(md.num_columns)}
         ci = names[col]
-        if values:
-            vtype = pf.schema_arrow.field(col).type
+        # typed from the footer: a batch of files without statistics
+        # would otherwise infer a ``null`` column
+        ctype = pf.schema_arrow.field(col).type
         for g in range(md.num_row_groups):
             rg = md.row_group(g)
             st = rg.column(ci).statistics
@@ -82,10 +83,10 @@ def _zone_table(paths: list[str], col: str, values: bool) -> pa.Table:
     out = {"file": pa.array(files, pa.string()),
            "row_group": pa.array(rgs, pa.int64()),
            "n_rows": pa.array(ns, pa.int64()),
-           "vmin": pa.array(mins),
-           "vmax": pa.array(maxs)}
+           "vmin": pa.array(mins, ctype),
+           "vmax": pa.array(maxs, ctype)}
     if values:
-        out["values"] = pa.array(vals, pa.list_(vtype))
+        out["values"] = pa.array(vals, pa.list_(ctype))
         out["nulls"] = pa.array(nulls, pa.int64())
     return pa.table(out)
 
@@ -98,9 +99,7 @@ def footer_zone_map(paths: list[str], col: str,
     execution costs its start-up.  With ``values`` a row group whose
     statistics do not pin a single value has its ``col`` chunk read here,
     on the driver."""
-    # null statistics stay None next to exact integers (no float64 upcast)
-    return _zone_table(sorted(paths), col, values).to_pandas(
-        integer_object_nulls=True)
+    return _zone_table(sorted(paths), col, values).to_pandas()
 
 
 def parquet_zone_map(paths: list[str], col: str,
@@ -215,7 +214,7 @@ def pruned_read(paths: list[str], col: str, lo, hi,
     ``value_set`` narrows ``exact`` filtering to an explicit member list
     (e.g. a non-contiguous pending-window chunk inside [lo, hi]);
     ``concurrency`` caps the read tasks (parquet decode is
-    memory-bandwidth-bound — see bench.py DECODE_CAP).
+    memory-bandwidth-bound).
 
     The unpruned fallback is exactly ``read_parquet(filter=...)``; this
     op exists to make the pruning observable (q118's test asserts

@@ -212,33 +212,6 @@ def build_membership(dim_ds: rd.Dataset | pa.Table | str, columns, *, use_bloom:
     return set(int(k) for k in all_keys)
 
 
-def build_membership_distributed(dim_ds: rd.Dataset, columns, *,
-                                 capacity: int, fpr: float = 1e-4) -> BloomFilter:
-    """Scale path for BIG dimension sides (e.g. 10^10 commit pairs): each
-    block builds a partial Bloom over its key hashes in ``map_batches``;
-    partials OR-merge on the driver (bit arrays, order-insensitive).  The
-    driver never sees raw keys — only ``n_blocks`` bit arrays of the final
-    filter's size."""
-    from .checks import hash_keys
-
-    proto = BloomFilter(capacity, fpr)
-    n_bits, k = proto.n_bits, proto.k
-
-    def partial(t: pa.Table) -> pa.Table:
-        bf = BloomFilter(capacity, fpr)
-        assert bf.n_bits == n_bits and bf.k == k
-        bf.add(hash_keys(t, columns))
-        return pa.table({"bits": pa.array([bf.bits.tobytes()], pa.binary())})
-
-    parts = dim_ds.select_columns(list(columns)).map_batches(
-        partial, batch_format="pyarrow").to_pandas()
-    for raw in parts["bits"]:
-        np.bitwise_or(proto.bits, np.frombuffer(raw, dtype=np.uint64),
-                      out=proto.bits)
-    proto.hashed = True
-    return proto
-
-
 def merge_findings(findings: pa.Table) -> tuple[dict, pa.Table, dict, float | None]:
     """Split + reduce a materialized findings table (tiny vs the input).
 
@@ -649,24 +622,6 @@ def validate_dataset(
             res.drift_rows = drift_report(baseline, res.profiles, spec)
             res.drift_detected = any(r["drift_detected"] for r in res.drift_rows)
     return results
-
-
-def validate_window(
-    ds: rd.Dataset,
-    spec: TableSpec,
-    *,
-    window_id: int = 0,
-    membership: dict[int, object] | None = None,
-    baseline: Baseline | None = None,
-    hist_edges: dict[str, np.ndarray] | None = None,
-    check_uniqueness: bool = True,
-) -> WindowResult:
-    """One window through the full constraint + profile + drift pass."""
-    results = validate_dataset(ds, spec, membership=membership, baseline=baseline,
-                               hist_edges=hist_edges, check_uniqueness=check_uniqueness)
-    res = results.popitem()[1]
-    res.window_id = window_id
-    return res
 
 
 KEY_HASHES_FILE = "key_hashes.npy"   # a window's sorted int64 key-hash run

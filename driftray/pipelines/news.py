@@ -1,4 +1,4 @@
-"""The news-monitor pipeline shape (SURVEY.md §3.2), Ray-Data-first.
+"""The news-monitor pipeline shape (SURVEY.md §3.2).
 
 Reference flow (``/root/reference/src/data_sources/web/news.py:476-602``):
 per-source fetch (≤20 each) → per-source ``title|url`` dedup → cross-source
@@ -17,8 +17,6 @@ Engine differences, pinned and documented:
 
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -26,110 +24,82 @@ import ray
 import ray.data as rd
 
 from ..checks import hash_keys
-from ..ops.relational import dedup_exact
 from ..state import SeenKeysStore
-from ..ops.pool import actor_pool
+
+
+def _first_rows(t: pa.Table, source_col: str, order_col: str,
+                limit: int) -> pa.Table:
+    """``t`` sorted by ``order_col``, cut to each source's first ``limit``
+    rows."""
+    t = t.take(pc.sort_indices(t, [(order_col, "ascending")]))
+    src = t[source_col].to_pandas()
+    rank = src.groupby(src, sort=False, dropna=False).cumcount().to_numpy()
+    return t.filter(pa.array(rank < limit))
 
 
 def per_source_limit(ds: rd.Dataset, source_col: str = "source",
-                     order_col: str = "seq", limit: int = 20) -> rd.Dataset:
-    """Keep each source's first ``limit`` rows by arrival order
-    (``news.py:26,105`` MAX_RESULTS_PER_SEARCH).
+                     order_col: str = "seq", limit: int = 20) -> pa.Table:
+    """Each source's first ``limit`` rows by arrival order
+    (``news.py:26,105`` MAX_RESULTS_PER_SEARCH), as one table sorted by
+    ``order_col``.
 
-    Built on ``grouped_top_k`` (per-batch partial top-k + tiny exact
-    merge): no per-source ``map_groups`` callback and no worker ever
-    materializes a whole source's rows — a hot source at corpus scale
-    stays a per-batch reduction, not a straggler.  The merged result is
-    ≤ sources × limit rows, re-wrapped as a Dataset for the downstream
-    dedup/filter stages."""
-    from ..ops.grouped import grouped_top_k
+    One ``map_batches`` cuts every block to its sources' first ``limit``
+    rows, and the driver cuts the union of those heads again.  That is
+    exact: a source's first ``limit`` rows are among its blocks' first
+    ``limit`` rows.  The driver holds at most blocks × sources × ``limit``
+    rows.  An input without rows gives an empty table without columns."""
+    heads = ds.map_batches(
+        lambda t: _first_rows(t, source_col, order_col, limit),
+        batch_format="pyarrow", batch_size=None)
+    parts = [t for t in ray.get(heads.to_arrow_refs()) if t.num_rows]
+    if not parts:
+        return pa.table({})
+    return _first_rows(pa.concat_tables(parts), source_col, order_col, limit)
 
-    out = grouped_top_k(ds, [source_col], order_col, limit,
-                        descending=False)
-    if len(out) == 0:
-        return ds.limit(0)            # preserve the input schema lazily
-    return rd.from_pandas(out)
+
+def drop_duplicates(t: pa.Table, key_cols: list[str]) -> pa.Table:
+    """First-wins dedup on ``key_cols`` in table order (nulls compare
+    equal)."""
+    dup = t.select(key_cols).to_pandas().duplicated(keep="first").to_numpy()
+    return t.filter(pa.array(~dup))
 
 
-def location_filter(ds: rd.Dataset, location: str) -> rd.Dataset:
+def location_filter(t: pa.Table, location: str) -> pa.Table:
     """Lowercase substring match on title OR description (``news.py:400-413``)."""
     loc = location.lower()
-
-    def fn(t: pa.Table) -> pa.Table:
-        title = pc.utf8_lower(pc.fill_null(t["title"], ""))
-        desc = pc.utf8_lower(pc.fill_null(t["description"], ""))
-        keep = pc.or_(pc.match_substring(title, loc), pc.match_substring(desc, loc))
-        return t.filter(keep)
-
-    return ds.map_batches(fn, batch_format="pyarrow")
+    title = pc.utf8_lower(pc.fill_null(t["title"], ""))
+    desc = pc.utf8_lower(pc.fill_null(t["description"], ""))
+    return t.filter(pc.or_(pc.match_substring(title, loc),
+                           pc.match_substring(desc, loc)))
 
 
-def unseen_filter(ds: rd.Dataset, store: SeenKeysStore,
-                  key_cols=("title", "url"), first_scan: bool = False) -> rd.Dataset:
-    """Incremental filter vs the persisted seen-key store
-    (``news.py:560-573``; first scan passes all, ``news.py:529,568``)."""
-    if first_scan or len(store) == 0:
-        return ds
-    ref = ray.put(store)
-
-    class Probe:
-        def __init__(self):
-            self.store = ray.get(ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            kh = hash_keys(t, list(key_cols))
-            return t.filter(pa.array(~self.store.contains(kh)))
-
-    return ds.map_batches(Probe, batch_format="pyarrow", concurrency=actor_pool())
-
-
-def sort_newest_first(ds: rd.Dataset) -> rd.Dataset:
-    """String-compare sort desc on published_date, NULL → '' (sorts last),
-    matching ``news.py:583-592``."""
-
-    def fill(t: pa.Table) -> pa.Table:
-        return t.set_column(t.schema.get_field_index("published_date"),
-                            "published_date",
-                            pc.fill_null(t["published_date"], ""))
-
-    return ds.map_batches(fill, batch_format="pyarrow").sort(
-        "published_date", descending=True)
+def sort_newest_first(t: pa.Table) -> pa.Table:
+    """Stable string-compare sort desc on published_date, NULL → '' (sorts
+    last), matching ``news.py:583-592``."""
+    t = t.set_column(t.schema.get_field_index("published_date"),
+                     "published_date", pc.fill_null(t["published_date"], ""))
+    return t.take(pc.sort_indices(t, [("published_date", "descending")]))
 
 
 def news_scan(ds_scan: rd.Dataset, store: SeenKeysStore, *,
               location: str | None = None, first_scan: bool = False,
               per_source: int = 20) -> tuple[pa.Table, SeenKeysStore]:
     """One micro-batch scan end-to-end; returns (fresh headlines table,
-    updated store).  The caller persists the store between scans
-    (``store.save(path)``) — that is the engine's checkpointed version of
-    the reference's in-memory monitoring loop."""
-    ds = per_source_limit(ds_scan, limit=per_source)
-    ds = dedup_exact(ds, ["title", "url"], "seq")
-    ds = dedup_exact(ds, ["title", "source"], "seq")
+    updated store).  Everything after the per-source limit runs on the
+    driver, on at most sources × ``per_source`` rows.  The caller
+    persists the store between scans (``store.save(path)``) — that is the
+    engine's checkpointed version of the reference's in-memory monitoring
+    loop."""
+    t = per_source_limit(ds_scan, limit=per_source)
+    if t.num_rows == 0:
+        return t, store
+    t = drop_duplicates(t, ["title", "url"])
+    t = drop_duplicates(t, ["title", "source"])
     if location:
-        ds = location_filter(ds, location)
-    ds = unseen_filter(ds, store, first_scan=first_scan)
-    out_parts = [t for t in ray.get(sort_newest_first(ds).to_arrow_refs())
-                 if t.num_rows]
-    if out_parts:
-        out = pa.concat_tables(out_parts)
-    else:
-        sch = ds_scan.schema()
-        base = getattr(sch, "base_schema", None)
-        if isinstance(base, pa.Schema):
-            arrow_schema = base
-        else:
-            fields = []
-            for n, t in zip(sch.names, sch.types):
-                if isinstance(t, pa.DataType):
-                    fields.append((n, t))
-                else:
-                    try:
-                        fields.append((n, pa.from_numpy_dtype(np.dtype(t))))
-                    except (TypeError, pa.ArrowNotImplementedError):
-                        fields.append((n, pa.string()))
-            arrow_schema = pa.schema(fields)
-        out = arrow_schema.empty_table()
+        t = location_filter(t, location)
+    if not first_scan and len(store):
+        t = t.filter(pa.array(~store.contains(hash_keys(t, ["title", "url"]))))
+    out = sort_newest_first(t)
     if out.num_rows:
         store.add(hash_keys(out, ["title", "url"]))
     return out, store

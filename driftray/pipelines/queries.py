@@ -1,5 +1,9 @@
 """Driver-facing query inventory (SURVEY.md §2 coverage).
 
+The catalogue holds only queries built on the validation engine's own
+modules (checks, sketches, drift, spec, pipeline, sources and the zone
+maps): 31 SQL-expressible ``q*`` queries and 6 ``nq_*`` ones.
+
 Each ``q_*`` function takes ``sf_dir`` (a testdata directory per
 TESTDATA.md) and returns a Dataset / pandas DataFrame / pyarrow Table.
 ``ORACLE_SQL`` holds the DuckDB-equivalent ANSI SQL for every
@@ -21,12 +25,6 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..checks import sha256_hex
-from ..ops.relational import (broadcast_join, dedup_exact, distinct,
-                              semi_join_keys, top_k, tumbling_window_column)
-from ..ops.text import PII_PATTERNS as _PII
-from ..ops.pool import actor_pool
-
-_PII_EM, _PII_PH, _PII_IP = _PII["email"], _PII["phone"], _PII["ipv4"]
 
 ROUND = 2  # money-ish aggregates
 ROUND_F = 6  # means / ratios
@@ -84,93 +82,6 @@ def q02_revenue_by_flag(sf_dir: str):
     out = (ds.map_batches(fn, batch_format="pyarrow")
            .groupby("l_returnflag").aggregate(Sum("revenue", alias_name="revenue")))
     return _round_cols(out.to_pandas(), {"revenue": ROUND})
-
-
-# -- sort / top-k (O1/O4) -----------------------------------------------------
-
-def q03_topk_orders(sf_dir: str):
-    """Global top-k without a global sort."""
-    return top_k(_t(sf_dir, "orders", ["o_orderkey", "o_totalprice"]),
-                 "o_totalprice", 10, descending=True)
-
-
-# -- distinct (A7/D) ----------------------------------------------------------
-
-def q04_distinct_flags(sf_dir: str):
-    return distinct(_t(sf_dir, "lineitem", ["l_returnflag", "l_linestatus"]),
-                    ["l_returnflag", "l_linestatus"])
-
-
-# -- broadcast joins (J1/J3) --------------------------------------------------
-
-def q05_segment_sales(sf_dir: str):
-    from ray.data.aggregate import Count, Sum
-
-    cust = _t(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).to_pandas()
-    orders = _t(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    joined = broadcast_join(orders, cust.rename(columns={"c_custkey": "o_custkey"}),
-                            on=["o_custkey"], how="inner")
-    out = (joined.groupby("c_mktsegment")
-           .aggregate(Count(alias_name="n_orders"),
-                      Sum("o_totalprice", alias_name="total_sales")))
-    return _round_cols(out.to_pandas(), {"total_sales": ROUND})
-
-
-def q06_customers_per_region(sf_dir: str):
-    from ray.data.aggregate import Count
-
-    nation = _t(sf_dir, "nation", ["n_nationkey", "n_regionkey"]).to_pandas()
-    region = _t(sf_dir, "region").to_pandas()
-    dim = nation.merge(region, left_on="n_regionkey", right_on="r_regionkey")
-    dim = dim.rename(columns={"n_nationkey": "c_nationkey"})[["c_nationkey", "r_name"]]
-    cust = _t(sf_dir, "customer", ["c_nationkey"])
-    joined = broadcast_join(cust, dim, on=["c_nationkey"], how="inner")
-    out = joined.groupby("r_name").aggregate(Count(alias_name="n_customers"))
-    return out.to_pandas()
-
-
-# -- semi / anti joins (J2) ---------------------------------------------------
-
-def q07_customers_with_orders(sf_dir: str):
-    # build side is DISTINCT-ed on-cluster first: the exchange carries one
-    # row per distinct key, never the raw fact-side key column
-    keys = set(distinct(_t(sf_dir, "orders", ["o_custkey"]), ["o_custkey"])
-               .to_pandas()["o_custkey"])
-    out = semi_join_keys(_t(sf_dir, "customer", ["c_custkey"]), keys, "c_custkey")
-    return out
-
-
-def q08_parts_never_ordered(sf_dir: str):
-    keys = set(distinct(_t(sf_dir, "lineitem", ["l_partkey"]), ["l_partkey"])
-               .to_pandas()["l_partkey"])
-    out = semi_join_keys(_t(sf_dir, "part", ["p_partkey"]), keys, "p_partkey",
-                         anti=True).to_pandas()
-    if out.empty:  # keep the schema even when the anti-join is empty
-        out = pd.DataFrame({"p_partkey": pd.Series([], dtype="int64")})
-    return out
-
-
-# -- windowed aggregation (A1/W2) --------------------------------------------
-
-def q09_windowed_events(sf_dir: str):
-    """5-minute tumbling windows per event_type (DESIGN.md:283-296 shape).
-    window_start_s is epoch seconds (BIGINT both sides)."""
-    from ray.data.aggregate import Count, Mean, Sum
-
-    ds = tumbling_window_column(_t(sf_dir, "events", ["ts", "event_type", "value"]),
-                                "ts", 300)
-
-    def to_secs(t: pa.Table) -> pa.Table:
-        s = pc.divide(pc.cast(t["window_start"], pa.int64()), 1_000_000)
-        return pa.table({"window_start_s": s, "event_type": t["event_type"],
-                         "value": t["value"]})
-
-    out = (ds.map_batches(to_secs, batch_format="pyarrow")
-           .groupby(["window_start_s", "event_type"])
-           .aggregate(Count(alias_name="n_events"),
-                      Sum("value", alias_name="sum_value"),
-                      Mean("value", alias_name="avg_value")))
-    return _round_cols(out.to_pandas(), {"sum_value": ROUND, "avg_value": ROUND_F})
 
 
 # -- uniqueness / duplicate keys (D2, A7) ------------------------------------
@@ -237,39 +148,6 @@ def q13_sha256_documents(sf_dir: str):
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-# -- first-wins dedup (D2/D3) -------------------------------------------------
-
-def q14_dedup_documents(sf_dir: str):
-    ds = _t(sf_dir, "documents", ["doc_id", "text", "lang"])
-    return dedup_exact(ds, ["text"], "doc_id").select_columns(["doc_id", "lang"])
-
-
-# -- ANN brute-force cosine (similarity search) -------------------------------
-
-def q15_ann_topk(sf_dir: str):
-    from ..ops.ann import brute_force_topk
-
-    emb = _t(sf_dir, "embeddings", ["vec_id", "embedding"])
-    # 1-row control fetch with parquet row-filter pushdown (never a
-    # per-row Python filter scan)
-    q0 = _t(sf_dir, "embeddings", ["vec_id", "embedding"],
-            filter=pc.field("vec_id") == 0).to_pandas()
-    query = np.stack(q0["embedding"].to_numpy())
-    out = brute_force_topk(emb, query, k=10).to_pandas()
-    out["score"] = out["score"].round(4)
-    return out[["query_id", "vec_id", "score"]]
-
-
-# -- token counting (text analysis) ------------------------------------------
-
-def q16_token_counts(sf_dir: str):
-    from ..ops.text import TokenCounter
-
-    ds = _t(sf_dir, "documents", ["doc_id", "text"])
-    out = ds.map_batches(TokenCounter, batch_format="pandas", concurrency=actor_pool())
-    return out.select_columns(["doc_id", "n_tokens_ws"])
-
-
 # -- per-group moments via mergeable sketches (A4) ----------------------------
 
 def q17_lang_profiles(sf_dir: str):
@@ -305,32 +183,6 @@ def q17_lang_profiles(sf_dir: str):
     return pd.DataFrame(out)
 
 
-# -- exact grouped quantiles (A4 median) --------------------------------------
-
-def q18_lang_medians(sf_dir: str):
-    """Exact per-lang median via the vectorized multi-group kernel: one
-    pandas C-kernel ``groupby().quantile()`` per hash PARTITION (O(P)
-    Python callbacks, not O(#langs)) — see ``ops.grouped`` for the
-    partitioning contract.  For giant single groups the t-digest sketch
-    path (``sketches``) is the tolerance alternative."""
-    from ..ops.grouped import grouped_quantile
-
-    ds = _t(sf_dir, "documents", ["lang", "n_chars"])
-    return grouped_quantile(ds, ["lang"], "n_chars", q=0.5,
-                            out_col="median_chars", num_partitions=16)
-
-
-# -- exact distinct count per group (A7) --------------------------------------
-
-def q19_distinct_users_per_type(sf_dir: str):
-    from ray.data.aggregate import Count
-
-    ds = _t(sf_dir, "events", ["event_type", "user_id"])
-    pairs = distinct(ds, ["event_type", "user_id"])
-    out = pairs.groupby("event_type").aggregate(Count(alias_name="n_users"))
-    return out
-
-
 # -- substring filter (M3/M5) -------------------------------------------------
 
 def q20_text_contains(sf_dir: str):
@@ -341,21 +193,6 @@ def q20_text_contains(sf_dir: str):
         return pa.table({"doc_id": t.filter(mask)["doc_id"]})
 
     return ds.map_batches(fn, batch_format="pyarrow")
-
-
-# -- per-source top-n + union + sort (S4/O1/O2/D1 news.py shape) -------------
-
-def q21_per_source_latest(sf_dir: str):
-    """Per-source limit-20 newest-first, the news.py scan shape
-    (news.py:26,105 limit; news.py:583-592 sort)."""
-    ds = _t(sf_dir, "documents", ["doc_id", "source"])
-    # partial per-batch top-20 per source + tiny exact merge — no worker
-    # ever materializes a whole source (the hot-source straggler of
-    # groupby(source).map_groups(head20) is gone)
-    from ..ops.grouped import grouped_top_k
-
-    return grouped_top_k(ds, ["source"], "doc_id", k=20, descending=True,
-                         columns=["source", "doc_id"])
 
 
 # -- timestamp formatting (M6 scalar fns) ------------------------------------
@@ -388,25 +225,6 @@ def q23_union_counts(sf_dir: str):
     return out
 
 
-# -- left join with null fill (J1) ---------------------------------------------
-
-def q24_part_order_counts(sf_dir: str):
-    """part LEFT JOIN per-part lineitem counts; unmatched parts -> 0."""
-    from ray.data.aggregate import Count
-
-    li = (_t(sf_dir, "lineitem", ["l_partkey"])
-          .groupby("l_partkey").aggregate(Count(alias_name="n_li")).to_pandas())
-    li = li.rename(columns={"l_partkey": "p_partkey"})
-    parts = _t(sf_dir, "part", ["p_partkey"])
-    joined = broadcast_join(parts, li, on=["p_partkey"], how="left")
-
-    def fill(t: pa.Table) -> pa.Table:
-        return pa.table({"p_partkey": t["p_partkey"],
-                         "n_li": pc.fill_null(pc.cast(t["n_li"], pa.int64()), 0)})
-
-    return joined.map_batches(fill, batch_format="pyarrow")
-
-
 # -- broadcast dict mapper (M9 country-code lookup shape) -----------------------
 
 _SOURCE_TIER = {f"src{i}": ("low" if i < 10 else "high") for i in range(20)}
@@ -432,61 +250,6 @@ def q25_source_tiers(sf_dir: str):
     ds = _t(sf_dir, "documents", ["source"])
     return (ds.map_batches(Mapper, batch_format="pyarrow", concurrency=(1, 2))
             .groupby("tier").aggregate(Count(alias_name="n_docs")))
-
-
-# -- skew-safe salted aggregation (SURVEY §4.2), oracle-checked ----------------
-
-def q26_salted_revenue_stats(sf_dir: str):
-    """Two-phase salted groupby == plain groupby, proven against SQL."""
-    from ..ops.relational import salted_groupby_agg
-
-    ds = _t(sf_dir, "lineitem", ["l_returnflag", "l_extendedprice"])
-    out = salted_groupby_agg(ds, ["l_returnflag"],
-                             {"l_extendedprice": "mean"}, n_salts=16).to_pandas()
-    out["mean_l_extendedprice"] = out["mean_l_extendedprice"].round(ROUND_F)
-    return out
-
-
-# -- large-large shuffle join (J1 fact-to-fact; DESIGN.md:246) ----------------
-
-def q27_order_line_detail(sf_dir: str):
-    """lineitem ⋈ orders keeping LINE detail — neither side broadcastable at
-    scale, so both hash-partition (Dataset.join shuffle path)."""
-    from ..ops.relational import hash_shuffle_join
-
-    li = _t(sf_dir, "lineitem", ["l_orderkey", "l_linenumber", "l_extendedprice"])
-    orders = _t(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderstatus"])
-    return hash_shuffle_join(li, orders, on=["l_orderkey"],
-                             right_on=["o_orderkey"], num_partitions=8)
-
-
-# -- as-of join (custom operator; DuckDB ASOF JOIN oracle) --------------------
-
-def q28_prev_event_value(sf_dir: str):
-    """Per-user previous event value: strict backward as-of self-join over
-    the events stream (union → groupby(user) → vectorized searchsorted)."""
-    from ..ops.relational import asof_join
-
-    ev = _t(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    right = _t(sf_dir, "events", ["user_id", "ts", "value"])
-    out = asof_join(ev, right, on=["user_id"], left_ts="ts", right_ts="ts",
-                    right_values=["value"], suffix="_prev", strict=True)
-    return out.select_columns(["event_id", "user_id", "value", "value_prev"])
-
-
-# -- hopping/sliding windows (W extension beyond tumbling) --------------------
-
-def q29_hopping_windows(sf_dir: str):
-    """15-min windows hopping every 5 min: one count per (window, type);
-    each event lands in 3 windows via vectorized replication."""
-    from ray.data.aggregate import Count
-
-    from ..ops.relational import hopping_window_flatmap
-
-    ds = hopping_window_flatmap(_t(sf_dir, "events", ["ts", "event_type"]),
-                                "ts", size_s=900, hop_s=300)
-    return (ds.groupby(["window_start_s", "event_type"])
-            .aggregate(Count(alias_name="n_events")))
 
 
 # -- drift half-split means, oracle-checked (A5/A6 companion) -----------------
@@ -525,80 +288,6 @@ def q30_drift_means(sf_dir: str):
     return out
 
 
-# -- HLL accuracy vs exact distinct (SQL-bounded assertion) -------------------
-
-def q31_hll_accuracy(sf_dir: str):
-    """HLL cardinality per event_type checked against the EXACT distinct
-    count IN the query: `within_2pct` must be TRUE for the oracle hash to
-    match, so the driver comparison enforces the approximation band."""
-    exact = (q19_distinct_users_per_type(sf_dir).to_pandas()
-             .set_index("event_type")["n_users"])
-    approx = (nq_hll_distinct_users(sf_dir)
-              .set_index("event_type")["n_users_approx"])
-    out = pd.DataFrame({
-        "event_type": exact.index,
-        "n_users_exact": exact.to_numpy(dtype=np.int64),
-        "within_2pct": [
-            abs(int(approx[et]) - int(exact[et])) <= max(0.02 * int(exact[et]), 1)
-            for et in exact.index],
-    }).reset_index(drop=True)
-    return out
-
-
-# -- set intersect / except (D5) ----------------------------------------------
-
-def q32_flags_in_both_years(sf_dir: str):
-    """(returnflag, linestatus) combos present in BOTH the pre-1997 and
-    post-1997 slices — distributed INTERSECT (distinct ∩ distinct)."""
-    from ..ops.relational import intersect
-
-    cut = pa.scalar(np.datetime64("1997-01-01", "us"))
-    early = _t(sf_dir, "lineitem",
-               ["l_returnflag", "l_linestatus", "l_shipdate"]).map_batches(
-        lambda t: t.filter(pc.less(t["l_shipdate"], cut)), batch_format="pyarrow")
-    late = _t(sf_dir, "lineitem",
-              ["l_returnflag", "l_linestatus", "l_shipdate"]).map_batches(
-        lambda t: t.filter(pc.greater_equal(t["l_shipdate"], cut)),
-        batch_format="pyarrow")
-    return intersect(early, late, ["l_returnflag", "l_linestatus"])
-
-
-def q33_clickers_never_purchased(sf_dir: str):
-    """Users who clicked but never purchased — distributed EXCEPT."""
-    from ..ops.relational import except_
-
-    clicks = _t(sf_dir, "events", ["event_type", "user_id"]).map_batches(
-        lambda t: t.filter(pc.equal(t["event_type"], "click")),
-        batch_format="pyarrow")
-    buys = _t(sf_dir, "events", ["event_type", "user_id"]).map_batches(
-        lambda t: t.filter(pc.equal(t["event_type"], "purchase")),
-        batch_format="pyarrow")
-    out = except_(clicks, buys, ["user_id"]).to_pandas()
-    if out.empty:
-        out = pd.DataFrame({"user_id": pd.Series([], dtype="int64")})
-    return out
-
-
-# -- token-budget data mixing (curation) --------------------------------------
-
-def q34_token_budget_mix(sf_dir: str):
-    """Per-language token-budget selection (pretraining data mixing): keep
-    each lang's docs in doc_id order until 2000 whitespace tokens —
-    distributed two-tier prefix sum (see ops/curation.py)."""
-    from ..ops.curation import token_budget_select
-    from ..ops.text import TokenCounter
-
-    ds = _t(sf_dir, "documents", ["doc_id", "text", "lang"])
-    # project to the planning columns BEFORE the budget operator: the
-    # tokenizer then runs exactly once (the operator filters its own
-    # materialized projection instead of re-executing this stage)
-    toks = (ds.map_batches(TokenCounter(), batch_format="pandas")
-            .select_columns(["lang", "doc_id", "n_tokens_ws"]))
-    out = token_budget_select(toks, "lang", "n_tokens_ws", "doc_id",
-                              budget=2000)
-    return out.select_columns(["lang", "doc_id"])
-
-
 def q35_norm_fingerprints(sf_dir: str):
     """sha256 over NORMALIZED text (lower + whitespace collapse) — the
     SQL-expressible fingerprint twin of nq_fingerprints' rolling hash
@@ -614,207 +303,6 @@ def q35_norm_fingerprints(sf_dir: str):
                              "norm_sha256": sha256_hex(norm.tolist())})
 
     return ds.map_batches(fn, batch_format="pandas")
-
-
-def q36_text_stats(sf_dir: str):
-    """Integer text-quality counters (chars / punct / words / stopwords) —
-    the exact-arithmetic oracle twin of nq_quality_scores' ratio kernel
-    (integer outputs sidestep float rounding-mode drift between numpy and
-    DuckDB)."""
-    from ..ops.text import _STOPWORDS
-
-    stop = _STOPWORDS["en"]
-    ds = _t(sf_dir, "documents", ["doc_id", "text"])
-
-    def fn(b: pd.DataFrame) -> pd.DataFrame:
-        s = b["text"].fillna("").reset_index(drop=True)
-        words = s.str.lower().str.findall(r"[a-z]+")
-        ex = words.explode().dropna()
-        stop_counts = ex[ex.isin(stop)].groupby(level=0).size()
-        n_stop = stop_counts.reindex(s.index, fill_value=0)
-        return pd.DataFrame({
-            "doc_id": b["doc_id"].to_numpy(),
-            "n_chars": s.str.len().to_numpy(dtype=np.int64),
-            "n_punct": s.str.count(r"[^\w\s]").to_numpy(dtype=np.int64),
-            "n_words": s.str.count(r"[A-Za-z]+").to_numpy(dtype=np.int64),
-            "n_stop": n_stop.to_numpy(dtype=np.int64),
-        })
-
-    return ds.map_batches(fn, batch_format="pandas")
-
-
-def q37_hash_sample(sf_dir: str):
-    """Deterministic 20% Bernoulli sample of documents by md5(key) —
-    resume-stable and coordination-free (ops/sampling.hash_sample); the
-    oracle evaluates the IDENTICAL hex-threshold predicate in DuckDB."""
-    from ..ops.sampling import hash_sample
-
-    ds = _t(sf_dir, "documents", ["doc_id", "lang"])
-    return hash_sample(ds, "doc_id", 0.2, seed=42, method="md5")
-
-
-def q38_hash_split(sf_dir: str):
-    """Deterministic train/val/test split (80/10/10) by cumulative md5
-    buckets — a key keeps its split as the corpus grows
-    (ops/sampling.hash_split)."""
-    from ..ops.sampling import hash_split
-
-    ds = _t(sf_dir, "documents", ["doc_id"])
-    return hash_split(ds, "doc_id",
-                      {"train": 0.8, "val": 0.1, "test": 0.1},
-                      seed=42, method="md5")
-
-
-def q39_stratified_sample(sf_dir: str):
-    """Exactly-3-per-lang deterministic sample: smallest md5 digests per
-    group via the partial-top-k kernel (no per-group materialization);
-    the oracle is a row_number() window over the same digest order."""
-    from ..ops.sampling import stratified_sample_n
-
-    return stratified_sample_n(_t(sf_dir, "documents", ["doc_id", "lang"]),
-                               "lang", "doc_id", 3, seed=42)
-
-
-def _sample_hex(fraction: float) -> str:
-    from ..ops.sampling import fraction_to_hex
-
-    return fraction_to_hex(fraction)
-
-
-# -- session windows / rolling windows / range join / pivot / flat_map -------
-
-SESSION_GAP_S = 6 * 3600  # events arrive ~minutes apart; 6h gap splits runs
-
-
-def q40_session_windows(sf_dir: str):
-    """Gap-based sessionization per user (streaming W-extension; the
-    partitioned vectorized kernel — one pandas pass per hash partition,
-    never per key)."""
-    from ..ops.windowing import session_windows
-
-    ev = _t(sf_dir, "events", ["user_id", "ts"])
-    return session_windows(ev, ["user_id"], "ts", gap_s=SESSION_GAP_S)
-
-
-def q41_range_join(sf_dir: str):
-    """Pure range (interval containment) join, bucketed: lineitem ship
-    dates against order-derived 3-day windows — interval replication to
-    covered buckets + one hash-shuffle equi-join on the bucket id, then
-    count per interval (partial per-batch combine before the groupby)."""
-    from ray.data.aggregate import Sum
-
-    from ..ops.relational import range_join
-
-    def sample_and_end(t: pa.Table) -> pa.Table:
-        keys = np.asarray(t["o_orderkey"].to_numpy(zero_copy_only=False))
-        t = t.filter(pa.array(keys % 97 == 0))
-        end = pc.add(pc.cast(t["o_orderdate"], pa.timestamp("us")),
-                     pa.scalar(3 * 86400 * 1_000_000, pa.duration("us")))
-        return t.append_column("end_ts", end)
-
-    iv = (_t(sf_dir, "orders", ["o_orderkey", "o_orderdate"])
-          .map_batches(sample_and_end, batch_format="pyarrow"))
-    li = _t(sf_dir, "lineitem", ["l_shipdate"])
-    joined = range_join(li, iv, left_ts="l_shipdate",
-                        right_start="o_orderdate", right_end="end_ts",
-                        right_values=["o_orderkey"],
-                        bucket_width_s=3 * 86400)
-
-    def partial_counts(t: pa.Table) -> pa.Table:
-        keys, counts = np.unique(
-            np.asarray(t["o_orderkey"].to_numpy(zero_copy_only=False)),
-            return_counts=True)
-        return pa.table({"o_orderkey": pa.array(keys, pa.int64()),
-                         "__n": pa.array(counts.astype(np.int64))})
-
-    return (joined.map_batches(partial_counts, batch_format="pyarrow")
-            .groupby("o_orderkey").aggregate(Sum("__n", alias_name="n_lines")))
-
-
-ROLL_WINDOW = 4
-
-
-def q42_rolling_sums(sf_dir: str):
-    """Per-user rolling sum over the last 4 events (ordered by ts then
-    event_id): exact int64 prefix-sum kernel per hash partition — values
-    pre-scaled to cents so Ray and the SQL window frame agree bit-exactly."""
-    from ..ops.windowing import rolling_sum_by_key
-
-    ev = _t(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-
-    def to_cents(t: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.floor(pc.multiply(t["value"], pa.scalar(100.0))),
-                        pa.int64())
-        return t.drop_columns(["value"]).append_column("value_cents", cents)
-
-    ev = ev.map_batches(to_cents, batch_format="pyarrow")
-    out = rolling_sum_by_key(ev, ["user_id"], ["ts", "event_id"],
-                             "value_cents", window=ROLL_WINDOW,
-                             out_col="roll_sum")
-    return out.select_columns(["event_id", "user_id", "value_cents",
-                               "roll_sum"])
-
-
-def q43_top_tokens(sf_dir: str):
-    """Global top-20 token frequencies: flat_map-shaped tokenization with
-    per-batch partial combine (shuffle ∝ batch vocabulary), vocab-sized
-    groupby-sum, exact tie-broken top-N via per-block partial top-k."""
-    from ..ops.text import token_frequencies
-
-    return token_frequencies(_t(sf_dir, "documents", ["text"]),
-                             "text", top_n=20)
-
-
-PIVOT_SOURCES = [f"src{i}" for i in range(20)]
-
-
-def q44_lang_source_pivot(sf_dir: str):
-    """PIVOT: documents count per (lang × source) as a wide table —
-    per-batch crosstab partials, then a keys×values-sized groupby-sum."""
-    from ..ops.relational import pivot_counts
-
-    return pivot_counts(_t(sf_dir, "documents", ["lang", "source"]),
-                        "lang", "source", PIVOT_SOURCES)
-
-
-# -- as-of join / corr / calendar agg / rank / argmax / regex ----------------
-
-def q45_asof_order_value(sf_dir: str):
-    """AS-OF join with a DuckDB ``ASOF JOIN`` oracle: each event picks up
-    the total price of its user's latest order ON OR BEFORE the event
-    time (J-extension; `ops/relational.asof_join` — hash-partitioned
-    multi-group merge_asof, O(P) callbacks).  The right side is first
-    collapsed to one row per (user, orderdate) — max price — so tie
-    resolution is deterministic on both sides."""
-    from ..ops.relational import asof_join
-
-    ev = _t(sf_dir, "events", ["event_id", "user_id", "ts"])
-    orders = _t(sf_dir, "orders",
-                ["o_custkey", "o_orderdate", "o_totalprice"])
-    last = orders.groupby(["o_custkey", "o_orderdate"]).max("o_totalprice")
-
-    def prep(t: pa.Table) -> pa.Table:
-        ren = {"o_custkey": "user_id", "max(o_totalprice)": "last_price"}
-        return t.rename_columns([ren.get(c, c) for c in t.schema.names])
-
-    last = last.map_batches(prep, batch_format="pyarrow")
-    out = asof_join(ev, last, on=["user_id"], left_ts="ts",
-                    right_ts="o_orderdate", right_values=["last_price"],
-                    suffix="", strict=False)
-    return out.select_columns(["event_id", "user_id", "last_price"])
-
-
-def q46_price_qty_corr(sf_dir: str):
-    """Grouped Pearson correlation in one distributed pass (partial
-    moment sums — #keys×6 doubles shuffled, never rows;
-    `ops/grouped.grouped_corr`)."""
-    from ..ops.grouped import grouped_corr
-
-    ds = _t(sf_dir, "lineitem",
-            ["l_returnflag", "l_extendedprice", "l_quantity"])
-    out = grouped_corr(ds, ["l_returnflag"], "l_extendedprice",
-                       "l_quantity", out_col="corr_pq").to_pandas()
-    return _round_cols(out, {"corr_pq": ROUND_F})
 
 
 def q47_monthly_revenue(sf_dir: str):
@@ -836,44 +324,6 @@ def q47_monthly_revenue(sf_dir: str):
     return _round_cols(out, {"revenue": ROUND})
 
 
-def q48_event_rank(sf_dir: str):
-    """ROW_NUMBER per key (W-extension; `ops/windowing.row_number_by_key`
-    — hash-partitioned run-boundary kernel, no per-key callbacks)."""
-    from ..ops.windowing import row_number_by_key
-
-    ev = _t(sf_dir, "events", ["event_id", "user_id", "ts"])
-    out = row_number_by_key(ev, ["user_id"], ["ts", "event_id"],
-                            out_col="rn")
-    return out.select_columns(["event_id", "user_id", "rn"])
-
-
-def q49_flag_argmax_order(sf_dir: str):
-    """Distributed ARGMAX (`ops/relational.argmax_by`): per return flag,
-    the smallest l_orderkey attaining the flag's maximum extended price —
-    keys-sized broadcast of the maxima, winners-only second scan."""
-    from ..ops.relational import argmax_by
-
-    ds = _t(sf_dir, "lineitem",
-            ["l_returnflag", "l_extendedprice", "l_orderkey"])
-    out = argmax_by(ds, ["l_returnflag"], "l_extendedprice", "l_orderkey",
-                    max_name="max_price",
-                    arg_name="argmax_orderkey").to_pandas()
-    return _round_cols(out, {"max_price": ROUND})
-
-
-DIGIT_RUN_RE = "[0-9]{3,}"
-
-
-def q50_regex_digit_docs(sf_dir: str):
-    """Per-lang regex match counts (`ops/text.regex_match_counts`) —
-    Arrow RE2 kernel per batch, #langs-row partials shuffled, matching
-    DuckDB's regexp_matches (also RE2) exactly."""
-    from ..ops.text import regex_match_counts
-
-    ds = _t(sf_dir, "documents", ["lang", "text"])
-    return regex_match_counts(ds, "text", "lang", DIGIT_RUN_RE)
-
-
 def q51_json_props_stats(sf_dir: str):
     """Vectorized JSON field extraction (M4-family): pull the integer
     ``k`` out of the ``props`` JSON column with ONE Arrow RE2 kernel per
@@ -891,626 +341,6 @@ def q51_json_props_stats(sf_dir: str):
             .groupby("event_type")
             .aggregate(Sum("k", alias_name="sum_k"),
                        Count(alias_name="n_events")))
-
-
-JOURNEY_SEP = ">"
-
-
-def q52_user_journeys(sf_dir: str):
-    """Per-user ordered event-type journey string (STRING_AGG ... ORDER
-    BY) via `ops/grouped.grouped_concat` — hash-partitioned, one sort +
-    grouped join per partition, never a per-key task."""
-    from ..ops.grouped import grouped_concat
-
-    ev = _t(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-    return grouped_concat(ev, ["user_id"], ["ts", "event_id"],
-                          "event_type", JOURNEY_SEP, out_col="journey")
-
-
-SKEW_HOT_KEYS = [1, 7, 33, 4096]   # forced-salted keys; result invariant
-
-
-def q53_skew_join_lines(sf_dir: str):
-    """Skew-aware salted join (`ops/relational.skew_join`): hot keys'
-    rows are salted across reducers and the right side replicated per
-    salt, so no reducer receives a hot key's full row set.  The oracle is
-    the plain join — salting is a physical plan change only."""
-    from ..ops.relational import skew_join
-
-    li = _t(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
-    orders = _t(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
-
-    def ren(t: pa.Table) -> pa.Table:
-        return t.rename_columns(["l_orderkey", "o_totalprice"])
-
-    out = skew_join(li, orders.map_batches(ren, batch_format="pyarrow"),
-                    ["l_orderkey"], how="inner", num_salts=8,
-                    hot_keys=SKEW_HOT_KEYS)
-    return out.select_columns(["l_orderkey", "l_quantity", "o_totalprice"])
-
-
-def q54_next_event_value(sf_dir: str):
-    """LEAD window function per user (`ops/windowing.shift_by_key`,
-    offset=-1) — the row-offset twin of q28's time-based backward
-    as-of."""
-    from ..ops.windowing import shift_by_key
-
-    ev = _t(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    out = shift_by_key(ev, ["user_id"], ["ts", "event_id"], "value",
-                       offset=-1, out_col="value_next")
-    return out.select_columns(["event_id", "user_id", "value",
-                               "value_next"])
-
-
-def q55_lang_mode_source(sf_dir: str):
-    """Exact per-key MODE with deterministic MIN tie-break
-    (`ops/relational.grouped_mode` = count groupby ∘ argmax_by)."""
-    from ..ops.relational import grouped_mode
-
-    ds = _t(sf_dir, "documents", ["lang", "source"])
-    return grouped_mode(ds, ["lang"], "source", out_col="mode_source",
-                        count_name="mode_count")
-
-
-PPL_ALPHA = 0.5
-
-
-def q56_doc_perplexity(sf_dir: str):
-    """Unigram-LM perplexity per document (CCNet-style quality filter;
-    `ops/text.perplexity_scores`): corpus token counts via the partial-
-    combine path, vocab logprobs broadcast once, one vectorized scoring
-    pass.  The oracle recomputes the identical Lidstone-smoothed model
-    in SQL (documents' vocab is far below the cap, so no OOV bucket
-    engages at this scale)."""
-    from ..ops.text import perplexity_scores
-
-    ds = _t(sf_dir, "documents", ["doc_id", "text"])
-    out = perplexity_scores(ds, vocab_size=100000,
-                            alpha=PPL_ALPHA).to_pandas()
-    # zero-token docs have no defined per-token logprob; the oracle's
-    # token join drops them too
-    out = out[out["n_tokens"] > 0]
-    out = _round_cols(out, {"logprob_per_token": ROUND_F})
-    return (out[["doc_id", "n_tokens", "logprob_per_token"]]
-            .sort_values("doc_id").reset_index(drop=True))
-
-
-CHUNK_TOKENS, CHUNK_OVERLAP = 32, 8
-
-
-def q57_doc_chunks(sf_dir: str):
-    """Fixed-token-window training chunking with overlap
-    (`ops/text.chunk_documents`): flat_map-shaped, pure streaming; the
-    oracle reproduces the identical windows via string_split + range +
-    list_slice."""
-    from ..ops.text import chunk_documents
-
-    ds = _t(sf_dir, "documents", ["doc_id", "text"])
-    return chunk_documents(ds, chunk_tokens=CHUNK_TOKENS,
-                           overlap=CHUNK_OVERLAP)
-
-
-def q58_customers_with_orders_ll(sf_dir: str):
-    """LARGE-LARGE semi join (`ops/relational.shuffle_semi_join`): the
-    referential-membership shape when the build side can't broadcast —
-    distinct right keys + marker left_outer join, key-columns-only
-    shuffle.  Broadcast twin: q07."""
-    from ..ops.relational import shuffle_semi_join
-
-    cust = _t(sf_dir, "customer", ["c_custkey", "c_name"])
-    orders = _t(sf_dir, "orders", ["o_custkey"])
-    return shuffle_semi_join(cust, orders, ["c_custkey"],
-                             right_on=["o_custkey"])
-
-
-def q59_parts_never_ordered_ll(sf_dir: str):
-    """LARGE-LARGE anti join — q08's broadcast twin at shuffle scale."""
-    from ..ops.relational import shuffle_semi_join
-
-    part = _t(sf_dir, "part", ["p_partkey", "p_name"])
-    li = _t(sf_dir, "lineitem", ["l_partkey"])
-    out = shuffle_semi_join(part, li, ["p_partkey"],
-                            right_on=["l_partkey"], anti=True).to_pandas()
-    if out.empty:  # keep the schema even when the anti-join is empty
-        out = pd.DataFrame({"p_partkey": pd.Series([], dtype="int64"),
-                            "p_name": pd.Series([], dtype="object")})
-    return out
-
-
-def q60_bloom_semi_customers(sf_dir: str):
-    """Bloom-accelerated EXACT semi join (`ops/relational.bloom_semi_join`):
-    a distributed Bloom over the build keys pre-drops non-matching left
-    rows before the shuffle (no false negatives), then the exact
-    marker-join verifies the ~fpr survivors.  Same result set as q58 —
-    the Bloom changes the physical plan only."""
-    from ..ops.relational import bloom_semi_join
-
-    cust = _t(sf_dir, "customer", ["c_custkey", "c_name"])
-    orders = _t(sf_dir, "orders", ["o_custkey"])
-    return bloom_semi_join(cust, orders, ["c_custkey"],
-                           right_on=["o_custkey"])
-
-
-RANGE_WINDOW_S = 600
-
-
-def q61_rolling_time_sums(sf_dir: str):
-    """TIME-range rolling sum per user (RANGE frame — ties at the same
-    ts all count, unlike q42's ROWS frame;
-    `ops/windowing.rolling_sum_time_by_key`)."""
-    from ..ops.windowing import rolling_sum_time_by_key
-
-    ev = _t(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-
-    def to_cents(t: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.floor(pc.multiply(t["value"], pa.scalar(100.0))),
-                        pa.int64())
-        return t.drop_columns(["value"]).append_column("value_cents", cents)
-
-    ev = ev.map_batches(to_cents, batch_format="pyarrow")
-    out = rolling_sum_time_by_key(ev, ["user_id"], "ts", "value_cents",
-                                  window_s=RANGE_WINDOW_S,
-                                  out_col="roll_sum")
-    return out.select_columns(["event_id", "user_id", "value_cents",
-                               "roll_sum"])
-
-
-def _filter_eq(ds, col: str, value: str):
-    def fn(t: pa.Table) -> pa.Table:
-        return t.filter(pc.equal(t[col], pa.scalar(value)))
-
-    return ds.map_batches(fn, batch_format="pyarrow")
-
-
-def _filter_ts(ds, col: str, op: str, ts: str):
-    cmp = {"<": pc.less, ">=": pc.greater_equal, ">": pc.greater,
-           "<=": pc.less_equal}[op]
-    bound = pa.scalar(np.datetime64(ts.replace(" ", "T"), "us"))
-
-    def fn(t: pa.Table) -> pa.Table:
-        return t.filter(cmp(t[col], bound))
-
-    return ds.map_batches(fn, batch_format="pyarrow")
-
-
-def q62_click_purchase_outer(sf_dir: str):
-    """FULL OUTER large-large join (J1 completion): per-user click counts
-    vs purchase counts — users present on either side survive, missing
-    side filled with 0 (`ops/relational.hash_shuffle_join` full_outer;
-    Ray's hash-shuffle join coalesces the key column)."""
-    from ..ops.relational import hash_shuffle_join
-
-    ev = _t(sf_dir, "events", ["user_id", "event_type"])
-
-    def side(ev, etype, out):
-        return (_filter_eq(ev, "event_type", etype)
-                .groupby("user_id").count()
-                .map_batches(lambda t, out=out: t.rename_columns(
-                    ["user_id", out]), batch_format="pyarrow"))
-
-    clicks = side(ev, "click", "n_clicks")
-    purch = side(ev, "purchase", "n_purchases")
-    j = hash_shuffle_join(clicks, purch, on=["user_id"], how="full_outer",
-                          num_partitions=4)
-
-    def fill0(t: pa.Table) -> pa.Table:
-        out = {"user_id": t["user_id"]}
-        for c in ("n_clicks", "n_purchases"):
-            out[c] = pc.fill_null(pc.cast(t[c], pa.int64()), 0)
-        return pa.table(out)
-
-    return j.map_batches(fill0, batch_format="pyarrow")
-
-
-def q63_rollup_revenue(sf_dir: str):
-    """GROUP BY ROLLUP (A3 extension): revenue at (flag, status), per-flag
-    subtotal, and grand total in one result
-    (`ops/relational.rollup_aggregate` — one full shuffle at the finest
-    level, coarser levels re-aggregate the previous level's small result)."""
-    from ..ops.relational import rollup_aggregate
-
-    ds = _t(sf_dir, "lineitem", ["l_returnflag", "l_linestatus",
-                                 "l_extendedprice", "l_discount"])
-
-    def add_rev(t: pa.Table) -> pa.Table:
-        rev = pc.multiply(t["l_extendedprice"],
-                          pc.subtract(pa.scalar(1.0), t["l_discount"]))
-        return t.append_column("revenue", rev)
-
-    out = rollup_aggregate(ds.map_batches(add_rev, batch_format="pyarrow"),
-                           ["l_returnflag", "l_linestatus"], "revenue",
-                           out_col="revenue")
-    return _round_cols(out.to_pandas(), {"revenue": ROUND})
-
-
-_SPLIT_TS = "2024-01-16 00:00:00"
-
-
-def q64_events_intersect_all(sf_dir: str):
-    """INTERSECT ALL (D5 bag variant): (user_id, event_type) pairs with
-    multiplicity min(count_first_half, count_second_half) across the two
-    month halves (`ops/relational.intersect_all` — one count shuffle +
-    vectorized np.repeat re-expansion)."""
-    from ..ops.relational import intersect_all
-
-    ev = _t(sf_dir, "events", ["user_id", "event_type", "ts"])
-    first = _filter_ts(ev, "ts", "<", _SPLIT_TS)
-    second = _filter_ts(ev, "ts", ">=", _SPLIT_TS)
-    return intersect_all(first, second, ["user_id", "event_type"])
-
-
-def q65_events_except_all(sf_dir: str):
-    """EXCEPT ALL (D5 bag variant): first-half pairs surviving with
-    multiplicity max(count_first - count_second, 0)
-    (`ops/relational.except_all`)."""
-    from ..ops.relational import except_all
-
-    ev = _t(sf_dir, "events", ["user_id", "event_type", "ts"])
-    first = _filter_ts(ev, "ts", "<", _SPLIT_TS)
-    second = _filter_ts(ev, "ts", ">=", _SPLIT_TS)
-    return except_all(first, second, ["user_id", "event_type"])
-
-
-def q66_value_quartiles(sf_dir: str):
-    """Ranking window functions (NTILE/PERCENT_RANK/CUME_DIST, SURVEY A1
-    extension): quartile + rank stats of value within each event_type
-    (`ops/windowing.rank_window_by_key` — one mergesort + run-boundary
-    pass per hash partition, all keys at once)."""
-    from ..ops.windowing import rank_window_by_key
-
-    ev = _t(sf_dir, "events", ["event_id", "event_type", "value"])
-    out = rank_window_by_key(ev, ["event_type"], ["value", "event_id"],
-                             n_tiles=4)
-
-    def fmt(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_id": t["event_id"],
-            "event_type": t["event_type"],
-            "rn": t["rn"],
-            "tile": t["tile"],
-            "pct_rank": pc.round(t["pct_rank"], ROUND_F),
-            "cume_dist": pc.round(t["cume_dist"], ROUND_F),
-        })
-
-    return out.map_batches(fmt, batch_format="pyarrow")
-
-
-def q67_part_attrs_unpivot(sf_dir: str):
-    """UNPIVOT / melt (M-family reshape): part attributes to long form —
-    one row per (part, attribute) (`ops/relational.unpivot`, pure
-    per-batch, no shuffle)."""
-    from ..ops.relational import unpivot
-
-    return unpivot(_t(sf_dir, "part", ["p_partkey", "p_size",
-                                       "p_retailprice"]),
-                   ["p_partkey"], ["p_size", "p_retailprice"])
-
-
-def q68_region_pairs(sf_dir: str):
-    """CROSS JOIN against a small broadcast side (J-family completion):
-    all ordered region-name pairs (`ops/relational.cross_join_small` —
-    ray.put once, vectorized repeat×tile take per batch)."""
-    import pyarrow.parquet as pq
-
-    from ..ops.relational import cross_join_small
-
-    small = pq.read_table(f"{sf_dir}/region.parquet", columns=["r_name"])
-    ds = _t(sf_dir, "region", ["r_name"])
-    return cross_join_small(ds, small, suffix="_r")
-
-
-def q69_shipping_priority(sf_dir: str):
-    """TPC-H Q3-shaped 3-way join composition (J1+A3+O4): BUILDING-segment
-    customers ⋈ pre-cutoff orders ⋈ post-cutoff lineitems, grouped
-    revenue, top-10 without a global sort (two
-    `hash_shuffle_join`s + partial top-k merge)."""
-    from ..ops.relational import hash_shuffle_join, top_k
-
-    cutoff = "1998-06-01 00:00:00"
-    cust = _filter_eq(_t(sf_dir, "customer", ["c_custkey", "c_mktsegment"]),
-                      "c_mktsegment", "BUILDING").select_columns(["c_custkey"])
-    orders = _filter_ts(_t(sf_dir, "orders",
-                           ["o_orderkey", "o_custkey", "o_orderdate"]),
-                        "o_orderdate", "<", cutoff)
-    li = _filter_ts(_t(sf_dir, "lineitem",
-                       ["l_orderkey", "l_extendedprice", "l_discount",
-                        "l_shipdate"]),
-                    "l_shipdate", ">", cutoff)
-    o_b = hash_shuffle_join(orders, cust, on=["o_custkey"],
-                            right_on=["c_custkey"], num_partitions=4)
-    j = hash_shuffle_join(li, o_b.select_columns(["o_orderkey"]),
-                          on=["l_orderkey"], right_on=["o_orderkey"],
-                          num_partitions=4)
-
-    def add_rev(t: pa.Table) -> pa.Table:
-        rev = pc.multiply(t["l_extendedprice"],
-                          pc.subtract(pa.scalar(1.0), t["l_discount"]))
-        return pa.table({"l_orderkey": t["l_orderkey"], "revenue": rev})
-
-    from ray.data.aggregate import Sum
-
-    agg = (j.map_batches(add_rev, batch_format="pyarrow")
-           .groupby("l_orderkey").aggregate(Sum("revenue",
-                                                alias_name="revenue")))
-    cand = top_k(agg, "revenue", k=20).to_pandas()
-    cand = cand.sort_values(["revenue", "l_orderkey"],
-                            ascending=[False, True]).head(10)
-    return _round_cols(cand.reset_index(drop=True), {"revenue": ROUND})
-
-
-def q70_repetition_stats(sf_dir: str):
-    """Gopher-style within-doc repetition counters (LLM quality gates):
-    tokens in repeated token types + trigram instances of repeated
-    trigrams, integer outputs (`ops/text.repetition_stats` — one
-    vectorized explode + two pandas groupby kernels per batch, no
-    shuffle)."""
-    from ..ops.text import repetition_stats
-
-    return repetition_stats(_t(sf_dir, "documents", ["doc_id", "text"]))
-
-
-def q71_tfidf_terms(sf_dir: str):
-    """Per-doc top-3 tf-idf terms (LLM keyword extraction): global df
-    pass + broadcast idf + vectorized per-batch scoring
-    (`ops/text.tfidf_top_terms`; deterministic (score DESC, term ASC)
-    tie-break mirrors the SQL window order)."""
-    from ..ops.text import tfidf_top_terms
-
-    return tfidf_top_terms(_t(sf_dir, "documents", ["doc_id", "text"]),
-                           k=3, round_to=4)
-
-
-def q72_span_dedup(sf_dir: str):
-    """Exact duplicate-SPAN removal (Lee et al. substring dedup, token-
-    window form; `ops/dedup.dedup_spans`): every 8-token span occurring
-    ≥2 times corpus-wide survives only at its first (doc, pos)
-    occurrence.  Three distributed exchanges; the DuckDB oracle
-    recomputes winners by window STRING equality (hash-free), so this
-    also certifies the rolling hash collision-free on this corpus."""
-    from ..ops.dedup import dedup_spans
-
-    return dedup_spans(_t(sf_dir, "documents", ["doc_id", "text"]),
-                       window=8, num_partitions=8)
-
-
-def q73_lang_outliers(sf_dir: str):
-    """Robust per-group outlier detection (A4 extension): per language,
-    count docs whose |n_chars − median| exceeds 3×MAD — two
-    `grouped_quantile` passes (median, then MAD as the median absolute
-    deviation), group stats broadcast back (group cardinality = #langs,
-    tiny), one counting aggregate.  Integer outputs keep the DuckDB
-    MEDIAN/MAD oracle hash-exact."""
-    from ray.data.aggregate import Count, Sum
-
-    from ..ops.grouped import grouped_quantile
-
-    docs = _t(sf_dir, "documents", ["lang", "n_chars"])
-    med = grouped_quantile(docs, ["lang"], "n_chars", q=0.5,
-                           out_col="med", num_partitions=4).to_pandas()
-    med_map = dict(zip(med["lang"], med["med"]))
-
-    def add_dev(t: pa.Table) -> pa.Table:
-        langs = t["lang"].to_pylist()
-        m = np.array([med_map[x] for x in langs])
-        dev = np.abs(t["n_chars"].to_numpy(zero_copy_only=False) - m)
-        return pa.table({"lang": t["lang"], "dev": pa.array(dev),
-                         "n_chars": t["n_chars"]})
-
-    dev_ds = docs.map_batches(add_dev, batch_format="pyarrow")
-    mad = grouped_quantile(dev_ds.select_columns(["lang", "dev"]),
-                           ["lang"], "dev", q=0.5, out_col="mad",
-                           num_partitions=4).to_pandas()
-    mad_map = dict(zip(mad["lang"], mad["mad"]))
-
-    def flag(t: pa.Table) -> pa.Table:
-        langs = t["lang"].to_pylist()
-        thr = np.array([3.0 * mad_map[x] for x in langs])
-        out = (t["dev"].to_numpy(zero_copy_only=False) > thr)
-        return pa.table({"lang": t["lang"],
-                         "is_out": pa.array(out.astype(np.int64))})
-
-    agg = (dev_ds.map_batches(flag, batch_format="pyarrow")
-           .groupby("lang")
-           .aggregate(Count(alias_name="n_docs"),
-                      Sum("is_out", alias_name="n_outliers")))
-    return agg
-
-
-def _synth_pii_text(t: pa.Table) -> pa.Table:
-    """Deterministic PII-bearing text derived from events columns (the
-    sf tables carry no real PII; both the Ray query and its SQL oracle
-    derive the SAME string, then redact it)."""
-    eid = t["event_id"].to_numpy(zero_copy_only=False)
-    uid = t["user_id"].to_numpy(zero_copy_only=False)
-    s = pd.Series(uid).astype(str)
-    text = ("contact user" + s + "@example.com or call +1-555-"
-            + pd.Series(uid % 1000).astype(str).str.zfill(3) + "-"
-            + pd.Series(eid % 10000).astype(str).str.zfill(4)
-            + " from 10.0." + pd.Series(uid % 256).astype(str) + "."
-            + pd.Series(eid % 256).astype(str))
-    return pa.table({"event_id": t["event_id"],
-                     "text": pa.array(text.to_numpy(dtype=object),
-                                      type=pa.string())})
-
-
-def q74_pii_redaction(sf_dir: str):
-    """PII redaction (`ops/text.PiiRedactor`): Arrow RE2 count+replace
-    kernels per batch for email/phone/IPv4, counts taken on the
-    progressively-redacted text (oracle mirrors with nested
-    regexp_replace).  Hash covers the redacted output via sha256."""
-    from ..ops.text import redact_pii
-
-    ev = _t(sf_dir, "events", ["event_id", "user_id"])
-    red = redact_pii(ev.map_batches(_synth_pii_text,
-                                    batch_format="pyarrow"))
-
-    def finish(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_id": t["event_id"],
-            "n_email": t["n_email"], "n_phone": t["n_phone"],
-            "n_ipv4": t["n_ipv4"],
-            "redacted_sha256": pa.array(
-                sha256_hex(t["text"].to_pylist()), type=pa.string())})
-
-    return red.map_batches(finish, batch_format="pyarrow")
-
-
-def q75_clean_lines(sf_dir: str):
-    """C4-style line-level boilerplate filtering
-    (`ops/text.LineCleaner`): documents text gains deterministic line
-    breaks (both sides derive them the same way), then lines below the
-    word floor or without terminal punctuation are dropped — explode →
-    vectorized predicates → groupby re-join, no per-doc Python loop."""
-    from ..ops.text import clean_lines
-
-    docs = _t(sf_dir, "documents", ["doc_id", "text"])
-
-    def add_breaks(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "doc_id": t["doc_id"],
-            "text": pc.replace_substring(t["text"], " batch ", ".\n")})
-
-    cleaned = clean_lines(docs.map_batches(add_breaks,
-                                           batch_format="pyarrow"))
-
-    def finish(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "doc_id": b["doc_id"],
-            "n_lines_kept": b["n_lines_kept"],
-            "n_lines_dropped": b["n_lines_dropped"],
-            "clean_sha256": sha256_hex(b["clean_text"].tolist())})
-
-    return cleaned.map_batches(finish, batch_format="pandas")
-
-
-DECON_N = 8  # token n-gram width for decontamination
-DECON_MOD = 97  # doc_id % DECON_MOD == 0 rows play the eval set
-
-
-def q76_decontamination(sf_dir: str):
-    """Benchmark decontamination (`ops/curation.decontaminate`): flag
-    training docs sharing any 8-token n-gram with the eval slice
-    (doc_id % 97 == 0).  Broadcast n-gram-hash set + vectorized isin per
-    batch; past `spill_threshold` the same op runs as a large-large
-    shuffle semi join on 8-byte hashes (forced-spill equivalence is
-    tested in tests/test_round5_ops.py)."""
-    from ..ops.curation import decontaminate
-
-    docs = _t(sf_dir, "documents", ["doc_id", "text"])
-
-    def part(train: bool):
-        def f(t: pa.Table) -> pa.Table:
-            ids = t["doc_id"].to_numpy(zero_copy_only=False)
-            m = (ids % DECON_MOD) == 0
-            return t.filter(pa.array(~m if train else m))
-        return f
-
-    train = docs.map_batches(part(True), batch_format="pyarrow")
-    ev = docs.map_batches(part(False), batch_format="pyarrow")
-    return decontaminate(train, ev, n=DECON_N)
-
-
-GOPHER_MIN_WORDS = 30  # q77 word-count floor (sf docs run 15-80 words)
-
-
-def q77_gopher_rules(sf_dir: str):
-    """Gopher-style quality rules (`ops/text.gopher_stats`): integer
-    counters (words, alpha words, required stopwords, '#'/'...' symbols,
-    total token chars) plus the combined keep verdict evaluated as
-    cross-multiplied integer comparisons — hash-exact against the SQL
-    oracle, no float thresholds on either side."""
-    from ..ops.text import gopher_stats
-
-    docs = _t(sf_dir, "documents", ["doc_id", "text"])
-    return gopher_stats(docs, min_words=GOPHER_MIN_WORDS)
-
-
-# q78 per-source epoch weights: suffix % 3 == 0 → 1.0, 1 → 1.75, 2 → 2.5
-MIX_WEIGHTS = {f"src{i}": 1 + (i % 3) * 0.75 for i in range(20)}
-
-
-def q78_epoch_mixing(sf_dir: str):
-    """Weighted corpus mixing by repetition
-    (`ops/curation.repeat_by_weight`): each source's docs appear
-    floor(w) times plus one more when md5(seed:doc_id) falls under
-    frac(w) — the Gopher/LLaMA "epochs per source" mix, deterministic
-    across re-runs.  Oracle reproduces the copy count with DuckDB md5 +
-    unnest(range(k))."""
-    from ..ops.curation import repeat_by_weight
-
-    docs = _t(sf_dir, "documents", ["doc_id", "source"])
-    out = repeat_by_weight(docs, key_col="doc_id", group_col="source",
-                           weights=MIX_WEIGHTS)
-    return out.select_columns(["doc_id", "source", "epoch"])
-
-
-PACK_SEQ_LEN = 4096  # q79 training-sequence length (chars as tokens)
-
-
-def q79_pack_sequences(sf_dir: str):
-    """GPT-style sequence packing (`ops/curation.pack_sequences`):
-    concatenate each source's docs by doc_id and cut every 4096 "tokens"
-    (n_chars stands in for the token count) — seq_id/seq_offset per doc
-    from an exact distributed prefix sum (bucket sums to the driver,
-    one vectorized cumsum per hash partition; no global sort)."""
-    from ..ops.curation import pack_sequences
-
-    docs = _t(sf_dir, "documents", ["doc_id", "source", "n_chars"])
-    return pack_sequences(docs, group_col="source", token_col="n_chars",
-                          order_col="doc_id", seq_len=PACK_SEQ_LEN)
-
-
-def q80_fuzzy_prefix_pairs(sf_dir: str):
-    """EXACT edit-distance near-dup pairs (D-family extension): document
-    pairs whose 16-char text prefixes are within Levenshtein distance 1
-    (`ops/dedup.fuzzy_dedup_pairs` — symmetric-delete blocking, complete
-    by the SymSpell guarantee, so it equals the SQL cross-join oracle).
-    The short-key discipline: block on a prefix, never the body."""
-    from ..ops.dedup import fuzzy_dedup_pairs
-
-    docs = _t(sf_dir, "documents", ["doc_id", "text"])
-
-    def prefix(t: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": t["doc_id"],
-                         "pfx": pc.utf8_slice_codeunits(t["text"], 0, 16)})
-
-    keyed = docs.map_batches(prefix, batch_format="pyarrow")
-    return fuzzy_dedup_pairs(keyed, id_col="doc_id", text_col="pfx",
-                             max_dist=1)
-
-
-def q81_weighted_sample(sf_dir: str):
-    """Weighted sampling without replacement (A-Res, deterministic):
-    the 50 documents winning priority u^(1/n_chars) with u = unit md5
-    hash of doc_id (`ops/sampling.weighted_sample` — per-batch partial
-    top-k, driver merges k rows/batch).  The oracle recomputes the
-    IDENTICAL priority in SQL (hex digits → u via strpos arithmetic)."""
-    from ..ops.sampling import weighted_sample
-
-    docs = _t(sf_dir, "documents", ["doc_id", "n_chars"])
-    return weighted_sample(docs, key_col="doc_id", weight_col="n_chars",
-                           k=50, seed=42, method="md5")
-
-
-def q82_cube_revenue(sf_dir: str):
-    """GROUP BY CUBE (A3 extension of q63's rollup): revenue at every
-    grouping set of (flag, status) — finest, each single key, and grand
-    total (`ops/relational.cube_aggregate` — one full shuffle, coarser
-    sets re-aggregate the materialized finest result)."""
-    from ..ops.relational import cube_aggregate
-
-    ds = _t(sf_dir, "lineitem", ["l_returnflag", "l_linestatus",
-                                 "l_extendedprice", "l_discount"])
-
-    def add_rev(t: pa.Table) -> pa.Table:
-        rev = pc.multiply(t["l_extendedprice"],
-                          pc.subtract(pa.scalar(1.0), t["l_discount"]))
-        return t.append_column("revenue", rev)
-
-    out = cube_aggregate(ds.map_batches(add_rev, batch_format="pyarrow"),
-                         ["l_returnflag", "l_linestatus"], "revenue",
-                         out_col="revenue")
-    return _round_cols(out.to_pandas(), {"revenue": ROUND})
 
 
 _HIST_WIDTH, _HIST_BINS = 50.0, 10
@@ -1547,515 +377,6 @@ def q83_value_histogram(sf_dir: str):
     return out
 
 
-FUNNEL_STAGES = ["view", "click", "purchase"]
-
-
-def q84_event_funnel(sf_dir: str):
-    """Ordered conversion funnel over the events stream: users reaching
-    view → click → purchase IN ORDER (each later stage strictly after
-    the earliest qualifying earlier one) — `ops/windowing.funnel_counts`:
-    stage rows pruned at the read, users hash-partitioned once, each
-    partition advances all its users with vectorized merge+groupby-min
-    chains; the oracle is the chained-MIN CTE formulation."""
-    from ..ops.windowing import funnel_counts
-
-    ev = _t(sf_dir, "events", ["user_id", "ts", "event_type"])
-    return funnel_counts(ev, key_col="user_id", ts_col="ts",
-                         stage_col="event_type", stages=FUNNEL_STAGES)
-
-
-def q85_exact_median_price(sf_dir: str):
-    """EXACT global median (lower interpolation) of l_extendedprice via
-    distributed histogram-narrowing selection (`ops/selection` —
-    no global sort, no driver materialization; each round is one pruned
-    scan returning KB of bucket counts).  `fetch_threshold` forced low so
-    even sf0.001 exercises ≥1 narrowing round.  Oracle: DuckDB window
-    rank rn = (n-1)//2 + 1 over the sorted column."""
-    from ..ops.selection import exact_quantile
-
-    li = _t(sf_dir, "lineitem", ["l_extendedprice"])
-    val = exact_quantile(li, "l_extendedprice", 0.5, fetch_threshold=256)
-    return pd.DataFrame({"p50": [float(val)]})
-
-
-def q86_returned_revenue_topn(sf_dir: str):
-    """TPC-H Q10-style composition: revenue lost to returned items per
-    customer — filter lineitem to returnflag 'R' with in-batch partial
-    aggregation to (orderkey, revenue), large-large hash join to orders,
-    groupby customer, global top-20 by revenue WITHOUT a global sort
-    (`top_k` with a custkey tie-break so the rank-20 boundary is
-    deterministic)."""
-    from ray.data.aggregate import Sum
-
-    from ..ops.relational import hash_shuffle_join, top_k
-
-    li = _t(sf_dir, "lineitem",
-            ["l_orderkey", "l_returnflag", "l_extendedprice", "l_discount"])
-
-    def returned_rev(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.equal(t["l_returnflag"], "R"))
-        rev = pc.multiply(t["l_extendedprice"],
-                          pc.subtract(pa.scalar(1.0), t["l_discount"]))
-        df = pd.DataFrame({"l_orderkey": t["l_orderkey"].to_numpy(),
-                           "revenue": rev.to_numpy(zero_copy_only=False)})
-        part = df.groupby("l_orderkey", sort=False)["revenue"].sum()
-        return pa.table({"l_orderkey": part.index.to_numpy(),
-                         "revenue": part.to_numpy()})
-
-    per_order = (li.map_batches(returned_rev, batch_format="pyarrow")
-                 .groupby("l_orderkey").aggregate(
-                     Sum("revenue", alias_name="revenue")))
-    orders = _t(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    joined = hash_shuffle_join(per_order, orders, on=["l_orderkey"],
-                               right_on=["o_orderkey"], num_partitions=8)
-    per_cust = joined.groupby("o_custkey").aggregate(
-        Sum("revenue", alias_name="revenue"))
-    out = top_k(per_cust, "revenue", 20,
-                tie_keys=[("o_custkey", "ascending")]).to_pandas()
-    return _round_cols(out[["o_custkey", "revenue"]], {"revenue": ROUND})
-
-
-def q87_order_ntile(sf_dir: str):
-    """Exact global NTILE(4) OVER (ORDER BY o_totalprice, o_orderkey)
-    WITHOUT a global sort (`ops/ranking.ntile`): bucket-grid counts →
-    driver prefix-sums KB of offsets → one partitioned vectorized pass
-    ranks every bucket locally.  Aggregated per tile so the output stays
-    4 rows at any scale."""
-    from ray.data.aggregate import Count, Max, Min, Sum
-
-    from ..ops.ranking import ntile
-
-    orders = _t(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
-    tiled = ntile(orders, "o_totalprice", ["o_orderkey"], 4)
-    out = (tiled.groupby("tile").aggregate(
-        Count(alias_name="n"),
-        Min("o_totalprice", alias_name="lo_price"),
-        Max("o_totalprice", alias_name="hi_price"),
-        Sum("o_totalprice", alias_name="sum_price")).to_pandas())
-    return _round_cols(out, {"sum_price": ROUND})
-
-
-def q88_local_supplier_volume(sf_dir: str):
-    """TPC-H Q5-style 6-table join: revenue from lineitems sold by a
-    supplier in the SAME nation as the customer, ASIA only, one order
-    year.  Join shape chosen for scale: region/nation are O(10²) rows at
-    ANY TPC-H scale (driver-side), customer⋈orders and orders⋈lineitem
-    are large-large `hash_shuffle_join`s, supplier rides as a broadcast
-    (s_suppkey → s_nationkey) probed inside one vectorized batch pass."""
-    from ray.data.aggregate import Sum
-
-    from ..ops.relational import broadcast_join, hash_shuffle_join
-
-    region = _t(sf_dir, "region").to_pandas()
-    nation = _t(sf_dir, "nation").to_pandas()
-    asia = region.loc[region["r_name"] == "ASIA", "r_regionkey"]
-    nat = nation[nation["n_regionkey"].isin(asia)][["n_nationkey", "n_name"]]
-
-    cust = broadcast_join(
-        _t(sf_dir, "customer", ["c_custkey", "c_nationkey"]),
-        nat.rename(columns={"n_nationkey": "c_nationkey"}),
-        on=["c_nationkey"], how="inner")
-
-    orders = _t(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
-
-    def year_filter(t: pa.Table) -> pa.Table:
-        lo = pa.scalar(np.datetime64("1996-01-01", "us"))
-        hi = pa.scalar(np.datetime64("1997-01-01", "us"))
-        keep = pc.and_(pc.greater_equal(t["o_orderdate"], lo),
-                       pc.less(t["o_orderdate"], hi))
-        return t.filter(keep).select(["o_orderkey", "o_custkey"])
-
-    orders_f = orders.map_batches(year_filter, batch_format="pyarrow")
-    ord_cust = hash_shuffle_join(orders_f, cust, on=["o_custkey"],
-                                 right_on=["c_custkey"], num_partitions=8)
-    li = _t(sf_dir, "lineitem",
-            ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"])
-    big = hash_shuffle_join(li, ord_cust, on=["l_orderkey"],
-                            right_on=["o_orderkey"], num_partitions=8)
-    supp = _t(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).to_pandas()
-    withsupp = broadcast_join(
-        big, supp.rename(columns={"s_suppkey": "l_suppkey"}),
-        on=["l_suppkey"], how="inner")
-
-    def local_rev(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["c_nationkey"].to_numpy() == b["s_nationkey"].to_numpy()]
-        rev = b["l_extendedprice"].to_numpy() * (1.0 - b["l_discount"].to_numpy())
-        part = (pd.DataFrame({"n_name": b["n_name"], "revenue": rev})
-                .groupby("n_name", sort=False)["revenue"].sum())
-        # arrow-out (ROUND_NOTES r4)
-        return pa.Table.from_pandas(part.reset_index(),
-                                    preserve_index=False)
-
-    out = (withsupp.map_batches(local_rev, batch_format="pandas")
-           .groupby("n_name").aggregate(Sum("revenue", alias_name="revenue"))
-           .to_pandas())
-    return _round_cols(out, {"revenue": ROUND})
-
-
-def q89_nation_top_customers(sf_dir: str):
-    """Per-nation top-3 customers by total order value: groupby-sum per
-    customer, large-large join to customer, then `grouped_top_k` (partial
-    per-batch top-k + tiny exact merge — no hot-nation worker
-    materialization) with a custkey tie-break; nation names attach
-    driver-side (O(10²) rows at any scale)."""
-    from ray.data.aggregate import Sum
-
-    from ..ops.grouped import grouped_top_k
-    from ..ops.relational import hash_shuffle_join
-
-    per_cust = (_t(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-                .groupby("o_custkey")
-                .aggregate(Sum("o_totalprice", alias_name="revenue")))
-    cust = _t(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    joined = hash_shuffle_join(per_cust, cust, on=["o_custkey"],
-                               right_on=["c_custkey"], num_partitions=8)
-    # the join folds the right key into o_custkey — rank/tie-break on it
-    top = grouped_top_k(joined, ["c_nationkey"], "revenue", 3,
-                        tie_cols=["o_custkey"],
-                        columns=["c_nationkey", "o_custkey", "revenue"])
-    top = top.rename(columns={"o_custkey": "c_custkey"})
-    nation = _t(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
-    out = top.merge(nation, left_on="c_nationkey", right_on="n_nationkey")
-    out = out[["n_name", "c_custkey", "revenue"]]
-    return _round_cols(out, {"revenue": ROUND})
-
-
-def q90_event_runs(sf_dir: str):
-    """Gaps-and-islands: per user, how many maximal runs of consecutive
-    same-type events (ordered by ts, event_id).  LAG via `shift_by_key`
-    (one mergesort + run-boundary pass per hash partition), then a
-    run-start flag summed per user — no per-key callbacks anywhere."""
-    from ray.data.aggregate import Sum
-
-    from ..ops.windowing import shift_by_key
-
-    ev = _t(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-    sh = shift_by_key(ev, ["user_id"], ["ts", "event_id"], "event_type",
-                      offset=1, out_col="prev")
-
-    def run_starts(t: pa.Table) -> pa.Table:
-        new = pc.fill_null(pc.not_equal(t["prev"], t["event_type"]), True)
-        return pa.table({"user_id": t["user_id"],
-                         "is_start": pc.cast(new, pa.int64())})
-
-    out = (sh.map_batches(run_starts, batch_format="pyarrow")
-           .groupby("user_id").aggregate(Sum("is_start", alias_name="n_runs"))
-           .to_pandas())
-    out["n_runs"] = out["n_runs"].astype("int64")
-    return out
-
-
-def q91_value_rank_stats(sf_dir: str):
-    """SQL RANK / CUME_DIST numerators over a HOT-group window:
-    PARTITION BY event_type has only ~5 giant partitions, exactly the
-    case where hash-partitioning by the group key (row_number_by_key)
-    would materialize a whole group in one worker.  `grouped_rank`
-    spreads each group across value-range buckets instead (driver holds
-    only the groups × buckets count matrix).  Integer outputs (rank-min,
-    rank-max = peer-inclusive count, group size) keep the oracle hash
-    exact — PERCENT_RANK/CUME_DIST are these three divided."""
-    from ..ops.ranking import grouped_rank
-
-    ev = _t(sf_dir, "events", ["event_id", "event_type", "value"])
-    r = grouped_rank(ev, ["event_type"], "value", out_col="r",
-                     method="minmax")     # both ranks from ONE pass
-    sizes = (_t(sf_dir, "events", ["event_type"])
-             .groupby("event_type").count().to_pandas()
-             .set_index("event_type")["count()"].to_dict())
-
-    def add_n(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.rename(columns={"r_min": "rmin", "r_max": "rmax"})
-        b["n_grp"] = b["event_type"].map(sizes).astype("int64")
-        return b[["event_id", "event_type", "rmin", "rmax", "n_grp"]]
-
-    return r.map_batches(add_n, batch_format="pandas")
-
-
-def q92_bigram_merges(sf_dir: str):
-    """Top-30 adjacent-token pairs across the corpus — the counting step
-    of one BPE merge round (tokenizer training's inner loop).  Per batch:
-    vectorized findall → flat token stream with doc-boundary mask →
-    pandas C groupby partial counts; global groupby-sum; exact top-30 via
-    partial top-k merge with (w1, w2) tie-break — the full pair
-    distribution never leaves the cluster."""
-    from ray.data.aggregate import Sum
-
-    from ..ops.relational import top_k
-
-    docs = _t(sf_dir, "documents", ["text"])
-
-    def local_counts(b: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"w1": pd.Series([], dtype=object),
-                              "w2": pd.Series([], dtype=object),
-                              "n": pd.Series([], dtype="int64")})
-        if len(b) == 0:
-            return empty
-        toks = b["text"].str.findall(r"\S+")
-        lens = toks.str.len().to_numpy(dtype=np.int64)
-        import itertools
-
-        flat = np.array(list(itertools.chain.from_iterable(toks.tolist())),
-                        dtype=object)
-        if len(flat) < 2:
-            return empty
-        # a pair may not straddle a document boundary (empty docs produce
-        # duplicate/out-of-range offsets — clip them away)
-        starts = np.zeros(len(flat), dtype=bool)
-        bnd = np.cumsum(lens)[:-1]
-        starts[bnd[bnd < len(flat)]] = True
-        valid = ~starts[1:]
-        part = (pd.DataFrame({"w1": flat[:-1][valid], "w2": flat[1:][valid]})
-                .groupby(["w1", "w2"], sort=False).size()
-                .rename("n").reset_index())
-        # arrow-out (ROUND_NOTES r4)
-        return pa.Table.from_pandas(part, preserve_index=False)
-
-    counts = (docs.map_batches(local_counts, batch_format="pandas")
-              .groupby(["w1", "w2"]).aggregate(Sum("n", alias_name="n")))
-    out = top_k(counts, "n", 30, descending=True,
-                tie_keys=[("w1", "ascending"), ("w2", "ascending")])
-    df = out.to_pandas()
-    df["n"] = df["n"].astype("int64")
-    return df[["w1", "w2", "n"]]
-
-
-def q93_late_events(sf_dir: str):
-    """Micro-batch WATERMARK / late-data handling (`late_event_flags`):
-    rows whose event time falls below the watermark (max event time of
-    prior arrival batches − 1 h allowed lateness) are flagged late.  The
-    only sequential state is one scalar per batch — a tiny groupby-max,
-    a driver running-max (KB), and one distributed flag pass.  Arrival
-    batches here are `event_id % 5` (interleaved shards) so lateness is
-    non-vacuous; outputs are integer counts per batch."""
-    from ray.data.aggregate import Count, Sum
-
-    from ..ops.windowing import late_event_flags
-
-    ev = _t(sf_dir, "events", ["event_id", "ts"])
-
-    def add_batch(t: pa.Table) -> pa.Table:
-        b = t["event_id"].to_numpy(zero_copy_only=False) % 5
-        return t.append_column("batch", pa.array(b.astype(np.int64)))
-
-    flagged = late_event_flags(ev.map_batches(add_batch,
-                                              batch_format="pyarrow"),
-                               "ts", "batch", lateness_us=3_600_000_000)
-
-    def to_int(t: pa.Table) -> pa.Table:
-        return pa.table({"batch": t["batch"],
-                         "late": pc.cast(t["is_late"], pa.int64())})
-
-    out = (flagged.map_batches(to_int, batch_format="pyarrow")
-           .groupby("batch").aggregate(Count(alias_name="n"),
-                                       Sum("late", alias_name="n_late"))
-           .to_pandas())
-    out["n_late"] = out["n_late"].astype("int64")
-    return out
-
-
-def q94_cohort_retention(sf_dir: str):
-    """Cohort retention matrix: users grouped by the Monday-start week of
-    their FIRST event (cohort), counted once per later week they return.
-    Shape: per-user min-ts aggregate → large-large join back to events →
-    distinct (user, activity week) → tiny (cohort, offset) groupby.  The
-    distinct is the only full-width exchange and carries 24 B/row."""
-    from ray.data.aggregate import Count, Min
-
-    from ..ops.relational import distinct, hash_shuffle_join
-
-    _DAY_US = 86_400_000_000
-
-    def week_start_days(ts_us: np.ndarray) -> np.ndarray:
-        """int64 epoch-µs → epoch-DAYS of the Monday starting that week
-        (1970-01-01 was a Thursday → shift by 3)."""
-        d = ts_us // _DAY_US
-        return d - ((d + 3) % 7)
-
-    ev = _t(sf_dir, "events", ["user_id", "ts"])
-    first = (ev.groupby("user_id").aggregate(Min("ts", alias_name="first_ts")))
-    joined = hash_shuffle_join(ev, first, on=["user_id"],
-                               right_on=["user_id"], num_partitions=8)
-
-    def weeks(t: pa.Table) -> pa.Table:
-        ts = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        ft = pc.cast(t["first_ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        cw = week_start_days(ft)
-        off = (week_start_days(ts) - cw) // 7
-        return pa.table({"user_id": t["user_id"],
-                         "cohort_day": pa.array(cw),
-                         "week_offset": pa.array(off)})
-
-    uniq = distinct(joined.map_batches(weeks, batch_format="pyarrow"),
-                    ["user_id", "cohort_day", "week_offset"])
-    out = (uniq.groupby(["cohort_day", "week_offset"])
-           .aggregate(Count(alias_name="n_users")).to_pandas())
-    out["cohort_week"] = pd.to_datetime(out["cohort_day"], unit="D")
-    return out[["cohort_week", "week_offset", "n_users"]]
-
-
-def q95_price_page(sf_dir: str):
-    """Deterministic result PAGINATION — "rows 1001-1010 of orders by
-    (totalprice, orderkey)" — via `global_rank`: the classic OFFSET/LIMIT
-    page that needs a global order but must not global-sort.  Only the
-    ten requested rows ever reach the driver."""
-    from ..ops.ranking import global_rank
-
-    orders = _t(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
-    ranked = global_rank(orders, "o_totalprice", ["o_orderkey"],
-                         out_col="rn")
-
-    def take_page(t: pa.Table) -> pa.Table:
-        keep = pc.and_(pc.greater_equal(t["rn"], 1001),
-                       pc.less_equal(t["rn"], 1010))
-        return t.filter(keep)
-
-    page = ranked.map_batches(take_page, batch_format="pyarrow").to_pandas()
-    page = page.sort_values("rn").reset_index(drop=True)
-    return _round_cols(page[["rn", "o_orderkey", "o_totalprice"]],
-                       {"o_totalprice": ROUND})
-
-
-def q96_daily_active_users(sf_dir: str):
-    """Windowed COUNT(DISTINCT): distinct users per event day.  The
-    distinct exchange carries only (day, user) — 16 B/row — then a tiny
-    count; no full-row shuffle, no per-day worker materialization."""
-    from ray.data.aggregate import Count
-
-    from ..ops.relational import distinct
-
-    ev = _t(sf_dir, "events", ["ts", "user_id"])
-
-    def day(t: pa.Table) -> pa.Table:
-        d = pc.floor_temporal(t["ts"], unit="day")
-        return pa.table({"day": d, "user_id": t["user_id"]})
-
-    uniq = distinct(ev.map_batches(day, batch_format="pyarrow"),
-                    ["day", "user_id"])
-    out = (uniq.groupby("day").aggregate(Count(alias_name="dau"))
-           .to_pandas())
-    return out
-
-
-def q97_temperature_mix(sf_dir: str):
-    """Temperature-based corpus mixing (T5/Gopher ``share^alpha``):
-    per-source epoch weights derived from one tiny count aggregate
-    (`temperature_weights`), then the stateless per-batch hash-repeat
-    expansion (`repeat_by_weight`, md5 backend).  alpha=0.5 upsamples
-    small sources; output is (source, epoch) row counts — the full SQL
-    oracle recomputes weights AND the md5 epoch predicate."""
-    from ray.data.aggregate import Count
-
-    from ..ops.curation import repeat_by_weight, temperature_weights
-
-    docs = _t(sf_dir, "documents", ["doc_id", "source"])
-    counts = dict(sorted(
-        (r["source"], r["count()"])
-        for r in docs.groupby("source").count().take_all()))
-    w = temperature_weights(counts, alpha=0.5)
-    mixed = repeat_by_weight(docs, "doc_id", "source", w, seed=42,
-                             method="md5")
-    out = (mixed.groupby(["source", "epoch"])
-           .aggregate(Count(alias_name="n_rows")).to_pandas())
-    return out
-
-
-def q98_trending_types(sf_dir: str):
-    """Trending detection: top-2 event types per tumbling 6-hour window.
-    Window counts shrink the data to (windows × types) rows in one
-    groupby; the per-window head-2 runs through `grouped_top_k`'s
-    partial-merge (no per-window callbacks, no hot-window worker)."""
-    from ray.data.aggregate import Count
-
-    from ..ops.grouped import grouped_top_k
-
-    ev = _t(sf_dir, "events", ["ts", "event_type"])
-    six_h = 6 * 3_600_000_000
-
-    def win(t: pa.Table) -> pa.Table:
-        us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        w = (us // six_h) * six_h
-        return pa.table({"wstart": pa.array(w.astype("datetime64[us]")),
-                         "event_type": t["event_type"]})
-
-    counts = (ev.map_batches(win, batch_format="pyarrow")
-              .groupby(["wstart", "event_type"])
-              .aggregate(Count(alias_name="n")))
-    top = grouped_top_k(counts, ["wstart"], "n", 2,
-                        tie_cols=["event_type"])
-    top["n"] = top["n"].astype("int64")
-    return top[["wstart", "event_type", "n"]]
-
-
-def q99_nation_trade(sf_dir: str):
-    """TPC-H Q7-style bilateral trade volume: revenue shipped between
-    two specific nations (both directions) by ship year.  Customer side
-    pre-filters through the broadcast nation dim BEFORE the big joins
-    (predicate pushdown across a join), orders⋈customers and
-    lineitem⋈orders run as large-large hash joins, supplier rides
-    broadcast, the pair predicate evaluates vectorized per batch."""
-    from ray.data.aggregate import Sum
-
-    from ..ops.relational import broadcast_join, hash_shuffle_join
-
-    nation = _t(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
-    pair = nation[nation["n_name"].isin(["NATION_3", "NATION_7"])]
-    keys = pair["n_nationkey"].to_numpy()
-    names = dict(zip(pair["n_nationkey"], pair["n_name"]))
-
-    cust = broadcast_join(
-        _t(sf_dir, "customer", ["c_custkey", "c_nationkey"]),
-        pair.rename(columns={"n_nationkey": "c_nationkey"})[["c_nationkey"]],
-        on=["c_nationkey"], how="semi")
-    ord_cust = hash_shuffle_join(
-        _t(sf_dir, "orders", ["o_orderkey", "o_custkey"]), cust,
-        on=["o_custkey"], right_on=["c_custkey"], num_partitions=8)
-
-    li = _t(sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_shipdate",
-                                 "l_extendedprice", "l_discount"])
-
-    def ship_filter(t: pa.Table) -> pa.Table:
-        lo = pa.scalar(np.datetime64("1996-01-01", "us"))
-        hi = pa.scalar(np.datetime64("1998-01-01", "us"))
-        keep = pc.and_(pc.greater_equal(t["l_shipdate"], lo),
-                       pc.less(t["l_shipdate"], hi))
-        return t.filter(keep)
-
-    big = hash_shuffle_join(li.map_batches(ship_filter,
-                                           batch_format="pyarrow"),
-                            ord_cust, on=["l_orderkey"],
-                            right_on=["o_orderkey"], num_partitions=8)
-    supp = _t(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).to_pandas()
-    withsupp = broadcast_join(
-        big, supp.rename(columns={"s_suppkey": "l_suppkey"}),
-        on=["l_suppkey"], how="inner")
-
-    def pair_rev(b: pd.DataFrame) -> pd.DataFrame:
-        sn = b["s_nationkey"].to_numpy()
-        cn = b["c_nationkey"].to_numpy()
-        keep = (np.isin(sn, keys) & np.isin(cn, keys)) & (sn != cn)
-        b = b[keep]
-        if len(b) == 0:
-            return pd.DataFrame({"supp_nation": pd.Series([], dtype=object),
-                                 "cust_nation": pd.Series([], dtype=object),
-                                 "l_year": pd.Series([], dtype="int64"),
-                                 "revenue": pd.Series([], dtype="float64")})
-        rev = b["l_extendedprice"].to_numpy() * (1.0 - b["l_discount"].to_numpy())
-        yr = b["l_shipdate"].dt.year.to_numpy().astype(np.int64)
-        df = pd.DataFrame({"supp_nation": b["s_nationkey"].map(names),
-                           "cust_nation": b["c_nationkey"].map(names),
-                           "l_year": yr, "revenue": rev})
-        # arrow-out (ROUND_NOTES r4)
-        return pa.Table.from_pandas(
-            df.groupby(["supp_nation", "cust_nation", "l_year"],
-                       sort=False)["revenue"].sum().reset_index(),
-            preserve_index=False)
-
-    out = (withsupp.map_batches(pair_rev, batch_format="pandas")
-           .groupby(["supp_nation", "cust_nation", "l_year"])
-           .aggregate(Sum("revenue", alias_name="revenue")).to_pandas())
-    return _round_cols(out, {"revenue": ROUND})
-
-
 def q100_conditional_counts(sf_dir: str):
     """Conditional aggregation (SQL FILTER/CASE family): several
     predicated counters in ONE pass over the stream — per event type:
@@ -2083,386 +404,6 @@ def q100_conditional_counts(sf_dir: str):
     for c in ("n", "n_high", "n_promo"):
         out[c] = out[c].astype("int64")
     return out
-
-
-def q101_lapsed_by_segment(sf_dir: str):
-    """Churn slice: customers whose LATEST order predates a cutoff (or
-    who never ordered), counted per market segment.  Last-order date
-    per customer comes from one groupby-max over only (custkey, date);
-    the customer side joins against it large-large, with never-ordered
-    customers kept through the outer side."""
-    from ray.data.aggregate import Count, Max
-
-    from ..ops.relational import hash_shuffle_join
-
-    cutoff = np.datetime64("1998-01-01", "us")
-    last = (_t(sf_dir, "orders", ["o_custkey", "o_orderdate"])
-            .groupby("o_custkey")
-            .aggregate(Max("o_orderdate", alias_name="last_order")))
-    cust = _t(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    joined = hash_shuffle_join(cust, last, on=["c_custkey"],
-                               right_on=["o_custkey"],
-                               num_partitions=8, how="left_outer")
-
-    def lapsed(t: pa.Table) -> pa.Table:
-        lo = t["last_order"]
-        keep = pc.or_kleene(pc.is_null(lo),
-                            pc.less(lo, pa.scalar(cutoff)))
-        return t.filter(pc.fill_null(keep, True)).select(["c_mktsegment"])
-
-    out = (joined.map_batches(lapsed, batch_format="pyarrow")
-           .groupby("c_mktsegment").aggregate(Count(alias_name="n_lapsed"))
-           .to_pandas())
-    out["n_lapsed"] = out["n_lapsed"].astype("int64")
-    return out
-
-
-def q102_corpus_shuffle(sf_dir: str):
-    """Deterministic training-order shuffle: every row's position is the
-    rank of ``md5(seed:key)`` — reproducible across re-runs, resumes and
-    growing corpora (a stateful RNG shuffle is none of those).  The
-    "first 20 docs of epoch-seed 42" resolve through the sortless
-    ``top_k`` (ascending hash + doc-id tie-break), never a global sort;
-    the oracle evaluates the identical md5 predicate in SQL."""
-    from ..ops.relational import top_k
-    from ..ops.sampling import md5_hex
-
-    docs = _t(sf_dir, "documents", ["doc_id"])
-
-    def pos(b: pd.DataFrame) -> pd.DataFrame:
-        h = md5_hex(b["doc_id"].to_numpy(), seed=42)
-        b = b.copy()
-        b["shuffle_u32"] = np.array([int(d[:8], 16) for d in h],
-                                    dtype=np.int64)
-        return b
-
-    keyed = docs.map_batches(pos, batch_format="pandas")
-    out = top_k(keyed, "shuffle_u32", 20, descending=False,
-                tie_keys=[("doc_id", "ascending")]).to_pandas()
-    out["shuffle_u32"] = out["shuffle_u32"].astype("int64")
-    return out[["doc_id", "shuffle_u32"]]
-
-
-def q103_party_union(sf_dir: str):
-    """Schema-harmonizing UNION (`relational.union_by_name`): customers
-    and suppliers — different schemas — union into one "party" stream
-    with typed-null padding for each side's missing columns, then one
-    aggregate proves the padding (suppliers' segment is NULL)."""
-    from ray.data.aggregate import Count, Sum
-
-    from ..ops.relational import union_by_name
-
-    cust = _t(sf_dir, "customer", ["c_custkey", "c_acctbal", "c_mktsegment"])
-
-    def cmap(t: pa.Table) -> pa.Table:
-        return pa.table({"party_id": t["c_custkey"],
-                         "acctbal": t["c_acctbal"],
-                         "segment": t["c_mktsegment"],
-                         "origin": pa.array(["customer"] * len(t))})
-
-    supp = _t(sf_dir, "supplier", ["s_suppkey", "s_acctbal"])
-
-    def smap(t: pa.Table) -> pa.Table:
-        return pa.table({"party_id": t["s_suppkey"],
-                         "acctbal": t["s_acctbal"],
-                         "origin": pa.array(["supplier"] * len(t))})
-
-    parties = union_by_name([cust.map_batches(cmap, batch_format="pyarrow"),
-                             supp.map_batches(smap, batch_format="pyarrow")])
-
-    def flags(t: pa.Table) -> pa.Table:
-        return pa.table({"origin": t["origin"], "acctbal": t["acctbal"],
-                         "no_segment": pc.cast(pc.is_null(t["segment"]),
-                                               pa.int64())})
-
-    out = (parties.map_batches(flags, batch_format="pyarrow")
-           .groupby("origin")
-           .aggregate(Count(alias_name="n"),
-                      Sum("acctbal", alias_name="total_bal"),
-                      Sum("no_segment", alias_name="n_no_segment"))
-           .to_pandas())
-    out["n"] = out["n"].astype("int64")
-    out["n_no_segment"] = out["n_no_segment"].astype("int64")
-    return _round_cols(out, {"total_bal": ROUND})
-
-
-def q104_langid_votes(sf_dir: str):
-    """Oracle-twin of nq_langid's vote core (verdict r3 #8): INTEGER
-    stopword vote counts per language per document over an ASCII word
-    regex, plus the deterministic argmax prediction (ties → first
-    language in sorted order; 'unk' at zero votes).  All-integer /
-    categorical outputs make this hash-exact against DuckDB — no float
-    vote shares."""
-    from ..ops.text import _STOPWORDS
-
-    langs = sorted(_STOPWORDS)
-    stops = {lg: frozenset(_STOPWORDS[lg]) for lg in langs}
-    vote_cols = [f"{lg}_votes" for lg in langs]
-
-    def votes(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.reset_index(drop=True)
-        words = (batch["text"].fillna("").str.slice(0, 4000)
-                 .str.lower().str.findall(r"[a-z]+"))
-        ex = words.explode().dropna()
-        out = pd.DataFrame({"doc_id": batch["doc_id"]})
-        for lg in langs:
-            hits = ex[ex.isin(stops[lg])].groupby(level=0).size()
-            out[f"{lg}_votes"] = (hits.reindex(out.index, fill_value=0)
-                                  .astype("int64"))
-        out["n_words"] = words.str.len().astype("int64")
-        vm = out[vote_cols].to_numpy()
-        pred = np.array(langs, dtype=object)[vm.argmax(axis=1)]
-        pred[vm.max(axis=1) == 0] = "unk"
-        out["lang_pred"] = pred
-        return out
-
-    return _t(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        votes, batch_format="pandas")
-
-
-def q105_heavy_hitters_exact(sf_dir: str):
-    """Exact heavy-hitters companion of nq_heavy_hitters (Misra-Gries):
-    top-20 user_ids by event count.  Per-batch PARTIAL counts shrink the
-    exchange to each batch's distinct users; the final selection is
-    `top_k` (no global sort) with a user_id tie-break so the rank-20
-    boundary is deterministic on both sides."""
-    from ray.data.aggregate import Sum
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by(["user_id"]).aggregate([("user_id", "count")])
-        return pa.table({"user_id": g["user_id"],
-                         "cnt": pc.cast(g["user_id_count"], pa.int64())})
-
-    totals = (_t(sf_dir, "events", ["user_id"])
-              .map_batches(partial, batch_format="pyarrow")
-              .groupby("user_id").aggregate(Sum("cnt", alias_name="cnt")))
-    out = top_k(totals, "cnt", 20, descending=True,
-                tie_keys=[("user_id", "ascending")]).to_pandas()
-    out["cnt"] = out["cnt"].astype("int64")
-    return out[["user_id", "cnt"]]
-
-
-def q106_segment_dedup(sf_dir: str):
-    """Oracle-twin of nq_paragraph_dedup's engine (`ops/dedup.dedup_segments`)
-    on a REAL table: corpus-level duplicated-segment removal over the
-    documents table with sep=' ' (each word is a segment) — every repeated
-    normalized segment is dropped except its globally-first (doc_id, pos)
-    occurrence, docs are rebuilt, and kept/dropped counters emitted.
-    Fully SQL-expressible (window count + row_number + ordered
-    string_agg), so the distributed two-tier hash path is hash-checked
-    end-to-end, rebuilt text included."""
-    from ..ops.dedup import dedup_segments
-
-    ds = _t(sf_dir, "documents", ["doc_id", "text"])
-    return dedup_segments(ds, "doc_id", "text", sep=" ") \
-        .select_columns(["doc_id", "text", "n_kept", "n_dropped"])
-
-
-def q107_quality_counts(sf_dir: str):
-    """Oracle-twin of nq_quality_scores' countable core (`ops/text.
-    QualityScorer`): per-document INTEGER char / ASCII-punctuation /
-    word / en-stopword counts — the inputs the float quality score is
-    computed from, hash-exact against DuckDB (explicit ASCII classes on
-    both sides, no \\w/\\s engine divergence)."""
-    from ..ops.text import _STOPWORDS
-
-    stop = frozenset(_STOPWORDS["en"])
-    punct_re = r"[!-/:-@\[-`{-~]"
-
-    def counts(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.reset_index(drop=True)
-        s = batch["text"].fillna("")
-        out = pd.DataFrame({"doc_id": batch["doc_id"]})
-        out["n_chars"] = s.str.len().astype("int64")
-        out["n_punct"] = s.str.count(punct_re).astype("int64")
-        words = s.str.lower().str.findall(r"[a-z]+")
-        out["n_words"] = words.str.len().astype("int64")
-        ex = words.explode().dropna()
-        hits = ex[ex.isin(stop)].groupby(level=0).size()
-        out["n_stop"] = hits.reindex(out.index, fill_value=0).astype("int64")
-        return out
-
-    return _t(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        counts, batch_format="pandas")
-
-
-def q108_snapshot_diff(sf_dir: str):
-    """CDC-style snapshot reconciliation (`ops/reconcile.table_diff`):
-    two deterministic views of documents — "old" drops doc_id%17==3,
-    "new" drops doc_id%13==5 and bumps n_chars for doc_id%10==0 — diffed
-    into inserted/deleted/changed rows via ONE full-outer hash-shuffle
-    join with vectorized Arrow verdict masks.  The DuckDB oracle is the
-    textbook FULL OUTER JOIN formulation."""
-    from ..ops.reconcile import table_diff
-
-    docs = _t(sf_dir, "documents", ["doc_id", "n_chars"])
-
-    def as_old(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        return t.filter(pa.array(ids % 17 != 3))
-
-    def as_new(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        t = t.filter(pa.array(ids % 13 != 5))
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        nch = t["n_chars"].to_numpy(zero_copy_only=False)
-        return pa.table({"doc_id": t["doc_id"],
-                         "n_chars": pa.array(np.where(ids % 10 == 0,
-                                                      nch + 1, nch))})
-
-    old = docs.map_batches(as_old, batch_format="pyarrow")
-    new = docs.map_batches(as_new, batch_format="pyarrow")
-    return table_diff(old, new, key_cols=["doc_id"],
-                      compare_cols=["n_chars"])
-
-
-def q109_partition_fingerprints(sf_dir: str):
-    """Partition-level anti-entropy fingerprints
-    (`ops/reconcile.partition_fingerprints`): bucket documents by
-    doc_id%16, sha256 each text, emit per-bucket
-    (n_rows, n_distinct, min_sha, max_sha) — the KB-sized summary two
-    replicas exchange to locate disagreeing partitions without shipping
-    rows.  Hash-exact against DuckDB's sha256()."""
-    from ..ops.reconcile import partition_fingerprints
-
-    docs = _t(sf_dir, "documents", ["doc_id", "text"])
-    return partition_fingerprints(docs, "doc_id", "text", n_buckets=16)
-
-
-def q110_key_skew_profile(sf_dir: str):
-    """Key-skew diagnostics (engine health feature): distribution stats
-    OVER the per-key group sizes of events.user_id — n_keys, min/max
-    count, exact p50/p90 of counts (`ops/selection.exact_quantile`, the
-    integer bucket path), and the hottest key's integer ppm share.  The
-    aggregate-of-aggregate shape that tells you whether a groupby needs
-    salting BEFORE you run it."""
-    from ray.data.aggregate import Count, Max, Min, Sum
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by(["user_id"]).aggregate([("user_id", "count")])
-        return pa.table({"user_id": g["user_id"],
-                         "cnt": pc.cast(g["user_id_count"], pa.int64())})
-
-    counts = (_t(sf_dir, "events", ["user_id"])
-              .map_batches(partial, batch_format="pyarrow")
-              .groupby("user_id").aggregate(Sum("cnt", alias_name="cnt"))
-              .select_columns(["cnt"]).materialize())  # n_keys rows, tiny
-    from ..ops.selection import exact_quantile
-
-    stats = counts.aggregate(Count(), Max("cnt"), Min("cnt"), Sum("cnt"))
-    n_keys = int(stats["count()"])
-    mx, mn = int(stats["max(cnt)"]), int(stats["min(cnt)"])
-    total = int(stats["sum(cnt)"])
-    p50 = int(exact_quantile(counts, "cnt", 0.5, fetch_threshold=256))
-    p90 = int(exact_quantile(counts, "cnt", 0.9, fetch_threshold=256))
-    return pd.DataFrame({"n_keys": [n_keys], "max_cnt": [mx],
-                         "min_cnt": [mn], "total": [total],
-                         "p50_cnt": [p50], "p90_cnt": [p90],
-                         "top_share_ppm": [mx * 1_000_000 // total]})
-
-
-def q111_window_dedup(sf_dir: str):
-    """Windowed dedup (`ops/windowing.windowed_dedup`): first event per
-    (user, event_type, day) — streaming dedup with a time-window scope,
-    deterministic via the event_id tie-break.  One hash exchange on the
-    key; the day column never shuffles.  Oracle: DuckDB QUALIFY
-    row_number() = 1."""
-    from ..ops.windowing import windowed_dedup
-
-    ev = _t(sf_dir, "events", ["event_id", "user_id", "event_type", "ts"])
-    out = windowed_dedup(ev, ["user_id", "event_type"], "ts",
-                         window="day", tie_cols=["event_id"])
-    return out.select_columns(["event_id", "user_id", "event_type", "ts"])
-
-
-def q112_asof_tolerance(sf_dir: str):
-    """AS-OF join with a lookback TOLERANCE (q45's business variant):
-    each event picks up its user's latest order price only if that order
-    is within 30 days — older matches become nulls
-    (`ops/relational.asof_join(tolerance_us=...)`, the bounded-staleness
-    enrichment shape).  Oracle: DuckDB ASOF LEFT JOIN + CASE window."""
-    from ..ops.relational import asof_join
-
-    ev = _t(sf_dir, "events", ["event_id", "user_id", "ts"])
-    orders = _t(sf_dir, "orders",
-                ["o_custkey", "o_orderdate", "o_totalprice"])
-    last = orders.groupby(["o_custkey", "o_orderdate"]).max("o_totalprice")
-
-    def prep(t: pa.Table) -> pa.Table:
-        ren = {"o_custkey": "user_id", "max(o_totalprice)": "last_price"}
-        return t.rename_columns([ren.get(c, c) for c in t.schema.names])
-
-    last = last.map_batches(prep, batch_format="pyarrow")
-    out = asof_join(ev, last, on=["user_id"], left_ts="ts",
-                    right_ts="o_orderdate", right_values=["last_price"],
-                    suffix="", strict=False,
-                    tolerance_us=30 * 86_400 * 1_000_000)
-    return out.select_columns(["event_id", "user_id", "last_price"])
-
-
-def q113_grouping_sets(sf_dir: str):
-    """GROUP BY GROUPING SETS ((flag), (status), ()) — non-hierarchical
-    sets neither ROLLUP nor CUBE alone expresses
-    (`ops/relational.grouping_sets_aggregate`): one full shuffle at the
-    common refinement, every set re-aggregated from that tiny result."""
-    from ..ops.relational import grouping_sets_aggregate
-
-    li = _t(sf_dir, "lineitem",
-            ["l_returnflag", "l_linestatus", "l_extendedprice"])
-    out = grouping_sets_aggregate(
-        li, [["l_returnflag"], ["l_linestatus"], []],
-        value_col="l_extendedprice", out_col="revenue").to_pandas()
-    return _round_cols(out, {"revenue": ROUND})
-
-
-def q114_dense_topk(sf_dir: str):
-    """Per-group top-N WITH TIES (DENSE_RANK ≤ 3 over part prices per
-    brand) without any per-group materialization: distinct
-    (brand, price) pairs (tiny) → `grouped_top_k` picks each brand's top
-    3 distinct prices → rank attached and rows recovered via ONE
-    broadcast inner join back to the fact table.  The qualifying-row
-    recovery never shuffles the fact side."""
-    from ..ops.grouped import grouped_top_k
-    from ..ops.relational import broadcast_join, distinct
-
-    parts = _t(sf_dir, "part", ["p_partkey", "p_brand", "p_retailprice"])
-    pairs = distinct(parts, ["p_brand", "p_retailprice"])
-    top3 = grouped_top_k(pairs, ["p_brand"], "p_retailprice", 3,
-                         descending=True)
-    top3 = top3.sort_values(["p_brand", "p_retailprice"],
-                            ascending=[True, False], kind="mergesort")
-    top3["p_rank"] = top3.groupby("p_brand", sort=False).cumcount() + 1
-    out = broadcast_join(parts, top3, on=["p_brand", "p_retailprice"],
-                         how="inner")
-    return out.select_columns(["p_partkey", "p_brand", "p_retailprice",
-                               "p_rank"])
-
-
-def q115_rolling_active_users(sf_dir: str):
-    """Rolling 7-day distinct active users per day
-    (`ops/windowing.rolling_distinct_count`) — the windowed
-    COUNT(DISTINCT) SQL engines themselves struggle to distribute.
-    Scale shape: corpus → distinct (day, user) pairs (pre-reduced hash
-    exchange), pairs × 7 vectorized expansion, one (day, user) dedup +
-    day-cardinality count.  Oracle: days × activity self-join."""
-    from ..ops.windowing import rolling_distinct_count
-
-    ev = _t(sf_dir, "events", ["user_id", "ts"])
-    return rolling_distinct_count(ev, "user_id", "ts", window_days=7,
-                                  day_col="day", out_col="n_active")
-
-
-def q116_token_entropy(sf_dir: str):
-    """Per-language token-distribution Shannon entropy
-    (`ops/text.token_entropy_by_group`): H = log2(N) − Σ n·log2(n)/N over
-    exact per-language token counts — corpus-health metric flagging
-    boilerplate-dominated slices.  Two nested SUM reductions; nothing
-    bigger than the vocabulary ever shuffles."""
-    from ..ops.text import token_entropy_by_group
-
-    docs = _t(sf_dir, "documents", ["lang", "text"])
-    out = token_entropy_by_group(docs, "text", "lang").to_pandas()
-    return _round_cols(out, {"entropy_bits": ROUND_F})
 
 
 def q117_zone_map_stats(sf_dir: str):
@@ -2503,195 +444,6 @@ def q118_pruned_range_scan(sf_dir: str):
     return pd.DataFrame({
         "n_rows": [int(stats["n_rows"] or 0)],
         "revenue": [round(float(stats["revenue"] or 0.0), ROUND)]})
-
-
-def q119_join_cardinality(sf_dir: str):
-    """Planner-style EXACT join-size pre-flight
-    (`ops/relational.join_cardinality`): events ⋈ orders on the customer
-    key WITHOUT running the join — each side reduces to (key, cnt), the
-    two count tables join, Σ cl·cr finishes.  The decision input for
-    broadcast-vs-shuffle-vs-salt at 100 TB.  Oracle recomputes the same
-    counts in SQL."""
-    from ..ops.relational import join_cardinality
-
-    ev = _t(sf_dir, "events", ["user_id"])
-    orders = _t(sf_dir, "orders", ["o_custkey"])
-
-    def ren(t: pa.Table) -> pa.Table:
-        return t.rename_columns(["user_id"])
-
-    return join_cardinality(ev, orders.map_batches(ren,
-                                                   batch_format="pyarrow"),
-                            on=["user_id"])
-
-
-def q120_apply_changes(sf_dir: str):
-    """CDC MERGE INTO (`ops/mutate.apply_changes`): a deterministic
-    changeset (deletes doc_id%11==2, bumps n_chars for doc_id%7==1, adds
-    new keys doc_id+1e6 for doc_id%13==3) merged into the documents
-    snapshot — last-change-wins upsert/delete over ONE key-hash
-    exchange.  Oracle: textbook FULL OUTER JOIN + CASE."""
-    from ..ops.mutate import apply_changes
-
-    docs = _t(sf_dir, "documents", ["doc_id", "n_chars"])
-
-    def make_changes(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        nch = t["n_chars"].to_numpy(zero_copy_only=False)
-        dels = ids % 11 == 2
-        upds = (ids % 7 == 1) & ~dels
-        ins = ids % 13 == 3
-        return pa.table({
-            "doc_id": pa.array(np.concatenate(
-                [ids[dels], ids[upds], ids[ins] + 1_000_000])),
-            "n_chars": pa.array(np.concatenate(
-                [np.zeros(dels.sum(), np.int64), nch[upds] + 10,
-                 ids[ins]])),
-            "op": pa.array(["delete"] * int(dels.sum())
-                           + ["upsert"] * int(upds.sum() + ins.sum()),
-                           pa.string()),
-        })
-
-    changes = docs.map_batches(make_changes, batch_format="pyarrow")
-    return apply_changes(docs, changes, ["doc_id"], ["n_chars"])
-
-
-def q121_scd2_history(sf_dir: str):
-    """SCD Type-2 history build (`ops/mutate.scd2_intervals`): per-user
-    event_type versions with [valid_from, valid_to) intervals,
-    consecutive repeats collapsed — one key-hash exchange, vectorized
-    shift kernels per partition.  Oracle: LAG-filter + LEAD windows."""
-    from ..ops.mutate import scd2_intervals
-
-    ev = _t(sf_dir, "events", ["event_id", "user_id", "event_type", "ts"])
-    out = scd2_intervals(ev, ["user_id"], "ts", ["event_type"],
-                         tie_cols=["event_id"], collapse=True)
-    return out.select_columns(["user_id", "event_type",
-                               "valid_from", "valid_to"])
-
-
-def q122_zorder_scan(sf_dir: str):
-    """Z-order layout end-to-end (`ops/layout.zorder_sort` →
-    `write_parquet` → `ops/zonemap.pruned_read`): orders re-clustered on
-    (o_custkey, o_totalprice), then a two-column band scan runs over the
-    REWRITTEN files opening only zone-map-surviving row groups.  Values
-    must equal the plain SQL filter — layout never changes answers."""
-    import glob
-    import tempfile
-
-    from ray.data.aggregate import Count, Sum
-
-    from ..ops.layout import zorder_sort
-    from ..ops.zonemap import pruned_read
-
-    orders = _t(sf_dir, "orders",
-                ["o_orderkey", "o_custkey", "o_totalprice"])
-    import shutil
-
-    outdir = tempfile.mkdtemp(prefix="driftray_zorder_")
-    try:
-        zorder_sort(orders, ["o_custkey", "o_totalprice"]).write_parquet(
-            outdir)
-        lo, hi = 50_000.0, 120_000.0
-        ds = pruned_read(sorted(glob.glob(f"{outdir}/*.parquet")),
-                         "o_totalprice", lo, hi)
-
-        def custband(t: pa.Table) -> pa.Table:
-            keep = pc.and_(pc.greater_equal(t["o_custkey"], 100),
-                           pc.less_equal(t["o_custkey"], 600))
-            return t.filter(keep)
-
-        # aggregate() is eager, so the files are fully consumed before
-        # the finally removes them
-        stats = (ds.map_batches(custband, batch_format="pyarrow")
-                 .aggregate(Count(alias_name="n_rows"),
-                            Sum("o_totalprice", alias_name="revenue")))
-        return pd.DataFrame({
-            "n_rows": [int(stats["n_rows"] or 0)],
-            "revenue": [round(float(stats["revenue"] or 0.0), ROUND)]})
-    finally:
-        shutil.rmtree(outdir, ignore_errors=True)
-
-
-def q123_grouped_ols(sf_dir: str):
-    """Per-group least-squares regression (`ops/stats.grouped_ols`):
-    price-vs-quantity slope/intercept/r² per return flag from
-    six-scalar sufficient statistics — nothing row-scale shuffles.
-    Oracle: SQL regr_slope / regr_intercept / regr_r2."""
-    from ..ops.stats import grouped_ols
-
-    li = _t(sf_dir, "lineitem",
-            ["l_returnflag", "l_quantity", "l_extendedprice"])
-    out = grouped_ols(li, "l_returnflag", "l_quantity",
-                      "l_extendedprice").to_pandas()
-    return _round_cols(out, {"slope": ROUND, "intercept": ROUND,
-                             "r2": ROUND_F})
-
-
-def q124_mutual_information(sf_dir: str):
-    """Mutual information I(lang; source) in bits
-    (`ops/stats.mutual_information`): joint counts via partial combine +
-    one vocabulary-sized exchange, marginals folded FROM the joint,
-    scalar Σ p·log2 finish — the feature-diagnostic telling you how much
-    one categorical column explains another."""
-    from ..ops.stats import mutual_information
-
-    docs = _t(sf_dir, "documents", ["lang", "source"])
-    out = mutual_information(docs, "lang", "source")
-    return _round_cols(out, {"mi_bits": ROUND_F})
-
-
-def _customer_supplier_edges(sf_dir: str):
-    """Directed customer→supplier edge list from the order graph (shared
-    by q125/q126): lineitem enriched with o_custkey via a BROADCAST join
-    (the orderkey→custkey map is 2 int64 columns — the small side by two
-    orders of magnitude vs the fact table; the shuffle-join twin of this
-    shape is exercised by q53/q88/q99), then distinct pairs — one
-    exchange total over locally-deduped pairs."""
-    from ..ops.relational import broadcast_join, distinct
-
-    orders = _t(sf_dir, "orders",
-                ["o_orderkey", "o_custkey"]).to_pandas()
-    orders = orders.rename(columns={"o_orderkey": "l_orderkey"})
-    li = _t(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"])
-    j = broadcast_join(li, orders, on=["l_orderkey"])
-
-    def disjoint_ids(t: pa.Table) -> pa.Table:
-        # suppliers offset into their own id space — customer key 5 and
-        # supplier key 5 are different nodes
-        supp = pc.add(t["l_suppkey"], pa.scalar(1_000_000))
-        return pa.table({"o_custkey": t["o_custkey"], "l_suppkey": supp})
-
-    j = j.map_batches(disjoint_ids, batch_format="pyarrow")
-    return distinct(j, ["o_custkey", "l_suppkey"])
-
-
-def q125_pagerank(sf_dir: str):
-    """Distributed PageRank (`ops/graph.pagerank`) over the
-    customer→supplier order graph — exact power iteration where ranks
-    and edges stay Datasets end-to-end (3 key-hash exchanges per round,
-    dangling mass redistributed uniformly).  Fixed 2 iterations so the
-    DuckDB oracle expresses the same recurrence as chained CTEs."""
-    from ..ops.graph import pagerank
-
-    edges = _customer_supplier_edges(sf_dir)
-    out = pagerank(edges, "o_custkey", "l_suppkey", damping=0.85,
-                   iterations=2, rank_col="pr",
-                   assume_distinct=True).to_pandas()
-    return _round_cols(out, {"pr": 9})
-
-
-def q126_cooccurrence(sf_dir: str):
-    """Item-item co-occurrence mining (`ops/graph.cooccurrence_pairs`):
-    supplier pairs sharing ≥ 20 customers — contexts hash-partition, one
-    vectorized self-merge per partition emits ordered pairs, counts
-    reduce per pair.  The co-purchase/blocking primitive."""
-    from ..ops.graph import cooccurrence_pairs
-
-    edges = _customer_supplier_edges(sf_dir)
-    return cooccurrence_pairs(edges, "o_custkey", "l_suppkey",
-                              min_count=20, max_per_context=100_000,
-                              assume_distinct=True)
 
 
 def _expectation_counters(ds: rd.Dataset, spec) -> pd.DataFrame:
@@ -2763,253 +515,6 @@ def q129_conditional_rules(sf_dir: str):
     return _expectation_counters(ds, spec)
 
 
-def q130_benford_digits(sf_dir: str):
-    """Benford first-significant-digit screen (`ops/anomaly
-    .benford_digit_counts`): digit counts per return flag — per-batch
-    partial counts, 9×|groups| shuffle rows."""
-    from ..ops.anomaly import benford_digit_counts
-
-    li = _t(sf_dir, "lineitem", ["l_returnflag", "l_extendedprice"])
-    return benford_digit_counts(li, "l_extendedprice", ["l_returnflag"])
-
-
-def q131_rolling_anomalies(sf_dir: str):
-    """Trailing-window z-score outliers per user (`ops/anomaly
-    .rolling_zscore`): the anomaly decision is an exact int64
-    cross-multiplied inequality, so the SQL window-frame oracle agrees
-    bit-for-bit at the 3σ boundary."""
-    from ..ops.anomaly import rolling_zscore
-
-    ev = _t(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-
-    def to_cents(t: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.floor(pc.multiply(t["value"], pa.scalar(100.0))),
-                        pa.int64())
-        return t.drop_columns(["value"]).append_column("v", cents)
-
-    ev = ev.map_batches(to_cents, batch_format="pyarrow")
-    out = rolling_zscore(ev, ["user_id"], ["ts", "event_id"], "v",
-                         window=20, min_periods=5, z_threshold=3.0)
-    return out.select_columns(["event_id", "user_id", "n_prev", "is_anomaly"])
-
-
-def q132_freshness_lag(sf_dir: str):
-    """Per-type freshness vs the dataset watermark (`ops/anomaly
-    .freshness_lag`): one Max aggregate, µs-exact lag integers."""
-    from ..ops.anomaly import freshness_lag
-
-    ev = _t(sf_dir, "events", ["event_type", "ts"])
-    return freshness_lag(ev, "event_type", "ts")
-
-
-def q133_daily_count_anomaly(sf_dir: str):
-    """Per-day row-count outliers vs the median day (`ops/anomaly
-    .window_count_anomaly`): feed-drop / double-ingest detector; integer
-    percent-band decision."""
-    from ..ops.anomaly import window_count_anomaly
-
-    ev = _t(sf_dir, "events", ["ts"])
-    return window_count_anomaly(ev, "ts", low_pct=97, high_pct=103)
-
-
-def q134_documents_profile(sf_dir: str):
-    """Whole-table auto-profiler (`ops/profile.profile_table`): every
-    column's count / nulls / min / max / sum in ONE streaming pass —
-    per-batch sketch partials hash-partitioned BY COLUMN NAME, so the
-    driver sees |columns| rows regardless of table size.  The oracled
-    subset is integer-exact (values for numerics, utf8 lengths for
-    strings); the HLL/top-k side is covered by nq_table_profile."""
-    from ..ops.profile import profile_table
-
-    prof = profile_table(_t(sf_dir, "documents"))
-    out = prof[["col", "n", "n_null", "vmin", "vmax", "vsum"]].copy()
-    for c in ("vmin", "vmax", "vsum"):
-        out[c] = out[c].astype("int64")
-    return out
-
-
-def q135_fd_check(sf_dir: str):
-    """Functional-dependency screen (`ops/stats.fd_violations`): does
-    user_id -> event_type hold?  Distinct-pair shuffle + key-cardinality
-    count; two scalars out."""
-    from ..ops.stats import fd_violations
-
-    ev = _t(sf_dir, "events", ["user_id", "event_type"])
-    return fd_violations(ev, ["user_id"], ["event_type"])
-
-
-def nq_table_profile(sf_dir: str):
-    """Full profiler row set incl. HLL approx-distinct, mean/std and
-    Misra-Gries top values (JSON) — the non-SQL half of q134."""
-    from ..ops.profile import profile_table
-
-    prof = profile_table(_t(sf_dir, "documents"))
-    return _round_cols(prof.drop(columns=["moments", "hll", "mg"],
-                                 errors="ignore"),
-                       {"mean": ROUND_F, "std": ROUND_F})
-
-
-def nq_logreg_quality(sf_dir: str):
-    """Quality-classifier training (`ops/ml.logistic_fit`): full-batch
-    distributed gradient descent (one streaming pass per epoch, driver
-    holds only the weight vector), then broadcast scoring — per-lang mean
-    predicted probability for the is-English head.  The CCNet/FineWeb
-    linear-filter training loop."""
-    from ray.data.aggregate import Count, Mean
-    from ..ops.ml import logistic_fit, logistic_score
-
-    docs = _t(sf_dir, "documents", ["text", "lang", "n_chars"])
-
-    def feats(df: pd.DataFrame) -> pd.DataFrame:
-        txt = df["text"].fillna("")
-        return pd.DataFrame({
-            "lang": df["lang"],
-            "f_len": df["n_chars"].astype("float64"),
-            "f_spaces": txt.str.count(" ").astype("float64"),
-            "f_digits": txt.str.count(r"\d").astype("float64"),
-            "y": (df["lang"] == "en").astype("float64"),
-        })
-
-    feat = docs.map_batches(feats, batch_format="pandas")
-    model = logistic_fit(feat, ["f_len", "f_spaces", "f_digits"], "y",
-                         epochs=25, lr=1.0)
-    scored = logistic_score(feat, model, ["f_len", "f_spaces", "f_digits"])
-    out = (scored.groupby("lang")
-           .aggregate(Count(alias_name="n_docs"),
-                      Mean("p", alias_name="mean_p"))
-           .to_pandas().sort_values("lang", ignore_index=True))
-    out["final_loss"] = round(model["loss"][-1], 6)
-    return _round_cols(out, {"mean_p": ROUND_F})
-
-
-def q136_winsorized_values(sf_dir: str):
-    """Per-type winsorization (`ops/grouped.grouped_winsorize_stats`):
-    outlier treatment against EXACT order-statistic bounds (quantile_disc
-    semantics — a real data value, no interpolation float drift), so
-    bounds, strict-outlier counts and the clipped sum are all int64-exact
-    vs the SQL oracle."""
-    from ..ops.grouped import grouped_winsorize_stats
-
-    ev = _t(sf_dir, "events", ["event_type", "value"])
-
-    def to_cents(t: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.floor(pc.multiply(t["value"], pa.scalar(100.0))),
-                        pa.int64())
-        return pa.table({"event_type": t["event_type"], "v": cents})
-
-    ev = ev.map_batches(to_cents, batch_format="pyarrow")
-    out = grouped_winsorize_stats(ev, ["event_type"], "v",
-                                  q_lo=0.05, q_hi=0.95)
-    return out.to_pandas().sort_values("event_type", ignore_index=True)
-
-
-def nq_cusum_changepoint(sf_dir: str):
-    """Two-sided CUSUM over the daily-mean series
-    (`ops/anomaly.cusum_changepoints`) — Page's level-shift detector;
-    corpus reduces to one row per day, the O(|days|) recursion runs on
-    the driver by design."""
-    from ..ops.anomaly import cusum_changepoints
-
-    ev = _t(sf_dir, "events", ["ts", "value"])
-    out = cusum_changepoints(ev, "ts", "value", k_sigma=0.5, h_sigma=4.0)
-    return _round_cols(out, {"mean": ROUND_F, "cusum_hi": ROUND_F,
-                             "cusum_lo": ROUND_F})
-
-
-def nq_bpe_tokenizer(sf_dir: str):
-    """BPE tokenizer training + encoding (`ops/text.bpe_train` /
-    `bpe_token_counts`): the corpus reduces to a word-frequency table in
-    ONE distributed pass, the merge loop runs over that table (cost ∝
-    vocabulary, not corpus), and encoding broadcasts the merge ranks to
-    an actor pool.  Output: per-lang doc counts + total BPE token counts
-    (integers, deterministic)."""
-    from ray.data.aggregate import Count, Sum
-    from ..ops.text import bpe_token_counts, bpe_train
-
-    docs = _t(sf_dir, "documents", ["text", "lang"])
-    merges = bpe_train(docs, text_col="text", num_merges=100)
-    enc = bpe_token_counts(docs, merges, text_col="text")
-    out = (enc.map_batches(
-        lambda b: pa.Table.from_pandas(b[["lang", "n_bpe_tokens"]],
-                                       preserve_index=False),
-        batch_format="pandas")
-        .groupby("lang")
-        .aggregate(Count(alias_name="n_docs"),
-                   Sum("n_bpe_tokens", alias_name="total_bpe_tokens"))
-        .to_pandas().sort_values("lang", ignore_index=True))
-    out["n_merges"] = len(merges)
-    return out
-
-
-def q137_event_transitions(sf_dir: str):
-    """Markov transition counts — how often each (previous event type ->
-    event type) step occurs within a user's ordered stream
-    (`ops/windowing.shift_by_key` LAG + a |types|²-sized count reduce):
-    the behavioral-model / funnel-input primitive."""
-    from ray.data.aggregate import Sum
-    from ..ops.windowing import shift_by_key
-
-    ev = _t(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
-    lagged = shift_by_key(ev, ["user_id"], ["ts", "event_id"], "event_type",
-                          offset=1, out_col="prev_type")
-
-    def pair_counts(t: pa.Table) -> pa.Table:
-        keep = pc.is_valid(t["prev_type"])
-        t = t.filter(keep)
-        g = (pa.table({"prev_type": t["prev_type"],
-                       "event_type": t["event_type"]}).to_pandas()
-             .groupby(["prev_type", "event_type"], sort=False)
-             .size().rename("n").reset_index())
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    out = (lagged.map_batches(pair_counts, batch_format="pyarrow")
-           .groupby(["prev_type", "event_type"])
-           .aggregate(Sum("n", alias_name="n")).to_pandas())
-    out["n"] = out["n"].astype("int64")
-    return out.sort_values(["prev_type", "event_type"], ignore_index=True)
-
-
-def q138_compaction_roundtrip(sf_dir: str):
-    """Small-file compaction end-to-end (`ops/layout.compact_partitions`):
-    documents write as many tiny per-lang files, compaction rewrites each
-    lang partition to ~one file, and the compacted copy must answer the
-    same aggregate as the original table — maintenance never changes
-    answers.  Output: per-lang n_docs / total_chars read FROM the
-    compacted files + the file-count proof."""
-    import glob
-    import shutil
-    import tempfile
-
-    from ray.data.aggregate import Count, Sum
-
-    from ..ops.layout import compact_partitions
-    from ..ops.sink import write_partitioned_resumable
-
-    docs = _t(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
-    src = tempfile.mkdtemp(prefix="driftray_smallfiles_")
-    dst = tempfile.mkdtemp(prefix="driftray_compacted_")
-    try:
-        # deliberately fragment: one file per ~32 rows inside each partition
-        write_partitioned_resumable(docs.repartition(16), src, "lang")
-        rep = compact_partitions(src, dst, target_mb=64,
-                                 partition_col="lang")
-        if not (rep["files_out"] <= rep["files_in"]).all():
-            raise RuntimeError(
-                "compaction produced MORE files than it read: "
-                f"{rep.to_dict('records')}")
-
-        out = (rd.read_parquet(sorted(glob.glob(f"{dst}/lang=*/*.parquet")))
-               .groupby("lang")
-               .aggregate(Count(alias_name="n_docs"),
-                          Sum("n_chars", alias_name="total_chars"))
-               .to_pandas().sort_values("lang", ignore_index=True))
-        out["total_chars"] = out["total_chars"].astype("int64")
-        return out
-    finally:
-        shutil.rmtree(src, ignore_errors=True)
-        shutil.rmtree(dst, ignore_errors=True)
-
-
 def q139_value_drift_w1(sf_dir: str):
     """Wasserstein-1 distance between the first and second half of the
     events stream (`drift.wasserstein_from_hist` over shared-edge
@@ -3063,99 +568,6 @@ def q140_documents_expectations(sf_dir: str):
     return _expectation_counters(ds, DOCUMENTS_SPEC)
 
 
-def q141_cusum_daily(sf_dir: str):
-    """Two-sided CUSUM over the daily-mean value series
-    (`ops/anomaly.cusum_changepoints`, Page's level-shift detector).
-    The recursion h_t = max(0, h_{t-1} + z_t - k) has the closed form
-    h_t = C_t - min_{0<=j<=t} C_j with C = cumsum(z - k), so the
-    inherently-sequential detector is exactly expressible as SQL window
-    functions (cumsum minus running min) and hash-checkable."""
-    from ..ops.anomaly import cusum_changepoints
-
-    ev = _t(sf_dir, "events", ["ts", "value"])
-    out = cusum_changepoints(ev, "ts", "value", k_sigma=0.5, h_sigma=4.0)
-    return _round_cols(out, {"mean": ROUND_F, "cusum_hi": ROUND_F,
-                             "cusum_lo": ROUND_F})
-
-
-def q142_bpe_pair_counts(sf_dir: str):
-    """The exact input to BPE merge #1 (`ops/text.global_token_counts` +
-    the symbol-pair fold `bpe_train` runs): adjacent-symbol pair
-    frequencies over the word-frequency table, `</w>` marking word ends.
-    Distributed part: ONE vocabulary-sized word-count exchange; the pair
-    fold is vocabulary-bounded driver work, same contract as training.
-    Deterministic integers — the SQL twin recomputes the pairs with a
-    char-position unnest."""
-    from ..ops.text import global_token_counts
-
-    docs = _t(sf_dir, "documents", ["text"])
-    wc = global_token_counts(docs, text_col="text").to_pandas()
-    counts: dict[tuple[str, str], int] = {}
-    for w, n in zip(wc["token"].to_numpy(dtype=object),
-                    wc["n"].to_numpy(dtype=np.int64)):
-        seq = tuple(w) + ("</w>",)
-        for i in range(len(seq) - 1):
-            p = (seq[i], seq[i + 1])
-            counts[p] = counts.get(p, 0) + int(n)
-    out = pd.DataFrame(
-        {"left_sym": [p[0] for p in counts],
-         "right_sym": [p[1] for p in counts],
-         "n_pairs": np.fromiter(counts.values(), dtype=np.int64,
-                                count=len(counts))})
-    return out.sort_values(["left_sym", "right_sym"], ignore_index=True)
-
-
-def q143_median_digest_band(sf_dir: str):
-    """t-digest grouped median sketch (`ops/grouped
-    .grouped_quantile_digest` — the 100 TB quantile path) checked IN the
-    query against the exact per-lang median (q31's banded pattern): the
-    oracle hash only matches when every digest median lands within 1% of
-    the exact one, so the sketch accuracy contract is driver-enforced."""
-    from ..ops.grouped import grouped_quantile, grouped_quantile_digest
-
-    ds = _t(sf_dir, "documents", ["lang", "n_chars"])
-    exact = (grouped_quantile(ds, ["lang"], "n_chars", q=0.5,
-                              out_col="median_exact", num_partitions=16)
-             .to_pandas().set_index("lang")["median_exact"])
-    approx = (grouped_quantile_digest(ds, ["lang"], "n_chars", q=0.5,
-                                      out_col="m", num_partitions=8)
-              .to_pandas().set_index("lang")["m"])
-    langs = sorted(exact.index)
-    return pd.DataFrame({
-        "lang": langs,
-        "median_exact": [float(exact[l]) for l in langs],
-        "within_1pct": [
-            abs(float(approx[l]) - float(exact[l]))
-            <= max(0.01 * abs(float(exact[l])), 1.0)
-            for l in langs],
-    })
-
-
-
-def q144_tree_split(sf_dir: str):
-    """GBDT histogram split finder (`ops/ml.hist_split_gains` — the
-    LightGBM 'hist' method): squared-error gain of every candidate
-    l_quantity split for predicting price.  One Min/Max pass + one
-    bincount-partial pass; prices pre-scale to exact cents so Σy is an
-    exact integer and the gain doubles are deterministic — the oracle
-    recomputes the prefix-sum scan with SQL window functions."""
-    from ..ops.ml import hist_split_gains
-
-    li = _t(sf_dir, "lineitem", ["l_quantity", "l_extendedprice"])
-
-    def cents(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "l_quantity": t["l_quantity"],
-            "y_cents": pc.cast(pc.round(
-                pc.multiply(t["l_extendedprice"], pa.scalar(100.0))),
-                pa.int64())})
-
-    out = hist_split_gains(li.map_batches(cents, batch_format="pyarrow"),
-                           ["l_quantity"], "y_cents", n_bins=16)
-    return _round_cols(out, {"threshold": ROUND_F, "gain": ROUND_F})
-
-
-
 def q145_daily_psi_js(sf_dir: str):
     """The drift-scoring kernels hash-checked end to end: day-over-day
     PSI and Jensen-Shannon divergence of events.value
@@ -3174,7 +586,6 @@ def q145_daily_psi_js(sf_dir: str):
     out["n"] = out["n"].astype("int64")
     out["n_nan"] = out["n_nan"].astype("int64")
     return _round_cols(out, {"psi": ROUND_F, "js": ROUND_F})
-
 
 
 def q146_value_drift_ks(sf_dir: str):
@@ -3216,131 +627,6 @@ def q146_value_drift_ks(sf_dir: str):
     return pd.DataFrame({"n_a": [int(merged["a"].counts.sum())],
                          "n_b": [int(merged["b"].counts.sum())],
                          "ks": [round(ks, ROUND_F)]})
-
-
-
-def q147_mg_exact_regime(sf_dir: str):
-    """Misra-Gries heavy hitters in the exact regime (`ops/text
-    .heavy_hitters`, `sketches.MisraGries`): with k above the domain
-    cardinality the summary NEVER decrements, so the sketch path —
-    per-batch k-counter folds + the mergeable-summaries driver merge —
-    must reproduce the exact groupby counts bit-for-bit.  The shrinking
-    regime's ±n/(k+1) guarantee stays pytest-asserted
-    (tests/test_sketches.py); this query hash-attests the merge algebra
-    itself."""
-    from ..ops.text import heavy_hitters
-
-    out = heavy_hitters(_t(sf_dir, "events", ["user_id"]),
-                        "user_id", k=256, top_n=256)
-    out["user_id"] = out["user_id"].astype("int64")
-    out["count_lb"] = out["count_lb"].astype("int64")
-    return out.sort_values("user_id", ignore_index=True)
-
-
-BM25_QUERY = "hash join merge"
-
-
-def q148_bm25_scores(sf_dir: str):
-    """Full-corpus BM25 scoring (`ops/text.bm25_scores`) — the oracle
-    twin of nq_bm25_search's ranking path: every document containing ≥ 1
-    query term gets its BM25 score (k1=1.2, b=0.75), no top-k cutoff, so
-    the whole tf/idf/dl algebra — N, avgdl over ALL docs (empty ones
-    included), per-term df, the saturation quotient — is hash-checked
-    against the SQL recomputation instead of only pytest-asserted."""
-    from ..ops.text import bm25_scores
-
-    out = bm25_scores(_t(sf_dir, "documents", ["doc_id", "text"]),
-                      query=BM25_QUERY).to_pandas()
-    out = _round_cols(out, {"score": 4})
-    return out.sort_values("doc_id", ignore_index=True)
-
-
-def q149_dsir_weights(sf_dir: str):
-    """DSIR importance weights (`ops/curation.dsir_weights`, Xie et al.
-    2023): score every document by Σ_tokens [ln p̂_target − ln p̂_corpus]
-    with add-0.5 smoothing, target = the English subset.  Raw-token
-    feature space here (exactly SQL-expressible); the hashed-bucket
-    fixed-size model (the paper's 10⁴-bucket 100 TB path) is
-    pytest-asserted against a local replica in tests/test_round5_ops.py."""
-    import pyarrow.compute as _pc
-
-    from ..ops.curation import dsir_weights
-
-    docs = _t(sf_dir, "documents", ["doc_id", "text", "lang"])
-
-    def tag(t: pa.Table) -> pa.Table:
-        return t.append_column("is_tgt", _pc.equal(t["lang"], "en"))
-
-    out = dsir_weights(docs.map_batches(tag, batch_format="pyarrow"),
-                       "is_tgt").to_pandas()
-    out = _round_cols(out, {"dsir_weight": ROUND_F})
-    return (out[["doc_id", "n_tokens", "dsir_weight"]]
-            .sort_values("doc_id", ignore_index=True))
-
-
-def q150_bigram_lm(sf_dir: str):
-    """Bigram-LM fluency scoring (`ops/text.bigram_lm_scores`) — the
-    word-ORDER companion of q56's unigram perplexity: per within-doc
-    adjacent pair, ln((c2+α)/(c1(w1)+α·V)) from corpus counts trained in
-    one tagged groupby exchange.  Docs with < 2 tokens carry no bigram
-    evidence and are dropped, matching the oracle's pair join."""
-    from ..ops.text import bigram_lm_scores
-
-    out = bigram_lm_scores(_t(sf_dir, "documents", ["doc_id", "text"]),
-                           alpha=PPL_ALPHA).to_pandas()
-    out = out[out["n_bigrams"] > 0]
-    out = _round_cols(out, {"lp_per_bigram": ROUND_F})
-    return (out[["doc_id", "n_bigrams", "lp_per_bigram"]]
-            .sort_values("doc_id", ignore_index=True))
-
-
-def q151_dup_ngram_stats(sf_dir: str):
-    """Per-document duplicate-trigram fraction
-    (`ops/curation.dup_ngram_stats`, Lee et al. 2022 §4 corpus
-    SELF-overlap): for every doc, how many of its 3-token windows carry
-    a trigram found in ≥ 2 distinct documents.  Integer outputs only
-    (counts); the float fraction is pytest-asserted in
-    tests/test_corpus_overlap.py.  64-bit gram hashes stand in for the
-    raw strings — the q76 decontamination convention."""
-    from ..ops.curation import dup_ngram_stats
-
-    out = dup_ngram_stats(_t(sf_dir, "documents", ["doc_id", "text"]),
-                          n=3, min_docs=2).to_pandas()
-    return (out[["doc_id", "n_windows", "n_dup_windows"]]
-            .astype("int64").sort_values("doc_id", ignore_index=True))
-
-
-def q152_source_overlap(sf_dir: str):
-    """Pairwise between-source trigram overlap
-    (`ops/curation.source_ngram_overlap`) — the corpus-composition
-    diagnostic: distinct-trigram intersection and per-source set sizes
-    for every unordered source pair (integer counts; Jaccard is derived
-    and pytest-asserted)."""
-    from ..ops.curation import source_ngram_overlap
-
-    out = source_ngram_overlap(
-        _t(sf_dir, "documents", ["source", "text"]), n=3)
-    out = out[["group_a", "group_b", "n_common", "n_a", "n_b"]].copy()
-    for c in ("n_common", "n_a", "n_b"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values(["group_a", "group_b"], ignore_index=True)
-
-
-def q153_semantic_decontam(sf_dir: str):
-    """Embedding-space test-set decontamination
-    (`ops/curation.semantic_decontaminate`): eval = vec_id < 25 (a
-    broadcast-once normalized matrix), train = the rest; per train row
-    the max cosine to any eval vector (rounded, the q15 list-cosine
-    convention) and the >= 0.35 contamination flag."""
-    from ..ops.curation import semantic_decontaminate
-
-    emb = _t(sf_dir, "embeddings", ["vec_id", "embedding"])
-    ev = _t(sf_dir, "embeddings", ["vec_id", "embedding"],
-            filter=pc.field("vec_id") < 25)
-    tr = emb.filter(expr="vec_id >= 25")
-    out = semantic_decontaminate(tr, ev, threshold=0.35).to_pandas()
-    out["contaminated"] = out["contaminated"].astype("int64")
-    return out.sort_values("vec_id", ignore_index=True)
 
 
 def q154_jsonl_roundtrip(sf_dir: str):
@@ -3398,242 +684,6 @@ def q155_csv_roundtrip(sf_dir: str):
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def q190_orc_roundtrip(sf_dir: str):
-    """ORC source+sink end-to-end (`sources.read_orc`/`write_orc`, the
-    third columnar format after parquet and Arrow IPC): documents export
-    to content-hash-named ORC shards via a distributed map_batches sink,
-    read back with stripe-level task parallelism and column pruning, and
-    must answer the same per-lang aggregate as the parquet original."""
-    import shutil
-    import tempfile
-
-    from ray.data.aggregate import Count, Sum
-
-    from ..sources import read_any, write_orc
-
-    docs = _t(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
-    tmp = tempfile.mkdtemp(prefix="driftray_orc_")
-    try:
-        write_orc(docs, tmp)
-        out = (read_any(tmp, fmt="orc", columns=["lang", "n_chars"])
-               .groupby("lang")
-               .aggregate(Count(alias_name="n_docs"),
-                          Sum("n_chars", alias_name="total_chars"))
-               .to_pandas().sort_values("lang", ignore_index=True))
-        out["total_chars"] = out["total_chars"].astype("int64")
-        return out
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-
-
-def q191_ipc_roundtrip(sf_dir: str):
-    """Arrow IPC/Feather source+sink end-to-end (`sources.read_ipc`/
-    `write_ipc`): shards written with 1 000-row record batches so the
-    reader's batch-level split model is actually exercised (each read
-    task memory-maps one record batch), then the q154-shape aggregate
-    must match the parquet original."""
-    import shutil
-    import tempfile
-
-    from ray.data.aggregate import Count, Sum
-
-    from ..sources import read_any, write_ipc
-
-    docs = _t(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
-    tmp = tempfile.mkdtemp(prefix="driftray_ipc_")
-    try:
-        write_ipc(docs, tmp, max_chunk_rows=1000)
-        out = (read_any(tmp, fmt="ipc", columns=["lang", "n_chars"])
-               .groupby("lang")
-               .aggregate(Count(alias_name="n_docs"),
-                          Sum("n_chars", alias_name="total_chars"))
-               .to_pandas().sort_values("lang", ignore_index=True))
-        out["total_chars"] = out["total_chars"].astype("int64")
-        return out
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-
-
-def q192_time_travel(sf_dir: str):
-    """Snapshot-versioned table end-to-end (`ops/snapshots.py`): three
-    atomic commits — append one-third of documents, append the rest,
-    copy-on-write DELETE of short docs — then the same aggregate read
-    back AT EACH PINNED VERSION.  Time travel must reproduce exactly
-    what SQL computes over the equivalent row subsets; the delete is
-    file-granular (untouched files carried by reference, verified in
-    tests/test_snapshots.py)."""
-    import shutil
-    import tempfile
-
-    import pyarrow.compute as pc
-
-    from ..ops.snapshots import (read_version, snapshot_append,
-                                 snapshot_delete_where)
-
-    docs = _t(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
-    tbl = tempfile.mkdtemp(prefix="driftray_snap_")
-    try:
-        def third(t, want: bool):
-            m = (t["doc_id"].to_numpy(zero_copy_only=False) % 3) == 0
-            return t.filter(pa.array(m if want else ~m))
-
-        snapshot_append(tbl, docs.map_batches(
-            lambda t: third(t, True), batch_format="pyarrow"))
-        snapshot_append(tbl, docs.map_batches(
-            lambda t: third(t, False), batch_format="pyarrow"))
-        snapshot_delete_where(
-            tbl, lambda t: pc.less(t["n_chars"], pa.scalar(200)))
-        rows = []
-        for v in (1, 2, 3):
-            pdf = read_version(tbl, v, columns=["n_chars"]).to_pandas()
-            rows.append({"version": v, "n_docs": len(pdf),
-                         "total_chars": int(pdf["n_chars"].sum())})
-        return pd.DataFrame(rows)
-    finally:
-        shutil.rmtree(tbl, ignore_errors=True)
-
-
-def nq_gbdt_price(sf_dir: str):
-    """Gradient-boosted stumps (`ops/ml.gbdt_stumps`, the histogram GBDT
-    method): predict line price from quantity+discount.  One streaming
-    pass per boosting round — residuals recompute per batch from the
-    broadcast stump list, so no per-row state exists anywhere.  Output:
-    the learned stump table + the (monotone) train-MSE trajectory,
-    deterministic; exactness vs a local numpy boosting replica is
-    asserted in tests/test_ml.py."""
-    from ..ops.ml import gbdt_stumps
-
-    li = _t(sf_dir, "lineitem",
-            ["l_quantity", "l_discount", "l_extendedprice"])
-    model = gbdt_stumps(li, ["l_quantity", "l_discount"],
-                        "l_extendedprice", n_rounds=5, lr=0.5, n_bins=16)
-    out = pd.DataFrame(model["stumps"])
-    out["round"] = np.arange(len(out), dtype=np.int64)
-    out["train_mse"] = np.round(model["train_mse"][:len(out)], 3)
-    for c in ("threshold", "left", "right"):
-        out[c] = out[c].round(ROUND_F)
-    return out[["round", "feature", "threshold", "left", "right",
-                "train_mse"]]
-
-
-
-def nq_pq_ann(sf_dir: str):
-    """Product-quantization ANN (`ops/ann.pq_train/pq_encode/pq_topk`):
-    vectors compress 32x (64 float32 dims -> 8 bytes) and queries score
-    via an ADC lookup table without reading the originals.  Output:
-    per-query recall@10 overlap counts vs the exact brute-force baseline
-    (deterministic integers)."""
-    from ..ops.ann import (brute_force_topk, pq_encode, pq_topk,
-                           pq_topk_rerank, pq_train)
-
-    emb = _t(sf_dir, "embeddings", ["vec_id", "embedding"])
-    q = emb.limit(5).to_pandas()
-    Q = np.stack(q["embedding"].to_numpy()).astype(np.float64)
-
-    exact = brute_force_topk(emb, Q, k=10).to_pandas()
-    model = pq_train(emb, m=8, n_codes=32, sample_rows=4096)
-    codes = pq_encode(emb, model).materialize()
-    approx = pq_topk(codes, model, Q, k=10).to_pandas()
-    rr = pq_topk_rerank(emb, codes, model, Q, k=10, rerank=100).to_pandas()
-
-    rows = []
-    for qi in range(len(Q)):
-        e = set(exact[exact.query_id == qi]["vec_id"])
-        a = set(approx[approx.query_id == qi]["vec_id"])
-        r = set(rr[rr.query_id == qi]["vec_id"])
-        rows.append({"query_id": qi, "n_exact": len(e),
-                     "n_overlap_coarse": len(e & a),
-                     "n_overlap_rerank": len(e & r)})
-    return pd.DataFrame(rows)
-
-
-def nq_semdedup(sf_dir: str):
-    """SemDeDup (`ops/dedup.semdedup`, Abbas et al. 2023): k-means the
-    embedding space, then within each cluster drop rows whose cosine
-    similarity to a kept lower-id member is >= threshold.  Deterministic
-    (seeded init, lowest-id keep); iterative k-means is not
-    SQL-expressible, so the exactness oracle is the in-process replica
-    in tests/test_corpus_overlap.py.  Output: per-cluster kept/dropped
-    counts (stable integers)."""
-    from ..ops.dedup import semdedup
-
-    emb = _t(sf_dir, "embeddings", ["vec_id", "embedding"])
-    out = semdedup(emb, n_clusters=8, threshold=0.9, iters=8).to_pandas()
-    g = (out.groupby("cluster", sort=True)
-         .agg(n_rows=("keep", "size"), n_kept=("keep", "sum"))
-         .reset_index())
-    g["n_rows"] = g["n_rows"].astype("int64")
-    g["n_kept"] = g["n_kept"].astype("int64")
-    return g
-
-
-def nq_incremental_minhash(sf_dir: str):
-    """Cross-scan near-dup detection (`ops/dedup.incremental_minhash_dedup`,
-    the LSH seen-bucket store): documents split into two scans by doc_id
-    parity-of-half; scan 2 re-submits a slice of scan 1 verbatim, which
-    must flag as dup_of_state without re-reading scan 1's text.  Output:
-    per-scan flag totals (deterministic seeded MinHash)."""
-    import shutil
-    import tempfile
-
-    from ..ops.dedup import incremental_minhash_dedup
-
-    docs = _t(sf_dir, "documents", ["doc_id", "text"])
-    half = docs.max("doc_id") // 2
-    state = tempfile.mkdtemp(prefix="driftray_lshstate_")
-    try:
-        rows = []
-        scan1 = docs.filter(expr=f"doc_id <= {half}")
-        # scan 2 = the other half + a re-crawl of 50 scan-1 docs
-        # (re-keyed upward so ids stay unique across scans)
-        recrawl = (docs.filter(expr="doc_id < 50")
-                   .map_batches(lambda t: t.set_column(
-                       t.schema.get_field_index("doc_id"), "doc_id",
-                       pc.add(t["doc_id"], 1_000_000)),
-                       batch_format="pyarrow"))
-        scan2 = docs.filter(expr=f"doc_id > {half}").union(recrawl)
-        for i, scan in enumerate((scan1, scan2), 1):
-            out = incremental_minhash_dedup(scan, state).to_pandas()
-            rows.append({"scan": i, "n_docs": len(out),
-                         "n_dup_of_state": int(out["dup_of_state"].sum()),
-                         "n_dup_in_scan": int(out["dup_in_scan"].sum())})
-        res = pd.DataFrame(rows)
-        # every verbatim re-crawl row must collide with scan-1 state
-        if int(res.loc[1, "n_dup_of_state"]) < 50:
-            raise RuntimeError(f"re-crawled docs not flagged: {rows}")
-        return res
-    finally:
-        shutil.rmtree(state, ignore_errors=True)
-
-
-def nq_compression_ratio(sf_dir: str):
-    """Per-document zlib compression ratio
-    (`ops/text.compression_ratios`) — the cheap redundancy signal
-    web-corpus curation filters on (low ⇒ boilerplate, ~1 ⇒ noise).
-    No SQL zlib exists; the pytest oracle recomputes ratios with the
-    stdlib."""
-    from ..ops.text import compression_ratios
-
-    docs = _t(sf_dir, "documents", ["doc_id", "text"])
-    out = compression_ratios(docs, "text", ["doc_id"]).to_pandas()
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-def nq_lsh_ann(sf_dir: str):
-    """Random-hyperplane LSH ANN (`ops/ann.lsh_topk`): top-10 neighbors
-    of vector 0 scoring only bucket-colliding candidates.  Approximate —
-    no SQL oracle; recall vs brute force is asserted in the suite."""
-    from ..ops.ann import lsh_topk
-
-    emb = _t(sf_dir, "embeddings", ["vec_id", "embedding"])
-    q0 = _t(sf_dir, "embeddings", ["vec_id", "embedding"],
-            filter=pc.field("vec_id") == 0).to_pandas()
-    out = lsh_topk(emb, np.stack(q0["embedding"].to_numpy()), k=10,
-                   n_tables=24, n_bits=6).to_pandas()
-    out["score"] = out["score"].round(4)
-    return out
-
-
 ORACLE_SQL: dict[str, str] = {
     "q01_pricing_summary": f"""
         SELECT l_returnflag, l_linestatus,
@@ -3648,34 +698,6 @@ ORACLE_SQL: dict[str, str] = {
                ROUND(SUM(l_extendedprice * (1 - l_discount)), {ROUND}) AS revenue
         FROM lineitem WHERE l_shipdate < TIMESTAMP '1998-01-01'
         GROUP BY l_returnflag""",
-    "q03_topk_orders": """
-        SELECT o_orderkey, o_totalprice FROM orders
-        ORDER BY o_totalprice DESC LIMIT 10""",
-    "q04_distinct_flags": """
-        SELECT DISTINCT l_returnflag, l_linestatus FROM lineitem""",
-    "q05_segment_sales": f"""
-        SELECT c_mktsegment, COUNT(*) AS n_orders,
-               ROUND(SUM(o_totalprice), {ROUND}) AS total_sales
-        FROM orders JOIN customer ON o_custkey = c_custkey
-        GROUP BY c_mktsegment""",
-    "q06_customers_per_region": """
-        SELECT r_name, COUNT(*) AS n_customers
-        FROM customer
-        JOIN nation ON c_nationkey = n_nationkey
-        JOIN region ON n_regionkey = r_regionkey
-        GROUP BY r_name""",
-    "q07_customers_with_orders": """
-        SELECT c_custkey FROM customer
-        WHERE c_custkey IN (SELECT o_custkey FROM orders)""",
-    "q08_parts_never_ordered": """
-        SELECT p_partkey FROM part
-        WHERE p_partkey NOT IN (SELECT l_partkey FROM lineitem)""",
-    "q09_windowed_events": f"""
-        SELECT CAST(FLOOR(epoch(ts) / 300) * 300 AS BIGINT) AS window_start_s,
-               event_type, COUNT(*) AS n_events,
-               ROUND(SUM(value), {ROUND}) AS sum_value,
-               ROUND(AVG(value), {ROUND_F}) AS avg_value
-        FROM events GROUP BY 1, 2""",
     "q10_duplicate_users": """
         SELECT user_id, COUNT(*) AS cnt FROM events
         GROUP BY user_id HAVING COUNT(*) > 1""",
@@ -3691,22 +713,6 @@ ORACLE_SQL: dict[str, str] = {
         FROM lineitem""",
     "q13_sha256_documents": """
         SELECT doc_id, sha256(text) AS text_sha256 FROM documents""",
-    "q14_dedup_documents": """
-        SELECT MIN(doc_id) AS doc_id, ARG_MIN(lang, doc_id) AS lang
-        FROM documents GROUP BY text""",
-    "q15_ann_topk": """
-        SELECT CAST(0 AS BIGINT) AS query_id, vec_id,
-               ROUND(CAST(raw_score AS DOUBLE), 4) AS score FROM (
-            SELECT vec_id, list_cosine_similarity(
-                embedding, (SELECT embedding FROM embeddings WHERE vec_id = 0))
-                AS raw_score
-            FROM embeddings ORDER BY raw_score DESC, vec_id LIMIT 10)""",
-    "q16_token_counts": r"""
-        SELECT doc_id,
-               CASE WHEN TRIM(COALESCE(text,'')) = '' THEN 0
-                    ELSE ARRAY_LENGTH(REGEXP_SPLIT_TO_ARRAY(TRIM(text), '\s+'))
-               END AS n_tokens_ws
-        FROM documents""",
     "q17_lang_profiles": """
         SELECT lang, COUNT(*) AS n_docs,
                ROUND(AVG(n_chars), 4) AS avg_chars,
@@ -3714,19 +720,8 @@ ORACLE_SQL: dict[str, str] = {
                CAST(MIN(n_chars) AS BIGINT) AS min_chars,
                CAST(MAX(n_chars) AS BIGINT) AS max_chars
         FROM documents GROUP BY lang""",
-    "q18_lang_medians": """
-        SELECT lang, MEDIAN(n_chars) AS median_chars
-        FROM documents GROUP BY lang""",
-    "q19_distinct_users_per_type": """
-        SELECT event_type, COUNT(DISTINCT user_id) AS n_users
-        FROM events GROUP BY event_type""",
     "q20_text_contains": """
         SELECT doc_id FROM documents WHERE LOWER(text) LIKE '%query%'""",
-    "q21_per_source_latest": """
-        SELECT source, doc_id FROM (
-            SELECT source, doc_id,
-                   ROW_NUMBER() OVER (PARTITION BY source ORDER BY doc_id DESC) AS rn
-            FROM documents) WHERE rn <= 20""",
     "q22_event_days": """
         SELECT STRFTIME(ts, '%Y-%m-%d') AS day, COUNT(*) AS n_events
         FROM events GROUP BY 1""",
@@ -3736,33 +731,11 @@ ORACLE_SQL: dict[str, str] = {
             UNION ALL
             SELECT o_orderstatus FROM orders WHERE o_totalprice >= 100000
         ) GROUP BY o_orderstatus""",
-    "q24_part_order_counts": """
-        SELECT p_partkey, COALESCE(n_li, 0) AS n_li
-        FROM part LEFT JOIN (
-            SELECT l_partkey, COUNT(*) AS n_li FROM lineitem GROUP BY l_partkey
-        ) ON p_partkey = l_partkey""",
     "q25_source_tiers": """
         SELECT CASE WHEN CAST(SUBSTR(source, 4) AS INT) < 10
                     THEN 'low' ELSE 'high' END AS tier,
                COUNT(*) AS n_docs
         FROM documents GROUP BY 1""",
-    "q26_salted_revenue_stats": f"""
-        SELECT l_returnflag,
-               ROUND(AVG(l_extendedprice), {ROUND_F}) AS mean_l_extendedprice
-        FROM lineitem GROUP BY l_returnflag""",
-    "q27_order_line_detail": """
-        SELECT l_orderkey, l_linenumber, l_extendedprice, o_custkey, o_orderstatus
-        FROM lineitem JOIN orders ON l_orderkey = o_orderkey""",
-    "q28_prev_event_value": """
-        SELECT l.event_id, l.user_id, l.value, r.value AS value_prev
-        FROM events l ASOF LEFT JOIN events r
-          ON l.user_id = r.user_id AND l.ts > r.ts""",
-    "q29_hopping_windows": """
-        SELECT CAST(FLOOR(epoch(ts) / 300) * 300 - 300 * i AS BIGINT)
-                   AS window_start_s,
-               event_type, COUNT(*) AS n_events
-        FROM events CROSS JOIN generate_series(0, 2) AS t(i)
-        GROUP BY 1, 2""",
     "q30_drift_means": """
         WITH b AS (SELECT (epoch_us(MIN(ts)) + epoch_us(MAX(ts))) // 2 AS mid
                    FROM events)
@@ -3772,927 +745,34 @@ ORACLE_SQL: dict[str, str] = {
                ROUND(AVG(value) FILTER (WHERE epoch_us(ts) >= (SELECT mid FROM b)), 4)
                    AS mean_second
         FROM events GROUP BY event_type""",
-    "q31_hll_accuracy": """
-        SELECT event_type, COUNT(DISTINCT user_id) AS n_users_exact,
-               TRUE AS within_2pct
-        FROM events GROUP BY event_type""",
-    "q32_flags_in_both_years": """
-        SELECT l_returnflag, l_linestatus FROM lineitem
-        WHERE l_shipdate < TIMESTAMP '1997-01-01'
-        INTERSECT
-        SELECT l_returnflag, l_linestatus FROM lineitem
-        WHERE l_shipdate >= TIMESTAMP '1997-01-01'""",
-    "q33_clickers_never_purchased": """
-        SELECT user_id FROM events WHERE event_type = 'click'
-        EXCEPT
-        SELECT user_id FROM events WHERE event_type = 'purchase'""",
-    "q34_token_budget_mix": r"""
-        WITH toks AS (
-            SELECT lang, doc_id,
-                   CASE WHEN TRIM(COALESCE(text, '')) = '' THEN 0
-                        ELSE ARRAY_LENGTH(REGEXP_SPLIT_TO_ARRAY(TRIM(text), '\s+'))
-                   END AS n_tok
-            FROM documents)
-        SELECT lang, doc_id FROM (
-            SELECT lang, doc_id,
-                   SUM(n_tok) OVER (PARTITION BY lang ORDER BY doc_id) AS cum
-            FROM toks)
-        WHERE cum <= 2000""",
     "q35_norm_fingerprints": r"""
         SELECT doc_id,
                SHA256(REGEXP_REPLACE(LOWER(COALESCE(text, '')),
                                      '\s+', ' ', 'g')) AS norm_sha256
         FROM documents""",
-    "q36_text_stats": r"""
-        SELECT doc_id,
-               LENGTH(COALESCE(text, '')) AS n_chars,
-               LENGTH(REGEXP_REPLACE(COALESCE(text, ''),
-                                     '[\w\s]', '', 'g')) AS n_punct,
-               LEN(REGEXP_EXTRACT_ALL(COALESCE(text, ''),
-                                      '[A-Za-z]+')) AS n_words,
-               LEN(LIST_FILTER(
-                   REGEXP_EXTRACT_ALL(LOWER(COALESCE(text, '')), '[a-z]+'),
-                   w -> LIST_CONTAINS(['the','and','of','to','a','in','is',
-                                       'it','that','for','on','with'], w)))
-                   AS n_stop
-        FROM documents""",
-    "q37_hash_sample": f"""
-        SELECT doc_id, lang
-        FROM documents
-        WHERE SUBSTR(MD5('42:' || CAST(doc_id AS VARCHAR)), 1, 8)
-              < '{_sample_hex(0.2)}'""",
-    "q38_hash_split": f"""
-        SELECT doc_id,
-               CASE WHEN h < '{_sample_hex(0.8)}' THEN 'train'
-                    WHEN h < '{_sample_hex(0.9)}' THEN 'val'
-                    ELSE 'test' END AS split
-        FROM (SELECT doc_id,
-                     SUBSTR(MD5('42:' || CAST(doc_id AS VARCHAR)), 1, 8) AS h
-              FROM documents)""",
-    "q39_stratified_sample": """
-        SELECT lang, doc_id FROM (
-            SELECT lang, doc_id,
-                   ROW_NUMBER() OVER (
-                       PARTITION BY lang
-                       ORDER BY MD5('42:' || CAST(doc_id AS VARCHAR)),
-                                doc_id) AS rn
-            FROM documents)
-        WHERE rn <= 3""",
-    # q40: ORDER BY (ts, event_id) is a total order, so the LAG flags and
-    # the cumulative SUM agree on tied timestamps; Ray's kernel sorts by
-    # (user, ts) only, which yields the identical session partition
-    # because a tied row's gap is 0 (can never open a session).
-    "q40_session_windows": f"""
-        WITH flags AS (
-            SELECT user_id, ts, event_id,
-                   CASE WHEN LAG(ts) OVER w IS NULL
-                         OR epoch_us(ts) - epoch_us(LAG(ts) OVER w)
-                            > {SESSION_GAP_S * 1_000_000}
-                        THEN 1 ELSE 0 END AS newflag
-            FROM events
-            WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)),
-        sess AS (
-            SELECT user_id, ts,
-                   SUM(newflag) OVER (PARTITION BY user_id
-                                      ORDER BY ts, event_id
-                                      ROWS UNBOUNDED PRECEDING) - 1 AS sid
-            FROM flags)
-        SELECT user_id, CAST(sid AS BIGINT) AS session_id,
-               COUNT(*) AS n_events,
-               MIN(ts) AS start_ts, MAX(ts) AS end_ts
-        FROM sess GROUP BY user_id, sid""",
-    "q41_range_join": """
-        WITH iv AS (
-            SELECT o_orderkey, o_orderdate AS start_ts,
-                   o_orderdate + INTERVAL 3 DAY AS end_ts
-            FROM orders WHERE o_orderkey % 97 = 0)
-        SELECT iv.o_orderkey, COUNT(*) AS n_lines
-        FROM lineitem l JOIN iv
-          ON l.l_shipdate >= iv.start_ts AND l.l_shipdate < iv.end_ts
-        GROUP BY iv.o_orderkey""",
-    "q42_rolling_sums": """
-        WITH e AS (
-            SELECT event_id, user_id, ts,
-                   CAST(FLOOR(value * 100) AS BIGINT) AS value_cents
-            FROM events)
-        SELECT event_id, user_id, value_cents,
-               CAST(SUM(value_cents) OVER (
-                   PARTITION BY user_id ORDER BY ts, event_id
-                   ROWS BETWEEN 3 PRECEDING AND CURRENT ROW) AS BIGINT)
-                   AS roll_sum
-        FROM e""",
-    "q43_top_tokens": """
-        SELECT token, n FROM (
-            SELECT token, COUNT(*) AS n
-            FROM (SELECT unnest(string_split(text, ' ')) AS token
-                  FROM documents)
-            WHERE token <> ''
-            GROUP BY token)
-        ORDER BY n DESC, token LIMIT 20""",
-    "q44_lang_source_pivot": (
-        "SELECT lang, "
-        + ", ".join(f"COUNT(*) FILTER (WHERE source = '{s}') AS {s}"
-                    for s in PIVOT_SOURCES)
-        + " FROM documents GROUP BY lang"),
-    "q45_asof_order_value": """
-        WITH last AS (
-            SELECT o_custkey AS user_id, o_orderdate,
-                   MAX(o_totalprice) AS last_price
-            FROM orders GROUP BY 1, 2)
-        SELECT e.event_id, e.user_id, l.last_price
-        FROM events e ASOF LEFT JOIN last l
-          ON e.user_id = l.user_id AND e.ts >= l.o_orderdate""",
-    "q46_price_qty_corr": f"""
-        SELECT l_returnflag,
-               ROUND(CORR(l_extendedprice, l_quantity), {ROUND_F}) AS corr_pq
-        FROM lineitem GROUP BY l_returnflag""",
     "q47_monthly_revenue": f"""
         SELECT strftime(o_orderdate, '%Y-%m') AS month,
                ROUND(SUM(o_totalprice), {ROUND}) AS revenue,
                COUNT(*) AS n_orders
         FROM orders GROUP BY 1""",
-    "q48_event_rank": """
-        SELECT event_id, user_id,
-               ROW_NUMBER() OVER (PARTITION BY user_id
-                                  ORDER BY ts, event_id) AS rn
-        FROM events""",
-    "q49_flag_argmax_order": f"""
-        WITH m AS (SELECT l_returnflag, MAX(l_extendedprice) AS mp
-                   FROM lineitem GROUP BY 1),
-             w AS (SELECT l.l_returnflag, m.mp,
-                          MIN(l.l_orderkey) AS argmax_orderkey
-                   FROM lineitem l
-                   JOIN m ON l.l_returnflag = m.l_returnflag
-                         AND l.l_extendedprice = m.mp
-                   GROUP BY 1, 2)
-        SELECT l_returnflag, ROUND(mp, {ROUND}) AS max_price,
-               argmax_orderkey
-        FROM w""",
-    "q50_regex_digit_docs": f"""
-        SELECT lang,
-               COUNT(*) FILTER (WHERE regexp_matches(text, '{DIGIT_RUN_RE}'))
-                   AS n_match,
-               COUNT(*) AS n_rows
-        FROM documents GROUP BY lang""",
     "q51_json_props_stats": """
         SELECT event_type,
                CAST(SUM(CAST(json_extract(props, '$.k') AS BIGINT))
                     AS BIGINT) AS sum_k,
                COUNT(*) AS n_events
         FROM events GROUP BY event_type""",
-    "q52_user_journeys": """
-        SELECT user_id,
-               STRING_AGG(event_type, '>' ORDER BY ts, event_id)
-                   AS journey
-        FROM events GROUP BY user_id""",
-    "q53_skew_join_lines": """
-        SELECT l.l_orderkey, l.l_quantity, o.o_totalprice
-        FROM lineitem l JOIN orders o ON l.l_orderkey = o.o_orderkey""",
-    "q54_next_event_value": """
-        SELECT event_id, user_id, value,
-               LEAD(value) OVER (PARTITION BY user_id
-                                 ORDER BY ts, event_id) AS value_next
-        FROM events""",
-    "q55_lang_mode_source": """
-        WITH c AS (SELECT lang, source, COUNT(*) AS n
-                   FROM documents GROUP BY 1, 2),
-             r AS (SELECT lang, source, n,
-                          ROW_NUMBER() OVER (PARTITION BY lang
-                                             ORDER BY n DESC, source) AS rn
-                   FROM c)
-        SELECT lang, n AS mode_count, source AS mode_source
-        FROM r WHERE rn = 1""",
-    "q56_doc_perplexity": f"""
-        WITH toks AS (
-            SELECT doc_id, unnest(string_split(text, ' ')) AS tok
-            FROM documents),
-        toks2 AS (SELECT doc_id, tok FROM toks WHERE tok <> ''),
-        cnt AS (SELECT tok, COUNT(*) AS n FROM toks2 GROUP BY tok),
-        tot AS (SELECT (SELECT COUNT(*) FROM toks2) AS total,
-                       (SELECT COUNT(*) FROM cnt) AS v)
-        SELECT t.doc_id, COUNT(*) AS n_tokens,
-               ROUND(AVG(LN((c.n + {PPL_ALPHA})
-                            / (tot.total + {PPL_ALPHA} * (tot.v + 1)))),
-                     {ROUND_F}) AS logprob_per_token
-        FROM toks2 t JOIN cnt c USING (tok), tot
-        GROUP BY t.doc_id""",
-    "q57_doc_chunks": f"""
-        WITH t AS (SELECT doc_id,
-                          list_filter(string_split(text, ' '),
-                                      x -> x <> '') AS toks
-                   FROM documents),
-        f AS (SELECT doc_id, toks, len(toks) AS n FROM t),
-        s AS (SELECT doc_id, toks, n,
-                     unnest(range(0, GREATEST(n - {CHUNK_OVERLAP}, 1),
-                                  {CHUNK_TOKENS - CHUNK_OVERLAP})) AS start
-              FROM f)
-        SELECT doc_id,
-               CAST(start / {CHUNK_TOKENS - CHUNK_OVERLAP} AS BIGINT)
-                   AS chunk_idx,
-               LEAST({CHUNK_TOKENS}, n - start) AS n_tokens,
-               array_to_string(
-                   list_slice(toks, start + 1,
-                              LEAST(start + {CHUNK_TOKENS}, n)), ' ')
-                   AS chunk_text
-        FROM s""",
-    "q58_customers_with_orders_ll": """
-        SELECT c_custkey, c_name FROM customer c
-        WHERE EXISTS (SELECT 1 FROM orders o
-                      WHERE o.o_custkey = c.c_custkey)""",
-    "q59_parts_never_ordered_ll": """
-        SELECT p_partkey, p_name FROM part p
-        WHERE NOT EXISTS (SELECT 1 FROM lineitem l
-                          WHERE l.l_partkey = p.p_partkey)""",
-    "q60_bloom_semi_customers": """
-        SELECT c_custkey, c_name FROM customer c
-        WHERE EXISTS (SELECT 1 FROM orders o
-                      WHERE o.o_custkey = c.c_custkey)""",
-    "q61_rolling_time_sums": f"""
-        WITH e AS (
-            SELECT event_id, user_id, ts,
-                   CAST(FLOOR(value * 100) AS BIGINT) AS value_cents
-            FROM events)
-        SELECT event_id, user_id, value_cents,
-               CAST(SUM(value_cents) OVER (
-                   PARTITION BY user_id ORDER BY ts
-                   RANGE BETWEEN INTERVAL {RANGE_WINDOW_S} SECONDS
-                       PRECEDING AND CURRENT ROW) AS BIGINT) AS roll_sum
-        FROM e""",
-    "q62_click_purchase_outer": """
-        WITH c AS (SELECT user_id, COUNT(*) AS n_clicks FROM events
-                   WHERE event_type = 'click' GROUP BY user_id),
-             p AS (SELECT user_id, COUNT(*) AS n_purchases FROM events
-                   WHERE event_type = 'purchase' GROUP BY user_id)
-        SELECT COALESCE(c.user_id, p.user_id) AS user_id,
-               COALESCE(n_clicks, 0) AS n_clicks,
-               COALESCE(n_purchases, 0) AS n_purchases
-        FROM c FULL OUTER JOIN p ON c.user_id = p.user_id""",
-    "q63_rollup_revenue": f"""
-        SELECT COALESCE(l_returnflag, 'ALL') AS l_returnflag,
-               COALESCE(l_linestatus, 'ALL') AS l_linestatus,
-               ROUND(SUM(l_extendedprice * (1 - l_discount)), {ROUND})
-                   AS revenue
-        FROM lineitem
-        GROUP BY ROLLUP(l_returnflag, l_linestatus)""",
-    "q64_events_intersect_all": f"""
-        SELECT user_id, event_type FROM events
-        WHERE ts < TIMESTAMP '{_SPLIT_TS}'
-        INTERSECT ALL
-        SELECT user_id, event_type FROM events
-        WHERE ts >= TIMESTAMP '{_SPLIT_TS}'""",
-    "q65_events_except_all": f"""
-        SELECT user_id, event_type FROM events
-        WHERE ts < TIMESTAMP '{_SPLIT_TS}'
-        EXCEPT ALL
-        SELECT user_id, event_type FROM events
-        WHERE ts >= TIMESTAMP '{_SPLIT_TS}'""",
-    "q66_value_quartiles": f"""
-        SELECT event_id, event_type,
-               ROW_NUMBER() OVER w AS rn,
-               NTILE(4) OVER w AS tile,
-               ROUND(PERCENT_RANK() OVER w, {ROUND_F}) AS pct_rank,
-               ROUND(CUME_DIST() OVER w, {ROUND_F}) AS cume_dist
-        FROM events
-        WINDOW w AS (PARTITION BY event_type ORDER BY value, event_id)""",
-    "q67_part_attrs_unpivot": """
-        SELECT p_partkey, 'p_size' AS attr,
-               CAST(p_size AS DOUBLE) AS val FROM part
-        UNION ALL
-        SELECT p_partkey, 'p_retailprice' AS attr,
-               p_retailprice AS val FROM part""",
-    "q68_region_pairs": """
-        SELECT a.r_name AS r_name, b.r_name AS r_name_r
-        FROM region a CROSS JOIN region b""",
-    "q69_shipping_priority": f"""
-        SELECT l_orderkey,
-               ROUND(SUM(l_extendedprice * (1 - l_discount)), {ROUND})
-                   AS revenue
-        FROM customer
-        JOIN orders ON c_custkey = o_custkey
-        JOIN lineitem ON l_orderkey = o_orderkey
-        WHERE c_mktsegment = 'BUILDING'
-          AND o_orderdate < TIMESTAMP '1998-06-01'
-          AND l_shipdate > TIMESTAMP '1998-06-01'
-        GROUP BY l_orderkey
-        ORDER BY revenue DESC, l_orderkey LIMIT 10""",
-    "q70_repetition_stats": """
-        WITH toks AS (
-            SELECT doc_id, string_split(text, ' ') AS a FROM documents),
-        flat AS (
-            SELECT doc_id, unnest(a) AS tok FROM toks),
-        tf AS (
-            SELECT doc_id, tok, COUNT(*) AS c FROM flat
-            WHERE tok <> '' GROUP BY doc_id, tok),
-        tok_stats AS (
-            SELECT doc_id, SUM(c) AS n_tokens,
-                   SUM(CASE WHEN c > 1 THEN c ELSE 0 END) AS dup_tokens
-            FROM tf GROUP BY doc_id),
-        tri AS (
-            SELECT doc_id, array_to_string(a[i:i+2], ' ') AS g
-            FROM toks,
-                 LATERAL UNNEST(generate_series(1, len(a) - 2)) AS t(i)),
-        trif AS (
-            SELECT doc_id, g, COUNT(*) AS c FROM tri GROUP BY doc_id, g),
-        tri_stats AS (
-            SELECT doc_id, SUM(c) AS n_trigrams,
-                   SUM(CASE WHEN c > 1 THEN c ELSE 0 END) AS dup_trigrams
-            FROM trif GROUP BY doc_id)
-        SELECT t.doc_id,
-               CAST(n_tokens AS BIGINT) AS n_tokens,
-               CAST(dup_tokens AS BIGINT) AS dup_tokens,
-               CAST(COALESCE(n_trigrams, 0) AS BIGINT) AS n_trigrams,
-               CAST(COALESCE(dup_trigrams, 0) AS BIGINT) AS dup_trigrams
-        FROM tok_stats t LEFT JOIN tri_stats USING (doc_id)""",
-    "q71_tfidf_terms": """
-        WITH flat AS (
-            SELECT doc_id, unnest(string_split(text, ' ')) AS tok
-            FROM documents),
-        tf AS (
-            SELECT doc_id, tok, COUNT(*) AS c FROM flat
-            WHERE tok <> '' GROUP BY doc_id, tok),
-        dfv AS (
-            SELECT tok, COUNT(DISTINCT doc_id) AS dfc FROM flat
-            WHERE tok <> '' GROUP BY tok),
-        scored AS (
-            SELECT doc_id, tok,
-                   ROUND(c * ln((SELECT COUNT(*) FROM documents) * 1.0
-                                / dfc), 4) AS score
-            FROM tf JOIN dfv USING (tok)),
-        ranked AS (
-            SELECT doc_id, tok, score,
-                   ROW_NUMBER() OVER (PARTITION BY doc_id
-                                      ORDER BY score DESC, tok) AS rn
-            FROM scored)
-        SELECT doc_id, tok AS term, score FROM ranked WHERE rn <= 3""",
-    "q72_span_dedup": """
-        WITH toks AS (
-            SELECT doc_id, string_split(text, ' ') AS a FROM documents),
-        w AS (
-            SELECT doc_id, i - 1 AS pos, array_to_string(a[i:i+7], ' ') AS g
-            FROM toks,
-                 LATERAL UNNEST(generate_series(1, len(a) - 7)) AS t(i)),
-        winners AS (
-            SELECT g, MIN(doc_id * 4294967296 + pos) AS o, COUNT(*) AS c
-            FROM w GROUP BY g),
-        masked AS (
-            SELECT w.doc_id, w.pos FROM w JOIN winners USING (g)
-            WHERE c >= 2 AND w.doc_id * 4294967296 + w.pos <> o),
-        cov AS (
-            SELECT DISTINCT doc_id, pos + j AS p
-            FROM masked, LATERAL UNNEST(generate_series(0, 7)) AS t(j)),
-        flat AS (
-            SELECT doc_id, i - 1 AS p, a[i] AS tok
-            FROM toks, LATERAL UNNEST(generate_series(1, len(a))) AS t(i)),
-        kept AS (
-            SELECT f.doc_id, f.p, f.tok FROM flat f
-            LEFT JOIN cov ON f.doc_id = cov.doc_id AND f.p = cov.p
-            WHERE cov.p IS NULL),
-        agg AS (
-            SELECT doc_id, string_agg(tok, ' ' ORDER BY p) AS clean_text,
-                   COUNT(*) AS n_kept
-            FROM kept GROUP BY doc_id),
-        tot AS (SELECT doc_id, COUNT(*) AS n_tokens FROM flat
-                GROUP BY doc_id)
-        SELECT d.doc_id, COALESCE(clean_text, '') AS clean_text,
-               CAST(COALESCE(n_tokens, 0) AS BIGINT) AS n_tokens,
-               CAST(COALESCE(n_tokens, 0) - COALESCE(n_kept, 0) AS BIGINT)
-                   AS n_removed
-        FROM documents d LEFT JOIN agg USING (doc_id)
-        LEFT JOIN tot USING (doc_id)""",
-    "q73_lang_outliers": """
-        WITH stats AS (
-            SELECT lang, MEDIAN(n_chars) AS m, MAD(n_chars) AS d
-            FROM documents GROUP BY lang)
-        SELECT lang, COUNT(*) AS n_docs,
-               CAST(SUM(CASE WHEN ABS(n_chars - m) > 3 * d
-                        THEN 1 ELSE 0 END) AS BIGINT) AS n_outliers
-        FROM documents JOIN stats USING (lang)
-        GROUP BY lang""",
-    "q74_pii_redaction": f"""
-        WITH s AS (SELECT event_id,
-                'contact user' || CAST(user_id AS VARCHAR)
-                || '@example.com or call +1-555-'
-                || lpad(CAST(user_id % 1000 AS VARCHAR), 3, '0') || '-'
-                || lpad(CAST(event_id % 10000 AS VARCHAR), 4, '0')
-                || ' from 10.0.' || CAST(user_id % 256 AS VARCHAR)
-                || '.' || CAST(event_id % 256 AS VARCHAR) AS text
-            FROM events),
-        r1 AS (SELECT event_id,
-                      len(regexp_extract_all(text, '{_PII_EM}')) AS n_email,
-                      regexp_replace(text, '{_PII_EM}', '<EMAIL>', 'g') AS t1
-               FROM s),
-        r2 AS (SELECT event_id, n_email,
-                      len(regexp_extract_all(t1, '{_PII_PH}')) AS n_phone,
-                      regexp_replace(t1, '{_PII_PH}', '<PHONE>', 'g') AS t2
-               FROM r1),
-        r3 AS (SELECT event_id, n_email, n_phone,
-                      len(regexp_extract_all(t2, '{_PII_IP}')) AS n_ipv4,
-                      regexp_replace(t2, '{_PII_IP}', '<IPV4>', 'g') AS t3
-               FROM r2)
-        SELECT event_id, n_email, n_phone, n_ipv4,
-               sha256(t3) AS redacted_sha256
-        FROM r3""",
-    "q75_clean_lines": r"""
-        WITH s AS (SELECT doc_id,
-                          replace(text, ' batch ', '.' || chr(10)) AS text
-                   FROM documents),
-        l AS (SELECT doc_id, string_split(text, chr(10)) AS ls FROM s),
-        k AS (SELECT doc_id,
-                     list_filter(ls, x ->
-                         len(list_filter(string_split(trim(x), ' '),
-                                         w -> w <> '')) >= 3
-                         AND regexp_matches(x, '[.!?]"?\s*$')) AS kept,
-                     len(ls) AS total
-              FROM l)
-        SELECT doc_id, len(kept) AS n_lines_kept,
-               total - len(kept) AS n_lines_dropped,
-               sha256(COALESCE(array_to_string(kept, chr(10)), ''))
-                   AS clean_sha256
-        FROM k""",
-    "q76_decontamination": f"""
-        WITH tok AS (SELECT doc_id,
-                            list_filter(string_split(lower(text), ' '),
-                                        x -> x <> '') AS toks
-                     FROM documents),
-        pos AS (SELECT doc_id, toks,
-                       unnest(range(1, len(toks) - {DECON_N} + 2)) AS i
-                FROM tok WHERE len(toks) >= {DECON_N}),
-        ng AS (SELECT doc_id,
-                      array_to_string(
-                          list_slice(toks, i, i + {DECON_N} - 1), ' ') AS ng
-               FROM pos),
-        ev AS (SELECT DISTINCT ng FROM ng WHERE doc_id % {DECON_MOD} = 0),
-        hits AS (SELECT n.doc_id, COUNT(*) AS n_contaminated
-                 FROM ng n JOIN ev USING (ng)
-                 WHERE n.doc_id % {DECON_MOD} <> 0
-                 GROUP BY n.doc_id)
-        SELECT d.doc_id,
-               COALESCE(h.n_contaminated, 0) AS n_contaminated
-        FROM documents d LEFT JOIN hits h USING (doc_id)
-        WHERE d.doc_id % {DECON_MOD} <> 0""",
-    "q77_gopher_rules": f"""
-        WITH t AS (SELECT doc_id, text,
-                list_filter(string_split(text, ' '), x -> x <> '') AS toks
-            FROM documents),
-        c AS (SELECT doc_id,
-                len(toks) AS n_words,
-                len(replace(text, ' ', '')) AS sum_word_len,
-                len(list_filter(toks,
-                    x -> regexp_matches(x, '[A-Za-z]'))) AS n_alpha_words,
-                len(list_filter(toks, x -> lower(x) IN
-                    ('the','be','to','of','and','that','have','with')))
-                    AS n_stopwords,
-                len(text) - len(replace(text, '#', '')) AS n_hash_chars,
-                (len(text) - len(replace(text, '...', ''))) // 3
-                    AS n_ellipsis
-            FROM t)
-        SELECT doc_id, n_words, sum_word_len, n_alpha_words, n_stopwords,
-               n_hash_chars, n_ellipsis,
-               CASE WHEN n_words >= {GOPHER_MIN_WORDS}
-                     AND n_words <= 100000
-                     AND 3 * n_words <= sum_word_len
-                     AND sum_word_len <= 10 * n_words
-                     AND 5 * n_alpha_words >= 4 * n_words
-                     AND n_stopwords >= 2
-                     AND 10 * (n_hash_chars + n_ellipsis) <= n_words
-                    THEN 1 ELSE 0 END AS keep
-        FROM c""",
-    "q78_epoch_mixing": """
-        WITH w AS (SELECT doc_id, source,
-                          CAST(substr(source, 4) AS INT) % 3 AS m
-                   FROM documents),
-        k AS (SELECT doc_id, source,
-                     (CASE WHEN m = 2 THEN 2 ELSE 1 END)
-                     + CASE WHEN m = 1 AND substr(md5('42:'
-                                || CAST(doc_id AS VARCHAR)), 1, 8)
-                                < '{h75}' THEN 1
-                            WHEN m = 2 AND substr(md5('42:'
-                                || CAST(doc_id AS VARCHAR)), 1, 8)
-                                < '{h50}' THEN 1
-                            ELSE 0 END AS reps
-              FROM w)
-        SELECT doc_id, source, unnest(range(reps)) AS epoch FROM k""",
-    "q79_pack_sequences": f"""
-        WITH cb AS (SELECT doc_id, source, n_chars,
-                COALESCE(SUM(n_chars) OVER (PARTITION BY source
-                    ORDER BY doc_id
-                    ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING),
-                    0) AS cbv
-            FROM documents)
-        SELECT doc_id, source, n_chars,
-               CAST(cbv // {PACK_SEQ_LEN} AS BIGINT) AS seq_id,
-               CAST(cbv % {PACK_SEQ_LEN} AS BIGINT) AS seq_offset
-        FROM cb""",
-    "q80_fuzzy_prefix_pairs": """
-        SELECT a.doc_id AS id_a, b.doc_id AS id_b,
-               levenshtein(substr(a.text, 1, 16),
-                           substr(b.text, 1, 16)) AS dist
-        FROM documents a JOIN documents b ON a.doc_id < b.doc_id
-        WHERE levenshtein(substr(a.text, 1, 16), substr(b.text, 1, 16)) <= 1""",
-    # u32 from the first 8 md5 hex chars, digit by digit — DuckDB has no
-    # hex→int cast; this recomputes sampling._unit_hash's exact value
-    "q81_weighted_sample": """
-        WITH h AS (SELECT doc_id, n_chars,
-                          substr(md5('42:' || CAST(doc_id AS VARCHAR)),
-                                 1, 8) AS hh
-                   FROM documents),
-             pri AS (SELECT doc_id, n_chars,
-                            POW(({U32}) / 4294967296.0,
-                                1.0 / n_chars) AS p
-                     FROM h)
-        SELECT doc_id, n_chars FROM pri ORDER BY p DESC, doc_id LIMIT 50""",
-    "q82_cube_revenue": f"""
-        SELECT COALESCE(l_returnflag, 'ALL') AS l_returnflag,
-               COALESCE(l_linestatus, 'ALL') AS l_linestatus,
-               ROUND(SUM(l_extendedprice * (1 - l_discount)), {ROUND})
-                   AS revenue
-        FROM lineitem
-        GROUP BY CUBE(l_returnflag, l_linestatus)""",
-    "q84_event_funnel": f"""
-        WITH s1 AS (SELECT user_id, MIN(ts) AS t FROM events
-                    WHERE event_type = '{FUNNEL_STAGES[0]}' GROUP BY 1),
-             s2 AS (SELECT e.user_id, MIN(e.ts) AS t FROM events e
-                    JOIN s1 ON e.user_id = s1.user_id AND e.ts > s1.t
-                    WHERE e.event_type = '{FUNNEL_STAGES[1]}' GROUP BY 1),
-             s3 AS (SELECT e.user_id, MIN(e.ts) AS t FROM events e
-                    JOIN s2 ON e.user_id = s2.user_id AND e.ts > s2.t
-                    WHERE e.event_type = '{FUNNEL_STAGES[2]}' GROUP BY 1)
-        SELECT 1 AS stage_idx, '{FUNNEL_STAGES[0]}' AS stage,
-               COUNT(*) AS n_keys FROM s1
-        UNION ALL SELECT 2, '{FUNNEL_STAGES[1]}', COUNT(*) FROM s2
-        UNION ALL SELECT 3, '{FUNNEL_STAGES[2]}', COUNT(*) FROM s3""",
-    "q85_exact_median_price": """
-        SELECT l_extendedprice AS p50 FROM (
-            SELECT l_extendedprice,
-                   ROW_NUMBER() OVER (ORDER BY l_extendedprice) AS rn,
-                   COUNT(*) OVER () AS n
-            FROM lineitem) WHERE rn = (n - 1) // 2 + 1""",
-    "q86_returned_revenue_topn": f"""
-        SELECT o_custkey,
-               ROUND(SUM(l_extendedprice * (1 - l_discount)), {ROUND})
-                   AS revenue
-        FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-        WHERE l_returnflag = 'R'
-        GROUP BY o_custkey
-        ORDER BY SUM(l_extendedprice * (1 - l_discount)) DESC, o_custkey
-        LIMIT 20""",
     "q83_value_histogram": f"""
         SELECT event_type,
                LEAST(GREATEST(CAST(FLOOR(value / {_HIST_WIDTH}) AS BIGINT),
                               0), {_HIST_BINS - 1}) AS bin,
                COUNT(*) AS n
         FROM events GROUP BY 1, 2""",
-    "q87_order_ntile": f"""
-        SELECT tile, COUNT(*) AS n, MIN(o_totalprice) AS lo_price,
-               MAX(o_totalprice) AS hi_price,
-               ROUND(SUM(o_totalprice), {ROUND}) AS sum_price
-        FROM (SELECT CAST(NTILE(4) OVER (ORDER BY o_totalprice, o_orderkey)
-                          AS BIGINT) AS tile,
-                     o_totalprice
-              FROM orders)
-        GROUP BY tile""",
-    "q88_local_supplier_volume": f"""
-        SELECT n_name,
-               ROUND(SUM(l_extendedprice * (1 - l_discount)), {ROUND})
-                   AS revenue
-        FROM customer, orders, lineitem, supplier, nation, region
-        WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey
-          AND l_suppkey = s_suppkey AND c_nationkey = s_nationkey
-          AND c_nationkey = n_nationkey AND n_regionkey = r_regionkey
-          AND r_name = 'ASIA'
-          AND o_orderdate >= DATE '1996-01-01'
-          AND o_orderdate < DATE '1997-01-01'
-        GROUP BY n_name""",
-    "q89_nation_top_customers": f"""
-        SELECT n_name, c_custkey, ROUND(revenue, {ROUND}) AS revenue
-        FROM (SELECT c_nationkey, c_custkey, revenue,
-                     ROW_NUMBER() OVER (PARTITION BY c_nationkey
-                                        ORDER BY revenue DESC, c_custkey)
-                         AS rnk
-              FROM (SELECT c_nationkey, c_custkey,
-                           SUM(o_totalprice) AS revenue
-                    FROM orders JOIN customer ON o_custkey = c_custkey
-                    GROUP BY c_nationkey, c_custkey))
-        JOIN nation ON c_nationkey = n_nationkey
-        WHERE rnk <= 3""",
-    "q90_event_runs": """
-        SELECT user_id,
-               COUNT(*) FILTER (WHERE prev IS NULL
-                                OR prev <> event_type) AS n_runs
-        FROM (SELECT user_id, event_type,
-                     LAG(event_type) OVER (PARTITION BY user_id
-                                           ORDER BY ts, event_id) AS prev
-              FROM events)
-        GROUP BY user_id""",
-    "q91_value_rank_stats": """
-        SELECT event_id, event_type,
-               CAST(RANK() OVER w AS BIGINT) AS rmin,
-               CAST(COUNT(*) OVER w AS BIGINT) AS rmax,
-               CAST(COUNT(*) OVER (PARTITION BY event_type) AS BIGINT)
-                   AS n_grp
-        FROM events
-        WINDOW w AS (PARTITION BY event_type ORDER BY value)""",
-    "q92_bigram_merges": r"""
-        WITH toks AS (
-            SELECT list_filter(string_split_regex(text, '\s+'),
-                               x -> x <> '') AS lst
-            FROM documents),
-        f AS (SELECT lst, len(lst) AS nt FROM toks WHERE len(lst) >= 2),
-        s AS (SELECT lst, unnest(range(1, nt)) AS i FROM f)
-        SELECT lst[i] AS w1, lst[i + 1] AS w2, COUNT(*) AS n FROM s
-        GROUP BY w1, w2
-        ORDER BY n DESC, w1, w2 LIMIT 30""",
-    "q93_late_events": """
-        WITH b AS (SELECT event_id % 5 AS batch, ts FROM events),
-        m AS (SELECT batch, MAX(ts) AS mx FROM b GROUP BY batch),
-        w AS (SELECT batch,
-                     MAX(mx) OVER (ORDER BY batch ROWS BETWEEN UNBOUNDED
-                                   PRECEDING AND 1 PRECEDING) AS pmax
-              FROM m)
-        SELECT b.batch, COUNT(*) AS n,
-               COUNT(*) FILTER (WHERE w.pmax IS NOT NULL AND
-                                b.ts < w.pmax - INTERVAL 1 HOUR) AS n_late
-        FROM b JOIN w USING (batch) GROUP BY b.batch""",
-    "q94_cohort_retention": """
-        WITH f AS (SELECT user_id, DATE_TRUNC('week', MIN(ts)) AS cw
-                   FROM events GROUP BY user_id),
-        a AS (SELECT DISTINCT e.user_id, f.cw,
-                     DATE_TRUNC('week', e.ts) AS aw
-              FROM events e JOIN f USING (user_id))
-        SELECT CAST(cw AS TIMESTAMP) AS cohort_week,
-               CAST((EPOCH(aw) - EPOCH(cw)) / 604800 AS BIGINT)
-                   AS week_offset,
-               COUNT(*) AS n_users
-        FROM a GROUP BY 1, 2""",
-    "q95_price_page": f"""
-        SELECT rn, o_orderkey, ROUND(o_totalprice, {ROUND}) AS o_totalprice
-        FROM (SELECT o_orderkey, o_totalprice,
-                     ROW_NUMBER() OVER (ORDER BY o_totalprice, o_orderkey)
-                         AS rn
-              FROM orders)
-        WHERE rn BETWEEN 1001 AND 1010""",
-    "q96_daily_active_users": """
-        SELECT DATE_TRUNC('day', ts) AS day,
-               COUNT(DISTINCT user_id) AS dau
-        FROM events GROUP BY 1""",
-    "q97_temperature_mix": """
-        WITH c AS (SELECT source, COUNT(*) AS n FROM documents
-                   GROUP BY source),
-        t AS (SELECT SUM(n) AS tot FROM c),
-        w AS (SELECT source, n, POW(n / (SELECT tot FROM t), 0.5) AS pw
-              FROM c),
-        z AS (SELECT SUM(pw) AS zz FROM w),
-        wt AS (SELECT source, n,
-                      pw / (SELECT zz FROM z) * (SELECT tot FROM t) / n
-                          AS wgt
-               FROM w),
-        d AS (SELECT d0.doc_id, d0.source,
-                     CAST(FLOOR(wgt) AS BIGINT) AS base,
-                     wgt - FLOOR(wgt) AS frac,
-                     substr(md5('42:' || CAST(d0.doc_id AS VARCHAR)),
-                            1, 8) AS hh
-              FROM documents d0 JOIN wt USING (source)),
-        e AS (SELECT source,
-                     unnest(range(0, base + CASE WHEN ({U32}) <
-                         LEAST(CAST(ROUND(frac * 4294967296.0) AS BIGINT),
-                               4294967295)
-                         THEN 1 ELSE 0 END)) AS epoch
-              FROM d)
-        SELECT source, epoch, COUNT(*) AS n_rows FROM e
-        GROUP BY source, epoch""",
-    "q98_trending_types": """
-        SELECT wstart, event_type, n FROM (
-            SELECT wstart, event_type, n,
-                   ROW_NUMBER() OVER (PARTITION BY wstart
-                                      ORDER BY n DESC, event_type) AS rnk
-            FROM (SELECT make_timestamp(epoch_us(ts) // 21600000000
-                                        * 21600000000) AS wstart,
-                         event_type, COUNT(*) AS n
-                  FROM events GROUP BY 1, 2))
-        WHERE rnk <= 2""",
-    "q99_nation_trade": f"""
-        SELECT n1.n_name AS supp_nation, n2.n_name AS cust_nation,
-               CAST(EXTRACT(year FROM l_shipdate) AS BIGINT) AS l_year,
-               ROUND(SUM(l_extendedprice * (1 - l_discount)), {ROUND})
-                   AS revenue
-        FROM supplier, lineitem, orders, customer,
-             nation n1, nation n2
-        WHERE s_suppkey = l_suppkey AND o_orderkey = l_orderkey
-          AND c_custkey = o_custkey
-          AND s_nationkey = n1.n_nationkey
-          AND c_nationkey = n2.n_nationkey
-          AND ((n1.n_name = 'NATION_3' AND n2.n_name = 'NATION_7') OR
-               (n1.n_name = 'NATION_7' AND n2.n_name = 'NATION_3'))
-          AND l_shipdate >= DATE '1996-01-01'
-          AND l_shipdate < DATE '1998-01-01'
-        GROUP BY 1, 2, 3""",
     "q100_conditional_counts": """
         SELECT event_type, COUNT(*) AS n,
                COUNT(*) FILTER (WHERE value > 100) AS n_high,
                COUNT(*) FILTER (WHERE props LIKE '%"promo"%') AS n_promo
         FROM events GROUP BY event_type""",
-    "q101_lapsed_by_segment": """
-        SELECT c_mktsegment, COUNT(*) AS n_lapsed
-        FROM customer LEFT JOIN (
-            SELECT o_custkey, MAX(o_orderdate) AS last_order
-            FROM orders GROUP BY o_custkey) lo
-          ON c_custkey = lo.o_custkey
-        WHERE last_order IS NULL OR last_order < DATE '1998-01-01'
-        GROUP BY c_mktsegment""",
-    "q102_corpus_shuffle": """
-        SELECT doc_id, ({U32}) AS shuffle_u32
-        FROM (SELECT doc_id,
-                     substr(md5('42:' || CAST(doc_id AS VARCHAR)), 1, 8)
-                         AS hh
-              FROM documents)
-        ORDER BY shuffle_u32, doc_id LIMIT 20""",
-    "q103_party_union": f"""
-        SELECT origin, COUNT(*) AS n,
-               ROUND(SUM(acctbal), {ROUND}) AS total_bal,
-               COUNT(*) FILTER (WHERE segment IS NULL) AS n_no_segment
-        FROM (
-            SELECT c_custkey AS party_id, c_acctbal AS acctbal,
-                   c_mktsegment AS segment, 'customer' AS origin
-            FROM customer
-            UNION ALL BY NAME
-            SELECT s_suppkey AS party_id, s_acctbal AS acctbal,
-                   'supplier' AS origin
-            FROM supplier)
-        GROUP BY origin""",
 }
-
-def _sw_sql() -> dict[str, str]:
-    from ..ops.text import _STOPWORDS
-
-    return {lg: ", ".join(f"'{w}'" for w in sorted(ws))
-            for lg, ws in _STOPWORDS.items()}
-
-
-_SW = _sw_sql()
-ORACLE_SQL["q104_langid_votes"] = f"""
-    WITH w AS (
-        SELECT doc_id,
-               unnest(regexp_extract_all(lower(substr(text, 1, 4000)),
-                                         '[a-z]+')) AS w
-        FROM documents
-    ), v AS (
-        SELECT doc_id,
-               COUNT(*) FILTER (WHERE w IN ({_SW['de']})) AS de_votes,
-               COUNT(*) FILTER (WHERE w IN ({_SW['en']})) AS en_votes,
-               COUNT(*) FILTER (WHERE w IN ({_SW['es']})) AS es_votes,
-               COUNT(*) FILTER (WHERE w IN ({_SW['fr']})) AS fr_votes,
-               COUNT(*) AS n_words
-        FROM w GROUP BY doc_id
-    )
-    SELECT d.doc_id,
-           COALESCE(de_votes, 0) AS de_votes,
-           COALESCE(en_votes, 0) AS en_votes,
-           COALESCE(es_votes, 0) AS es_votes,
-           COALESCE(fr_votes, 0) AS fr_votes,
-           COALESCE(n_words, 0) AS n_words,
-           CASE
-             WHEN COALESCE(greatest(de_votes, en_votes, es_votes, fr_votes),
-                           0) = 0 THEN 'unk'
-             WHEN de_votes >= en_votes AND de_votes >= es_votes
-                  AND de_votes >= fr_votes THEN 'de'
-             WHEN en_votes >= es_votes AND en_votes >= fr_votes THEN 'en'
-             WHEN es_votes >= fr_votes THEN 'es'
-             ELSE 'fr'
-           END AS lang_pred
-    FROM documents d LEFT JOIN v USING (doc_id)"""
-
-ORACLE_SQL["q105_heavy_hitters_exact"] = """
-    SELECT user_id, COUNT(*) AS cnt
-    FROM events GROUP BY user_id
-    ORDER BY cnt DESC, user_id LIMIT 20"""
-
-# Python str.strip() strips all ASCII whitespace, not just spaces
-_TRIMSET = "' ' || chr(9) || chr(10) || chr(13) || chr(11) || chr(12)"
-ORACLE_SQL["q106_segment_dedup"] = f"""
-    WITH seg AS (
-        SELECT doc_id,
-               unnest(string_split(COALESCE(text, ''), ' ')) AS seg,
-               unnest(range(len(string_split(COALESCE(text, ''), ' '))))
-                   AS pos
-        FROM documents
-    ), ranked AS (
-        SELECT doc_id, pos, seg,
-               count(*) OVER (PARTITION BY trim(seg, {_TRIMSET})) AS cnt,
-               row_number() OVER (PARTITION BY trim(seg, {_TRIMSET})
-                                  ORDER BY doc_id, pos) AS rn
-        FROM seg
-    )
-    SELECT doc_id,
-           COALESCE(string_agg(CASE WHEN cnt = 1 OR rn = 1 THEN seg END,
-                               ' ' ORDER BY pos), '') AS text,
-           COUNT(*) FILTER (WHERE cnt = 1 OR rn = 1) AS n_kept,
-           COUNT(*) FILTER (WHERE cnt > 1 AND rn > 1) AS n_dropped
-    FROM ranked GROUP BY doc_id"""
-
-ORACLE_SQL["q107_quality_counts"] = """
-    SELECT doc_id,
-           length(COALESCE(text, '')) AS n_chars,
-           len(regexp_extract_all(COALESCE(text, ''),
-                                  '[!-/:-@\\[-`{-~]')) AS n_punct,
-           len(regexp_extract_all(lower(COALESCE(text, '')),
-                                  '[a-z]+')) AS n_words,
-           len(list_filter(regexp_extract_all(lower(COALESCE(text, '')),
-                                              '[a-z]+'),
-                           w -> w IN (__SW_EN__))) AS n_stop
-    FROM documents""".replace("__SW_EN__", _SW["en"])
-
-ORACLE_SQL["q108_snapshot_diff"] = """
-    WITH old AS (
-        SELECT doc_id, n_chars FROM documents WHERE doc_id % 17 <> 3),
-    new AS (
-        SELECT doc_id,
-               CASE WHEN doc_id % 10 = 0 THEN n_chars + 1
-                    ELSE n_chars END AS n_chars
-        FROM documents WHERE doc_id % 13 <> 5)
-    SELECT COALESCE(o.doc_id, n.doc_id) AS doc_id,
-           CASE WHEN o.doc_id IS NULL THEN 'inserted'
-                WHEN n.doc_id IS NULL THEN 'deleted'
-                ELSE 'changed' END AS status
-    FROM old o FULL OUTER JOIN new n ON o.doc_id = n.doc_id
-    WHERE o.doc_id IS NULL OR n.doc_id IS NULL
-       OR o.n_chars <> n.n_chars"""
-
-ORACLE_SQL["q109_partition_fingerprints"] = """
-    WITH h AS (SELECT doc_id % 16 AS bucket, sha256(text) AS sha
-               FROM documents)
-    SELECT bucket, COUNT(*) AS n_rows,
-           COUNT(DISTINCT sha) AS n_distinct,
-           MIN(sha) AS min_sha, MAX(sha) AS max_sha
-    FROM h GROUP BY bucket"""
-
-ORACLE_SQL["q110_key_skew_profile"] = """
-    WITH c AS (SELECT user_id, COUNT(*) AS cnt
-               FROM events GROUP BY user_id),
-    s AS (SELECT COUNT(*) AS n_keys, MAX(cnt) AS max_cnt,
-                 MIN(cnt) AS min_cnt, CAST(SUM(cnt) AS BIGINT) AS total
-          FROM c),
-    r AS (SELECT cnt, ROW_NUMBER() OVER (ORDER BY cnt) AS rn,
-                 COUNT(*) OVER () AS n
-          FROM c)
-    SELECT n_keys, max_cnt, min_cnt, total,
-           (SELECT cnt FROM r WHERE rn = (n - 1) // 2 + 1) AS p50_cnt,
-           (SELECT cnt FROM r
-            WHERE rn = CAST(FLOOR(0.9 * (n - 1)) AS BIGINT) + 1) AS p90_cnt,
-           max_cnt * 1000000 // total AS top_share_ppm
-    FROM s"""
-
-ORACLE_SQL["q111_window_dedup"] = """
-    SELECT event_id, user_id, event_type, ts FROM events
-    QUALIFY ROW_NUMBER() OVER (
-        PARTITION BY user_id, event_type, date_trunc('day', ts)
-        ORDER BY ts, event_id) = 1"""
-
-ORACLE_SQL["q112_asof_tolerance"] = """
-    WITH last AS (
-        SELECT o_custkey AS user_id, o_orderdate,
-               MAX(o_totalprice) AS last_price
-        FROM orders GROUP BY 1, 2)
-    SELECT e.event_id, e.user_id,
-           CASE WHEN l.o_orderdate >= e.ts - INTERVAL 30 DAY
-                THEN l.last_price END AS last_price
-    FROM events e ASOF LEFT JOIN last l
-      ON e.user_id = l.user_id AND e.ts >= l.o_orderdate"""
-
-ORACLE_SQL["q113_grouping_sets"] = f"""
-    SELECT COALESCE(l_returnflag, 'ALL') AS l_returnflag,
-           COALESCE(l_linestatus, 'ALL') AS l_linestatus,
-           ROUND(SUM(l_extendedprice), {ROUND}) AS revenue
-    FROM lineitem
-    GROUP BY GROUPING SETS ((l_returnflag), (l_linestatus), ())"""
-
-ORACLE_SQL["q114_dense_topk"] = """
-    SELECT p_partkey, p_brand, p_retailprice,
-           DENSE_RANK() OVER (PARTITION BY p_brand
-                              ORDER BY p_retailprice DESC) AS p_rank
-    FROM part
-    QUALIFY DENSE_RANK() OVER (PARTITION BY p_brand
-                               ORDER BY p_retailprice DESC) <= 3"""
-
-ORACLE_SQL["q115_rolling_active_users"] = """
-    WITH u AS (SELECT DISTINCT date_trunc('day', ts) AS d, user_id
-               FROM events),
-    days AS (SELECT DISTINCT d FROM u)
-    SELECT days.d AS day, COUNT(DISTINCT u.user_id) AS n_active
-    FROM days JOIN u
-      ON u.d <= days.d AND u.d > days.d - INTERVAL 7 DAY
-    GROUP BY days.d"""
-
-ORACLE_SQL["q116_token_entropy"] = f"""
-    WITH tok AS (SELECT lang, unnest(string_split(text, ' ')) AS token
-                 FROM documents),
-    c AS (SELECT lang, token, COUNT(*) AS n
-          FROM tok WHERE token <> '' GROUP BY lang, token),
-    s AS (SELECT lang, CAST(SUM(n) AS DOUBLE) AS nn,
-                 SUM(n * log2(n)) AS ss
-          FROM c GROUP BY lang)
-    SELECT lang, CAST(nn AS BIGINT) AS n_tokens,
-           ROUND(log2(nn) - ss / nn, {ROUND_F}) AS entropy_bits
-    FROM s"""
 
 ORACLE_SQL["q117_zone_map_stats"] = f"""
     SELECT CAST(COUNT(*) AS BIGINT) AS n_rows,
@@ -4705,223 +785,6 @@ ORACLE_SQL["q118_pruned_range_scan"] = f"""
            ROUND(COALESCE(SUM(o_totalprice), 0), {ROUND}) AS revenue
     FROM orders
     WHERE o_totalprice BETWEEN 100000.0 AND 200000.0"""
-
-ORACLE_SQL["q119_join_cardinality"] = """
-    WITH lc AS (SELECT user_id, COUNT(*) AS cl FROM events GROUP BY 1),
-    rc AS (SELECT o_custkey AS user_id, COUNT(*) AS cr
-           FROM orders GROUP BY 1)
-    SELECT (SELECT COUNT(*) FROM lc) AS n_left_keys,
-           (SELECT COUNT(*) FROM rc) AS n_right_keys,
-           CAST(COUNT(*) AS BIGINT) AS n_common_keys,
-           CAST(COALESCE(SUM(cl * cr), 0) AS BIGINT) AS join_rows
-    FROM lc JOIN rc USING (user_id)"""
-
-ORACLE_SQL["q120_apply_changes"] = """
-    WITH ch AS (
-        SELECT doc_id, CAST(NULL AS BIGINT) AS n_chars, 'delete' AS op
-        FROM documents WHERE doc_id % 11 = 2
-        UNION ALL
-        SELECT doc_id, n_chars + 10, 'upsert'
-        FROM documents WHERE doc_id % 7 = 1 AND doc_id % 11 <> 2
-        UNION ALL
-        SELECT doc_id + 1000000, doc_id, 'upsert'
-        FROM documents WHERE doc_id % 13 = 3)
-    SELECT COALESCE(s.doc_id, ch.doc_id) AS doc_id,
-           CASE WHEN ch.op = 'upsert' THEN ch.n_chars
-                ELSE s.n_chars END AS n_chars
-    FROM documents s FULL OUTER JOIN ch ON s.doc_id = ch.doc_id
-    WHERE ch.op IS NULL OR ch.op = 'upsert'"""
-
-ORACLE_SQL["q121_scd2_history"] = """
-    WITH o AS (
-        SELECT user_id, event_type, ts, event_id,
-               LAG(event_type) OVER (PARTITION BY user_id
-                                     ORDER BY ts, event_id) AS prev
-        FROM events),
-    k AS (SELECT user_id, event_type, ts, event_id FROM o
-          WHERE prev IS NULL OR prev <> event_type)
-    SELECT user_id, event_type, ts AS valid_from,
-           LEAD(ts) OVER (PARTITION BY user_id
-                          ORDER BY ts, event_id) AS valid_to
-    FROM k"""
-
-ORACLE_SQL["q122_zorder_scan"] = f"""
-    SELECT CAST(COUNT(*) AS BIGINT) AS n_rows,
-           ROUND(COALESCE(SUM(o_totalprice), 0), {ROUND}) AS revenue
-    FROM orders
-    WHERE o_totalprice BETWEEN 50000.0 AND 120000.0
-      AND o_custkey BETWEEN 100 AND 600"""
-
-ORACLE_SQL["q123_grouped_ols"] = f"""
-    SELECT l_returnflag, CAST(COUNT(*) AS BIGINT) AS n,
-           ROUND(regr_slope(l_extendedprice, l_quantity), {ROUND})
-               AS slope,
-           ROUND(regr_intercept(l_extendedprice, l_quantity), {ROUND})
-               AS intercept,
-           ROUND(regr_r2(l_extendedprice, l_quantity), {ROUND_F}) AS r2
-    FROM lineitem GROUP BY l_returnflag"""
-
-ORACLE_SQL["q124_mutual_information"] = f"""
-    WITH j AS (SELECT lang, source, CAST(COUNT(*) AS DOUBLE) AS nab
-               FROM documents GROUP BY lang, source),
-    a AS (SELECT lang, SUM(nab) AS na FROM j GROUP BY lang),
-    b AS (SELECT source, SUM(nab) AS nb FROM j GROUP BY source),
-    t AS (SELECT SUM(nab) AS n FROM j)
-    SELECT CAST(t.n AS BIGINT) AS n,
-           ROUND(SUM(j.nab * log2(t.n * j.nab / (a.na * b.nb))) / t.n,
-                 {ROUND_F}) AS mi_bits
-    FROM j JOIN a USING (lang) JOIN b USING (source) CROSS JOIN t
-    GROUP BY t.n"""
-
-ORACLE_SQL["q125_pagerank"] = """
-    WITH e AS (SELECT DISTINCT o_custkey AS src,
-                      l_suppkey + 1000000 AS dst
-               FROM orders JOIN lineitem ON o_orderkey = l_orderkey),
-    n AS (SELECT src AS node FROM e UNION SELECT dst FROM e),
-    c AS (SELECT CAST(COUNT(*) AS DOUBLE) AS nn FROM n),
-    deg AS (SELECT src, CAST(COUNT(*) AS DOUBLE) AS d FROM e GROUP BY src),
-    r0 AS (SELECT node, 1.0 / c.nn AS r FROM n CROSS JOIN c),
-    d0 AS (SELECT COALESCE(SUM(r0.r), 0) AS m FROM r0
-           LEFT JOIN deg ON deg.src = r0.node WHERE deg.src IS NULL),
-    s0 AS (SELECT e.dst AS node, SUM(r0.r / deg.d) AS cc
-           FROM e JOIN deg USING (src) JOIN r0 ON r0.node = e.src
-           GROUP BY e.dst),
-    r1 AS (SELECT n.node, (1 - 0.85) / c.nn
-                  + 0.85 * ((SELECT m FROM d0) / c.nn
-                            + COALESCE(s0.cc, 0)) AS r
-           FROM n CROSS JOIN c LEFT JOIN s0 ON s0.node = n.node),
-    d1 AS (SELECT COALESCE(SUM(r1.r), 0) AS m FROM r1
-           LEFT JOIN deg ON deg.src = r1.node WHERE deg.src IS NULL),
-    s1 AS (SELECT e.dst AS node, SUM(r1.r / deg.d) AS cc
-           FROM e JOIN deg USING (src) JOIN r1 ON r1.node = e.src
-           GROUP BY e.dst),
-    r2 AS (SELECT n.node, (1 - 0.85) / c.nn
-                  + 0.85 * ((SELECT m FROM d1) / c.nn
-                            + COALESCE(s1.cc, 0)) AS r
-           FROM n CROSS JOIN c LEFT JOIN s1 ON s1.node = n.node)
-    SELECT node, ROUND(r, 9) AS pr FROM r2"""
-
-ORACLE_SQL["q126_cooccurrence"] = """
-    WITH p AS (SELECT DISTINCT o_custkey AS ctx,
-                      l_suppkey + 1000000 AS item
-               FROM orders JOIN lineitem ON o_orderkey = l_orderkey)
-    SELECT a.item AS l_suppkey_a, b.item AS l_suppkey_b,
-           CAST(COUNT(*) AS BIGINT) AS n_shared
-    FROM p a JOIN p b ON a.ctx = b.ctx AND a.item < b.item
-    GROUP BY 1, 2 HAVING COUNT(*) >= 20"""
-
-ORACLE_SQL["q130_benford_digits"] = """
-    SELECT l_returnflag,
-           CAST(SUBSTR(CAST(CAST(FLOOR(l_extendedprice) AS BIGINT)
-                            AS VARCHAR), 1, 1) AS BIGINT) AS digit,
-           CAST(COUNT(*) AS BIGINT) AS n
-    FROM lineitem WHERE l_extendedprice >= 1
-    GROUP BY 1, 2"""
-
-ORACLE_SQL["q131_rolling_anomalies"] = """
-    WITH v AS (SELECT event_id, user_id, ts,
-                      CAST(FLOOR(value * 100) AS BIGINT) AS v
-               FROM events),
-    w AS (SELECT event_id, user_id, v,
-                 COUNT(*) OVER win AS n,
-                 COALESCE(SUM(v) OVER win, 0) AS s,
-                 COALESCE(SUM(v * v) OVER win, 0) AS s2
-          FROM v
-          WINDOW win AS (PARTITION BY user_id ORDER BY ts, event_id
-                         ROWS BETWEEN 20 PRECEDING AND 1 PRECEDING))
-    SELECT event_id, user_id, CAST(n AS BIGINT) AS n_prev,
-           CAST(CASE WHEN n >= 5
-                      AND (n*v - s) * (n*v - s) * (n - 1) > 9 * n * (n*s2 - s*s)
-                THEN 1 ELSE 0 END AS BIGINT) AS is_anomaly
-    FROM w"""
-
-ORACLE_SQL["q132_freshness_lag"] = """
-    WITH m AS (SELECT event_type, MAX(ts) AS max_ts FROM events GROUP BY 1),
-         g AS (SELECT MAX(max_ts) AS wm FROM m)
-    SELECT event_type, max_ts,
-           date_diff('microsecond', max_ts, g.wm) AS lag_us
-    FROM m CROSS JOIN g"""
-
-ORACLE_SQL["q133_daily_count_anomaly"] = """
-    WITH d AS (SELECT CAST(date_trunc('day', ts) AS TIMESTAMP) AS day,
-                      CAST(COUNT(*) AS BIGINT) AS n
-               FROM events GROUP BY 1),
-         m AS (SELECT CAST(2 * MEDIAN(n) AS BIGINT) AS med2 FROM d)
-    SELECT day, n,
-           CAST(CASE WHEN n * 200 < 97 * med2 OR n * 200 > 103 * med2
-                THEN 1 ELSE 0 END AS BIGINT) AS is_anomaly
-    FROM d CROSS JOIN m"""
-
-ORACLE_SQL["q134_documents_profile"] = """
-    SELECT 'doc_id' AS col, CAST(COUNT(*) AS BIGINT) AS n,
-           CAST(SUM(CASE WHEN doc_id IS NULL THEN 1 ELSE 0 END) AS BIGINT) AS n_null,
-           CAST(MIN(doc_id) AS BIGINT) AS vmin, CAST(MAX(doc_id) AS BIGINT) AS vmax,
-           CAST(SUM(doc_id) AS BIGINT) AS vsum
-    FROM documents
-    UNION ALL
-    SELECT 'n_chars', CAST(COUNT(*) AS BIGINT),
-           CAST(SUM(CASE WHEN n_chars IS NULL THEN 1 ELSE 0 END) AS BIGINT),
-           CAST(MIN(n_chars) AS BIGINT), CAST(MAX(n_chars) AS BIGINT),
-           CAST(SUM(n_chars) AS BIGINT)
-    FROM documents
-    UNION ALL
-    SELECT 'text', CAST(COUNT(*) AS BIGINT),
-           CAST(SUM(CASE WHEN text IS NULL THEN 1 ELSE 0 END) AS BIGINT),
-           CAST(MIN(LENGTH(text)) AS BIGINT), CAST(MAX(LENGTH(text)) AS BIGINT),
-           CAST(SUM(LENGTH(text)) AS BIGINT)
-    FROM documents
-    UNION ALL
-    SELECT 'lang', CAST(COUNT(*) AS BIGINT),
-           CAST(SUM(CASE WHEN lang IS NULL THEN 1 ELSE 0 END) AS BIGINT),
-           CAST(MIN(LENGTH(lang)) AS BIGINT), CAST(MAX(LENGTH(lang)) AS BIGINT),
-           CAST(SUM(LENGTH(lang)) AS BIGINT)
-    FROM documents
-    UNION ALL
-    SELECT 'source', CAST(COUNT(*) AS BIGINT),
-           CAST(SUM(CASE WHEN source IS NULL THEN 1 ELSE 0 END) AS BIGINT),
-           CAST(MIN(LENGTH(source)) AS BIGINT), CAST(MAX(LENGTH(source)) AS BIGINT),
-           CAST(SUM(LENGTH(source)) AS BIGINT)
-    FROM documents"""
-
-ORACLE_SQL["q135_fd_check"] = """
-    WITH p AS (SELECT DISTINCT user_id, event_type FROM events),
-         c AS (SELECT user_id, COUNT(*) AS n_rhs FROM p GROUP BY 1)
-    SELECT CAST(COUNT(*) AS BIGINT) AS n_lhs,
-           CAST(COALESCE(SUM(CASE WHEN n_rhs > 1 THEN 1 ELSE 0 END), 0)
-                AS BIGINT) AS n_violating
-    FROM c"""
-
-ORACLE_SQL["q136_winsorized_values"] = """
-    WITH v AS (SELECT event_type, CAST(FLOOR(value * 100) AS BIGINT) AS v
-               FROM events),
-         b AS (SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n,
-                      CAST(quantile_disc(v, 0.05) AS BIGINT) AS lo,
-                      CAST(quantile_disc(v, 0.95) AS BIGINT) AS hi
-               FROM v GROUP BY 1)
-    SELECT b.event_type, b.n, b.lo, b.hi,
-           CAST(SUM(CASE WHEN v.v < b.lo THEN 1 ELSE 0 END) AS BIGINT)
-               AS n_below,
-           CAST(SUM(CASE WHEN v.v > b.hi THEN 1 ELSE 0 END) AS BIGINT)
-               AS n_above,
-           CAST(SUM(LEAST(GREATEST(v.v, b.lo), b.hi)) AS BIGINT)
-               AS wins_sum
-    FROM v JOIN b USING (event_type)
-    GROUP BY 1, 2, 3, 4"""
-
-ORACLE_SQL["q137_event_transitions"] = """
-    WITH l AS (SELECT event_type,
-                      LAG(event_type) OVER (PARTITION BY user_id
-                                            ORDER BY ts, event_id)
-                          AS prev_type
-               FROM events)
-    SELECT prev_type, event_type, CAST(COUNT(*) AS BIGINT) AS n
-    FROM l WHERE prev_type IS NOT NULL
-    GROUP BY 1, 2"""
-
-ORACLE_SQL["q138_compaction_roundtrip"] = """
-    SELECT lang, CAST(COUNT(*) AS BIGINT) AS n_docs,
-           CAST(SUM(n_chars) AS BIGINT) AS total_chars
-    FROM documents GROUP BY 1"""
 
 ORACLE_SQL["q139_value_drift_w1"] = """
     WITH mm AS (SELECT (MIN(event_id) + MAX(event_id)) // 2 AS split
@@ -4975,89 +838,6 @@ ORACLE_SQL["q140_documents_expectations"] = """
                      AND (n_chars < 0 OR n_chars > 10000000)
                 THEN 1 END), 0) AS BIGINT)
     FROM documents"""
-
-# CUSUM closed form: h_t = C_t - min(0, running-min C_j), C = cumsum(z-k)
-# (and the mirrored low side) — identical in exact arithmetic to the
-# engine's max(0, h+z-k) recursion.
-ORACLE_SQL["q141_cusum_daily"] = """
-    WITH per AS (SELECT date_trunc('day', ts) AS day,
-                        SUM(value) AS s, COUNT(*) AS n
-                 FROM events GROUP BY 1),
-    m AS (SELECT day, s / n AS mean FROM per),
-    st AS (SELECT AVG(mean) AS mu,
-                  CASE WHEN STDDEV_POP(mean) > 0 THEN STDDEV_POP(mean)
-                       ELSE 1 END AS sd
-           FROM m),
-    z AS (SELECT day, mean, (mean - mu) / sd AS z FROM m CROSS JOIN st),
-    c AS (SELECT day, mean,
-                 SUM(z - 0.5) OVER (ORDER BY day) AS ch,
-                 SUM(z + 0.5) OVER (ORDER BY day) AS cl
-          FROM z),
-    k AS (SELECT day, mean,
-                 ch - LEAST(0, MIN(ch) OVER (ORDER BY day)) AS hi,
-                 cl - GREATEST(0, MAX(cl) OVER (ORDER BY day)) AS lo
-          FROM c)
-    SELECT day, ROUND(mean, 6) AS mean,
-           ROUND(hi, 6) AS cusum_hi, ROUND(lo, 6) AS cusum_lo,
-           CAST(CASE WHEN hi > 4.0 OR -lo > 4.0 THEN 1 ELSE 0 END
-                AS BIGINT) AS alarm
-    FROM k"""
-
-ORACLE_SQL["q142_bpe_pair_counts"] = """
-    WITH w AS (SELECT unnest(string_split(text, ' ')) AS word
-               FROM documents),
-    wc AS (SELECT word, CAST(COUNT(*) AS BIGINT) AS n
-           FROM w WHERE word <> '' GROUP BY word),
-    pos AS (SELECT word, n,
-                   CAST(unnest(range(length(word))) AS BIGINT) AS i
-            FROM wc),
-    pairs AS (SELECT substr(word, CAST(i + 1 AS INT), 1) AS left_sym,
-                     CASE WHEN i = length(word) - 1 THEN '</w>'
-                          ELSE substr(word, CAST(i + 2 AS INT), 1)
-                     END AS right_sym,
-                     n
-              FROM pos)
-    SELECT left_sym, right_sym, CAST(SUM(n) AS BIGINT) AS n_pairs
-    FROM pairs GROUP BY left_sym, right_sym"""
-
-ORACLE_SQL["q143_median_digest_band"] = """
-    SELECT lang, MEDIAN(n_chars) AS median_exact,
-           TRUE AS within_1pct
-    FROM documents GROUP BY lang"""
-
-ORACLE_SQL["q144_tree_split"] = """
-    WITH mm AS (SELECT CAST(MIN(l_quantity) AS DOUBLE) AS vmin,
-                       CAST(MAX(l_quantity) AS DOUBLE) AS vmax
-                FROM lineitem),
-    b AS (SELECT LEAST(CAST(FLOOR((CAST(l_quantity AS DOUBLE) - vmin)
-                                  / ((vmax - vmin) / 16.0)) AS BIGINT),
-                       15) AS bin,
-                 CAST(ROUND(l_extendedprice * 100) AS BIGINT) AS y
-          FROM lineitem CROSS JOIN mm),
-    g AS (SELECT bin, CAST(COUNT(*) AS BIGINT) AS n,
-                 CAST(SUM(y) AS DOUBLE) AS s
-          FROM b GROUP BY bin),
-    grid AS (SELECT CAST(unnest(range(0, 16)) AS BIGINT) AS bin),
-    f AS (SELECT grid.bin, COALESCE(g.n, 0) AS n, COALESCE(g.s, 0.0) AS s
-          FROM grid LEFT JOIN g USING (bin)),
-    p AS (SELECT bin,
-                 SUM(n) OVER (ORDER BY bin) AS nl,
-                 SUM(s) OVER (ORDER BY bin) AS sl,
-                 (SELECT SUM(n) FROM f) AS nt,
-                 (SELECT SUM(s) FROM f) AS st
-          FROM f)
-    SELECT 'l_quantity' AS feature, bin AS split_bin,
-           ROUND(vmin + (vmax - vmin) / 16.0 * (bin + 1), 6) AS threshold,
-           CAST(nl AS BIGINT) AS n_left,
-           CAST(nt - nl AS BIGINT) AS n_right,
-           ROUND(sl * sl / nl + (st - sl) * (st - sl) / (nt - nl)
-                 - st * st / nt, 6) AS gain
-    FROM p CROSS JOIN mm
-    WHERE bin < 15 AND nl > 0 AND nt - nl > 0"""
-
-ORACLE_SQL["q147_mg_exact_regime"] = """
-    SELECT user_id, CAST(COUNT(*) AS BIGINT) AS count_lb
-    FROM events GROUP BY user_id"""
 
 ORACLE_SQL["q146_value_drift_ks"] = """
     WITH mm AS (SELECT (MIN(event_id) + MAX(event_id)) // 2 AS split
@@ -5121,83 +901,6 @@ ORACLE_SQL["q145_daily_psi_js"] = """
                      + 0.5 * q * LN(q / (0.5 * (p + q)))), 6) AS js
     FROM pair GROUP BY w"""
 
-# the oracle filters on the SAME query constant the engine scores with —
-# a hardcoded token list here would silently diverge if BM25_QUERY changes
-_BM25_IN = ", ".join(f"'{t}'" for t in BM25_QUERY.split())
-ORACLE_SQL["q148_bm25_scores"] = f"""
-    WITH tok AS (SELECT doc_id, t AS tok
-                 FROM (SELECT doc_id,
-                              unnest(string_split(text, ' ')) AS t
-                       FROM documents)
-                 WHERE t <> ''),
-    dl AS (SELECT d.doc_id, CAST(COUNT(tok.tok) AS DOUBLE) AS dl
-           FROM documents d LEFT JOIN tok ON d.doc_id = tok.doc_id
-           GROUP BY d.doc_id),
-    st AS (SELECT (SELECT CAST(COUNT(*) AS DOUBLE) FROM documents) AS n,
-                  (SELECT AVG(dl) FROM dl) AS avgdl),
-    dfq AS (SELECT tok, CAST(COUNT(DISTINCT doc_id) AS DOUBLE) AS df
-            FROM tok WHERE tok IN ({_BM25_IN})
-            GROUP BY tok),
-    tf AS (SELECT doc_id, tok, CAST(COUNT(*) AS DOUBLE) AS f
-           FROM tok WHERE tok IN ({_BM25_IN})
-           GROUP BY doc_id, tok)
-    SELECT tf.doc_id,
-           ROUND(SUM(LN((st.n - dfq.df + 0.5) / (dfq.df + 0.5) + 1)
-                     * tf.f * (1.2 + 1)
-                     / (tf.f + 1.2 * (1 - 0.75
-                                      + 0.75 * dl.dl / st.avgdl))),
-                 4) AS score
-    FROM tf JOIN dl USING (doc_id) JOIN dfq USING (tok) CROSS JOIN st
-    GROUP BY tf.doc_id"""
-
-ORACLE_SQL["q149_dsir_weights"] = f"""
-    WITH tok AS (SELECT doc_id, lang, t AS tok
-                 FROM (SELECT doc_id, lang,
-                              unnest(string_split(text, ' ')) AS t
-                       FROM documents)
-                 WHERE t <> ''),
-    c AS (SELECT tok,
-                 CAST(SUM(CASE WHEN lang = 'en' THEN 1 ELSE 0 END)
-                      AS DOUBLE) AS ct,
-                 CAST(COUNT(*) AS DOUBLE) AS ca
-          FROM tok GROUP BY tok),
-    g AS (SELECT CAST(COUNT(*) AS DOUBLE) AS nv,
-                 SUM(ct) AS tt, SUM(ca) AS ta FROM c),
-    lr AS (SELECT tok, LN((ct + 0.5) / (tt + 0.5 * nv))
-                       - LN((ca + 0.5) / (ta + 0.5 * nv)) AS lr
-           FROM c CROSS JOIN g)
-    SELECT t.doc_id, CAST(COUNT(*) AS BIGINT) AS n_tokens,
-           ROUND(SUM(lr.lr), {ROUND_F}) AS dsir_weight
-    FROM tok t JOIN lr ON t.tok = lr.tok
-    GROUP BY t.doc_id"""
-
-ORACLE_SQL["q150_bigram_lm"] = f"""
-    WITH d AS (SELECT doc_id,
-                      list_filter(string_split(text, ' '),
-                                  x -> x <> '') AS toks
-               FROM documents),
-    pos AS (SELECT doc_id, toks,
-                   CAST(unnest(range(len(toks) - 1)) AS BIGINT) AS i
-            FROM d WHERE len(toks) >= 2),
-    bg AS (SELECT doc_id,
-                  toks[CAST(i + 1 AS INT)] AS w1,
-                  toks[CAST(i + 2 AS INT)] AS w2
-           FROM pos),
-    c1 AS (SELECT t AS w, CAST(COUNT(*) AS DOUBLE) AS n1
-           FROM (SELECT unnest(string_split(text, ' ')) AS t
-                 FROM documents)
-           WHERE t <> '' GROUP BY t),
-    c2 AS (SELECT w1, w2, CAST(COUNT(*) AS DOUBLE) AS n2
-           FROM bg GROUP BY w1, w2),
-    v AS (SELECT CAST(COUNT(*) AS DOUBLE) AS nv FROM c1),
-    lp AS (SELECT bg.doc_id,
-                  LN((c2.n2 + 0.5) / (c1.n1 + 0.5 * v.nv)) AS l
-           FROM bg JOIN c2 USING (w1, w2)
-                JOIN c1 ON c1.w = bg.w1 CROSS JOIN v)
-    SELECT doc_id, CAST(COUNT(*) AS BIGINT) AS n_bigrams,
-           ROUND(AVG(l), {ROUND_F}) AS lp_per_bigram
-    FROM lp GROUP BY doc_id"""
-
 ORACLE_SQL["q127_accepted_values"] = """
     SELECT 'accepted|event_type' AS rule,
            CAST(COALESCE(SUM(CASE WHEN event_type IS NOT NULL
@@ -5230,460 +933,12 @@ ORACLE_SQL["q129_conditional_rules"] = """
                      THEN 1 END), 0) AS BIGINT)
     FROM documents"""
 
-ORACLE_SQL["q151_dup_ngram_stats"] = """
-    WITH d AS (SELECT doc_id,
-                      list_filter(string_split(lower(text), ' '),
-                                  x -> x <> '') AS toks
-               FROM documents),
-    pos AS (SELECT doc_id, toks,
-                   CAST(unnest(range(len(toks) - 2)) AS BIGINT) AS i
-            FROM d WHERE len(toks) >= 3),
-    g AS (SELECT doc_id,
-                 toks[CAST(i + 1 AS INT)] || ' ' ||
-                 toks[CAST(i + 2 AS INT)] || ' ' ||
-                 toks[CAST(i + 3 AS INT)] AS gram
-          FROM pos),
-    dup AS (SELECT gram FROM g
-            GROUP BY gram HAVING COUNT(DISTINCT doc_id) >= 2)
-    SELECT g.doc_id,
-           CAST(COUNT(*) AS BIGINT) AS n_windows,
-           CAST(COUNT(dup.gram) AS BIGINT) AS n_dup_windows
-    FROM g LEFT JOIN dup ON g.gram = dup.gram
-    GROUP BY g.doc_id"""
-
-ORACLE_SQL["q152_source_overlap"] = """
-    WITH d AS (SELECT source,
-                      list_filter(string_split(lower(text), ' '),
-                                  x -> x <> '') AS toks
-               FROM documents),
-    pos AS (SELECT source, toks,
-                   CAST(unnest(range(len(toks) - 2)) AS BIGINT) AS i
-            FROM d WHERE len(toks) >= 3),
-    gs AS (SELECT DISTINCT source AS grp,
-                  toks[CAST(i + 1 AS INT)] || ' ' ||
-                  toks[CAST(i + 2 AS INT)] || ' ' ||
-                  toks[CAST(i + 3 AS INT)] AS gram
-           FROM pos),
-    sizes AS (SELECT grp, CAST(COUNT(*) AS BIGINT) AS n
-              FROM gs GROUP BY grp),
-    pairs AS (SELECT a.grp AS group_a, b.grp AS group_b,
-                     CAST(COUNT(*) AS BIGINT) AS c
-              FROM gs a JOIN gs b ON a.gram = b.gram AND a.grp < b.grp
-              GROUP BY 1, 2)
-    SELECT sa.grp AS group_a, sb.grp AS group_b,
-           CAST(COALESCE(p.c, 0) AS BIGINT) AS n_common,
-           sa.n AS n_a, sb.n AS n_b
-    FROM sizes sa
-    JOIN sizes sb ON sa.grp < sb.grp
-    LEFT JOIN pairs p ON p.group_a = sa.grp AND p.group_b = sb.grp
-    ORDER BY group_a, group_b"""
-
-ORACLE_SQL["q153_semantic_decontam"] = """
-    WITH ev AS (SELECT embedding FROM embeddings WHERE vec_id < 25),
-    tr AS (SELECT vec_id, embedding FROM embeddings WHERE vec_id >= 25),
-    s AS (SELECT tr.vec_id,
-                 MAX(list_cosine_similarity(tr.embedding, ev.embedding))
-                     AS ms
-          FROM tr CROSS JOIN ev GROUP BY tr.vec_id)
-    SELECT vec_id,
-           ROUND(CAST(ms AS DOUBLE), 4) AS max_sim,
-           CAST(CASE WHEN ROUND(CAST(ms AS DOUBLE), 4) >= 0.35
-                THEN 1 ELSE 0 END AS BIGINT) AS contaminated
-    FROM s"""
-
 ORACLE_SQL["q154_jsonl_roundtrip"] = """
     SELECT lang, COUNT(*) AS n_docs,
            CAST(SUM(n_chars) AS BIGINT) AS total_chars
     FROM documents GROUP BY lang ORDER BY lang"""
 
 ORACLE_SQL["q155_csv_roundtrip"] = ORACLE_SQL["q154_jsonl_roundtrip"]
-ORACLE_SQL["q190_orc_roundtrip"] = ORACLE_SQL["q154_jsonl_roundtrip"]
-ORACLE_SQL["q191_ipc_roundtrip"] = ORACLE_SQL["q154_jsonl_roundtrip"]
-
-ORACLE_SQL["q192_time_travel"] = """
-    SELECT CAST(1 AS BIGINT) AS version, COUNT(*) AS n_docs,
-           CAST(SUM(n_chars) AS BIGINT) AS total_chars
-    FROM documents WHERE doc_id % 3 = 0
-    UNION ALL
-    SELECT CAST(2 AS BIGINT), COUNT(*), CAST(SUM(n_chars) AS BIGINT)
-    FROM documents
-    UNION ALL
-    SELECT CAST(3 AS BIGINT), COUNT(*), CAST(SUM(n_chars) AS BIGINT)
-    FROM documents WHERE n_chars >= 200"""
-
-def q156_phash_dedup(sf_dir: str):
-    """Perceptual-hash image near-dup clustering over REAL PNG bytes:
-    30 deterministic smooth base images, each with a noise+brightness
-    variant; decode → 64-bit DCT pHash → banded Hamming clustering
-    (``multimodal.phash_image_dedup``).  Every variant must land in its
-    base's cluster and no two bases may merge — the returned table makes
-    that a hash-stable fact (cluster_id == base id for both members)."""
-    from ..ops.multimodal import MEDIA_SCHEMA, phash_image_dedup
-    from ..ops.png import encode_png
-
-    def smooth(seed: int, h: int = 96, w: int = 128) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        y, x = np.mgrid[0:h, 0:w]
-        img = np.zeros((h, w))
-        for _ in range(5):
-            fy, fx = rng.uniform(0.5, 3, 2)
-            ph = rng.uniform(0, 2 * np.pi, 2)
-            img += (rng.uniform(20, 60)
-                    * np.sin(2 * np.pi * fy * y / h + ph[0])
-                    * np.sin(2 * np.pi * fx * x / w + ph[1]))
-        img = (img - img.min()) / (img.max() - img.min()) * 255
-        return np.repeat(img[:, :, None], 3, 2).astype(np.uint8)
-
-    rows = {k: [] for k in MEDIA_SCHEMA.names}
-    for i in range(30):
-        base = smooth(i)
-        rng = np.random.default_rng(1000 + i)
-        variant = np.clip(base.astype(np.int16) + 10
-                          + rng.integers(-4, 5, base.shape),
-                          0, 255).astype(np.uint8)
-        for j, img in enumerate([base, variant]):
-            rows["media_id"].append(2 * i + j)
-            rows["kind"].append("image")
-            rows["format"].append("png")
-            rows["payload"].append(encode_png(img))
-            rows["width"].append(img.shape[1])
-            rows["height"].append(img.shape[0])
-            rows["sample_rate"].append(0)
-            rows["duration_ms"].append(0)
-    media = rd.from_arrow(pa.Table.from_pydict(rows, schema=MEDIA_SCHEMA))
-    out = phash_image_dedup(media, decoder="png").to_pandas()
-    out["cluster_id"] = out["cluster_id"].astype(np.int64)
-    # int 0/1, not bool: the driver hash is representation-sensitive and
-    # BIGINT is the one type both sides produce identically
-    out["is_duplicate"] = out["is_duplicate"].astype(np.int64)
-    return (out[["media_id", "cluster_id", "is_duplicate"]]
-            .sort_values("media_id").reset_index(drop=True))
-
-
-def _planted_text_corpus(n_base: int, per_group: int, n_tok: int = 80,
-                         vocab: int = 800, seed: int = 7) -> pd.DataFrame:
-    """Deterministic dedup fixture: group g = base doc (id per_group·g) +
-    exact copy (…+1) [+ 1-token-swap variant (…+2) when per_group == 3].
-    Random token draws make cross-group similarity ≈ 0, so the EXPECTED
-    clustering is closed-form: cluster_id = id - id % per_group."""
-    rng = np.random.default_rng(seed)
-    ids, texts = [], []
-    for g in range(n_base):
-        toks = [f"w{v:03d}" for v in rng.integers(0, vocab, n_tok)]
-        ids.append(per_group * g)
-        texts.append(" ".join(toks))
-        ids.append(per_group * g + 1)
-        texts.append(" ".join(toks))
-        if per_group == 3:
-            t2 = list(toks)
-            t2[n_tok // 2] = f"w{(int(toks[n_tok // 2][1:]) + 1) % vocab:03d}"
-            ids.append(per_group * g + 2)
-            texts.append(" ".join(t2))
-    return pd.DataFrame({"doc_id": np.array(ids, np.int64), "text": texts})
-
-
-def _planted_cluster_result(out: pd.DataFrame,
-                            id_col: str = "doc_id") -> pd.DataFrame:
-    out = out[[id_col, "cluster_id", "is_duplicate"]].copy()
-    out["cluster_id"] = out["cluster_id"].astype(np.int64)
-    out["is_duplicate"] = out["is_duplicate"].astype(np.int64)
-    return out.sort_values(id_col).reset_index(drop=True)
-
-
-def q158_minhash_planted(sf_dir: str):
-    """MinHash-LSH dedup over a planted corpus whose expected clustering is
-    closed-form (base + exact copy + one-token-swap variant per group; the
-    swap keeps shingle Jaccard ≈ 0.93, far above the 0.8 threshold, while
-    cross-group Jaccard ≈ 0) — hash-attests shingle → signature → band →
-    bucket-sort → verify → union-find end to end."""
-    from ..ops.dedup import minhash_lsh_dedup
-
-    ds = rd.from_pandas(_planted_text_corpus(40, 3))
-    return _planted_cluster_result(minhash_lsh_dedup(ds).to_pandas())
-
-
-def q159_simhash_planted(sf_dir: str):
-    """SimHash dedup over planted exact-copy pairs (Hamming 0 — guaranteed
-    in-threshold; distinct random texts sit at Hamming ≈ 32, far outside
-    the ≤ 3 gate).  Near-dup TOLERANCE is a unit-test concern
-    (tests/test_dedup.py); this attests the banding/verify/cluster path."""
-    from ..ops.dedup import simhash_dedup
-
-    ds = rd.from_pandas(_planted_text_corpus(50, 2))
-    return _planted_cluster_result(simhash_dedup(ds).to_pandas())
-
-
-def q160_embedding_dedup_planted(sf_dir: str):
-    """Embedding-cosine dedup over planted exact-duplicate vectors (same
-    vector ⇒ same LSH bucket by construction, cosine 1 ≥ 0.95; distinct
-    64-dim Gaussian vectors have |cos| ≲ 0.5 ≪ threshold)."""
-    from ..ops.dedup import embedding_cosine_dedup
-
-    rng = np.random.default_rng(11)
-    base = rng.normal(size=(40, 64))
-    vecs = np.repeat(base, 2, axis=0)
-    edf = pd.DataFrame({"vec_id": np.arange(80, dtype=np.int64),
-                        "embedding": [v.astype(np.float32) for v in vecs]})
-    out = embedding_cosine_dedup(rd.from_pandas(edf)).to_pandas()
-    return _planted_cluster_result(out, "vec_id")
-
-
-def q161_video_dedup(sf_dir: str):
-    """Video near-dup clustering over REAL GIF bytes (the in-container
-    video codec, ops/gif.py): 12 deterministic 6-frame smooth clips, each
-    with a brightness+noise re-encode; per-frame DCT pHash → per-bit
-    MAJORITY combine → banded Hamming clustering
-    (``multimodal.video_dedup``).  GIF palette quantization adds a few
-    bits of drift on top of the pixel perturbation (measured: near-dups
-    ≤ 9 bits, distinct clips ≥ 28), so the gate is 10 bits over 16×4-bit
-    bands.  Closed-form expected clustering as q156/q157."""
-    from ..ops.gif import encode_gif
-    from ..ops.multimodal import MEDIA_SCHEMA, video_dedup
-
-    def smooth(seed: int, h: int = 48, w: int = 48) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        y, x = np.mgrid[0:h, 0:w]
-        img = np.zeros((h, w))
-        for _ in range(5):
-            fy, fx = rng.uniform(0.5, 3, 2)
-            ph = rng.uniform(0, 2 * np.pi, 2)
-            img += (rng.uniform(20, 60)
-                    * np.sin(2 * np.pi * fy * y / h + ph[0])
-                    * np.sin(2 * np.pi * fx * x / w + ph[1]))
-        img = (img - img.min()) / (img.max() - img.min()) * 255
-        return np.repeat(img[:, :, None], 3, 2).astype(np.uint8)
-
-    rows = {k: [] for k in MEDIA_SCHEMA.names}
-    for i in range(12):
-        base = [smooth(i * 1000 + f) for f in range(6)]
-        rng = np.random.default_rng(3000 + i)
-        variant = [np.clip(f.astype(np.int16) + 8
-                           + rng.integers(-3, 4, f.shape),
-                           0, 255).astype(np.uint8) for f in base]
-        for j, frames in enumerate([base, variant]):
-            rows["media_id"].append(2 * i + j)
-            rows["kind"].append("video")
-            rows["format"].append("gif")
-            rows["payload"].append(encode_gif(frames))
-            rows["width"].append(48)
-            rows["height"].append(48)
-            rows["sample_rate"].append(0)
-            rows["duration_ms"].append(240)
-    media = rd.from_arrow(pa.Table.from_pydict(rows, schema=MEDIA_SCHEMA))
-    out = video_dedup(media, decoder="gif", max_hamming=10,
-                      num_bands=16).to_pandas()
-    out["cluster_id"] = out["cluster_id"].astype(np.int64)
-    out["is_duplicate"] = out["is_duplicate"].astype(np.int64)
-    return (out[["media_id", "cluster_id", "is_duplicate"]]
-            .sort_values("media_id").reset_index(drop=True))
-
-
-def q162_ivf_full_probe(sf_dir: str):
-    """IVF ANN in its EXACT regime: ``nprobe == n_clusters`` probes every
-    cluster, so the result must equal brute force (q15's oracle verbatim)
-    — hash-attesting the whole IVF machinery (centroid fit, assignment,
-    per-query probe mask, masked scoring, merge) with no approximation
-    slack.  The approximate regime's recall is a unit-test concern
-    (tests/test_ann.py); this locks the plumbing."""
-    from ..ops.ann import ivf_topk
-
-    emb = _t(sf_dir, "embeddings", ["vec_id", "embedding"])
-    q0 = _t(sf_dir, "embeddings", ["vec_id", "embedding"],
-            filter=pc.field("vec_id") == 0).to_pandas()
-    query = np.stack(q0["embedding"].to_numpy())
-    out = ivf_topk(emb, query, k=10, n_clusters=8, nprobe=8).to_pandas()
-    out["score"] = out["score"].round(4)
-    return out[["query_id", "vec_id", "score"]]
-
-
-def q163_kmeans_planted(sf_dir: str):
-    """Distributed Lloyd k-means (``embedding.kmeans_fit`` streaming
-    passes + ``kmeans_assign``) over planted well-separated blobs whose
-    expected assignment is closed-form.  The first k rows ARE the blob
-    centers and ``init_sample=k`` makes the seeded init a permutation of
-    exactly those k rows — one center per blob — so Lloyd provably
-    converges to the blob means and every point's cluster is its blob.
-    Cluster indices are an arbitrary permutation; the output maps each
-    cluster to its minimum vec_id (= the blob's planted center row)."""
-    from ..ops.embedding import kmeans_assign, kmeans_fit
-
-    k, per_blob, d = 6, 15, 16
-    rng = np.random.default_rng(17)
-    centers = 8.0 * np.eye(k, d)
-    vecs = [centers[b] for b in range(k)]
-    for b in range(k):
-        vecs.extend(centers[b] + rng.normal(0, 0.1, d)
-                    for _ in range(per_blob))
-    edf = pd.DataFrame({
-        "vec_id": np.arange(k + k * per_blob, dtype=np.int64),
-        "embedding": [v.astype(np.float64) for v in vecs]})
-    ds = rd.from_pandas(edf)
-    C, _, _ = kmeans_fit(ds, k, init_sample=k, iters=10, seed=5)
-    out = kmeans_assign(ds, C).to_pandas()
-    rep = out.groupby("cluster")["vec_id"].min()
-    out["cluster_rep"] = out["cluster"].map(rep).astype(np.int64)
-    return (out[["vec_id", "cluster_rep"]]
-            .sort_values("vec_id").reset_index(drop=True))
-
-
-def q164_semdedup_planted(sf_dir: str):
-    """SemDeDup (``dedup.semdedup``) over planted exact-duplicate vector
-    pairs: identical vectors land in the same k-means cluster by
-    construction (identical distance rows ⇒ identical argmin) and sit at
-    cosine 1 ≥ the 0.95 gate, while distinct 64-dim Gaussians have
-    |cos| ≲ 0.5 — so ``keep`` is closed-form (each pair's lower id)
-    REGARDLESS of what clustering the seeded init converges to.  The
-    cluster column is deliberately dropped: only the keep decision is
-    deterministic across any init."""
-    from ..ops.dedup import semdedup
-
-    rng = np.random.default_rng(23)
-    base = rng.normal(size=(40, 64))
-    vecs = np.repeat(base, 2, axis=0)
-    edf = pd.DataFrame({"vec_id": np.arange(80, dtype=np.int64),
-                        "embedding": [v.astype(np.float32) for v in vecs]})
-    out = semdedup(rd.from_pandas(edf), n_clusters=4,
-                   threshold=0.95).to_pandas()
-    out["keep"] = out["keep"].astype(np.int64)
-    return (out[["vec_id", "keep"]]
-            .sort_values("vec_id").reset_index(drop=True))
-
-
-def q165_incremental_minhash_planted(sf_dir: str):
-    """Cross-scan incremental MinHash dedup
-    (``dedup.incremental_minhash_dedup``) on a planted two-scan crawl:
-    scan 2's docs 100–109 are EXACT copies of scan-1 docs (identical
-    signatures ⇒ identical buckets ⇒ guaranteed ``dup_of_state``),
-    110–118 are fresh random-token docs, and 119 copies 118
-    (``dup_in_scan``, first-wins).  Hash-attests the persisted
-    seen-bucket store round trip: state write after scan 1, union +
-    bucket co-location + per-doc OR on scan 2."""
-    import shutil
-    import tempfile
-
-    from ..ops.dedup import incremental_minhash_dedup
-
-    rng = np.random.default_rng(31)
-
-    def doc(seed_row: np.ndarray) -> str:
-        return " ".join(f"w{v:03d}" for v in seed_row)
-
-    scan1_texts = [doc(rng.integers(0, 800, 80)) for _ in range(20)]
-    scan2_texts = ([scan1_texts[2 * i] for i in range(10)]
-                   + [doc(rng.integers(0, 800, 80)) for _ in range(9)])
-    scan2_texts.append(scan2_texts[-1])          # 119 copies 118
-    state = tempfile.mkdtemp(prefix="driftray_incmh_")
-    try:
-        s1 = rd.from_pandas(pd.DataFrame({
-            "doc_id": np.arange(20, dtype=np.int64),
-            "text": scan1_texts}))
-        incremental_minhash_dedup(s1, state).materialize()
-        s2 = rd.from_pandas(pd.DataFrame({
-            "doc_id": np.arange(100, 120, dtype=np.int64),
-            "text": scan2_texts}))
-        out = incremental_minhash_dedup(s2, state).to_pandas()
-    finally:
-        shutil.rmtree(state, ignore_errors=True)
-    for c in ("dup_of_state", "dup_in_scan", "is_dup"):
-        out[c] = out[c].astype(np.int64)
-    return (out[["doc_id", "dup_of_state", "dup_in_scan", "is_dup"]]
-            .sort_values("doc_id").reset_index(drop=True))
-
-
-def q166_html_extract(sf_dir: str):
-    """HTML main-text extraction (``ops/html.extract_html``): every
-    document's text is wrapped in a deterministic crawled-page template
-    (script/style head, nav chrome, a link-only menu div, a footer), and
-    the extractor must recover EXACTLY the whitespace-normalized article
-    text — boilerplate subtrees skipped, the menu div dropped by link
-    density, entities round-tripped through ``html.escape``.  The oracle
-    recomputes the expected character count straight from the parquet
-    text, so any leak of boilerplate into the main text (or loss of
-    article text) shifts ``n_chars_main`` and breaks the hash."""
-    import html as html_mod
-
-    from ..ops.html import extract_html
-
-    docs = _t(sf_dir, "documents", ["doc_id", "text"])
-
-    def wrap(batch: pd.DataFrame) -> pd.DataFrame:
-        pages = ["<html><head><title>t</title><script>var nav_x=1;"
-                 "</script><style>.m{color:red}</style></head><body>"
-                 "<nav><a href='/'>Home</a> <a href='/a'>About</a></nav>"
-                 "<div class='menu'><a href='/1'>one</a> "
-                 "<a href='/2'>two</a> <a href='/3'>three</a></div>"
-                 f"<p>{html_mod.escape(t or '')}</p>"
-                 "<footer>&copy; 2026 corp</footer></body></html>"
-                 for t in batch["text"]]
-        return pd.DataFrame({"doc_id": batch["doc_id"].to_numpy(),
-                             "html": pages})
-
-    pages = docs.map_batches(wrap, batch_format="pandas")
-    out = (extract_html(pages).drop_columns(["text", "n_blocks_dropped"])
-           .to_pandas())
-    return out.sort_values("doc_id", ignore_index=True)
-
-
-def _doc_urls(sf_dir: str) -> rd.Dataset:
-    """Deterministic crawled-URL column for the documents table: messy on
-    purpose (uppercase scheme/host, explicit default port, tracking param,
-    unsorted query, fragment) so normalization has real work to do.
-    host = www.<source>.example.com."""
-    docs = _t(sf_dir, "documents", ["doc_id", "source", "lang"])
-
-    def attach(batch: pd.DataFrame) -> pd.DataFrame:
-        out = batch[["doc_id", "source"]].copy()
-        out["url"] = [
-            f"HTTPS://WWW.{s.upper()}.Example.COM:443/{l}/{d}"
-            f"?utm_source=crawl&b=2&a=1#frag"
-            for d, s, l in zip(batch["doc_id"], batch["source"],
-                               batch["lang"])]
-        return out
-
-    return docs.map_batches(attach, batch_format="pandas")
-
-
-def q167_url_host_stats(sf_dir: str):
-    """URL normalization + per-host aggregation (``ops/url``): messy
-    synthetic crawl URLs (see ``_doc_urls``) normalize to a canonical
-    form the oracle can rebuild with string concatenation — per host,
-    the doc count AND the lexicographic min normalized URL are emitted,
-    so a wrong port strip, case fold, tracking-param drop, or query sort
-    anywhere shifts the hash."""
-    from ray.data.aggregate import Min, Sum
-
-    from ..ops.url import add_url_columns
-
-    urls = add_url_columns(_doc_urls(sf_dir))
-
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        g = batch.groupby("host", sort=False)
-        return pd.DataFrame({
-            "host": g.size().index.to_numpy(dtype=object),
-            "n_docs": g.size().to_numpy(dtype=np.int64),
-            "min_url": g["url_norm"].min().to_numpy(dtype=object)})
-
-    out = (urls.map_batches(partial, batch_format="pandas")
-           .groupby("host")
-           .aggregate(Sum("n_docs", alias_name="n_docs"),
-                      Min("min_url", alias_name="min_url"))
-           .to_pandas())
-    out["n_docs"] = out["n_docs"].astype(np.int64)
-    return out.sort_values("host", ignore_index=True)
-
-
-def q168_domain_cap(sf_dir: str):
-    """Per-domain document cap (``ops/url.domain_cap``, the C4/RefinedWeb
-    de-biasing step): keep the 20 lowest doc_ids per host.  Rides
-    ``grouped_top_k`` so no worker ever holds a hot domain whole; the
-    oracle is a ROW_NUMBER window over the same deterministic URL
-    derivation."""
-    from ..ops.url import domain_cap
-
-    out = domain_cap(_doc_urls(sf_dir), cap=20, order_col="doc_id",
-                     columns=["doc_id"])
-    return (out[["doc_id", "host"]]
-            .sort_values("doc_id", ignore_index=True))
 
 
 def q173_events_expectations(sf_dir: str):
@@ -5697,444 +952,6 @@ def q173_events_expectations(sf_dir: str):
     ds = _t(sf_dir, "events",
             ["event_id", "ts", "user_id", "event_type", "value"])
     return _expectation_counters(ds, EVENTS_SPEC)
-
-
-def q174_logreg_planted(sf_dir: str):
-    """Distributed logistic regression (`ops/ml.logistic_fit` — one
-    gradient partial per block per epoch, driver holds only the weight
-    vector) over a planted linearly-separable corpus: class means at
-    x1 = ±3 with sub-unit jitter, so after 25 standardized full-batch
-    epochs every row's predicted probability lands on its class side
-    with margin (banded at 0.8/0.2 — measured min gap > 0.15).  The
-    band flags are closed-form; exact loss trajectories stay the pytest
-    oracle's job (tests/test_ml.py)."""
-    from ..ops.ml import logistic_fit, logistic_score
-
-    rng = np.random.default_rng(41)
-    n = 400
-    y = (np.arange(n) % 2).astype(np.float64)
-    sgn = 2.0 * y - 1.0
-    df = pd.DataFrame({
-        "row_id": np.arange(n, dtype=np.int64),
-        "x1": 3.0 * sgn + rng.normal(0, 0.5, n),
-        "x2": -2.0 * sgn + rng.normal(0, 0.5, n),
-        "x3": rng.normal(0, 1.0, n),
-        "y": y,
-    })
-    ds = rd.from_pandas(df).repartition(8)
-    model = logistic_fit(ds, ["x1", "x2", "x3"], "y", epochs=25, lr=1.0)
-    scored = logistic_score(ds, model, ["x1", "x2", "x3"]).to_pandas()
-    scored = scored.sort_values("row_id", ignore_index=True)
-    band = np.where(scored["y"] == 1.0, scored["p"] > 0.8,
-                    scored["p"] < 0.2)
-    return pd.DataFrame({"row_id": scored["row_id"].astype(np.int64),
-                         "y": scored["y"].astype(np.int64),
-                         "in_band": band.astype(np.int64)})
-
-
-def q175_codec_roundtrip(sf_dir: str):
-    """Codec roundtrip attestation — the encoder and decoder are
-    independent code paths, so encode→decode equality is a closed-form
-    expectation, not a recorded output:
-
-    * PNG (lossless, `ops/png.py`): 8×8 images through
-      `multimodal.decode_images`; the 8×8 nearest-neighbour THUMBNAIL of
-      an 8×8 image is the identity, so decoded pixels must equal the
-      planted array bit-for-bit.
-    * WAV (lossless int16, stdlib `wave` via `multimodal.decode_audio`):
-      rms/peak/duration must equal the same formulas over the planted
-      samples.
-    * GIF (lossless at ≤256 colors, `ops/gif.py` via
-      `multimodal.sample_frames`): per-frame mean_rgb must equal the
-      planted frames' means.
-    * JPEG (lossy, `ops/jpeg.py`): constant-color blocks must land
-      within a DC-quantization band (|err| ≤ 12 at quality 85).
-
-    One (codec, media_id, ok) row per item, all ok=1 closed-form — this
-    is the driver-hashed twin of the rows-only nq_png/jpeg/gif/audio
-    decode entries."""
-    from ..ops.gif import encode_gif
-    from ..ops.jpeg import encode_jpeg
-    from ..ops.multimodal import (MEDIA_SCHEMA, decode_audio,
-                                  decode_images, encode_wav, sample_frames)
-    from ..ops.png import encode_png
-
-    rng = np.random.default_rng(43)
-
-    def media_rows(items):
-        rows = {k: [] for k in MEDIA_SCHEMA.names}
-        for (mid, kind, fmt, payload, w, h, sr, ms) in items:
-            rows["media_id"].append(mid)
-            rows["kind"].append(kind)
-            rows["format"].append(fmt)
-            rows["payload"].append(payload)
-            rows["width"].append(w)
-            rows["height"].append(h)
-            rows["sample_rate"].append(sr)
-            rows["duration_ms"].append(ms)
-        return rd.from_arrow(pa.Table.from_pydict(rows,
-                                                  schema=MEDIA_SCHEMA))
-
-    results = []
-
-    # -- PNG: exact pixel equality via the 8x8 thumbnail ------------------
-    imgs = [rng.integers(0, 256, size=(8, 8, 3), dtype=np.uint8)
-            for _ in range(20)]
-    png = media_rows([(i, "image", "png", encode_png(im), 8, 8, 0, 0)
-                      for i, im in enumerate(imgs)])
-    dec = (decode_images(png, decoder="png").to_pandas()
-           .sort_values("media_id", ignore_index=True))
-    for i, im in enumerate(imgs):
-        ok = np.array_equal(np.asarray(dec["thumbnail"][i],
-                                       dtype=np.int64),
-                            im.ravel().astype(np.int64))
-        results.append(("png", i, int(ok)))
-
-    # -- JPEG: constant blocks inside the DC-quantization band ------------
-    jimgs = [np.full((8, 8, 3), 10 + 20 * i, dtype=np.uint8)
-             for i in range(10)]
-    jpg = media_rows([(i, "image", "jpeg", encode_jpeg(im), 8, 8, 0, 0)
-                      for i, im in enumerate(jimgs)])
-    jdec = (decode_images(jpg, decoder="jpeg").to_pandas()
-            .sort_values("media_id", ignore_index=True))
-    for i, im in enumerate(jimgs):
-        got = np.asarray(jdec["thumbnail"][i], dtype=np.float64)
-        mae = np.abs(got - im.ravel().astype(np.float64)).mean()
-        results.append(("jpeg", i, int(mae <= 12.0)))
-
-    # -- WAV: feature equality over the planted samples -------------------
-    clips = [(rng.normal(0, 4000, 1000)).astype(np.int16)
-             for _ in range(10)]
-    wav = media_rows([(i, "audio", "wav", encode_wav(c, 16000), 0, 0,
-                       16000, len(c) * 1000 // 16000)
-                      for i, c in enumerate(clips)])
-    adec = (decode_audio(wav).to_pandas()
-            .sort_values("media_id", ignore_index=True))
-    for i, c in enumerate(clips):
-        xf = c.astype(np.float64)
-        ok = (adec["peak"][i] == int(np.abs(c).max())
-              and adec["decoded_ms"][i] == len(c) * 1000 // 16000
-              and abs(adec["rms"][i] - float(np.sqrt(np.mean(xf ** 2))))
-              < 1e-9)
-        results.append(("wav", i, int(ok)))
-
-    # -- GIF: per-frame mean equality (≤256 colors ⇒ lossless) ------------
-    palette = np.array([0, 64, 128, 255], dtype=np.uint8)
-    gclips = [[palette[rng.integers(0, 4, size=(8, 8, 3))]
-               for _ in range(4)] for _ in range(5)]
-    gif = media_rows([(i, "video", "gif", encode_gif(fr, delay_ms=50),
-                       8, 8, 0, 200) for i, fr in enumerate(gclips)])
-    gdec = sample_frames(gif, n_frames=4, decoder="gif").to_pandas()
-    for i, fr in enumerate(gclips):
-        sub = (gdec[gdec["media_id"] == i]
-               .sort_values("frame_idx", ignore_index=True))
-        ok = len(sub) == 4 and all(
-            np.allclose(np.asarray(sub["mean_rgb"][j], dtype=np.float64),
-                        fr[j].mean(axis=(0, 1)), atol=1e-5)
-            for j in range(4))
-        results.append(("gif", i, int(ok)))
-
-    return pd.DataFrame({
-        "codec": [r[0] for r in results],
-        "media_id": np.array([r[1] for r in results], np.int64),
-        "ok": np.array([r[2] for r in results], np.int64)})
-
-
-def q176_ivf_index_exact(sf_dir: str):
-    """PERSISTED IVF index in its exact regime (`ops/ann.write_ivf_index`
-    → hive dir per cluster → `ivf_query_index` with ``nprobe ==
-    n_clusters``): probing every cluster reads every partition, so the
-    result must equal brute force (q15's oracle verbatim) — q162 attests
-    the in-memory IVF machinery, this attests the index WRITE → path-
-    pruned READ cycle on disk."""
-    import shutil
-    import tempfile
-
-    from ..ops.ann import ivf_query_index, write_ivf_index
-
-    emb = _t(sf_dir, "embeddings", ["vec_id", "embedding"])
-    q0 = _t(sf_dir, "embeddings", ["vec_id", "embedding"],
-            filter=pc.field("vec_id") == 0).to_pandas()
-    idx = tempfile.mkdtemp(prefix="driftray_ivfx_")
-    try:
-        write_ivf_index(emb, idx, n_clusters=16)
-        out = ivf_query_index(idx, np.stack(q0["embedding"].to_numpy()),
-                              k=10, nprobe=16).to_pandas()
-    finally:
-        shutil.rmtree(idx, ignore_errors=True)
-    out["score"] = out["score"].round(4)
-    return out[["query_id", "vec_id", "score"]]
-
-
-def q177_diverse_sample_planted(sf_dir: str):
-    """Cluster-balanced diversity sampling (`ops/sampling.diverse_sample`:
-    k-means assignment + smallest-md5-per-cluster pick) over q163's
-    planted-blob fixture — blob membership is closed-form, the md5 pick
-    is the SQL-reproducible rule q39/q81 already hash-attest, and
-    cluster labels normalize to each cluster's minimum SAMPLED vec_id.
-    Seed-pinned: the deterministic k-means fit lands one center per blob
-    (orthogonal 8·e_b blobs, verified at plant time), so the oracle is a
-    ROW_NUMBER window over md5('7:'||id) per blob."""
-    from ..ops.sampling import diverse_sample
-
-    k, per_blob, d = 6, 15, 16
-    rng = np.random.default_rng(17)
-    centers = 8.0 * np.eye(k, d)
-    vecs = [centers[b] for b in range(k)]
-    for b in range(k):
-        vecs.extend(centers[b] + rng.normal(0, 0.1, d)
-                    for _ in range(per_blob))
-    edf = pd.DataFrame({
-        "vec_id": np.arange(k + k * per_blob, dtype=np.int64),
-        "embedding": [v.astype(np.float64) for v in vecs]})
-    out = diverse_sample(rd.from_pandas(edf), "vec_id", "embedding",
-                         n_per_cluster=4, n_clusters=k, seed=7)
-    rep = out.groupby("ivf_cluster")["vec_id"].transform("min")
-    return (pd.DataFrame({"cluster_key": rep.astype(np.int64),
-                          "vec_id": out["vec_id"].astype(np.int64)})
-            .sort_values("vec_id", ignore_index=True))
-
-
-def q178_pca_planted(sf_dir: str):
-    """Distributed PCA (`ops/embedding.embedding_pca`: one d×d moment
-    pass, driver eigensolve, broadcast projection) over an exactly
-    rank-2 planted corpus: x = a·e₁ + b·e₂ with var(a)=25 ≫ var(b)=1 on
-    fixed orthonormal axes, so the principal components are ±e₁, ±e₂
-    EXACTLY and |pc1|,|pc2| must equal |a-ā|,|b-b̄| to fp precision —
-    closed-form band flags (exact numpy parity stays the pytest
-    oracle's job, tests/test_round4_ops.py)."""
-    from ..ops.embedding import embedding_pca, pca_transform
-
-    d, n = 16, 300
-    rng = np.random.default_rng(47)
-    e1 = np.ones(d) / np.sqrt(d)
-    e2 = np.tile([1.0, -1.0], d // 2) / np.sqrt(d)
-    a = rng.normal(0, 5, n)
-    b = rng.normal(0, 1, n)
-    # decorrelate EXACTLY: eigenvectors of the sample covariance equal
-    # ±e₁/±e₂ only when the sample cross-covariance is zero, so project
-    # the centered b draw off the centered a draw
-    ac, bc = a - a.mean(), b - b.mean()
-    b = b - (ac @ bc) / (ac @ ac) * ac
-    X = a[:, None] * e1 + b[:, None] * e2
-    edf = pd.DataFrame({"vec_id": np.arange(n, dtype=np.int64),
-                        "embedding": [v for v in X]})
-    ds = rd.from_pandas(edf)
-    mean, comps, _ = embedding_pca(ds, n_components=2)
-    proj = pca_transform(ds, mean, comps).to_pandas()
-    proj = proj.sort_values("vec_id", ignore_index=True)
-    P = np.stack(proj["pca"].to_numpy())
-    exp1, exp2 = np.abs(a - a.mean()), np.abs(b - b.mean())
-    return pd.DataFrame({
-        "vec_id": proj["vec_id"].astype(np.int64),
-        "pc1_ok": (np.abs(np.abs(P[:, 0]) - exp1) < 1e-6).astype(np.int64),
-        "pc2_ok": (np.abs(np.abs(P[:, 1]) - exp2) < 1e-6).astype(np.int64)})
-
-
-def q180_kmeans_planted(sf_dir: str):
-    """Distributed Lloyd k-means (`ops/embedding.kmeans_fit`: one
-    streaming pass per iteration — per-batch argmin + k×(d+1) scatter
-    partials, driver merge, broadcast centroids) over a planted mixture
-    of k WELL-SEPARATED blobs (centers 40·eᵢ apart, σ=0.05 — separation
-    ≫ spread, so the global optimum is the planted partition and Lloyd
-    converges to it from the seeded init).  The hashed claim is
-    label-permutation-invariant: the recovered clustering equals the
-    planted partition as a PARTITION (one distinct label per blob,
-    every blob internally uniform)."""
-    from ..ops.embedding import kmeans_assign, kmeans_fit
-
-    k, per_blob, d = 8, 60, 12
-    rng = np.random.default_rng(53)
-    blob = np.repeat(np.arange(k), per_blob)
-    X = 40.0 * np.eye(k, d)[blob] + rng.normal(0, 0.05, (k * per_blob, d))
-    n = k * per_blob
-    edf = pd.DataFrame({"vec_id": np.arange(n, dtype=np.int64),
-                        "embedding": [v for v in X]})
-    centers, _, _ = kmeans_fit(rd.from_pandas(edf), n_clusters=k, seed=5)
-    lab = (kmeans_assign(rd.from_pandas(edf), centers).to_pandas()
-           .sort_values("vec_id")["cluster"].to_numpy())
-    ct = pd.crosstab(blob, lab).to_numpy()
-    exact = (int((ct > 0).sum()) == k
-             and (ct.max(axis=1) == per_blob).all())
-    return pd.DataFrame({"vec_id": np.arange(n, dtype=np.int64),
-                         "part_ok": np.full(n, int(exact), np.int64)})
-
-
-def q185_warc_pipeline(sf_dir: str):
-    """WARC source end-to-end (`sources.read_warc`, the CommonCrawl
-    shard format; q154/q155's format-ingestion contract): documents
-    export to per-record-gzipped WARC response shards (one shard per
-    write batch — the CommonCrawl unit of parallelism), read back
-    through the registry with HTTP envelope splitting, and the per-lang
-    (count, total chars) aggregate over DECODED BODIES must equal the
-    same aggregate over the parquet originals."""
-    import shutil
-    import tempfile
-
-    from ray.data.aggregate import Count, Sum
-
-    from ..sources import read_warc, warc_record_bytes
-
-    docs = _t(sf_dir, "documents", ["doc_id", "lang", "text"])
-    tmp = tempfile.mkdtemp(prefix="q185_warc_")
-    try:
-        def write_shard(b: pd.DataFrame) -> pd.DataFrame:
-            import gzip
-            import os as _os
-
-            if len(b) == 0:
-                return pd.DataFrame({"shard": pd.Series([], dtype="str")})
-            path = _os.path.join(tmp, f"shard-{int(b['doc_id'].min())}.warc.gz")
-            with open(path, "wb") as f:
-                for _, r in b.iterrows():
-                    body = (r["text"] or "").encode()
-                    http = (f"HTTP/1.1 200 OK\r\nContent-Length: "
-                            f"{len(body)}\r\n\r\n").encode() + body
-                    f.write(gzip.compress(warc_record_bytes(
-                        "response", http,
-                        target_uri=f"http://corpus.example/{r['doc_id']}",
-                        content_type="application/http; msgtype=response",
-                        warc_lang=str(r["lang"]))))
-            return pd.DataFrame({"shard": [path]})
-
-        n_shards = docs.map_batches(write_shard, batch_size=1024,
-                                    batch_format="pandas").count()
-        assert n_shards > 0
-
-        def measure(t: pa.Table) -> pa.Table:
-            chars = pa.array([len(p.decode("utf-8"))
-                              for p in t["payload"].to_pylist()],
-                             pa.int64())
-            return pa.table({"lang": t["warc_lang"], "n_chars": chars})
-
-        agg = (read_warc(tmp)
-               .map_batches(measure, batch_format="pyarrow")
-               .groupby("lang").aggregate(Count(), Sum("n_chars")))
-        out = agg.to_pandas().rename(columns={
-            "count()": "n_docs", "sum(n_chars)": "total_chars"})
-        out["n_docs"] = out["n_docs"].astype(np.int64)
-        out["total_chars"] = out["total_chars"].astype(np.int64)
-        return out.sort_values("lang", ignore_index=True)
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-
-
-def q186_cc_extract(sf_dir: str):
-    """The CommonCrawl-style text-pipeline COMPOSITION, end to end in one
-    hash: documents wrap in q166's boilerplate page template, ship as
-    gzipped WARC response shards (q185's writer), read back through the
-    source registry with HTTP splitting, and `ops/html.extract_text`
-    must recover exactly the whitespace-normalized article text — the
-    per-lang (docs, main-text chars) aggregate matches SQL over the
-    parquet originals only if BOTH the WARC framing and the boilerplate
-    filtering are lossless."""
-    import html as html_mod
-    import shutil
-    import tempfile
-
-    from ray.data.aggregate import Count, Sum
-
-    from ..ops.html import extract_text
-    from ..sources import read_warc, warc_record_bytes
-
-    docs = _t(sf_dir, "documents", ["doc_id", "lang", "text"])
-    tmp = tempfile.mkdtemp(prefix="q186_cc_")
-    try:
-        def write_shard(b: pd.DataFrame) -> pd.DataFrame:
-            import gzip
-            import os as _os
-
-            if len(b) == 0:
-                return pd.DataFrame({"shard": pd.Series([], dtype="str")})
-            path = _os.path.join(tmp, f"shard-{int(b['doc_id'].min())}.warc.gz")
-            with open(path, "wb") as f:
-                for _, r in b.iterrows():
-                    page = ("<html><head><title>t</title><script>var n=1;"
-                            "</script></head><body>"
-                            "<nav><a href='/'>Home</a></nav>"
-                            "<div class='menu'><a href='/1'>one</a> "
-                            "<a href='/2'>two</a> <a href='/3'>three</a>"
-                            "</div>"
-                            f"<p>{html_mod.escape(r['text'] or '')}</p>"
-                            "<footer>&copy; corp</footer></body></html>")
-                    body = page.encode()
-                    http = (f"HTTP/1.1 200 OK\r\nContent-Length: "
-                            f"{len(body)}\r\n\r\n").encode() + body
-                    f.write(gzip.compress(warc_record_bytes(
-                        "response", http,
-                        target_uri=f"http://corpus.example/{r['doc_id']}",
-                        content_type="application/http; msgtype=response",
-                        warc_lang=str(r["lang"]))))
-            return pd.DataFrame({"shard": [path]})
-
-        assert docs.map_batches(write_shard, batch_size=1024,
-                                batch_format="pandas").count() > 0
-
-        def extract(t: pa.Table) -> pa.Table:
-            chars = pa.array(
-                [len(extract_text(p.decode("utf-8")))
-                 for p in t["payload"].to_pylist()], pa.int64())
-            return pa.table({"lang": t["warc_lang"], "mc": chars})
-
-        agg = (read_warc(tmp)
-               .map_batches(extract, batch_format="pyarrow")
-               .groupby("lang").aggregate(Count(), Sum("mc")))
-        out = agg.to_pandas().rename(columns={
-            "count()": "n_docs", "sum(mc)": "main_chars"})
-        out["n_docs"] = out["n_docs"].astype(np.int64)
-        out["main_chars"] = out["main_chars"].astype(np.int64)
-        return out.sort_values("lang", ignore_index=True)
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-
-
-def q187_mad_outliers(sf_dir: str):
-    """Robust per-group outlier screen (`ops/stats.grouped_mad_outliers`):
-    median/MAD rule over documents.n_chars per lang.  Integer inputs make
-    every median an exact IEEE half and the strict `>` verdict
-    bit-deterministic, so the outlier COUNTS hash-match DuckDB's
-    median-CTE formulation exactly (the float median/mad columns are
-    dropped from the hashed projection)."""
-    from ..ops.stats import grouped_mad_outliers
-
-    docs = _t(sf_dir, "documents", ["lang", "n_chars"])
-    out = grouped_mad_outliers(docs, "lang", "n_chars", k=3.0).to_pandas()
-    out = out[["lang", "n", "n_outliers"]]
-    out["n"] = out["n"].astype(np.int64)
-    out["n_outliers"] = out["n_outliers"].astype(np.int64)
-    return out.sort_values("lang", ignore_index=True)
-
-
-def q188_knn_join_planted(sf_dir: str):
-    """Distributed kNN JOIN (`ops/ann.knn_join` — both sides Datasets,
-    IVF-blocked, never all-pairs) in its EXACT regime: nprobe=n_clusters
-    probes every cluster, so the result is closed-form brute force
-    REGARDLESS of what the seeded k-means converged to.  Fixture: 8
-    groups on orthogonal coordinate planes — group g's members live in
-    dims (2g, 2g+1) at angles θ_i = (i+1)·0.1 rad, queries are the plane
-    axes — so within-group cosine is exactly cos θ_i (strictly
-    decreasing in i) and cross-group cosine is exactly 0.  Top-5 of each
-    query is therefore members 0..4 in order: neighbor_id = g·10 + rank-1.
-    Scores are dropped from the hashed projection (float); the integer
-    (query_id, neighbor_id, rank) triple is the attestation."""
-    from ..ops.ann import knn_join
-
-    G, M, D = 8, 10, 16
-    right = np.zeros((G * M, D))
-    for g in range(G):
-        th = (np.arange(M) + 1) * 0.1
-        right[g * M:(g + 1) * M, 2 * g] = np.cos(th)
-        right[g * M:(g + 1) * M, 2 * g + 1] = np.sin(th)
-    queries = np.zeros((G, D))
-    queries[np.arange(G), 2 * np.arange(G)] = 1.0
-    rdf = pd.DataFrame({"vec_id": np.arange(G * M, dtype=np.int64),
-                        "embedding": [v for v in right]})
-    ldf = pd.DataFrame({"vec_id": np.arange(G, dtype=np.int64),
-                        "embedding": [v for v in queries]})
-    out = knn_join(rd.from_pandas(ldf), rd.from_pandas(rdf), k=5,
-                   n_clusters=4, nprobe=4, num_partitions=8).to_pandas()
-    out = out[["query_id", "neighbor_id", "rank"]].astype(np.int64)
-    return out.sort_values(["query_id", "rank"], ignore_index=True)
 
 
 def q189_bloom_point_lookup(sf_dir: str):
@@ -6168,95 +985,6 @@ def q189_bloom_point_lookup(sf_dir: str):
     return out.sort_values("doc_id", ignore_index=True)
 
 
-def q183_gbdt_planted(sf_dir: str):
-    """Full GBDT boosting loop (`ops/ml.gbdt_stumps` + `gbdt_score`) in
-    its EXACT regime: y is a two-level step of x (10 if x=0 else 30),
-    lr=1.0 — round 1's stump splits the two x values (any bin between
-    them wins), leaf means equal the group means exactly, residuals hit
-    0, and later rounds contribute gain-0/leaf-0 stumps.  Predictions
-    must therefore equal y to fp precision — attesting the round loop,
-    residual recomputation and scoring path beyond q144's single-split
-    finder."""
-    from ..ops.ml import gbdt_score, gbdt_stumps
-
-    n = 400
-    x = (np.arange(n) % 2).astype(np.float64)
-    y = np.where(x == 0.0, 10.0, 30.0)
-    df = pd.DataFrame({"row_id": np.arange(n, dtype=np.int64),
-                       "x": x, "y": y})
-    ds = rd.from_pandas(df).repartition(4)
-    model = gbdt_stumps(ds, ["x"], "y", n_rounds=3, lr=1.0, n_bins=32)
-    out = gbdt_score(ds, model, ["x"], out_col="pred").to_pandas()
-    out = out.sort_values("row_id", ignore_index=True)
-    return pd.DataFrame({
-        "row_id": out["row_id"].astype(np.int64),
-        "pred_exact": (np.abs(out["pred"].to_numpy()
-                              - out["y"].to_numpy()) < 1e-9)
-        .astype(np.int64)})
-
-
-def q184_lsh_planted(sf_dir: str):
-    """Random-hyperplane LSH ANN (`ops/ann.lsh_topk`) in its exact
-    regime: each query is an EXACT copy of one corpus vector, and
-    identical vectors produce identical sign patterns in every table —
-    bucket collision is certain, so the true top-1 (the copy itself,
-    cosine 1.0) can never be missed regardless of recall tuning."""
-    from ..ops.ann import lsh_topk
-
-    nvec, d, nq = 64, 16, 10
-    rng = np.random.default_rng(29)
-    X = rng.normal(size=(nvec, d))
-    edf = pd.DataFrame({"vec_id": np.arange(nvec, dtype=np.int64),
-                        "embedding": [v for v in X]})
-    out = lsh_topk(rd.from_pandas(edf).repartition(4), X[:nq], k=1,
-                   n_tables=4, n_bits=8, seed=7).to_pandas()
-    out = out.sort_values("query_id", ignore_index=True)
-    return pd.DataFrame({
-        "query_id": out["query_id"].astype(np.int64),
-        "top1_is_self": (out["vec_id"].to_numpy()
-                         == np.arange(nq)).astype(np.int64),
-        "score": np.round(out["score"].to_numpy(), 4)})
-
-
-def q182_negative_pairs(sf_dir: str):
-    """Deterministic contrastive negative sampling
-    (`ops/sampling.negative_pairs`): 3 md5-picked partners per anchor
-    (self remaps to raw+1 mod N), partner vectors attached via one
-    hash_shuffle_join, float64 cosine rounded 4dp — the oracle
-    recomputes the identical md5 picks and cosines in DuckDB."""
-    from ..ops.sampling import negative_pairs
-
-    emb = _t(sf_dir, "embeddings", ["vec_id", "embedding"])
-    out = negative_pairs(emb, k=3, seed=42).to_pandas()
-    return out.sort_values(["vec_id", "neg_rank"], ignore_index=True)
-
-
-def q181_digest_median_band(sf_dir: str):
-    """T-digest grouped median (`ops/grouped.grouped_quantile_digest` —
-    the 100 TB quantile path: KB-scale digest partials per key, no
-    worker ever holds a group's raw column) hash-attested via the q31
-    ±band pattern: the exact per-lang median rides along from the
-    exact kernel and the digest must land within 2% of it (documents
-    n_chars is unimodal and smooth, where t-digest's midpoint
-    interpolation error is far below 2%)."""
-    from ..ops.grouped import grouped_quantile, grouped_quantile_digest
-
-    ds = _t(sf_dir, "documents", ["lang", "n_chars"])
-    exact = (grouped_quantile(ds, ["lang"], "n_chars", q=0.5,
-                              out_col="median_chars", num_partitions=16)
-             .to_pandas().sort_values("lang", ignore_index=True))
-    dig = (grouped_quantile_digest(ds, ["lang"], "n_chars", q=0.5,
-                                   out_col="dig", num_partitions=8)
-           .to_pandas().sort_values("lang", ignore_index=True))
-    if not (exact["lang"].to_numpy() == dig["lang"].to_numpy()).all():
-        raise AssertionError("lang key sets differ between paths")
-    e, d = exact["median_chars"].to_numpy(), dig["dig"].to_numpy()
-    return pd.DataFrame({
-        "lang": exact["lang"],
-        "median_chars": e,
-        "within_2pct": np.abs(d - e) <= 0.02 * np.abs(e)})
-
-
 def q179_ks_exact(sf_dir: str):
     """FULLY-exact two-sample KS over events.value, click vs view
     (`drift.ks_exact_distributed`): one hash exchange to the
@@ -6281,282 +1009,6 @@ def q179_ks_exact(sf_dir: str):
                              "value", "a", "b")
     return pd.DataFrame({"n_a": [r["n_a"]], "n_b": [r["n_b"]],
                          "d_num": [r["d_num"]]})
-
-
-def q169_winnow_planted(sf_dir: str):
-    """Cross-document duplicate-SPAN detection
-    (`ops/winnow.duplicate_span_stats`, the MOSS winnowing algorithm)
-    over a planted corpus: 20 doc pairs sharing a 25-token contiguous
-    span at DIFFERENT offsets — guaranteed flagged, 25 ≥ k + w - 1 = 15
-    (the winnowing theorem) — plus 20 singleton docs of fresh random
-    tokens with no shared 8-gram (seed-pinned), so the expected flags
-    are closed-form.  Exact/MinHash dedup both miss offset-shifted
-    partial overlap; this attests the one detector that can't."""
-    from ..ops.winnow import duplicate_span_stats
-
-    rng = np.random.default_rng(23)
-
-    def toks(n: int) -> list[str]:
-        return [f"w{v:03d}" for v in rng.integers(0, 800, n)]
-
-    ids, texts = [], []
-    for g in range(20):
-        a = toks(60)
-        b = toks(30) + a[20:45] + toks(15)   # the span, shifted by 10
-        ids += [2 * g, 2 * g + 1]
-        texts += [" ".join(a), " ".join(b)]
-    for s in range(20):
-        ids.append(40 + s)
-        texts.append(" ".join(toks(50)))
-    ds = rd.from_pandas(pd.DataFrame({"doc_id": np.array(ids, np.int64),
-                                      "text": texts}))
-    out = duplicate_span_stats(ds).to_pandas()
-    out = out[["doc_id", "has_cross_dup"]].astype(np.int64)
-    return out.sort_values("doc_id", ignore_index=True)
-
-
-def q170_pq_exact_rerank(sf_dir: str):
-    """PQ-ANN in its EXACT regime (`ops/ann.pq_train/pq_encode/
-    pq_topk_rerank`): ``rerank`` = the whole table, so the ADC candidate
-    stage can drop nothing and the exact-rerank output must equal brute
-    force (q15's oracle verbatim) — hash-attests codebook fit, encode,
-    ADC table walk and the filtered rerank pass with zero approximation
-    slack (recall in the approximate regime stays a unit-test concern,
-    tests/test_pq.py)."""
-    from ..ops.ann import pq_encode, pq_topk_rerank, pq_train
-
-    emb = _t(sf_dir, "embeddings", ["vec_id", "embedding"])
-    n = emb.count()
-    q0 = _t(sf_dir, "embeddings", ["vec_id", "embedding"],
-            filter=pc.field("vec_id") == 0).to_pandas()
-    Q = np.stack(q0["embedding"].to_numpy()).astype(np.float64)
-    model = pq_train(emb, m=8, n_codes=32, sample_rows=4096)
-    codes = pq_encode(emb, model).materialize()
-    out = pq_topk_rerank(emb, codes, model, Q, k=10, rerank=n).to_pandas()
-    out["score"] = out["score"].round(4)
-    return out[["query_id", "vec_id", "score"]]
-
-
-def q171_compression_band(sf_dir: str):
-    """zlib compression-ratio banding (`ops/text.compression_ratios`)
-    over a planted two-regime corpus: 30 pure-repetition docs (ratio
-    ≪ 0.25 — boilerplate) and 30 seeded hex-noise docs (ratio ≥ 0.4 —
-    high entropy), so the band flag is closed-form and the zlib path
-    gets a driver-hashed signal.  Exact ratios stay the pytest oracle's
-    job (stdlib-recomputed, tests/test_r4_text_curation.py)."""
-    from ..ops.text import compression_ratios
-
-    rng = np.random.default_rng(31)
-    texts = [f"boiler plate row {i % 7} " * 60 for i in range(30)]
-    texts += [rng.bytes(500).hex() for _ in range(30)]
-    ds = rd.from_pandas(pd.DataFrame({
-        "doc_id": np.arange(60, dtype=np.int64), "text": texts}))
-    out = compression_ratios(ds, "text", ["doc_id"]).to_pandas()
-    out["is_repetitive"] = (out["zlib_ratio"] < 0.25).astype(np.int64)
-    return (out[["doc_id", "is_repetitive"]]
-            .sort_values("doc_id", ignore_index=True))
-
-
-def q172_fingerprint_planted(sf_dir: str):
-    """Rolling-hash document fingerprints (`ops/text.Fingerprinter`)
-    over planted copy pairs: doc i (a seeded random text) and doc i+40
-    (its exact copy) must fingerprint EQUAL even when they land in
-    different blocks, and the 40 base fingerprints must be pairwise
-    DISTINCT (2⁻⁶¹-scale collision odds) — both closed-form.  The
-    vectorized kernel's parity vs the scalar recurrence is the unit
-    test; this attests the distributed plumbing."""
-    from ..ops.text import Fingerprinter
-
-    rng = np.random.default_rng(37)
-    base = ["".join(chr(97 + c) for c in rng.integers(0, 26, 120))
-            for _ in range(40)]
-    df = pd.DataFrame({
-        "doc_id": np.arange(80, dtype=np.int64),
-        "text": base + base})
-    fp = (rd.from_pandas(df).repartition(8)
-          .map_batches(Fingerprinter, batch_format="pandas",
-                       concurrency=actor_pool())
-          .select_columns(["doc_id", "fingerprint"]).to_pandas()
-          .sort_values("doc_id", ignore_index=True))
-    f = fp["fingerprint"].to_numpy()
-    n_distinct = len(np.unique(f[:40]))
-    return pd.DataFrame({
-        "doc_id": np.arange(40, dtype=np.int64),
-        "twin_match": (f[:40] == f[40:]).astype(np.int64),
-        "bases_distinct": np.full(40, int(n_distinct == 40), np.int64)})
-
-
-def q157_audio_dedup(sf_dir: str):
-    """Audio near-dup clustering over REAL WAV bytes: 25 deterministic
-    AM-tone-mixture clips, each with a re-gained + 1%-noise variant;
-    stdlib WAV decode → 64-bit spectral fingerprint → banded Hamming
-    clustering (``multimodal.audio_dedup``).  Same closed-form expected
-    clustering as q156: cluster_id == base id for both members."""
-    from ..ops.multimodal import MEDIA_SCHEMA, audio_dedup, encode_wav
-
-    def tone_clip(seed: int, n: int = 8000, sr: int = 16000) -> np.ndarray:
-        r = np.random.default_rng(seed)
-        t = np.arange(n) / sr
-        s = sum(r.uniform(500, 4000)
-                * np.sin(2 * np.pi * r.uniform(100, 6000) * t
-                         + r.uniform(0, 6))
-                * np.clip(np.sin(2 * np.pi * r.uniform(0.3, 2) * t
-                                 + r.uniform(0, 6)), 0, None)
-                for _ in range(6))
-        return (s / np.abs(s).max() * 20000).astype(np.int16)
-
-    rows = {k: [] for k in MEDIA_SCHEMA.names}
-    for i in range(25):
-        base = tone_clip(i)
-        rng = np.random.default_rng(2000 + i)
-        variant = (base * 0.7
-                   + rng.normal(0, 200, len(base))).astype(np.int16)
-        for j, x in enumerate([base, variant]):
-            rows["media_id"].append(2 * i + j)
-            rows["kind"].append("audio")
-            rows["format"].append("wav")
-            rows["payload"].append(encode_wav(x))
-            rows["width"].append(0)
-            rows["height"].append(0)
-            rows["sample_rate"].append(16000)
-            rows["duration_ms"].append(500)
-    media = rd.from_arrow(pa.Table.from_pydict(rows, schema=MEDIA_SCHEMA))
-    out = audio_dedup(media).to_pandas()
-    out["cluster_id"] = out["cluster_id"].astype(np.int64)
-    out["is_duplicate"] = out["is_duplicate"].astype(np.int64)
-    return (out[["media_id", "cluster_id", "is_duplicate"]]
-            .sort_values("media_id").reset_index(drop=True))
-
-
-# q156's fixture is fully deterministic (base image 2i, perturbed variant
-# 2i+1, perturbation well inside the pHash Hamming threshold, distinct
-# bases far outside it), so the EXPECTED clustering is closed-form — the
-# oracle hash-attests the whole decode -> DCT-hash -> banded-cluster path
-# without DuckDB needing to see a pixel.
-ORACLE_SQL["q156_phash_dedup"] = """
-    SELECT CAST(i AS BIGINT) AS media_id,
-           CAST(i - (i % 2) AS BIGINT) AS cluster_id,
-           CAST(i % 2 AS BIGINT) AS is_duplicate
-    FROM range(60) t(i)"""
-
-# same closed-form construction as q156, over the audio path
-ORACLE_SQL["q157_audio_dedup"] = """
-    SELECT CAST(i AS BIGINT) AS media_id,
-           CAST(i - (i % 2) AS BIGINT) AS cluster_id,
-           CAST(i % 2 AS BIGINT) AS is_duplicate
-    FROM range(50) t(i)"""
-
-# planted-corpus dedup twins: expected clustering is closed-form
-# (cluster = id - id % per_group; see _planted_text_corpus)
-ORACLE_SQL["q158_minhash_planted"] = """
-    SELECT CAST(i AS BIGINT) AS doc_id,
-           CAST(i - (i % 3) AS BIGINT) AS cluster_id,
-           CAST(CASE WHEN i % 3 > 0 THEN 1 ELSE 0 END AS BIGINT)
-               AS is_duplicate
-    FROM range(120) t(i)"""
-
-ORACLE_SQL["q159_simhash_planted"] = """
-    SELECT CAST(i AS BIGINT) AS doc_id,
-           CAST(i - (i % 2) AS BIGINT) AS cluster_id,
-           CAST(i % 2 AS BIGINT) AS is_duplicate
-    FROM range(100) t(i)"""
-
-ORACLE_SQL["q160_embedding_dedup_planted"] = """
-    SELECT CAST(i AS BIGINT) AS vec_id,
-           CAST(i - (i % 2) AS BIGINT) AS cluster_id,
-           CAST(i % 2 AS BIGINT) AS is_duplicate
-    FROM range(80) t(i)"""
-
-# same closed-form construction as q156/q157, over the video (GIF) path
-ORACLE_SQL["q161_video_dedup"] = """
-    SELECT CAST(i AS BIGINT) AS media_id,
-           CAST(i - (i % 2) AS BIGINT) AS cluster_id,
-           CAST(i % 2 AS BIGINT) AS is_duplicate
-    FROM range(24) t(i)"""
-
-# IVF with nprobe == n_clusters is exact: same oracle as brute force (q15)
-ORACLE_SQL["q162_ivf_full_probe"] = ORACLE_SQL["q15_ann_topk"]
-
-# planted blobs: first k rows are the centers (cluster_rep = own id),
-# then per_blob=15 noisy points per blob in blob order
-ORACLE_SQL["q163_kmeans_planted"] = """
-    SELECT CAST(i AS BIGINT) AS vec_id,
-           CAST(CASE WHEN i < 6 THEN i ELSE (i - 6) // 15 END AS BIGINT)
-               AS cluster_rep
-    FROM range(96) t(i)"""
-
-# planted exact-dup pairs: keep = each pair's lower id
-ORACLE_SQL["q164_semdedup_planted"] = """
-    SELECT CAST(i AS BIGINT) AS vec_id,
-           CAST(CASE WHEN i % 2 = 0 THEN 1 ELSE 0 END AS BIGINT) AS keep
-    FROM range(80) t(i)"""
-
-# two-scan crawl: 100-109 copy scan-1 docs (dup_of_state), 110-118 fresh,
-# 119 copies 118 (dup_in_scan, first-wins)
-ORACLE_SQL["q165_incremental_minhash_planted"] = """
-    SELECT CAST(100 + i AS BIGINT) AS doc_id,
-           CAST(CASE WHEN i < 10 THEN 1 ELSE 0 END AS BIGINT)
-               AS dup_of_state,
-           CAST(CASE WHEN i = 19 THEN 1 ELSE 0 END AS BIGINT)
-               AS dup_in_scan,
-           CAST(CASE WHEN i < 10 OR i = 19 THEN 1 ELSE 0 END AS BIGINT)
-               AS is_dup
-    FROM range(20) t(i)"""
-
-# the article <p> is the only surviving block (nav/footer/script/style
-# skipped, the menu div dropped at link density 1.0 > 0.5, its 3 links
-# + the 0 prose links still counted); expected main-text length is the
-# whitespace-normalized parquet text
-ORACLE_SQL["q166_html_extract"] = r"""
-    SELECT doc_id,
-           CAST(CASE WHEN TRIM(COALESCE(text, '')) = '' THEN 0
-                ELSE LENGTH(REGEXP_REPLACE(TRIM(text), '\s+', ' ', 'g'))
-           END AS BIGINT) AS n_chars_main,
-           CAST(CASE WHEN TRIM(COALESCE(text, '')) = '' THEN 0 ELSE 1
-           END AS BIGINT) AS n_blocks,
-           CAST(3 AS BIGINT) AS n_links
-    FROM documents"""
-
-# normalized form of _doc_urls' messy URL: scheme/host lowercased,
-# default :443 stripped, fragment dropped, utm_* removed, params sorted
-ORACLE_SQL["q167_url_host_stats"] = """
-    SELECT 'www.' || lower(source) || '.example.com' AS host,
-           CAST(COUNT(*) AS BIGINT) AS n_docs,
-           MIN('https://www.' || lower(source) || '.example.com/'
-               || lang || '/' || doc_id || '?a=1&b=2') AS min_url
-    FROM documents GROUP BY source ORDER BY host"""
-
-ORACLE_SQL["q168_domain_cap"] = """
-    SELECT doc_id, 'www.' || lower(source) || '.example.com' AS host
-    FROM (SELECT doc_id, source,
-                 ROW_NUMBER() OVER (PARTITION BY source
-                                    ORDER BY doc_id) AS rn
-          FROM documents)
-    WHERE rn <= 20 ORDER BY doc_id"""
-
-# planted span pairs: ids 0-39 share a 25-token span with their pair
-# twin (winnowing-guaranteed detection), 40-59 are fresh singletons
-ORACLE_SQL["q169_winnow_planted"] = """
-    SELECT CAST(i AS BIGINT) AS doc_id,
-           CAST(CASE WHEN i < 40 THEN 1 ELSE 0 END AS BIGINT)
-               AS has_cross_dup
-    FROM range(60) t(i)"""
-
-ORACLE_SQL["q170_pq_exact_rerank"] = ORACLE_SQL["q15_ann_topk"]
-
-# planted regimes: 0-29 repetitive boilerplate, 30-59 hex noise
-ORACLE_SQL["q171_compression_band"] = """
-    SELECT CAST(i AS BIGINT) AS doc_id,
-           CAST(CASE WHEN i < 30 THEN 1 ELSE 0 END AS BIGINT)
-               AS is_repetitive
-    FROM range(60) t(i)"""
-
-# copy pairs fingerprint equal; the 40 bases are pairwise distinct
-ORACLE_SQL["q172_fingerprint_planted"] = """
-    SELECT CAST(i AS BIGINT) AS doc_id,
-           CAST(1 AS BIGINT) AS twin_match,
-           CAST(1 AS BIGINT) AS bases_distinct
-    FROM range(40) t(i)"""
 
 ORACLE_SQL["q173_events_expectations"] = """
     SELECT 'completeness|event_id' AS rule,
@@ -6585,50 +1037,6 @@ ORACLE_SQL["q173_events_expectations"] = """
                 THEN 1 END), 0) AS BIGINT)
     FROM events"""
 
-# planted separable classes: every row's probability lands in-band
-ORACLE_SQL["q174_logreg_planted"] = """
-    SELECT CAST(i AS BIGINT) AS row_id,
-           CAST(i % 2 AS BIGINT) AS y,
-           CAST(1 AS BIGINT) AS in_band
-    FROM range(400) t(i)"""
-
-# encode→decode roundtrips succeed for every planted item: 20 png,
-# 10 jpeg, 10 wav, 5 gif — in that emission order
-ORACLE_SQL["q175_codec_roundtrip"] = """
-    SELECT codec, CAST(i AS BIGINT) AS media_id, CAST(1 AS BIGINT) AS ok
-    FROM (SELECT 'png' AS codec, UNNEST(range(20)) AS i
-          UNION ALL SELECT 'jpeg', UNNEST(range(10))
-          UNION ALL SELECT 'wav', UNNEST(range(10))
-          UNION ALL SELECT 'gif', UNNEST(range(5)))"""
-
-ORACLE_SQL["q176_ivf_index_exact"] = ORACLE_SQL["q15_ann_topk"]
-
-# q163's blob plant: blob(i) = i for the 6 planted centers (i < 6),
-# else (i-6)//15; the pick is the 4 smallest md5('7:'||id) per blob and
-# labels normalize to the minimum sampled id per cluster
-ORACLE_SQL["q177_diverse_sample_planted"] = """
-    WITH blobs AS (
-        SELECT i AS vec_id,
-               CASE WHEN i < 6 THEN i ELSE (i - 6) // 15 END AS blob
-        FROM range(96) t(i)),
-    picked AS (
-        SELECT vec_id, blob,
-               ROW_NUMBER() OVER (
-                   PARTITION BY blob
-                   ORDER BY MD5('7:' || CAST(vec_id AS VARCHAR)),
-                            vec_id) AS rn
-        FROM blobs)
-    SELECT CAST(MIN(vec_id) OVER (PARTITION BY blob) AS BIGINT)
-               AS cluster_key,
-           CAST(vec_id AS BIGINT) AS vec_id
-    FROM picked WHERE rn <= 4 ORDER BY vec_id"""
-
-# exactly rank-2 plant: both projections land in-band for every row
-ORACLE_SQL["q178_pca_planted"] = """
-    SELECT CAST(i AS BIGINT) AS vec_id,
-           CAST(1 AS BIGINT) AS pc1_ok, CAST(1 AS BIGINT) AS pc2_ok
-    FROM range(300) t(i)"""
-
 # Exact two-sample KS: the statistic's numerator max |cumA*n_b - cumB*n_a|
 # is an exact integer (windowed SUMs promote to HUGEINT in DuckDB — cast).
 ORACLE_SQL["q179_ks_exact"] = """
@@ -6649,384 +1057,44 @@ ORACLE_SQL["q179_ks_exact"] = """
            CAST(MAX(ABS(cum_a * t.n_b - cum_b * t.n_a)) AS BIGINT) AS d_num
     FROM c, t GROUP BY t.n_a, t.n_b"""
 
-ORACLE_SQL["q180_kmeans_planted"] = """
-    SELECT CAST(i AS BIGINT) AS vec_id, CAST(1 AS BIGINT) AS part_ok
-    FROM range(480) t(i)"""
-
-ORACLE_SQL["q181_digest_median_band"] = """
-    SELECT lang, MEDIAN(n_chars) AS median_chars, TRUE AS within_2pct
-    FROM documents GROUP BY lang"""
-
-ORACLE_SQL["q183_gbdt_planted"] = """
-    SELECT CAST(i AS BIGINT) AS row_id, CAST(1 AS BIGINT) AS pred_exact
-    FROM range(400) t(i)"""
-
-ORACLE_SQL["q186_cc_extract"] = r"""
-    SELECT lang, COUNT(*) AS n_docs,
-           CAST(SUM(CASE WHEN TRIM(COALESCE(text, '')) = '' THEN 0
-                ELSE LENGTH(REGEXP_REPLACE(TRIM(text), '\s+', ' ', 'g'))
-                END) AS BIGINT) AS main_chars
-    FROM documents GROUP BY lang"""
-
-ORACLE_SQL["q187_mad_outliers"] = """
-    WITH med AS (
-        SELECT lang, median(n_chars) AS m
-        FROM documents WHERE n_chars IS NOT NULL GROUP BY lang
-    ), dev AS (
-        SELECT d.lang, abs(d.n_chars - med.m) AS ad
-        FROM documents d JOIN med USING (lang)
-        WHERE d.n_chars IS NOT NULL
-    ), madt AS (
-        SELECT lang, median(ad) AS mad FROM dev GROUP BY lang
-    )
-    SELECT dev.lang,
-           CAST(COUNT(*) AS BIGINT) AS n,
-           CAST(SUM(CASE WHEN dev.ad > 3.0 * madt.mad THEN 1 ELSE 0 END)
-                AS BIGINT) AS n_outliers
-    FROM dev JOIN madt ON dev.lang = madt.lang
-    GROUP BY dev.lang"""
-
-ORACLE_SQL["q188_knn_join_planted"] = """
-    SELECT CAST(g AS BIGINT) AS query_id,
-           CAST(g * 10 + r AS BIGINT) AS neighbor_id,
-           CAST(r + 1 AS BIGINT) AS rank
-    FROM range(8) t(g), range(5) u(r)"""
-
 ORACLE_SQL["q189_bloom_point_lookup"] = """
     SELECT doc_id, lang, n_chars FROM documents
     WHERE doc_id IN (3, 17, 41, 1000000000)"""
 
-ORACLE_SQL["q185_warc_pipeline"] = """
-    SELECT lang, COUNT(*) AS n_docs,
-           CAST(SUM(LENGTH(COALESCE(text, ''))) AS BIGINT) AS total_chars
-    FROM documents GROUP BY lang"""
-
-ORACLE_SQL["q184_lsh_planted"] = """
-    SELECT CAST(i AS BIGINT) AS query_id, CAST(1 AS BIGINT) AS top1_is_self,
-           CAST(1.0 AS DOUBLE) AS score
-    FROM range(10) t(i)"""
-
-_U32_EXPR = " + ".join(
-    f"(strpos('0123456789abcdef', substr(hh, {i + 1}, 1)) - 1)"
-    f" * {16 ** (7 - i)}" for i in range(8))
-ORACLE_SQL["q81_weighted_sample"] = ORACLE_SQL["q81_weighted_sample"].replace(
-    "{U32}", _U32_EXPR)
-ORACLE_SQL["q97_temperature_mix"] = ORACLE_SQL["q97_temperature_mix"].replace(
-    "{U32}", _U32_EXPR)
-ORACLE_SQL["q102_corpus_shuffle"] = ORACLE_SQL["q102_corpus_shuffle"].replace(
-    "{U32}", _U32_EXPR)
-
-# q182: recompute negative_pairs' md5 partner picks + cosines in SQL.
-ORACLE_SQL["q182_negative_pairs"] = """
-    WITH nn AS (SELECT COUNT(*) AS n FROM embeddings),
-         p AS (SELECT e.vec_id AS a, j.j,
-                      substr(md5('42:' || CAST(e.vec_id AS VARCHAR) || ':'
-                             || CAST(j.j AS VARCHAR)), 1, 8) AS hh
-               FROM embeddings e CROSS JOIN range(3) j(j)),
-         q AS (SELECT a, j, ({U32}) % nn.n AS raw FROM p, nn),
-         r AS (SELECT a, j,
-                      CASE WHEN raw = a THEN (raw + 1) % nn.n
-                           ELSE raw END AS neg
-               FROM q, nn)
-    SELECT r.a AS vec_id, CAST(r.j AS BIGINT) AS neg_rank,
-           CAST(r.neg AS BIGINT) AS neg_id,
-           ROUND(CAST(list_cosine_similarity(ea.embedding, en.embedding)
-                      AS DOUBLE), 4) AS cos_sim
-    FROM r JOIN embeddings ea ON ea.vec_id = r.a
-           JOIN embeddings en ON en.vec_id = r.neg""".replace(
-    "{U32}", _U32_EXPR)
-
-from ..ops.sampling import fraction_to_hex as _f2h  # noqa: E402
-
-ORACLE_SQL["q78_epoch_mixing"] = ORACLE_SQL["q78_epoch_mixing"].format(
-    h75=_f2h(0.75), h50=_f2h(0.5))
 
 SQL_QUERIES = {
     "q01_pricing_summary": q01_pricing_summary,
     "q02_revenue_by_flag": q02_revenue_by_flag,
-    "q03_topk_orders": q03_topk_orders,
-    "q04_distinct_flags": q04_distinct_flags,
-    "q05_segment_sales": q05_segment_sales,
-    "q06_customers_per_region": q06_customers_per_region,
-    "q07_customers_with_orders": q07_customers_with_orders,
-    "q08_parts_never_ordered": q08_parts_never_ordered,
-    "q09_windowed_events": q09_windowed_events,
     "q10_duplicate_users": q10_duplicate_users,
     "q11_completeness_documents": q11_completeness_documents,
     "q12_range_violations": q12_range_violations,
     "q13_sha256_documents": q13_sha256_documents,
-    "q14_dedup_documents": q14_dedup_documents,
-    "q15_ann_topk": q15_ann_topk,
-    "q16_token_counts": q16_token_counts,
     "q17_lang_profiles": q17_lang_profiles,
-    "q18_lang_medians": q18_lang_medians,
-    "q19_distinct_users_per_type": q19_distinct_users_per_type,
     "q20_text_contains": q20_text_contains,
-    "q21_per_source_latest": q21_per_source_latest,
     "q22_event_days": q22_event_days,
     "q23_union_counts": q23_union_counts,
-    "q24_part_order_counts": q24_part_order_counts,
     "q25_source_tiers": q25_source_tiers,
-    "q26_salted_revenue_stats": q26_salted_revenue_stats,
-    "q27_order_line_detail": q27_order_line_detail,
-    "q28_prev_event_value": q28_prev_event_value,
-    "q29_hopping_windows": q29_hopping_windows,
     "q30_drift_means": q30_drift_means,
-    "q31_hll_accuracy": q31_hll_accuracy,
-    "q32_flags_in_both_years": q32_flags_in_both_years,
-    "q33_clickers_never_purchased": q33_clickers_never_purchased,
-    "q34_token_budget_mix": q34_token_budget_mix,
     "q35_norm_fingerprints": q35_norm_fingerprints,
-    "q36_text_stats": q36_text_stats,
-    "q37_hash_sample": q37_hash_sample,
-    "q38_hash_split": q38_hash_split,
-    "q39_stratified_sample": q39_stratified_sample,
-    "q40_session_windows": q40_session_windows,
-    "q41_range_join": q41_range_join,
-    "q42_rolling_sums": q42_rolling_sums,
-    "q43_top_tokens": q43_top_tokens,
-    "q44_lang_source_pivot": q44_lang_source_pivot,
-    "q45_asof_order_value": q45_asof_order_value,
-    "q46_price_qty_corr": q46_price_qty_corr,
     "q47_monthly_revenue": q47_monthly_revenue,
-    "q48_event_rank": q48_event_rank,
-    "q49_flag_argmax_order": q49_flag_argmax_order,
-    "q50_regex_digit_docs": q50_regex_digit_docs,
     "q51_json_props_stats": q51_json_props_stats,
-    "q52_user_journeys": q52_user_journeys,
-    "q53_skew_join_lines": q53_skew_join_lines,
-    "q54_next_event_value": q54_next_event_value,
-    "q55_lang_mode_source": q55_lang_mode_source,
-    "q56_doc_perplexity": q56_doc_perplexity,
-    "q57_doc_chunks": q57_doc_chunks,
-    "q58_customers_with_orders_ll": q58_customers_with_orders_ll,
-    "q59_parts_never_ordered_ll": q59_parts_never_ordered_ll,
-    "q60_bloom_semi_customers": q60_bloom_semi_customers,
-    "q61_rolling_time_sums": q61_rolling_time_sums,
-    "q62_click_purchase_outer": q62_click_purchase_outer,
-    "q63_rollup_revenue": q63_rollup_revenue,
-    "q64_events_intersect_all": q64_events_intersect_all,
-    "q65_events_except_all": q65_events_except_all,
-    "q66_value_quartiles": q66_value_quartiles,
-    "q67_part_attrs_unpivot": q67_part_attrs_unpivot,
-    "q68_region_pairs": q68_region_pairs,
-    "q69_shipping_priority": q69_shipping_priority,
-    "q70_repetition_stats": q70_repetition_stats,
-    "q71_tfidf_terms": q71_tfidf_terms,
-    "q72_span_dedup": q72_span_dedup,
-    "q73_lang_outliers": q73_lang_outliers,
-    "q74_pii_redaction": q74_pii_redaction,
-    "q75_clean_lines": q75_clean_lines,
-    "q76_decontamination": q76_decontamination,
-    "q77_gopher_rules": q77_gopher_rules,
-    "q78_epoch_mixing": q78_epoch_mixing,
-    "q79_pack_sequences": q79_pack_sequences,
-    "q80_fuzzy_prefix_pairs": q80_fuzzy_prefix_pairs,
-    "q81_weighted_sample": q81_weighted_sample,
-    "q82_cube_revenue": q82_cube_revenue,
     "q83_value_histogram": q83_value_histogram,
-    "q84_event_funnel": q84_event_funnel,
-    "q85_exact_median_price": q85_exact_median_price,
-    "q86_returned_revenue_topn": q86_returned_revenue_topn,
-    "q87_order_ntile": q87_order_ntile,
-    "q88_local_supplier_volume": q88_local_supplier_volume,
-    "q89_nation_top_customers": q89_nation_top_customers,
-    "q90_event_runs": q90_event_runs,
-    "q91_value_rank_stats": q91_value_rank_stats,
-    "q92_bigram_merges": q92_bigram_merges,
-    "q93_late_events": q93_late_events,
-    "q94_cohort_retention": q94_cohort_retention,
-    "q95_price_page": q95_price_page,
-    "q96_daily_active_users": q96_daily_active_users,
-    "q97_temperature_mix": q97_temperature_mix,
-    "q98_trending_types": q98_trending_types,
-    "q99_nation_trade": q99_nation_trade,
     "q100_conditional_counts": q100_conditional_counts,
-    "q101_lapsed_by_segment": q101_lapsed_by_segment,
-    "q102_corpus_shuffle": q102_corpus_shuffle,
-    "q103_party_union": q103_party_union,
-    "q104_langid_votes": q104_langid_votes,
-    "q105_heavy_hitters_exact": q105_heavy_hitters_exact,
-    "q106_segment_dedup": q106_segment_dedup,
-    "q107_quality_counts": q107_quality_counts,
-    "q108_snapshot_diff": q108_snapshot_diff,
-    "q109_partition_fingerprints": q109_partition_fingerprints,
-    "q110_key_skew_profile": q110_key_skew_profile,
-    "q111_window_dedup": q111_window_dedup,
-    "q112_asof_tolerance": q112_asof_tolerance,
-    "q113_grouping_sets": q113_grouping_sets,
-    "q114_dense_topk": q114_dense_topk,
-    "q115_rolling_active_users": q115_rolling_active_users,
-    "q116_token_entropy": q116_token_entropy,
     "q117_zone_map_stats": q117_zone_map_stats,
     "q118_pruned_range_scan": q118_pruned_range_scan,
-    "q119_join_cardinality": q119_join_cardinality,
-    "q120_apply_changes": q120_apply_changes,
-    "q121_scd2_history": q121_scd2_history,
-    "q122_zorder_scan": q122_zorder_scan,
-    "q123_grouped_ols": q123_grouped_ols,
-    "q124_mutual_information": q124_mutual_information,
-    "q125_pagerank": q125_pagerank,
-    "q126_cooccurrence": q126_cooccurrence,
     "q127_accepted_values": q127_accepted_values,
-    "q130_benford_digits": q130_benford_digits,
-    "q131_rolling_anomalies": q131_rolling_anomalies,
-    "q132_freshness_lag": q132_freshness_lag,
-    "q133_daily_count_anomaly": q133_daily_count_anomaly,
-    "q134_documents_profile": q134_documents_profile,
-    "q135_fd_check": q135_fd_check,
-    "q136_winsorized_values": q136_winsorized_values,
-    "q137_event_transitions": q137_event_transitions,
-    "q138_compaction_roundtrip": q138_compaction_roundtrip,
-    "q139_value_drift_w1": q139_value_drift_w1,
-    "q140_documents_expectations": q140_documents_expectations,
-    "q141_cusum_daily": q141_cusum_daily,
-    "q142_bpe_pair_counts": q142_bpe_pair_counts,
-    "q143_median_digest_band": q143_median_digest_band,
-    "q144_tree_split": q144_tree_split,
-    "q145_daily_psi_js": q145_daily_psi_js,
-    "q146_value_drift_ks": q146_value_drift_ks,
-    "q147_mg_exact_regime": q147_mg_exact_regime,
-    "q148_bm25_scores": q148_bm25_scores,
-    "q149_dsir_weights": q149_dsir_weights,
-    "q150_bigram_lm": q150_bigram_lm,
-    "q151_dup_ngram_stats": q151_dup_ngram_stats,
-    "q152_source_overlap": q152_source_overlap,
-    "q153_semantic_decontam": q153_semantic_decontam,
-    "q154_jsonl_roundtrip": q154_jsonl_roundtrip,
-    "q155_csv_roundtrip": q155_csv_roundtrip,
-    "q156_phash_dedup": q156_phash_dedup,
-    "q157_audio_dedup": q157_audio_dedup,
-    "q158_minhash_planted": q158_minhash_planted,
-    "q159_simhash_planted": q159_simhash_planted,
-    "q160_embedding_dedup_planted": q160_embedding_dedup_planted,
-    "q161_video_dedup": q161_video_dedup,
-    "q162_ivf_full_probe": q162_ivf_full_probe,
-    "q163_kmeans_planted": q163_kmeans_planted,
-    "q164_semdedup_planted": q164_semdedup_planted,
-    "q165_incremental_minhash_planted": q165_incremental_minhash_planted,
-    "q166_html_extract": q166_html_extract,
-    "q167_url_host_stats": q167_url_host_stats,
-    "q168_domain_cap": q168_domain_cap,
-    "q169_winnow_planted": q169_winnow_planted,
-    "q170_pq_exact_rerank": q170_pq_exact_rerank,
-    "q171_compression_band": q171_compression_band,
-    "q172_fingerprint_planted": q172_fingerprint_planted,
-    "q173_events_expectations": q173_events_expectations,
-    "q174_logreg_planted": q174_logreg_planted,
-    "q175_codec_roundtrip": q175_codec_roundtrip,
-    "q176_ivf_index_exact": q176_ivf_index_exact,
-    "q177_diverse_sample_planted": q177_diverse_sample_planted,
-    "q178_pca_planted": q178_pca_planted,
-    "q179_ks_exact": q179_ks_exact,
-    "q180_kmeans_planted": q180_kmeans_planted,
-    "q181_digest_median_band": q181_digest_median_band,
-    "q182_negative_pairs": q182_negative_pairs,
-    "q183_gbdt_planted": q183_gbdt_planted,
-    "q184_lsh_planted": q184_lsh_planted,
-    "q185_warc_pipeline": q185_warc_pipeline,
-    "q186_cc_extract": q186_cc_extract,
-    "q187_mad_outliers": q187_mad_outliers,
-    "q188_knn_join_planted": q188_knn_join_planted,
-    "q189_bloom_point_lookup": q189_bloom_point_lookup,
-    "q190_orc_roundtrip": q190_orc_roundtrip,
-    "q191_ipc_roundtrip": q191_ipc_roundtrip,
-    "q192_time_travel": q192_time_travel,
-    # q128/q129 intentionally LAST among the not-yet-attested block:
-    # the driver snapshots only the first 50 queries() entries, and
-    # these two check-family variants share their engine code path with
-    # in-window q127 (accepted values) and q140 (expectation suite),
-    # while q151/q152 are the only coverage of their ops.
     "q128_format_violations": q128_format_violations,
     "q129_conditional_rules": q129_conditional_rules,
+    "q139_value_drift_w1": q139_value_drift_w1,
+    "q140_documents_expectations": q140_documents_expectations,
+    "q145_daily_psi_js": q145_daily_psi_js,
+    "q146_value_drift_ks": q146_value_drift_ks,
+    "q154_jsonl_roundtrip": q154_jsonl_roundtrip,
+    "q155_csv_roundtrip": q155_csv_roundtrip,
+    "q173_events_expectations": q173_events_expectations,
+    "q179_ks_exact": q179_ks_exact,
+    "q189_bloom_point_lookup": q189_bloom_point_lookup,
 }
-
-
-# ===========================================================================
-# Non-SQL-expressible queries (driver records a rows-only check; the real
-# correctness tests for these live in tests/ with hand-built oracles)
-# ===========================================================================
-
-
-def nq_minhash_dedup(sf_dir: str):
-    from ..ops.dedup import minhash_lsh_dedup
-
-    return minhash_lsh_dedup(_t(sf_dir, "documents", ["doc_id", "text"]))
-
-
-def nq_simhash_dedup(sf_dir: str):
-    from ..ops.dedup import simhash_dedup
-
-    return simhash_dedup(_t(sf_dir, "documents", ["doc_id", "text"]))
-
-
-def nq_ngram_jaccard_dedup(sf_dir: str):
-    from ..ops.dedup import ngram_jaccard_dedup
-
-    return ngram_jaccard_dedup(_t(sf_dir, "documents", ["doc_id", "text"]))
-
-
-def nq_embedding_dedup(sf_dir: str):
-    from ..ops.dedup import embedding_cosine_dedup
-
-    return embedding_cosine_dedup(_t(sf_dir, "embeddings", ["vec_id", "embedding"]))
-
-
-def nq_ivf_ann(sf_dir: str):
-    from ..ops.ann import ivf_topk
-
-    emb = _t(sf_dir, "embeddings", ["vec_id", "embedding"])
-    q0 = _t(sf_dir, "embeddings", ["vec_id", "embedding"],
-            filter=pc.field("vec_id") == 0).to_pandas()
-    out = ivf_topk(emb, np.stack(q0["embedding"].to_numpy()), k=10).to_pandas()
-    out["score"] = out["score"].round(4)
-    return out
-
-
-def nq_ivf_index(sf_dir: str):
-    """Persisted partitioned IVF index: build once under /tmp (hive dir per
-    cluster), query with PATH-pruned reads of only the probed clusters."""
-    import shutil
-    import tempfile
-
-    from ..ops.ann import ivf_query_index, write_ivf_index
-
-    emb = _t(sf_dir, "embeddings", ["vec_id", "embedding"])
-    q0 = _t(sf_dir, "embeddings", ["vec_id", "embedding"],
-            filter=pc.field("vec_id") == 0).to_pandas()
-    idx = tempfile.mkdtemp(prefix="driftray_ivf_")
-    try:
-        write_ivf_index(emb, idx, n_clusters=16)
-        out = ivf_query_index(idx, np.stack(q0["embedding"].to_numpy()),
-                              k=10, nprobe=6).to_pandas()
-    finally:
-        shutil.rmtree(idx, ignore_errors=True)
-    out["score"] = out["score"].round(4)
-    return out
-
-
-def nq_langid(sf_dir: str):
-    from ..ops.text import LangId
-
-    ds = _t(sf_dir, "documents", ["doc_id", "text", "lang"])
-    return ds.map_batches(LangId, batch_format="pandas", concurrency=actor_pool()) \
-        .select_columns(["doc_id", "lang", "lang_pred", "lang_score"])
-
-
-def nq_quality_scores(sf_dir: str):
-    from ..ops.text import QualityScorer
-
-    ds = _t(sf_dir, "documents", ["doc_id", "text"])
-    return ds.map_batches(QualityScorer, batch_format="pandas", concurrency=actor_pool()) \
-        .select_columns(["doc_id", "punct_ratio", "stopword_ratio", "quality"])
-
-
-def nq_fingerprints(sf_dir: str):
-    from ..ops.text import Fingerprinter
-
-    ds = _t(sf_dir, "documents", ["doc_id", "text"])
-    return ds.map_batches(Fingerprinter, batch_format="pandas", concurrency=actor_pool()) \
-        .select_columns(["doc_id", "fingerprint"])
 
 
 def nq_hll_distinct_users(sf_dir: str):
@@ -7158,190 +1226,6 @@ def nq_unusual_ratio_events(sf_dir: str):
     } for v in verdicts])
 
 
-def nq_lang_median_digest(sf_dir: str):
-    """Per-lang median via t-digest partial aggregation — the 100 TB path
-    for grouped quantiles (exact twin: q18_lang_medians; tolerance
-    pytest-asserted in tests/test_round3.py)."""
-    from ..ops.grouped import grouped_quantile_digest
-
-    ds = _t(sf_dir, "documents", ["lang", "n_chars"])
-    out = grouped_quantile_digest(ds, ["lang"], "n_chars", q=0.5,
-                                  out_col="median_chars_digest",
-                                  num_partitions=8)
-    return out.to_pandas().sort_values("lang").reset_index(drop=True)
-
-
-def nq_multimodal_decode(sf_dir: str):
-    """Binary media column plumbing (stubbed codec, real Ray stages)."""
-    from ..ops.multimodal import decode_images, synth_media_table
-
-    media = rd.from_arrow(synth_media_table(200, kind="image"))
-    out = decode_images(media).to_pandas()
-    out["mean_r"] = [float(np.round(v[0], 3)) for v in out["mean_rgb"]]
-    return out[["media_id", "kind", "format", "mean_r"]]
-
-
-def nq_frame_sample(sf_dir: str):
-    from ..ops.multimodal import sample_frames, synth_media_table
-
-    media = rd.from_arrow(synth_media_table(50, kind="video"))
-    out = sample_frames(media, n_frames=4).to_pandas()
-    return out[["media_id", "frame_idx", "frame_ms"]]
-
-
-def nq_png_decode(sf_dir: str):
-    """REAL image decode (dependency-free baseline-PNG codec, ops/png.py)
-    through the actor pool: deterministic images round-trip through actual
-    PNG bytes — the non-stubbed multimodal path."""
-    from ..ops.multimodal import MEDIA_SCHEMA, decode_images
-    from ..ops.png import encode_png
-
-    rng = np.random.default_rng(21)
-    rows = {k: [] for k in MEDIA_SCHEMA.names}
-    for i in range(100):
-        img = rng.integers(0, 256, size=(16, 16, 3), dtype=np.uint8)
-        rows["media_id"].append(i)
-        rows["kind"].append("image")
-        rows["format"].append("png")
-        rows["payload"].append(encode_png(img))
-        rows["width"].append(16)
-        rows["height"].append(16)
-        rows["sample_rate"].append(0)
-        rows["duration_ms"].append(0)
-    media = rd.from_arrow(pa.Table.from_pydict(rows, schema=MEDIA_SCHEMA))
-    out = decode_images(media, decoder="png").to_pandas()
-    out["mean_r"] = [float(np.round(v[0], 3)) for v in out["mean_rgb"]]
-    return (out[["media_id", "kind", "format", "mean_r"]]
-            .sort_values("media_id").reset_index(drop=True))
-
-
-def nq_jpeg_decode(sf_dir: str):
-    """REAL JPEG decode (dependency-free baseline codec, ops/jpeg.py)
-    through the actor pool: deterministic images round-trip through actual
-    baseline-JPEG bytes (4:4:4 and 4:2:0 interleaved).  Lossy codec, but
-    encode+decode are both deterministic, so the output is stable."""
-    from ..ops.jpeg import encode_jpeg
-    from ..ops.multimodal import MEDIA_SCHEMA, decode_images
-
-    rng = np.random.default_rng(23)
-    rows = {k: [] for k in MEDIA_SCHEMA.names}
-    for i in range(100):
-        base = rng.integers(0, 256, size=(8, 8, 3), dtype=np.uint8)
-        img = np.repeat(np.repeat(base, 2, axis=0), 2, axis=1)
-        rows["media_id"].append(i)
-        rows["kind"].append("image")
-        rows["format"].append("jpeg")
-        rows["payload"].append(
-            encode_jpeg(img, subsample="420" if i % 2 else "444"))
-        rows["width"].append(16)
-        rows["height"].append(16)
-        rows["sample_rate"].append(0)
-        rows["duration_ms"].append(0)
-    media = rd.from_arrow(pa.Table.from_pydict(rows, schema=MEDIA_SCHEMA))
-    out = decode_images(media, decoder="jpeg").to_pandas()
-    out["mean_r"] = [float(np.round(v[0], 3)) for v in out["mean_rgb"]]
-    return (out[["media_id", "kind", "format", "mean_r"]]
-            .sort_values("media_id").reset_index(drop=True))
-
-
-def nq_diverse_sample(sf_dir: str):
-    """Cluster-balanced diversity sampling over the embeddings table
-    (`ops/sampling.diverse_sample`): k-means assignment + deterministic
-    per-cluster pick — every embedding region represented regardless of
-    mode imbalance; pytest oracle on planted blobs."""
-    from ..ops.sampling import diverse_sample
-
-    emb = _t(sf_dir, "embeddings", ["vec_id", "embedding"])
-    out = diverse_sample(emb, "vec_id", "embedding",
-                         n_per_cluster=5, n_clusters=8, seed=7)
-    return (out[["ivf_cluster", "vec_id"]]
-            .sort_values(["ivf_cluster", "vec_id"]).reset_index(drop=True))
-
-
-def nq_paragraph_dedup(sf_dir: str):
-    """Corpus-level duplicated-paragraph removal (CCNet/C4-style;
-    `ops/dedup.dedup_segments`): boilerplate paragraphs planted across a
-    deterministic corpus are dropped everywhere but their first global
-    occurrence.  Two-tier distributed shape — 8-byte segment hashes
-    shuffle, winner set ∝ duplicate density; pytest oracle in
-    tests/test_grouped_ops2.py."""
-    from ..ops.dedup import dedup_segments
-
-    rng = np.random.default_rng(25)
-    vocab = np.array(["alpha", "bravo", "charlie", "delta", "echo"])
-    boiler = ["subscribe to our newsletter today",
-              "all rights reserved worldwide"]
-    rows = []
-    for d in range(300):
-        paras = [" ".join(rng.choice(vocab, size=6)) + f" u{d}_{i}"
-                 for i in range(4)]
-        if d % 3 == 0:
-            paras.insert(1, boiler[0])
-        if d % 5 == 0:
-            paras.append(boiler[1])
-        rows.append((d, "\n\n".join(paras)))
-    df = pd.DataFrame(rows, columns=["doc_id", "text"])
-    out = dedup_segments(rd.from_pandas(df), "doc_id", "text")
-    return (out.select_columns(["doc_id", "n_kept", "n_dropped"])
-            .to_pandas().sort_values("doc_id").reset_index(drop=True))
-
-
-def nq_gif_frames(sf_dir: str):
-    """REAL video-path frame sampling: deterministic animated GIFs
-    (dependency-free ops/gif.py codec — LZW, per-frame delays) decoded
-    and sampled in the actor pool; frame_ms comes from the stream's own
-    timing, not metadata."""
-    from ..ops.gif import encode_gif
-    from ..ops.multimodal import MEDIA_SCHEMA, sample_frames
-
-    rng = np.random.default_rng(24)
-    rows = {k: [] for k in MEDIA_SCHEMA.names}
-    for i in range(50):
-        base = rng.integers(0, 4, size=(16, 16, 3)).astype(np.uint8) * 64
-        frames = []
-        for f in range(6):
-            fr = base.copy()
-            fr[(f * 2):(f * 2 + 3), :, 0] = 224
-            frames.append(fr)
-        rows["media_id"].append(i)
-        rows["kind"].append("video")
-        rows["format"].append("gif")
-        rows["payload"].append(encode_gif(frames, delay_ms=100))
-        rows["width"].append(16)
-        rows["height"].append(16)
-        rows["sample_rate"].append(0)
-        rows["duration_ms"].append(600)
-    media = rd.from_arrow(pa.Table.from_pydict(rows, schema=MEDIA_SCHEMA))
-    out = sample_frames(media, n_frames=4, decoder="gif").to_pandas()
-    out["mean_r"] = [float(np.round(v[0], 3)) for v in out["mean_rgb"]]
-    return (out[["media_id", "frame_idx", "frame_ms", "mean_r"]]
-            .sort_values(["media_id", "frame_idx"]).reset_index(drop=True))
-
-
-def nq_audio_features(sf_dir: str):
-    """REAL WAV decode (stdlib wave) through the actor pool: rms/peak/
-    duration features per clip."""
-    from ..ops.multimodal import MEDIA_SCHEMA, decode_audio, encode_wav
-
-    rng = np.random.default_rng(22)
-    rows = {k: [] for k in MEDIA_SCHEMA.names}
-    for i in range(100):
-        samples = (rng.normal(0, 2000 + 100 * i, size=800)).astype(np.int16)
-        rows["media_id"].append(i)
-        rows["kind"].append("audio")
-        rows["format"].append("wav")
-        rows["payload"].append(encode_wav(samples, 16000))
-        rows["width"].append(0)
-        rows["height"].append(0)
-        rows["sample_rate"].append(16000)
-        rows["duration_ms"].append(50)
-    media = rd.from_arrow(pa.Table.from_pydict(rows, schema=MEDIA_SCHEMA))
-    out = decode_audio(media).to_pandas()
-    out["rms"] = np.round(out["rms"], 3)
-    return (out[["media_id", "rms", "peak", "decoded_ms", "sample_rate"]]
-            .sort_values("media_id").reset_index(drop=True))
-
-
 def nq_validate_documents(sf_dir: str):
     """Flagship validation pass over the documents table: verdict rows."""
     from ..pipeline import validate_dataset
@@ -7371,181 +1255,13 @@ def nq_validate_events(sf_dir: str):
     return pd.DataFrame(rows)
 
 
-def nq_curation_pipeline(sf_dir: str):
-    """End-to-end training-data curation over documents: quality scoring →
-    threshold filter → MinHash near-dup removal (keep cluster
-    representative) → token accounting.  The composite shape a 100 TB
-    pretraining-data pipeline runs per shard."""
-    from ray.data.aggregate import Count, Sum
-
-    from ..ops.dedup import minhash_lsh_dedup
-    from ..ops.text import QualityScorer, TokenCounter
-
-    ds = _t(sf_dir, "documents", ["doc_id", "text", "lang"])
-    scored = ds.map_batches(QualityScorer(), batch_format="pandas")
-    kept = scored.map_batches(lambda b: b[b["quality"] >= 0.5],
-                              batch_format="pandas")
-    labels = minhash_lsh_dedup(kept, jaccard_threshold=0.8)
-    # collect ONLY the duplicate ids (∝ dup density): the corpus-sized
-    # label table is filtered on-cluster, never materialized on the driver
-    dup_df = labels.map_batches(lambda b: b[b["is_duplicate"]][["doc_id"]],
-                                batch_format="pandas").to_pandas()
-    dups = set(dup_df["doc_id"])
-    import ray as _ray
-
-    ref = _ray.put(dups)
-
-    def drop_dups(b: pd.DataFrame) -> pd.DataFrame:
-        return b[~b["doc_id"].isin(_ray.get(ref))]
-
-    final = kept.map_batches(drop_dups, batch_format="pandas")         .map_batches(TokenCounter(), batch_format="pandas")
-    # project + arrow-out before the groupby exchange (ROUND_NOTES r4)
-    final = final.map_batches(
-        lambda b: pa.Table.from_pandas(b[["lang", "n_tokens_ws"]],
-                                       preserve_index=False),
-        batch_format="pandas")
-    out = (final.groupby("lang")
-           .aggregate(Count(alias_name="n_docs"),
-                      Sum("n_tokens_ws", alias_name="total_tokens")))
-    return out.to_pandas().sort_values("lang").reset_index(drop=True)
-
-
-def nq_heavy_hitters(sf_dir: str):
-    """Approximate heavy-hitter users via mergeable Misra-Gries summaries
-    (k-counter sketch per batch, KB-scale driver merge).  The exact twin
-    is a groupby count; the pytest oracle asserts the MG guarantee
-    (every > n/(k+1)-frequent value present, counts within the bound)."""
-    from ..ops.text import heavy_hitters
-
-    return heavy_hitters(_t(sf_dir, "events", ["user_id"]),
-                         "user_id", k=64, top_n=20)
-
-
-def nq_bm25_search(sf_dir: str):
-    """BM25 top-20 retrieval over the documents table against a broadcast
-    query string (`ops/text.bm25_topk`): global N/avgdl/df stats pass
-    (df shipped for QUERY terms only), vectorized per-batch scoring,
-    partial top-k + tiny merge.  Floats + ranking → pytest oracle
-    (tests/test_round4_ops.py) instead of a hash-exact SQL one."""
-    from ..ops.text import bm25_topk
-
-    return bm25_topk(_t(sf_dir, "documents", ["doc_id", "text"]),
-                     query="hash join merge", k=20)
-
-
-def nq_embedding_pca(sf_dir: str):
-    """Distributed PCA over the embeddings table
-    (`ops/embedding.embedding_pca`): covariance from ONE moment pass
-    (d×d partials only), driver-side eigensolve, broadcast projection.
-    pytest oracle: matches numpy full-data PCA up to sign
-    (tests/test_round4_ops.py)."""
-    from ..ops.embedding import embedding_pca, pca_transform
-
-    ds = _t(sf_dir, "embeddings", ["vec_id", "embedding"])
-    mean, comps, _ = embedding_pca(ds, n_components=2)
-    out = pca_transform(ds, mean, comps)
-
-    def fmt(b: pd.DataFrame) -> pd.DataFrame:
-        P = np.stack(b["pca"].to_numpy()) if len(b) else np.zeros((0, 2))
-        return pd.DataFrame({"vec_id": b["vec_id"].to_numpy(),
-                             "pc1": np.round(P[:, 0], ROUND_F),
-                             "pc2": np.round(P[:, 1], ROUND_F)})
-
-    return out.map_batches(fmt, batch_format="pandas")
-
-
-def nq_kmeans_clusters(sf_dir: str):
-    """Full-data Lloyd k-means (`ops/embedding.kmeans_fit`): per
-    iteration one streaming pass reducing each batch to k×(d+1) partial
-    sums; assignments via broadcast centroids.  Returns per-cluster
-    sizes; pytest oracle asserts exact agreement with a single-machine
-    Lloyd run from the same init (tests/test_round4_ops.py)."""
-    from ..ops.embedding import kmeans_assign, kmeans_fit
-
-    ds = _t(sf_dir, "embeddings", ["vec_id", "embedding"])
-    centers, _, _ = kmeans_fit(ds, n_clusters=8, iters=8, seed=42)
-    assigned = kmeans_assign(ds, centers)
-    return (assigned.groupby("cluster").count()
-            .to_pandas().sort_values("cluster").reset_index(drop=True))
-
-
 NONSQL_QUERIES = {
-    "nq_bm25_search": nq_bm25_search,
-    "nq_embedding_pca": nq_embedding_pca,
-    "nq_kmeans_clusters": nq_kmeans_clusters,
-    "nq_curation_pipeline": nq_curation_pipeline,
-    "nq_heavy_hitters": nq_heavy_hitters,
-    "nq_minhash_dedup": nq_minhash_dedup,
-    "nq_simhash_dedup": nq_simhash_dedup,
-    "nq_ngram_jaccard_dedup": nq_ngram_jaccard_dedup,
-    "nq_embedding_dedup": nq_embedding_dedup,
-    "nq_ivf_ann": nq_ivf_ann,
-    "nq_ivf_index": nq_ivf_index,
-    "nq_langid": nq_langid,
-    "nq_quality_scores": nq_quality_scores,
-    "nq_fingerprints": nq_fingerprints,
     "nq_hll_distinct_users": nq_hll_distinct_users,
     "nq_daily_drift": nq_daily_drift,
     "nq_drift_events": nq_drift_events,
     "nq_unusual_ratio_events": nq_unusual_ratio_events,
-    "nq_lang_median_digest": nq_lang_median_digest,
-    "nq_multimodal_decode": nq_multimodal_decode,
-    "nq_frame_sample": nq_frame_sample,
-    "nq_png_decode": nq_png_decode,
-    "nq_jpeg_decode": nq_jpeg_decode,
-    "nq_diverse_sample": nq_diverse_sample,
-    "nq_paragraph_dedup": nq_paragraph_dedup,
-    "nq_gif_frames": nq_gif_frames,
-    "nq_audio_features": nq_audio_features,
-    "nq_lsh_ann": nq_lsh_ann,
     "nq_validate_documents": nq_validate_documents,
     "nq_validate_events": nq_validate_events,
-    "nq_compression_ratio": nq_compression_ratio,
-    "nq_table_profile": nq_table_profile,
-    "nq_logreg_quality": nq_logreg_quality,
-    "nq_cusum_changepoint": nq_cusum_changepoint,
-    "nq_bpe_tokenizer": nq_bpe_tokenizer,
-    "nq_pq_ann": nq_pq_ann,
-    "nq_gbdt_price": nq_gbdt_price,
-    "nq_semdedup": nq_semdedup,
-    "nq_incremental_minhash": nq_incremental_minhash,
 }
 
-# The correctness driver snapshots only the FIRST 50 entries of
-# ``queries()``.  q01–q50 have green hash-checked rows in
-# CORRECTNESS_r01–r03 and q51–q100 in CORRECTNESS_r04 — except
-# q51/q73/q79, whose oracle SQL carried a HUGEINT column until the casts
-# above; those three need a re-attest.  68 oracled queries (q101+) have
-# never been in a driver window, so the 50 slots are curated explicitly:
-# the 3 re-casts, then q101–q139 (the r4 additions the judge asked to
-# attest), then the highest-value q140+ (dedup/ML paths that graduated
-# from rows-only to hash-oracled late in r4).  Everything else follows:
-# remaining unattested oracled, attested oracled, then nq_* rows-only.
-_WINDOW_PRIORITY = (
-    ["q51_json_props_stats", "q73_lang_outliers", "q79_pack_sequences"]
-    + [k for k in SQL_QUERIES
-       if k[0] == "q" and k[1:4].isdigit() and 101 <= int(k[1:4]) <= 139]
-    + ["q141_cusum_daily", "q142_bpe_pair_counts", "q144_tree_split",
-       "q156_phash_dedup", "q158_minhash_planted",
-       "q160_embedding_dedup_planted", "q169_winnow_planted",
-       "q175_codec_roundtrip"]
-)
-assert len(_WINDOW_PRIORITY) == 50, len(_WINDOW_PRIORITY)
-
-_ATTESTED = {
-    f"q{i:02d}" for i in range(1, 101)
-}  # r1–r4 driver-attested prefix numbers
-
-
-def _attested(name: str) -> bool:
-    return name.split("_", 1)[0] in _ATTESTED
-
-
-ALL_QUERIES = {
-    **{k: SQL_QUERIES[k] for k in _WINDOW_PRIORITY},
-    **{k: v for k, v in SQL_QUERIES.items()
-       if k not in _WINDOW_PRIORITY and not _attested(k)},
-    **{k: v for k, v in SQL_QUERIES.items()
-       if k not in _WINDOW_PRIORITY and _attested(k)},
-    **NONSQL_QUERIES,
-}
+ALL_QUERIES = {**SQL_QUERIES, **NONSQL_QUERIES}

@@ -347,62 +347,6 @@ class HLL:
         return float(e)
 
 
-
-class MisraGries:
-    """Misra-Gries heavy-hitters summary (a.k.a. SpaceSaving's decrement
-    cousin): at most ``k`` counters; any item with true frequency
-    > n/(k+1) is guaranteed present, and every reported count
-    undercounts its true frequency by at most ``self.decrements``
-    (<= n/(k+1)).
-
-    ``merge`` is the standard mergeable-summaries construction (Agarwal
-    et al., PODS'12): sum counters pairwise, then subtract the
-    (k+1)-largest count from all and drop non-positive ones — the error
-    bounds add.  Both update and merge are vectorized (one
-    ``np.unique``/dict pass per call, no per-item Python in the hot
-    path beyond dict ops over <= k + batch-vocab keys).
-    """
-
-    __slots__ = ("k", "counters", "decrements")
-
-    def __init__(self, k: int = 64) -> None:
-        self.k = int(k)
-        self.counters: dict = {}
-        self.decrements = 0
-
-    def update(self, values: np.ndarray | list) -> "MisraGries":
-        vals = np.asarray(values, dtype=object)
-        if len(vals) == 0:
-            return self
-        uniq, cnt = np.unique(vals, return_counts=True)
-        for v, c in zip(uniq.tolist(), cnt.tolist()):
-            self.counters[v] = self.counters.get(v, 0) + int(c)
-        self._shrink()
-        return self
-
-    def merge(self, other: "MisraGries") -> "MisraGries":
-        for v, c in other.counters.items():
-            self.counters[v] = self.counters.get(v, 0) + c
-        self.decrements += other.decrements
-        self._shrink()
-        return self
-
-    def _shrink(self) -> None:
-        if len(self.counters) <= self.k:
-            return
-        counts = np.fromiter(self.counters.values(), dtype=np.int64)
-        # (k+1)-th largest value: subtracting it kills >= the excess keys
-        kth = np.partition(counts, len(counts) - self.k - 1)[
-            len(counts) - self.k - 1]
-        self.decrements += int(kth)
-        self.counters = {v: c - kth for v, c in self.counters.items()
-                         if c > kth}
-
-    def items(self) -> list[tuple]:
-        """(value, lower-bound count) pairs, count DESC then value ASC."""
-        return sorted(self.counters.items(), key=lambda kv: (-kv[1], kv[0]))
-
-
 # ---------------------------------------------------------------------------
 # serialization helpers — sketches travel as binary cells in Arrow tables
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Regression tests for the round-1 advisor findings (ADVICE.md r1):
 
 * null-stable key hashing across batches (int64-with-null promotion bug),
-* salted mean with null values (SQL AVG semantics),
 * silver layer keeps the first-wins copy of duplicated keys,
 * truncated violation samples fail loudly instead of leaking into silver,
 * table-global uniqueness reported on a dedicated window -1,
@@ -71,22 +70,6 @@ class TestNullStableHashing:
         assert winners is not None
         w = winners.to_pandas()
         assert list(w["key"]) == ["42"] and int(w["win_order"].iloc[0]) == 10
-
-
-class TestSaltedMeanNulls:
-    def test_mean_skips_nulls_like_sql_avg(self, ray_session):
-        import ray.data as rd
-
-        from driftray.ops.relational import salted_groupby_agg
-
-        df = pd.DataFrame({
-            "g": ["a"] * 4 + ["b"] * 3,
-            "v": [1.0, None, 3.0, None, 10.0, 20.0, None],
-        })
-        out = salted_groupby_agg(rd.from_pandas(df), ["g"], {"v": "mean"},
-                                 n_salts=4).to_pandas().set_index("g")
-        assert out.loc["a", "mean_v"] == pytest.approx(2.0)   # (1+3)/2, not /4
-        assert out.loc["b", "mean_v"] == pytest.approx(15.0)  # (10+20)/2, not /3
 
 
 class TestMeanDifferenceZeroStd:

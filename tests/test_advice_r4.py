@@ -1,107 +1,15 @@
 """Regression tests for the round-3 ADVICE.md findings (fixed in round 4).
 
-1. selection.exact_kth — int64 bounds above 2^53 must not round-trip
-   through float64 (a rounded-up lo silently excluded the true minimum).
-2. selection.exact_kth — float bucket membership and next-round interval
-   bounds both derive from one shared edges array (no IEEE disagreement).
-3. relational rollup/cube — grand-total branch on empty input / explicit
-   Sum output type.
-4. ranking._grid — shares the int-exact min/max fix.
-5. drift.windowed_drift_series — unsupported units raise at the API
+drift.windowed_drift_series — unsupported units raise at the API
    boundary, not deep inside a map_batches task.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 import pytest
 
 import ray.data as rd
-
-
-def test_exact_kth_int64_above_2e53(ray_session):
-    from driftray.ops.selection import exact_kth
-
-    # 2^62 + i: float64(2^62) == 2^62 exactly but float64(2^62 + 1) rounds
-    # away — the old float-carried lo excluded the true minimum.
-    base = 2**62
-    vals = np.array([base + i for i in range(40)], dtype=np.int64)
-    rng = np.random.default_rng(7)
-    rng.shuffle(vals)
-    ds = rd.from_items([{"x": int(v)} for v in vals]).repartition(4)
-    assert exact_kth(ds, "x", 1, n_buckets=8, fetch_threshold=4) == base
-    assert exact_kth(ds, "x", 2, n_buckets=8, fetch_threshold=4) == base + 1
-    assert exact_kth(ds, "x", 40, n_buckets=8, fetch_threshold=4) == base + 39
-
-
-def test_exact_kth_full_int64_span(ray_session):
-    """Span larger than int64 max (min near -2^62, max near +2^62)."""
-    from driftray.ops.selection import exact_kth
-
-    vals = np.array([-2**62, -2**62 + 3, -5, 0, 7, 2**62 - 1, 2**62],
-                    dtype=np.int64)
-    ds = rd.from_items([{"x": int(v)} for v in vals])
-    srt = np.sort(vals)
-    for k in range(1, len(vals) + 1):
-        assert exact_kth(ds, "x", k, n_buckets=4,
-                         fetch_threshold=2) == srt[k - 1]
-
-
-def test_exact_quantile_float_boundaries(ray_session):
-    """Tight float range where division/multiplication rounding used to
-    disagree at bucket boundaries."""
-    from driftray.ops.selection import exact_quantile
-
-    rng = np.random.default_rng(3)
-    f = rng.normal(1e9, 1e-3, 3000)  # huge offset, tiny spread
-    ds = rd.from_items([{"x": float(v)} for v in f]).repartition(5)
-    srt = np.sort(f)
-    for q in (0.0, 0.1, 0.5, 0.9, 1.0):
-        got = exact_quantile(ds, "x", q, n_buckets=8, fetch_threshold=16)
-        assert got == srt[int(np.floor(q * (len(f) - 1)))]
-
-
-def test_global_rank_int64_above_2e53(ray_session):
-    from driftray.ops.ranking import global_rank
-
-    base = 2**61
-    vals = [base + i for i in (5, 1, 9, 0, 3, 7, 2, 8, 6, 4)]
-    ds = rd.from_items([{"v": v, "id": i} for i, v in enumerate(vals)])
-    out = global_rank(ds, "v", ["id"], out_col="r", n_buckets=4,
-                      num_partitions=2).to_pandas()
-    out = out.sort_values("v").reset_index(drop=True)
-    assert list(out["r"]) == list(range(1, 11))
-
-
-def test_rollup_empty_input(ray_session):
-    from driftray.ops.relational import rollup_aggregate
-
-    empty = rd.from_arrow(pa.table({"a": pa.array([], pa.string()),
-                                    "x": pa.array([], pa.int64())}))
-    out = rollup_aggregate(empty, ["a"], "x", "s").to_pandas()
-    # SQL ROLLUP on empty input: just the grand-total row with NULL sum
-    assert len(out) == 1
-    assert out["a"].iloc[0] == "ALL"
-    assert pd.isna(out["s"].iloc[0])
-
-
-def test_cube_empty_and_int_type(ray_session):
-    from driftray.ops.relational import cube_aggregate
-
-    empty = rd.from_arrow(pa.table({"a": pa.array([], pa.string()),
-                                    "b": pa.array([], pa.string()),
-                                    "x": pa.array([], pa.int64())}))
-    out = cube_aggregate(empty, ["a", "b"], "x", "s").to_pandas()
-    assert len(out) == 1 and pd.isna(out["s"].iloc[0])
-
-    ds = rd.from_items([{"a": "p", "b": "u", "x": 2},
-                        {"a": "p", "b": "v", "x": 3},
-                        {"a": "q", "b": "u", "x": 5}])
-    cube = cube_aggregate(ds, ["a", "b"], "x", "s").to_pandas()
-    assert len(cube) == 3 + 2 + 2 + 1  # finest + by-a + by-b + total
-    total = cube[(cube["a"] == "ALL") & (cube["b"] == "ALL")]["s"].iloc[0]
-    assert total == 10 and cube["s"].dtype == np.int64
 
 
 def test_windowed_drift_series_unit_validation(ray_session):

@@ -1,9 +1,6 @@
-"""Alert-rule evaluation (T5/DESIGN.md:674-747), skew-safe salted groupby
-(SURVEY §4.2 salting invariance), and config-driven TableSpec."""
+"""Alert-rule evaluation (T5/DESIGN.md:674-747) and config-driven
+TableSpec."""
 
-import numpy as np
-import pandas as pd
-import pytest
 
 from driftray.alerts import AlertManager, AlertRule
 from driftray.spec import spec_from_dict
@@ -50,42 +47,6 @@ class TestAlerts:
     def test_counters_metric_missing_is_skipped(self):
         rule = AlertRule("x", "counters.nope", ">", 0)
         assert rule.evaluate({"counters": {}}) is None
-
-
-class TestSaltedGroupby:
-    def test_salted_equals_unsalted(self, ray_session):
-        import ray.data as rd
-        from ray.data.aggregate import Count, Max, Min, Sum
-
-        from driftray.ops.relational import salted_groupby_agg
-
-        rng = np.random.default_rng(21)
-        # Zipf-skewed keys: one key holds ~40% of rows (the straggler case)
-        keys = np.where(rng.random(20_000) < 0.4, "hot",
-                        rng.choice([f"k{i}" for i in range(50)], 20_000))
-        df = pd.DataFrame({"k": keys, "v": rng.normal(10, 3, 20_000)})
-        ds = rd.from_pandas(df).repartition(8)
-
-        salted = salted_groupby_agg(ds, ["k"], {"v": "sum"},
-                                    n_salts=16).to_pandas()
-        direct = df.groupby("k")["v"].sum().reset_index()
-        merged = salted.merge(direct, on="k")
-        assert len(merged) == df["k"].nunique()
-        np.testing.assert_allclose(merged["sum_v"], merged["v"], rtol=1e-9)
-
-    def test_salted_mean_min_max(self, ray_session):
-        import ray.data as rd
-
-        from driftray.ops.relational import salted_groupby_agg
-
-        rng = np.random.default_rng(5)
-        df = pd.DataFrame({"k": rng.choice(["a", "b"], 5000),
-                           "v": rng.uniform(0, 100, 5000)})
-        out = salted_groupby_agg(rd.from_pandas(df), ["k"],
-                                 {"v": "mean"}, n_salts=8).to_pandas()
-        exp = df.groupby("k")["v"].mean()
-        for _, r in out.iterrows():
-            assert r["mean_v"] == pytest.approx(exp[r["k"]], rel=1e-9)
 
 
 class TestSpecFromDict:

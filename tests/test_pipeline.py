@@ -206,31 +206,6 @@ class TestSilverLayer:
         assert not (set(refs) & bad)
 
 
-class TestDistributedBloom:
-    def test_matches_driver_side_build(self, fixture_dir, ray_session):
-        """Distributed partial-Bloom OR-merge == single-pass build: same
-        bits, no false negatives on the dim keys."""
-        import numpy as np
-        import ray.data as rd
-
-        from driftray.checks import hash_keys
-        from driftray.pipeline import build_membership, build_membership_distributed
-
-        dim = rd.read_parquet(f"{fixture_dir}/commits.parquet")
-        n = dim.count()
-        bf_dist = build_membership_distributed(
-            dim, ("repo", "commit"), capacity=n)
-        bf_local = build_membership(
-            rd.read_parquet(f"{fixture_dir}/commits.parquet"),
-            ("repo", "commit"), use_bloom=True, capacity_hint=n)
-        assert (bf_dist.bits == bf_local.bits).all()
-        import pyarrow.parquet as pq2
-
-        keys = pq2.read_table(f"{fixture_dir}/commits.parquet")
-        kh = hash_keys(keys, ("repo", "commit"))
-        assert bf_dist.contains(kh).all()
-
-
 def test_aggregate_profiles_matches_full_recompute(tmp_path, ray_session):
     """Merging per-window sketch sidecars == profiling the whole table:
     exact for count/mean/std/min/max (Welford merge is exact), tolerance

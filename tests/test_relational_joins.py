@@ -1,148 +1,4 @@
-"""New relational operators (round 2): large-large hash-shuffle join,
-as-of join, hopping windows — each against a pandas/numpy oracle."""
-
-import numpy as np
-import pandas as pd
-import pytest
-
-
-@pytest.fixture(scope="module")
-def rds(ray_session):
-    import ray.data as rd
-
-    return rd
-
-
-class TestHashShuffleJoin:
-    def test_inner_matches_pandas_merge(self, rds):
-        from driftray.ops.relational import hash_shuffle_join
-
-        rng = np.random.default_rng(3)
-        left = pd.DataFrame({"k": rng.integers(0, 50, 500),
-                             "lv": rng.normal(size=500)})
-        right = pd.DataFrame({"rk": np.arange(40),
-                              "rv": rng.normal(size=40)})
-        out = hash_shuffle_join(rds.from_pandas(left), rds.from_pandas(right),
-                                on=["k"], right_on=["rk"],
-                                num_partitions=4).to_pandas()
-        exp = left.merge(right, left_on="k", right_on="rk")
-        assert len(out) == len(exp)
-        assert (out.sort_values(["k", "lv"]).reset_index(drop=True)["lv"]
-                == exp.sort_values(["k", "lv"]).reset_index(drop=True)["lv"]).all()
-
-    def test_left_outer_keeps_unmatched(self, rds):
-        from driftray.ops.relational import hash_shuffle_join
-
-        left = pd.DataFrame({"k": [1, 2, 99], "lv": [1.0, 2.0, 3.0]})
-        right = pd.DataFrame({"k": [1, 2], "rv": [10.0, 20.0]})
-        out = hash_shuffle_join(rds.from_pandas(left), rds.from_pandas(right),
-                                on=["k"], how="left_outer",
-                                num_partitions=2).to_pandas()
-        assert len(out) == 3
-        assert out.loc[out["k"] == 99, "rv"].isna().all()
-
-
-class TestAsofJoin:
-    def _oracle(self, left: pd.DataFrame, right: pd.DataFrame, strict=True):
-        prev = []
-        for _, row in left.iterrows():
-            r = right[(right["k"] == row["k"])
-                      & ((right["ts"] < row["ts"]) if strict
-                         else (right["ts"] <= row["ts"]))]
-            prev.append(r.sort_values("ts")["v"].iloc[-1] if len(r) else np.nan)
-        return np.array(prev)
-
-    def test_backward_strict_matches_row_oracle(self, rds):
-        from driftray.ops.relational import asof_join
-
-        rng = np.random.default_rng(7)
-        n = 400
-        left = pd.DataFrame({
-            "eid": np.arange(n),
-            "k": rng.integers(0, 8, n),
-            "ts": pd.to_datetime("2024-01-01")
-            + pd.to_timedelta(rng.integers(0, 10**6, n), unit="s"),
-            "lv": rng.normal(size=n),
-        })
-        right = pd.DataFrame({
-            "k": rng.integers(0, 8, 100),
-            "ts": pd.to_datetime("2024-01-01")
-            + pd.to_timedelta(rng.integers(0, 10**6, 100), unit="s"),
-            "v": rng.normal(size=100),
-        })
-        out = asof_join(rds.from_pandas(left), rds.from_pandas(right),
-                        on=["k"], left_ts="ts", right_ts="ts",
-                        right_values=["v"]).to_pandas()
-        out = out.sort_values("eid").reset_index(drop=True)
-        exp = self._oracle(left, right)
-        got = out["v_asof"].to_numpy()
-        assert len(out) == n
-        assert np.isnan(exp).tolist() == np.isnan(got).tolist()
-        m = ~np.isnan(exp)
-        assert got[m] == pytest.approx(exp[m])
-
-    def test_key_with_no_right_rows_gets_null(self, rds):
-        from driftray.ops.relational import asof_join
-
-        left = pd.DataFrame({"k": [1, 5], "ts": pd.to_datetime(
-            ["2024-01-02", "2024-01-02"]), "lv": [1.0, 2.0]})
-        right = pd.DataFrame({"k": [1], "ts": pd.to_datetime(["2024-01-01"]),
-                              "v": [42.0]})
-        out = asof_join(rds.from_pandas(left), rds.from_pandas(right),
-                        on=["k"], left_ts="ts", right_ts="ts",
-                        right_values=["v"]).to_pandas().set_index("k")
-        assert out.loc[1, "v_asof"] == 42.0
-        assert np.isnan(out.loc[5, "v_asof"])
-
-
-class TestSetOps:
-    def test_intersect_and_except_match_python_sets(self, rds):
-        from driftray.ops.relational import except_, intersect
-
-        rng = np.random.default_rng(11)
-        l = pd.DataFrame({"k": rng.integers(0, 30, 200)})
-        r = pd.DataFrame({"k": rng.integers(15, 45, 200)})
-        li, ri = set(l["k"]), set(r["k"])
-        got_i = set(intersect(rds.from_pandas(l), rds.from_pandas(r),
-                              ["k"]).to_pandas()["k"])
-        got_e = set(except_(rds.from_pandas(l), rds.from_pandas(r),
-                            ["k"]).to_pandas()["k"])
-        assert got_i == (li & ri)
-        assert got_e == (li - ri)
-
-    def test_multi_column_and_duplicates_are_distinct(self, rds):
-        from driftray.ops.relational import intersect
-
-        l = pd.DataFrame({"a": ["x", "x", "y"], "b": [1, 1, 2]})
-        r = pd.DataFrame({"a": ["x", "x"], "b": [1, 1]})
-        out = intersect(rds.from_pandas(l), rds.from_pandas(r),
-                        ["a", "b"]).to_pandas()
-        assert len(out) == 1  # SQL INTERSECT is distinct
-
-
-class TestHoppingWindows:
-    def test_each_row_in_size_over_hop_windows(self, rds):
-        from driftray.ops.relational import hopping_window_flatmap
-
-        ts = pd.to_datetime(["2024-01-01 00:07:30", "2024-01-01 00:00:00"])
-        df = pd.DataFrame({"ts": ts, "x": [1, 2]})
-        out = hopping_window_flatmap(rds.from_pandas(df), "ts",
-                                     size_s=900, hop_s=300).to_pandas()
-        assert len(out) == 6  # 3 windows per row
-        w1 = sorted(out.loc[out["x"] == 1, "window_start_s"])
-        t0 = int(pd.Timestamp("2024-01-01 00:07:30").timestamp())
-        base = (t0 // 300) * 300
-        assert w1 == [base - 600, base - 300, base]
-        # every emitted window actually contains its row
-        tsec = out["ts"].astype("int64") // 10**9
-        assert ((out["window_start_s"] <= tsec)
-                & (tsec < out["window_start_s"] + 900)).all()
-
-    def test_rejects_nondivisible(self, rds):
-        from driftray.ops.relational import hopping_window_flatmap
-
-        with pytest.raises(ValueError):
-            hopping_window_flatmap(None, "ts", size_s=700, hop_s=300)
+"""``union_by_name`` against a pandas oracle."""
 
 
 def test_union_by_name_pads_and_rejects_conflicts(ray_session):

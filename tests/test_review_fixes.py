@@ -1,33 +1,9 @@
 """Regression tests for the round-2 self-review findings."""
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
-import pytest
 
 from driftray.checks import hash_keys
-
-
-@pytest.fixture(scope="module")
-def rds(ray_session):
-    import ray.data as rd
-
-    return rd
-
-
-class TestDedupExactNullBlock:
-    def test_int_key_with_null_in_block_still_dedups(self, rds):
-        """A pandas batch roundtrip would promote the null-bearing block's
-        int64 keys to float64 and silently keep its duplicates."""
-        from driftray.ops.relational import dedup_exact
-
-        t1 = pa.table({"key": pa.array([42, 7], pa.int64()),
-                       "ord": pa.array([1, 2], pa.int64())})
-        t2 = pa.table({"key": pa.array([42, None], pa.int64()),
-                       "ord": pa.array([3, 4], pa.int64())})
-        out = dedup_exact(rds.from_arrow([t1, t2]), ["key"], "ord").to_pandas()
-        k42 = out[out["key"] == 42]
-        assert len(k42) == 1 and int(k42["ord"].iloc[0]) == 1
 
 
 class TestUint64Keys:
@@ -39,96 +15,7 @@ class TestUint64Keys:
         assert hash_keys(clean, ["k"])[0] == h[0]  # null-stable too
 
 
-class TestDuplicateValuesSortedExact:
-    def test_all_unique_returns_empty(self, rds):
-        from driftray.ops.relational import duplicate_values_sorted
-
-        df = pd.DataFrame({"v": np.arange(5000, dtype=np.int64)})
-        out = duplicate_values_sorted(rds.from_pandas(df), "v",
-                                      sort_partitions=8)
-        assert len(out) == 0  # exact: no boundary false-positives
-
-    def test_cross_partition_duplicates_found(self, rds):
-        from driftray.ops.relational import duplicate_values_sorted
-
-        rng = np.random.default_rng(33)
-        v = np.arange(10000, dtype=np.int64)
-        v[7777] = v[11]   # duplicate far apart in input order
-        v[123] = v[9999]
-        rng.shuffle(v)
-        out = set(duplicate_values_sorted(
-            rds.from_pandas(pd.DataFrame({"v": v})), "v",
-            sort_partitions=16).tolist())
-        assert out == {11, 9999}
-
-
-class TestTokenBudgetEmptyInput:
-    def test_empty_dataset_returns_empty(self, rds):
-        from driftray.ops.curation import token_budget_select
-
-        df = pd.DataFrame({"g": pd.Series([], dtype="object"),
-                           "oid": pd.Series([], dtype="int64"),
-                           "tok": pd.Series([], dtype="int64")})
-        out = token_budget_select(rds.from_pandas(df), "g", "tok", "oid",
-                                  budget=100)
-        assert out.count() == 0
-
-
 # --- round-4 self-review fixes (code-review over 9b32d28..HEAD) ------------
-
-
-class TestCompactionResume:
-    def test_partial_debris_cleared(self, ray_session, tmp_path):
-        """A crashed attempt's stray files (no _DONE) must not duplicate
-        rows on re-run."""
-        import os
-        import numpy as np
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-        import duckdb
-        from driftray.ops.layout import compact_partitions
-        src = tmp_path / "in" / "k=0"
-        src.mkdir(parents=True)
-        t = pa.table({"v": pa.array(np.arange(1000), pa.int64())})
-        pq.write_table(t, str(src / "a.parquet"))
-        # simulate a dead mid-write attempt: partial output, NO _DONE
-        dst = tmp_path / "out" / "k=0"
-        dst.mkdir(parents=True)
-        pq.write_table(t.slice(0, 100), str(dst / "stale_partial.parquet"))
-        compact_partitions(str(tmp_path / "in"), str(tmp_path / "out"),
-                           partition_col="k")
-        con = duckdb.connect()
-        n, sv = con.sql(
-            f"SELECT count(*), sum(v) FROM '{dst}/*.parquet'").fetchone()
-        assert (n, sv) == (1000, 999 * 1000 // 2)
-
-
-class TestZscoreOverflowGuard:
-    def test_large_values_raise(self, ray_session):
-        import numpy as np
-        import pyarrow as pa
-        import pytest
-        import ray.data as rd
-        from driftray.ops.anomaly import rolling_zscore
-        # window=20 × (4e9)² > 2^63 → must raise, not wrap silently
-        ds = rd.from_arrow(pa.table({
-            "u": ["a"] * 6, "o": pa.array(np.arange(6), pa.int64()),
-            "v": pa.array([4_000_000_000] * 6, pa.int64())}))
-        with pytest.raises(Exception, match="int64|rescale|Overflow"):
-            rolling_zscore(ds, ["u"], ["o"], "v", window=20,
-                           num_partitions=4).to_pandas()
-
-    def test_safe_magnitudes_still_pass(self, ray_session):
-        import numpy as np
-        import pyarrow as pa
-        import ray.data as rd
-        from driftray.ops.anomaly import rolling_zscore
-        ds = rd.from_arrow(pa.table({
-            "u": ["a"] * 8, "o": pa.array(np.arange(8), pa.int64()),
-            "v": pa.array([600_000_000] * 8, pa.int64())}))
-        out = rolling_zscore(ds, ["u"], ["o"], "v", window=20,
-                             num_partitions=4).to_pandas()
-        assert out["is_anomaly"].sum() == 0
 
 
 class TestEvolvingColumnsSubset:

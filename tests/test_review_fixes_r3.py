@@ -1,166 +1,8 @@
-"""Regression tests for the round-3 self-review findings (code-review
-over 3e644b2..HEAD): CC float64 id corruption, diverse_sample columns
-passthrough, skew_join composite keys + detection guarantee, 8/24-bit
-WAV decode, empty-corpus token stats, q56 zero-token parity."""
-import numpy as np
-import pandas as pd
-import pytest
-import ray.data as rd
-
-
-def test_connected_components_ids_above_2_53(ray_session):
-    """Node ids > 2^53 must survive the label rounds bit-exact — the
-    nullable-int64 → pandas float64 round-trip used to collapse
-    adjacent ids."""
-    from driftray.ops.dedup import connected_components
-
-    base = np.int64(2 ** 53)
-    # two components of adjacent giant ids: {base, base+1, base+2},
-    # {base+10, base+11}; float64 cannot represent base+1 distinctly
-    edges = pd.DataFrame({
-        "src": np.array([base, base + 1, base + 10], dtype=np.int64),
-        "dst": np.array([base + 1, base + 2, base + 11], dtype=np.int64),
-    })
-    out = (connected_components(rd.from_pandas(edges), "src", "dst",
-                                num_partitions=4)
-           .to_pandas().sort_values("node").reset_index(drop=True))
-    assert list(out["node"]) == [base, base + 1, base + 2,
-                                 base + 10, base + 11]
-    assert list(out["label"]) == [base, base, base, base + 10, base + 10]
-
-
-def test_diverse_sample_columns_passthrough(ray_session):
-    from driftray.ops.sampling import diverse_sample
-
-    rng = np.random.default_rng(43)
-    df = pd.DataFrame({
-        "vec_id": np.arange(60, dtype=np.int64),
-        "embedding": list(rng.normal(0, 1, size=(60, 4))),
-        "text": [f"doc {i}" for i in range(60)],
-    })
-    out = diverse_sample(rd.from_pandas(df), "vec_id", "embedding",
-                         n_per_cluster=3, n_clusters=2, seed=5,
-                         columns=["text"])
-    assert "text" in out.columns
-    assert (out["text"] == "doc " + out["vec_id"].astype(str)).all()
-
-
-def test_skew_join_composite_hot_keys(ray_session):
-    from driftray.ops.relational import hash_shuffle_join, skew_join
-
-    rng = np.random.default_rng(47)
-    n = 1500
-    a = np.where(rng.random(n) < 0.5, 3, rng.integers(0, 10, n)).astype(np.int64)
-    b = np.where(rng.random(n) < 0.5, 7, rng.integers(0, 10, n)).astype(np.int64)
-    left = pd.DataFrame({"a": a, "b": b, "lv": np.arange(n, dtype=np.int64)})
-    right = (left[["a", "b"]].drop_duplicates().reset_index(drop=True)
-             .assign(rv=lambda d: d["a"] * 100 + d["b"]))
-    out = (skew_join(rd.from_pandas(left), rd.from_pandas(right),
-                     ["a", "b"], hot_keys=[(3, 7)], num_salts=4,
-                     num_partitions=4)
-           .to_pandas().sort_values("lv").reset_index(drop=True))
-    exp = (hash_shuffle_join(rd.from_pandas(left), rd.from_pandas(right),
-                             ["a", "b"], num_partitions=4)
-           .to_pandas().sort_values("lv").reset_index(drop=True))
-    cols = sorted(out.columns)
-    pd.testing.assert_frame_equal(out[cols], exp[cols])
-
-
-def test_wav_8bit_unsigned_and_24bit(ray_session):
-    import io
-    import wave
-
-    from driftray.ops.multimodal import AudioDecoder
-
-    # 8-bit digital silence = all 0x80 -> decodes to all zeros
-    buf = io.BytesIO()
-    with wave.open(buf, "wb") as f:
-        f.setnchannels(1)
-        f.setsampwidth(1)
-        f.setframerate(8000)
-        f.writeframes(bytes([0x80] * 100))
-    x, rate = AudioDecoder._decode(buf.getvalue())
-    assert rate == 8000
-    assert np.all(x == 0)
-
-    # 24-bit: -1 encodes as FF FF FF; max positive as FF FF 7F
-    buf = io.BytesIO()
-    with wave.open(buf, "wb") as f:
-        f.setnchannels(1)
-        f.setsampwidth(3)
-        f.setframerate(8000)
-        f.writeframes(bytes([0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F,
-                             0x00, 0x00, 0x00]))
-    x, _ = AudioDecoder._decode(buf.getvalue())
-    assert list(x) == [-1, (1 << 23) - 1, 0]
-
-
-def test_token_stats_empty_corpus(ray_session):
-    from driftray.ops.text import perplexity_scores, token_frequencies
-
-    df = pd.DataFrame({"doc_id": np.arange(3, dtype=np.int64),
-                       "text": ["", "   ", ""]})
-    tf = token_frequencies(rd.from_pandas(df), top_n=5)
-    assert len(tf) == 0 and list(tf.columns) == ["token", "n"]
-
-    out = (perplexity_scores(rd.from_pandas(df), vocab_size=10)
-           .to_pandas())
-    assert (out["n_tokens"] == 0).all()
-
-
-def test_q56_drops_zero_token_docs(ray_session, tmp_path):
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from driftray.pipelines.queries import q56_doc_perplexity
-
-    pq.write_table(pa.table({
-        "doc_id": pa.array([0, 1, 2], pa.int64()),
-        "text": pa.array(["hello world", "", "hello again"]),
-    }), str(tmp_path / "documents.parquet"))
-    out = q56_doc_perplexity(str(tmp_path))
-    assert list(out["doc_id"]) == [0, 2]   # the empty doc has no row
+"""Regression tests for the self-review findings of the continuation
+session: schema inspection and windowed drift series."""
 
 
 # --- continuation-session review fixes (ranking/watermark/schema batch) ---
-
-def test_late_event_flags_ns_timestamps(ray_session):
-    """pandas-sourced timestamp[ns] columns must flag identically to the
-    µs watermark (review: naive int cast compared ns against µs)."""
-    import numpy as np
-    import pandas as pd
-    import ray.data as rd
-
-    from driftray.ops.windowing import late_event_flags
-
-    df = pd.DataFrame({
-        "batch": [0, 0, 1, 1, 1],
-        "ts": pd.to_datetime(["2024-01-02 00:00", "2024-01-03 00:00",
-                              "2024-01-01 00:00", "2024-01-02 22:00",
-                              "2024-01-04 00:00"]),
-        "rid": np.arange(5, dtype=np.int64),
-    })
-    out = (late_event_flags(rd.from_pandas(df), "ts", "batch",
-                            lateness_us=3_600_000_000)  # 1 h
-           .to_pandas().sort_values("rid"))
-    # watermark after batch 0 = Jan 3 00:00 − 1 h
-    assert out["is_late"].tolist() == [False, False, True, True, False]
-
-
-def test_grouped_top_k_tie_cols_outside_columns(ray_session):
-    """tie_cols not in the requested projection must not KeyError and
-    must not leak into the output."""
-    import numpy as np
-    import pandas as pd
-    import ray.data as rd
-
-    from driftray.ops.grouped import grouped_top_k
-
-    df = pd.DataFrame({"k": [0] * 10, "id": np.arange(10, dtype=np.int64),
-                       "v": np.ones(10)})
-    out = grouped_top_k(rd.from_pandas(df), ["k"], "v", 3,
-                        columns=["k", "v"], tie_cols=["id"])
-    assert list(out.columns) == ["k", "v"] and len(out) == 3
 
 
 def test_schema_inspect_does_not_consume_drift(tmp_path):

@@ -1,99 +1,12 @@
 """Regression tests for the round-5 self-review findings (second pass).
 
-1. dedup.incremental_minhash_dedup — state must advance only AFTER the
-   flag computation executed (a failed scan leaves the store untouched so
-   a retry is clean), and negative doc ids must be rejected loudly (the
-   -1 state sentinel would silently swallow them).
-2. grouped.grouped_winsorize_stats — the int64 overflow guard is PER
-   GROUP: a small group of huge values coexisting with a huge group of
-   small values must NOT raise (the old partition-wide cmax*nmax cross
-   product did).
-3. checks._when_mask — the config finding for a missing `when` gate
-   column is emitted once per rule per check actor, not once per batch.
-4. text.bigram_lm_scores — bigram keys are injective even when tokens
-   contain the separator byte (NUL): ('a\\x00b','c') and ('a','b\\x00c')
-   must not merge counts.
+checks._when_mask — the config finding for a missing `when` gate column
+is emitted once per rule per check actor, not once per batch.
 """
 from __future__ import annotations
 
-import glob
-import math
-import os
-
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pytest
-
-import ray.data as rd
-
-
-class TestIncrementalMinhashSafety:
-    def test_negative_id_raises_and_leaves_state_clean(self, ray_session,
-                                                       tmp_path):
-        from driftray.ops.dedup import incremental_minhash_dedup
-
-        state = tmp_path / "state"
-        df = pd.DataFrame({"doc_id": np.array([-5, 1], dtype=np.int64),
-                           "text": ["alpha beta gamma delta epsilon zeta",
-                                    "one two three four five six"]})
-        # Ray wraps the worker's ValueError in RayTaskError(UserCodeException)
-        with pytest.raises(Exception, match="doc_id must be >= 0"):
-            incremental_minhash_dedup(rd.from_pandas(df), str(state),
-                                      num_partitions=2)
-        # the failed scan must not have committed any bucket part
-        assert glob.glob(os.path.join(str(state), "buckets_*.parquet")) == []
-
-    def test_state_advances_one_part_per_successful_scan(self, ray_session,
-                                                         tmp_path):
-        from driftray.ops.dedup import incremental_minhash_dedup
-
-        state = tmp_path / "state"
-        text = "the quick brown fox jumps over the lazy dog again and again"
-        scan1 = pd.DataFrame({"doc_id": np.array([1, 2], dtype=np.int64),
-                              "text": [text, "completely different words "
-                                             "with no shingle overlap here"]})
-        out1 = incremental_minhash_dedup(rd.from_pandas(scan1), str(state),
-                                         num_partitions=2).to_pandas()
-        assert len(glob.glob(os.path.join(str(state),
-                                          "buckets_*.parquet"))) == 1
-        assert out1["dup_of_state"].sum() == 0  # first scan: empty state
-        scan2 = pd.DataFrame({"doc_id": np.array([10], dtype=np.int64),
-                              "text": [text]})
-        out2 = incremental_minhash_dedup(rd.from_pandas(scan2), str(state),
-                                         num_partitions=2).to_pandas()
-        assert len(glob.glob(os.path.join(str(state),
-                                          "buckets_*.parquet"))) == 2
-        assert out2["dup_of_state"].tolist() == [1]  # re-crawl flagged
-
-
-class TestWinsorizePerGroupBound:
-    def test_mixed_groups_do_not_cross_multiply(self, ray_session):
-        from driftray.ops.grouped import grouped_winsorize_stats
-
-        # group a: 5 huge values (sum ~5e15, fits int64); group b: many
-        # small values.  Partition-wide max|v| * max n = 1e15 * 2000
-        # >= 2**63 tripped the old guard; per-group bounds are fine.
-        big = 10**15
-        df = pd.DataFrame({
-            "g": ["a"] * 5 + ["b"] * 2000,
-            "v": [big] * 5 + [1] * 2000})
-        out = (grouped_winsorize_stats(rd.from_pandas(df), ["g"], "v",
-                                       q_lo=0.001, q_hi=0.999,
-                                       num_partitions=1)
-               .to_pandas().sort_values("g", ignore_index=True))
-        # q_lo/q_hi round to the extreme order stats at these sizes, so
-        # nothing clips: the exact sums verify the guard didn't fire
-        assert out["wins_sum"].tolist() == [5 * big, 2000]
-
-    def test_true_per_group_overflow_still_raises(self, ray_session):
-        from driftray.ops.grouped import grouped_winsorize_stats
-
-        df = pd.DataFrame({"g": ["a"] * 8, "v": [2**62] * 8})
-        with pytest.raises(OverflowError, match="wins_sum"):
-            grouped_winsorize_stats(rd.from_pandas(df), ["g"], "v",
-                                    q_lo=0.1, q_hi=0.9,
-                                    num_partitions=1).to_pandas()
 
 
 class TestConfigFindingOncePerActor:
@@ -136,20 +49,3 @@ class TestConfigFindingOncePerActor:
                 if k == "config" and kd == "violation"] == []
         assert [n for k, kd, n in zip(out["check"], out["kind"], out["n"])
                 if k == "config" and kd == "counter"] == [1]
-
-
-class TestBigramKeyInjective:
-    def test_nul_tokens_do_not_merge(self, ray_session):
-        from driftray.ops.text import bigram_lm_scores
-
-        # tokens ('a\x00b','c') vs ('a','b\x00c'): a plain NUL-join keys
-        # both as 'a\x00b\x00c' and merges their corpus counts (c2=2)
-        df = pd.DataFrame({
-            "doc_id": np.array([1, 2], dtype=np.int64),
-            "text": ["a\x00b c", "a b\x00c"]})
-        out = (bigram_lm_scores(rd.from_pandas(df), alpha=0.5)
-               .to_pandas().sort_values("doc_id", ignore_index=True))
-        # V=4 distinct unigrams; each bigram occurs ONCE; c1(w1)=1
-        expect = math.log((1 + 0.5) / (1 + 0.5 * 4))
-        assert out["n_bigrams"].tolist() == [1, 1]
-        assert np.allclose(out["lp_per_bigram"], expect)

@@ -1,14 +1,9 @@
-"""Unit oracles for the round-4 zone-map / corpus-metric batch:
-parquet_zone_map, pruned_read (incl. the planted multi-row-group pruning
-proof), compression_ratios, token_entropy_by_group,
-rolling_distinct_count, join_cardinality (q115-q119 oracle twins)."""
-import zlib
-
-import numpy as np
+"""Unit oracles for the zone-map ops: parquet_zone_map and pruned_read
+(incl. the planted multi-row-group pruning proof), twins of the q117 and
+q118 oracles."""
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-import ray.data as rd
 
 
 def _write_clustered(tmp_path, n_groups=5, rows_per_group=100):
@@ -36,6 +31,26 @@ def test_zone_map_matches_footers(ray_session, tmp_path):
     assert zm["n_rows"].tolist() == [100] * 5
     assert zm["vmin"].tolist() == [g * 1000 for g in range(5)]
     assert zm["vmax"].tolist() == [g * 1000 + 99 for g in range(5)]
+
+
+def test_zone_map_types_bounds_from_footer(ray_session, tmp_path):
+    """A file written without statistics has null vmin/vmax typed like
+    the column, so its block has the same schema as the others."""
+    import ray
+
+    from driftray.ops.zonemap import parquet_zone_map
+
+    path = _write_clustered(tmp_path, n_groups=2)
+    bare = str(tmp_path / "bare.parquet")
+    pq.write_table(pa.table({"v": pa.array([7, 8], pa.int64()),
+                             "grp": pa.array([9, 9], pa.int64())}),
+                   bare, write_statistics=False)
+    blocks = ray.get(parquet_zone_map([path, bare], "v").to_arrow_refs())
+    for col in ("vmin", "vmax"):
+        assert {b.schema.field(col).type for b in blocks} == {pa.int64()}
+    zm = pa.concat_tables(blocks).to_pandas().sort_values(["file", "row_group"])
+    assert zm["vmin"].isna().tolist() == [True, False, False]
+    assert zm["vmax"].tolist()[1:] == [99, 1099]
 
 
 def test_pruned_read_skips_nonoverlapping_groups(ray_session, tmp_path):
@@ -70,131 +85,3 @@ def test_pruned_read_no_overlap_returns_typed_empty(ray_session, tmp_path):
     out = pruned_read([path], "v", 10**9, 2 * 10**9)
     assert out.count() == 0
     assert {f.name for f in out.schema().base_schema} >= {"v", "grp"}
-
-
-def test_compression_ratios_match_stdlib(ray_session):
-    from driftray.ops.text import compression_ratios
-
-    rng = np.random.default_rng(17)
-    noise = "".join(chr(c) for c in rng.integers(33, 127, 400))
-    texts = ["a" * 400, "the quick brown fox " * 10, "", None, noise]
-    df = pd.DataFrame({"doc_id": np.arange(5, dtype=np.int64),
-                       "text": texts})
-    out = (compression_ratios(rd.from_pandas(df), "text", ["doc_id"])
-           .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    for i, s in enumerate(texts):
-        if s:
-            raw = s.encode()
-            exp = len(zlib.compress(raw, 6)) / len(raw)
-            assert abs(out["zlib_ratio"][i] - exp) < 1e-12
-        else:
-            assert np.isnan(out["zlib_ratio"][i])
-    # repetitive text compresses far better than high-entropy text
-    assert out["zlib_ratio"][0] < 0.1 < out["zlib_ratio"][4]
-
-
-def test_token_entropy_matches_manual(ray_session):
-    from collections import Counter
-
-    from driftray.ops.text import token_entropy_by_group
-
-    df = pd.DataFrame({
-        "g": ["en", "en", "fr", "fr", "fr"],
-        "text": ["a b a b", "a b c", "x x x x", "", "x y"],
-    })
-    out = (token_entropy_by_group(rd.from_pandas(df), "text", "g")
-           .to_pandas().sort_values("g").reset_index(drop=True))
-    for gi, grp in enumerate(["en", "fr"]):
-        toks = " ".join(df.loc[df["g"] == grp, "text"]).split()
-        cnt = Counter(toks)
-        n = sum(cnt.values())
-        h = -sum((c / n) * np.log2(c / n) for c in cnt.values())
-        assert out["n_tokens"][gi] == n
-        assert abs(out["entropy_bits"][gi] - h) < 1e-9
-
-
-def test_rolling_distinct_count_matches_pandas(ray_session):
-    from driftray.ops.windowing import rolling_distinct_count
-
-    rng = np.random.default_rng(3)
-    n = 2000
-    df = pd.DataFrame({
-        "uid": rng.integers(0, 40, n).astype(np.int64),
-        "ts": pd.to_datetime("2024-03-01")
-        + pd.to_timedelta(rng.integers(0, 20 * 86400, n), unit="s"),
-    })
-    out = (rolling_distinct_count(rd.from_pandas(df), "uid", "ts",
-                                  window_days=7)
-           .to_pandas().sort_values("day").reset_index(drop=True))
-    df["d"] = df["ts"].dt.floor("D")
-    days = sorted(df["d"].unique())
-    exp = [(d, df.loc[(df["d"] > d - pd.Timedelta(days=7))
-                      & (df["d"] <= d), "uid"].nunique())
-           for d in days]
-    assert list(out["day"]) == [d for d, _ in exp]
-    assert out["n_distinct"].tolist() == [c for _, c in exp]
-
-
-def test_join_cardinality_exact(ray_session):
-    from driftray.ops.relational import join_cardinality
-
-    rng = np.random.default_rng(9)
-    l = pd.DataFrame({"k": rng.integers(0, 30, 700).astype(np.int64)})
-    r = pd.DataFrame({"k": rng.integers(10, 45, 400).astype(np.int64)})
-    out = join_cardinality(rd.from_pandas(l), rd.from_pandas(r), ["k"])
-    exp_rows = len(l.merge(r, on="k"))
-    common = set(l["k"]) & set(r["k"])
-    assert out["join_rows"][0] == exp_rows
-    assert out["n_common_keys"][0] == len(common)
-    assert out["n_left_keys"][0] == l["k"].nunique()
-    assert out["n_right_keys"][0] == r["k"].nunique()
-
-
-class TestCompaction:
-    def _write_small_files(self, tmp, n_files=20, rows_per=500, parts=2):
-        import os
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-        import numpy as np
-        for p in range(parts):
-            d = os.path.join(tmp, f"k={p}")
-            os.makedirs(d, exist_ok=True)
-            for i in range(n_files):
-                t = pa.table({
-                    "v": pa.array(np.arange(rows_per) + i * rows_per,
-                                  pa.int64()),
-                    "s": pa.array([f"row{j}" for j in range(rows_per)]),
-                })
-                pq.write_table(t, os.path.join(d, f"f{i:03d}.parquet"))
-
-    def test_compacts_and_preserves_rows(self, ray_session, tmp_path):
-        import duckdb
-        from driftray.ops.layout import compact_partitions
-        src, dst = str(tmp_path / "in"), str(tmp_path / "out")
-        self._write_small_files(src)
-        rep = compact_partitions(src, dst, target_mb=64, partition_col="k")
-        assert len(rep) == 2
-        assert (rep["files_out"] < rep["files_in"]).all()
-        assert (rep["files_out"] == 1).all()   # tiny data → one file each
-        con = duckdb.connect()
-        for part in ["k=0", "k=1"]:
-            a = con.sql(f"SELECT sum(v), count(*) FROM '{src}/{part}/*.parquet'").fetchone()
-            b = con.sql(f"SELECT sum(v), count(*) FROM '{dst}/{part}/*.parquet'").fetchone()
-            assert a == b
-
-    def test_resume_skips_done_partitions(self, ray_session, tmp_path):
-        import os
-        from driftray.ops.layout import compact_partitions
-        src, dst = str(tmp_path / "in"), str(tmp_path / "out")
-        self._write_small_files(src, n_files=3)
-        compact_partitions(src, dst, partition_col="k")
-        before = {p: sorted(os.listdir(os.path.join(dst, p)))
-                  for p in os.listdir(dst)}
-        mtimes = {p: [os.path.getmtime(os.path.join(dst, p, f))
-                      for f in fs] for p, fs in before.items()}
-        rep2 = compact_partitions(src, dst, partition_col="k")
-        assert len(rep2) == 2
-        for p, fs in before.items():
-            assert sorted(os.listdir(os.path.join(dst, p))) == fs
-            assert [os.path.getmtime(os.path.join(dst, p, f))
-                    for f in fs] == mtimes[p]
