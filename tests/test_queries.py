@@ -1,6 +1,7 @@
-"""Driver-contract guard: a fast subset of queries() checked against
-oracle_sql() via DuckDB at sf0.001 (the full sweep lives in
-tools/check_queries.py at sf0.01)."""
+"""Driver-contract guard: every queries() entry at sf0.001.  Oracle-backed
+queries are checked against oracle_sql() via DuckDB (FAST first, then the
+rest of the catalogue), each nq_* query against an exact figure.  The same
+sweep at sf0.01 is tools/check_queries.py."""
 
 import os
 import sys
@@ -73,3 +74,103 @@ def test_every_query_has_callable(harness):
         assert callable(fn), name
     for name in entrymod.oracle_sql():
         assert name in qs
+
+
+def _sweep_names():
+    from driftray.pipelines.queries import ORACLE_SQL
+
+    return [n for n in ORACLE_SQL if n not in FAST]
+
+
+@pytest.mark.parametrize("name", _sweep_names())
+def test_catalogue_query_matches_oracle(harness, name):
+    """The rest of the oracle-backed catalogue, compared as above.  The
+    oracle must not emit HUGEINT columns: the driver's result hash tells
+    int128 from int64 even where the values are equal."""
+    entrymod, con = harness
+    rel = con.sql(entrymod.oracle_sql()[name])
+    assert not [t for t in rel.types if "HUGEINT" in str(t).upper()]
+    test_query_matches_oracle(harness, name)
+
+
+def _run(entrymod, name):
+    return entrymod.queries()[name](SF)
+
+
+def test_nq_hll_distinct_users_within_sketch_error(harness):
+    entrymod, con = harness
+    got = _run(entrymod, "nq_hll_distinct_users").set_index("event_type")
+    exact = con.sql("SELECT event_type, COUNT(DISTINCT user_id) AS n "
+                    "FROM events GROUP BY event_type").df().set_index("event_type")
+    assert sorted(got.index) == sorted(exact.index)
+    rel = (got["n_users_approx"] - exact["n"]).abs() / exact["n"]
+    assert (rel <= 0.05).all(), rel.to_dict()
+
+
+def test_nq_daily_drift_covers_every_day(harness):
+    import numpy as np
+
+    entrymod, con = harness
+    got = _run(entrymod, "nq_daily_drift").sort_values("window")
+    days = con.sql("SELECT date_trunc('day', ts) AS window, "
+                   "COUNT(value) AS n, COUNT(*) - COUNT(value) AS n_nan "
+                   "FROM events GROUP BY 1 ORDER BY 1").df()
+    assert list(pd.to_datetime(got["window"])) == list(pd.to_datetime(days["window"]))
+    assert got["n"].tolist() == days["n"].tolist()
+    assert got["n_nan"].tolist() == days["n_nan"].tolist()
+    assert np.isnan(got["psi"].iloc[0]) and np.isnan(got["js"].iloc[0])
+    rest = got.iloc[1:]
+    assert (rest["psi"] >= 0).all()
+    assert ((rest["js"] >= 0) & (rest["js"] <= np.log(2) + 1e-6)).all()
+
+
+def test_nq_drift_events_half_means_match_exact(harness):
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    entrymod, _ = harness
+    got = _run(entrymod, "nq_drift_events").set_index("event_type")
+    t = pq.read_table(f"{SF}/events.parquet", columns=["ts", "event_type", "value"])
+    df = t.to_pandas()
+    ts = pc.cast(t["ts"], "int64").to_numpy()
+    df["half"] = (ts >= (int(ts.min()) + int(ts.max())) // 2).astype(int)
+    means = df.groupby(["event_type", "half"])["value"].mean().unstack()
+    assert sorted(got.index) == sorted(means.index)
+    assert (got["mean_first"] - means[0]).abs().max() <= 1e-4
+    assert (got["mean_second"] - means[1]).abs().max() <= 1e-4
+    assert got["ks_stat"].between(0, 1).all()
+
+
+def test_nq_unusual_ratio_events_replays_ordered_flags(harness):
+    from driftray.drift import unusual_ratio_verdicts
+
+    entrymod, con = harness
+    got = _run(entrymod, "nq_unusual_ratio_events")
+    flags = con.sql("SELECT value > 200.0 AS u FROM events "
+                    "ORDER BY event_id").df()["u"].to_numpy(dtype=bool)
+    want = unusual_ratio_verdicts(flags)
+    assert got["n_rows"].sum() == len(flags)
+    assert got["unusual_count"].sum() == int(flags.sum())
+    assert list(zip(got["start_row"], got["end_row"], got["unusual_count"],
+                    got["drift"])) == [
+        (v.start_row, v.end_row, v.unusual_count, v.drift) for v in want]
+
+
+@pytest.mark.parametrize("name,table,key", [
+    ("nq_validate_documents", "documents", "doc_id"),
+    ("nq_validate_events", "events", "event_id"),
+])
+def test_nq_validate_matches_expectation_oracle(harness, name, table, key):
+    """Verdict rows agree with the table's expectation oracle plus the
+    duplicate rows of its unique key."""
+    entrymod, con = harness
+    oracle = {"documents": "q140_documents_expectations",
+              "events": "q173_events_expectations"}[table]
+    expected = int(con.sql(entrymod.oracle_sql()[oracle]).df()["n_violations"].sum())
+    n, n_distinct = con.sql(
+        f"SELECT COUNT(*), COUNT(DISTINCT {key}) FROM {table}").fetchone()
+    got = _run(entrymod, name)
+    assert got["n_rows"].sum() == n
+    assert got["n_violations"].sum() == expected + (n - n_distinct)
+    assert (got["passed"] == (got["n_violations"] == 0)).all()
+    assert got["quality_score"].between(0, 1).all()
