@@ -1,20 +1,13 @@
-"""The two relational helpers the validation engine uses.
+"""The relational helper of the validation engine's uniqueness check.
 
-* ``duplicate_values_sorted`` finds the duplicated values among the 8-byte
-  key hashes that ``pipeline.uniqueness_violations`` collects on the
-  driver (sort + adjacent-equal scan);
-* ``union_by_name`` concatenates the Datasets of a table written across
-  schema versions, padding each part's missing columns with typed nulls
-  (``sources.read_parquet_evolving`` and the kernel pass of
-  ``run_validation``).
+``duplicate_values_sorted`` finds the duplicated values among the 8-byte
+key hashes that ``pipeline.uniqueness_violations`` collects on the driver
+(sort + adjacent-equal scan).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pyarrow as pa
-
-import ray.data as rd
 
 
 def duplicate_values_sorted(values: np.ndarray) -> np.ndarray:
@@ -28,48 +21,3 @@ def duplicate_values_sorted(values: np.ndarray) -> np.ndarray:
     0.8 s for a sort+scan)."""
     v = np.sort(values)
     return np.unique(v[1:][v[1:] == v[:-1]])
-
-
-def union_by_name(dss: "list[rd.Dataset]") -> rd.Dataset:
-    """UNION ALL BY NAME: concatenate Datasets whose schemas differ,
-    padding each side's missing columns with typed nulls (the
-    multi-source ingest primitive — feeds with drifting/partial schemas
-    union into one stream without manual per-source projection).
-
-    The unified schema is the name→type union in first-seen order; a
-    column appearing with CONFLICTING types raises (silent coercion
-    hides upstream schema drift — run the ``schema_drift`` preflight
-    instead of papering over it).  Wide values should be plain
-    ``pa.binary()``/``pa.string()`` columns (ROUND_NOTES: tensor
-    extension columns do not survive unions with padded blocks)."""
-    unified: dict[str, pa.DataType] = {}
-    for ds in dss:
-        sch = ds.schema()
-        for name, typ in zip(sch.names, sch.types):
-            if not isinstance(typ, pa.DataType):
-                # pandas-block schemas carry numpy dtypes; object columns
-                # are strings in this engine's data model
-                typ = (pa.string() if typ == np.dtype(object)
-                       else pa.from_numpy_dtype(typ))
-            if name in unified and unified[name] != typ:
-                raise TypeError(
-                    f"union_by_name: column {name!r} has conflicting "
-                    f"types {unified[name]} vs {typ}")
-            unified.setdefault(name, typ)
-
-    names = list(unified)
-
-    def pad(t: pa.Table) -> pa.Table:
-        cols = []
-        for n in names:
-            if n in t.column_names:
-                cols.append(t[n])
-            else:
-                cols.append(pa.nulls(len(t), unified[n]))
-        return pa.table(dict(zip(names, cols)))
-
-    padded = [ds.map_batches(pad, batch_format="pyarrow") for ds in dss]
-    out = padded[0]
-    for nxt in padded[1:]:
-        out = out.union(nxt)
-    return out

@@ -56,9 +56,10 @@ def _zone_table(paths: list[str], col: str, values: bool) -> pa.Table:
     for path in paths:
         pf = pq.ParquetFile(path)
         md = pf.metadata
-        names = {md.schema.column(i).name: i
-                 for i in range(md.num_columns)}
-        ci = names[col]
+        # by dotted path: a struct field's leaf name (``meta.window_id``)
+        # must not shadow the top-level column
+        index = {md.schema.column(i).path: i for i in range(md.num_columns)}
+        ci = index[col]
         # typed from the footer: a batch of files without statistics
         # would otherwise infer a ``null`` column
         ctype = pf.schema_arrow.field(col).type
@@ -158,8 +159,7 @@ def map_row_groups(row_groups: list[tuple[str, int]], fn,
 
 def read_row_groups(paths: list[str], columns: list[str] | None = None, *,
                     row_groups: list[tuple[str, int]] | None = None,
-                    transform=None,
-                    concurrency: int | None = None) -> rd.Dataset:
+                    transform=None) -> rd.Dataset:
     """Read ``columns`` of Parquet ``paths`` with ONE read task per row
     group — the parquet-native parallel grain, planned from the footers
     on the driver with no ``read_parquet`` planning pass.
@@ -188,15 +188,14 @@ def read_row_groups(paths: list[str], columns: list[str] | None = None, *,
     # one row group per read task: block size == row-group size
     return (rd.from_items(items, override_num_blocks=len(items))
             .map_batches(read_groups, batch_format="pyarrow",
-                         batch_size=1, concurrency=concurrency))
+                         batch_size=1))
 
 
 def pruned_read(paths: list[str], col: str, lo, hi,
                 columns: list[str] | None = None,
                 exact: bool = True,
                 zone_map: "pd.DataFrame | None" = None,
-                value_set=None,
-                concurrency: int | None = None) -> rd.Dataset:
+                value_set=None) -> rd.Dataset:
     """Range scan ``lo <= col <= hi`` that schedules read tasks ONLY for
     row groups whose footer [vmin, vmax] overlaps the predicate.
 
@@ -212,9 +211,7 @@ def pruned_read(paths: list[str], col: str, lo, hi,
     frame so a caller issuing many pruned reads over the same directory
     (run_validation's chunked window passes) walks the footers once.
     ``value_set`` narrows ``exact`` filtering to an explicit member list
-    (e.g. a non-contiguous pending-window chunk inside [lo, hi]);
-    ``concurrency`` caps the read tasks (parquet decode is
-    memory-bandwidth-bound).
+    (e.g. a non-contiguous pending-window chunk inside [lo, hi]).
 
     The unpruned fallback is exactly ``read_parquet(filter=...)``; this
     op exists to make the pruning observable (q118's test asserts
@@ -224,8 +221,7 @@ def pruned_read(paths: list[str], col: str, lo, hi,
     keep = zm["vmin"].isna() | ~((zm["vmax"] < lo) | (zm["vmin"] > hi))
     tasks = list(zm.loc[keep, ["file", "row_group"]].itertuples(index=False))
     if not exact or not tasks:
-        return read_row_groups(paths, columns, row_groups=tasks,
-                               concurrency=concurrency)
+        return read_row_groups(paths, columns, row_groups=tasks)
     members = (pa.array(list(value_set)) if value_set is not None else None)
     # the filter column is read with the row group even when not projected
     read_cols = (None if columns is None
@@ -241,7 +237,7 @@ def pruned_read(paths: list[str], col: str, lo, hi,
         return tbl if columns is None else tbl.select(columns)
 
     return read_row_groups(paths, read_cols, row_groups=tasks,
-                           transform=exact_filter, concurrency=concurrency)
+                           transform=exact_filter)
 
 
 def build_bloom_index(paths: list[str], col: str,

@@ -9,13 +9,12 @@ over Ray Data (SURVEY.md §3.4).
 Scale notes
 -----------
 * Only the kernel pass is a Ray Data job: one execution per chunk of
-  windows (plus a one-block schema probe per footer schema when the
-  table has several).  Every other step skips the streaming executor,
-  unless a footer lacks the window column (reads then fall back to
-  filtered ``read_parquet`` jobs).  The run is planned from Parquet
-  footers on the driver: the window zone map lists each row group's
-  window ids, and histogram edges fold the footer min/max (or come from
-  the baseline).  Dimension keys and the uniqueness verify are plain
+  windows, whatever the number of footer schemas.  Every other step
+  skips the streaming executor.  The run is planned from Parquet footers
+  on the driver: the window zone map lists each row group's window ids,
+  a table written across schema versions is padded to its footers'
+  union schema, and histogram edges fold the footer min/max (or come
+  from the baseline).  Dimension keys and the uniqueness verify are plain
   tasks, one per footer-planned row group (``ops.zonemap.map_row_groups``),
   whose outputs are 8 B per row (key hashes) or the candidate rows.
   Nothing is an all-to-all job, and ``run_lineage.jsonl`` counts each
@@ -569,8 +568,6 @@ def validate_dataset(
     baseline: Baseline | None = None,
     hist_edges: dict[str, np.ndarray] | None = None,
     check_uniqueness: bool = True,
-    batch_size: int | None = None,
-    kernel_concurrency=None,
 ) -> dict[int, WindowResult]:
     """ONE streaming pass over the dataset validating every window in it.
 
@@ -587,13 +584,10 @@ def validate_dataset(
 
     kernel = ValidationKernel(spec, hist_edges=hist_edges, membership=membership,
                               window_column=window_column)
-    kwargs: dict = {"batch_format": "pyarrow", "batch_size": batch_size,
-                    "zero_copy_batch": True}
-    if kernel_concurrency:
-        kwargs["concurrency"] = kernel_concurrency
-
     _count("ray_data")
-    findings = ds.map_batches(kernel, **kwargs).materialize()
+    # batch_size=None: the kernel runs on whole blocks
+    findings = ds.map_batches(kernel, batch_format="pyarrow", batch_size=None,
+                              zero_copy_batch=True).materialize()
     parts = [t for t in ray.get(findings.to_arrow_refs()) if t.num_rows]
     table = (pa.concat_tables([t.cast(FINDINGS_SCHEMA) for t in parts])
              if parts else FINDINGS_SCHEMA.empty_table())
@@ -736,44 +730,29 @@ def _zone_map_windows(zmaps: dict, window_column: str) -> list[int]:
     return sorted(found)
 
 
-def _row_group_keys(groups: dict, zmaps: dict, window_column: str,
+def _row_group_keys(groups: dict, plan: dict, window_column: str,
                     key_cols: list[str], windows: list[int]):
     """``map_keys`` for :func:`uniqueness_violations` over the rows of
-    ``windows``: one plain task per zone-map-pruned row group of every
-    schema group (``ops.zonemap.map_row_groups``), each filtering its row
-    group to exactly ``windows`` and padding a key or order column its
-    schema group lacks with typed nulls, as ``union_by_name`` pads the
-    kernel pass's read.  ``fn``'s outputs come back to the driver."""
+    ``windows``: one plain task per row group of ``plan`` (per schema
+    group, the zone-map rows that may hold ``windows``) through
+    ``ops.zonemap.map_row_groups``.  Each task filters its row group to
+    exactly ``windows`` and pads a key or order column its schema group
+    lacks with typed nulls of the footers' union schema, as the kernel
+    pass's read is padded.  ``fn``'s outputs come back to the driver."""
     from .ops.zonemap import map_row_groups
+    from .sources import pad_to_schema, union_schema
 
-    types: dict[str, pa.DataType] = {}
-    for key in sorted(groups):
-        sch = groups[key][0]
-        for c in key_cols:
-            if c in sch.names:
-                types.setdefault(c, sch.field(c).type)
-    missing = [c for c in key_cols if c not in types]
-    if missing:
-        raise KeyError(f"columns {missing} in no schema group")
-    plans = []
-    if windows:
-        lo, hi = min(windows), max(windows)
-        for key in sorted(groups):
-            zm = zmaps[key]
-            hit = zm["vmin"].isna() | ~((zm["vmax"] < lo) | (zm["vmin"] > hi))
-            names = groups[key][0].names
-            plans.append((
-                list(zm.loc[hit, ["file", "row_group"]].itertuples(index=False,
-                                                                   name=None)),
-                [c for c in dict.fromkeys([*key_cols, window_column])
-                 if c in names]))
+    schema = (union_schema([groups[key][0] for key in plan], key_cols)
+              if plan else None)
+    plans = [(list(zm[["file", "row_group"]].itertuples(index=False, name=None)),
+              [c for c in dict.fromkeys([*key_cols, window_column])
+               if c in groups[key][0].names])
+             for key, zm in plan.items()]
     members = pa.array(windows, pa.int64())
 
     def in_windows(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.fill_null(
-            pc.is_in(t[window_column], value_set=members), False))
-        return pa.table({c: t[c] if c in t.column_names
-                         else pa.nulls(t.num_rows, types[c]) for c in key_cols})
+        return pad_to_schema(t.filter(pc.fill_null(
+            pc.is_in(t[window_column], value_set=members), False)), schema)
 
     def map_keys(fn) -> list:
         out = []
@@ -798,20 +777,21 @@ def run_validation(
     use_bloom: bool = False,
     hist_edges: dict[str, np.ndarray] | None = None,
     check_uniqueness: bool = True,
-    batch_size: int | None = None,
     windows_per_pass: int = 4,
-    read_concurrency: int | None = None,
     strict_schema: bool = False,
 ) -> list[WindowResult]:
     """Validate every window of a partitioned Parquet table, resumably.
 
     * the run is planned from Parquet footers: ``windows=None`` takes the
       window ids from the window zone map (a null id raises, naming its
-      file and row group), and ``hist_edges=None`` takes the bin edges
-      from the baseline's histograms when a baseline is loaded, else from
-      the footer min/max (``infer_hist_edges``);
+      file and row group, and so does a file without ``window_column``),
+      and ``hist_edges=None`` takes the bin edges from the baseline's
+      histograms when a baseline is loaded, else from the footer min/max
+      (``infer_hist_edges``);
     * the window zone map is built on the driver from the footers (no Ray
-      job);
+      job), one per schema group; every read is planned from it, and a
+      table written across schema versions is read per group and padded
+      to the groups' footer union schema (``sources.union_by_name``);
     * dimension keys are hashed ONCE, one plain task per row group (8 B
       per key back to the driver), and broadcast via ``ray.put`` (exact
       sets at test scale, Bloom filters with ``use_bloom=True``);
@@ -825,11 +805,11 @@ def run_validation(
       it covers, and a run recomputes it whenever a ``_DONE`` window is
       not covered (an appended window, a resumed run).  Its candidates are
       fetched by plain tasks over the zone-map-pruned row groups of those
-      windows (every schema group's; without zone maps, a filtered Ray
-      Data read).
+      windows (every schema group's).
 
-    So when every footer has the window column, the kernel pass is the
-    run's only Ray Data job, one execution per chunk.  Each
+    So the kernel pass is the run's only Ray Data job, one execution per
+    chunk that some row group may hold; a chunk that none holds runs no
+    job, and its windows get 0-row results.  Each
     ``run_lineage.jsonl`` line records, under ``jobs``, the Ray Data
     executions and plain row-group tasks every stage started."""
     os.makedirs(out_dir, exist_ok=True)
@@ -855,92 +835,65 @@ def run_validation(
     # completes — so a crashed run's retry still reports the drift.
     t0 = time.perf_counter()
     from .schema_drift import persist_snapshot, record_and_diff
-    from .sources import footer_schema_groups, read_parquet_evolving
+    from .sources import footer_schema_groups, union_by_name, union_schema
 
     # ONE footer walk per run: the grouping feeds the schema snapshot,
-    # the drift diff AND every evolving read below (a 50k-file directory
-    # on object storage pays the serial footer-open loop exactly once)
+    # the drift diff AND every read below (a 50k-file directory on object
+    # storage pays the serial footer-open loop exactly once)
     _fgroups = footer_schema_groups(input_path)
     schema_report = record_and_diff(out_dir, input_path, spec,
                                     strict=strict_schema, persist=False,
                                     groups=_fgroups)
-    # mixed footer schemas ⇒ the table evolved mid-directory: route every
-    # data read through the schema-group union reader (typed null padding
-    # per version) instead of a naive read that binds the first
-    # fragment's schema.
     n_schema_groups = len(_fgroups)
 
-    def _common(columns) -> bool:
-        # a column set present with ONE type in every schema group needs
-        # no union-by-name — the plain pruned read is both correct and
-        # cheaper (the union path adds a per-group read + padding stage)
-        return all(
-            c in sch.names for sch, _ in _fgroups.values() for c in columns
-        ) and all(
-            len({str(sch.field(c).type) for sch, _ in _fgroups.values()}) == 1
-            for c in columns)
+    # window zone maps (metadata-only, ONE driver walk over the footers
+    # per run, no Ray job): every read of the run is planned from them,
+    # and reads ONLY the row groups whose [vmin, vmax] overlaps its
+    # windows.  read_parquet(filter=...) does NOT prune row groups —
+    # measured: every chunk re-scanned the whole table (2x read
+    # amplification at 2 chunks; on a resume with 1% pending it would be
+    # 100x).  When the windows are not given, the same footer walk also
+    # lists each row group's distinct window ids (``values``): window
+    # discovery is then a driver-side union of the zone maps.  A schema
+    # group without the window column then raises; when the windows are
+    # given, no read touches it.
+    from .ops.zonemap import footer_zone_map
 
-    def _read(columns=None, **kw) -> rd.Dataset:
-        if n_schema_groups > 1 and not (columns and _common(columns)):
-            return read_parquet_evolving(input_path, columns=columns,
-                                         groups=_fgroups, **kw)
-        return rd.read_parquet(input_path, columns=columns, **kw)
+    _zmaps = {}
+    for key, (sch, fs) in sorted(_fgroups.items()):
+        if window_column in sch.names:
+            _zmaps[key] = footer_zone_map(fs, window_column,
+                                          values=windows is None)
+        elif windows is None:
+            raise ValueError(f"no {window_column!r} column in {fs[0]}; "
+                             "pass windows= to validate the other files")
 
-    # window zone map (metadata-only, ONE driver walk over the footers
-    # per run, no Ray job): each chunked validation pass reads ONLY the
-    # row groups whose [vmin, vmax] overlaps its windows.
-    # read_parquet(filter=...) does NOT prune row groups — measured:
-    # every chunk re-scanned the whole table AND paid a slower
-    # filtered-read path (2x read amplification
-    # at 2 chunks; on a resume with 1% pending it would be 100x).  Files
-    # lacking the window column (or stats) fall back to the filter read.
-    # When the windows are not given, the same footer walk also lists each
-    # row group's distinct window ids (``values``): window discovery is
-    # then a driver-side union of the zone maps, not a full-table unique.
-    def _window_zone_maps():
-        from .ops.zonemap import footer_zone_map
+    def _plan(ws: list[int]) -> dict:
+        # per schema group, the zone-map rows that may hold ``ws``
+        # (statistics-less row groups are kept); groups with none are
+        # left out
+        plan = {}
+        if ws:
+            lo_w, hi_w = min(ws), max(ws)
+            for key, zm in _zmaps.items():
+                hit = zm["vmin"].isna() | ~((zm["vmax"] < lo_w)
+                                            | (zm["vmin"] > hi_w))
+                if hit.any():
+                    plan[key] = zm[hit]
+        return plan
 
-        try:
-            maps = {}
-            for key, (sch, fs) in _fgroups.items():
-                if window_column not in sch.names:
-                    return None
-                maps[key] = footer_zone_map(fs, window_column,
-                                            values=windows is None)
-            return maps
-        except Exception:
-            return None  # stats missing/odd layout: correctness via filter
-
-    _zmaps = _window_zone_maps()
-
-    def _read_chunk(chunk: list[int], columns=None, concurrency=None) -> rd.Dataset:
-        if _zmaps is None:
-            return _read(columns=columns,
-                         filter=pc.field(window_column).isin(chunk),
-                         concurrency=concurrency)
-        from .ops.relational import union_by_name
+    def _read_chunk(plan: dict, chunk: list[int]) -> rd.Dataset:
         from .ops.zonemap import pruned_read
 
-        lo_w, hi_w = min(chunk), max(chunk)
-        parts = []
-        for key in sorted(_fgroups):
-            zm = _zmaps[key]
-            hit = zm["vmin"].isna() | ~((zm["vmax"] < lo_w)
-                                        | (zm["vmin"] > hi_w))
-            if not hit.any():
-                continue  # whole schema group outside the chunk
-            parts.append(pruned_read(
-                _fgroups[key][1], window_column, lo_w, hi_w, columns=columns,
-                zone_map=zm, value_set=chunk, concurrency=concurrency))
-        if not parts:
-            return _read(columns=columns,
-                         filter=pc.field(window_column).isin(chunk),
-                         concurrency=concurrency)
+        parts = [pruned_read(_fgroups[key][1], window_column, min(chunk),
+                             max(chunk), zone_map=zm, value_set=chunk)
+                 for key, zm in plan.items()]
         if len(parts) == 1:
             return parts[0]
-        # union_by_name fetches each part's schema: one small execution each
-        _count("ray_data", len(parts))
-        return union_by_name(parts)
+        # mixed footer schemas: pad every part to the union of the
+        # footers it reads (typed nulls for the columns a version lacks)
+        return union_by_name(parts,
+                             union_schema([_fgroups[key][0] for key in plan]))
 
     _mark("schema_preflight", t0)
 
@@ -959,31 +912,22 @@ def run_validation(
 
     _mark("membership", t0)
     t0 = time.perf_counter()
-    if windows is None and _zmaps is not None:
+    if windows is None:
         windows = _zone_map_windows(_zmaps, window_column)
-    elif windows is None:
-        # files without the window column or its zone map: full-column scan
-        _count("ray_data")
-        wvals = _read(columns=[window_column]).unique(window_column)
-        if None in wvals:
-            raise ValueError(f"null {window_column!r} in {input_path}")
-        windows = sorted(int(w) for w in wvals)
     pending = [w for w in windows if not window_done(out_dir, w)]
     _mark("window_discovery", t0)
     t0 = time.perf_counter()
 
     # table uniqueness verifies its candidates on the key (+ order)
-    # columns of the validated windows: plain tasks over the zone-map-pruned
-    # row groups, or without zone maps the filtered Dataset read
+    # columns of the validated windows: plain tasks over the planned
+    # row groups
     table_uniq = check_uniqueness and bool(spec.unique_key)
     key_cols = list(spec.unique_key or ())
     if spec.order_column and spec.order_column not in key_cols:
         key_cols.append(spec.order_column)
 
     def _read_keys(ws: list[int]):
-        if _zmaps is None:
-            return _read_chunk(ws, columns=key_cols)
-        return _row_group_keys(_fgroups, _zmaps, window_column, key_cols, ws)
+        return _row_group_keys(_fgroups, _plan(ws), window_column, key_cols, ws)
 
     if not pending:
         if table_uniq:
@@ -1012,19 +956,15 @@ def run_validation(
     # chunked passes: a killed run loses at most windows_per_pass windows
     # of work — everything behind a _DONE marker is skipped on resume, and
     # its persisted key-hash run still feeds the table uniqueness check.
+    # A chunk whose windows no row group holds runs no kernel pass.
     out = []
     for lo in range(0, len(pending), windows_per_pass):
         chunk = pending[lo: lo + windows_per_pass]
-        # read_concurrency caps concurrent parquet-decode tasks: decode
-        # is memory-bandwidth-bound, and beyond ~a dozen concurrent
-        # decoders per memory domain added workers CONTEND rather than
-        # scale (see BASELINE.md §scaling); the kernel stage is uncapped
-        ds = _read_chunk(chunk, concurrency=read_concurrency)
-        results = validate_dataset(ds, spec, window_column=window_column,
-                                   membership=membership, baseline=baseline,
-                                   hist_edges=hist_edges,
-                                   check_uniqueness=False,
-                                   batch_size=batch_size)
+        plan = _plan(chunk)
+        results = {} if not plan else validate_dataset(
+            _read_chunk(plan, chunk), spec, window_column=window_column,
+            membership=membership, baseline=baseline, hist_edges=hist_edges,
+            check_uniqueness=False)
         for w in chunk:
             res = results.get(w)
             if res is None:
@@ -1106,9 +1046,9 @@ def _table_uniqueness(read_keys, out_dir: str, spec: TableSpec,
     Key-hash runs come from ``fresh`` (window → run of this process) or
     from each window's persisted ``key_hashes.npy``.  ``read_keys(windows)``
     returns those windows' key (+ order) rows as ``uniqueness_violations``
-    takes them, which verifies the candidates: with zone maps the
-    pruned row-group plan (plain tasks returning candidate rows, no Ray
-    Data execution), without them the filtered Dataset read.  A ``_DONE``
+    takes them, which verifies the candidates: the zone-map-pruned
+    row-group plan (plain tasks returning candidate rows, no Ray Data
+    execution).  A ``_DONE``
     window without a run file (written before runs were persisted) makes
     the check hash the keys there instead, 8 B per row back to the
     driver."""

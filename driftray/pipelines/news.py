@@ -27,34 +27,34 @@ from ..checks import hash_keys
 from ..state import SeenKeysStore
 
 
-def _first_rows(t: pa.Table, source_col: str, order_col: str,
+def _first_rows(t: pa.Table, by: list[str], order_col: str,
                 limit: int) -> pa.Table:
-    """``t`` sorted by ``order_col``, cut to each source's first ``limit``
-    rows."""
+    """``t`` sorted by ``order_col``, cut to the first ``limit`` rows of
+    each ``by`` group."""
     t = t.take(pc.sort_indices(t, [(order_col, "ascending")]))
-    src = t[source_col].to_pandas()
-    rank = src.groupby(src, sort=False, dropna=False).cumcount().to_numpy()
+    keys = t.select(by).to_pandas()
+    rank = keys.groupby(by, sort=False, dropna=False).cumcount().to_numpy()
     return t.filter(pa.array(rank < limit))
 
 
-def per_source_limit(ds: rd.Dataset, source_col: str = "source",
+def per_source_limit(ds: rd.Dataset, by: tuple[str, ...] = ("source",),
                      order_col: str = "seq", limit: int = 20) -> pa.Table:
-    """Each source's first ``limit`` rows by arrival order
-    (``news.py:26,105`` MAX_RESULTS_PER_SEARCH), as one table sorted by
-    ``order_col``.
+    """Each source's (each ``by`` group's) first ``limit`` rows by arrival
+    order (``news.py:26,105`` MAX_RESULTS_PER_SEARCH), as one table sorted
+    by ``order_col``.
 
-    One ``map_batches`` cuts every block to its sources' first ``limit``
+    One ``map_batches`` cuts every block to its groups' first ``limit``
     rows, and the driver cuts the union of those heads again.  That is
-    exact: a source's first ``limit`` rows are among its blocks' first
-    ``limit`` rows.  The driver holds at most blocks × sources × ``limit``
+    exact: a group's first ``limit`` rows are among its blocks' first
+    ``limit`` rows.  The driver holds at most blocks × groups × ``limit``
     rows.  An input without rows gives an empty table without columns."""
-    heads = ds.map_batches(
-        lambda t: _first_rows(t, source_col, order_col, limit),
-        batch_format="pyarrow", batch_size=None)
+    by = list(by)
+    heads = ds.map_batches(lambda t: _first_rows(t, by, order_col, limit),
+                           batch_format="pyarrow", batch_size=None)
     parts = [t for t in ray.get(heads.to_arrow_refs()) if t.num_rows]
     if not parts:
         return pa.table({})
-    return _first_rows(pa.concat_tables(parts), source_col, order_col, limit)
+    return _first_rows(pa.concat_tables(parts), by, order_col, limit)
 
 
 def drop_duplicates(t: pa.Table, key_cols: list[str]) -> pa.Table:
@@ -90,7 +90,14 @@ def news_scan(ds_scan: rd.Dataset, store: SeenKeysStore, *,
     persists the store between scans (``store.save(path)``) — that is the
     engine's checkpointed version of the reference's in-memory monitoring
     loop."""
-    t = per_source_limit(ds_scan, limit=per_source)
+    return _finish_scan(per_source_limit(ds_scan, limit=per_source), store,
+                        location=location, first_scan=first_scan)
+
+
+def _finish_scan(t: pa.Table, store: SeenKeysStore, *, location: str | None,
+                 first_scan: bool) -> tuple[pa.Table, SeenKeysStore]:
+    """The driver half of :func:`news_scan`, on one scan's per-source
+    heads ``t``: dedup, location and seen-key filters, newest-first sort."""
     if t.num_rows == 0:
         return t, store
     t = drop_duplicates(t, ["title", "url"])
@@ -108,15 +115,19 @@ def news_scan(ds_scan: rd.Dataset, store: SeenKeysStore, *,
 def run_monitor(headlines_ds: rd.Dataset, *, scans: list[int],
                 state_path: str | None = None,
                 location: str | None = None) -> list[pa.Table]:
-    """Replay of the monitoring loop over a multi-scan fixture: one
-    ``news_scan`` per scan_id, seen-state checkpointed between scans."""
+    """Replay of the monitoring loop over a multi-scan fixture.  ONE pass
+    over the headlines cuts them to each (scan_id, source)'s first 20
+    rows (:func:`per_source_limit`); the driver splits those heads
+    by scan_id and finishes each scan as :func:`news_scan` does, the
+    seen-state checkpointed between scans."""
     store = SeenKeysStore.load(state_path) if state_path else SeenKeysStore()
+    heads = per_source_limit(headlines_ds, by=("scan_id", "source"))
     results = []
     for i, scan in enumerate(scans):
-        ds = headlines_ds.filter(
-            lambda r, s=scan: r["scan_id"] == s)
-        out, store = news_scan(ds, store, location=location,
-                               first_scan=(i == 0 and len(store) == 0))
+        t = (heads.filter(pc.equal(heads["scan_id"], scan))
+             if heads.num_rows else heads)
+        out, store = _finish_scan(t, store, location=location,
+                                  first_scan=(i == 0 and len(store) == 0))
         if state_path:
             store.save(state_path)
         results.append(out)

@@ -225,7 +225,7 @@ def q23_union_counts(sf_dir: str):
     return out
 
 
-# -- broadcast dict mapper (M9 country-code lookup shape) -----------------------
+# -- in-code dict mapper (M9 country-code lookup shape) -------------------------
 
 _SOURCE_TIER = {f"src{i}": ("low" if i < 10 else "high") for i in range(20)}
 
@@ -234,21 +234,13 @@ def q25_source_tiers(sf_dir: str):
     """Tiny in-code map applied per batch (news.py:92-99 country mapper)."""
     from ray.data.aggregate import Count
 
-    import ray as _ray
-
-    ref = _ray.put(_SOURCE_TIER)
-
-    class Mapper:
-        def __init__(self):
-            self.m = _ray.get(ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            src = t["source"].to_pylist()
-            tier = pa.array([self.m.get(x, "unknown") for x in src], pa.string())
-            return pa.table({"tier": tier})
+    def tiers(t: pa.Table) -> pa.Table:
+        src = t["source"].to_pylist()
+        return pa.table({"tier": pa.array(
+            [_SOURCE_TIER.get(x, "unknown") for x in src], pa.string())})
 
     ds = _t(sf_dir, "documents", ["source"])
-    return (ds.map_batches(Mapper, batch_format="pyarrow", concurrency=(1, 2))
+    return (ds.map_batches(tiers, batch_format="pyarrow")
             .groupby("tier").aggregate(Count(alias_name="n_docs")))
 
 

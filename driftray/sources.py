@@ -13,6 +13,8 @@ from __future__ import annotations
 import os
 from collections.abc import Callable
 
+import pyarrow as pa
+
 import ray.data as rd
 
 _READERS: dict[str, Callable[..., rd.Dataset]] = {}
@@ -110,6 +112,48 @@ def footer_schema_groups(path: str) -> dict[str, tuple[object, list[str]]]:
     return out
 
 
+def union_schema(schemas, columns=None) -> pa.Schema:
+    """The name→type union of footer ``schemas`` in first-seen order,
+    restricted to ``columns`` (in their order) when given; a requested
+    column in no schema raises ``KeyError``.  A column that appears with
+    CONFLICTING types raises ``TypeError``: silent coercion hides
+    upstream schema drift — run the ``schema_drift`` preflight instead
+    of papering over it."""
+    types: dict[str, pa.DataType] = {}
+    for sch in schemas:
+        for f in sch:
+            if columns is not None and f.name not in columns:
+                continue
+            have = types.setdefault(f.name, f.type)
+            if have != f.type:
+                raise TypeError(f"union_by_name: column {f.name!r} has "
+                                f"conflicting types {have} vs {f.type}")
+    if columns is None:
+        return pa.schema(list(types.items()))
+    missing = [c for c in columns if c not in types]
+    if missing:
+        raise KeyError(f"columns {missing} in no schema group")
+    return pa.schema([(c, types[c]) for c in columns])
+
+
+def pad_to_schema(t: pa.Table, schema: pa.Schema) -> pa.Table:
+    """``t``'s columns in ``schema``'s order: a column ``t`` lacks becomes
+    typed nulls, and a column outside ``schema`` is dropped."""
+    return pa.table({f.name: t[f.name] if f.name in t.column_names
+                     else pa.nulls(t.num_rows, f.type) for f in schema})
+
+
+def union_by_name(dss: "list[rd.Dataset]", schema: pa.Schema) -> rd.Dataset:
+    """UNION ALL BY NAME: concatenate Datasets whose schemas differ, each
+    block padded to ``schema`` (a :func:`union_schema`) by
+    :func:`pad_to_schema`.  Wide values should be plain
+    ``pa.binary()``/``pa.string()`` columns (ROUND_NOTES: tensor extension
+    columns do not survive unions with padded blocks)."""
+    padded = [ds.map_batches(lambda t: pad_to_schema(t, schema),
+                             batch_format="pyarrow") for ds in dss]
+    return padded[0].union(*padded[1:])
+
+
 def read_parquet_evolving(path: str, columns=None, groups=None,
                           **kw) -> rd.Dataset:
     """Read a directory whose parquet files were written across SCHEMA
@@ -118,35 +162,29 @@ def read_parquet_evolving(path: str, columns=None, groups=None,
 
     Footer-only planning (:func:`footer_schema_groups`): each schema
     group reads as its own Dataset, and the groups combine with
-    ``relational.union_by_name`` (typed null padding for columns a
-    version lacks; conflicting types for the SAME column name raise
-    loudly rather than coerce).  Optional ``columns`` prunes each group
-    to the requested subset it actually has.  ``groups`` accepts a
-    precomputed :func:`footer_schema_groups` result so a caller issuing
-    many reads over the same directory (run_validation's chunked window
-    passes) walks the footers once, not once per read.
+    :func:`union_by_name` over the footers' :func:`union_schema` (typed
+    null padding for columns a version lacks; conflicting types for the
+    SAME column name raise ``TypeError`` rather than coerce, and a
+    requested column in no group raises ``KeyError``, both before any
+    read).  Optional ``columns`` prunes each group to the requested
+    subset it actually has.  ``groups`` accepts a precomputed
+    :func:`footer_schema_groups` result.
     """
-    from .ops.relational import union_by_name
-
     grouped = footer_schema_groups(path) if groups is None else groups
-    groups = {k: fs for k, (_, fs) in grouped.items()}
-    schemas = {k: sch for k, (sch, _) in grouped.items()}
+    keys = sorted(grouped)
+    schema = union_schema([grouped[k][0] for k in keys], columns or None)
     parts = []
-    for key, fs in sorted(groups.items()):
-        cols = ([c for c in columns if c in schemas[key].names]
+    for key in keys:
+        sch, fs = grouped[key]
+        cols = ([c for c in columns if c in sch.names]
                 if columns else None)
         if cols is not None and not cols:
             # a group with NONE of the requested columns must still
             # contribute its rows (null-padded by union_by_name) — read
             # one anchor column to keep the row count; a zero-column
             # read would emit empty blocks that bypass the padding UDF
-            cols = [schemas[key].names[0]]
+            cols = [sch.names[0]]
         parts.append(rd.read_parquet(fs, columns=cols, **kw))
-    out = parts[0] if len(parts) == 1 else union_by_name(parts)
-    if columns:
-        have = out.schema().names
-        missing = [c for c in columns if c not in have]
-        if missing:
-            raise KeyError(f"columns {missing} in no schema group")
-        out = out.select_columns(list(columns))
-    return out
+    if len(parts) == 1:
+        return parts[0]
+    return union_by_name(parts, schema)

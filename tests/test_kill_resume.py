@@ -51,12 +51,23 @@ def _done_windows(out):
             if d.startswith("window=") and os.path.exists(f"{out}/{d}/_DONE")}
 
 
-@pytest.mark.timeout(600)
+def _wait(proc, deadline):
+    """``proc``'s stdout once it exits; past ``deadline`` it is killed and
+    the test fails."""
+    try:
+        return proc.communicate(timeout=max(deadline - time.time(), 0))[0]
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        pytest.fail("validation subprocess still running at the test's "
+                    "600 s bound")
+
+
 def test_sigkill_mid_run_then_resume(fixture_dir, tmp_path):
+    deadline = time.time() + 600   # the whole test, all three runs
     out = str(tmp_path / "out")
     proc = _launch(fixture_dir, out)
     # wait for at least one window to complete, then SIGKILL the whole run
-    deadline = time.time() + 240
     while time.time() < deadline and len(_done_windows(out)) < 1:
         if proc.poll() is not None:
             break
@@ -72,8 +83,7 @@ def test_sigkill_mid_run_then_resume(fixture_dir, tmp_path):
 
     # restart: must complete the remaining windows and touch nothing done
     mtimes = {w: os.path.getmtime(f"{out}/{w}/_DONE") for w in done_after_kill}
-    p2 = _launch(fixture_dir, out)
-    out2, _ = p2.communicate(timeout=300)
+    out2 = _wait(_launch(fixture_dir, out), deadline)
     assert "COMPLETE" in out2
     assert len(_done_windows(out)) == 6
     for w, m in mtimes.items():
@@ -81,8 +91,7 @@ def test_sigkill_mid_run_then_resume(fixture_dir, tmp_path):
 
     # and the merged lineage equals a clean single run
     clean = str(tmp_path / "clean")
-    p3 = _launch(fixture_dir, clean)
-    p3.communicate(timeout=300)
+    _wait(_launch(fixture_dir, clean), deadline)
     for w in range(6):
         with open(f"{out}/window={w}/lineage.json") as f:
             a = json.load(f)

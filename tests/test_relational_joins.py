@@ -1,21 +1,66 @@
-"""``union_by_name`` against a pandas oracle."""
+"""``sources.union_by_name`` over a footer union schema: typed null
+padding against a pandas oracle, and conflicting column types rejected by
+``read_parquet_evolving`` and by ``run_validation`` before any read."""
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
 
 
 def test_union_by_name_pads_and_rejects_conflicts(ray_session):
-    import pandas as pd
-    import pyarrow as pa
-    import pytest
     import ray.data as rd
 
-    from driftray.ops.relational import union_by_name
+    from driftray.sources import union_by_name, union_schema
 
-    a = rd.from_pandas(pd.DataFrame({"x": [1, 2], "y": ["a", "b"]}))
-    b = rd.from_pandas(pd.DataFrame({"x": [3], "z": [1.5]}))
-    out = union_by_name([a, b]).to_pandas().sort_values("x")
+    a = pa.table({"x": pa.array([1, 2], pa.int64()), "y": ["a", "b"]})
+    b = pa.table({"x": pa.array([3], pa.int64()), "z": [1.5]})
+    schema = union_schema([a.schema, b.schema])
+    assert schema.names == ["x", "y", "z"]
+    out = (union_by_name([rd.from_arrow(a), rd.from_arrow(b)], schema)
+           .to_pandas().sort_values("x"))
     assert list(out.columns) == ["x", "y", "z"]
     assert out["y"].isna().tolist() == [False, False, True]
     assert out["z"].isna().tolist() == [True, True, False]
+    # restricted to columns, in their order
+    assert union_schema([a.schema, b.schema], ["z", "x"]).names == ["z", "x"]
 
-    c = rd.from_pandas(pd.DataFrame({"x": ["oops"]}))   # conflicting type
+    c = pa.table({"x": ["oops"]})   # conflicting type
     with pytest.raises(TypeError, match="conflicting"):
-        union_by_name([a, c])
+        union_schema([a.schema, c.schema])
+    # a conflict outside the requested columns is not read, so not raised
+    assert union_schema([a.schema, c.schema], ["y"]).names == ["y"]
+    with pytest.raises(KeyError, match="nope"):
+        union_schema([a.schema, b.schema], ["x", "nope"])
+
+
+def _conflicting_table(d):
+    d.mkdir()
+    pq.write_table(pa.table({"window_id": pa.array([0, 0], pa.int64()),
+                             "v": pa.array([1, 2], pa.int64())}),
+                   str(d / "a.parquet"))
+    pq.write_table(pa.table({"window_id": pa.array([1], pa.int64()),
+                             "v": pa.array(["s"], pa.string())}),
+                   str(d / "b.parquet"))
+    return str(d)
+
+
+def test_read_parquet_evolving_rejects_conflicts(ray_session, tmp_path):
+    from driftray.sources import read_parquet_evolving
+
+    d = _conflicting_table(tmp_path / "evo")
+    with pytest.raises(TypeError, match="conflicting"):
+        read_parquet_evolving(d)
+    assert read_parquet_evolving(d, columns=["window_id"]).count() == 3
+
+
+def test_run_validation_rejects_conflicts_in_a_chunk(ray_session, tmp_path):
+    from driftray.pipeline import run_validation
+    from driftray.spec import TableSpec
+
+    d = _conflicting_table(tmp_path / "tbl")
+    with pytest.raises(TypeError, match="conflicting"):
+        run_validation(d, str(tmp_path / "out"), TableSpec(name="c"))
+    # chunks that each read one schema group have nothing to reconcile
+    res = run_validation(d, str(tmp_path / "out1"), TableSpec(name="c"),
+                         windows_per_pass=1)
+    assert [(r.window_id, r.n_rows) for r in res] == [(0, 2), (1, 1)]
