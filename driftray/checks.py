@@ -487,11 +487,10 @@ class ProfileCheck(BatchCheck):
     ``hist_edges`` must be identical across windows so partials merge and
     PSI/JS compare."""
 
-    def __init__(self, spec: TableSpec, hist_edges: dict, nbins: int):
+    def __init__(self, spec: TableSpec, hist_edges: dict):
         self.columns = spec.profile_columns
         self.group_column = spec.group_column
         self.hist_edges = hist_edges
-        self.nbins = nbins
 
     def _emit(self, ctx: CheckContext, column: str, group: str,
               values: np.ndarray) -> None:
@@ -503,7 +502,7 @@ class ProfileCheck(BatchCheck):
                    detail="tdigest", blob=sketches.dumps(td))
         edges = self.hist_edges.get(column)
         hist = (Histogram.from_edges(edges) if edges is not None
-                else Histogram(0.0, 1.0, self.nbins)).update(values)
+                else Histogram(0.0, 1.0)).update(values)
         ctx.append("sketch", "profile", column=column, group=group,
                    detail="hist", blob=sketches.dumps(hist))
 
@@ -554,7 +553,7 @@ class UniquenessHLLCheck(BatchCheck):
                        blob=np.sort(h.view(np.int64)).tobytes())
 
 
-def build_checks(spec: TableSpec, hist_edges: dict, nbins: int,
+def build_checks(spec: TableSpec, hist_edges: dict,
                  membership: dict[int, object]) -> list[BatchCheck]:
     """Compile a spec into its check list: the built-ins plus any
     ``spec.custom_checks`` resolved through ``CHECK_REGISTRY``."""
@@ -565,7 +564,7 @@ def build_checks(spec: TableSpec, hist_edges: dict, nbins: int,
         FormatCheck(spec),
         Sha256Check(spec),
         ReferentialCheck(spec, membership),
-        ProfileCheck(spec, hist_edges, nbins),
+        ProfileCheck(spec, hist_edges),
         UniquenessHLLCheck(spec),
     ]
     for kind, params in getattr(spec, "custom_checks", ()) or ():
@@ -589,14 +588,13 @@ class ValidationKernel:
     across windows so histogram partials stay mergeable and PSI-comparable.
     ``max_violations_per_batch`` caps emitted violation rows (counters always
     carry exact totals) so a pathological window cannot blow up the findings
-    table at 100 TB scale.  ``extra_checks`` appends ad-hoc ``BatchCheck``
-    instances beyond the spec-declared ones."""
+    table at 100 TB scale.  A column without edges gets 10 bins over
+    [0, 1]; ad-hoc checks come in through ``spec.custom_checks``."""
 
     def __init__(self, spec: TableSpec, hist_edges: dict | None = None,
-                 nbins: int = 10, max_violations_per_batch: int = 10_000,
+                 max_violations_per_batch: int = 10_000,
                  membership: dict[int, object] | None = None,
-                 window_column: str | None = None,
-                 extra_checks: list | None = None) -> None:
+                 window_column: str | None = None) -> None:
         self.spec = spec
         self.cap = max_violations_per_batch
         self.window_column = window_column
@@ -609,22 +607,21 @@ class ValidationKernel:
 
             for i, m in membership.items():
                 resolved[i] = ray.get(m) if isinstance(m, ray.ObjectRef) else m
-        self.checks = build_checks(spec, hist_edges or {}, nbins, resolved)
-        if extra_checks:
-            self.checks.extend(extra_checks)
+        self.checks = build_checks(spec, hist_edges or {}, resolved)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         wc = self.window_column
         if wc is None or wc not in batch.column_names:
             return self._process(batch, -1)
         # split by window value (input is window-ordered, so batches rarely
-        # straddle more than one boundary; this loop is 1-2 iterations)
+        # straddle more than one boundary; this loop is 1-2 iterations);
+        # a 0-row batch holds no window and yields no findings
         wvals = batch[wc].to_pandas()
         parts = []
         for w in wvals.unique():
             mask = pa.array((wvals == w).to_numpy())
             parts.append(self._process(batch.filter(mask), int(w)))
-        return pa.concat_tables(parts)
+        return pa.concat_tables(parts) if parts else FINDINGS_SCHEMA.empty_table()
 
     def _process(self, batch: pa.Table, window: int) -> pa.Table:
         out = _empty_findings()

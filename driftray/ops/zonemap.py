@@ -8,12 +8,15 @@ data itself.  `read_parquet(filter=...)` does this implicitly inside Ray;
 these ops expose the mechanism as a first-class, testable surface:
 
 * :func:`footer_zone_map` — the zone-map TABLE itself (one row per row
-  group: file, row_group, n_rows, vmin, vmax), built on the driver by a
-  serial walk over the files' footers.  Useful on its own for data layout
-  audits (is the table clustered on this column? what fraction of row
-  groups would a given predicate prune?).  :func:`parquet_zone_map`
-  builds the same table as a Ray Data map over the files; both run one
-  per-file footer function.
+  group: file, row_group, n_rows, vmin, vmax, and with ``values`` the
+  row group's distinct values), built on the driver by a serial walk
+  over the files' footers.  ``pipeline.run_validation`` builds ONE per
+  run over the window column with ``values`` and plans every read from
+  it, selecting the row groups whose window ids meet the windows read.
+  Useful on its own for data layout audits (is the table clustered on
+  this column? what fraction of row groups would a given predicate
+  prune?).  :func:`parquet_zone_map` builds the same table as a Ray
+  Data map over the files; both run one per-file footer function.
 * :func:`map_row_groups` — ``fn(row_group_table)`` as one plain Ray task
   per planned (file, row group), returning the (small) outputs: no Ray
   Data execution, for steps whose output is metadata-sized.
@@ -52,7 +55,7 @@ def _zone_table(paths: list[str], col: str, values: bool) -> pa.Table:
     in the order given: the one per-file footer walk behind both the
     driver zone map and the Ray Data one."""
     files, rgs, ns, mins, maxs, vals, nulls = [], [], [], [], [], [], []
-    ctype = None
+    ctype = pa.null()  # no file: an empty, null-typed zone map
     for path in paths:
         pf = pq.ParquetFile(path)
         md = pf.metadata

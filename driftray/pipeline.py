@@ -11,14 +11,15 @@ Scale notes
 * Only the kernel pass is a Ray Data job: one execution per chunk of
   windows, whatever the number of footer schemas.  Every other step
   skips the streaming executor.  The run is planned from Parquet footers
-  on the driver: the window zone map lists each row group's window ids,
-  a table written across schema versions is padded to its footers'
-  union schema, and histogram edges fold the footer min/max (or come
-  from the baseline).  Dimension keys and the uniqueness verify are plain
-  tasks, one per footer-planned row group (``ops.zonemap.map_row_groups``),
-  whose outputs are 8 B per row (key hashes) or the candidate rows.
-  Nothing is an all-to-all job, and ``run_lineage.jsonl`` counts each
-  stage's jobs (``jobs``).
+  on the driver: ONE window zone map lists each row group's window ids,
+  and every read takes the row groups holding its windows; a read
+  spanning schema versions is padded to its footers' union schema, and
+  histogram edges fold the footer min/max (or come from the baseline).
+  Dimension keys and the uniqueness verify are plain tasks, one per
+  planned row group (``ops.zonemap.map_row_groups``), whose outputs are
+  8 B per row (key hashes) or the candidate rows.  Nothing is an
+  all-to-all job, and ``run_lineage.jsonl`` counts each stage's jobs
+  (``jobs``).
 * The raw input is read ONCE per window; the kernel's findings output
   (violations capped per batch + KB-sized sketches) is the only thing
   materialized.
@@ -166,9 +167,10 @@ class WindowResult:
         }
 
 
-def build_membership(dim_ds: rd.Dataset | pa.Table | str, columns, *, use_bloom: bool = False,
-                     capacity_hint: int | None = None, fpr: float = 1e-4):
-    """Collect the dimension-side key set (exact) or Bloom filter (scale path).
+def build_membership(dim_ds: rd.Dataset | pa.Table | str, columns, *,
+                     use_bloom: bool = False):
+    """Collect the dimension-side key set (exact) or Bloom filter (scale
+    path: sized to the dimension's keys at a 1e-4 false-positive rate).
 
     The dimension side is small relative to the fact table (repos, commit
     pairs) — it is aggregated to a single object and broadcast with
@@ -204,7 +206,7 @@ def build_membership(dim_ds: rd.Dataset | pa.Table | str, columns, *, use_bloom:
                             columns) for b in batches]
     all_keys = np.concatenate(arrays) if arrays else np.array([], dtype=np.uint64)
     if use_bloom:
-        bf = BloomFilter(capacity_hint or max(len(all_keys), 1), fpr)
+        bf = BloomFilter(max(len(all_keys), 1), 1e-4)
         bf.add(all_keys)
         bf.hashed = True
         return bf
@@ -716,38 +718,41 @@ def promote_baseline(out_dir: str, window_id: int, baseline_path: str,
     Baseline.load(src).save(baseline_file(baseline_path, table))
 
 
-def _zone_map_windows(zmaps: dict, window_column: str) -> list[int]:
-    """Every window id of the table, from the zone maps' ``values``; a row
+def _zone_map_windows(zm, window_column: str) -> list[int]:
+    """Every window id of the table, from the zone map's ``values``; a row
     group holding a null window id raises, naming its file and index."""
     found: set[int] = set()
-    for zm in zmaps.values():
-        for r in zm.itertuples(index=False):
-            if r.nulls:
-                raise ValueError(
-                    f"{r.nulls} row(s) with a null {window_column!r} in "
-                    f"{r.file}, row group {r.row_group}")
-            found.update(int(w) for w in r.values)
+    for r in zm.itertuples(index=False):
+        if r.nulls:
+            raise ValueError(
+                f"{r.nulls} row(s) with a null {window_column!r} in "
+                f"{r.file}, row group {r.row_group}")
+        found.update(int(w) for w in r.values)
     return sorted(found)
 
 
-def _row_group_keys(groups: dict, plan: dict, window_column: str,
+def _row_group_keys(groups: dict, plan, window_column: str,
                     key_cols: list[str], windows: list[int]):
     """``map_keys`` for :func:`uniqueness_violations` over the rows of
-    ``windows``: one plain task per row group of ``plan`` (per schema
-    group, the zone-map rows that may hold ``windows``) through
-    ``ops.zonemap.map_row_groups``.  Each task filters its row group to
-    exactly ``windows`` and pads a key or order column its schema group
-    lacks with typed nulls of the footers' union schema, as the kernel
-    pass's read is padded.  ``fn``'s outputs come back to the driver."""
+    ``windows``: one plain task per row group of ``plan`` (the zone-map
+    rows holding ``windows``) through ``ops.zonemap.map_row_groups``.
+    Each task filters its row group to exactly ``windows`` and pads a key
+    or order column its schema group lacks with typed nulls of the
+    footers' union schema, as the kernel pass's read is padded.  ``fn``'s
+    outputs come back to the driver."""
     from .ops.zonemap import map_row_groups
     from .sources import pad_to_schema, union_schema
 
-    schema = (union_schema([groups[key][0] for key in plan], key_cols)
-              if plan else None)
-    plans = [(list(zm[["file", "row_group"]].itertuples(index=False, name=None)),
-              [c for c in dict.fromkeys([*key_cols, window_column])
-               if c in groups[key][0].names])
-             for key, zm in plan.items()]
+    keys = plan["group"].unique()
+    schema = (union_schema([groups[k][0] for k in keys], key_cols)
+              if len(keys) else None)
+    # one map_row_groups call per distinct list of columns to read
+    by_columns: dict[tuple, list] = {}
+    for f, g, key in plan[["file", "row_group", "group"]].itertuples(
+            index=False, name=None):
+        cols = tuple(c for c in dict.fromkeys([*key_cols, window_column])
+                     if c in groups[key][0].names)
+        by_columns.setdefault(cols, []).append((f, g))
     members = pa.array(windows, pa.int64())
 
     def in_windows(t: pa.Table) -> pa.Table:
@@ -755,12 +760,11 @@ def _row_group_keys(groups: dict, plan: dict, window_column: str,
             pc.is_in(t[window_column], value_set=members), False)), schema)
 
     def map_keys(fn) -> list:
-        out = []
-        for row_groups, columns in plans:
-            _count("row_group_tasks", len(row_groups))
-            out += map_row_groups(row_groups, lambda t: fn(in_windows(t)),
-                                  columns)
-        return out
+        _count("row_group_tasks", len(plan))
+        return [out for cols, row_groups in by_columns.items()
+                for out in map_row_groups(row_groups,
+                                          lambda t: fn(in_windows(t)),
+                                          list(cols))]
 
     return map_keys
 
@@ -775,23 +779,22 @@ def run_validation(
     dim_paths: dict[str, str] | None = None,
     baseline_path: str | None = None,
     use_bloom: bool = False,
-    hist_edges: dict[str, np.ndarray] | None = None,
     check_uniqueness: bool = True,
     windows_per_pass: int = 4,
-    strict_schema: bool = False,
 ) -> list[WindowResult]:
     """Validate every window of a partitioned Parquet table, resumably.
 
-    * the run is planned from Parquet footers: ``windows=None`` takes the
-      window ids from the window zone map (a null id raises, naming its
-      file and row group, and so does a file without ``window_column``),
-      and ``hist_edges=None`` takes the bin edges from the baseline's
+    * the run is planned on the driver (no Ray job) from ONE window zone
+      map over every file holding ``window_column``: it lists each row
+      group's window ids (a row group whose footer statistics do not pin
+      one window has its window column read), and every read takes the
+      row groups holding its windows, padded to the union schema of
+      their footers when they span schema versions;
+    * ``windows=None`` takes the window ids from the zone map (a null id
+      raises, naming its file and row group, and so does a file without
+      ``window_column``); the bin edges come from the baseline's
       histograms when a baseline is loaded, else from the footer min/max
       (``infer_hist_edges``);
-    * the window zone map is built on the driver from the footers (no Ray
-      job), one per schema group; every read is planned from it, and a
-      table written across schema versions is read per group and padded
-      to the groups' footer union schema (``sources.union_by_name``);
     * dimension keys are hashed ONCE, one plain task per row group (8 B
       per key back to the driver), and broadcast via ``ray.put`` (exact
       sets at test scale, Bloom filters with ``use_bloom=True``);
@@ -804,14 +807,17 @@ def run_validation(
       under ``out_dir/table/``; ``table/lineage.json`` records the windows
       it covers, and a run recomputes it whenever a ``_DONE`` window is
       not covered (an appended window, a resumed run).  Its candidates are
-      fetched by plain tasks over the zone-map-pruned row groups of those
-      windows (every schema group's).
+      fetched by plain tasks over the planned row groups of those
+      windows.
 
     So the kernel pass is the run's only Ray Data job, one execution per
-    chunk that some row group may hold; a chunk that none holds runs no
+    chunk that some row group holds; a chunk that none holds runs no
     job, and its windows get 0-row results.  Each
     ``run_lineage.jsonl`` line records, under ``jobs``, the Ray Data
-    executions and plain row-group tasks every stage started."""
+    executions and plain row-group tasks every stage started, and
+    ``jobs.validate_chunks.row_groups`` the row groups the kernel pass
+    read.  Spec violations of the schema preflight are reported, not
+    raised (``schema_drift.record_and_diff(strict=True)`` raises)."""
     os.makedirs(out_dir, exist_ok=True)
     t_run0 = time.perf_counter()
     stage_s: dict[str, float] = {}
@@ -829,71 +835,55 @@ def run_validation(
         stage_jobs[name] = stage_jobs.get(name, Counter()) + since
 
     # schema preflight: metadata-only snapshot + drift vs the previous
-    # run's snapshot (footer read — costs nothing at any scale); with
-    # strict_schema the run aborts before any scan is scheduled.  The
+    # run's snapshot (footer read — costs nothing at any scale).  The
     # baseline snapshot is NOT advanced here — only after the run
     # completes — so a crashed run's retry still reports the drift.
     t0 = time.perf_counter()
     from .schema_drift import persist_snapshot, record_and_diff
-    from .sources import footer_schema_groups, union_by_name, union_schema
+    from .sources import footer_schema_groups, pad_to_schema, union_schema
 
-    # ONE footer walk per run: the grouping feeds the schema snapshot,
-    # the drift diff AND every read below (a 50k-file directory on object
-    # storage pays the serial footer-open loop exactly once)
+    # the footer-schema walk feeds the schema snapshot, the drift diff
+    # and the zone map below; the zone map opens each footer once more
     _fgroups = footer_schema_groups(input_path)
     schema_report = record_and_diff(out_dir, input_path, spec,
-                                    strict=strict_schema, persist=False,
-                                    groups=_fgroups)
+                                    persist=False, groups=_fgroups)
     n_schema_groups = len(_fgroups)
 
-    # window zone maps (metadata-only, ONE driver walk over the footers
-    # per run, no Ray job): every read of the run is planned from them,
-    # and reads ONLY the row groups whose [vmin, vmax] overlaps its
-    # windows.  read_parquet(filter=...) does NOT prune row groups —
-    # measured: every chunk re-scanned the whole table (2x read
-    # amplification at 2 chunks; on a resume with 1% pending it would be
-    # 100x).  When the windows are not given, the same footer walk also
-    # lists each row group's distinct window ids (``values``): window
-    # discovery is then a driver-side union of the zone maps.  A schema
-    # group without the window column then raises; when the windows are
-    # given, no read touches it.
-    from .ops.zonemap import footer_zone_map
+    # ONE window zone map per run, on the driver, over every file
+    # holding the window column: each row group's window ids (``values``)
+    # and footer schema group.  Every read is planned from it and reads
+    # ONLY the row groups holding its windows (read_parquet(filter=...)
+    # does not prune row groups: every chunk re-scanned the table).  A
+    # file without the window column raises when the windows are not
+    # given; when they are, no read touches it.
+    from .ops.zonemap import footer_zone_map, pruned_read
 
-    _zmaps = {}
-    for key, (sch, fs) in sorted(_fgroups.items()):
+    group_of = {}
+    for key, (sch, fs) in _fgroups.items():
         if window_column in sch.names:
-            _zmaps[key] = footer_zone_map(fs, window_column,
-                                          values=windows is None)
+            group_of.update((f, key) for f in fs)
         elif windows is None:
             raise ValueError(f"no {window_column!r} column in {fs[0]}; "
                              "pass windows= to validate the other files")
+    _zmap = footer_zone_map(list(group_of), window_column, values=True)
+    _zmap["group"] = _zmap["file"].map(group_of)
 
-    def _plan(ws: list[int]) -> dict:
-        # per schema group, the zone-map rows that may hold ``ws``
-        # (statistics-less row groups are kept); groups with none are
-        # left out
-        plan = {}
-        if ws:
-            lo_w, hi_w = min(ws), max(ws)
-            for key, zm in _zmaps.items():
-                hit = zm["vmin"].isna() | ~((zm["vmax"] < lo_w)
-                                            | (zm["vmin"] > hi_w))
-                if hit.any():
-                    plan[key] = zm[hit]
-        return plan
+    def _plan(ws: list[int]):
+        # the zone-map rows holding a window of ``ws``
+        wset = set(ws)
+        return _zmap.loc[[not wset.isdisjoint(v) for v in _zmap["values"]]]
 
-    def _read_chunk(plan: dict, chunk: list[int]) -> rd.Dataset:
-        from .ops.zonemap import pruned_read
-
-        parts = [pruned_read(_fgroups[key][1], window_column, min(chunk),
-                             max(chunk), zone_map=zm, value_set=chunk)
-                 for key, zm in plan.items()]
-        if len(parts) == 1:
-            return parts[0]
-        # mixed footer schemas: pad every part to the union of the
+    def _read_chunk(plan, chunk: list[int]) -> rd.Dataset:
+        ds = pruned_read(sorted(set(plan["file"])), window_column, min(chunk),
+                         max(chunk), zone_map=plan, value_set=chunk)
+        keys = plan["group"].unique()
+        if len(keys) == 1:
+            return ds
+        # mixed footer schemas: pad every block to the union of the
         # footers it reads (typed nulls for the columns a version lacks)
-        return union_by_name(parts,
-                             union_schema([_fgroups[key][0] for key in plan]))
+        schema = union_schema([_fgroups[k][0] for k in keys])
+        return ds.map_batches(lambda t: pad_to_schema(t, schema),
+                              batch_format="pyarrow")
 
     _mark("schema_preflight", t0)
 
@@ -913,7 +903,7 @@ def run_validation(
     _mark("membership", t0)
     t0 = time.perf_counter()
     if windows is None:
-        windows = _zone_map_windows(_zmaps, window_column)
+        windows = _zone_map_windows(_zmap, window_column)
     pending = [w for w in windows if not window_done(out_dir, w)]
     _mark("window_discovery", t0)
     t0 = time.perf_counter()
@@ -946,11 +936,10 @@ def run_validation(
     # group): every run's histograms then share the baseline's bins, so
     # drift compares like bins and windows' profiles merge; only columns
     # the baseline lacks get edges from the footers
-    if hist_edges is None:
-        hist_edges = ({c: p.hist.edges for (_g, c), p in baseline.profiles.items()}
-                      if baseline is not None else {})
-        if any(c not in hist_edges for c in spec.profile_columns):
-            hist_edges = {**infer_hist_edges(input_path, spec), **hist_edges}
+    hist_edges = ({c: p.hist.edges for (_g, c), p in baseline.profiles.items()}
+                  if baseline is not None else {})
+    if any(c not in hist_edges for c in spec.profile_columns):
+        hist_edges = {**infer_hist_edges(input_path, spec), **hist_edges}
     _mark("hist_edges", t0)
 
     # chunked passes: a killed run loses at most windows_per_pass windows
@@ -961,7 +950,8 @@ def run_validation(
     for lo in range(0, len(pending), windows_per_pass):
         chunk = pending[lo: lo + windows_per_pass]
         plan = _plan(chunk)
-        results = {} if not plan else validate_dataset(
+        _count("row_groups", len(plan))
+        results = {} if plan.empty else validate_dataset(
             _read_chunk(plan, chunk), spec, window_column=window_column,
             membership=membership, baseline=baseline, hist_edges=hist_edges,
             check_uniqueness=False)
@@ -1018,9 +1008,12 @@ def run_validation(
         "rows": int(sum(r.n_rows for r in out)),
         "total_s": round(time.perf_counter() - t_run0, 3),
         "stages_s": stage_s,
-        # per stage: Ray Data executions and plain row-group tasks started;
-        # unlike stages_s, "validate_chunks" excludes "uniqueness"
-        "jobs": {name: {k: int(c[k]) for k in ("ray_data", "row_group_tasks")}
+        # per stage: Ray Data executions and plain row-group tasks started,
+        # and the row groups the kernel pass read; unlike stages_s,
+        # "validate_chunks" excludes "uniqueness"
+        "jobs": {name: {k: int(c[k]) for k in (
+                     "ray_data", "row_group_tasks",
+                     *(("row_groups",) if name == "validate_chunks" else ()))}
                  for name, c in stage_jobs.items()},
         "schema_drift": schema_report["drift"],
         "schema_violations": schema_report["spec_violations"],

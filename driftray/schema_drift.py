@@ -12,8 +12,9 @@ upstream writer" failure mode that row-level checks only catch after
 scanning (or worse, silently, when the column is optional).
 
 Spec-level findings (required / profiled columns absent from the file
-schema) are a PRE-FLIGHT: with ``strict_schema=True`` the run aborts
-before any scan is scheduled.
+schema) are a PRE-FLIGHT: ``run_validation`` reports them, and
+``record_and_diff(strict=True)`` raises on them before any scan is
+scheduled.
 """
 
 from __future__ import annotations

@@ -146,3 +146,58 @@ def test_struct_field_does_not_shadow_window_column(ray_session, tmp_path):
     res = P.run_validation(str(d), str(tmp_path / "out"),
                            TableSpec(name="n", columns=[ColumnSpec("v", min_value=0)]))
     assert [(r.window_id, r.n_rows) for r in res] == [(0, 2), (1, 2)]
+
+
+def _windowed(tmp_path, name: str, windows_per_row_group: int) -> str:
+    """Six windows of 50 rows, ``windows_per_row_group`` per row group;
+    keys repeat within and across windows."""
+    d = tmp_path / name
+    d.mkdir()
+    w = np.repeat(np.arange(6), 50)
+    pq.write_table(_keyed(w.tolist(), ((np.arange(300) * 7) % 23 - 2).tolist()),
+                   str(d / "a.parquet"), row_group_size=50 * windows_per_row_group)
+    return str(d)
+
+
+def test_scattered_resume_reads_only_pending_row_groups(ray_session, tmp_path):
+    """One window per row group: after windows 1-4, the resume of windows
+    0 and 5 reads their 2 row groups, not the 6 their range spans."""
+    d = _windowed(tmp_path, "t", 1)
+    out, cold = str(tmp_path / "out"), str(tmp_path / "cold")
+    P.run_validation(d, out, SPEC, windows=[1, 2, 3, 4])
+    assert _last_jobs(out)["validate_chunks"]["row_groups"] == 4
+    res = P.run_validation(d, out, SPEC)
+    assert [(r.window_id, r.n_rows) for r in res] == [(0, 50), (5, 50)]
+    assert _last_jobs(out)["validate_chunks"]["row_groups"] == 2
+    P.run_validation(d, cold, SPEC)
+    assert _last_jobs(cold)["validate_chunks"]["row_groups"] == 6
+    assert _outputs(out, range(6)) == _outputs(cold, range(6))
+
+
+def test_windows_select_row_groups_by_window_id(ray_session, tmp_path):
+    """Row groups hold windows {0, 1}, {2, 3} and {4, 5}: ``windows=[1, 4]``
+    reads 2 row groups and gives those windows' results of a full run."""
+    d = _windowed(tmp_path, "t", 2)
+    part, full = str(tmp_path / "part"), str(tmp_path / "full")
+    res = {r.window_id: r for r in P.run_validation(d, part, SPEC, windows=[1, 4])}
+    assert sorted(res) == [1, 4]
+    assert _last_jobs(part)["validate_chunks"]["row_groups"] == 2
+    cold = {r.window_id: r for r in P.run_validation(d, full, SPEC)}
+    assert _last_jobs(full)["validate_chunks"]["row_groups"] == 3
+    for w in (1, 4):
+        assert res[w].n_rows == 50 and res[w].counters == cold[w].counters
+    # the rest of the table: the table report equals the full run's
+    P.run_validation(d, part, SPEC)
+    assert P.load_table_report(part) == P.load_table_report(full)
+    assert P.load_table_report(full)["extra_rows"] > 0
+    assert _outputs(part, range(6)) == _outputs(full, range(6))
+
+
+def test_kernel_empty_batch_with_window_column():
+    """A 0-row batch that has the window column yields no findings rows,
+    not an error and no window -1 row."""
+    from driftray.checks import FINDINGS_SCHEMA, ValidationKernel
+
+    kernel = ValidationKernel(SPEC, window_column="window_id")
+    got = kernel(_keyed([], []))
+    assert got.num_rows == 0 and got.schema == FINDINGS_SCHEMA
