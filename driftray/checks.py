@@ -422,7 +422,11 @@ class FormatCheck(BatchCheck):
 
 
 class Sha256Check(BatchCheck):
-    """M11 / BASELINE.json input_hint: sha256(content) == content_sha256."""
+    """M11 / BASELINE.json input_hint: sha256(content) == content_sha256.
+
+    When neither column has a null and every expected value is 64 bytes,
+    the digests compare as one fixed-width ``S64`` array against the
+    expected column's data buffer; otherwise value by value."""
 
     def __init__(self, spec: TableSpec):
         self.hi = spec.hash_invariant
@@ -433,12 +437,43 @@ class Sha256Check(BatchCheck):
         if hi is None or hi.content_column not in batch.column_names \
                 or hi.hash_column not in batch.column_names:
             return
-        actual = sha256_hex_arrow(batch[hi.content_column])
-        expected = batch[hi.hash_column].to_pylist()
-        mask = np.fromiter((a != e for a, e in zip(actual, expected)),
-                           dtype=bool, count=len(actual))
+        content = batch[hi.content_column]
+        expected = batch[hi.hash_column]
+        actual = sha256_hex_arrow(content)
+        digests = None if content.null_count else _hex_digests(expected)
+        if digests is not None:
+            mask = np.frombuffer("".join(actual).encode("ascii"),
+                                 dtype="S64") != digests
+        else:
+            expected = expected.to_pylist()
+            mask = np.fromiter((a != e for a, e in zip(actual, expected)),
+                               dtype=bool, count=len(actual))
         ctx.emit_violations(mask, "sha256", hi.content_column,
                             "content hash mismatch")
+
+
+def _hex_digests(col: pa.ChunkedArray | pa.Array) -> np.ndarray | None:
+    """``col`` as one ``S64`` array when it is a string column with no
+    null whose every value is 64 bytes long (a hex sha256): each chunk's
+    values then lie back to back in its data buffer.  None otherwise."""
+    if not (pa.types.is_string(col.type) or pa.types.is_large_string(col.type)):
+        return None
+    if col.null_count or not len(col):
+        return None
+    if pc.any(pc.not_equal(pc.binary_length(col), 64)).as_py():
+        return None
+    chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]
+    width = 8 if pa.types.is_large_string(col.type) else 4
+    parts = []
+    for chunk in chunks:
+        if not len(chunk):
+            continue
+        bufs = chunk.buffers()
+        start = int(np.frombuffer(bufs[1], dtype=f"<i{width}", count=1,
+                                  offset=chunk.offset * width)[0])
+        parts.append(np.frombuffer(bufs[2], dtype="S64", count=len(chunk),
+                                   offset=start))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 class ReferentialCheck(BatchCheck):
@@ -582,7 +617,10 @@ class ValidationKernel:
     The spec is compiled into a list of ``BatchCheck`` instances in
     ``__init__`` (once per actor, SURVEY.md §2.10 / T-stages);
     ``__call__`` runs every check over each batch — fully vectorized
-    except the sha256 row loop (hashlib, C-speed).
+    except the sha256 row loop (hashlib, C-speed).  With a
+    ``window_column`` each window's run of rows is a zero-copy slice of
+    the batch: a window-ordered batch is neither copied nor filtered
+    (only a window whose rows are not contiguous is gathered by a mask).
 
     ``hist_edges`` maps profile column → bin edges; edges must be identical
     across windows so histogram partials stay mergeable and PSI-comparable.
@@ -613,15 +651,23 @@ class ValidationKernel:
         wc = self.window_column
         if wc is None or wc not in batch.column_names:
             return self._process(batch, -1)
-        # split by window value (input is window-ordered, so batches rarely
-        # straddle more than one boundary; this loop is 1-2 iterations);
-        # a 0-row batch holds no window and yields no findings
-        wvals = batch[wc].to_pandas()
-        parts = []
-        for w in wvals.unique():
-            mask = pa.array((wvals == w).to_numpy())
-            parts.append(self._process(batch.filter(mask), int(w)))
-        return pa.concat_tables(parts) if parts else FINDINGS_SCHEMA.empty_table()
+        # split by window value; a 0-row batch holds no window and yields
+        # no findings.  The input is window-ordered, so each window is one
+        # run of rows and gets a zero-copy slice; only a window whose rows
+        # are not contiguous is gathered by a mask filter (a copy)
+        w = batch[wc].to_numpy(zero_copy_only=False)
+        if not len(w):
+            return FINDINGS_SCHEMA.empty_table()
+        starts = [0, *(np.flatnonzero(w[1:] != w[:-1]) + 1).tolist()]
+        firsts = w[starts].tolist()
+        if len(set(firsts)) == len(firsts):
+            ends = [*starts[1:], len(w)]
+            parts = [self._process(batch.slice(a, b - a), int(v))
+                     for a, b, v in zip(starts, ends, firsts)]
+        else:
+            parts = [self._process(batch.filter(pa.array(w == v)), int(v))
+                     for v in dict.fromkeys(firsts)]
+        return pa.concat_tables(parts)
 
     def _process(self, batch: pa.Table, window: int) -> pa.Table:
         out = _empty_findings()

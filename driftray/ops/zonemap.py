@@ -36,6 +36,8 @@ vs a plain SQL filter), plus a planted multi-row-group pruning test.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -50,22 +52,24 @@ __all__ = ["footer_zone_map", "parquet_zone_map", "map_row_groups",
            "build_bloom_index", "bloom_pruned_read"]
 
 
-def _zone_table(paths: list[str], col: str, values: bool) -> pa.Table:
+def _zone_table(paths: list[str], col: str, values: bool,
+                footers: dict | None = None) -> pa.Table:
     """The zone-map rows of ``paths``' footers (see :func:`parquet_zone_map`),
     in the order given: the one per-file footer walk behind both the
-    driver zone map and the Ray Data one."""
+    driver zone map and the Ray Data one.  ``footers`` maps a path to its
+    already-read ``pq.FileMetaData`` (``sources.read_footers``); a path
+    it lacks has its footer read here."""
     files, rgs, ns, mins, maxs, vals, nulls = [], [], [], [], [], [], []
     ctype = pa.null()  # no file: an empty, null-typed zone map
     for path in paths:
-        pf = pq.ParquetFile(path)
-        md = pf.metadata
+        md = (footers or {}).get(path) or pq.read_metadata(path)
         # by dotted path: a struct field's leaf name (``meta.window_id``)
         # must not shadow the top-level column
         index = {md.schema.column(i).path: i for i in range(md.num_columns)}
         ci = index[col]
         # typed from the footer: a batch of files without statistics
         # would otherwise infer a ``null`` column
-        ctype = pf.schema_arrow.field(col).type
+        ctype = md.schema.to_arrow_schema().field(col).type
         for g in range(md.num_row_groups):
             rg = md.row_group(g)
             st = rg.column(ci).statistics
@@ -81,7 +85,9 @@ def _zone_table(paths: list[str], col: str, values: bool) -> pa.Table:
                 vals.append([st.min])
                 nulls.append(st.null_count)
             else:
-                v = pf.read_row_group(g, columns=[col])[col]
+                # reopened with its footer: only the column chunk is read
+                with pq.ParquetFile(path, metadata=md) as pf:
+                    v = pf.read_row_group(g, columns=[col])[col]
                 vals.append(pc.unique(v.drop_null()).to_pylist())
                 nulls.append(v.null_count)
     out = {"file": pa.array(files, pa.string()),
@@ -95,15 +101,16 @@ def _zone_table(paths: list[str], col: str, values: bool) -> pa.Table:
     return pa.table(out)
 
 
-def footer_zone_map(paths: list[str], col: str,
-                    values: bool = False) -> pd.DataFrame:
+def footer_zone_map(paths: list[str], col: str, values: bool = False,
+                    footers: dict | None = None) -> pd.DataFrame:
     """:func:`parquet_zone_map` built on the driver: one serial walk over
     the sorted ``paths``' footers, no Ray job.  A footer is a few KB, so
     for a run's own table this costs milliseconds where a Ray Data
-    execution costs its start-up.  With ``values`` a row group whose
-    statistics do not pin a single value has its ``col`` chunk read here,
-    on the driver."""
-    return _zone_table(sorted(paths), col, values).to_pandas()
+    execution costs its start-up; ``footers`` (path → footer metadata)
+    spares re-reading footers a caller already holds.  With ``values`` a
+    row group whose statistics do not pin a single value has its ``col``
+    chunk read here, on the driver."""
+    return _zone_table(sorted(paths), col, values, footers).to_pandas()
 
 
 def parquet_zone_map(paths: list[str], col: str,
@@ -180,18 +187,42 @@ def read_row_groups(paths: list[str], columns: list[str] | None = None, *,
         if columns:
             schema = pa.schema([schema.field(c) for c in columns])
         return rd.from_arrow(schema.empty_table())
-
-    def read_groups(t: pa.Table) -> pa.Table:
-        parts = []
-        for f, g in zip(t["file"].to_pylist(), t["row_group"].to_pylist()):
-            tbl = pq.ParquetFile(f).read_row_group(g, columns=columns)
-            parts.append(tbl if transform is None else transform(tbl))
-        return pa.concat_tables(parts)
-
     # one row group per read task: block size == row-group size
     return (rd.from_items(items, override_num_blocks=len(items))
-            .map_batches(read_groups, batch_format="pyarrow",
-                         batch_size=1))
+            .map_batches(partial(_read_groups, columns=columns,
+                                 transform=transform),
+                         batch_format="pyarrow", batch_size=1))
+
+
+# The read and filter steps are module-level functions bound with
+# ``functools.partial``: a task pickles them by reference, where a
+# closure is pickled by value (cloudpickle then walks ``sys.modules``).
+
+
+def _read_groups(t: pa.Table, columns, transform) -> pa.Table:
+    """The row groups ``t`` lists (``file``, ``row_group``), each read and
+    passed through ``transform``."""
+    parts = []
+    for f, g in zip(t["file"].to_pylist(), t["row_group"].to_pylist()):
+        tbl = pq.ParquetFile(f).read_row_group(g, columns=columns)
+        parts.append(tbl if transform is None else transform(tbl))
+    return pa.concat_tables(parts)
+
+
+def _exact_filter(tbl: pa.Table, col: str, lo, hi, members,
+                  columns) -> pa.Table:
+    """The rows of ``tbl`` whose ``col`` is in ``members`` (or, without
+    members, in ``[lo, hi]``), projected to ``columns``.  A row group
+    whose every row is kept is passed on as read, not copied."""
+    v = tbl[col]
+    if members is not None:
+        mask = pc.is_in(v, value_set=members)
+    else:
+        mask = pc.and_(pc.greater_equal(v, lo), pc.less_equal(v, hi))
+    mask = pc.fill_null(mask, False)
+    if not pc.all(mask).as_py():
+        tbl = tbl.filter(mask)
+    return tbl if columns is None else tbl.select(columns)
 
 
 def pruned_read(paths: list[str], col: str, lo, hi,
@@ -207,8 +238,9 @@ def pruned_read(paths: list[str], col: str, lo, hi,
     task list; (2) :func:`read_row_groups` reads each surviving
     (file, row_group) in its own task; (3) with ``exact`` (default) each
     row group is filtered to the predicate inside that task (zone maps
-    prove *possible* overlap, not row-level membership).  Statistics-less
-    row groups are conservatively kept.
+    prove *possible* overlap, not row-level membership); a row group
+    whose every row matches is passed on as read, neither filtered nor
+    copied.  Statistics-less row groups are conservatively kept.
 
     ``zone_map`` accepts a precomputed ``parquet_zone_map(...).to_pandas()``
     frame so a caller issuing many pruned reads over the same directory
@@ -229,18 +261,10 @@ def pruned_read(paths: list[str], col: str, lo, hi,
     # the filter column is read with the row group even when not projected
     read_cols = (None if columns is None
                  else list(dict.fromkeys([*columns, col])))
-
-    def exact_filter(tbl: pa.Table) -> pa.Table:
-        v = tbl[col]
-        if members is not None:
-            mask = pc.is_in(v, value_set=members)
-        else:
-            mask = pc.and_(pc.greater_equal(v, lo), pc.less_equal(v, hi))
-        tbl = tbl.filter(pc.fill_null(mask, False))
-        return tbl if columns is None else tbl.select(columns)
-
     return read_row_groups(paths, read_cols, row_groups=tasks,
-                           transform=exact_filter)
+                           transform=partial(_exact_filter, col=col, lo=lo,
+                                             hi=hi, members=members,
+                                             columns=columns))
 
 
 def build_bloom_index(paths: list[str], col: str,

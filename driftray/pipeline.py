@@ -20,9 +20,16 @@ Scale notes
   8 B per row (key hashes) or the candidate rows.  Nothing is an
   all-to-all job, and ``run_lineage.jsonl`` counts each stage's jobs
   (``jobs``).
+* Each file's footer is read ONCE per run (``sources.read_footers``);
+  the schema groups, the zone map and the histogram edges all plan from
+  it.
 * The raw input is read ONCE per window; the kernel's findings output
   (violations capped per batch + KB-sized sketches) is the only thing
-  materialized.
+  materialized.  A row group whose rows all belong to the chunk's
+  windows is neither filtered nor copied: the read passes it on as
+  read, and the kernel checks each window's run of rows as a zero-copy
+  slice.  The findings reduce on the driver in one pass over Python
+  lists, without pandas.
 * Referential membership is broadcast via ``ray.put`` (sets at test scale,
   Bloom filters at 100 TB scale) and probed inside the same kernel pass —
   no shuffle join.
@@ -44,6 +51,7 @@ import time
 from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -75,9 +83,10 @@ except ModuleNotFoundError:  # pragma: no cover - aiohttp absent in sandbox
 
 from . import sketches
 from .bloom import BloomFilter
-from .checks import ValidationKernel, join_key
+from .checks import ValidationKernel, hash_keys, join_key
 from .drift import js_divergence, ks_from_digests, mean_difference, psi, _kolmogorov_sf
 from .sketches import Histogram, Moments, TDigest, merge_all
+from .sources import pad_to_schema
 from .spec import TableSpec
 
 # Ray Data executions ("ray_data") and plain row-group tasks
@@ -185,8 +194,6 @@ def build_membership(dim_ds: rd.Dataset | pa.Table | str, columns, *,
     strings.  A hash collision can only mask a violation (never invent
     one) with probability ~n_dim/2^64 per probed row — negligible next to
     the Bloom FPR this degrades to at scale anyway."""
-    from .checks import hash_keys
-
     if isinstance(dim_ds, str):
         from .ops.zonemap import map_row_groups, row_groups_of
         from .sources import parquet_files
@@ -194,7 +201,8 @@ def build_membership(dim_ds: rd.Dataset | pa.Table | str, columns, *,
         cols = list(columns)
         plan = row_groups_of(parquet_files(dim_ds))
         _count("row_group_tasks", len(plan))
-        arrays = map_row_groups(plan, lambda t: hash_keys(t, cols), cols)
+        # a partial of a module-level function pickles by reference
+        arrays = map_row_groups(plan, partial(hash_keys, columns=cols), cols)
     else:
         if isinstance(dim_ds, pa.Table):
             batches = [dim_ds]
@@ -214,37 +222,41 @@ def build_membership(dim_ds: rd.Dataset | pa.Table | str, columns, *,
 
 
 def merge_findings(findings: pa.Table) -> tuple[dict, pa.Table, dict, float | None]:
-    """Split + reduce a materialized findings table (tiny vs the input).
+    """Split + reduce a materialized findings table (tiny vs the input)
+    in one pass over its columns as Python lists.
 
-    Returns (counters, violations, profiles, key_hll_estimate)."""
-    kinds = np.asarray(findings["kind"].to_pandas(), dtype=object)
+    Returns (counters, violations, profiles, key_hll_estimate): counters
+    summed per (check, column) and ordered by it, keyed ``check`` or
+    ``check|column``; profiles ordered by (group, column), each sketch
+    kind's partials merged in row order."""
+    sums: dict[tuple[str, str], int] = {}
+    partials: dict[tuple[str, str], dict[str, list]] = {}
+    hlls: list[bytes] = []
+    for kind, check, column, group, detail, n, blob in zip(*(
+            findings[c].to_pylist() for c in (
+                "kind", "check", "column", "group", "detail", "n", "blob"))):
+        if kind == "counter":
+            sums[check, column] = sums.get((check, column), 0) + n
+        elif kind == "sketch" and check == "profile":
+            partials.setdefault((group, column), {}).setdefault(
+                detail, []).append(blob)
+        elif kind == "sketch" and check == "uniqueness":
+            hlls.append(blob)
+    counters = {check if column == "" else f"{check}|{column}": sums[check, column]
+                for check, column in sorted(sums)}
 
-    counter_mask = kinds == "counter"
-    cdf = findings.filter(pa.array(counter_mask)).select(["check", "column", "n"]).to_pandas()
-    counters = (
-        cdf.groupby(["check", "column"])["n"].sum()
-        .reset_index()
-        .assign(key=lambda d: np.where(d["column"] == "", d["check"], d["check"] + "|" + d["column"]))
-        .set_index("key")["n"].to_dict()
-    )
-
-    violations = findings.filter(pa.array(kinds == "violation")).select(
+    violations = findings.filter(pc.equal(findings["kind"], "violation")).select(
         ["check", "column", "row_ref", "detail"])
 
-    sk = findings.filter(pa.array(kinds == "sketch")).to_pandas()
     profiles: dict[tuple[str, str], ColumnProfile] = {}
-    key_hll = None
-    prof = sk[sk["check"] == "profile"]
-    for (group, column), grp in prof.groupby(["group", "column"]):
-        parts = {}
-        for kind in SKETCH_KINDS:
-            blobs = grp[grp["detail"] == kind]["blob"]
-            parts[kind] = merge_all(sketches.loads(b) for b in blobs)
+    for group, column in sorted(partials):
+        by_kind = partials[group, column]
+        parts = {kind: merge_all(sketches.loads(b) for b in by_kind.get(kind, ()))
+                 for kind in SKETCH_KINDS}
         profiles[(group, column)] = ColumnProfile(column, group, parts["moments"],
                                                   parts["tdigest"], parts["hist"])
-    uniq = sk[sk["check"] == "uniqueness"]
-    if len(uniq):
-        key_hll = merge_all(sketches.loads(b) for b in uniq["blob"]).estimate()
+    key_hll = (merge_all(sketches.loads(b) for b in hlls).estimate()
+               if hlls else None)
     return counters, violations, profiles, key_hll
 
 
@@ -309,8 +321,6 @@ def uniqueness_violations(ds, spec: TableSpec,
     D2/D3), and — when the spec has an order column — a small winners
     table (key, win_order) so downstream consumers (``materialize_silver``)
     can KEEP the documented winner instead of dropping every copy."""
-    from .checks import hash_keys
-
     key_cols = list(spec.unique_key or ())
     order_col = spec.order_column
     if not key_cols:
@@ -322,7 +332,7 @@ def uniqueness_violations(ds, spec: TableSpec,
 
     if key_hashes is None:
         key_hashes = _concat_runs(t["kh"].to_numpy() for t in map_keys(
-            lambda b: pa.table({"kh": hash_keys(b, key_cols).view(np.int64)})))
+            partial(_key_hash_table, key_cols=key_cols)))
 
     from .ops.relational import duplicate_values_sorted
 
@@ -333,16 +343,8 @@ def uniqueness_violations(ds, spec: TableSpec,
     # a task resolves the ref itself: refs captured by ``fn`` are NOT
     # resolved
     cand_ref = ray.put(dup_h)  # sorted unique int64
-
-    def fetch_candidates(b: pa.Table) -> pa.Table:
-        mask = np.isin(hash_keys(b, key_cols).view(np.int64), ray.get(cand_ref))
-        sub = b.filter(pa.array(mask))
-        out = {"key": pa.array(join_key(sub, key_cols), pa.string())}
-        if order_col and order_col in sub.column_names:
-            out["ord"] = sub[order_col]
-        return pa.table(out)
-
-    parts = map_keys(fetch_candidates)
+    parts = map_keys(partial(_fetch_candidates, key_cols=key_cols,
+                             order_col=order_col, cand_ref=cand_ref))
     if not parts:
         return _empty_violations(), 0, None
     cand = pa.concat_tables(parts).to_pandas()
@@ -368,6 +370,36 @@ def uniqueness_violations(ds, spec: TableSpec,
                            pa.string()),
     })
     return violations, extra, winners
+
+
+# The per-row-group steps below are module-level functions bound with
+# ``functools.partial``: a task pickles them by reference, where a
+# closure is pickled by value (cloudpickle then walks ``sys.modules``).
+
+
+def _key_hash_table(b: pa.Table, key_cols: list[str]) -> pa.Table:
+    """``b``'s int64 key hashes as a one-column ``kh`` table."""
+    return pa.table({"kh": hash_keys(b, key_cols).view(np.int64)})
+
+
+def _fetch_candidates(b: pa.Table, key_cols: list[str], order_col,
+                      cand_ref) -> pa.Table:
+    """The rows of ``b`` whose key hash is a candidate (``cand_ref``: the
+    sorted duplicate hashes), as their full key string (+ order value)."""
+    mask = np.isin(hash_keys(b, key_cols).view(np.int64), ray.get(cand_ref))
+    sub = b.filter(pa.array(mask))
+    out = {"key": pa.array(join_key(sub, key_cols), pa.string())}
+    if order_col and order_col in sub.column_names:
+        out["ord"] = sub[order_col]
+    return pa.table(out)
+
+
+def _in_windows(t: pa.Table, window_column: str, members: pa.Array,
+                schema: pa.Schema, fn):
+    """``fn`` over the rows of ``t`` in the windows ``members``, padded to
+    ``schema``."""
+    return fn(pad_to_schema(t.filter(pc.fill_null(
+        pc.is_in(t[window_column], value_set=members), False)), schema))
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +514,8 @@ def drift_report(baseline: "Baseline", profiles: dict, spec: TableSpec) -> list[
 # ---------------------------------------------------------------------------
 
 
-def infer_hist_edges(input_path: str, spec: TableSpec, nbins: int = 32) -> dict[str, np.ndarray]:
+def infer_hist_edges(input_path: str, spec: TableSpec, nbins: int = 32,
+                     footers: dict | None = None) -> dict[str, np.ndarray]:
     """Histogram bin edges per profile column, from the table's min/max.
 
     Edges must be identical across windows so histogram partials merge and
@@ -494,8 +527,10 @@ def infer_hist_edges(input_path: str, spec: TableSpec, nbins: int = 32) -> dict[
     of every row group (no Ray job, no data read).  A row group whose
     column chunk has no min/max statistics has that one chunk read
     instead; an all-null chunk contributes nothing, and a column with no
-    non-null value anywhere gets no edges (the kernel's default)."""
-    from .sources import parquet_files
+    non-null value anywhere gets no edges (the kernel's default).
+    ``footers`` passes in the files' footers (``sources.read_footers``)
+    when the caller has read them."""
+    from .sources import read_footers
 
     cols = list(spec.profile_columns)
     if not cols:
@@ -507,9 +542,9 @@ def infer_hist_edges(input_path: str, spec: TableSpec, nbins: int = 32) -> dict[
         lo[c] = min(lo.get(c, float(vmin)), float(vmin))
         hi[c] = max(hi.get(c, float(vmax)), float(vmax))
 
-    for path in parquet_files(input_path):
-        pf = pq.ParquetFile(path)
-        md = pf.metadata
+    if footers is None:
+        footers = read_footers(input_path)
+    for path, md in footers.items():
         index = {md.schema.column(i).path: i for i in range(md.num_columns)}
         for g in range(md.num_row_groups):
             rg = md.row_group(g)
@@ -521,7 +556,9 @@ def infer_hist_edges(input_path: str, spec: TableSpec, nbins: int = 32) -> dict[
                     fold(c, st.min, st.max)
                 elif not (st is not None and st.has_null_count
                           and st.null_count == rg.num_rows):
-                    mm = pc.min_max(pf.read_row_group(g, columns=[c])[c])
+                    # reopened with its footer: only the chunk is read
+                    with pq.ParquetFile(path, metadata=md) as pf:
+                        mm = pc.min_max(pf.read_row_group(g, columns=[c])[c])
                     if mm["min"].is_valid:
                         fold(c, mm["min"].as_py(), mm["max"].as_py())
     edges: dict[str, np.ndarray] = {}
@@ -541,9 +578,8 @@ def infer_hist_edges(input_path: str, spec: TableSpec, nbins: int = 32) -> dict[
 def _findings_to_results(table: pa.Table, spec: TableSpec) -> dict[int, WindowResult]:
     """Group a findings table by window and reduce each to a WindowResult."""
     results: dict[int, WindowResult] = {}
-    windows = table["window"].to_pandas()
-    for w in sorted(windows.unique()):
-        sub = table.filter(pa.array((windows == w).to_numpy()))
+    for w in sorted(set(table["window"].to_pylist())):
+        sub = table.filter(pc.equal(table["window"], w))
         counters, violations, profiles, key_hll = merge_findings(sub)
         results[int(w)] = WindowResult(int(w), int(counters.get("rows", 0)),
                                        counters, violations, profiles, key_hll,
@@ -741,7 +777,7 @@ def _row_group_keys(groups: dict, plan, window_column: str,
     footers' union schema, as the kernel pass's read is padded.  ``fn``'s
     outputs come back to the driver."""
     from .ops.zonemap import map_row_groups
-    from .sources import pad_to_schema, union_schema
+    from .sources import union_schema
 
     keys = plan["group"].unique()
     schema = (union_schema([groups[k][0] for k in keys], key_cols)
@@ -755,16 +791,12 @@ def _row_group_keys(groups: dict, plan, window_column: str,
         by_columns.setdefault(cols, []).append((f, g))
     members = pa.array(windows, pa.int64())
 
-    def in_windows(t: pa.Table) -> pa.Table:
-        return pad_to_schema(t.filter(pc.fill_null(
-            pc.is_in(t[window_column], value_set=members), False)), schema)
-
     def map_keys(fn) -> list:
         _count("row_group_tasks", len(plan))
+        task = partial(_in_windows, window_column=window_column,
+                       members=members, schema=schema, fn=fn)
         return [out for cols, row_groups in by_columns.items()
-                for out in map_row_groups(row_groups,
-                                          lambda t: fn(in_windows(t)),
-                                          list(cols))]
+                for out in map_row_groups(row_groups, task, list(cols))]
 
     return map_keys
 
@@ -840,11 +872,12 @@ def run_validation(
     # completes — so a crashed run's retry still reports the drift.
     t0 = time.perf_counter()
     from .schema_drift import persist_snapshot, record_and_diff
-    from .sources import footer_schema_groups, pad_to_schema, union_schema
+    from .sources import footer_schema_groups, read_footers, union_schema
 
-    # the footer-schema walk feeds the schema snapshot, the drift diff
-    # and the zone map below; the zone map opens each footer once more
-    _fgroups = footer_schema_groups(input_path)
+    # each footer is read ONCE per run: the walk feeds the schema
+    # snapshot, the drift diff, the zone map and the histogram edges
+    _footers = read_footers(input_path)
+    _fgroups = footer_schema_groups(input_path, footers=_footers)
     schema_report = record_and_diff(out_dir, input_path, spec,
                                     persist=False, groups=_fgroups)
     n_schema_groups = len(_fgroups)
@@ -865,7 +898,8 @@ def run_validation(
         elif windows is None:
             raise ValueError(f"no {window_column!r} column in {fs[0]}; "
                              "pass windows= to validate the other files")
-    _zmap = footer_zone_map(list(group_of), window_column, values=True)
+    _zmap = footer_zone_map(list(group_of), window_column, values=True,
+                            footers=_footers)
     _zmap["group"] = _zmap["file"].map(group_of)
 
     def _plan(ws: list[int]):
@@ -882,7 +916,7 @@ def run_validation(
         # mixed footer schemas: pad every block to the union of the
         # footers it reads (typed nulls for the columns a version lacks)
         schema = union_schema([_fgroups[k][0] for k in keys])
-        return ds.map_batches(lambda t: pad_to_schema(t, schema),
+        return ds.map_batches(partial(pad_to_schema, schema=schema),
                               batch_format="pyarrow")
 
     _mark("schema_preflight", t0)
@@ -939,7 +973,8 @@ def run_validation(
     hist_edges = ({c: p.hist.edges for (_g, c), p in baseline.profiles.items()}
                   if baseline is not None else {})
     if any(c not in hist_edges for c in spec.profile_columns):
-        hist_edges = {**infer_hist_edges(input_path, spec), **hist_edges}
+        hist_edges = {**infer_hist_edges(input_path, spec, footers=_footers),
+                      **hist_edges}
     _mark("hist_edges", t0)
 
     # chunked passes: a killed run loses at most windows_per_pass windows

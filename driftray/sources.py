@@ -94,16 +94,27 @@ def parquet_files(path: str) -> list[str]:
     return files
 
 
-def footer_schema_groups(path: str) -> dict[str, tuple[object, list[str]]]:
-    """Group a parquet file/directory's files by their exact footer
-    schema: ``{schema_key: (arrow_schema, [files])}``.  Footer reads
-    only — no data scanned, same cost at any table size.  One entry
-    means a schema-stable table; more means the table evolved."""
+def read_footers(path: str) -> dict:
+    """``{file: pq.FileMetaData}`` over a parquet file/directory's files,
+    in :func:`parquet_files` order: each footer read once, so a run plans
+    its schema groups, zone map and histogram edges from one walk."""
     import pyarrow.parquet as pq
 
+    return {f: pq.read_metadata(f) for f in parquet_files(path)}
+
+
+def footer_schema_groups(path: str, footers: dict | None = None,
+                         ) -> dict[str, tuple[object, list[str]]]:
+    """Group a parquet file/directory's files by their exact footer
+    schema: ``{schema_key: (arrow_schema, [files])}``.  Footer reads
+    only — no data scanned, same cost at any table size; ``footers``
+    passes a :func:`read_footers` result in.  One entry means a
+    schema-stable table; more means the table evolved."""
+    if footers is None:
+        footers = read_footers(path)
     out: dict[str, tuple[object, list[str]]] = {}
-    for f in parquet_files(path):
-        sch = pq.ParquetFile(f).schema_arrow
+    for f, md in footers.items():
+        sch = md.schema.to_arrow_schema()
         key = sch.to_string()
         if key in out:
             out[key][1].append(f)
@@ -126,7 +137,7 @@ def union_schema(schemas, columns=None) -> pa.Schema:
                 continue
             have = types.setdefault(f.name, f.type)
             if have != f.type:
-                raise TypeError(f"union_by_name: column {f.name!r} has "
+                raise TypeError(f"union_schema: column {f.name!r} has "
                                 f"conflicting types {have} vs {f.type}")
     if columns is None:
         return pa.schema(list(types.items()))
@@ -141,50 +152,3 @@ def pad_to_schema(t: pa.Table, schema: pa.Schema) -> pa.Table:
     typed nulls, and a column outside ``schema`` is dropped."""
     return pa.table({f.name: t[f.name] if f.name in t.column_names
                      else pa.nulls(t.num_rows, f.type) for f in schema})
-
-
-def union_by_name(dss: "list[rd.Dataset]", schema: pa.Schema) -> rd.Dataset:
-    """UNION ALL BY NAME: concatenate Datasets whose schemas differ, each
-    block padded to ``schema`` (a :func:`union_schema`) by
-    :func:`pad_to_schema`.  Wide values should be plain
-    ``pa.binary()``/``pa.string()`` columns (ROUND_NOTES: tensor extension
-    columns do not survive unions with padded blocks)."""
-    padded = [ds.map_batches(lambda t: pad_to_schema(t, schema),
-                             batch_format="pyarrow") for ds in dss]
-    return padded[0].union(*padded[1:])
-
-
-def read_parquet_evolving(path: str, columns=None, groups=None,
-                          **kw) -> rd.Dataset:
-    """Read a directory whose parquet files were written across SCHEMA
-    VERSIONS (columns added/removed over time) — the case a naive
-    ``read_parquet`` breaks on or silently mis-aligns.
-
-    Footer-only planning (:func:`footer_schema_groups`): each schema
-    group reads as its own Dataset, and the groups combine with
-    :func:`union_by_name` over the footers' :func:`union_schema` (typed
-    null padding for columns a version lacks; conflicting types for the
-    SAME column name raise ``TypeError`` rather than coerce, and a
-    requested column in no group raises ``KeyError``, both before any
-    read).  Optional ``columns`` prunes each group to the requested
-    subset it actually has.  ``groups`` accepts a precomputed
-    :func:`footer_schema_groups` result.
-    """
-    grouped = footer_schema_groups(path) if groups is None else groups
-    keys = sorted(grouped)
-    schema = union_schema([grouped[k][0] for k in keys], columns or None)
-    parts = []
-    for key in keys:
-        sch, fs = grouped[key]
-        cols = ([c for c in columns if c in sch.names]
-                if columns else None)
-        if cols is not None and not cols:
-            # a group with NONE of the requested columns must still
-            # contribute its rows (null-padded by union_by_name) — read
-            # one anchor column to keep the row count; a zero-column
-            # read would emit empty blocks that bypass the padding UDF
-            cols = [sch.names[0]]
-        parts.append(rd.read_parquet(fs, columns=cols, **kw))
-    if len(parts) == 1:
-        return parts[0]
-    return union_by_name(parts, schema)

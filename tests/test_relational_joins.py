@@ -1,22 +1,21 @@
-"""``sources.union_by_name`` over a footer union schema: typed null
-padding against a pandas oracle, and conflicting column types rejected by
-``read_parquet_evolving`` and by ``run_validation`` before any read."""
+"""Union by name over a footer union schema (``sources.union_schema`` +
+``sources.pad_to_schema``): typed null padding against a pandas oracle,
+and conflicting column types rejected by ``union_schema`` and by
+``run_validation`` before any read."""
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
 
-def test_union_by_name_pads_and_rejects_conflicts(ray_session):
-    import ray.data as rd
-
-    from driftray.sources import union_by_name, union_schema
+def test_union_by_name_pads_and_rejects_conflicts():
+    from driftray.sources import pad_to_schema, union_schema
 
     a = pa.table({"x": pa.array([1, 2], pa.int64()), "y": ["a", "b"]})
     b = pa.table({"x": pa.array([3], pa.int64()), "z": [1.5]})
     schema = union_schema([a.schema, b.schema])
     assert schema.names == ["x", "y", "z"]
-    out = (union_by_name([rd.from_arrow(a), rd.from_arrow(b)], schema)
+    out = (pa.concat_tables([pad_to_schema(a, schema), pad_to_schema(b, schema)])
            .to_pandas().sort_values("x"))
     assert list(out.columns) == ["x", "y", "z"]
     assert out["y"].isna().tolist() == [False, False, True]
@@ -44,13 +43,19 @@ def _conflicting_table(d):
     return str(d)
 
 
-def test_read_parquet_evolving_rejects_conflicts(ray_session, tmp_path):
-    from driftray.sources import read_parquet_evolving
+def test_footer_union_schema_rejects_conflicts(tmp_path):
+    from driftray.sources import footer_schema_groups, pad_to_schema, union_schema
 
     d = _conflicting_table(tmp_path / "evo")
+    groups = footer_schema_groups(d)
+    schemas = [sch for sch, _ in groups.values()]
     with pytest.raises(TypeError, match="conflicting"):
-        read_parquet_evolving(d)
-    assert read_parquet_evolving(d, columns=["window_id"]).count() == 3
+        union_schema(schemas)
+    # the conflict lies outside the requested columns: every row is kept
+    schema = union_schema(schemas, ["window_id"])
+    t = pa.concat_tables(pad_to_schema(pq.read_table(f), schema)
+                         for _, files in groups.values() for f in files)
+    assert t.num_rows == 3
 
 
 def test_run_validation_rejects_conflicts_in_a_chunk(ray_session, tmp_path):

@@ -19,10 +19,11 @@ class TestUint64Keys:
 
 
 class TestEvolvingColumnsSubset:
-    def test_rows_kept_when_group_lacks_column(self, ray_session, tmp_path):
+    def test_rows_kept_when_group_lacks_column(self, tmp_path):
         import pyarrow as pa
         import pyarrow.parquet as pq
-        from driftray.sources import read_parquet_evolving
+        from driftray.sources import (footer_schema_groups, pad_to_schema,
+                                      union_schema)
         d = tmp_path / "evo"
         d.mkdir()
         pq.write_table(pa.table({"a": pa.array([1, 2], pa.int64()),
@@ -31,11 +32,14 @@ class TestEvolvingColumnsSubset:
         pq.write_table(pa.table({"a": pa.array([3], pa.int64()),
                                  "c": pa.array([9.5], pa.float64())}),
                        str(d / "v2.parquet"))
-        df = read_parquet_evolving(str(d), columns=["c"]).to_pandas()
+        groups = footer_schema_groups(str(d))
+        schema = union_schema([sch for sch, _ in groups.values()], ["c"])
+        t = pa.concat_tables(pad_to_schema(pq.read_table(f), schema)
+                             for _, files in groups.values() for f in files)
         # v1's rows must survive with c = NULL, not vanish
-        assert len(df) == 3
-        assert df["c"].isna().sum() == 2
-        assert list(df.columns) == ["c"]
+        assert t.num_rows == 3
+        assert t["c"].null_count == 2
+        assert t.schema.names == ["c"]
 
 
 class TestRangeConditionalLabels:

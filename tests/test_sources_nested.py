@@ -176,44 +176,58 @@ class TestEvolvingSchemaRead:
                                  "c": pa.array([7.5], pa.float64())}),
                        f"{d}/v3.parquet")
 
-    def test_union_by_name_with_null_padding(self, ray_session, tmp_path):
-        from driftray.sources import read_parquet_evolving
+    def _union_read(self, d, columns=None):
+        # the engine's union by name: the footers' union schema, and each
+        # file read with the columns its schema group has, padded to it
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+        from driftray.sources import (footer_schema_groups, pad_to_schema,
+                                      union_schema)
+        groups = footer_schema_groups(d)
+        schema = union_schema([sch for sch, _ in groups.values()], columns)
+        return pa.concat_tables(
+            pad_to_schema(pq.read_table(
+                f, columns=[c for c in schema.names if c in sch.names]),
+                schema)
+            for sch, files in groups.values() for f in files)
+
+    def test_union_by_name_with_null_padding(self, tmp_path):
         d = str(tmp_path / "evo")
         self._write_versions(d)
-        df = (read_parquet_evolving(d).to_pandas()
-              .sort_values("a", ignore_index=True))
+        df = self._union_read(d).to_pandas().sort_values("a", ignore_index=True)
         assert sorted(df.columns) == ["a", "b", "c"]
         assert df["a"].tolist() == [1, 2, 3, 4]
         assert df["b"].tolist()[:3] == ["x", "y", "z"] and df["b"].isna().iloc[3]
         assert df["c"].isna().iloc[0] and df["c"].iloc[3] == 7.5
 
-    def test_column_pruning_per_group(self, ray_session, tmp_path):
-        from driftray.sources import read_parquet_evolving
+    def test_column_pruning_per_group(self, tmp_path):
         d = str(tmp_path / "evo2")
         self._write_versions(d)
-        df = (read_parquet_evolving(d, columns=["a", "c"]).to_pandas()
-              .sort_values("a", ignore_index=True))
-        assert sorted(df.columns) == ["a", "c"]
-        assert len(df) == 4
+        t = self._union_read(d, columns=["a", "c"])
+        assert t.schema.names == ["a", "c"]
+        assert t.num_rows == 4
+        assert sorted(t["a"].to_pylist()) == [1, 2, 3, 4]
 
-    def test_missing_column_raises(self, ray_session, tmp_path):
+    def test_missing_column_raises(self, tmp_path):
         import pytest
-        from driftray.sources import read_parquet_evolving
+        from driftray.sources import footer_schema_groups, union_schema
         d = str(tmp_path / "evo3")
         self._write_versions(d)
-        with pytest.raises(KeyError):
-            read_parquet_evolving(d, columns=["a", "nope"])
+        schemas = [sch for sch, _ in footer_schema_groups(d).values()]
+        with pytest.raises(KeyError, match="nope"):
+            union_schema(schemas, ["a", "nope"])
 
-    def test_conflicting_type_raises(self, ray_session, tmp_path):
+    def test_conflicting_type_raises(self, tmp_path):
         import pyarrow as pa
         import pyarrow.parquet as pq
         import pytest
-        from driftray.sources import read_parquet_evolving
+        from driftray.sources import footer_schema_groups, union_schema
         d = tmp_path / "evo4"
         d.mkdir()
         pq.write_table(pa.table({"a": pa.array([1], pa.int64())}),
                        str(d / "x.parquet"))
         pq.write_table(pa.table({"a": pa.array(["s"], pa.string())}),
                        str(d / "y.parquet"))
-        with pytest.raises(Exception):
-            read_parquet_evolving(str(d)).to_pandas()
+        schemas = [sch for sch, _ in footer_schema_groups(str(d)).values()]
+        with pytest.raises(TypeError, match="conflicting"):
+            union_schema(schemas)
