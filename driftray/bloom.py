@@ -21,10 +21,9 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)  # golden-ratio odd constant for 2nd hash
 
 
 class BloomFilter:
-    __slots__ = ("n_bits", "k", "bits", "hashed")
+    __slots__ = ("n_bits", "k", "bits")
 
     def __init__(self, capacity: int, fpr: float = 1e-3) -> None:
-        self.hashed = False  # True ⇒ built from uint64 key hashes (probe with hash_keys)
         capacity = max(int(capacity), 1)
         n_bits = int(-capacity * math.log(fpr) / (math.log(2) ** 2))
         self.n_bits = max(64, n_bits)
@@ -32,15 +31,13 @@ class BloomFilter:
         self.bits = np.zeros((self.n_bits + 63) // 64, dtype=np.uint64)
 
     @classmethod
-    def from_state(cls, n_bits: int, k: int, bits: bytes,
-                   hashed: bool = False) -> "BloomFilter":
+    def from_state(cls, n_bits: int, k: int, bits: bytes) -> "BloomFilter":
         """Rebuild a filter from persisted state (sidecar indexes —
         `ops/zonemap.build_bloom_index` stores ``bits.tobytes()``)."""
         bf = cls.__new__(cls)
         bf.n_bits = int(n_bits)
         bf.k = int(k)
         bf.bits = np.frombuffer(bits, dtype=np.uint64).copy()
-        bf.hashed = hashed
         return bf
 
     def _positions(self, values: np.ndarray) -> np.ndarray:

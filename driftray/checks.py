@@ -26,6 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from . import sketches
+from .bloom import BloomFilter
 from .sketches import HLL, Histogram, Moments, TDigest
 from .spec import TableSpec
 
@@ -140,15 +141,34 @@ def _hash_column(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
     return h
 
 
+def _fold_hashes(n_rows: int, column_hashes) -> np.ndarray:
+    """Fold per-column uint64 hashes, in key order, with an FNV-style mix."""
+    h = np.full(n_rows, np.uint64(0xCBF29CE484222325), dtype=np.uint64)
+    for ch in column_hashes:
+        h = (h * np.uint64(1099511628211)) ^ ch
+    return h
+
+
 def hash_keys(batch: pa.Table, columns) -> np.ndarray:
     """Combined uint64 hash over key columns WITHOUT building row strings —
     per-column null-stable vectorized hashing (``_hash_column``) folded
     with an FNV-style mix.  This is what shuffles in place of the raw key
     at scale (8 bytes/row)."""
-    h = np.full(batch.num_rows, np.uint64(0xCBF29CE484222325), dtype=np.uint64)
-    for c in columns:
-        h = (h * np.uint64(1099511628211)) ^ _hash_column(batch[c])
-    return h
+    return _fold_hashes(batch.num_rows, (_hash_column(batch[c]) for c in columns))
+
+
+def in_sorted(run: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which ``keys`` are in ``run``, a sorted array of distinct values:
+    one ``np.searchsorted`` per key, the run neither copied nor re-sorted.
+
+    The keys are compared in the run's dtype (a ``uint64``/``int64`` mix
+    would promote to float64), so a key-hash run can be probed with
+    either view of the same hashes."""
+    keys = np.asarray(keys).astype(run.dtype, copy=False)
+    if not len(run):
+        return np.zeros(keys.shape, dtype=bool)
+    pos = np.minimum(np.searchsorted(run, keys), len(run) - 1)
+    return run[pos] == keys
 
 
 def _null_or_empty_mask(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
@@ -215,9 +235,12 @@ class CheckContext:
     ``emit_violations(mask, check, column, detail)`` records the exact
     counter and up to the remaining budget of violation rows (row refs are
     built lazily, only for violating rows); ``append(kind, check, ...)``
-    writes a raw findings row (counters/sketches)."""
+    writes a raw findings row (counters/sketches); ``hash_keys(columns)``
+    is ``checks.hash_keys`` over the batch, each column hashed once per
+    context whichever checks key on it."""
 
-    __slots__ = ("batch", "window", "spec", "out", "_budget", "_refs")
+    __slots__ = ("batch", "window", "spec", "out", "_budget", "_refs",
+                 "_col_hashes")
 
     def __init__(self, batch: pa.Table, window: int, spec: TableSpec,
                  out: dict, budget: int):
@@ -227,6 +250,14 @@ class CheckContext:
         self.out = out
         self._budget = budget
         self._refs = None
+        self._col_hashes: dict[str, np.ndarray] = {}
+
+    def hash_keys(self, columns) -> np.ndarray:
+        memo = self._col_hashes
+        for c in columns:
+            if c not in memo:
+                memo[c] = _hash_column(self.batch[c])
+        return _fold_hashes(self.n_rows, (memo[c] for c in columns))
 
     @property
     def n_rows(self) -> int:
@@ -477,22 +508,14 @@ def _hex_digests(col: pa.ChunkedArray | pa.Array) -> np.ndarray | None:
 
 
 class ReferentialCheck(BatchCheck):
-    """J2 / T4: probe broadcast membership (set or Bloom — no false
-    negatives) per foreign key; hashed memberships probe 8-byte key hashes,
-    never per-row key strings."""
+    """J2 / T4: probe each foreign key's broadcast membership — the sorted
+    distinct uint64 hashes of the dimension keys (``in_sorted``) or a
+    Bloom filter over them (no false negatives) — with the batch's
+    8-byte key hashes, never per-row key strings."""
 
     def __init__(self, spec: TableSpec, membership: dict[int, object]):
         self.foreign_keys = spec.foreign_keys
         self.membership = membership
-        # hashed exact sets precompile (once per actor) to a SORTED uint64
-        # array so batch probes are one vectorized np.isin, not a ~1 µs/row
-        # Python set loop
-        self._hash_arrays: dict[int, np.ndarray] = {}
-        for i, m in membership.items():
-            if (isinstance(m, (set, frozenset)) and m
-                    and isinstance(next(iter(m)), (int, np.integer))):
-                self._hash_arrays[i] = np.sort(
-                    np.array(list(m), dtype=np.uint64))
 
     def process(self, ctx: CheckContext) -> None:
         batch = ctx.batch
@@ -500,19 +523,9 @@ class ReferentialCheck(BatchCheck):
             member = self.membership.get(i)
             if member is None or not all(c in batch.column_names for c in fk.columns):
                 continue
-            hashed_arr = self._hash_arrays.get(i)
-            if getattr(member, "hashed", False) or hashed_arr is not None:
-                keys = hash_keys(batch, fk.columns)
-            else:
-                keys = join_key(batch, fk.columns)
-            if hasattr(member, "contains"):  # BloomFilter
-                present = member.contains(keys)
-            elif hashed_arr is not None:
-                present = np.isin(keys, hashed_arr)
-            else:
-                kl = keys.tolist()
-                present = np.fromiter((k in member for k in kl), dtype=bool,
-                                      count=len(kl))
+            keys = ctx.hash_keys(fk.columns)
+            present = (member.contains(keys) if isinstance(member, BloomFilter)
+                       else in_sorted(member, keys))
             ctx.emit_violations(~present, "referential", "|".join(fk.columns),
                                 f"not in {fk.dim_table}({','.join(fk.dim_columns)})")
 
@@ -580,7 +593,7 @@ class UniquenessHLLCheck(BatchCheck):
 
     def process(self, ctx: CheckContext) -> None:
         if self.key and all(c in ctx.batch.column_names for c in self.key):
-            h = hash_keys(ctx.batch, self.key)
+            h = ctx.hash_keys(self.key)
             column = "|".join(self.key)
             ctx.append("sketch", "uniqueness", column=column,
                        detail="hll", blob=sketches.dumps(HLL().update(h)))
@@ -636,9 +649,10 @@ class ValidationKernel:
         self.spec = spec
         self.cap = max_violations_per_batch
         self.window_column = window_column
-        # membership[i] = key set / BloomFilter / ray.ObjectRef of either, for
-        # spec.foreign_keys[i] — broadcast ONCE (ray.put on the driver), the
-        # ray.get here runs once per actor/task, not per batch (T4/J2).
+        # membership[i] = sorted uint64 key-hash run / BloomFilter /
+        # ray.ObjectRef of either, for spec.foreign_keys[i] — broadcast ONCE
+        # (ray.put on the driver), the ray.get here runs once per
+        # actor/task, not per batch (T4/J2).
         resolved: dict[int, object] = {}
         if membership:
             import ray

@@ -30,9 +30,9 @@ Scale notes
   read, and the kernel checks each window's run of rows as a zero-copy
   slice.  The findings reduce on the driver in one pass over Python
   lists, without pandas.
-* Referential membership is broadcast via ``ray.put`` (sets at test scale,
-  Bloom filters at 100 TB scale) and probed inside the same kernel pass —
-  no shuffle join.
+* Referential membership is broadcast via ``ray.put`` (a sorted run of
+  the dimension's 8-byte key hashes, or a Bloom filter over them at
+  100 TB scale) and probed inside the same kernel pass — no shuffle join.
 * Exact key-uniqueness needs no shuffle: the kernel pass emits each
   batch's sorted 8-byte key-hash run, every window persists its run, and
   the driver sorts the runs of all validated windows to find duplicate
@@ -83,7 +83,7 @@ except ModuleNotFoundError:  # pragma: no cover - aiohttp absent in sandbox
 
 from . import sketches
 from .bloom import BloomFilter
-from .checks import ValidationKernel, hash_keys, join_key
+from .checks import ValidationKernel, hash_keys, in_sorted, join_key
 from .drift import js_divergence, ks_from_digests, mean_difference, psi, _kolmogorov_sf
 from .sketches import Histogram, Moments, TDigest, merge_all
 from .sources import pad_to_schema
@@ -176,10 +176,13 @@ class WindowResult:
         }
 
 
-def build_membership(dim_ds: rd.Dataset | pa.Table | str, columns, *,
+def build_membership(dim: pa.Table | str, columns, *,
                      use_bloom: bool = False):
-    """Collect the dimension-side key set (exact) or Bloom filter (scale
-    path: sized to the dimension's keys at a 1e-4 false-positive rate).
+    """The dimension-side key set: the sorted distinct uint64 hashes of
+    the joined key columns (``checks.hash_keys``), probed with
+    ``checks.in_sorted``, or with ``use_bloom`` a Bloom filter over the
+    same hashes (scale path: sized to the dimension's keys at a 1e-4
+    false-positive rate).
 
     The dimension side is small relative to the fact table (repos, commit
     pairs) — it is aggregated to a single object and broadcast with
@@ -189,36 +192,24 @@ def build_membership(dim_ds: rd.Dataset | pa.Table | str, columns, *,
     execution), each returning the uint64 hashes of its rows' keys: 8 B
     per dimension row reaches the driver, not the key strings.
 
-    Keys are stored as uint64 HASHES of the joined key columns (matching
-    ``checks.hash_keys``), so fact-side probes never build per-row key
-    strings.  A hash collision can only mask a violation (never invent
-    one) with probability ~n_dim/2^64 per probed row — negligible next to
-    the Bloom FPR this degrades to at scale anyway."""
-    if isinstance(dim_ds, str):
+    A hash collision can only mask a violation (never invent one) with
+    probability ~n_dim/2^64 per probed row — negligible next to the Bloom
+    FPR this degrades to at scale anyway."""
+    if isinstance(dim, str):
         from .ops.zonemap import map_row_groups, row_groups_of
         from .sources import parquet_files
 
         cols = list(columns)
-        plan = row_groups_of(parquet_files(dim_ds))
+        plan = row_groups_of(parquet_files(dim))
         _count("row_group_tasks", len(plan))
         # a partial of a module-level function pickles by reference
         arrays = map_row_groups(plan, partial(hash_keys, columns=cols), cols)
     else:
-        if isinstance(dim_ds, pa.Table):
-            batches = [dim_ds]
-        else:
-            _count("ray_data")
-            batches = dim_ds.select_columns(list(columns)).iter_batches(
-                batch_size=65536, batch_format="pyarrow")
-        arrays = [hash_keys(pa.Table.from_batches([b]) if isinstance(b, pa.RecordBatch) else b,
-                            columns) for b in batches]
+        arrays = [hash_keys(dim, columns)]
     all_keys = np.concatenate(arrays) if arrays else np.array([], dtype=np.uint64)
     if use_bloom:
-        bf = BloomFilter(max(len(all_keys), 1), 1e-4)
-        bf.add(all_keys)
-        bf.hashed = True
-        return bf
-    return set(int(k) for k in all_keys)
+        return BloomFilter(max(len(all_keys), 1), 1e-4).add(all_keys)
+    return np.unique(all_keys)
 
 
 def merge_findings(findings: pa.Table) -> tuple[dict, pa.Table, dict, float | None]:
@@ -319,8 +310,8 @@ def uniqueness_violations(ds, spec: TableSpec,
     pinned resolution of the reference's first-wins/last-wins
     inconsistency, ``news.py:74-82`` vs ``news.py:349-356``; SURVEY.md
     D2/D3), and — when the spec has an order column — a small winners
-    table (key, win_order) so downstream consumers (``materialize_silver``)
-    can KEEP the documented winner instead of dropping every copy."""
+    table (key, win_order) naming the documented winner of each
+    duplicated key."""
     key_cols = list(spec.unique_key or ())
     order_col = spec.order_column
     if not key_cols:
@@ -386,7 +377,7 @@ def _fetch_candidates(b: pa.Table, key_cols: list[str], order_col,
                       cand_ref) -> pa.Table:
     """The rows of ``b`` whose key hash is a candidate (``cand_ref``: the
     sorted duplicate hashes), as their full key string (+ order value)."""
-    mask = np.isin(hash_keys(b, key_cols).view(np.int64), ray.get(cand_ref))
+    mask = in_sorted(ray.get(cand_ref), hash_keys(b, key_cols))
     sub = b.filter(pa.array(mask))
     out = {"key": pa.array(join_key(sub, key_cols), pa.string())}
     if order_col and order_col in sub.column_names:
@@ -828,8 +819,8 @@ def run_validation(
       histograms when a baseline is loaded, else from the footer min/max
       (``infer_hist_edges``);
     * dimension keys are hashed ONCE, one plain task per row group (8 B
-      per key back to the driver), and broadcast via ``ray.put`` (exact
-      sets at test scale, Bloom filters with ``use_bloom=True``);
+      per key back to the driver), and broadcast via ``ray.put`` (a
+      sorted hash run, or a Bloom filter with ``use_bloom=True``);
     * pending windows run in CHUNKED streaming passes of
       ``windows_per_pass`` (window-tagged findings), each chunk writing
       per-window outputs + ``_DONE`` markers — a killed run loses at most
@@ -1108,10 +1099,7 @@ def _table_uniqueness(read_keys, out_dir: str, spec: TableSpec,
             os.remove(os.path.join(tdir, name))
     pq.write_table(dup, os.path.join(tdir, "uniqueness_violations.parquet"))
     if winners is not None:
-        # lineage artifact: first-by-order winner per duplicated key.
-        # (materialize_silver re-resolves winners from the raw rows —
-        # it additionally tie-breaks on the full row when the order
-        # value is part of the key and ties.)
+        # lineage artifact: first-by-order winner per duplicated key
         pq.write_table(winners, os.path.join(tdir, "uniqueness_winners.parquet"))
     with open(os.path.join(tdir, "lineage.json"), "w") as f:
         json.dump({"check": "uniqueness",
@@ -1131,138 +1119,3 @@ def load_table_report(out_dir: str) -> dict:
         return {}
     with open(path) as f:
         return json.load(f)
-
-
-def materialize_silver(
-    input_path: str,
-    out_dir: str,
-    spec: TableSpec,
-    *,
-    window_column: str = "window_id",
-    silver_dir: str | None = None,
-) -> int:
-    """Lakehouse "silver" layer (S8, ``DESIGN.md:394-433``): rows that
-    passed every per-row check, written as Parquet partitioned by window.
-
-    The violating row set is tiny (counters prove it), so it broadcasts as
-    a set of row-key hashes; one streaming filter pass writes the clean
-    rows — bronze (raw input) is never rewritten, gold is the per-window
-    lineage/profile layer already emitted by ``run_validation``.
-
-    For keys flagged by the table-global uniqueness check, the FIRST
-    occurrence by ``spec.order_column`` is KEPT (the pinned first-wins
-    semantics) — only the extra copies are dropped.  If any window's
-    violation sample was truncated by the kernel's per-batch cap (counters
-    record exact totals; emitted rows may be fewer), this raises instead of
-    silently letting violating rows into silver.
-
-    Returns the number of silver rows written."""
-    import glob as _glob
-
-    silver_dir = silver_dir or os.path.join(out_dir, "silver")
-    bad_refs: list[str] = []
-    expected_violations = 0
-    for wdir in sorted(_glob.glob(os.path.join(out_dir, "window=*"))):
-        vf = os.path.join(wdir, "violations.parquet")
-        if not os.path.exists(vf):
-            continue
-        t = pq.read_table(vf, columns=["row_ref"])
-        bad_refs.extend(t["row_ref"].to_pylist())
-        lin_path = os.path.join(wdir, "lineage.json")
-        if os.path.exists(lin_path):
-            with open(lin_path) as f:
-                counters = json.load(f).get("counters", {})
-            expected_violations += sum(
-                int(v) for k, v in counters.items()
-                if not k.startswith("rows") and not k.startswith("uniqueness"))
-    # missing-column first: it records n_rows in its counter but only one
-    # '*' violation row per batch, which would otherwise masquerade as a
-    # (mis-diagnosed, unfixable-by-raising-the-cap) truncated sample
-    if "*" in set(bad_refs):
-        raise ValueError("a required column is missing entirely; silver layer "
-                         "cannot be materialized for this input")
-    if expected_violations > len(bad_refs):
-        raise ValueError(
-            f"violation sample truncated: counters record {expected_violations} "
-            f"violations but only {len(bad_refs)} violation rows were emitted "
-            "(max_violations_per_batch cap bound) — rerun validation with a "
-            "higher cap before materializing silver")
-
-    key_cols = list(spec.unique_key or ())
-    order_col = spec.order_column
-
-    # uniqueness: the streaming pass drops EVERY copy of a duplicated key;
-    # the (rare) duplicated rows are then re-fetched, one winner per key is
-    # chosen deterministically (min order_column, full-row lexicographic
-    # tiebreak — order may be part of the key and tie), and the winners are
-    # appended to silver.  Dup rows ≪ corpus, so the fetch is tiny.
-    tdir = os.path.join(out_dir, "table")
-    uniq_path = os.path.join(tdir, "uniqueness_violations.parquet")
-    dup_keys: set[str] = set()
-    if os.path.exists(uniq_path):
-        dup_keys = set(pq.read_table(uniq_path,
-                                     columns=["row_ref"])["row_ref"].to_pylist())
-
-    # violating rows are addressed by their key-ref string; hash both sides
-    from .checks import join_key
-    from .sketches import hash64
-
-    bad_hashes = (np.sort(hash64(np.array(bad_refs, dtype=object)))
-                  if bad_refs else np.array([], dtype=np.uint64))
-    # plain tasks resolve the broadcast refs themselves (refs passed in
-    # fn_kwargs are not resolved)
-    ref = ray.put(bad_hashes)
-    dup_ref = ray.put(dup_keys)
-    drop_bad = bool(len(bad_hashes)) and bool(key_cols)
-    drop_dup = bool(dup_keys) and bool(key_cols)
-
-    def is_dup(t: pa.Table) -> np.ndarray:
-        import pandas as pd
-
-        return pd.Series(join_key(t, key_cols)).isin(ray.get(dup_ref)).to_numpy()
-
-    def drop_violating(t: pa.Table) -> pa.Table:
-        keep = np.ones(t.num_rows, dtype=bool)
-        if drop_bad:
-            from .checks import row_refs
-
-            keep &= ~np.isin(hash64(row_refs(t, spec)), ray.get(ref))
-        if drop_dup:
-            keep &= ~is_dup(t)
-        if keep.all():
-            return t
-        return t.filter(pa.array(keep))
-
-    ds = rd.read_parquet(input_path)
-    clean = ds.map_batches(drop_violating, batch_format="pyarrow")
-    clean.write_parquet(silver_dir, partition_cols=[window_column])
-
-    if dup_keys:
-        # winners: first-by-order copy of each duplicated key, minus any that
-        # also violate a per-row check
-        dup_rows = rd.read_parquet(input_path).map_batches(
-            lambda t: t.filter(pa.array(is_dup(t))), batch_format="pyarrow").to_pandas()
-        if len(dup_rows):
-            sort_cols = ([order_col] if order_col else []) + [
-                c for c in dup_rows.columns if c != order_col]
-            dup_rows["__key"] = join_key(
-                pa.Table.from_pandas(dup_rows, preserve_index=False), key_cols)
-            winners_df = (dup_rows.sort_values(sort_cols, kind="mergesort")
-                          .groupby("__key", sort=False).head(1)
-                          .drop(columns="__key"))
-            if len(bad_hashes):
-                from .checks import row_refs
-
-                wrefs = row_refs(pa.Table.from_pandas(winners_df,
-                                                      preserve_index=False), spec)
-                ok = ~np.isin(hash64(wrefs), bad_hashes)
-                winners_df = winners_df[ok]
-            if len(winners_df):
-                rd.from_pandas(winners_df).write_parquet(
-                    silver_dir, partition_cols=[window_column])
-
-    # metadata-only row count (never re-decode the written data)
-    import pyarrow.dataset as pads
-
-    n = pads.dataset(silver_dir, format="parquet", partitioning="hive").count_rows()
-    return int(n)

@@ -11,8 +11,9 @@ Engine differences, pinned and documented:
   dedup keys — the reference is internally inconsistent (first-wins at
   ``news.py:74-82``, last-wins dict overwrite at ``news.py:349-356``);
   SURVEY.md D3 pins first-wins by sorted order.
-* the seen-set is a checkpointed ``SeenKeysStore`` (key-hash Parquet +
-  Bloom), not an unbounded in-process set lost on restart (W5 fix).
+* the seen-set is a checkpointed ``SeenKeysStore`` (a sorted key-hash
+  run, persisted as Parquet), not an unbounded in-process set lost on
+  restart (W5 fix).
 """
 
 from __future__ import annotations

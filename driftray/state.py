@@ -3,13 +3,13 @@
 The reference keeps dedup state in an in-process set that grows without
 bound and dies with the process (``/root/reference/src/data_sources/web/
 news.py:365,560-573``).  The engine's replacement is a checkpointed store
-of uint64 KEY HASHES (8 bytes/key) persisted as Parquet between runs, with
-a Bloom filter rebuilt on load for fast broadcastable probes:
+of uint64 KEY HASHES (8 bytes/key) persisted as Parquet between runs and
+held in memory as one sorted run of distinct hashes:
 
-* ``contains`` — Bloom pre-filter then exact hash-set check (no false
-  positives against the stored hashes; a raw-key hash collision can only
-  FALSE-SEEN a new key at ~n/2^64 — the same documented approximation as
-  the uniqueness/referential checks).
+* ``contains`` — ``checks.in_sorted``, one binary search per probed
+  hash: exact against the stored hashes (a raw-key hash collision can
+  only FALSE-SEEN a new key at ~n/2^64 — the same documented
+  approximation as the uniqueness/referential checks).
 * memory-bounded at scale: hashes live in one numpy array; 10^9 keys =
   8 GB, shardable by hash range when that outgrows one node.
 """
@@ -22,55 +22,34 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from .bloom import BloomFilter
+from .checks import in_sorted
 
 
 class SeenKeysStore:
-    def __init__(self, hashes: np.ndarray | None = None, fpr: float = 1e-4):
-        self.hashes: set[int] = set(int(h) for h in (hashes if hashes is not None else []))
-        self.fpr = fpr
-        self._bloom: BloomFilter | None = None
-        self._rebuild_bloom()
-
-    def _rebuild_bloom(self) -> None:
-        bf = BloomFilter(max(len(self.hashes), 1024), self.fpr)
-        if self.hashes:
-            bf.add(np.fromiter(self.hashes, dtype=np.uint64, count=len(self.hashes)))
-        bf.hashed = True
-        self._bloom = bf
+    def __init__(self, hashes: np.ndarray | None = None):
+        self.hashes = np.unique(np.asarray(
+            hashes if hashes is not None else [], dtype=np.uint64))
 
     @classmethod
-    def load(cls, path: str, fpr: float = 1e-4) -> "SeenKeysStore":
+    def load(cls, path: str) -> "SeenKeysStore":
         if not os.path.exists(path):
-            return cls(fpr=fpr)
-        t = pq.read_table(path)
-        return cls(t["kh"].to_numpy().astype(np.uint64), fpr=fpr)
+            return cls()
+        # an int64 ``kh`` column holding the hashes' bits
+        return cls(pq.read_table(path)["kh"].to_numpy().view(np.uint64))
 
     def save(self, path: str) -> None:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        arr = np.fromiter(self.hashes, dtype=np.uint64, count=len(self.hashes))
         tmp = path + ".tmp"
-        pq.write_table(pa.table({"kh": pa.array(arr.astype(np.int64), pa.int64())}), tmp)
+        pq.write_table(pa.table({"kh": pa.array(self.hashes.view(np.int64))}), tmp)
         os.replace(tmp, path)  # atomic: a killed run never half-writes state
 
     def contains(self, key_hashes: np.ndarray) -> np.ndarray:
         """Vectorized probe: True = seen before."""
-        kh = np.asarray(key_hashes, dtype=np.uint64)
-        if kh.size == 0 or not self.hashes:
-            return np.zeros(kh.size, dtype=bool)
-        maybe = self._bloom.contains(kh)
-        out = np.zeros(kh.size, dtype=bool)
-        idx = np.flatnonzero(maybe)
-        seen = self.hashes
-        out[idx] = [int(kh[i]) in seen for i in idx]
-        return out
+        return in_sorted(self.hashes, np.asarray(key_hashes, dtype=np.uint64))
 
     def add(self, key_hashes: np.ndarray) -> None:
-        kh = np.asarray(key_hashes, dtype=np.uint64)
-        if kh.size == 0:
-            return
-        self.hashes.update(int(h) for h in kh)
-        self._bloom.add(kh)
+        self.hashes = np.union1d(self.hashes,
+                                 np.asarray(key_hashes, dtype=np.uint64))
 
     def __len__(self) -> int:
         return len(self.hashes)

@@ -1,19 +1,12 @@
 """Regression tests for the round-1 advisor findings (ADVICE.md r1):
 
 * null-stable key hashing across batches (int64-with-null promotion bug),
-* silver layer keeps the first-wins copy of duplicated keys,
-* truncated violation samples fail loudly instead of leaking into silver,
 * table-global uniqueness reported on a dedicated window -1,
 * mean_difference returns 0 (not inf) for a zero-std baseline.
 """
 
-import json
-import os
-
-import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
 import pytest
 
 from driftray.checks import hash_keys
@@ -79,56 +72,6 @@ class TestMeanDifferenceZeroStd:
         assert mean_difference(5.0, 0.0, 9.0) == 0.0
         assert mean_difference(5.0, float("nan"), 9.0) == 0.0
         assert mean_difference(5.0, 2.0, 9.0) == pytest.approx(2.0)
-
-
-class TestSilverFirstWins:
-    @pytest.fixture()
-    def dup_run(self, ray_session, tmp_path):
-        from driftray.pipeline import run_validation
-
-        # k=5 duplicated (winner ord=50), k=7 triplicated (winner ord=70)
-        rows = pd.DataFrame({
-            "k": [1, 2, 3, 5, 5, 7, 7, 7, 9],
-            "ord": [101, 102, 103, 50, 55, 70, 71, 72, 109],
-            "window_id": [0] * 9,
-            "payload": list("abcdefghi"),
-        })
-        inp = str(tmp_path / "in.parquet")
-        pq.write_table(pa.Table.from_pandas(rows, preserve_index=False), inp)
-        out = str(tmp_path / "out")
-        run_validation(inp, out, _dup_spec())
-        return inp, out
-
-    def test_silver_keeps_exactly_one_winner_per_dup_key(self, dup_run, tmp_path):
-        import ray.data as rd
-
-        from driftray.pipeline import materialize_silver
-
-        inp, out = dup_run
-        n = materialize_silver(inp, out, _dup_spec(),
-                               silver_dir=str(tmp_path / "silver"))
-        silver = rd.read_parquet(str(tmp_path / "silver")).to_pandas()
-        assert n == len(silver) == 6  # 9 rows - 1 extra k=5 - 2 extra k=7
-        counts = silver["k"].value_counts()
-        assert (counts == 1).all()
-        assert int(silver.loc[silver["k"] == 5, "ord"].iloc[0]) == 50
-        assert int(silver.loc[silver["k"] == 7, "ord"].iloc[0]) == 70
-
-    def test_truncated_violation_sample_raises(self, dup_run, tmp_path):
-        from driftray.pipeline import materialize_silver
-
-        inp, out = dup_run
-        # simulate a cap-bound window: counters claim more violations than
-        # were emitted as rows
-        wdir = os.path.join(out, "window=0")
-        with open(os.path.join(wdir, "lineage.json")) as f:
-            lin = json.load(f)
-        lin["counters"]["completeness|k"] = 999
-        with open(os.path.join(wdir, "lineage.json"), "w") as f:
-            json.dump(lin, f)
-        with pytest.raises(ValueError, match="truncated"):
-            materialize_silver(inp, out, _dup_spec(),
-                               silver_dir=str(tmp_path / "silver2"))
 
 
 class TestUniquenessWindowAttribution:

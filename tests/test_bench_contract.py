@@ -1,0 +1,44 @@
+"""The names the benchmark (``perfbench/``) patches or looks up in the
+engine still exist: every traced call resolves, and every check the
+kernel builds has a per-check metric name.  A rename in ``driftray``
+otherwise surfaces only when a traced benchmark run starts."""
+
+import importlib
+import os
+import sys
+
+import pytest
+
+from driftray.checks import build_checks
+from driftray.spec import repo_files_spec
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    """``perfbench``'s ``tracing`` and ``layers`` modules, imported as
+    ``run.py`` imports them (its own directory first on ``sys.path``)."""
+    sys.path.insert(0, PERFBENCH)
+    try:
+        yield importlib.import_module("tracing"), importlib.import_module("layers")
+    finally:
+        sys.path.remove(PERFBENCH)
+
+
+def test_every_traced_call_resolves(perfbench):
+    tracing, _ = perfbench
+    assert tracing.TRACED
+    for name, module, attr in tracing.TRACED:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            assert hasattr(owner, part), f"{name}: {module}.{attr} does not resolve"
+            owner = getattr(owner, part)
+        assert callable(owner), f"{name}: {module}.{attr} is not callable"
+
+
+def test_every_built_check_has_a_metric_name(perfbench):
+    _, layers = perfbench
+    built = {type(c).__name__ for c in build_checks(repo_files_spec(), {}, {})}
+    assert built <= set(layers.CHECK_NAMES), built - set(layers.CHECK_NAMES)

@@ -8,6 +8,7 @@ import pytest
 
 from driftray.bloom import BloomFilter
 from driftray.checks import ValidationKernel, join_key, sha256_hex
+from driftray.pipeline import build_membership
 from driftray.spec import (ColumnSpec, DriftSpec, ForeignKey, HashInvariant,
                            TableSpec)
 
@@ -103,16 +104,17 @@ class TestReferential:
 
     def test_set_membership(self):
         t = pa.table({"sid": ["a", "b", "zz"], "val": pa.array([1.0, 2.0, 3.0])})
-        k = ValidationKernel(self._spec(), membership={0: {"a", "b"}})
+        m = build_membership(pa.table({"k": ["a", "b"]}), ["k"])
+        k = ValidationKernel(self._spec(), membership={0: m})
         f = k(t).to_pandas()
         v = f[(f.kind == "violation") & (f.check == "referential")]
         assert list(v.row_ref) == ["zz"]
 
     def test_bloom_membership_no_false_negatives(self):
-        keys = np.array([f"k{i}" for i in range(1000)], dtype=object)
-        bf = BloomFilter(1000, 1e-4)
-        bf.add(keys)
-        t = pa.table({"sid": keys.tolist(), "val": [1.0] * 1000})
+        keys = [f"k{i}" for i in range(1000)]
+        bf = build_membership(pa.table({"k": keys}), ["k"], use_bloom=True)
+        assert isinstance(bf, BloomFilter)
+        t = pa.table({"sid": keys, "val": [1.0] * 1000})
         c = counters_of(ValidationKernel(self._spec(), membership={0: bf})(t))
         assert c[("referential", "sid")] == 0  # members never flagged
 
@@ -120,7 +122,8 @@ class TestReferential:
         spec = make_spec(foreign_keys=[ForeignKey(("a", "b"), "dim", ("a", "b"))])
         t = pa.table({"sid": ["s1", "s2"], "val": [1.0, 2.0],
                       "a": ["x", "x"], "b": ["1", "2"]})
-        c = counters_of(ValidationKernel(spec, membership={0: {"x|1"}})(t))
+        m = build_membership(pa.table({"a": ["x"], "b": ["1"]}), ["a", "b"])
+        c = counters_of(ValidationKernel(spec, membership={0: m})(t))
         assert c[("referential", "a|b")] == 1
 
 

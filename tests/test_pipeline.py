@@ -174,38 +174,6 @@ class TestBaselineStore:
         assert (back.hist.counts == orig.hist.counts).all()
 
 
-class TestSilverLayer:
-    def test_silver_excludes_violating_rows(self, first_run, tmp_path):
-        """S8 layered output: silver = rows passing every per-row check,
-        partitioned by window; violating keys are absent."""
-        import glob
-
-        import pyarrow.parquet as pq2
-
-        import ray.data as rd
-
-        from driftray.checks import row_refs
-        from driftray.pipeline import materialize_silver
-
-        d, out, res = first_run
-        n = materialize_silver(f"{d}/repo_files.parquet", out, repo_files_spec(),
-                               silver_dir=str(tmp_path / "silver"))
-        total = sum(r.n_rows for r in res.values())
-        assert 0 < n < total  # violations were dropped, most rows kept
-        # partitioned layout by window
-        parts = glob.glob(str(tmp_path / "silver" / "window_id=*"))
-        assert len(parts) == len(res)
-        # no violating key survives
-        bad = set()
-        for vf in glob.glob(f"{out}/window=*/violations.parquet"):
-            bad |= set(pq2.read_table(vf, columns=["row_ref"])["row_ref"].to_pylist())
-        silver = rd.read_parquet(str(tmp_path / "silver")).to_pandas()
-        import pyarrow as pa
-
-        refs = row_refs(pa.Table.from_pandas(silver), repo_files_spec())
-        assert not (set(refs) & bad)
-
-
 def test_aggregate_profiles_matches_full_recompute(tmp_path, ray_session):
     """Merging per-window sketch sidecars == profiling the whole table:
     exact for count/mean/std/min/max (Welford merge is exact), tolerance
