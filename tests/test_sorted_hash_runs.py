@@ -119,7 +119,7 @@ def test_kernel_hashes_each_key_column_once_per_batch(monkeypatch):
 
     monkeypatch.setattr(checks, "_hash_column", counting)
     findings = kernel(batch).to_pylist()
-    monkeypatch.setattr(checks, "_hash_column", original)
+    monkeypatch.undo()
     assert len(calls) == 3
 
     counters = {(r["check"], r["column"]): r["n"] for r in findings
