@@ -13,8 +13,11 @@ Semantics sources:
   (``DESIGN.md:366-380``).
 * sha256 invariant — hex sha256(content) == content_sha256 per row
   (BASELINE.json input_hint; SURVEY.md M11).
-* profiles — mean/std/min/max/median/10-bin histogram per numeric column
-  (``DESIGN.md:539-551``) via mergeable sketches.
+* profiles — mean/std/min/max/median/histogram per numeric column
+  (``DESIGN.md:539-551``) via mergeable sketches.  The reference's
+  histogram has 10 bins; ``run_validation`` takes 32 per column (the
+  baseline's edges, else ``pipeline.infer_hist_edges``), and PSI and JS
+  coarsen them to at most 8.
 """
 
 from __future__ import annotations
@@ -288,8 +291,9 @@ class BatchCheck:
     """Protocol for a pluggable per-batch check.  Subclass, implement
     ``process(ctx)``, and either register with ``@register_check("kind")``
     (so specs can name it in ``custom_checks``) or append an instance to a
-    kernel's ``checks`` list directly.  ``__init__`` runs once per
-    actor/task — do expensive setup (regex compile, model load) there."""
+    kernel's ``checks`` list directly.  ``__init__`` runs once, where the
+    kernel is built (on the driver); each map task runs a copy of the
+    built check — do expensive setup (regex compile, model load) there."""
 
     def process(self, ctx: CheckContext) -> None:  # pragma: no cover
         raise NotImplementedError
@@ -364,7 +368,8 @@ def _when_mask(batch: pa.Table, when: tuple | None,
     but a silent all-False mask would make a misspelled gate column look
     like a permanently-passing rule — so a distinct ``config`` finding is
     emitted before masking everything out.  The finding is emitted ONCE
-    per rule per check actor (tracked on ``owner``), not per batch: a
+    per rule per copy of the check a map task runs (tracked on
+    ``owner``), not per batch: a
     misconfiguration is a per-rule fact, and per-batch emission would
     make the counter batch-count-dependent and flood the findings table
     past the violation budget on large tables."""
@@ -405,7 +410,7 @@ class AcceptedValuesCheck(BatchCheck):
 
     def __init__(self, spec: TableSpec):
         self.columns = spec.accepted_columns
-        # precompile value sets to Arrow once per actor
+        # precompile value sets to Arrow once, where the kernel is built
         self._sets = [pa.array(list(c.accepted_values)) for c in self.columns]
 
     def process(self, ctx: CheckContext) -> None:
@@ -625,10 +630,12 @@ def build_checks(spec: TableSpec, hist_edges: dict,
 
 
 class ValidationKernel:
-    """Callable-class kernel for ``map_batches`` (actor pool or tasks).
+    """Callable kernel for ``map_batches`` over plain map tasks.
 
     The spec is compiled into a list of ``BatchCheck`` instances in
-    ``__init__`` (once per actor, SURVEY.md §2.10 / T-stages);
+    ``__init__``, once, where ``validate_dataset`` builds the kernel (on
+    the driver); each map task runs a copy of the built kernel
+    (SURVEY.md §2.10 / T-stages);
     ``__call__`` runs every check over each batch — fully vectorized
     except the sha256 row loop (hashlib, C-speed).  With a
     ``window_column`` each window's run of rows is a zero-copy slice of
@@ -650,9 +657,9 @@ class ValidationKernel:
         self.cap = max_violations_per_batch
         self.window_column = window_column
         # membership[i] = sorted uint64 key-hash run / BloomFilter /
-        # ray.ObjectRef of either, for spec.foreign_keys[i] — broadcast ONCE
-        # (ray.put on the driver), the ray.get here runs once per
-        # actor/task, not per batch (T4/J2).
+        # ray.ObjectRef of either, for spec.foreign_keys[i] — resolved
+        # here, where the kernel is built, not per batch (T4/J2); the map
+        # tasks get it with the kernel.
         resolved: dict[int, object] = {}
         if membership:
             import ray

@@ -1,37 +1,30 @@
-"""Parquet zone maps: footer-only row-group statistics and pruned reads.
+"""Parquet zone maps: footer-only row-group statistics and planned reads.
 
-At 100 TB the cheapest scan is the one you never schedule: Parquet footers
-already carry per-row-group min/max/count for every column, so an engine
-can answer range predicates' *scheduling* question — which row groups can
-possibly match — by reading a few KB of metadata per file instead of the
-data itself.  `read_parquet(filter=...)` does this implicitly inside Ray;
-these ops expose the mechanism as a first-class, testable surface:
+Parquet footers carry per-row-group min/max/count for every column, so
+which row groups can match a predicate is answered from a few KB of
+metadata per file instead of the data itself:
 
-* :func:`footer_zone_map` — the zone-map TABLE itself (one row per row
-  group: file, row_group, n_rows, vmin, vmax, and with ``values`` the
-  row group's distinct values), built on the driver by a serial walk
-  over the files' footers.  ``pipeline.run_validation`` builds ONE per
-  run over the window column with ``values`` and plans every read from
-  it, selecting the row groups whose window ids meet the windows read.
-  Useful on its own for data layout audits (is the table clustered on
-  this column? what fraction of row groups would a given predicate
-  prune?).  :func:`parquet_zone_map` builds the same table as a Ray
-  Data map over the files; both run one per-file footer function.
-* :func:`map_row_groups` — ``fn(row_group_table)`` as one plain Ray task
-  per planned (file, row group), returning the (small) outputs: no Ray
-  Data execution, for steps whose output is metadata-sized.
-* :func:`read_row_groups` — one read task per row group, planned from
-  the footers on the driver (no ``read_parquet`` planning pass).
-* :func:`pruned_read` — a range scan that consults the zone map first and
-  schedules read tasks ONLY for overlapping row groups.  The zone map is
-  metadata-scale (rows = row groups, not data rows), so collecting it on
-  the driver is the correct move — it is the same size as the task list
-  any scheduler must hold.
+* :func:`footer_zone_map` — the zone-map TABLE (one row per row group:
+  file, row_group, n_rows, vmin, vmax, and with ``values`` the row
+  group's distinct values), built on the driver from the footers.
+  ``pipeline.run_validation`` builds ONE per run over the window column
+  and plans every read from it.  :func:`parquet_zone_map` builds the
+  same table as a Ray Data map over the files (q117).
+* A PLAN is a list of ``(file, row_group)`` pairs: a pruned zone map's
+  rows, or :func:`row_groups_of` a set of footers.
+* :func:`read_row_group` is the one function that opens a planned row
+  group: it reads the requested columns the file has, keeps the rows
+  whose filter column is in a member set or in ``[lo, hi]``, and pads to
+  a union schema.  :func:`read_row_groups` runs it over a plan as a Ray
+  Data dataset, one read task per row group (the kernel pass through
+  :func:`pruned_read`, q118, and q189 through :func:`bloom_pruned_read`);
+  :func:`map_row_groups` as one plain Ray task per row group returning
+  small outputs (dimension key hashes, the uniqueness verify).
 
-Engine extension beyond the reference (which reads whole CSV/JSON feeds —
-/root/reference/DESIGN.md has no columnar source); oracle-checked by
-q117 (zone map vs DuckDB per-file aggregates) and q118 (pruned range scan
-vs a plain SQL filter), plus a planted multi-row-group pruning test.
+Engine extension beyond the reference, which reads whole CSV/JSON feeds
+and has no columnar source; oracle-checked by q117 (zone map vs DuckDB
+aggregates), q118 (pruned range scan vs a SQL filter) and q189 (Bloom
+point lookup vs an IN list), plus a planted multi-row-group pruning test.
 """
 
 from __future__ import annotations
@@ -47,8 +40,10 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-__all__ = ["footer_zone_map", "parquet_zone_map", "map_row_groups",
-           "row_groups_of", "read_row_groups", "pruned_read",
+from ..sources import pad_to_schema, union_schema
+
+__all__ = ["footer_zone_map", "parquet_zone_map", "read_row_group",
+           "row_groups_of", "map_row_groups", "read_row_groups", "pruned_read",
            "build_bloom_index", "bloom_pruned_read"]
 
 
@@ -136,135 +131,152 @@ def parquet_zone_map(paths: list[str], col: str,
         batch_format="pyarrow")
 
 
+def read_row_group(file: str, row_group: int,
+                   columns: list[str] | pa.Schema | None = None, *,
+                   col: str | None = None, lo=None, hi=None,
+                   members: pa.Array | None = None) -> pa.Table:
+    """Row group ``row_group`` of ``file``: the one function that opens a
+    planned row group, in a Ray Data read task and in a plain task alike.
+
+    Reads the ``columns`` the file has (every column by default).  A list
+    of names projects the result to them, and a name the file lacks
+    raises ``KeyError``.  A ``pa.Schema`` (a union of footer schemas)
+    pads the result to it: typed nulls for a column the file lacks
+    (``sources.pad_to_schema``).  With ``col`` only the rows whose
+    ``col`` is in ``members`` (or, without members, in ``[lo, hi]``) are
+    kept; ``col`` is read for the filter even when not projected.  A row
+    group whose every row is kept and whose columns are already the
+    result's is passed on as read, not copied."""
+    pf = pq.ParquetFile(file)
+    schema = columns if isinstance(columns, pa.Schema) else None
+    read = None
+    if columns is not None:
+        names = schema.names if schema is not None else list(columns)
+        have = set(pf.schema_arrow.names)
+        if schema is None and not have.issuperset(names):
+            raise KeyError(f"columns {[c for c in names if c not in have]} "
+                           f"not in {file}")
+        read = [c for c in dict.fromkeys([*names, col]) if c in have]
+    t = pf.read_row_group(row_group, columns=read)
+    if col is not None:
+        v = t[col]
+        if members is not None:
+            mask = pc.is_in(v, value_set=members)
+        else:
+            mask = pc.and_(pc.greater_equal(v, lo), pc.less_equal(v, hi))
+        mask = pc.fill_null(mask, False)
+        if not pc.all(mask).as_py():
+            t = t.filter(mask)
+    if schema is not None:
+        if t.schema.names != schema.names or t.schema.types != schema.types:
+            t = pad_to_schema(t, schema)
+    elif columns is not None and t.column_names != names:
+        t = t.select(names)
+    return t
+
+
+def row_groups_of(footers: dict) -> list[tuple[str, int]]:
+    """The plan of every row group of ``footers`` (``{file: FileMetaData}``,
+    as ``sources.read_footers`` returns), in their order."""
+    return [(f, g) for f, md in footers.items() for g in range(md.num_row_groups)]
+
+
+def _footers(paths: list[str], columns: list[str] | None) -> tuple[dict, pa.Schema]:
+    """The footers of the sorted ``paths`` and their union schema of
+    ``columns``."""
+    footers = {p: pq.read_metadata(p) for p in sorted(paths)}
+    return footers, union_schema(
+        [md.schema.to_arrow_schema() for md in footers.values()], columns)
+
+
+# The task and read-task steps are module-level functions bound with
+# ``functools.partial``: a task pickles them by reference, where a
+# closure is pickled by value (cloudpickle then walks ``sys.modules``).
+
+
 @ray.remote
-def _row_group_task(path: str, row_group: int, columns, fn):
-    return fn(pq.ParquetFile(path).read_row_group(row_group, columns=columns))
-
-
-def row_groups_of(paths: list[str]) -> list[tuple[str, int]]:
-    """Every ``(file, row_group)`` of the sorted ``paths``, from their
-    footers."""
-    return [(p, g) for p in sorted(paths)
-            for g in range(pq.ParquetFile(p).metadata.num_row_groups)]
+def _row_group_task(file: str, row_group: int, read: dict, fn):
+    return fn(read_row_group(file, row_group, **read))
 
 
 def map_row_groups(row_groups: list[tuple[str, int]], fn,
-                   columns: list[str] | None = None) -> list:
-    """``fn(table)`` on ``columns`` of each planned ``(file, row_group)``,
-    as ONE plain ``@ray.remote`` task per row group; returns the outputs
-    in plan order.
+                   columns: list[str] | pa.Schema | None = None,
+                   **read) -> list:
+    """``fn(read_row_group(file, row_group, columns, **read))`` for each
+    planned ``(file, row_group)``, as ONE plain ``@ray.remote`` task per
+    row group; returns the outputs in plan order.
 
     For steps whose output is small (key hashes, candidate rows, a
     metadata row): a plain task costs its own read and ``fn``, where a
     Ray Data execution adds its streaming executor's start-up.  Every
     output comes back to the driver, so ``fn`` should shrink its row
     group.  ``fn`` is put in the object store once and shared by the
-    tasks; an exception it raises reaches the caller."""
+    tasks; an exception it (or the read) raises reaches the caller."""
     if not row_groups:
         return []
     fn_ref = ray.put(fn)
-    return ray.get([_row_group_task.remote(f, int(g), columns, fn_ref)
+    read = {"columns": columns, **read}
+    return ray.get([_row_group_task.remote(f, int(g), read, fn_ref)
                     for f, g in row_groups])
 
 
-def read_row_groups(paths: list[str], columns: list[str] | None = None, *,
-                    row_groups: list[tuple[str, int]] | None = None,
-                    transform=None) -> rd.Dataset:
-    """Read ``columns`` of Parquet ``paths`` with ONE read task per row
-    group — the parquet-native parallel grain, planned from the footers
-    on the driver with no ``read_parquet`` planning pass.
+def _read_item(item: pa.Table, **read) -> pa.Table:
+    # batch_size=1: the batch is one planned (file, row_group)
+    return read_row_group(item["file"][0].as_py(), item["row_group"][0].as_py(),
+                          **read)
 
-    ``row_groups`` restricts the read to explicit ``(file, row_group)``
-    pairs (a pruned zone map's task list); by default every row group of
-    every path is read.  ``transform`` (``pa.Table -> pa.Table``) runs on
-    each row group inside its read task, e.g. an exact row filter.  With
-    no row group to read the result is a typed empty dataset."""
-    if row_groups is None:
-        row_groups = row_groups_of(paths)
+
+def read_row_groups(row_groups: list[tuple[str, int]],
+                    columns: list[str] | pa.Schema | None = None,
+                    **read) -> rd.Dataset:
+    """``read_row_group(file, row_group, columns, **read)`` over each
+    planned ``(file, row_group)`` as a Ray Data dataset: ONE read task
+    per row group, the parquet-native parallel grain, with no
+    ``read_parquet`` planning pass.  An empty plan gives an empty dataset
+    typed by ``columns``, which must then be a schema."""
+    if not row_groups:
+        return rd.from_arrow(columns.empty_table())
     items = [{"file": f, "row_group": int(g)} for f, g in row_groups]
-    if not items:
-        schema = pq.read_schema(sorted(paths)[0])
-        if columns:
-            schema = pa.schema([schema.field(c) for c in columns])
-        return rd.from_arrow(schema.empty_table())
     # one row group per read task: block size == row-group size
     return (rd.from_items(items, override_num_blocks=len(items))
-            .map_batches(partial(_read_groups, columns=columns,
-                                 transform=transform),
+            .map_batches(partial(_read_item, columns=columns, **read),
                          batch_format="pyarrow", batch_size=1))
 
 
-# The read and filter steps are module-level functions bound with
-# ``functools.partial``: a task pickles them by reference, where a
-# closure is pickled by value (cloudpickle then walks ``sys.modules``).
-
-
-def _read_groups(t: pa.Table, columns, transform) -> pa.Table:
-    """The row groups ``t`` lists (``file``, ``row_group``), each read and
-    passed through ``transform``."""
-    parts = []
-    for f, g in zip(t["file"].to_pylist(), t["row_group"].to_pylist()):
-        tbl = pq.ParquetFile(f).read_row_group(g, columns=columns)
-        parts.append(tbl if transform is None else transform(tbl))
-    return pa.concat_tables(parts)
-
-
-def _exact_filter(tbl: pa.Table, col: str, lo, hi, members,
-                  columns) -> pa.Table:
-    """The rows of ``tbl`` whose ``col`` is in ``members`` (or, without
-    members, in ``[lo, hi]``), projected to ``columns``.  A row group
-    whose every row is kept is passed on as read, not copied."""
-    v = tbl[col]
-    if members is not None:
-        mask = pc.is_in(v, value_set=members)
-    else:
-        mask = pc.and_(pc.greater_equal(v, lo), pc.less_equal(v, hi))
-    mask = pc.fill_null(mask, False)
-    if not pc.all(mask).as_py():
-        tbl = tbl.filter(mask)
-    return tbl if columns is None else tbl.select(columns)
-
-
 def pruned_read(paths: list[str], col: str, lo, hi,
-                columns: list[str] | None = None,
+                columns: list[str] | pa.Schema | None = None,
                 exact: bool = True,
-                zone_map: "pd.DataFrame | None" = None,
+                row_groups: list[tuple[str, int]] | None = None,
                 value_set=None) -> rd.Dataset:
     """Range scan ``lo <= col <= hi`` that schedules read tasks ONLY for
     row groups whose footer [vmin, vmax] overlaps the predicate.
 
-    Three steps: (1) the zone map (metadata-scale) is computed distributed
-    and collected, and filtered to the overlapping row groups — it IS the
-    task list; (2) :func:`read_row_groups` reads each surviving
-    (file, row_group) in its own task; (3) with ``exact`` (default) each
-    row group is filtered to the predicate inside that task (zone maps
-    prove *possible* overlap, not row-level membership); a row group
-    whose every row matches is passed on as read, neither filtered nor
-    copied.  Statistics-less row groups are conservatively kept.
-
-    ``zone_map`` accepts a precomputed ``parquet_zone_map(...).to_pandas()``
-    frame so a caller issuing many pruned reads over the same directory
-    (run_validation's chunked window passes) walks the footers once.
-    ``value_set`` narrows ``exact`` filtering to an explicit member list
-    (e.g. a non-contiguous pending-window chunk inside [lo, hi]).
+    Without ``row_groups`` the plan is built on the driver from the
+    footers of ``paths`` (:func:`footer_zone_map`): the row groups whose
+    [vmin, vmax] overlaps ``[lo, hi]``, statistics-less ones kept, read
+    in the union schema of those footers' ``columns``.  ``row_groups``
+    passes a plan the caller has already pruned (run_validation's window
+    plan), read as given, in ``columns`` (a union schema pads a chunk
+    that spans schema versions).  :func:`read_row_groups` reads each
+    planned row group in its own task; with ``exact`` (default) each row
+    group is filtered to the predicate inside that task, to ``value_set``
+    when given (e.g. a non-contiguous pending-window chunk), since zone
+    maps prove *possible* overlap, not row-level membership.  A row
+    group whose every row matches is passed on as read, neither filtered
+    nor copied.
 
     The unpruned fallback is exactly ``read_parquet(filter=...)``; this
     op exists to make the pruning observable (q118's test asserts
     non-overlapping row groups are never opened)."""
-    zm = (parquet_zone_map(paths, col).to_pandas()
-          if zone_map is None else zone_map)
-    keep = zm["vmin"].isna() | ~((zm["vmax"] < lo) | (zm["vmin"] > hi))
-    tasks = list(zm.loc[keep, ["file", "row_group"]].itertuples(index=False))
-    if not exact or not tasks:
-        return read_row_groups(paths, columns, row_groups=tasks)
-    members = (pa.array(list(value_set)) if value_set is not None else None)
-    # the filter column is read with the row group even when not projected
-    read_cols = (None if columns is None
-                 else list(dict.fromkeys([*columns, col])))
-    return read_row_groups(paths, read_cols, row_groups=tasks,
-                           transform=partial(_exact_filter, col=col, lo=lo,
-                                             hi=hi, members=members,
-                                             columns=columns))
+    if row_groups is None:
+        footers, columns = _footers(paths, columns)
+        zm = footer_zone_map(paths, col, footers=footers)
+        keep = zm["vmin"].isna() | ~((zm["vmax"] < lo) | (zm["vmin"] > hi))
+        row_groups = list(zm.loc[keep, ["file", "row_group"]].itertuples(
+            index=False, name=None))
+    members = None if value_set is None else pa.array(list(value_set))
+    return read_row_groups(row_groups, columns, col=col if exact else None,
+                           lo=lo, hi=hi, members=members)
 
 
 def build_bloom_index(paths: list[str], col: str,
@@ -323,39 +335,22 @@ def _bloom_keep_files(index: pd.DataFrame, values) -> list[str]:
 
 def bloom_pruned_read(paths: list[str], col: str, values,
                       columns: list[str] | None = None,
-                      exact: bool = True,
-                      index: "pd.DataFrame | None" = None,
-                      fpr: float = 1e-3,
-                      concurrency: int | None = None) -> rd.Dataset:
+                      index: pd.DataFrame | None = None,
+                      fpr: float = 1e-3) -> rd.Dataset:
     """Point lookup ``col IN values`` that schedules read tasks ONLY for
-    files whose Bloom index might contain one of the probed values.
+    the row groups of files whose Bloom index might contain one of the
+    probed values.
 
     ``index`` accepts a precomputed ``build_bloom_index(...).to_pandas()``
     frame so repeated lookups over the same directory build the filters
-    once (amortized like the zone map in run_validation).  With ``exact``
-    (default) surviving files are filtered row-level — Bloom false
-    positives never reach the result, so output equals the unpruned
-    ``read_parquet + is_in`` scan bit-for-bit (q189's oracle).
+    once (amortized like the zone map in run_validation).  Each kept row
+    group is filtered to ``values`` in its read task, so Bloom false
+    positives never reach the result: the output equals the unpruned
+    ``read_parquet + is_in`` scan bit-for-bit (q189's oracle), in the
+    union schema of ``paths``' footers.
     """
     idx = (build_bloom_index(paths, col, fpr=fpr).to_pandas()
            if index is None else index)
-    keep = _bloom_keep_files(idx, values)
-    if not keep:
-        schema = pq.read_schema(sorted(paths)[0])
-        if columns:
-            schema = pa.schema([schema.field(c) for c in columns])
-        return rd.from_arrow(schema.empty_table())
-    member_arr = pa.array(list(values))
-    read_cols = (None if columns is None
-                 else list(dict.fromkeys(list(columns) + [col])))
-
-    def filter_rows(t: pa.Table) -> pa.Table:
-        if not exact:
-            return t if columns is None else t.select(columns)
-        mask = pc.fill_null(pc.is_in(t[col], value_set=member_arr), False)
-        out = t.filter(mask)
-        return out if columns is None else out.select(columns)
-
-    return rd.read_parquet(keep, columns=read_cols,
-                           concurrency=concurrency).map_batches(
-        filter_rows, batch_format="pyarrow")
+    footers, schema = _footers(paths, columns)
+    plan = row_groups_of({f: footers[f] for f in _bloom_keep_files(idx, values)})
+    return read_row_groups(plan, schema, col=col, members=pa.array(list(values)))

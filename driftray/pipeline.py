@@ -86,7 +86,6 @@ from .bloom import BloomFilter
 from .checks import ValidationKernel, hash_keys, in_sorted, join_key
 from .drift import js_divergence, ks_from_digests, mean_difference, psi, _kolmogorov_sf
 from .sketches import Histogram, Moments, TDigest, merge_all
-from .sources import pad_to_schema
 from .spec import TableSpec
 
 # Ray Data executions ("ray_data") and plain row-group tasks
@@ -188,19 +187,20 @@ def build_membership(dim: pa.Table | str, columns, *,
     pairs) — it is aggregated to a single object and broadcast with
     ``ray.put``; probes happen inside the fact kernel (no shuffle).  A
     parquet file or directory path is hashed in plain tasks, one per
-    footer-planned row group (``ops.zonemap.map_row_groups``, no Ray Data
-    execution), each returning the uint64 hashes of its rows' keys: 8 B
-    per dimension row reaches the driver, not the key strings.
+    row group of its footers (``sources.read_footers``, each read once;
+    ``ops.zonemap.map_row_groups``, no Ray Data execution), each
+    returning the uint64 hashes of its rows' keys: 8 B per dimension row
+    reaches the driver, not the key strings.
 
     A hash collision can only mask a violation (never invent one) with
     probability ~n_dim/2^64 per probed row — negligible next to the Bloom
     FPR this degrades to at scale anyway."""
     if isinstance(dim, str):
         from .ops.zonemap import map_row_groups, row_groups_of
-        from .sources import parquet_files
+        from .sources import read_footers
 
         cols = list(columns)
-        plan = row_groups_of(parquet_files(dim))
+        plan = row_groups_of(read_footers(dim))
         _count("row_group_tasks", len(plan))
         # a partial of a module-level function pickles by reference
         arrays = map_row_groups(plan, partial(hash_keys, columns=cols), cols)
@@ -383,14 +383,6 @@ def _fetch_candidates(b: pa.Table, key_cols: list[str], order_col,
     if order_col and order_col in sub.column_names:
         out["ord"] = sub[order_col]
     return pa.table(out)
-
-
-def _in_windows(t: pa.Table, window_column: str, members: pa.Array,
-                schema: pa.Schema, fn):
-    """``fn`` over the rows of ``t`` in the windows ``members``, padded to
-    ``schema``."""
-    return fn(pad_to_schema(t.filter(pc.fill_null(
-        pc.is_in(t[window_column], value_set=members), False)), schema))
 
 
 # ---------------------------------------------------------------------------
@@ -758,36 +750,24 @@ def _zone_map_windows(zm, window_column: str) -> list[int]:
     return sorted(found)
 
 
-def _row_group_keys(groups: dict, plan, window_column: str,
-                    key_cols: list[str], windows: list[int]):
+def _row_group_keys(row_groups: list, schema, window_column: str,
+                    windows: list[int]):
     """``map_keys`` for :func:`uniqueness_violations` over the rows of
-    ``windows``: one plain task per row group of ``plan`` (the zone-map
-    rows holding ``windows``) through ``ops.zonemap.map_row_groups``.
-    Each task filters its row group to exactly ``windows`` and pads a key
-    or order column its schema group lacks with typed nulls of the
-    footers' union schema, as the kernel pass's read is padded.  ``fn``'s
+    ``windows``: one plain task per planned row group (the zone-map rows
+    holding ``windows``), all submitted by one
+    ``ops.zonemap.map_row_groups`` call.  Each task's read keeps exactly
+    the rows of ``windows`` and pads a key or order column its file
+    lacks with typed nulls of ``schema`` (the footers' union schema of
+    those columns), as the kernel pass's read is padded.  ``fn``'s
     outputs come back to the driver."""
     from .ops.zonemap import map_row_groups
-    from .sources import union_schema
 
-    keys = plan["group"].unique()
-    schema = (union_schema([groups[k][0] for k in keys], key_cols)
-              if len(keys) else None)
-    # one map_row_groups call per distinct list of columns to read
-    by_columns: dict[tuple, list] = {}
-    for f, g, key in plan[["file", "row_group", "group"]].itertuples(
-            index=False, name=None):
-        cols = tuple(c for c in dict.fromkeys([*key_cols, window_column])
-                     if c in groups[key][0].names)
-        by_columns.setdefault(cols, []).append((f, g))
     members = pa.array(windows, pa.int64())
 
     def map_keys(fn) -> list:
-        _count("row_group_tasks", len(plan))
-        task = partial(_in_windows, window_column=window_column,
-                       members=members, schema=schema, fn=fn)
-        return [out for cols, row_groups in by_columns.items()
-                for out in map_row_groups(row_groups, task, list(cols))]
+        _count("row_group_tasks", len(row_groups))
+        return map_row_groups(row_groups, fn, schema, col=window_column,
+                              members=members)
 
     return map_keys
 
@@ -893,22 +873,16 @@ def run_validation(
                             footers=_footers)
     _zmap["group"] = _zmap["file"].map(group_of)
 
-    def _plan(ws: list[int]):
-        # the zone-map rows holding a window of ``ws``
+    def _plan(ws: list[int], columns=None):
+        # the (file, row_group) pairs holding a window of ``ws``, and the
+        # union schema of their footers' ``columns``: a read spanning
+        # schema versions pads the columns a version lacks with nulls
         wset = set(ws)
-        return _zmap.loc[[not wset.isdisjoint(v) for v in _zmap["values"]]]
-
-    def _read_chunk(plan, chunk: list[int]) -> rd.Dataset:
-        ds = pruned_read(sorted(set(plan["file"])), window_column, min(chunk),
-                         max(chunk), zone_map=plan, value_set=chunk)
-        keys = plan["group"].unique()
-        if len(keys) == 1:
-            return ds
-        # mixed footer schemas: pad every block to the union of the
-        # footers it reads (typed nulls for the columns a version lacks)
-        schema = union_schema([_fgroups[k][0] for k in keys])
-        return ds.map_batches(partial(pad_to_schema, schema=schema),
-                              batch_format="pyarrow")
+        rows = _zmap.loc[[not wset.isdisjoint(v) for v in _zmap["values"]]]
+        keys = rows["group"].unique()
+        return (list(rows[["file", "row_group"]].itertuples(index=False, name=None)),
+                union_schema([_fgroups[k][0] for k in keys], columns)
+                if len(keys) else None)
 
     _mark("schema_preflight", t0)
 
@@ -942,7 +916,7 @@ def run_validation(
         key_cols.append(spec.order_column)
 
     def _read_keys(ws: list[int]):
-        return _row_group_keys(_fgroups, _plan(ws), window_column, key_cols, ws)
+        return _row_group_keys(*_plan(ws, key_cols), window_column, ws)
 
     if not pending:
         if table_uniq:
@@ -975,12 +949,14 @@ def run_validation(
     out = []
     for lo in range(0, len(pending), windows_per_pass):
         chunk = pending[lo: lo + windows_per_pass]
-        plan = _plan(chunk)
-        _count("row_groups", len(plan))
-        results = {} if plan.empty else validate_dataset(
-            _read_chunk(plan, chunk), spec, window_column=window_column,
-            membership=membership, baseline=baseline, hist_edges=hist_edges,
-            check_uniqueness=False)
+        row_groups, schema = _plan(chunk)
+        _count("row_groups", len(row_groups))
+        results = {} if not row_groups else validate_dataset(
+            pruned_read(sorted({f for f, _ in row_groups}), window_column,
+                        min(chunk), max(chunk), schema, row_groups=row_groups,
+                        value_set=chunk),
+            spec, window_column=window_column, membership=membership,
+            baseline=baseline, hist_edges=hist_edges, check_uniqueness=False)
         for w in chunk:
             res = results.get(w)
             if res is None:

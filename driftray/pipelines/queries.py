@@ -951,10 +951,10 @@ def q189_bloom_point_lookup(sf_dir: str):
     `bloom_pruned_read`): documents re-staged as 8 parquet files (hash
     layout — footer min/max cannot prune doc_id point lookups), a Bloom
     sidecar built per file (one map task each, doc_id column only), then
-    an IN-list probe that schedules read tasks only for maybe-containing
-    files.  `exact` row filtering makes the result bit-equal to the
-    unpruned scan — Bloom false positives never escape — so the plain
-    SQL IN-list is the oracle."""
+    an IN-list probe that schedules read tasks only for the row groups of
+    maybe-containing files.  Each read task keeps only the probed values,
+    so the result is bit-equal to the unpruned scan — Bloom false
+    positives never escape — and the plain SQL IN-list is the oracle."""
     import glob as globmod
     import shutil
     import tempfile
@@ -968,8 +968,7 @@ def q189_bloom_point_lookup(sf_dir: str):
         docs.repartition(8).write_parquet(tmp)
         paths = sorted(globmod.glob(f"{tmp}/*.parquet"))
         out = bloom_pruned_read(paths, "doc_id", probes,
-                                columns=["doc_id", "lang", "n_chars"],
-                                concurrency=4).to_pandas()
+                                columns=["doc_id", "lang", "n_chars"]).to_pandas()
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     out["doc_id"] = out["doc_id"].astype(np.int64)

@@ -320,19 +320,35 @@ def test_findings_to_results_matches_pandas_split():
 
 
 # ---------------------------------------------------------------------------
-# pruned_read: a row group whose rows are all kept is passed on as read
+# read_row_group: a row group whose rows are all kept is passed on as read
 # ---------------------------------------------------------------------------
 
 
-def test_exact_filter_passes_whole_row_group_on():
-    from driftray.ops.zonemap import _exact_filter
+def test_exact_filter_passes_whole_row_group_on(tmp_path, monkeypatch):
+    from functools import partial
 
-    t = pa.table({"w": pa.array([3, 3, 4], pa.int64()), "v": [1.0, 2.0, 3.0]})
-    assert _exact_filter(t, "w", None, None, pa.array([3, 4]), None) is t
-    assert _exact_filter(t, "w", 3, 4, None, None) is t
-    part = _exact_filter(t, "w", None, None, pa.array([4]), None)
+    from driftray.ops.zonemap import read_row_group
+
+    path = str(tmp_path / "w.parquet")
+    pq.write_table(pa.table({"w": pa.array([3, 3, 4], pa.int64()),
+                             "v": [1.0, 2.0, 3.0]}), path)
+    # ``seen[-1]``: the table the reader got from Parquet, before any filter
+    read = pq.ParquetFile.read_row_group
+    seen = []
+
+    def spy(self, *args, **kw):
+        seen.append(read(self, *args, **kw))
+        return seen[-1]
+
+    monkeypatch.setattr(pq.ParquetFile, "read_row_group", spy)
+    rg = partial(read_row_group, path, 0)
+    assert rg(col="w", members=pa.array([3, 4])) is seen[-1]
+    assert rg(col="w", lo=3, hi=4) is seen[-1]
+    schema = seen[-1].schema
+    assert rg(schema, col="w", members=pa.array([3, 4])) is seen[-1]
+    part = rg(col="w", members=pa.array([4]))
     assert part.to_pylist() == [{"w": 4, "v": 3.0}]
-    proj = _exact_filter(t, "w", 3, 4, None, ["v"])
+    proj = rg(["v"], col="w", lo=3, hi=4)
     assert proj.schema.names == ["v"] and proj["v"].to_pylist() == [1.0, 2.0, 3.0]
 
 

@@ -29,9 +29,10 @@ def _two_files(tmp_path):
 
 def test_map_row_groups_equals_direct_reads(ray_session, tmp_path):
     from driftray.ops.zonemap import map_row_groups, row_groups_of
+    from driftray.sources import read_footers
 
     paths = _two_files(tmp_path)
-    plan = row_groups_of(paths)
+    plan = row_groups_of(read_footers(str(tmp_path / "rg")))
     assert [f for f, _ in plan] == [paths[0]] * 4 + [paths[1]] * 3
     for columns in (None, ["b"]):
         got = map_row_groups(plan, lambda t: t, columns)
@@ -52,12 +53,14 @@ def test_map_row_groups_empty_plan(ray_session):
 
 def test_map_row_groups_raises_fn_error(ray_session, tmp_path):
     from driftray.ops.zonemap import map_row_groups, row_groups_of
+    from driftray.sources import read_footers
 
     def boom(t):
         raise ValueError(f"bad row group of {t.num_rows} rows")
 
+    _two_files(tmp_path)
     with pytest.raises(ValueError, match="bad row group of 20 rows"):
-        map_row_groups(row_groups_of(_two_files(tmp_path))[:1], boom)
+        map_row_groups(row_groups_of(read_footers(str(tmp_path / "rg")))[:1], boom)
 
 
 def _key_table(rng, window: int, n: int, pool) -> pa.Table:
