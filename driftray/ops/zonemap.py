@@ -189,9 +189,10 @@ def _footers(paths: list[str], columns: list[str] | None) -> tuple[dict, pa.Sche
         [md.schema.to_arrow_schema() for md in footers.values()], columns)
 
 
-# The task and read-task steps are module-level functions bound with
-# ``functools.partial``: a task pickles them by reference, where a
-# closure is pickled by value (cloudpickle then walks ``sys.modules``).
+# The read-task step is a module-level function bound with
+# ``functools.partial`` (as are the ``fn``s callers map): a task pickles
+# it by reference, where a closure is pickled by value (cloudpickle then
+# walks ``sys.modules``).
 
 
 @ray.remote
