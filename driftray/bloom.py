@@ -2,8 +2,10 @@
 
 Engine-side replacement for the reference's exact in-process seen-sets
 (``/root/reference/src/data_sources/web/news.py:365,560-573``) when the key
-side is too large to broadcast exactly: build once from the dimension keys,
-``ray.put`` the bit array, probe inside ``map_batches`` actors.  Bloom
+side is too large to ship exactly: build once from the dimension keys on
+the driver; the bit array travels inside the validation kernel, which Ray
+Data puts in the object store once per execution, and is probed in the
+kernel's ``map_batches`` tasks.  Bloom
 filters have NO false negatives, so "definitely absent" rows are exact
 violations; positives can be verified exactly per-partition when needed
 (two-tier check, SURVEY.md §7 hard part 5).

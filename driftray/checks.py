@@ -14,10 +14,11 @@ Semantics sources:
 * sha256 invariant — hex sha256(content) == content_sha256 per row
   (BASELINE.json input_hint; SURVEY.md M11).
 * profiles — mean/std/min/max/median/histogram per numeric column
-  (``DESIGN.md:539-551``) via mergeable sketches.  The reference's
-  histogram has 10 bins; ``run_validation`` takes 32 per column (the
-  baseline's edges, else ``pipeline.infer_hist_edges``), and PSI and JS
-  coarsen them to at most 8.
+  (``DESIGN.md:539-551``): one mergeable ``sketches.ColumnProfile`` row
+  per (group, column) per window slice.  The reference's histogram has
+  10 bins; ``run_validation`` takes 32 per column (the baseline's edges,
+  else ``pipeline.infer_hist_edges``), and PSI and JS coarsen them to at
+  most 8.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import pyarrow.compute as pc
 
 from . import sketches
 from .bloom import BloomFilter
-from .sketches import HLL, Histogram, Moments, TDigest
+from .sketches import HLL, ColumnProfile
 from .spec import TableSpec
 
 FINDINGS_SCHEMA = pa.schema(
@@ -536,9 +537,9 @@ class ReferentialCheck(BatchCheck):
 
 
 class ProfileCheck(BatchCheck):
-    """A4: mergeable moment/t-digest/histogram partials per (group, column);
-    ``hist_edges`` must be identical across windows so partials merge and
-    PSI/JS compare."""
+    """A4: one mergeable ``ColumnProfile`` per (group, column) per window
+    slice, emitted as one ``profile`` sketch row; ``hist_edges`` must be
+    identical across windows so profiles merge and PSI/JS compare."""
 
     def __init__(self, spec: TableSpec, hist_edges: dict):
         self.columns = spec.profile_columns
@@ -547,17 +548,9 @@ class ProfileCheck(BatchCheck):
 
     def _emit(self, ctx: CheckContext, column: str, group: str,
               values: np.ndarray) -> None:
-        mom = Moments().update(values)
+        profile = ColumnProfile.of(column, group, values, self.hist_edges.get(column))
         ctx.append("sketch", "profile", column=column, group=group,
-                   detail="moments", blob=sketches.dumps(mom))
-        td = TDigest().update(values)
-        ctx.append("sketch", "profile", column=column, group=group,
-                   detail="tdigest", blob=sketches.dumps(td))
-        edges = self.hist_edges.get(column)
-        hist = (Histogram.from_edges(edges) if edges is not None
-                else Histogram(0.0, 1.0)).update(values)
-        ctx.append("sketch", "profile", column=column, group=group,
-                   detail="hist", blob=sketches.dumps(hist))
+                   blob=sketches.dumps(profile))
 
     def process(self, ctx: CheckContext) -> None:
         batch = ctx.batch
@@ -656,17 +649,11 @@ class ValidationKernel:
         self.spec = spec
         self.cap = max_violations_per_batch
         self.window_column = window_column
-        # membership[i] = sorted uint64 key-hash run / BloomFilter /
-        # ray.ObjectRef of either, for spec.foreign_keys[i] — resolved
-        # here, where the kernel is built, not per batch (T4/J2); the map
-        # tasks get it with the kernel.
-        resolved: dict[int, object] = {}
-        if membership:
-            import ray
-
-            for i, m in membership.items():
-                resolved[i] = ray.get(m) if isinstance(m, ray.ObjectRef) else m
-        self.checks = build_checks(spec, hist_edges or {}, resolved)
+        # membership[i] = sorted uint64 key-hash run or BloomFilter for
+        # spec.foreign_keys[i] (T4/J2); the map tasks get it with the
+        # kernel, which Ray Data puts in the object store once per
+        # execution
+        self.checks = build_checks(spec, hist_edges or {}, membership or {})
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         wc = self.window_column

@@ -246,7 +246,6 @@ def read_row_groups(row_groups: list[tuple[str, int]],
 
 def pruned_read(paths: list[str], col: str, lo, hi,
                 columns: list[str] | pa.Schema | None = None,
-                exact: bool = True,
                 row_groups: list[tuple[str, int]] | None = None,
                 value_set=None) -> rd.Dataset:
     """Range scan ``lo <= col <= hi`` that schedules read tasks ONLY for
@@ -259,12 +258,11 @@ def pruned_read(paths: list[str], col: str, lo, hi,
     passes a plan the caller has already pruned (run_validation's window
     plan), read as given, in ``columns`` (a union schema pads a chunk
     that spans schema versions).  :func:`read_row_groups` reads each
-    planned row group in its own task; with ``exact`` (default) each row
-    group is filtered to the predicate inside that task, to ``value_set``
-    when given (e.g. a non-contiguous pending-window chunk), since zone
-    maps prove *possible* overlap, not row-level membership.  A row
-    group whose every row matches is passed on as read, neither filtered
-    nor copied.
+    planned row group in its own task and filters it to the predicate
+    there, to ``value_set`` when given (e.g. a non-contiguous
+    pending-window chunk), since zone maps prove *possible* overlap, not
+    row-level membership.  A row group whose every row matches is passed
+    on as read, neither filtered nor copied.
 
     The unpruned fallback is exactly ``read_parquet(filter=...)``; this
     op exists to make the pruning observable (q118's test asserts
@@ -276,8 +274,8 @@ def pruned_read(paths: list[str], col: str, lo, hi,
         row_groups = list(zm.loc[keep, ["file", "row_group"]].itertuples(
             index=False, name=None))
     members = None if value_set is None else pa.array(list(value_set))
-    return read_row_groups(row_groups, columns, col=col if exact else None,
-                           lo=lo, hi=hi, members=members)
+    return read_row_groups(row_groups, columns, col=col, lo=lo, hi=hi,
+                           members=members)
 
 
 def build_bloom_index(paths: list[str], col: str,

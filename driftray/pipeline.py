@@ -30,9 +30,10 @@ Scale notes
   read, and the kernel checks each window's run of rows as a zero-copy
   slice.  The findings reduce on the driver in one pass over Python
   lists, without pandas.
-* Referential membership is broadcast via ``ray.put`` (a sorted run of
-  the dimension's 8-byte key hashes, or a Bloom filter over them at
-  100 TB scale) and probed inside the same kernel pass — no shuffle join.
+* Referential membership (a sorted run of the dimension's 8-byte key
+  hashes, or a Bloom filter over them at 100 TB scale) travels inside
+  the kernel, which Ray Data puts in the object store once per
+  execution, and is probed in the same kernel pass — no shuffle join.
 * Exact key-uniqueness needs no shuffle: the kernel pass emits each
   batch's sorted 8-byte key-hash run, every window persists its run, and
   the driver sorts the runs of all validated windows to find duplicate
@@ -85,7 +86,7 @@ from . import sketches
 from .bloom import BloomFilter
 from .checks import ValidationKernel, hash_keys, in_sorted, join_key
 from .drift import js_divergence, ks_from_digests, mean_difference, psi, _kolmogorov_sf
-from .sketches import Histogram, Moments, TDigest, merge_all
+from .sketches import ColumnProfile, merge_all
 from .spec import TableSpec
 
 # Ray Data executions ("ray_data") and plain row-group tasks
@@ -98,40 +99,6 @@ def _count(kind: str, n: int = 1) -> None:
     jobs = _jobs.get()
     if jobs is not None:
         jobs[kind] += n
-
-
-# ---------------------------------------------------------------------------
-# profiles
-# ---------------------------------------------------------------------------
-
-SKETCH_KINDS = ("moments", "tdigest", "hist")
-
-
-@dataclass
-class ColumnProfile:
-    """Merged per-(group, column) profile — the engine's version of the
-    reference's feature distribution (``DESIGN.md:539-551``)."""
-
-    column: str
-    group: str
-    moments: Moments
-    tdigest: TDigest
-    hist: Histogram
-
-    def to_row(self) -> dict:
-        d = self.moments.to_dict()
-        return {
-            "column": self.column,
-            "group": self.group,
-            "count": d["count"],
-            "mean": d["mean"],
-            "std": d["std"],
-            "min": d["min"],
-            "max": d["max"],
-            "median": self.tdigest.quantile(0.5),
-            "p25": self.tdigest.quantile(0.25),
-            "p75": self.tdigest.quantile(0.75),
-        }
 
 
 @dataclass
@@ -184,8 +151,8 @@ def build_membership(dim: pa.Table | str, columns, *,
     false-positive rate).
 
     The dimension side is small relative to the fact table (repos, commit
-    pairs) — it is aggregated to a single object and broadcast with
-    ``ray.put``; probes happen inside the fact kernel (no shuffle).  A
+    pairs) — it is aggregated to a single object that ships inside the
+    fact kernel, where the probes happen (no shuffle).  A
     parquet file or directory path is hashed in plain tasks, one per
     row group of its footers (``sources.read_footers``, each read once;
     ``ops.zonemap.map_row_groups``, no Ray Data execution), each
@@ -218,19 +185,22 @@ def merge_findings(findings: pa.Table) -> tuple[dict, pa.Table, dict, float | No
 
     Returns (counters, violations, profiles, key_hll_estimate): counters
     summed per (check, column) and ordered by it, keyed ``check`` or
-    ``check|column``; profiles ordered by (group, column), each sketch
-    kind's partials merged in row order."""
+    ``check|column``; profiles ordered by (group, column), each merged
+    from its ``profile`` rows in row order."""
     sums: dict[tuple[str, str], int] = {}
-    partials: dict[tuple[str, str], dict[str, list]] = {}
+    merged: dict[tuple[str, str], ColumnProfile] = {}
     hlls: list[bytes] = []
-    for kind, check, column, group, detail, n, blob in zip(*(
+    for kind, check, column, group, n, blob in zip(*(
             findings[c].to_pylist() for c in (
-                "kind", "check", "column", "group", "detail", "n", "blob"))):
+                "kind", "check", "column", "group", "n", "blob"))):
         if kind == "counter":
             sums[check, column] = sums.get((check, column), 0) + n
         elif kind == "sketch" and check == "profile":
-            partials.setdefault((group, column), {}).setdefault(
-                detail, []).append(blob)
+            p = sketches.loads(blob)
+            if (group, column) in merged:
+                merged[group, column].merge(p)
+            else:
+                merged[group, column] = p
         elif kind == "sketch" and check == "uniqueness":
             hlls.append(blob)
     counters = {check if column == "" else f"{check}|{column}": sums[check, column]
@@ -239,13 +209,7 @@ def merge_findings(findings: pa.Table) -> tuple[dict, pa.Table, dict, float | No
     violations = findings.filter(pc.equal(findings["kind"], "violation")).select(
         ["check", "column", "row_ref", "detail"])
 
-    profiles: dict[tuple[str, str], ColumnProfile] = {}
-    for group, column in sorted(partials):
-        by_kind = partials[group, column]
-        parts = {kind: merge_all(sketches.loads(b) for b in by_kind.get(kind, ()))
-                 for kind in SKETCH_KINDS}
-        profiles[(group, column)] = ColumnProfile(column, group, parts["moments"],
-                                                  parts["tdigest"], parts["hist"])
+    profiles = {key: merged[key] for key in sorted(merged)}
     key_hll = (merge_all(sketches.loads(b) for b in hlls).estimate()
                if hlls else None)
     return counters, violations, profiles, key_hll
@@ -292,9 +256,9 @@ def uniqueness_violations(ds, spec: TableSpec,
        Without ``key_hashes`` the key columns are read and hashed first,
        8 B per row back to the driver.
     2. Verification: only when candidates exist, ONE pass over the key
-       (+ order) columns keeps the candidate rows (``fetch_candidates``,
-       probing the broadcast candidate array) and groups them on their
-       full key strings.
+       (+ order) columns keeps the candidate rows (``_fetch_candidates``,
+       whose partial carries the sorted candidate array) and groups them
+       on their full key strings.
 
     ``ds`` is a Ray Data Dataset (``validate_dataset``; one execution per
     pass), or a ``map_keys(fn)`` callable that runs ``fn`` over the key
@@ -331,11 +295,8 @@ def uniqueness_violations(ds, spec: TableSpec,
     if len(dup_h) == 0:
         return _empty_violations(), 0, None
 
-    # a task resolves the ref itself: refs captured by ``fn`` are NOT
-    # resolved
-    cand_ref = ray.put(dup_h)  # sorted unique int64
     parts = map_keys(partial(_fetch_candidates, key_cols=key_cols,
-                             order_col=order_col, cand_ref=cand_ref))
+                             order_col=order_col, candidates=dup_h))
     if not parts:
         return _empty_violations(), 0, None
     cand = pa.concat_tables(parts).to_pandas()
@@ -374,10 +335,11 @@ def _key_hash_table(b: pa.Table, key_cols: list[str]) -> pa.Table:
 
 
 def _fetch_candidates(b: pa.Table, key_cols: list[str], order_col,
-                      cand_ref) -> pa.Table:
-    """The rows of ``b`` whose key hash is a candidate (``cand_ref``: the
-    sorted duplicate hashes), as their full key string (+ order value)."""
-    mask = in_sorted(ray.get(cand_ref), hash_keys(b, key_cols))
+                      candidates: np.ndarray) -> pa.Table:
+    """The rows of ``b`` whose key hash is a candidate (``candidates``:
+    the sorted duplicate hashes), as their full key string (+ order
+    value)."""
+    mask = in_sorted(candidates, hash_keys(b, key_cols))
     sub = b.filter(pa.array(mask))
     out = {"key": pa.array(join_key(sub, key_cols), pa.string())}
     if order_col and order_col in sub.column_names:
@@ -399,31 +361,22 @@ class Baseline:
         self.profiles = profiles
 
     def save(self, path: str) -> None:
-        rows = {"group": [], "column": [], "moments": [], "tdigest": [], "hist": []}
-        for (g, c), p in self.profiles.items():
-            rows["group"].append(g)
-            rows["column"].append(c)
-            rows["moments"].append(sketches.dumps(p.moments))
-            rows["tdigest"].append(sketches.dumps(p.tdigest))
-            rows["hist"].append(sketches.dumps(p.hist))
+        keys = list(self.profiles)
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         pq.write_table(pa.table({
-            "group": pa.array(rows["group"], pa.string()),
-            "column": pa.array(rows["column"], pa.string()),
-            "moments": pa.array(rows["moments"], pa.binary()),
-            "tdigest": pa.array(rows["tdigest"], pa.binary()),
-            "hist": pa.array(rows["hist"], pa.binary()),
+            "group": pa.array([g for g, _ in keys], pa.string()),
+            "column": pa.array([c for _, c in keys], pa.string()),
+            **{part: pa.array([sketches.dumps(getattr(self.profiles[k], part))
+                               for k in keys], pa.binary())
+               for part in ColumnProfile.PARTS},
         }), path)
 
     @classmethod
     def load(cls, path: str) -> "Baseline":
-        t = pq.read_table(path).to_pandas()
-        profiles = {}
-        for _, r in t.iterrows():
-            profiles[(r["group"], r["column"])] = ColumnProfile(
-                r["column"], r["group"], sketches.loads(r["moments"]),
-                sketches.loads(r["tdigest"]), sketches.loads(r["hist"]))
-        return cls(profiles)
+        t = pq.read_table(path)
+        rows = zip(*(t[n].to_pylist() for n in ("group", "column", *ColumnProfile.PARTS)))
+        return cls({(g, c): ColumnProfile(c, g, *map(sketches.loads, parts))
+                    for g, c, *parts in rows})
 
 
 def drift_report(baseline: "Baseline", profiles: dict, spec: TableSpec) -> list[dict]:
@@ -702,13 +655,10 @@ def aggregate_profiles(out_dir: str,
         b = Baseline.load(os.path.join(_window_dir(out_dir, w),
                                        "profiles.parquet"))
         for key, p in b.profiles.items():
-            if key not in merged:
-                merged[key] = p
+            if key in merged:
+                merged[key].merge(p)
             else:
-                m = merged[key]
-                merged[key] = ColumnProfile(
-                    p.column, p.group, m.moments.merge(p.moments),
-                    m.tdigest.merge(p.tdigest), m.hist.merge(p.hist))
+                merged[key] = p
     return Baseline(merged)
 
 
@@ -799,8 +749,8 @@ def run_validation(
       histograms when a baseline is loaded, else from the footer min/max
       (``infer_hist_edges``);
     * dimension keys are hashed ONCE, one plain task per row group (8 B
-      per key back to the driver), and broadcast via ``ray.put`` (a
-      sorted hash run, or a Bloom filter with ``use_bloom=True``);
+      per key back to the driver), into a sorted hash run (or a Bloom
+      filter with ``use_bloom=True``) that ships inside the kernel;
     * pending windows run in CHUNKED streaming passes of
       ``windows_per_pass`` (window-tagged findings), each chunk writing
       per-window outputs + ``_DONE`` markers — a killed run loses at most
@@ -896,8 +846,8 @@ def run_validation(
             path = dim_paths.get(fk.dim_table)
             if path is None:
                 continue
-            m = build_membership(path, fk.dim_columns, use_bloom=use_bloom)
-            membership[i] = ray.put(m)
+            membership[i] = build_membership(path, fk.dim_columns,
+                                             use_bloom=use_bloom)
 
     _mark("membership", t0)
     t0 = time.perf_counter()

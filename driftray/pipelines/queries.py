@@ -1141,7 +1141,7 @@ def nq_drift_events(sf_dir: str):
     import pickle
 
     from ..drift import js_divergence, ks_from_digests, psi
-    from ..sketches import Histogram, Moments, TDigest
+    from ..sketches import ColumnProfile
 
     ds = _t(sf_dir, "events", ["ts", "event_type", "value"])
     lohi = ds.map_batches(
@@ -1158,9 +1158,10 @@ def nq_drift_events(sf_dir: str):
             v = grp["value"].to_numpy(dtype=np.float64)
             rows["event_type"].append(et)
             rows["half"].append(half)
-            rows["blob"].append(pickle.dumps((
-                Moments().update(v), TDigest().update(v),
-                Histogram(0, 500, 32).update(v))))
+            # pickle, not sketches.dumps: the t-digest stays unflushed,
+            # and the query's ks_stat figures depend on that
+            rows["blob"].append(pickle.dumps(ColumnProfile.of(
+                "value", str(et), v, np.linspace(0, 500, 33))))
         return pa.table({"event_type": pa.array(rows["event_type"], pa.string()),
                          "half": pa.array(rows["half"], pa.int64()),
                          "blob": pa.array(rows["blob"], pa.binary())})
@@ -1168,14 +1169,12 @@ def nq_drift_events(sf_dir: str):
     parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
     merged: dict = {}
     for _, r in parts.iterrows():
-        m, td, h = pickle.loads(r["blob"])
+        p = pickle.loads(r["blob"])
         key = (r["event_type"], r["half"])
         if key in merged:
-            merged[key][0].merge(m)
-            merged[key][1].merge(td)
-            merged[key][2].merge(h)
+            merged[key].merge(p)
         else:
-            merged[key] = [m, td, h]
+            merged[key] = p
     out = []
     for et in sorted({k[0] for k in merged}):
         a = merged.get((et, 0))
@@ -1184,10 +1183,11 @@ def nq_drift_events(sf_dir: str):
             continue
         out.append({
             "event_type": et,
-            "ks_stat": round(ks_from_digests(a[1], b[1]), 4),
-            "psi": round(psi(a[2], b[2]), 4),
-            "js": round(js_divergence(a[2], b[2]), 4),
-            "mean_first": round(a[0].mean, 4), "mean_second": round(b[0].mean, 4),
+            "ks_stat": round(ks_from_digests(a.tdigest, b.tdigest), 4),
+            "psi": round(psi(a.hist, b.hist), 4),
+            "js": round(js_divergence(a.hist, b.hist), 4),
+            "mean_first": round(a.moments.mean, 4),
+            "mean_second": round(b.moments.mean, 4),
         })
     return pd.DataFrame(out)
 

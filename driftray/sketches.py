@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 import pickle
-from typing import Iterable
+from dataclasses import dataclass
+from typing import ClassVar, Iterable
 
 import numpy as np
 from pandas.util import hash_array
@@ -299,6 +300,59 @@ class TDigest:
 
 
 # ---------------------------------------------------------------------------
+# the column profile: the one mergeable unit the engine stores and compares
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class ColumnProfile:
+    """One (group, column) profile — the engine's version of the
+    reference's feature distribution (``DESIGN.md:539-551``): moments
+    for mean/std/min/max, a t-digest for the median and the KS ECDF, a
+    fixed-edge histogram for PSI/JS.  Built per window slice in the
+    kernel, merged in row order on the driver, stored one part per
+    column (``PARTS``)."""
+
+    PARTS: ClassVar[tuple[str, ...]] = ("moments", "tdigest", "hist")
+
+    column: str
+    group: str
+    moments: Moments
+    tdigest: TDigest
+    hist: Histogram
+
+    @classmethod
+    def of(cls, column: str, group: str, values: np.ndarray,
+           edges: np.ndarray | None = None) -> "ColumnProfile":
+        """The profile of ``values``; without ``edges`` the histogram has
+        10 bins over [0, 1]."""
+        hist = Histogram.from_edges(edges) if edges is not None else Histogram(0.0, 1.0)
+        return cls(column, group, Moments().update(values),
+                   TDigest().update(values), hist.update(values))
+
+    def merge(self, other: "ColumnProfile") -> "ColumnProfile":
+        self.moments.merge(other.moments)
+        self.tdigest.merge(other.tdigest)
+        self.hist.merge(other.hist)
+        return self
+
+    def to_row(self) -> dict:
+        d = self.moments.to_dict()
+        return {
+            "column": self.column,
+            "group": self.group,
+            "count": d["count"],
+            "mean": d["mean"],
+            "std": d["std"],
+            "min": d["min"],
+            "max": d["max"],
+            "median": self.tdigest.quantile(0.5),
+            "p25": self.tdigest.quantile(0.25),
+            "p75": self.tdigest.quantile(0.75),
+        }
+
+
+# ---------------------------------------------------------------------------
 # HyperLogLog — distinct counts without a seen-set
 # ---------------------------------------------------------------------------
 
@@ -353,8 +407,9 @@ class HLL:
 
 
 def dumps(sketch) -> bytes:
-    if isinstance(sketch, TDigest):
-        sketch._flush()
+    digest = sketch.tdigest if isinstance(sketch, ColumnProfile) else sketch
+    if isinstance(digest, TDigest):
+        digest._flush()
     return pickle.dumps(sketch, protocol=pickle.HIGHEST_PROTOCOL)
 
 

@@ -42,3 +42,23 @@ def test_every_built_check_has_a_metric_name(perfbench):
     _, layers = perfbench
     built = {type(c).__name__ for c in build_checks(repo_files_spec(), {}, {})}
     assert built <= set(layers.CHECK_NAMES), built - set(layers.CHECK_NAMES)
+
+
+def test_profile_bytes_reads_the_engine_store(perfbench, tmp_path):
+    """``layers._profile_bytes`` reads a window's ``profiles.parquet`` as
+    the engine's ``Baseline`` writes it: the summed sizes of the stored
+    profile parts."""
+    import numpy as np
+
+    from driftray import sketches
+    from driftray.pipeline import Baseline
+    from driftray.sketches import ColumnProfile
+
+    _, layers = perfbench
+    rng = np.random.default_rng(3)
+    profiles = {(g, "v"): ColumnProfile.of("v", g, rng.normal(size=500))
+                for g in ("", "a", "b")}
+    Baseline(profiles).save(str(tmp_path / "profiles.parquet"))
+    want = sum(len(sketches.dumps(getattr(p, part)))
+               for p in profiles.values() for part in ColumnProfile.PARTS)
+    assert layers._profile_bytes(str(tmp_path)) == want

@@ -18,8 +18,7 @@ from driftray import sketches
 from driftray.checks import (BatchCheck, CheckContext, Sha256Check,
                              ValidationKernel, _empty_findings, _hex_digests,
                              sha256_hex_arrow)
-from driftray.pipeline import (SKETCH_KINDS, ColumnProfile, _findings_to_results,
-                               merge_findings)
+from driftray.pipeline import _findings_to_results, merge_findings
 from driftray.sketches import merge_all
 from driftray.spec import ColumnSpec, HashInvariant, TableSpec
 
@@ -245,12 +244,7 @@ def _pandas_merge_findings(findings: pa.Table):
     key_hll = None
     prof = sk[sk["check"] == "profile"]
     for (group, column), grp in prof.groupby(["group", "column"]):
-        parts = {}
-        for kind in SKETCH_KINDS:
-            blobs = grp[grp["detail"] == kind]["blob"]
-            parts[kind] = merge_all(sketches.loads(b) for b in blobs)
-        profiles[(group, column)] = ColumnProfile(
-            column, group, parts["moments"], parts["tdigest"], parts["hist"])
+        profiles[(group, column)] = merge_all(sketches.loads(b) for b in grp["blob"])
     uniq = sk[sk["check"] == "uniqueness"]
     if len(uniq):
         key_hll = merge_all(sketches.loads(b) for b in uniq["blob"]).estimate()

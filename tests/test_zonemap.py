@@ -53,17 +53,30 @@ def test_zone_map_types_bounds_from_footer(ray_session, tmp_path):
     assert zm["vmax"].tolist()[1:] == [99, 1099]
 
 
-def test_pruned_read_skips_nonoverlapping_groups(ray_session, tmp_path):
-    """The planted pruning proof: with exact=False the scan returns the
-    WHOLE surviving row groups — rows from any other group appearing in
-    the output would mean a pruned group was opened."""
-    from driftray.ops.zonemap import pruned_read
+def test_pruned_read_skips_nonoverlapping_groups(ray_session, tmp_path,
+                                                 monkeypatch):
+    """The planted pruning proof: the plan ``pruned_read`` hands to the
+    row-group reader holds only the overlapping row group, so no pruned
+    group is ever opened, and the rows equal the exact filter."""
+    from driftray.ops import zonemap
 
     path = _write_clustered(tmp_path)
-    out = pruned_read([path], "v", 2000, 2050, exact=False).to_pandas()
+    plans = []
+    read_row_groups = zonemap.read_row_groups
+
+    def spy(row_groups, *args, **kw):
+        plans.append(list(row_groups))
+        return read_row_groups(row_groups, *args, **kw)
+
+    monkeypatch.setattr(zonemap, "read_row_groups", spy)
+    out = (zonemap.pruned_read([path], "v", 2000, 2050).to_pandas()
+           .sort_values("v").reset_index(drop=True))
     # only row group 2 (v in [2000, 2099]) overlaps [2000, 2050]
-    assert set(out["grp"]) == {2}
-    assert len(out) == 100  # the full group — and nothing else was read
+    assert plans == [[(path, 2)]]
+    full = pq.read_table(path).to_pandas()
+    exp = (full[(full["v"] >= 2000) & (full["v"] <= 2050)]
+           .sort_values("v").reset_index(drop=True))
+    pd.testing.assert_frame_equal(out[["v", "grp"]], exp[["v", "grp"]])
 
 
 def test_pruned_read_exact_matches_plain_filter(ray_session, tmp_path):
