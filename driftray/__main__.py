@@ -94,8 +94,7 @@ def main(argv=None) -> int:
         if args.out:
             # inspection must not consume the drift evidence: the stored
             # baseline advances only when a validate run completes
-            print(json.dumps(record_and_diff(args.out, args.input, spec,
-                                             persist=False)))
+            print(json.dumps(record_and_diff(args.out, args.input, spec)))
         else:
             schema = snapshot_schema(args.input)
             print(json.dumps({"schema": schema,

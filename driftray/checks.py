@@ -78,12 +78,10 @@ def row_refs(batch: pa.Table, spec: TableSpec) -> np.ndarray:
         key_cols = [spec.order_column]
     if not key_cols:
         key_cols = [batch.column_names[0]]
-    parts = [pc.fill_null(pc.cast(batch[c], pa.string()), "<null>")
-             for c in key_cols if c in batch.column_names]
-    if not parts:
+    present = [c for c in key_cols if c in batch.column_names]
+    if not present:
         return np.array([""] * batch.num_rows, dtype=object)
-    joined = parts[0] if len(parts) == 1 else pc.binary_join_element_wise(*parts, "|")
-    return np.asarray(joined.to_pandas(), dtype=object)
+    return join_key(batch, present)
 
 
 def join_key(batch: pa.Table, columns) -> np.ndarray:
@@ -358,10 +356,9 @@ class RangeCheck(BatchCheck):
                                 f"outside [{cs.min_value}, {cs.max_value}]")
 
 
-def _when_mask(batch: pa.Table, when: tuple | None,
-               n_rows: int, ctx: "CheckContext | None" = None,
-               rule_label: str = "",
-               owner: "BatchCheck | None" = None) -> np.ndarray | None:
+def _when_mask(batch: pa.Table, when: tuple | None, n_rows: int,
+               ctx: "CheckContext", rule_label: str,
+               owner: "BatchCheck") -> np.ndarray | None:
     """Row-condition mask for conditional (cross-column) rules; None when
     the rule is unconditional.
 
@@ -378,18 +375,16 @@ def _when_mask(batch: pa.Table, when: tuple | None,
         return None
     col, val = when
     if col not in batch.column_names:
-        if ctx is not None:
-            warned = (owner.__dict__.setdefault("_cfg_warned", set())
-                      if owner is not None else set())
-            if rule_label not in warned:
-                warned.add(rule_label)
-                ctx.append("counter", "config", column=rule_label, n=1)
-                if ctx._budget > 0:
-                    ctx._budget -= 1
-                    ctx.append("violation", "config", column=rule_label,
-                               row_ref="*",
-                               detail=f"when-column {col!r} missing from "
-                                      "batch; conditional rule disabled")
+        warned = owner.__dict__.setdefault("_cfg_warned", set())
+        if rule_label not in warned:
+            warned.add(rule_label)
+            ctx.append("counter", "config", column=rule_label, n=1)
+            if ctx._budget > 0:
+                ctx._budget -= 1
+                ctx.append("violation", "config", column=rule_label,
+                           row_ref="*",
+                           detail=f"when-column {col!r} missing from "
+                                  "batch; conditional rule disabled")
         return np.zeros(n_rows, dtype=bool)
     eq = pc.fill_null(pc.equal(batch[col], val), False)
     return np.asarray(eq.to_pandas(), dtype=bool)

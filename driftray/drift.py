@@ -235,11 +235,12 @@ def windowed_drift_series(ds, ts_col: str, value_col: str,
     before it — the "is today's data shaped like yesterday's" monitor.
 
     Scale shape: ONE ``map_batches`` pass emits per-(window, bin) partial
-    counts (``np.bincount`` over pre-fixed ``edges``), a tiny groupby
-    sums them (windows × bins rows — KB), and the driver scores the
-    consecutive pairs from counts alone.  Raw values never concentrate
-    anywhere; fixed shared edges make the partials order-insensitively
-    mergeable (the same property the baseline store relies on).
+    counts over pre-fixed ``edges``; the driver fetches the per-block
+    partials (windows × bins rows per block — KB), sums them and scores
+    the consecutive pairs from counts alone, with no groupby exchange.
+    Raw values never concentrate anywhere; fixed shared edges make the
+    partials order-insensitively mergeable (the same property the
+    baseline store relies on).
 
     Null/NaN values do not silently pollute the top bin: they count into
     a dedicated ``n_nan`` column per window (bin id ``len(edges)+1``) —
@@ -279,19 +280,20 @@ def windowed_drift_series(ds, ts_col: str, value_col: str,
         g = df.groupby(["w", "b"], sort=False).size().rename("n").reset_index()
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    from ray.data.aggregate import Sum
+    import ray
 
-    counts = (ds.select_columns([ts_col, value_col])
-              .map_batches(partial, batch_format="pyarrow")
-              .groupby(["w", "b"]).aggregate(Sum("n", alias_name="n"))
-              .to_pandas())
+    refs = (ds.select_columns([ts_col, value_col])
+            .map_batches(partial, batch_format="pyarrow").to_arrow_refs())
+    parts = [t for t in ray.get(refs) if t.num_rows]
+    counts = (pa.concat_tables(parts).to_pandas() if parts
+              else pd.DataFrame({"w": [], "b": [], "n": []}))
 
     windows = sorted(counts["w"].unique())
     mat, nans = {}, {}
     for w in windows:
         sub = counts[counts["w"] == w]
         vec = np.zeros(nb + 1, dtype=np.int64)
-        vec[sub["b"].to_numpy()] = sub["n"].to_numpy()
+        np.add.at(vec, sub["b"].to_numpy(), sub["n"].to_numpy())
         mat[w] = vec[:nb]
         nans[w] = int(vec[nan_bin])
 

@@ -450,9 +450,13 @@ def drift_report(baseline: "Baseline", profiles: dict, spec: TableSpec) -> list[
 # ---------------------------------------------------------------------------
 
 
-def infer_hist_edges(input_path: str, spec: TableSpec, nbins: int = 32,
+HIST_BINS = 32  # histogram bins per profile column
+
+
+def infer_hist_edges(input_path: str, spec: TableSpec,
                      footers: dict | None = None) -> dict[str, np.ndarray]:
-    """Histogram bin edges per profile column, from the table's min/max.
+    """``HIST_BINS`` histogram bin edges per profile column, from the
+    table's min/max.
 
     Edges must be identical across windows so histogram partials merge and
     PSI/JS compare.  Heavy-tailed positive columns (hi/lo > 1000, e.g.
@@ -505,9 +509,9 @@ def infer_hist_edges(input_path: str, spec: TableSpec, nbins: int = 32,
         if not (hi_c > lo_c):
             hi_c = lo_c + 1.0
         if lo_c > 0 and hi_c / lo_c > 1000.0:
-            edges[c] = np.geomspace(lo_c, hi_c, nbins + 1)
+            edges[c] = np.geomspace(lo_c, hi_c, HIST_BINS + 1)
         else:
-            edges[c] = np.linspace(lo_c, hi_c, nbins + 1)
+            edges[c] = np.linspace(lo_c, hi_c, HIST_BINS + 1)
     return edges
 
 
@@ -647,14 +651,16 @@ def aggregate_profiles(out_dir: str,
     silver verdicts → GOLD table profiles, each derivable from the layer
     below without touching raw bytes again.
 
-    ``windows=None`` merges every ``_DONE`` window under ``out_dir``."""
+    ``windows=None`` merges every ``_DONE`` window under ``out_dir``; a
+    window that held no rows has no profiles file and adds nothing."""
     if windows is None:
         windows = done_windows(out_dir)
     merged: dict[tuple[str, str], ColumnProfile] = {}
     for w in windows:
-        b = Baseline.load(os.path.join(_window_dir(out_dir, w),
-                                       "profiles.parquet"))
-        for key, p in b.profiles.items():
+        path = os.path.join(_window_dir(out_dir, w), "profiles.parquet")
+        if not os.path.exists(path):
+            continue
+        for key, p in Baseline.load(path).profiles.items():
             if key in merged:
                 merged[key].merge(p)
             else:
@@ -682,8 +688,13 @@ def promote_baseline(out_dir: str, window_id: int, baseline_path: str,
     """W6 / DESIGN.md:582-585 ``update_reference``: adopt a completed
     window's profile sketches as the new baseline.  Pass ``table``
     (usually ``spec.name``) to namespace the store per table — see
-    ``baseline_file``."""
+    ``baseline_file``.  A window without profiles (not validated, or it
+    held no rows) raises ``ValueError``: an empty baseline would disable
+    drift."""
     src = os.path.join(_window_dir(out_dir, window_id), "profiles.parquet")
+    if not os.path.exists(src):
+        raise ValueError(f"window {window_id} under {out_dir} has no "
+                         "profiles to promote")
     Baseline.load(src).save(baseline_file(baseline_path, table))
 
 
@@ -800,7 +811,7 @@ def run_validation(
     _footers = read_footers(input_path)
     _fgroups = footer_schema_groups(input_path, footers=_footers)
     schema_report = record_and_diff(out_dir, input_path, spec,
-                                    persist=False, groups=_fgroups)
+                                    groups=_fgroups)
     n_schema_groups = len(_fgroups)
 
     # ONE window zone map per run, on the driver, over every file

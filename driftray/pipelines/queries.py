@@ -13,6 +13,17 @@ identically on both sides to keep hashes stable across summation orders.
 
 Mapping to SURVEY.md §2 operators is noted per query (e.g. A1 windowed
 aggregate, J2 referential, D2 dedup, O4 top-k, M11 sha256).
+
+The validation, profile and drift queries call the engine rather than a
+copy of it, so their oracles check the engine's own paths:
+
+- ``pipeline.validate_dataset`` (the kernel pass, its per-block partials
+  reduced on the driver): the expectation counters of q127, q128, q129,
+  q140 and q173, the grouped profiles of q17 and the verdict rows of
+  ``nq_validate_documents`` and ``nq_validate_events``;
+- ``sensor.detect_stream``: the detector replay of
+  ``nq_unusual_ratio_events``;
+- ``drift.windowed_drift_series``: q145 and ``nq_daily_drift``.
 """
 
 from __future__ import annotations
@@ -151,32 +162,19 @@ def q13_sha256_documents(sf_dir: str):
 # -- per-group moments via mergeable sketches (A4) ----------------------------
 
 def q17_lang_profiles(sf_dir: str):
-    """Welford-sketch path checked against SQL avg/stddev_pop/min/max."""
-    from ..sketches import Moments
+    """Per-lang moments of n_chars from the engine's grouped profiles
+    (``ProfileCheck`` through ``validate_dataset``), checked against SQL
+    avg/stddev_pop/min/max."""
+    from ..spec import TableSpec
 
-    ds = _t(sf_dir, "documents", ["lang", "n_chars"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        import pickle
-
-        df = t.to_pandas()
-        rows = {"lang": [], "blob": []}
-        for lang, grp in df.groupby("lang"):
-            rows["lang"].append(lang)
-            rows["blob"].append(pickle.dumps(
-                Moments().update(grp["n_chars"].to_numpy(dtype=np.float64))))
-        return pa.table({"lang": pa.array(rows["lang"], pa.string()),
-                         "blob": pa.array(rows["blob"], pa.binary())})
-
-    import pickle
-
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
+    spec = TableSpec(name="documents", profile_columns=("n_chars",),
+                     group_column="lang")
+    res = _validate(_t(sf_dir, "documents", ["lang", "n_chars"]), spec)
     out = []
-    for lang, grp in parts.groupby("lang"):
-        m = None
-        for b in grp["blob"]:
-            s = pickle.loads(b)
-            m = s if m is None else m.merge(s)
+    for (lang, _), p in res.profiles.items():
+        if lang == "":
+            continue  # the ungrouped profile
+        m = p.moments
         out.append({"lang": lang, "n_docs": m.n,
                     "avg_chars": round(m.mean, 4), "std_chars": round(m.std, 4),
                     "min_chars": int(m.min), "max_chars": int(m.max)})
@@ -438,35 +436,30 @@ def q118_pruned_range_scan(sf_dir: str):
         "revenue": [round(float(stats["revenue"] or 0.0), ROUND)]})
 
 
+def _validate(ds: rd.Dataset, spec):
+    """The engine's validation pass (``pipeline.validate_dataset``, the
+    kernel ``run_validation`` runs) over ``ds`` as one window, without the
+    table-wide uniqueness pass: its ``WindowResult``."""
+    from ..pipeline import validate_dataset
+
+    (res,) = validate_dataset(ds, spec, check_uniqueness=False).values()
+    return res
+
+
 def _expectation_counters(ds: rd.Dataset, spec) -> pd.DataFrame:
-    """Run the REAL validation kernel (checks.ValidationKernel — the same
-    code path run_validation uses) over a Dataset and reduce its counter
-    findings to one (rule, n_violations) row per declared expectation."""
-    from ..checks import ValidationKernel
-    from ray.data.aggregate import Sum
-
-    findings = ds.map_batches(ValidationKernel(spec), batch_format="pyarrow")
-
-    def counters_only(t: pa.Table) -> pa.Table:
-        keep = pc.and_(pc.equal(t["kind"], "counter"),
-                       pc.not_equal(t["check"], "rows"))
-        t = t.filter(keep)
-        rule = pc.binary_join_element_wise(t["check"], t["column"], "|")
-        return pa.table({"rule": rule,
-                         "n": pc.cast(t["n"], pa.int64())})
-
-    out = (findings.map_batches(counters_only, batch_format="pyarrow")
-           .groupby("rule").aggregate(Sum("n", alias_name="n_violations"))
-           .to_pandas())
-    out["n_violations"] = out["n_violations"].astype("int64")
-    return out
+    """One (rule, n_violations) row per declared expectation: the counters
+    of ``_validate`` without ``rows``.  The kernel's per-block counters are
+    summed on the driver by ``pipeline.merge_findings``."""
+    counters = [(k, n) for k, n in _validate(ds, spec).counters.items()
+                if k != "rows"]
+    return pd.DataFrame(counters, columns=["rule", "n_violations"])
 
 
 def q127_accepted_values(sf_dir: str):
     """Accepted-values expectation (`checks.AcceptedValuesCheck`, GE
     expect_column_values_to_be_in_set): events whose event_type falls
-    outside the declared domain, counted through the engine's
-    ValidationKernel — counters are per-batch integers that sum, so the
+    outside the declared domain, counted by the engine's
+    ``validate_dataset`` — counters are per-batch integers that sum, so the
     reduce is exact at any scale."""
     from ..spec import ColumnSpec, TableSpec
 
@@ -507,22 +500,19 @@ def q129_conditional_rules(sf_dir: str):
     return _expectation_counters(ds, spec)
 
 
-def q139_value_drift_w1(sf_dir: str):
-    """Wasserstein-1 distance between the first and second half of the
-    events stream (`drift.wasserstein_from_hist` over shared-edge
-    histogram partials): HOW FAR the value distribution moved, in value
-    units — with fixed bin edges the binned W1 is Σ|CDF gap|·width,
-    exactly expressible in SQL, so the sketch math is hash-checked."""
+def _half_histograms(sf_dir: str):
+    """Shared-edge histograms (fixed 25-unit bins over [0, 500]) of
+    events.value in the first and second half of the event_id range, each
+    merged from per-block ``Histogram`` partials."""
     from ray.data.aggregate import Max, Min
 
     from .. import sketches
-    from ..drift import wasserstein_from_hist
     from ..sketches import Histogram
 
     ev = _t(sf_dir, "events", ["event_id", "value"])
     mm = ev.aggregate(Min("event_id"), Max("event_id"))
     split = (int(mm["min(event_id)"]) + int(mm["max(event_id)"])) // 2
-    edges = np.linspace(0.0, 500.0, 21)           # fixed 25-unit bins
+    edges = np.linspace(0.0, 500.0, 21)
 
     def partial(t: pa.Table) -> pa.Table:
         ids = t["event_id"].to_numpy(zero_copy_only=False)
@@ -536,21 +526,30 @@ def q139_value_drift_w1(sf_dir: str):
         return pa.table({"half": pa.array(halves),
                          "blob": pa.array(blobs, pa.binary())})
 
-    parts = (ev.map_batches(partial, batch_format="pyarrow")
-             .to_pandas())
-    merged = {h: sketches.merge_all(sketches.loads(b)
+    parts = ev.map_batches(partial, batch_format="pyarrow").to_pandas()
+    return tuple(sketches.merge_all(sketches.loads(b)
                                     for b in parts[parts.half == h]["blob"])
-              for h in ("a", "b")}
-    w1 = wasserstein_from_hist(merged["a"], merged["b"])
-    return pd.DataFrame({"n_a": [int(merged["a"].counts.sum())],
-                         "n_b": [int(merged["b"].counts.sum())],
-                         "w1": [round(w1, ROUND_F)]})
+                 for h in ("a", "b"))
+
+
+def q139_value_drift_w1(sf_dir: str):
+    """Wasserstein-1 distance between the first and second half of the
+    events stream (`drift.wasserstein_from_hist` over ``_half_histograms``):
+    HOW FAR the value distribution moved, in value units — with fixed bin
+    edges the binned W1 is Σ|CDF gap|·width, exactly expressible in SQL,
+    so the sketch math is hash-checked."""
+    from ..drift import wasserstein_from_hist
+
+    a, b = _half_histograms(sf_dir)
+    return pd.DataFrame({"n_a": [int(a.counts.sum())],
+                         "n_b": [int(b.counts.sum())],
+                         "w1": [round(wasserstein_from_hist(a, b), ROUND_F)]})
 
 
 def q140_documents_expectations(sf_dir: str):
     """The flagship validation pass, oracled end-to-end: ALL declared
     expectation counters of DOCUMENTS_SPEC (completeness x4 + n_chars
-    range) through the REAL ValidationKernel — every counter is a
+    range) through ``validate_dataset`` — every counter is a
     per-batch integer that sums exactly, so the whole check family is
     hash-checkable against plain SQL counts."""
     from ..spec import DOCUMENTS_SPEC
@@ -563,12 +562,12 @@ def q140_documents_expectations(sf_dir: str):
 def q145_daily_psi_js(sf_dir: str):
     """The drift-scoring kernels hash-checked end to end: day-over-day
     PSI and Jensen-Shannon divergence of events.value
-    (`drift.windowed_drift_series` — ONE pass of per-(day, bin) bincount
-    partials over fixed shared edges, tiny groupby, driver scores
-    consecutive day pairs from counts alone).  The SQL twin recomputes
-    the clip-eps-renormalize probability algebra with window functions,
-    so the exact PSI/JS math the validation engine alerts on is
-    driver-attested, not just unit-tested."""
+    (`drift.windowed_drift_series` — ONE pass of per-(day, bin) count
+    partials over fixed shared edges, summed and scored on the driver from
+    counts alone).  The SQL twin recomputes the clip-eps-renormalize
+    probability algebra with window functions, so the exact PSI/JS math
+    the validation engine alerts on is driver-attested, not just
+    unit-tested."""
     from ..drift import windowed_drift_series
 
     ev = _t(sf_dir, "events", ["ts", "value"])
@@ -582,43 +581,17 @@ def q145_daily_psi_js(sf_dir: str):
 
 def q146_value_drift_ks(sf_dir: str):
     """Quantized-exact KS statistic between the first and second half of
-    the events stream (`drift.ks_from_hist` over shared-edge histogram
-    partials) — the tolerance-free scale path for the A5 two-sample
-    test: max |CDF gap| at the shared bin edges is a deterministic
-    function of the mergeable integer counts, so the driver hash checks
-    the sketch math exactly (q139's split + binning)."""
-    from ray.data.aggregate import Max, Min
-
-    from .. import sketches
+    the events stream (`drift.ks_from_hist` over ``_half_histograms``) —
+    the tolerance-free scale path for the A5 two-sample test: max |CDF
+    gap| at the shared bin edges is a deterministic function of the
+    mergeable integer counts, so the driver hash checks the sketch math
+    exactly."""
     from ..drift import ks_from_hist
-    from ..sketches import Histogram
 
-    ev = _t(sf_dir, "events", ["event_id", "value"])
-    mm = ev.aggregate(Min("event_id"), Max("event_id"))
-    split = (int(mm["min(event_id)"]) + int(mm["max(event_id)"])) // 2
-    edges = np.linspace(0.0, 500.0, 21)           # fixed 25-unit bins
-
-    def partial(t: pa.Table) -> pa.Table:
-        ids = t["event_id"].to_numpy(zero_copy_only=False)
-        v = t["value"].to_numpy(zero_copy_only=False)
-        blobs, halves = [], []
-        for name, mask in (("a", ids <= split), ("b", ids > split)):
-            h = Histogram.from_edges(edges).update(
-                np.asarray(v[mask], dtype=np.float64))
-            blobs.append(sketches.dumps(h))
-            halves.append(name)
-        return pa.table({"half": pa.array(halves),
-                         "blob": pa.array(blobs, pa.binary())})
-
-    parts = (ev.map_batches(partial, batch_format="pyarrow")
-             .to_pandas())
-    merged = {h: sketches.merge_all(sketches.loads(b)
-                                    for b in parts[parts.half == h]["blob"])
-              for h in ("a", "b")}
-    ks = ks_from_hist(merged["a"], merged["b"])
-    return pd.DataFrame({"n_a": [int(merged["a"].counts.sum())],
-                         "n_b": [int(merged["b"].counts.sum())],
-                         "ks": [round(ks, ROUND_F)]})
+    a, b = _half_histograms(sf_dir)
+    return pd.DataFrame({"n_a": [int(a.counts.sum())],
+                         "n_b": [int(b.counts.sum())],
+                         "ks": [round(ks_from_hist(a, b), ROUND_F)]})
 
 
 def q154_jsonl_roundtrip(sf_dir: str):
@@ -936,7 +909,7 @@ ORACLE_SQL["q155_csv_roundtrip"] = ORACLE_SQL["q154_jsonl_roundtrip"]
 def q173_events_expectations(sf_dir: str):
     """The flagship validation pass over EVENTS (q140's documents twin):
     all declared expectation counters of EVENTS_SPEC (completeness x4 +
-    the value range) through the REAL ValidationKernel — integer
+    the value range) through ``validate_dataset`` — integer
     counters that sum exactly, hash-checkable against SQL counts, so
     nq_validate_events' kernel path gets a driver-hashed signal."""
     from ..spec import EVENTS_SPEC
@@ -1122,8 +1095,8 @@ def nq_hll_distinct_users(sf_dir: str):
 
 def nq_daily_drift(sf_dir: str):
     """Day-over-day drift series for events.value (`windowed_drift_series`):
-    one partial-count pass + tiny groupby; the driver scores consecutive
-    days' PSI/JS from KB of bin counts.  Tolerance oracle in
+    one partial-count pass; the driver sums the bin counts (KB) and scores
+    consecutive days' PSI/JS.  Tolerance oracle in
     tests/test_drift.py (exact vs a direct per-day computation)."""
     from ..drift import windowed_drift_series
 
@@ -1194,21 +1167,16 @@ def nq_drift_events(sf_dir: str):
 
 def nq_unusual_ratio_events(sf_dir: str):
     """The reference detector (sensor.py:160-194 semantics) replayed over the
-    events stream ordered by event_id: unusual := value > 200 (~p97).
+    events stream ordered by event_id: unusual := value > 200 (~p97).  The
+    (event_id, unusual) projection goes through ``sensor.detect_stream``,
+    which sorts it into runs in map tasks and merges them on the driver."""
+    from .sensor import detect_stream
 
-    Scale note: the (event_id, unusual) projection IS collected to the
-    driver (~9 B/row) — inherent to replaying the reference's sequential
-    window loop bit-for-bit for conformance.  The production-scale
-    detector is the engine-side windowed one (``drift.py:47-84``), which
-    streams; this replay is capped to the conformance table sizes."""
-    from ..drift import unusual_ratio_verdicts
-
-    ds = _t(sf_dir, "events", ["event_id", "value"])
-    flags_df = ds.map_batches(
+    ds = _t(sf_dir, "events", ["event_id", "value"]).map_batches(
         lambda t: pa.table({"event_id": t["event_id"],
                             "unusual": pc.greater(t["value"], 200.0)}),
-        batch_format="pyarrow").to_pandas().sort_values("event_id")
-    verdicts = unusual_ratio_verdicts(flags_df["unusual"].to_numpy())
+        batch_format="pyarrow")
+    verdicts = detect_stream(ds, order_col="event_id")[""]
     return pd.DataFrame([{
         "window_index": v.window_index, "start_row": v.start_row,
         "end_row": v.end_row, "n_rows": v.n_rows,
@@ -1217,33 +1185,29 @@ def nq_unusual_ratio_events(sf_dir: str):
     } for v in verdicts])
 
 
+def _verdicts(sf_dir: str, spec) -> pd.DataFrame:
+    """The verdict rows of ``validate_dataset`` over the ``spec.name``
+    table, uniqueness included."""
+    from ..pipeline import validate_dataset
+
+    results = validate_dataset(_t(sf_dir, spec.name), spec,
+                               check_uniqueness=True)
+    cols = ["n_rows", "n_violations", "quality_score", "passed"]
+    return pd.DataFrame([r.verdict_row() for r in results.values()])[cols]
+
+
 def nq_validate_documents(sf_dir: str):
     """Flagship validation pass over the documents table: verdict rows."""
-    from ..pipeline import validate_dataset
     from ..spec import DOCUMENTS_SPEC
 
-    ds = _t(sf_dir, "documents")
-    results = validate_dataset(ds, DOCUMENTS_SPEC, check_uniqueness=True)
-    rows = []
-    for res in results.values():
-        v = res.verdict_row()
-        rows.append({"n_rows": v["n_rows"], "n_violations": v["n_violations"],
-                     "quality_score": v["quality_score"], "passed": v["passed"]})
-    return pd.DataFrame(rows)
+    return _verdicts(sf_dir, DOCUMENTS_SPEC)
 
 
 def nq_validate_events(sf_dir: str):
-    from ..pipeline import validate_dataset
+    """Flagship validation pass over the events table: verdict rows."""
     from ..spec import EVENTS_SPEC
 
-    ds = _t(sf_dir, "events")
-    results = validate_dataset(ds, EVENTS_SPEC, check_uniqueness=True)
-    rows = []
-    for res in results.values():
-        v = res.verdict_row()
-        rows.append({"n_rows": v["n_rows"], "n_violations": v["n_violations"],
-                     "quality_score": v["quality_score"], "passed": v["passed"]})
-    return pd.DataFrame(rows)
+    return _verdicts(sf_dir, EVENTS_SPEC)
 
 
 NONSQL_QUERIES = {

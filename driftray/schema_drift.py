@@ -92,19 +92,18 @@ def spec_findings(schema: dict[str, str], spec: TableSpec) -> list[dict]:
 
 
 def record_and_diff(out_dir: str, input_path: str, spec: TableSpec,
-                    strict: bool = False, persist: bool = True,
-                    groups: dict | None = None) -> dict:
+                    strict: bool = False, groups: dict | None = None) -> dict:
     """Snapshot the input schema, diff vs the previous run's snapshot
     (``out_dir/schema.json``), and return
     ``{"schema", "drift", "spec_violations"}``.  ``strict=True`` raises
     :class:`SchemaError` on any spec violation BEFORE a scan runs.
 
-    ``persist=False`` makes this a pure INSPECTION (the CLI ``schema``
-    command) — the stored baseline snapshot is left untouched, so
-    looking at drift never consumes the drift evidence.  Callers that
-    do persist should do so only after the run SUCCEEDS (see
-    :func:`persist_snapshot` and ``pipeline.run_validation``), so a
-    crashed run's retry still reports the drift in its lineage.
+    This is a pure INSPECTION: the stored baseline snapshot is left
+    untouched, so looking at drift (the CLI ``schema`` command) never
+    consumes the drift evidence.  A run advances the snapshot with
+    :func:`persist_snapshot` only after it SUCCEEDS (see
+    ``pipeline.run_validation``), so a crashed run's retry still reports
+    the drift in its lineage.
     ``groups`` forwards a precomputed footer grouping to
     :func:`snapshot_schema` (one footer walk per run, not three)."""
     schema = snapshot_schema(input_path, groups=groups)
@@ -118,8 +117,6 @@ def record_and_diff(out_dir: str, input_path: str, spec: TableSpec,
     if os.path.exists(path):
         with open(path) as f:
             drift = diff_schemas(json.load(f), schema)
-    if persist:
-        persist_snapshot(out_dir, schema)
     return {"schema": schema, "drift": drift, "spec_violations": findings}
 
 

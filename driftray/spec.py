@@ -69,8 +69,6 @@ class DriftSpec:
     js_threshold: float = 0.1
     categorical_psi_threshold: float = 0.2   # group-share (e.g. lang mix) drift
     min_group_count: int = 500       # per-group gates need this many rows on both sides
-    unusual_ratio_threshold: float = 0.10   # sensor.py:175
-    unusual_window_size: int = 50           # sensor.py:176
 
 
 @dataclass

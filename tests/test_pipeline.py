@@ -174,6 +174,28 @@ class TestBaselineStore:
         assert (back.hist.counts == orig.hist.counts).all()
 
 
+def test_window_without_rows_adds_no_profiles(tmp_path, ray_session):
+    """A validated window that held no rows (window 99 is in no row group)
+    has no profiles file: the table profile skips it, and promoting it
+    raises rather than storing an empty baseline."""
+    from driftray.pipeline import aggregate_profiles
+
+    data = str(tmp_path / "data")
+    write_repo_files(data, 2000, RepoFilesConfig(window_rows=1000))
+    out = str(tmp_path / "out")
+    run_validation(f"{data}/repo_files.parquet", out, repo_files_spec(),
+                   windows=[0, 99], check_uniqueness=False)
+    assert window_done(out, 99)
+
+    paths = [str(tmp_path / "all.parquet"), str(tmp_path / "w0.parquet")]
+    aggregate_profiles(out).save(paths[0])
+    aggregate_profiles(out, windows=[0]).save(paths[1])
+    with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
+        assert a.read() == b.read()
+    with pytest.raises(ValueError, match="window 99"):
+        promote_baseline(out, 99, str(tmp_path / "baseline.parquet"))
+
+
 def test_aggregate_profiles_matches_full_recompute(tmp_path, ray_session):
     """Merging per-window sketch sidecars == profiling the whole table:
     exact for count/mean/std/min/max (Welford merge is exact), tolerance

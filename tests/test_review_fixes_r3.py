@@ -6,7 +6,7 @@ session: schema inspection and windowed drift series."""
 
 
 def test_schema_inspect_does_not_consume_drift(tmp_path):
-    """persist=False inspection leaves the stored baseline untouched;
+    """Inspection leaves the stored baseline untouched;
     only a successful run advances it (review: CLI ate drift evidence)."""
     import json
     import os
@@ -23,7 +23,7 @@ def test_schema_inspect_does_not_consume_drift(tmp_path):
     p1 = str(tmp_path / "r1.parquet")
     pq.write_table(pa.Table.from_pandas(
         pd.DataFrame({"a": [1], "b": [2]}), preserve_index=False), p1)
-    r = record_and_diff(out, p1, spec, persist=False)
+    r = record_and_diff(out, p1, spec)
     assert r["drift"] is None
     assert not os.path.exists(os.path.join(out, "schema.json"))
     persist_snapshot(out, r["schema"])          # run succeeded
@@ -33,7 +33,7 @@ def test_schema_inspect_does_not_consume_drift(tmp_path):
         pd.DataFrame({"a": [1]}), preserve_index=False), p2)
     # inspect twice: drift must be reported BOTH times
     for _ in range(2):
-        r2 = record_and_diff(out, p2, spec, persist=False)
+        r2 = record_and_diff(out, p2, spec)
         assert r2["drift"]["drifted"] and r2["drift"]["removed"] == ["b"]
 
 

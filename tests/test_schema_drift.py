@@ -48,7 +48,7 @@ def test_spec_findings_and_strict(tmp_path):
 
 
 def test_record_and_diff_across_runs(tmp_path):
-    from driftray.schema_drift import record_and_diff
+    from driftray.schema_drift import persist_snapshot, record_and_diff
     from driftray.spec import ColumnSpec, TableSpec
 
     out = str(tmp_path / "out")
@@ -57,10 +57,12 @@ def test_record_and_diff_across_runs(tmp_path):
                 pd.DataFrame({"a": [1], "extra": [2]}))
     r1 = record_and_diff(out, p1, spec)
     assert r1["drift"] is None and r1["spec_violations"] == []
+    persist_snapshot(out, r1["schema"])
 
     p2 = _write(str(tmp_path), "r2.parquet", pd.DataFrame({"a": [1]}))
     r2 = record_and_diff(out, p2, spec)
     assert r2["drift"]["drifted"] and r2["drift"]["removed"] == ["extra"]
+    persist_snapshot(out, r2["schema"])
     # snapshot file now reflects run 2
     with open(os.path.join(out, "schema.json")) as fh:
         assert json.load(fh) == {"a": "int64"}
