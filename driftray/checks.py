@@ -40,7 +40,7 @@ FINDINGS_SCHEMA = pa.schema(
         ("kind", pa.string()),      # violation | counter | sketch
         ("check", pa.string()),     # completeness | range | sha256 | rows | profile | ...
         ("column", pa.string()),
-        ("group", pa.string()),     # group value for grouped sketches, '' = table-level
+        ("group", pa.string()),     # group label of grouped sketches, '' = table-level
         ("row_ref", pa.string()),   # key of the violating row
         ("detail", pa.string()),    # human reason / sketch kind
         ("n", pa.int64()),          # counter value
@@ -531,10 +531,21 @@ class ReferentialCheck(BatchCheck):
                                 f"not in {fk.dim_table}({','.join(fk.dim_columns)})")
 
 
+# The group label of rows whose group value is the empty string: the
+# label ``""`` is the column's ungrouped (table-level) profile
+EMPTY_GROUP = '""'
+
+
 class ProfileCheck(BatchCheck):
     """A4: one mergeable ``ColumnProfile`` per (group, column) per window
     slice, emitted as one ``profile`` sketch row; ``hist_edges`` must be
-    identical across windows so profiles merge and PSI/JS compare."""
+    identical across windows so profiles merge and PSI/JS compare.
+
+    Group ``""`` is the column's ungrouped profile over every row; a
+    group value is labelled by its string, and the empty string by
+    ``EMPTY_GROUP`` so its rows do not merge into the ungrouped profile
+    (a value that is itself ``EMPTY_GROUP`` shares that label).  Rows
+    whose group value is null are in the ungrouped profile only."""
 
     def __init__(self, spec: TableSpec, hist_edges: dict):
         self.columns = spec.profile_columns
@@ -570,7 +581,8 @@ class ProfileCheck(BatchCheck):
                     g = labels[code]
                     if g is None:
                         continue
-                    self._emit(ctx, col_name, str(g), values[codes == code])
+                    self._emit(ctx, col_name, str(g) or EMPTY_GROUP,
+                               values[codes == code])
 
 
 class UniquenessHLLCheck(BatchCheck):

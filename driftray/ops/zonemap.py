@@ -15,11 +15,13 @@ metadata per file instead of the data itself:
 * :func:`read_row_group` is the one function that opens a planned row
   group: it reads the requested columns the file has, keeps the rows
   whose filter column is in a member set or in ``[lo, hi]``, and pads to
-  a union schema.  :func:`read_row_groups` runs it over a plan as a Ray
-  Data dataset, one read task per row group (the kernel pass through
-  :func:`pruned_read`, q118, and q189 through :func:`bloom_pruned_read`);
-  :func:`map_row_groups` as one plain Ray task per row group returning
-  small outputs (dimension key hashes, the uniqueness verify).
+  a union schema.  :func:`map_row_groups` runs it as one plain Ray task
+  per row group returning small outputs: every planned step of
+  ``pipeline.run_validation`` (the kernel pass's findings, dimension key
+  hashes, the uniqueness verify), with a bounded number in flight.
+  :func:`read_row_groups` runs it over a plan as a Ray Data dataset, one
+  read task per row group (q118 through :func:`pruned_read`, q189
+  through :func:`bloom_pruned_read`).
 
 Engine extension beyond the reference, which reads whole CSV/JSON feeds
 and has no columnar source; oracle-checked by q117 (zone map vs DuckDB
@@ -207,18 +209,30 @@ def map_row_groups(row_groups: list[tuple[str, int]], fn,
     planned ``(file, row_group)``, as ONE plain ``@ray.remote`` task per
     row group; returns the outputs in plan order.
 
-    For steps whose output is small (key hashes, candidate rows, a
-    metadata row): a plain task costs its own read and ``fn``, where a
-    Ray Data execution adds its streaming executor's start-up.  Every
-    output comes back to the driver, so ``fn`` should shrink its row
-    group.  ``fn`` is put in the object store once and shared by the
-    tasks; an exception it (or the read) raises reaches the caller."""
+    For steps whose output is small (the kernel pass's findings, key
+    hashes, candidate rows, a metadata row): a plain task costs its own
+    read and ``fn``, where a Ray Data execution adds its streaming
+    executor's start-up.  Every output comes back to the driver, so
+    ``fn`` should shrink its row group.  At most twice the cluster's
+    CPUs are in flight: a further task is submitted as one completes
+    (``ray.wait``), so a long plan never queues all its tasks at once.
+    ``fn`` is put in the object store once and shared by the tasks; an
+    exception it (or the read) raises reaches the caller."""
     if not row_groups:
         return []
     fn_ref = ray.put(fn)
     read = {"columns": columns, **read}
-    return ray.get([_row_group_task.remote(f, int(g), read, fn_ref)
-                    for f, g in row_groups])
+    bound = max(1, 2 * int(ray.cluster_resources().get("CPU", 1)))
+    out = [None] * len(row_groups)
+    running: dict = {}   # in-flight ref → its index in the plan
+    for i, (f, g) in enumerate(row_groups):
+        if len(running) == bound:
+            [ref], _ = ray.wait(list(running))
+            out[running.pop(ref)] = ray.get(ref)
+        running[_row_group_task.remote(f, int(g), read, fn_ref)] = i
+    for i, value in zip(running.values(), ray.get(list(running))):
+        out[i] = value
+    return out
 
 
 def _read_item(item: pa.Table, **read) -> pa.Table:
@@ -245,37 +259,28 @@ def read_row_groups(row_groups: list[tuple[str, int]],
 
 
 def pruned_read(paths: list[str], col: str, lo, hi,
-                columns: list[str] | pa.Schema | None = None,
-                row_groups: list[tuple[str, int]] | None = None,
-                value_set=None) -> rd.Dataset:
+                columns: list[str] | None = None) -> rd.Dataset:
     """Range scan ``lo <= col <= hi`` that schedules read tasks ONLY for
     row groups whose footer [vmin, vmax] overlaps the predicate.
 
-    Without ``row_groups`` the plan is built on the driver from the
-    footers of ``paths`` (:func:`footer_zone_map`): the row groups whose
-    [vmin, vmax] overlaps ``[lo, hi]``, statistics-less ones kept, read
-    in the union schema of those footers' ``columns``.  ``row_groups``
-    passes a plan the caller has already pruned (run_validation's window
-    plan), read as given, in ``columns`` (a union schema pads a chunk
-    that spans schema versions).  :func:`read_row_groups` reads each
-    planned row group in its own task and filters it to the predicate
-    there, to ``value_set`` when given (e.g. a non-contiguous
-    pending-window chunk), since zone maps prove *possible* overlap, not
+    The plan is built on the driver from the footers of ``paths``
+    (:func:`footer_zone_map`): the row groups whose [vmin, vmax]
+    overlaps ``[lo, hi]``, statistics-less ones kept, read in the union
+    schema of those footers' ``columns``.  :func:`read_row_groups` reads
+    each planned row group in its own task and filters it to the
+    predicate there, since zone maps prove *possible* overlap, not
     row-level membership.  A row group whose every row matches is passed
     on as read, neither filtered nor copied.
 
     The unpruned fallback is exactly ``read_parquet(filter=...)``; this
     op exists to make the pruning observable (q118's test asserts
     non-overlapping row groups are never opened)."""
-    if row_groups is None:
-        footers, columns = _footers(paths, columns)
-        zm = footer_zone_map(paths, col, footers=footers)
-        keep = zm["vmin"].isna() | ~((zm["vmax"] < lo) | (zm["vmin"] > hi))
-        row_groups = list(zm.loc[keep, ["file", "row_group"]].itertuples(
-            index=False, name=None))
-    members = None if value_set is None else pa.array(list(value_set))
-    return read_row_groups(row_groups, columns, col=col, lo=lo, hi=hi,
-                           members=members)
+    footers, schema = _footers(paths, columns)
+    zm = footer_zone_map(paths, col, footers=footers)
+    keep = zm["vmin"].isna() | ~((zm["vmax"] < lo) | (zm["vmin"] > hi))
+    row_groups = list(zm.loc[keep, ["file", "row_group"]].itertuples(
+        index=False, name=None))
+    return read_row_groups(row_groups, schema, col=col, lo=lo, hi=hi)
 
 
 def build_bloom_index(paths: list[str], col: str,

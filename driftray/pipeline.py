@@ -8,18 +8,18 @@ over Ray Data (SURVEY.md §3.4).
 
 Scale notes
 -----------
-* Only the kernel pass is a Ray Data job: one execution per chunk of
-  windows, whatever the number of footer schemas.  Every other step
-  skips the streaming executor.  The run is planned from Parquet footers
-  on the driver: ONE window zone map lists each row group's window ids,
-  and every read takes the row groups holding its windows; a read
-  spanning schema versions is padded to its footers' union schema, and
-  histogram edges fold the footer min/max (or come from the baseline).
-  Dimension keys and the uniqueness verify are plain tasks, one per
-  planned row group (``ops.zonemap.map_row_groups``), whose outputs are
-  8 B per row (key hashes) or the candidate rows.  Nothing is an
-  all-to-all job, and ``run_lineage.jsonl`` counts each stage's jobs
-  (``jobs``).
+* A run starts no Ray Data execution: every step is plain tasks, one
+  per planned row group (``ops.zonemap.map_row_groups``), whose outputs
+  are the kernel's findings (KB-sized), 8 B per row (key hashes) or the
+  candidate rows.  The kernel pass is a fused read→check map with small
+  output, so a streaming executor's operator pipelining and
+  backpressure would buy it nothing but its start-up.  The run is
+  planned from Parquet footers on the driver: ONE window zone map lists
+  each row group's window ids, and every read takes the row groups
+  holding its windows; a read spanning schema versions is padded to its
+  footers' union schema, and histogram edges fold the footer min/max
+  (or come from the baseline).  Nothing is an all-to-all job, and
+  ``run_lineage.jsonl`` counts each stage's jobs (``jobs``).
 * Each file's footer is read ONCE per run (``sources.read_footers``);
   the schema groups, the zone map and the histogram edges all plan from
   it.
@@ -32,8 +32,9 @@ Scale notes
   lists, without pandas.
 * Referential membership (a sorted run of the dimension's 8-byte key
   hashes, or a Bloom filter over them at 100 TB scale) travels inside
-  the kernel, which Ray Data puts in the object store once per
-  execution, and is probed in the same kernel pass — no shuffle join.
+  the kernel, which ``map_row_groups`` (or Ray Data, for a Dataset
+  input) puts in the object store once per pass, and is probed in the
+  same kernel pass — no shuffle join.
 * Exact key-uniqueness needs no shuffle: the kernel pass emits each
   batch's sorted 8-byte key-hash run, every window persists its run, and
   the driver sorts the runs of all validated windows to find duplicate
@@ -260,10 +261,11 @@ def uniqueness_violations(ds, spec: TableSpec,
        whose partial carries the sorted candidate array) and groups them
        on their full key strings.
 
-    ``ds`` is a Ray Data Dataset (``validate_dataset``; one execution per
-    pass), or a ``map_keys(fn)`` callable that runs ``fn`` over the key
-    (+ order) rows and returns its outputs (``run_validation``'s
-    row-group plan: plain tasks, no Ray Data execution).  Both take the
+    ``ds`` is a Ray Data Dataset (one execution per pass), or a
+    ``map_keys(fn)`` callable that runs ``fn`` over the key (+ order)
+    rows and returns its outputs (``run_validation``'s row-group plan:
+    plain tasks, no Ray Data execution), as ``validate_dataset`` passes
+    on whichever it was given.  Both take the
     same ``fetch_candidates``.  It must hold exactly the rows the hashes
     cover (``run_validation`` passes its zone-map-pruned plan of the
     validated windows).
@@ -538,7 +540,7 @@ def _key_hash_run(findings: pa.Table, spec: TableSpec) -> np.ndarray | None:
 
 
 def validate_dataset(
-    ds: rd.Dataset,
+    ds,
     spec: TableSpec,
     *,
     window_column: str | None = None,
@@ -547,10 +549,18 @@ def validate_dataset(
     hist_edges: dict[str, np.ndarray] | None = None,
     check_uniqueness: bool = True,
 ) -> dict[int, WindowResult]:
-    """ONE streaming pass over the dataset validating every window in it.
+    """ONE pass over ``ds`` validating every window in it.
+
+    ``ds`` is a Ray Data Dataset (one ``map_batches`` execution of the
+    kernel over its whole blocks: the catalogue queries and other
+    Dataset callers), or a ``map_rows(fn)`` callable that runs ``fn``
+    over the rows and returns its outputs, as ``uniqueness_violations``
+    takes it (``run_validation``'s row-group plan: one plain task per
+    row group, no Ray Data execution).  Either way the kernel's findings
+    tables reduce on the driver the same way.
 
     The kernel tags findings rows with the window id, so N windows cost one
-    read + one (tiny) materialized findings table — per-window pipelines
+    read + one (tiny) findings table — per-window pipelines
     would pay N read/launch overheads.  Key uniqueness is table-GLOBAL
     (a key may not repeat across windows): it runs after the pass over the
     key-hash runs the kernel emitted, and when the input spans multiple
@@ -562,11 +572,15 @@ def validate_dataset(
 
     kernel = ValidationKernel(spec, hist_edges=hist_edges, membership=membership,
                               window_column=window_column)
-    _count("ray_data")
-    # batch_size=None: the kernel runs on whole blocks
-    findings = ds.map_batches(kernel, batch_format="pyarrow", batch_size=None,
-                              zero_copy_batch=True).materialize()
-    parts = [t for t in ray.get(findings.to_arrow_refs()) if t.num_rows]
+    if isinstance(ds, rd.Dataset):
+        _count("ray_data")
+        # batch_size=None: the kernel runs on whole blocks
+        findings = ds.map_batches(kernel, batch_format="pyarrow",
+                                  batch_size=None, zero_copy_batch=True).materialize()
+        parts = ray.get(findings.to_arrow_refs())
+    else:
+        parts = ds(kernel)
+    parts = [t for t in parts if t.num_rows]
     table = (pa.concat_tables([t.cast(FINDINGS_SCHEMA) for t in parts])
              if parts else FINDINGS_SCHEMA.empty_table())
     results = _findings_to_results(table, spec)
@@ -621,7 +635,8 @@ def write_window_result(out_dir: str, res: WindowResult) -> None:
     lineage["drift"] = res.drift_rows
     lineage["key_hll_estimate"] = res.key_hll_estimate
     with open(os.path.join(wdir, "lineage.json"), "w") as f:
-        json.dump(lineage, f, default=float)
+        # json.dumps encodes in C; json.dump runs the pure-Python encoder
+        f.write(json.dumps(lineage, default=float))
     if res.key_hashes is not None:
         np.save(os.path.join(wdir, KEY_HASHES_FILE), res.key_hashes)
     with open(os.path.join(wdir, "_DONE"), "w") as f:
@@ -711,26 +726,26 @@ def _zone_map_windows(zm, window_column: str) -> list[int]:
     return sorted(found)
 
 
-def _row_group_keys(row_groups: list, schema, window_column: str,
-                    windows: list[int]):
-    """``map_keys`` for :func:`uniqueness_violations` over the rows of
-    ``windows``: one plain task per planned row group (the zone-map rows
-    holding ``windows``), all submitted by one
-    ``ops.zonemap.map_row_groups`` call.  Each task's read keeps exactly
-    the rows of ``windows`` and pads a key or order column its file
-    lacks with typed nulls of ``schema`` (the footers' union schema of
-    those columns), as the kernel pass's read is padded.  ``fn``'s
-    outputs come back to the driver."""
+def _map_rows(row_groups: list, schema, window_column: str,
+              windows: list[int]):
+    """``map_rows(fn)`` over the rows of ``windows``, as
+    :func:`validate_dataset` and :func:`uniqueness_violations` take it:
+    one plain task per planned row group (the zone-map rows holding
+    ``windows``), all submitted by one ``ops.zonemap.map_row_groups``
+    call.  Each task's read keeps exactly the rows of ``windows``, passes
+    a row group they fill on as read, and pads a column its file lacks
+    with typed nulls of ``schema`` (the footers' union schema of the
+    columns read).  ``fn``'s outputs come back to the driver."""
     from .ops.zonemap import map_row_groups
 
     members = pa.array(windows, pa.int64())
 
-    def map_keys(fn) -> list:
+    def map_rows(fn) -> list:
         _count("row_group_tasks", len(row_groups))
         return map_row_groups(row_groups, fn, schema, col=window_column,
                               members=members)
 
-    return map_keys
+    return map_rows
 
 
 def run_validation(
@@ -762,8 +777,10 @@ def run_validation(
     * dimension keys are hashed ONCE, one plain task per row group (8 B
       per key back to the driver), into a sorted hash run (or a Bloom
       filter with ``use_bloom=True``) that ships inside the kernel;
-    * pending windows run in CHUNKED streaming passes of
-      ``windows_per_pass`` (window-tagged findings), each chunk writing
+    * pending windows run in CHUNKED kernel passes of
+      ``windows_per_pass`` (window-tagged findings), one plain task per
+      planned row group of the chunk (``validate_dataset`` over
+      ``_map_rows``), each chunk writing
       per-window outputs + ``_DONE`` markers — a killed run loses at most
       one chunk and resumes past everything marked done (north_rule);
     * key uniqueness is a TABLE-level check (global across windows) over
@@ -774,9 +791,8 @@ def run_validation(
       fetched by plain tasks over the planned row groups of those
       windows.
 
-    So the kernel pass is the run's only Ray Data job, one execution per
-    chunk that some row group holds; a chunk that none holds runs no
-    job, and its windows get 0-row results.  Each
+    So the run starts no Ray Data execution; a chunk that no row group
+    holds runs no task, and its windows get 0-row results.  Each
     ``run_lineage.jsonl`` line records, under ``jobs``, the Ray Data
     executions and plain row-group tasks every stage started, and
     ``jobs.validate_chunks.row_groups`` the row groups the kernel pass
@@ -821,7 +837,7 @@ def run_validation(
     # does not prune row groups: every chunk re-scanned the table).  A
     # file without the window column raises when the windows are not
     # given; when they are, no read touches it.
-    from .ops.zonemap import footer_zone_map, pruned_read
+    from .ops.zonemap import footer_zone_map
 
     group_of = {}
     for key, (sch, fs) in _fgroups.items():
@@ -877,7 +893,7 @@ def run_validation(
         key_cols.append(spec.order_column)
 
     def _read_keys(ws: list[int]):
-        return _row_group_keys(*_plan(ws, key_cols), window_column, ws)
+        return _map_rows(*_plan(ws, key_cols), window_column, ws)
 
     if not pending:
         if table_uniq:
@@ -913,9 +929,7 @@ def run_validation(
         row_groups, schema = _plan(chunk)
         _count("row_groups", len(row_groups))
         results = {} if not row_groups else validate_dataset(
-            pruned_read(sorted({f for f, _ in row_groups}), window_column,
-                        min(chunk), max(chunk), schema, row_groups=row_groups,
-                        value_set=chunk),
+            _map_rows(row_groups, schema, window_column, chunk),
             spec, window_column=window_column, membership=membership,
             baseline=baseline, hist_edges=hist_edges, check_uniqueness=False)
         for w in chunk:

@@ -165,6 +165,7 @@ def q17_lang_profiles(sf_dir: str):
     """Per-lang moments of n_chars from the engine's grouped profiles
     (``ProfileCheck`` through ``validate_dataset``), checked against SQL
     avg/stddev_pop/min/max."""
+    from ..checks import EMPTY_GROUP
     from ..spec import TableSpec
 
     spec = TableSpec(name="documents", profile_columns=("n_chars",),
@@ -175,7 +176,7 @@ def q17_lang_profiles(sf_dir: str):
         if lang == "":
             continue  # the ungrouped profile
         m = p.moments
-        out.append({"lang": lang, "n_docs": m.n,
+        out.append({"lang": "" if lang == EMPTY_GROUP else lang, "n_docs": m.n,
                     "avg_chars": round(m.mean, 4), "std_chars": round(m.std, 4),
                     "min_chars": int(m.min), "max_chars": int(m.max)})
     return pd.DataFrame(out)

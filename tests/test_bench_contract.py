@@ -62,3 +62,37 @@ def test_profile_bytes_reads_the_engine_store(perfbench, tmp_path):
     want = sum(len(sketches.dumps(getattr(p, part)))
                for p in profiles.values() for part in ColumnProfile.PARTS)
     assert layers._profile_bytes(str(tmp_path)) == want
+
+
+def test_run_validation_calls_validate_dataset_per_chunk(ray_session, tmp_path,
+                                                         monkeypatch):
+    """``layers.op_layers`` derives its ``run_validation`` per-layer
+    metrics only when the op has a ``pipeline.validate_dataset`` span, so
+    every kernel chunk must go through that function."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from driftray import pipeline
+    from driftray.spec import ColumnSpec, TableSpec
+
+    d = tmp_path / "t"
+    d.mkdir()
+    w = np.repeat(np.arange(5), 10)
+    pq.write_table(pa.table({"window_id": pa.array(w, pa.int64()),
+                             "v": pa.array(np.arange(50) - 3, pa.int64())}),
+                   str(d / "a.parquet"), row_group_size=10)
+    calls = []
+    real = pipeline.validate_dataset
+
+    def spy(ds, spec, **kw):
+        calls.append(ds)
+        return real(ds, spec, **kw)
+
+    monkeypatch.setattr(pipeline, "validate_dataset", spy)
+    res = pipeline.run_validation(
+        str(d), str(tmp_path / "out"),
+        TableSpec(name="t", columns=[ColumnSpec("v", min_value=0)]),
+        windows_per_pass=2)
+    assert [r.window_id for r in res] == [0, 1, 2, 3, 4]
+    assert len(calls) == 3     # chunks [0, 1], [2, 3], [4]

@@ -69,3 +69,37 @@ def test_baseline_save_load_save_is_byte_identical(tmp_path):
     assert list(loaded.profiles) == list(profiles)
     assert [p.to_row() for p in loaded.profiles.values()] == [
         p.to_row() for p in profiles.values()]
+
+
+def test_empty_string_group_stays_out_of_the_table_profile():
+    """A group whose value is ``""`` gets its own label, ``EMPTY_GROUP``;
+    the table-level profile (group ``""``) counts each row once."""
+    import pyarrow as pa
+
+    from driftray.checks import EMPTY_GROUP
+    from driftray.spec import TableSpec
+
+    batch = pa.table({"g": ["", "en", "en", ""], "x": [1.0, 2.0, 3.0, 4.0]})
+    spec = TableSpec(name="t", profile_columns=("x",), group_column="g")
+    profiles = merge_findings(ValidationKernel(spec)(batch))[2]
+    assert list(profiles) == [("", "x"), (EMPTY_GROUP, "x"), ("en", "x")]
+    assert profiles["", "x"].moments.n == 4
+    assert profiles["", "x"].moments.mean == 2.5
+    assert profiles[EMPTY_GROUP, "x"].moments.n == 2
+    assert profiles[EMPTY_GROUP, "x"].moments.mean == 2.5
+    assert profiles["en", "x"].moments.n == 2
+
+
+def test_baseline_from_merged_empty_group_loads_unchanged(tmp_path):
+    """A baseline stored while group ``""`` also held the empty-string
+    group's rows loads as stored: same keys, same counts, same bytes."""
+    edges = np.linspace(0, 5, 33)
+    old = {("", "x"): ColumnProfile.of("x", "", np.array([1.0, 2, 3, 4, 1, 4]), edges),
+           ("en", "x"): ColumnProfile.of("x", "en", np.array([2.0, 3]), edges)}
+    first, second = tmp_path / "a.parquet", tmp_path / "b.parquet"
+    Baseline(old).save(str(first))
+    loaded = Baseline.load(str(first))
+    assert list(loaded.profiles) == list(old)
+    assert loaded.profiles["", "x"].moments.n == 6
+    loaded.save(str(second))
+    assert first.read_bytes() == second.read_bytes()

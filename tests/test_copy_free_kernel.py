@@ -2,7 +2,7 @@
 the behaviour it replaced: window runs as zero-copy slices vs the mask
 filter, the fixed-width sha256 compare vs the per-value compare, the
 one-pass ``merge_findings`` vs the pandas reduction (kept here as the
-oracle), the exact filter of ``pruned_read`` passing whole row groups
+oracle), the exact filter of ``read_row_group`` passing whole row groups
 on, and one footer read per file per run."""
 
 import hashlib

@@ -42,7 +42,8 @@ def _outputs(out: str, windows) -> dict:
 def test_two_schema_chunk_equals_null_filled_table(ray_session, tmp_path):
     """Windows 0-1 lack ``stars``, windows 2-3 have it; one chunk spans both
     schema groups.  The run equals one over the same rows written with one
-    schema, ``stars`` null-filled, and runs one Ray Data execution."""
+    schema, ``stars`` null-filled, and runs no Ray Data execution: one
+    plain task per planned row group."""
     from driftray.fixtures import RepoFilesConfig, dimensions, repo_files_batch
     from driftray.spec import repo_files_spec
 
@@ -79,7 +80,10 @@ def test_two_schema_chunk_equals_null_filled_table(ray_session, tmp_path):
     assert two[0][1]["completeness|stars"] == 500     # the padded nulls
     assert two[2][1]["range|stars"] > 0
     assert two["table"][0]["extra_rows"] > 0
-    assert _last_jobs(outs["two"])["validate_chunks"]["ray_data"] == 1
+    jobs = _last_jobs(outs["two"])
+    assert all(j["ray_data"] == 0 for j in jobs.values())
+    assert jobs["validate_chunks"]["row_group_tasks"] == 4   # 2 files x 2
+    assert jobs["validate_chunks"]["row_groups"] == 4
 
 
 def _keyed(windows, v) -> pa.Table:

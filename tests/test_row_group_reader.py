@@ -1,5 +1,5 @@
 """One row-group reader behind every planned read: the same plan gives the
-same table through the Ray Data read (``ops.zonemap.pruned_read``) and
+same table through the Ray Data read (``ops.zonemap.read_row_groups``) and
 through plain tasks (``ops.zonemap.map_row_groups``), both of which run
 ``ops.zonemap.read_row_group``."""
 
@@ -38,16 +38,12 @@ def _rows(tables) -> list:
 
 def _both(plan, columns, **read):
     """The rows of ``plan`` read through Ray Data and through plain tasks."""
-    files = sorted({f for f, _ in plan})
-    ds = zonemap.pruned_read(files, read["col"], read.get("lo"), read.get("hi"),
-                             columns, row_groups=plan,
-                             value_set=read.get("value_set"))
-    via_data = ray.get(ds.to_arrow_refs())
     members = (None if read.get("value_set") is None
                else pa.array(read["value_set"], pa.int64()))
-    via_tasks = zonemap.map_row_groups(
-        plan, lambda t: t, columns, col=read["col"], lo=read.get("lo"),
-        hi=read.get("hi"), members=members)
+    read = {"col": read["col"], "lo": read.get("lo"), "hi": read.get("hi"),
+            "members": members}
+    via_data = ray.get(zonemap.read_row_groups(plan, columns, **read).to_arrow_refs())
+    via_tasks = zonemap.map_row_groups(plan, lambda t: t, columns, **read)
     return via_data, via_tasks
 
 
@@ -101,8 +97,8 @@ def test_column_no_schema_supplies_raises(ray_session, tmp_path):
     with pytest.raises(Exception, match="extra"):
         zonemap.map_row_groups(plan, lambda t: t, ["k", "extra"])
     with pytest.raises(Exception, match="extra"):
-        zonemap.pruned_read(sorted(footers), "w", 0, 5, ["k", "extra"],
-                            row_groups=plan).materialize()
+        zonemap.read_row_groups(plan, ["k", "extra"], col="w", lo=0,
+                                hi=5).materialize()
 
 
 def test_two_schema_key_plan_is_one_submission(ray_session, tmp_path, monkeypatch):
@@ -132,9 +128,10 @@ def test_two_schema_key_plan_is_one_submission(ray_session, tmp_path, monkeypatc
     monkeypatch.setattr(zonemap, "map_row_groups", counting)
     run_validation(str(d), str(tmp_path / "out"),
                    TableSpec(name="k", unique_key=("k1", "k2")))
-    # one call: the candidate fetch over all 12 row groups (the key
-    # hashes come from the kernel pass)
-    assert calls == [12]
+    # two calls over all 12 row groups: the kernel pass of the one
+    # window chunk, then the candidate fetch (the key hashes come from
+    # the kernel pass)
+    assert calls == [12, 12]
     # a file without k2 holds it as null, as the kernel pass's read pads it
     keys = pd.concat(pq.read_table(str(f)).to_pandas() for f in sorted(d.iterdir()))
     extra = int(keys[["k1", "k2"]].duplicated().sum())

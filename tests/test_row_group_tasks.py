@@ -125,7 +125,10 @@ def test_plain_task_verify_matches_dataset_path(ray_session, tmp_path):
     assert _table_outputs(out) == want
     jobs = _last_jobs(out)
     assert jobs["uniqueness"] == {"ray_data": 0, "row_group_tasks": n_row_groups}
-    assert sum(j["ray_data"] for j in jobs.values()) == 1
+    # the kernel pass is plain tasks too, one per planned row group
+    assert all(j["ray_data"] == 0 for j in jobs.values())
+    assert jobs["validate_chunks"]["row_group_tasks"] == n_row_groups
+    assert jobs["validate_chunks"]["row_groups"] == n_row_groups
 
     # windows without a persisted run: the tasks hash the keys themselves
     for w in range(4):
@@ -155,3 +158,113 @@ def test_added_key_column_is_null_padded(ray_session, tmp_path):
     keys = pa.concat_tables([padded, *tables[2:]]).select(["k1", "k2"]).to_pandas()
     assert load_table_report(out)["extra_rows"] == int(keys.duplicated().sum())
     assert _last_jobs(out)["uniqueness"] == {"ray_data": 0, "row_group_tasks": 12}
+
+
+def _many_row_groups(tmp_path, n_groups: int) -> list:
+    from driftray.ops.zonemap import row_groups_of
+    from driftray.sources import read_footers
+
+    d = tmp_path / "many"
+    d.mkdir()
+    pq.write_table(pa.table({"a": pa.array(np.arange(5 * n_groups), pa.int64())}),
+                   str(d / "m.parquet"), row_group_size=5)
+    return row_groups_of(read_footers(str(d)))
+
+
+def test_map_row_groups_bounds_tasks_in_flight(ray_session, tmp_path, monkeypatch):
+    """A plan longer than the in-flight bound (twice the cluster's CPUs)
+    gives the outputs of direct reads, in plan order, and never has more
+    than the bound submitted and uncollected."""
+    import ray
+
+    from driftray.ops.zonemap import map_row_groups, read_row_group
+
+    bound = 2 * int(ray.cluster_resources()["CPU"])
+    plan = _many_row_groups(tmp_path, 2 * bound + 3)[::-1]
+    waited = []
+    wait = ray.wait
+
+    def spy(refs, *args, **kw):
+        waited.append(len(refs))
+        return wait(refs, *args, **kw)
+
+    monkeypatch.setattr(ray, "wait", spy)
+    got = map_row_groups(plan, lambda t: t)
+    assert all(a.equals(read_row_group(f, g)) for a, (f, g) in zip(got, plan))
+    assert len(got) == len(plan)
+    assert waited == [bound] * (len(plan) - bound)
+
+
+def test_map_row_groups_raises_error_past_the_bound(ray_session, tmp_path):
+    import ray
+
+    from driftray.ops.zonemap import map_row_groups
+
+    plan = _many_row_groups(tmp_path, 2 * int(ray.cluster_resources()["CPU"]) + 5)
+    bad = len(plan) // 2
+
+    def boom(t):
+        if t["a"][0].as_py() == 5 * bad:
+            raise ValueError(f"bad row group {bad}")
+        return t.num_rows
+
+    with pytest.raises(ValueError, match=f"bad row group {bad}"):
+        map_row_groups(plan, boom)
+
+
+def test_plan_path_equals_dataset_path(ray_session, tmp_path):
+    """Two schema groups, several row groups per file, and windows whose
+    rows interleave inside a row group: ``run_validation``'s plain-task
+    kernel pass gives the window results of ``validate_dataset`` over a
+    Dataset of the same rows, one block per row group."""
+    from driftray.checks import EMPTY_GROUP
+    from driftray.ops.zonemap import read_row_group, row_groups_of
+    from driftray.pipeline import infer_hist_edges, validate_dataset
+    from driftray.sources import read_footers, union_schema
+    from driftray.spec import ColumnSpec
+
+    rng = np.random.default_rng(5)
+    pool = _pool(rng, 80)
+    d = tmp_path / "mixed"
+    d.mkdir()
+    for i in range(2):
+        t = pa.concat_tables([_key_table(rng, w, 60, pool) for w in (2 * i, 2 * i + 1)])
+        # windows 2i and 2i+1 alternate row by row
+        t = t.take(np.argsort(np.arange(120) % 60, kind="stable"))
+        t = t.append_column("g", pa.array(["", "a", "b", None] * 30))
+        if i:
+            t = t.append_column("extra", pa.array(rng.integers(-5, 50, 120), pa.int64()))
+        pq.write_table(t, str(d / f"part-{i}.parquet"), row_group_size=50)
+    spec = TableSpec(name="mixed", unique_key=("k1", "k2"), order_column="ord",
+                     columns=[ColumnSpec("k1", required=True),
+                              ColumnSpec("extra", required=True, min_value=0)],
+                     profile_columns=("v", "extra"), group_column="g")
+
+    footers = read_footers(str(d))
+    plan = row_groups_of(footers)
+    assert len(plan) == 6
+    schema = union_schema([md.schema.to_arrow_schema() for md in footers.values()])
+    ds = rd.from_arrow([read_row_group(f, g, schema) for f, g in plan])
+    want = validate_dataset(ds, spec, window_column="window_id",
+                            hist_edges=infer_hist_edges(str(d), spec),
+                            check_uniqueness=False)
+    got = {r.window_id: r for r in run_validation(
+        str(d), str(tmp_path / "out"), spec, check_uniqueness=False)}
+    assert sorted(got) == sorted(want) == [0, 1, 2, 3]
+    assert (_last_jobs(str(tmp_path / "out"))["validate_chunks"]
+            == {"ray_data": 0, "row_group_tasks": 6, "row_groups": 6})
+    for w, res in want.items():
+        assert got[w].n_rows == res.n_rows == 60
+        assert got[w].counters == res.counters
+        assert sorted(got[w].violations.to_pylist(), key=str) == sorted(
+            res.violations.to_pylist(), key=str)
+        assert np.array_equal(got[w].key_hashes, res.key_hashes)
+        assert got[w].key_hll_estimate == res.key_hll_estimate
+        assert list(got[w].profiles) == list(res.profiles)
+        for key, p in res.profiles.items():
+            assert got[w].profiles[key].to_row() == pytest.approx(p.to_row(),
+                                                                  nan_ok=True)
+            assert np.array_equal(got[w].profiles[key].hist.counts, p.hist.counts)
+    assert got[0].counters["completeness|extra"] == 60    # padded nulls
+    assert got[2].counters["range|extra"] > 0
+    assert (EMPTY_GROUP, "v") in got[0].profiles
