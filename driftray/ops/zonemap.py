@@ -18,7 +18,7 @@ metadata per file instead of the data itself:
   a union schema.  :func:`map_row_groups` runs it as one plain Ray task
   per row group returning small outputs: every planned step of
   ``pipeline.run_validation`` (the kernel pass's findings, dimension key
-  hashes, the uniqueness verify), with a bounded number in flight.
+  hashes, the uniqueness verify).
   :func:`read_row_groups` runs it over a plan as a Ray Data dataset, one
   read task per row group (q118 through :func:`pruned_read`, q189
   through :func:`bloom_pruned_read`).
@@ -213,26 +213,15 @@ def map_row_groups(row_groups: list[tuple[str, int]], fn,
     hashes, candidate rows, a metadata row): a plain task costs its own
     read and ``fn``, where a Ray Data execution adds its streaming
     executor's start-up.  Every output comes back to the driver, so
-    ``fn`` should shrink its row group.  At most twice the cluster's
-    CPUs are in flight: a further task is submitted as one completes
-    (``ray.wait``), so a long plan never queues all its tasks at once.
-    ``fn`` is put in the object store once and shared by the tasks; an
-    exception it (or the read) raises reaches the caller."""
+    ``fn`` should shrink its row group.  ``fn`` is put in the object
+    store once and shared by the tasks; an exception it (or the read)
+    raises reaches the caller."""
     if not row_groups:
         return []
     fn_ref = ray.put(fn)
     read = {"columns": columns, **read}
-    bound = max(1, 2 * int(ray.cluster_resources().get("CPU", 1)))
-    out = [None] * len(row_groups)
-    running: dict = {}   # in-flight ref → its index in the plan
-    for i, (f, g) in enumerate(row_groups):
-        if len(running) == bound:
-            [ref], _ = ray.wait(list(running))
-            out[running.pop(ref)] = ray.get(ref)
-        running[_row_group_task.remote(f, int(g), read, fn_ref)] = i
-    for i, value in zip(running.values(), ray.get(list(running))):
-        out[i] = value
-    return out
+    return ray.get([_row_group_task.remote(f, int(g), read, fn_ref)
+                    for f, g in row_groups])
 
 
 def _read_item(item: pa.Table, **read) -> pa.Table:

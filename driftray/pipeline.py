@@ -85,7 +85,7 @@ except ModuleNotFoundError:  # pragma: no cover - aiohttp absent in sandbox
 
 from . import sketches
 from .bloom import BloomFilter
-from .checks import ValidationKernel, hash_keys, in_sorted, join_key
+from .checks import EMPTY_GROUP, ValidationKernel, hash_keys, in_sorted, join_key
 from .drift import js_divergence, ks_from_digests, mean_difference, psi, _kolmogorov_sf
 from .sketches import ColumnProfile, merge_all
 from .spec import TableSpec
@@ -422,11 +422,15 @@ def drift_report(baseline: "Baseline", profiles: dict, spec: TableSpec) -> list[
             "ref_count": int(n1), "cur_count": int(n2),
             "drift_detected": drifted,
         })
-    # categorical drift: PSI over group-share frequencies per profile column
+    # categorical drift: PSI over group-share frequencies per profile column.
+    # A baseline stored before the empty-string group had its own label
+    # (EMPTY_GROUP) has no such profile: its empty-string rows were in no
+    # group share, so against it they stay out of the current shares too
     for col in {c for (_, c) in profiles}:
         ref_counts, cur_counts = [], []
+        skip = {""} if (EMPTY_GROUP, col) in baseline.profiles else {"", EMPTY_GROUP}
         groups = sorted({g for (g, c2) in set(profiles) | set(baseline.profiles)
-                         if c2 == col and g != ""})
+                         if c2 == col and g not in skip})
         if len(groups) < 2:
             continue
         for g in groups:

@@ -103,3 +103,41 @@ def test_baseline_from_merged_empty_group_loads_unchanged(tmp_path):
     assert loaded.profiles["", "x"].moments.n == 6
     loaded.save(str(second))
     assert first.read_bytes() == second.read_bytes()
+
+
+def _categorical_psi(baseline: dict, current: dict) -> float:
+    from driftray.pipeline import drift_report
+    from driftray.spec import TableSpec
+
+    spec = TableSpec(name="t", profile_columns=("x",), group_column="g")
+    [row] = [r for r in drift_report(Baseline(baseline), current, spec)
+             if r["kind"] == "categorical"]
+    return row["psi"]
+
+
+def test_old_baseline_gives_no_categorical_drift_for_empty_group():
+    """Against a baseline stored while group ``""`` also held the
+    empty-string rows (no ``EMPTY_GROUP`` profile), a window whose group
+    column holds ``""`` scores the group shares it scored then: the
+    empty-string rows are in no share."""
+    import pyarrow as pa
+
+    from driftray.checks import EMPTY_GROUP
+    from driftray.spec import TableSpec
+
+    rng = np.random.default_rng(3)
+    edges = np.linspace(0, 1, 33)
+    g = np.array(["en", "fr", "", "en"] * 500, dtype=object)
+    x = rng.random(g.size)
+    old = {("", "x"): ColumnProfile.of("x", "", np.concatenate([x, x[g == ""]]), edges),
+           **{(v, "x"): ColumnProfile.of("x", v, x[g == v], edges) for v in ("en", "fr")}}
+    spec = TableSpec(name="t", profile_columns=("x",), group_column="g")
+    batch = pa.table({"g": g.tolist(), "x": x})
+    current = merge_findings(ValidationKernel(spec, hist_edges={"x": edges})(batch))[2]
+    assert current[EMPTY_GROUP, "x"].moments.n == 500
+    assert _categorical_psi(old, current) == 0.0
+    # a baseline that has the label compares its share like any group's
+    new = {**old, (EMPTY_GROUP, "x"): current[EMPTY_GROUP, "x"]}
+    assert _categorical_psi(new, current) == 0.0
+    assert _categorical_psi(new, {k: v for k, v in current.items()
+                                  if k[0] != EMPTY_GROUP}) > 1.0

@@ -160,58 +160,6 @@ def test_added_key_column_is_null_padded(ray_session, tmp_path):
     assert _last_jobs(out)["uniqueness"] == {"ray_data": 0, "row_group_tasks": 12}
 
 
-def _many_row_groups(tmp_path, n_groups: int) -> list:
-    from driftray.ops.zonemap import row_groups_of
-    from driftray.sources import read_footers
-
-    d = tmp_path / "many"
-    d.mkdir()
-    pq.write_table(pa.table({"a": pa.array(np.arange(5 * n_groups), pa.int64())}),
-                   str(d / "m.parquet"), row_group_size=5)
-    return row_groups_of(read_footers(str(d)))
-
-
-def test_map_row_groups_bounds_tasks_in_flight(ray_session, tmp_path, monkeypatch):
-    """A plan longer than the in-flight bound (twice the cluster's CPUs)
-    gives the outputs of direct reads, in plan order, and never has more
-    than the bound submitted and uncollected."""
-    import ray
-
-    from driftray.ops.zonemap import map_row_groups, read_row_group
-
-    bound = 2 * int(ray.cluster_resources()["CPU"])
-    plan = _many_row_groups(tmp_path, 2 * bound + 3)[::-1]
-    waited = []
-    wait = ray.wait
-
-    def spy(refs, *args, **kw):
-        waited.append(len(refs))
-        return wait(refs, *args, **kw)
-
-    monkeypatch.setattr(ray, "wait", spy)
-    got = map_row_groups(plan, lambda t: t)
-    assert all(a.equals(read_row_group(f, g)) for a, (f, g) in zip(got, plan))
-    assert len(got) == len(plan)
-    assert waited == [bound] * (len(plan) - bound)
-
-
-def test_map_row_groups_raises_error_past_the_bound(ray_session, tmp_path):
-    import ray
-
-    from driftray.ops.zonemap import map_row_groups
-
-    plan = _many_row_groups(tmp_path, 2 * int(ray.cluster_resources()["CPU"]) + 5)
-    bad = len(plan) // 2
-
-    def boom(t):
-        if t["a"][0].as_py() == 5 * bad:
-            raise ValueError(f"bad row group {bad}")
-        return t.num_rows
-
-    with pytest.raises(ValueError, match=f"bad row group {bad}"):
-        map_row_groups(plan, boom)
-
-
 def test_plan_path_equals_dataset_path(ray_session, tmp_path):
     """Two schema groups, several row groups per file, and windows whose
     rows interleave inside a row group: ``run_validation``'s plain-task
