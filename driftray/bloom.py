@@ -3,9 +3,9 @@
 Engine-side replacement for the reference's exact in-process seen-sets
 (``/root/reference/src/data_sources/web/news.py:365,560-573``) when the key
 side is too large to ship exactly: build once from the dimension keys on
-the driver; the bit array travels inside the validation kernel, which Ray
-Data puts in the object store once per execution, and is probed in the
-kernel's ``map_batches`` tasks.  Bloom
+the driver; the bit array travels inside the validation kernel, which
+``ops.zonemap.map_row_groups`` puts in the object store once per pass,
+and is probed in the kernel's row-group tasks.  Bloom
 filters have NO false negatives, so "definitely absent" rows are exact
 violations; positives can be verified exactly per-partition when needed
 (two-tier check, SURVEY.md §7 hard part 5).

@@ -630,7 +630,7 @@ def build_checks(spec: TableSpec, hist_edges: dict,
 
 
 class ValidationKernel:
-    """Callable kernel for ``map_batches`` over plain map tasks.
+    """Callable kernel, run once per row group in plain tasks.
 
     The spec is compiled into a list of ``BatchCheck`` instances in
     ``__init__``, once, where ``validate_dataset`` builds the kernel (on
@@ -657,9 +657,9 @@ class ValidationKernel:
         self.cap = max_violations_per_batch
         self.window_column = window_column
         # membership[i] = sorted uint64 key-hash run or BloomFilter for
-        # spec.foreign_keys[i] (T4/J2); the map tasks get it with the
-        # kernel, which Ray Data puts in the object store once per
-        # execution
+        # spec.foreign_keys[i] (T4/J2); the row-group tasks get it with
+        # the kernel, which ``ops.zonemap.map_row_groups`` puts in the
+        # object store once per pass
         self.checks = build_checks(spec, hist_edges or {}, membership or {})
 
     def __call__(self, batch: pa.Table) -> pa.Table:

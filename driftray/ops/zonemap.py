@@ -8,20 +8,19 @@ metadata per file instead of the data itself:
   file, row_group, n_rows, vmin, vmax, and with ``values`` the row
   group's distinct values), built on the driver from the footers.
   ``pipeline.run_validation`` builds ONE per run over the window column
-  and plans every read from it.  :func:`parquet_zone_map` builds the
-  same table as a Ray Data map over the files (q117).
+  and plans every read from it; q117 folds one to table-level stats.
 * A PLAN is a list of ``(file, row_group)`` pairs: a pruned zone map's
   rows, or :func:`row_groups_of` a set of footers.
 * :func:`read_row_group` is the one function that opens a planned row
   group: it reads the requested columns the file has, keeps the rows
   whose filter column is in a member set or in ``[lo, hi]``, and pads to
   a union schema.  :func:`map_row_groups` runs it as one plain Ray task
-  per row group returning small outputs: every planned step of
-  ``pipeline.run_validation`` (the kernel pass's findings, dimension key
-  hashes, the uniqueness verify).
-  :func:`read_row_groups` runs it over a plan as a Ray Data dataset, one
-  read task per row group (q118 through :func:`pruned_read`, q189
-  through :func:`bloom_pruned_read`).
+  per row group, and is the only way a plan is read: every planned step
+  of ``pipeline.run_validation`` (the kernel pass's findings, dimension
+  key hashes, the uniqueness verify), the range scan of
+  :func:`pruned_read` (q118), and the per-row-group Bloom filters of
+  :func:`build_bloom_index` and the point lookup of
+  :func:`bloom_pruned_read` (q189).
 
 Engine extension beyond the reference, which reads whole CSV/JSON feeds
 and has no columnar source; oracle-checked by q117 (zone map vs DuckDB
@@ -34,38 +33,49 @@ from __future__ import annotations
 from functools import partial
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray
-import ray.data as rd
 
 from ..sources import pad_to_schema, union_schema
 
 __all__ = ["footer_zone_map", "parquet_zone_map", "read_row_group",
-           "row_groups_of", "map_row_groups", "read_row_groups", "pruned_read",
+           "row_groups_of", "map_row_groups", "pruned_read",
            "build_bloom_index", "bloom_pruned_read"]
 
 
-def _zone_table(paths: list[str], col: str, values: bool,
-                footers: dict | None = None) -> pa.Table:
-    """The zone-map rows of ``paths``' footers (see :func:`parquet_zone_map`),
-    in the order given: the one per-file footer walk behind both the
-    driver zone map and the Ray Data one.  ``footers`` maps a path to its
-    already-read ``pq.FileMetaData`` (``sources.read_footers``); a path
-    it lacks has its footer read here."""
+def footer_zone_map(paths: list[str], col: str, values: bool = False,
+                    footers: dict | None = None) -> pa.Table:
+    """Zone map of ``col`` across the sorted ``paths``: one row per row
+    group with ``file, row_group, n_rows, vmin, vmax``, from the Parquet
+    FOOTERS only, in one serial walk on the driver (no Ray job).  A
+    footer is a few KB, so for a run's own table this costs
+    milliseconds; ``footers`` maps a path to its already-read
+    ``pq.FileMetaData`` (``sources.read_footers``), and a path it lacks
+    has its footer read here.
+
+    min/max carry the column's type from the footer.  Row groups written
+    without statistics surface as null vmin/vmax (callers must treat
+    null as "cannot prune").
+
+    ``values=True`` adds ``values`` (the row group's distinct non-null
+    values of ``col``) and ``nulls`` (its null count).  A row group whose
+    statistics say min == max and count its nulls needs no data read;
+    any other row group has that one column chunk read here, on the
+    driver.  On a table laid out one window per row group this answers
+    "which windows exist?" from metadata alone."""
     files, rgs, ns, mins, maxs, vals, nulls = [], [], [], [], [], [], []
     ctype = pa.null()  # no file: an empty, null-typed zone map
-    for path in paths:
+    for path in sorted(paths):
         md = (footers or {}).get(path) or pq.read_metadata(path)
         # by dotted path: a struct field's leaf name (``meta.window_id``)
         # must not shadow the top-level column
         index = {md.schema.column(i).path: i for i in range(md.num_columns)}
         ci = index[col]
-        # typed from the footer: a batch of files without statistics
-        # would otherwise infer a ``null`` column
+        # typed from the footer: a file without statistics would
+        # otherwise infer a ``null`` column
         ctype = md.schema.to_arrow_schema().field(col).type
         for g in range(md.num_row_groups):
             rg = md.row_group(g)
@@ -98,39 +108,9 @@ def _zone_table(paths: list[str], col: str, values: bool,
     return pa.table(out)
 
 
-def footer_zone_map(paths: list[str], col: str, values: bool = False,
-                    footers: dict | None = None) -> pd.DataFrame:
-    """:func:`parquet_zone_map` built on the driver: one serial walk over
-    the sorted ``paths``' footers, no Ray job.  A footer is a few KB, so
-    for a run's own table this costs milliseconds where a Ray Data
-    execution costs its start-up; ``footers`` (path → footer metadata)
-    spares re-reading footers a caller already holds.  With ``values`` a
-    row group whose statistics do not pin a single value has its ``col``
-    chunk read here, on the driver."""
-    return _zone_table(sorted(paths), col, values, footers).to_pandas()
-
-
-def parquet_zone_map(paths: list[str], col: str,
-                     values: bool = False) -> rd.Dataset:
-    """Zone map of ``col`` across ``paths``: one row per row group with
-    ``file, row_group, n_rows, vmin, vmax`` — computed from Parquet
-    FOOTERS only (no data pages are read).
-
-    Distributed over files (one map task per path batch); min/max carry
-    the column's natural Arrow type.  Row groups written without
-    statistics surface as null vmin/vmax (callers must treat null as
-    "cannot prune").
-
-    ``values=True`` adds ``values`` (the row group's distinct non-null
-    values of ``col``) and ``nulls`` (its null count).  A row group whose
-    statistics say min == max and count its nulls needs no data read;
-    any other row group has that one column chunk read inside the same
-    footer task.  On a table laid out one window per row group this
-    answers "which windows exist?" from metadata alone."""
-    items = [{"path": p} for p in sorted(paths)]
-    return rd.from_items(items).map_batches(
-        lambda t: _zone_table(t["path"].to_pylist(), col, values),
-        batch_format="pyarrow")
+# The benchmark's tracer (``perfbench/tracing.TRACED``) patches this name,
+# which is its only reason to exist; the engine calls ``footer_zone_map``.
+parquet_zone_map = footer_zone_map
 
 
 def read_row_group(file: str, row_group: int,
@@ -138,7 +118,7 @@ def read_row_group(file: str, row_group: int,
                    col: str | None = None, lo=None, hi=None,
                    members: pa.Array | None = None) -> pa.Table:
     """Row group ``row_group`` of ``file``: the one function that opens a
-    planned row group, in a Ray Data read task and in a plain task alike.
+    planned row group, in the plain task that reads it.
 
     Reads the ``columns`` the file has (every column by default).  A list
     of names projects the result to them, and a name the file lacks
@@ -191,10 +171,10 @@ def _footers(paths: list[str], columns: list[str] | None) -> tuple[dict, pa.Sche
         [md.schema.to_arrow_schema() for md in footers.values()], columns)
 
 
-# The read-task step is a module-level function bound with
-# ``functools.partial`` (as are the ``fn``s callers map): a task pickles
-# it by reference, where a closure is pickled by value (cloudpickle then
-# walks ``sys.modules``).
+# The task step and the ``fn``s below are module-level functions bound
+# with ``functools.partial`` (as are the ``fn``s callers map): a task
+# pickles them by reference, where a closure is pickled by value
+# (cloudpickle then walks ``sys.modules``).
 
 
 @ray.remote
@@ -209,13 +189,13 @@ def map_row_groups(row_groups: list[tuple[str, int]], fn,
     planned ``(file, row_group)``, as ONE plain ``@ray.remote`` task per
     row group; returns the outputs in plan order.
 
-    For steps whose output is small (the kernel pass's findings, key
-    hashes, candidate rows, a metadata row): a plain task costs its own
-    read and ``fn``, where a Ray Data execution adds its streaming
-    executor's start-up.  Every output comes back to the driver, so
-    ``fn`` should shrink its row group.  ``fn`` is put in the object
-    store once and shared by the tasks; an exception it (or the read)
-    raises reaches the caller."""
+    A plain task costs its own read and ``fn``, where a Ray Data
+    execution adds its streaming executor's start-up.  Every output
+    comes back to the driver, so ``fn`` should shrink its row group (the
+    kernel pass's findings, key hashes, candidate rows, a Bloom filter)
+    unless the caller wants the rows themselves.  ``fn`` is put in the
+    object store once and shared by the tasks; an exception it (or the
+    read) raises reaches the caller."""
     if not row_groups:
         return []
     fn_ref = ray.put(fn)
@@ -224,126 +204,108 @@ def map_row_groups(row_groups: list[tuple[str, int]], fn,
                     for f, g in row_groups])
 
 
-def _read_item(item: pa.Table, **read) -> pa.Table:
-    # batch_size=1: the batch is one planned (file, row_group)
-    return read_row_group(item["file"][0].as_py(), item["row_group"][0].as_py(),
-                          **read)
+def _identity(t: pa.Table) -> pa.Table:
+    return t
 
 
-def read_row_groups(row_groups: list[tuple[str, int]],
-                    columns: list[str] | pa.Schema | None = None,
-                    **read) -> rd.Dataset:
-    """``read_row_group(file, row_group, columns, **read)`` over each
-    planned ``(file, row_group)`` as a Ray Data dataset: ONE read task
-    per row group, the parquet-native parallel grain, with no
-    ``read_parquet`` planning pass.  An empty plan gives an empty dataset
-    typed by ``columns``, which must then be a schema."""
-    if not row_groups:
-        return rd.from_arrow(columns.empty_table())
-    items = [{"file": f, "row_group": int(g)} for f, g in row_groups]
-    # one row group per read task: block size == row-group size
-    return (rd.from_items(items, override_num_blocks=len(items))
-            .map_batches(partial(_read_item, columns=columns, **read),
-                         batch_format="pyarrow", batch_size=1))
+def _read_plan(row_groups: list[tuple[str, int]], schema: pa.Schema,
+               **read) -> pa.Table:
+    """The rows of a plan as one table in ``schema`` (an empty table of
+    it when the plan is empty), read and filtered by
+    :func:`map_row_groups`."""
+    parts = map_row_groups(row_groups, _identity, schema, **read)
+    return pa.concat_tables(parts) if parts else schema.empty_table()
 
 
 def pruned_read(paths: list[str], col: str, lo, hi,
-                columns: list[str] | None = None) -> rd.Dataset:
-    """Range scan ``lo <= col <= hi`` that schedules read tasks ONLY for
-    row groups whose footer [vmin, vmax] overlaps the predicate.
+                columns: list[str] | None = None) -> pa.Table:
+    """Range scan ``lo <= col <= hi`` that reads ONLY the row groups whose
+    footer [vmin, vmax] overlaps the predicate.
 
     The plan is built on the driver from the footers of ``paths``
     (:func:`footer_zone_map`): the row groups whose [vmin, vmax]
-    overlaps ``[lo, hi]``, statistics-less ones kept, read in the union
-    schema of those footers' ``columns``.  :func:`read_row_groups` reads
-    each planned row group in its own task and filters it to the
-    predicate there, since zone maps prove *possible* overlap, not
-    row-level membership.  A row group whose every row matches is passed
-    on as read, neither filtered nor copied.
+    overlaps ``[lo, hi]``, statistics-less ones kept.  Each planned row
+    group is read in its own plain task (:func:`map_row_groups`) and
+    filtered to the predicate there, since zone maps prove *possible*
+    overlap, not row-level membership; a row group whose every row
+    matches is passed on as read.  Returns the rows in the union schema
+    of the footers' ``columns``, in plan order.
 
-    The unpruned fallback is exactly ``read_parquet(filter=...)``; this
-    op exists to make the pruning observable (q118's test asserts
+    The unpruned equivalent is ``pq.read_table`` plus the same filter;
+    this op exists to make the pruning observable (q118's test asserts
     non-overlapping row groups are never opened)."""
     footers, schema = _footers(paths, columns)
     zm = footer_zone_map(paths, col, footers=footers)
-    keep = zm["vmin"].isna() | ~((zm["vmax"] < lo) | (zm["vmin"] > hi))
-    row_groups = list(zm.loc[keep, ["file", "row_group"]].itertuples(
-        index=False, name=None))
-    return read_row_groups(row_groups, schema, col=col, lo=lo, hi=hi)
+    plan = [(f, g) for f, g, vmin, vmax in zip(*(
+                zm[c].to_pylist() for c in ("file", "row_group", "vmin", "vmax")))
+            if vmin is None or not (vmax < lo or vmin > hi)]
+    return _read_plan(plan, schema, col=col, lo=lo, hi=hi)
+
+
+def _bloom_filter(t: pa.Table, col: str, fpr: float) -> tuple:
+    """One row group's index entry: its row count and the state of a
+    Bloom filter over its ``col`` values, sized to them."""
+    from ..bloom import BloomFilter
+
+    arr = t[col].to_numpy()
+    bf = BloomFilter(max(len(arr), 1), fpr=fpr).add(arr)
+    return len(arr), bf.n_bits, bf.k, bf.bits.tobytes()
 
 
 def build_bloom_index(paths: list[str], col: str,
-                      fpr: float = 1e-3) -> rd.Dataset:
-    """Per-FILE Bloom index over ``col`` — the point-lookup complement of
-    the zone map.  Footer min/max cannot prune an UNSORTED
-    high-cardinality column (every file's [min, max] spans the domain);
-    a per-file Bloom filter answers "could value v be in this file?"
-    with no false negatives at ~10 bits/row for 1e-3 FPR — the same
-    data-skipping move as Parquet's own optional bloom pages / Iceberg
-    puffin blobs, surfaced as a first-class testable op.
+                      fpr: float = 1e-3) -> pa.Table:
+    """Per-ROW-GROUP Bloom index over ``col`` — the point-lookup
+    complement of the zone map.  Footer min/max cannot prune an UNSORTED
+    high-cardinality column (every row group's [min, max] spans the
+    domain); a Bloom filter answers "could value v be in this row
+    group?" with no false negatives at ~10 bits/row for 1e-3 FPR — the
+    grain and the data-skipping move of Parquet's own optional Bloom
+    pages, surfaced as a first-class testable op.
 
-    One map task per file (reads ONLY ``col``), each sized to its own
-    row count.  Returns the index TABLE: ``(file, n_rows, n_bits, k,
-    bits)`` — metadata-scale (one row per file), so collecting it on the
-    driver is the correct move, exactly like the zone map."""
-    from ..bloom import BloomFilter
-
-    items = [{"path": p} for p in sorted(paths)]
-
-    def per_file(t: pa.Table) -> pa.Table:
-        files, ns, nb, ks, bits = [], [], [], [], []
-        for path in t["path"].to_pylist():
-            vals = pq.read_table(path, columns=[col])[col]
-            arr = vals.to_numpy(zero_copy_only=False)
-            bf = BloomFilter(max(len(arr), 1), fpr=fpr).add(arr)
-            files.append(path)
-            ns.append(len(arr))
-            nb.append(bf.n_bits)
-            ks.append(bf.k)
-            bits.append(bf.bits.tobytes())
-        return pa.table({"file": pa.array(files, pa.string()),
-                         "n_rows": pa.array(ns, pa.int64()),
-                         "n_bits": pa.array(nb, pa.int64()),
-                         "k": pa.array(ks, pa.int64()),
-                         "bits": pa.array(bits, pa.binary())})
-
-    return (rd.from_items(items, override_num_blocks=max(len(items), 1))
-            .map_batches(per_file, batch_format="pyarrow"))
+    One plain task per row group of the sorted ``paths``
+    (:func:`map_row_groups`, reading ONLY ``col``), each filter sized to
+    its row group.  Returns the index TABLE: ``(file, row_group, n_rows,
+    n_bits, k, bits)`` — metadata-scale (one row per row group), so it
+    is held on the driver, like the zone map."""
+    plan = row_groups_of(_footers(paths, [col])[0])
+    rows = map_row_groups(plan, partial(_bloom_filter, col=col, fpr=fpr), [col])
+    ns, nb, ks, bits = zip(*rows) if rows else ((), (), (), ())
+    return pa.table({"file": pa.array([f for f, _ in plan], pa.string()),
+                     "row_group": pa.array([g for _, g in plan], pa.int64()),
+                     "n_rows": pa.array(ns, pa.int64()),
+                     "n_bits": pa.array(nb, pa.int64()),
+                     "k": pa.array(ks, pa.int64()),
+                     "bits": pa.array(bits, pa.binary())})
 
 
-def _bloom_keep_files(index: pd.DataFrame, values) -> list[str]:
-    """Files whose Bloom filter reports ANY of ``values`` as maybe
-    present (no false negatives: a file absent from this list provably
-    holds none of the probed values)."""
+def _bloom_plan(index: pa.Table, values) -> list[tuple[str, int]]:
+    """The ``(file, row_group)`` pairs of ``index`` whose Bloom filter
+    reports ANY of ``values`` as maybe present, in index order (no false
+    negatives: a row group left out provably holds none of them)."""
     from ..bloom import BloomFilter
 
     vals = np.asarray(values)
-    keep = []
-    for row in index.itertuples(index=False):
-        bf = BloomFilter.from_state(row.n_bits, row.k, row.bits)
-        if bool(bf.contains(vals).any()):
-            keep.append(row.file)
-    return sorted(keep)
+    return [(f, g) for f, g, nb, k, bits in zip(*(
+                index[c].to_pylist()
+                for c in ("file", "row_group", "n_bits", "k", "bits")))
+            if BloomFilter.from_state(nb, k, bits).contains(vals).any()]
 
 
 def bloom_pruned_read(paths: list[str], col: str, values,
                       columns: list[str] | None = None,
-                      index: pd.DataFrame | None = None,
-                      fpr: float = 1e-3) -> rd.Dataset:
-    """Point lookup ``col IN values`` that schedules read tasks ONLY for
-    the row groups of files whose Bloom index might contain one of the
-    probed values.
+                      index: pa.Table | None = None,
+                      fpr: float = 1e-3) -> pa.Table:
+    """Point lookup ``col IN values`` that reads ONLY the row groups whose
+    Bloom filter might contain one of the probed values.
 
-    ``index`` accepts a precomputed ``build_bloom_index(...).to_pandas()``
-    frame so repeated lookups over the same directory build the filters
-    once (amortized like the zone map in run_validation).  Each kept row
-    group is filtered to ``values`` in its read task, so Bloom false
-    positives never reach the result: the output equals the unpruned
-    ``read_parquet + is_in`` scan bit-for-bit (q189's oracle), in the
-    union schema of ``paths``' footers.
+    ``index`` accepts a precomputed :func:`build_bloom_index` table, so
+    repeated lookups over the same files build the filters once.  Each
+    kept row group is read in its own plain task and filtered to
+    ``values`` there, so Bloom false positives never reach the result:
+    the output equals the unpruned ``pq.read_table`` + ``is_in`` scan
+    (q189's oracle), in the union schema of ``paths``' footers.
     """
-    idx = (build_bloom_index(paths, col, fpr=fpr).to_pandas()
-           if index is None else index)
-    footers, schema = _footers(paths, columns)
-    plan = row_groups_of({f: footers[f] for f in _bloom_keep_files(idx, values)})
-    return read_row_groups(plan, schema, col=col, members=pa.array(list(values)))
+    idx = build_bloom_index(paths, col, fpr=fpr) if index is None else index
+    _, schema = _footers(paths, columns)
+    return _read_plan(_bloom_plan(idx, values), schema, col=col,
+                      members=pa.array(list(values)))

@@ -4,22 +4,25 @@ ingest window → validate (constraint kernels, single pass) → profile
 (mergeable sketches) → drift (vs stored baseline) → verdict + violations +
 lineage → partitioned Parquet — the realization of the reference's
 conceptual lifecycle (``/root/reference/DESIGN.md:7-24,324-330,516-524``)
-over Ray Data (SURVEY.md §3.4).
+over Ray tasks (SURVEY.md §3.4).
 
 Scale notes
 -----------
-* A run starts no Ray Data execution: every step is plain tasks, one
-  per planned row group (``ops.zonemap.map_row_groups``), whose outputs
-  are the kernel's findings (KB-sized), 8 B per row (key hashes) or the
-  candidate rows.  The kernel pass is a fused read→check map with small
-  output, so a streaming executor's operator pipelining and
-  backpressure would buy it nothing but its start-up.  The run is
+* Every step runs one way: a footer plan handed to
+  ``ops.zonemap.map_row_groups``, one plain task per planned row group,
+  whose outputs are the kernel's findings (KB-sized), 8 B per row (key
+  hashes) or the candidate rows.  :func:`validate_dataset` and
+  :func:`uniqueness_violations` take that step as a ``map_rows(fn)``
+  callable; nothing here starts a Ray Data execution.  The kernel pass
+  is a fused read→check map with small output, so a streaming
+  executor's operator pipelining and backpressure would buy it nothing
+  but its start-up.  The run is
   planned from Parquet footers on the driver: ONE window zone map lists
   each row group's window ids, and every read takes the row groups
   holding its windows; a read spanning schema versions is padded to its
   footers' union schema, and histogram edges fold the footer min/max
   (or come from the baseline).  Nothing is an all-to-all job, and
-  ``run_lineage.jsonl`` counts each stage's jobs (``jobs``).
+  ``run_lineage.jsonl`` counts each stage's tasks (``jobs``).
 * Each file's footer is read ONCE per run (``sources.read_footers``);
   the schema groups, the zone map and the histogram edges all plan from
   it.
@@ -32,15 +35,14 @@ Scale notes
   lists, without pandas.
 * Referential membership (a sorted run of the dimension's 8-byte key
   hashes, or a Bloom filter over them at 100 TB scale) travels inside
-  the kernel, which ``map_row_groups`` (or Ray Data, for a Dataset
-  input) puts in the object store once per pass, and is probed in the
-  same kernel pass — no shuffle join.
+  the kernel, which ``map_row_groups`` puts in the object store once per
+  pass, and is probed in the same kernel pass — no shuffle join.
 * Exact key-uniqueness needs no shuffle: the kernel pass emits each
   batch's sorted 8-byte key-hash run, every window persists its run, and
   the driver sorts the runs of all validated windows to find duplicate
   hashes.  Only when some exist do plain tasks over the zone-map-pruned
-  row groups of those windows return the candidate rows, which are
-  verified exactly on the driver.
+  row groups of those windows return the candidate rows, which one
+  Arrow ``group_by`` verifies exactly on the driver.
 * Windows are independent → embarrassingly parallel across the cluster;
   a killed run resumes by skipping windows whose ``_DONE`` marker exists.
 """
@@ -59,9 +61,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-
-import ray
-import ray.data as rd
 
 try:
     # Ray's path resolution re-attempts `from fsspec.implementations.http
@@ -90,9 +89,9 @@ from .drift import js_divergence, ks_from_digests, mean_difference, psi, _kolmog
 from .sketches import ColumnProfile, merge_all
 from .spec import TableSpec
 
-# Ray Data executions ("ray_data") and plain row-group tasks
-# ("row_group_tasks") started by this thread's current run_validation call;
-# its run_lineage.jsonl line records them per stage ("jobs")
+# plain row-group tasks ("row_group_tasks") started, and row groups the
+# kernel pass read ("row_groups"), by this thread's current run_validation
+# call; its run_lineage.jsonl line records them per stage ("jobs")
 _jobs: ContextVar[Counter | None] = ContextVar("driftray_jobs", default=None)
 
 
@@ -156,7 +155,7 @@ def build_membership(dim: pa.Table | str, columns, *,
     fact kernel, where the probes happen (no shuffle).  A
     parquet file or directory path is hashed in plain tasks, one per
     row group of its footers (``sources.read_footers``, each read once;
-    ``ops.zonemap.map_row_groups``, no Ray Data execution), each
+    ``ops.zonemap.map_row_groups``), each
     returning the uint64 hashes of its rows' keys: 8 B per dimension row
     reaches the driver, not the key strings.
 
@@ -232,21 +231,11 @@ def _concat_runs(runs) -> np.ndarray:
     return np.concatenate(runs) if runs else np.empty(0, np.int64)
 
 
-def _dataset_keys(ds: rd.Dataset, columns: list[str]):
-    """``map_keys`` over a Dataset: one Ray Data execution per call."""
-    def map_keys(fn) -> list[pa.Table]:
-        _count("ray_data")
-        return ray.get(ds.select_columns(columns).map_batches(
-            fn, batch_format="pyarrow").to_arrow_refs())
-
-    return map_keys
-
-
-def uniqueness_violations(ds, spec: TableSpec,
+def uniqueness_violations(map_rows, spec: TableSpec,
                           key_hashes: np.ndarray | None = None,
                           ) -> tuple[pa.Table, int, pa.Table | None]:
-    """Exact table-wide duplicate-key detection over the rows of ``ds``,
-    two-tier:
+    """Exact table-wide duplicate-key detection over the rows
+    ``map_rows`` reads, two-tier:
 
     1. Candidates: ``key_hashes`` holds one int64 ``hash_keys`` value per
        row — the runs the kernel pass already emitted (``key_hashes``
@@ -258,17 +247,16 @@ def uniqueness_violations(ds, spec: TableSpec,
        8 B per row back to the driver.
     2. Verification: only when candidates exist, ONE pass over the key
        (+ order) columns keeps the candidate rows (``_fetch_candidates``,
-       whose partial carries the sorted candidate array) and groups them
-       on their full key strings.
+       whose partial carries the sorted candidate array), and one Arrow
+       ``group_by`` on their full key strings counts each key's rows and
+       takes its least order value.
 
-    ``ds`` is a Ray Data Dataset (one execution per pass), or a
-    ``map_keys(fn)`` callable that runs ``fn`` over the key (+ order)
-    rows and returns its outputs (``run_validation``'s row-group plan:
-    plain tasks, no Ray Data execution), as ``validate_dataset`` passes
-    on whichever it was given.  Both take the
-    same ``fetch_candidates``.  It must hold exactly the rows the hashes
-    cover (``run_validation`` passes its zone-map-pruned plan of the
-    validated windows).
+    ``map_rows(fn)`` runs ``fn`` over the rows' tables and returns its
+    outputs, as ``validate_dataset`` takes it: ``run_validation`` passes
+    its zone-map-pruned row-group plan of the validated windows (plain
+    tasks, ``ops.zonemap.map_row_groups``), and an in-memory caller
+    ``lambda fn: [fn(t) for t in tables]``.  It must read exactly the rows
+    the hashes cover, with their key (+ order) columns.
 
     Returns ``(violations, extra, winners)``: one violation row per
     duplicated key (detail = occurrence count), the exact count of EXTRA
@@ -277,18 +265,14 @@ def uniqueness_violations(ds, spec: TableSpec,
     inconsistency, ``news.py:74-82`` vs ``news.py:349-356``; SURVEY.md
     D2/D3), and — when the spec has an order column — a small winners
     table (key, win_order) naming the documented winner of each
-    duplicated key."""
+    duplicated key: its least order value, typed like the order column.
+    Both tables are sorted by key (byte order of the key string)."""
     key_cols = list(spec.unique_key or ())
-    order_col = spec.order_column
     if not key_cols:
         return _empty_violations(), 0, None
-    map_keys = ds
-    if isinstance(ds, rd.Dataset):
-        map_keys = _dataset_keys(ds, key_cols + (
-            [order_col] if order_col and order_col not in key_cols else []))
 
     if key_hashes is None:
-        key_hashes = _concat_runs(t["kh"].to_numpy() for t in map_keys(
+        key_hashes = _concat_runs(t["kh"].to_numpy() for t in map_rows(
             partial(_key_hash_table, key_cols=key_cols)))
 
     from .ops.relational import duplicate_values_sorted
@@ -297,33 +281,29 @@ def uniqueness_violations(ds, spec: TableSpec,
     if len(dup_h) == 0:
         return _empty_violations(), 0, None
 
-    parts = map_keys(partial(_fetch_candidates, key_cols=key_cols,
-                             order_col=order_col, candidates=dup_h))
+    parts = map_rows(partial(_fetch_candidates, key_cols=key_cols,
+                             order_col=spec.order_column, candidates=dup_h))
     if not parts:
         return _empty_violations(), 0, None
-    cand = pa.concat_tables(parts).to_pandas()
-    if cand.empty:
+    cand = pa.concat_tables(parts)
+    with_ord = "ord" in cand.column_names
+    per_key = cand.group_by("key").aggregate(
+        [("key", "count"), *([("ord", "min")] if with_ord else [])])
+    dups = (per_key.filter(pc.greater(per_key["key_count"], 1))
+            .sort_by("key").combine_chunks())
+    if not dups.num_rows:
         return _empty_violations(), 0, None
-    vc = cand["key"].value_counts()
-    vc = vc[vc > 1]
-    if len(vc) == 0:
-        return _empty_violations(), 0, None
-    extra = int((vc - 1).sum())
-    colname = "|".join(key_cols)
-    winners = None
-    if order_col and "ord" in cand.columns:
-        win = (cand[cand["key"].isin(set(vc.index))]
-               .groupby("key")["ord"].min().reset_index())
-        winners = pa.table({"key": pa.array(win["key"].astype(str)),
-                            "win_order": pa.Array.from_pandas(win["ord"])})
+    counts = dups["key_count"].to_pylist()
+    winners = (pa.table({"key": dups["key"], "win_order": dups["ord_min"]})
+               if with_ord else None)
     violations = pa.table({
-        "check": pa.array(["uniqueness"] * len(vc)),
-        "column": pa.array([colname] * len(vc)),
-        "row_ref": pa.array(vc.index.astype(str).tolist(), pa.string()),
-        "detail": pa.array([f"{int(c)} occurrences (kept first by order)" for c in vc],
+        "check": pa.array(["uniqueness"] * len(counts)),
+        "column": pa.array(["|".join(key_cols)] * len(counts)),
+        "row_ref": dups["key"],
+        "detail": pa.array([f"{c} occurrences (kept first by order)" for c in counts],
                            pa.string()),
     })
-    return violations, extra, winners
+    return violations, sum(counts) - len(counts), winners
 
 
 # The per-row-group steps below are module-level functions bound with
@@ -544,7 +524,7 @@ def _key_hash_run(findings: pa.Table, spec: TableSpec) -> np.ndarray | None:
 
 
 def validate_dataset(
-    ds,
+    map_rows,
     spec: TableSpec,
     *,
     window_column: str | None = None,
@@ -553,15 +533,16 @@ def validate_dataset(
     hist_edges: dict[str, np.ndarray] | None = None,
     check_uniqueness: bool = True,
 ) -> dict[int, WindowResult]:
-    """ONE pass over ``ds`` validating every window in it.
+    """ONE pass over the rows ``map_rows`` reads, validating every window
+    in them.
 
-    ``ds`` is a Ray Data Dataset (one ``map_batches`` execution of the
-    kernel over its whole blocks: the catalogue queries and other
-    Dataset callers), or a ``map_rows(fn)`` callable that runs ``fn``
-    over the rows and returns its outputs, as ``uniqueness_violations``
-    takes it (``run_validation``'s row-group plan: one plain task per
-    row group, no Ray Data execution).  Either way the kernel's findings
-    tables reduce on the driver the same way.
+    ``map_rows(fn)`` runs ``fn`` over the rows' tables and returns its
+    outputs, as ``uniqueness_violations`` takes it: a Parquet plan handed
+    to ``ops.zonemap.map_row_groups`` (``run_validation``'s zone-map
+    plan of a window chunk, or every row group of a catalogue query's
+    file: one plain task per row group), or ``lambda fn: [fn(t) for t in
+    tables]`` over in-memory tables.  The kernel runs once per table it
+    is given, and its findings tables reduce on the driver.
 
     The kernel tags findings rows with the window id, so N windows cost one
     read + one (tiny) findings table — per-window pipelines
@@ -576,15 +557,7 @@ def validate_dataset(
 
     kernel = ValidationKernel(spec, hist_edges=hist_edges, membership=membership,
                               window_column=window_column)
-    if isinstance(ds, rd.Dataset):
-        _count("ray_data")
-        # batch_size=None: the kernel runs on whole blocks
-        findings = ds.map_batches(kernel, batch_format="pyarrow",
-                                  batch_size=None, zero_copy_batch=True).materialize()
-        parts = ray.get(findings.to_arrow_refs())
-    else:
-        parts = ds(kernel)
-    parts = [t for t in parts if t.num_rows]
+    parts = [t for t in map_rows(kernel) if t.num_rows]
     table = (pa.concat_tables([t.cast(FINDINGS_SCHEMA) for t in parts])
              if parts else FINDINGS_SCHEMA.empty_table())
     results = _findings_to_results(table, spec)
@@ -593,7 +566,7 @@ def validate_dataset(
 
     if check_uniqueness and spec.unique_key:
         dup, extra, _winners = uniqueness_violations(
-            ds, spec, _concat_runs(r.key_hashes for r in results.values()))
+            map_rows, spec, _concat_runs(r.key_hashes for r in results.values()))
         if len(results) == 1:
             res = results[min(results)]  # single-window input → that window
         else:
@@ -717,16 +690,17 @@ def promote_baseline(out_dir: str, window_id: int, baseline_path: str,
     Baseline.load(src).save(baseline_file(baseline_path, table))
 
 
-def _zone_map_windows(zm, window_column: str) -> list[int]:
-    """Every window id of the table, from the zone map's ``values``; a row
-    group holding a null window id raises, naming its file and index."""
+def _zone_map_windows(zone: list[tuple], window_column: str) -> list[int]:
+    """Every window id of the table, from the zone-map rows' window ids
+    (``(file, row_group, windows, nulls, group)``); a row group holding a
+    null window id raises, naming its file and index."""
     found: set[int] = set()
-    for r in zm.itertuples(index=False):
-        if r.nulls:
+    for file, row_group, ws, nulls, _group in zone:
+        if nulls:
             raise ValueError(
-                f"{r.nulls} row(s) with a null {window_column!r} in "
-                f"{r.file}, row group {r.row_group}")
-        found.update(int(w) for w in r.values)
+                f"{nulls} row(s) with a null {window_column!r} in "
+                f"{file}, row group {row_group}")
+        found.update(int(w) for w in ws)
     return sorted(found)
 
 
@@ -795,10 +769,10 @@ def run_validation(
       fetched by plain tasks over the planned row groups of those
       windows.
 
-    So the run starts no Ray Data execution; a chunk that no row group
-    holds runs no task, and its windows get 0-row results.  Each
-    ``run_lineage.jsonl`` line records, under ``jobs``, the Ray Data
-    executions and plain row-group tasks every stage started, and
+    So every step of the run is plain row-group tasks; a chunk that no
+    row group holds runs no task, and its windows get 0-row results.
+    Each ``run_lineage.jsonl`` line records, under ``jobs``, the plain
+    row-group tasks every stage started, and
     ``jobs.validate_chunks.row_groups`` the row groups the kernel pass
     read.  Spec violations of the schema preflight are reported, not
     raised (``schema_drift.record_and_diff(strict=True)`` raises)."""
@@ -850,20 +824,25 @@ def run_validation(
         elif windows is None:
             raise ValueError(f"no {window_column!r} column in {fs[0]}; "
                              "pass windows= to validate the other files")
-    _zmap = footer_zone_map(list(group_of), window_column, values=True,
-                            footers=_footers)
-    _zmap["group"] = _zmap["file"].map(group_of)
+    zm = footer_zone_map(list(group_of), window_column, values=True,
+                         footers=_footers)
+    # one (file, row_group, window ids, null count, schema group) row per
+    # row group, walked by every plan of the run
+    _zone = [(f, g, set(ws), nulls, group_of[f])
+             for f, g, ws, nulls in zip(*(zm[c].to_pylist() for c in (
+                 "file", "row_group", "values", "nulls")))]
 
     def _plan(ws: list[int], columns=None):
         # the (file, row_group) pairs holding a window of ``ws``, and the
         # union schema of their footers' ``columns``: a read spanning
         # schema versions pads the columns a version lacks with nulls
         wset = set(ws)
-        rows = _zmap.loc[[not wset.isdisjoint(v) for v in _zmap["values"]]]
-        keys = rows["group"].unique()
-        return (list(rows[["file", "row_group"]].itertuples(index=False, name=None)),
+        rows = [(f, g, group) for f, g, held, _nulls, group in _zone
+                if not wset.isdisjoint(held)]
+        keys = list(dict.fromkeys(group for _f, _g, group in rows))
+        return ([(f, g) for f, g, _group in rows],
                 union_schema([_fgroups[k][0] for k in keys], columns)
-                if len(keys) else None)
+                if keys else None)
 
     _mark("schema_preflight", t0)
 
@@ -883,7 +862,7 @@ def run_validation(
     _mark("membership", t0)
     t0 = time.perf_counter()
     if windows is None:
-        windows = _zone_map_windows(_zmap, window_column)
+        windows = _zone_map_windows(_zone, window_column)
     pending = [w for w in windows if not window_done(out_dir, w)]
     _mark("window_discovery", t0)
     t0 = time.perf_counter()
@@ -989,11 +968,11 @@ def run_validation(
         "rows": int(sum(r.n_rows for r in out)),
         "total_s": round(time.perf_counter() - t_run0, 3),
         "stages_s": stage_s,
-        # per stage: Ray Data executions and plain row-group tasks started,
-        # and the row groups the kernel pass read; unlike stages_s,
-        # "validate_chunks" excludes "uniqueness"
+        # per stage: plain row-group tasks started, and the row groups
+        # the kernel pass read; unlike stages_s, "validate_chunks"
+        # excludes "uniqueness"
         "jobs": {name: {k: int(c[k]) for k in (
-                     "ray_data", "row_group_tasks",
+                     "row_group_tasks",
                      *(("row_groups",) if name == "validate_chunks" else ()))}
                  for name, c in stage_jobs.items()},
         "schema_drift": schema_report["drift"],
@@ -1021,8 +1000,7 @@ def _table_uniqueness(read_keys, out_dir: str, spec: TableSpec,
     from each window's persisted ``key_hashes.npy``.  ``read_keys(windows)``
     returns those windows' key (+ order) rows as ``uniqueness_violations``
     takes them, which verifies the candidates: the zone-map-pruned
-    row-group plan (plain tasks returning candidate rows, no Ray Data
-    execution).  A ``_DONE``
+    row-group plan (plain tasks returning candidate rows).  A ``_DONE``
     window without a run file (written before runs were persisted) makes
     the check hash the keys there instead, 8 B per row back to the
     driver."""
@@ -1041,10 +1019,10 @@ def _table_uniqueness(read_keys, out_dir: str, spec: TableSpec,
                 break
             run = np.load(path)
         runs.append(run)
-    ds = read_keys(done)
+    map_rows = read_keys(done)
     t0 = time.perf_counter()
     dup, extra, winners = uniqueness_violations(
-        ds, spec, None if runs is None else _concat_runs(runs))
+        map_rows, spec, None if runs is None else _concat_runs(runs))
     elapsed = time.perf_counter() - t0
     # the marker goes first and comes back last: a kill mid-write leaves
     # the result stale (recomputed next run), never half-trusted

@@ -17,9 +17,10 @@ aggregate, J2 referential, D2 dedup, O4 top-k, M11 sha256).
 The validation, profile and drift queries call the engine rather than a
 copy of it, so their oracles check the engine's own paths:
 
-- ``pipeline.validate_dataset`` (the kernel pass, its per-block partials
-  reduced on the driver): the expectation counters of q127, q128, q129,
-  q140 and q173, the grouped profiles of q17 and the verdict rows of
+- ``pipeline.validate_dataset`` (the kernel pass, one plain task per
+  row group of the table's file, its partials reduced on the driver):
+  the expectation counters of q127, q128, q129, q140 and q173, the
+  grouped profiles of q17 and the verdict rows of
   ``nq_validate_documents`` and ``nq_validate_events``;
 - ``sensor.detect_stream``: the detector replay of
   ``nq_unusual_ratio_events``;
@@ -27,6 +28,8 @@ copy of it, so their oracles check the engine's own paths:
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pandas as pd
@@ -43,6 +46,18 @@ ROUND_F = 6  # means / ratios
 
 def _t(sf_dir: str, name: str, columns=None, **kw) -> rd.Dataset:
     return rd.read_parquet(f"{sf_dir}/{name}.parquet", columns=columns, **kw)
+
+
+def _row_groups(sf_dir: str, name: str, columns=None):
+    """``map_rows(fn)`` over every row group of the ``name`` table, as
+    ``pipeline.validate_dataset`` takes it: one plain task per row group
+    (``ops.zonemap.map_row_groups``), reading ``columns``."""
+    from ..ops.zonemap import map_row_groups, row_groups_of
+    from ..sources import read_footers
+
+    return functools.partial(
+        map_row_groups, row_groups_of(read_footers(f"{sf_dir}/{name}.parquet")),
+        columns=columns)
 
 
 def _round_cols(df: pd.DataFrame, spec: dict[str, int]) -> pd.DataFrame:
@@ -170,7 +185,7 @@ def q17_lang_profiles(sf_dir: str):
 
     spec = TableSpec(name="documents", profile_columns=("n_chars",),
                      group_column="lang")
-    res = _validate(_t(sf_dir, "documents", ["lang", "n_chars"]), spec)
+    res = _validate(_row_groups(sf_dir, "documents", ["lang", "n_chars"]), spec)
     out = []
     for (lang, _), p in res.profiles.items():
         if lang == "":
@@ -398,60 +413,53 @@ def q100_conditional_counts(sf_dir: str):
 
 
 def q117_zone_map_stats(sf_dir: str):
-    """Footer-only zone map (`ops/zonemap.parquet_zone_map`): per-row-
+    """Footer-only zone map (`ops/zonemap.footer_zone_map`): per-row-
     group min/max/count of orders.o_totalprice read from Parquet METADATA
-    only, folded to table-level stats.  The oracle recomputes the same
-    stats from the DATA — green means the footer statistics this engine
-    prunes on are exact, which is the property pruning correctness rests
-    on."""
-    from ray.data.aggregate import Max, Min, Sum
+    only on the driver, folded to table-level stats with
+    ``pyarrow.compute``.  The oracle recomputes the same stats from the
+    DATA — green means the footer statistics this engine prunes on are
+    exact, which is the property pruning correctness rests on."""
+    from ..ops.zonemap import footer_zone_map
 
-    from ..ops.zonemap import parquet_zone_map
-
-    zm = parquet_zone_map([f"{sf_dir}/orders.parquet"], "o_totalprice")
-    stats = zm.aggregate(Sum("n_rows", alias_name="n_rows"),
-                         Min("vmin", alias_name="vmin"),
-                         Max("vmax", alias_name="vmax"))
-    return pd.DataFrame({"n_rows": [int(stats["n_rows"])],
-                         "vmin": [round(float(stats["vmin"]), ROUND)],
-                         "vmax": [round(float(stats["vmax"]), ROUND)]})
+    zm = footer_zone_map([f"{sf_dir}/orders.parquet"], "o_totalprice")
+    return pd.DataFrame({"n_rows": [pc.sum(zm["n_rows"]).as_py()],
+                         "vmin": [round(float(pc.min(zm["vmin"]).as_py()), ROUND)],
+                         "vmax": [round(float(pc.max(zm["vmax"]).as_py()), ROUND)]})
 
 
 def q118_pruned_range_scan(sf_dir: str):
     """Range aggregate over a zone-map-PRUNED read
     (`ops/zonemap.pruned_read`): only row groups whose footer [min,max]
-    overlaps the price band are ever opened (the planted multi-row-group
-    test asserts skipped groups are not read); surviving rows are
-    filtered exactly and aggregated.  Oracle: plain SQL WHERE."""
-    from ray.data.aggregate import Count, Sum
-
+    overlaps the price band are ever opened, each in its own plain task
+    (the planted multi-row-group test asserts skipped groups are not
+    read); surviving rows are filtered exactly in the task and
+    aggregated on the driver.  Oracle: plain SQL WHERE."""
     from ..ops.zonemap import pruned_read
 
     lo, hi = 100_000.0, 200_000.0
-    ds = pruned_read([f"{sf_dir}/orders.parquet"], "o_totalprice", lo, hi,
-                     columns=["o_orderkey", "o_totalprice"])
-    stats = ds.aggregate(Count(alias_name="n_rows"),
-                         Sum("o_totalprice", alias_name="revenue"))
+    t = pruned_read([f"{sf_dir}/orders.parquet"], "o_totalprice", lo, hi,
+                    columns=["o_orderkey", "o_totalprice"])
     return pd.DataFrame({
-        "n_rows": [int(stats["n_rows"] or 0)],
-        "revenue": [round(float(stats["revenue"] or 0.0), ROUND)]})
+        "n_rows": [t.num_rows],
+        "revenue": [round(float(pc.sum(t["o_totalprice"]).as_py() or 0.0), ROUND)]})
 
 
-def _validate(ds: rd.Dataset, spec):
+def _validate(map_rows, spec):
     """The engine's validation pass (``pipeline.validate_dataset``, the
-    kernel ``run_validation`` runs) over ``ds`` as one window, without the
-    table-wide uniqueness pass: its ``WindowResult``."""
+    kernel ``run_validation`` runs) over the rows ``map_rows`` reads
+    (``_row_groups``) as one window, without the table-wide uniqueness
+    pass: its ``WindowResult``."""
     from ..pipeline import validate_dataset
 
-    (res,) = validate_dataset(ds, spec, check_uniqueness=False).values()
+    (res,) = validate_dataset(map_rows, spec, check_uniqueness=False).values()
     return res
 
 
-def _expectation_counters(ds: rd.Dataset, spec) -> pd.DataFrame:
+def _expectation_counters(map_rows, spec) -> pd.DataFrame:
     """One (rule, n_violations) row per declared expectation: the counters
-    of ``_validate`` without ``rows``.  The kernel's per-block counters are
-    summed on the driver by ``pipeline.merge_findings``."""
-    counters = [(k, n) for k, n in _validate(ds, spec).counters.items()
+    of ``_validate`` without ``rows``.  The kernel's per-row-group counters
+    are summed on the driver by ``pipeline.merge_findings``."""
+    counters = [(k, n) for k, n in _validate(map_rows, spec).counters.items()
                 if k != "rows"]
     return pd.DataFrame(counters, columns=["rule", "n_violations"])
 
@@ -468,8 +476,8 @@ def q127_accepted_values(sf_dir: str):
         ColumnSpec("event_type",
                    accepted_values=("click", "view", "purchase", "signup")),
     ])
-    ds = _t(sf_dir, "events", ["event_type"])
-    return _expectation_counters(ds, spec)
+    return _expectation_counters(
+        _row_groups(sf_dir, "events", ["event_type"]), spec)
 
 
 def q128_format_violations(sf_dir: str):
@@ -482,8 +490,8 @@ def q128_format_violations(sf_dir: str):
         ColumnSpec("source", pattern=r"src[0-9]"),
         ColumnSpec("lang", pattern=r"[a-z]{2}"),
     ])
-    ds = _t(sf_dir, "documents", ["source", "lang"])
-    return _expectation_counters(ds, spec)
+    return _expectation_counters(
+        _row_groups(sf_dir, "documents", ["source", "lang"]), spec)
 
 
 def q129_conditional_rules(sf_dir: str):
@@ -497,8 +505,8 @@ def q129_conditional_rules(sf_dir: str):
         ColumnSpec("n_chars", min_value=100, when=("lang", "en")),
         ColumnSpec("source", pattern=r"src[0-9]", when=("lang", "zh")),
     ])
-    ds = _t(sf_dir, "documents", ["lang", "source", "n_chars"])
-    return _expectation_counters(ds, spec)
+    return _expectation_counters(
+        _row_groups(sf_dir, "documents", ["lang", "source", "n_chars"]), spec)
 
 
 def _half_histograms(sf_dir: str):
@@ -555,9 +563,9 @@ def q140_documents_expectations(sf_dir: str):
     hash-checkable against plain SQL counts."""
     from ..spec import DOCUMENTS_SPEC
 
-    ds = _t(sf_dir, "documents",
-            ["doc_id", "text", "lang", "n_chars"])
-    return _expectation_counters(ds, DOCUMENTS_SPEC)
+    return _expectation_counters(
+        _row_groups(sf_dir, "documents", ["doc_id", "text", "lang", "n_chars"]),
+        DOCUMENTS_SPEC)
 
 
 def q145_daily_psi_js(sf_dir: str):
@@ -915,20 +923,22 @@ def q173_events_expectations(sf_dir: str):
     nq_validate_events' kernel path gets a driver-hashed signal."""
     from ..spec import EVENTS_SPEC
 
-    ds = _t(sf_dir, "events",
-            ["event_id", "ts", "user_id", "event_type", "value"])
-    return _expectation_counters(ds, EVENTS_SPEC)
+    return _expectation_counters(
+        _row_groups(sf_dir, "events",
+                    ["event_id", "ts", "user_id", "event_type", "value"]),
+        EVENTS_SPEC)
 
 
 def q189_bloom_point_lookup(sf_dir: str):
-    """Per-file Bloom data skipping (`ops/zonemap.build_bloom_index` +
-    `bloom_pruned_read`): documents re-staged as 8 parquet files (hash
+    """Per-row-group Bloom data skipping (`ops/zonemap.build_bloom_index`
+    + `bloom_pruned_read`): documents re-staged as 8 parquet files (hash
     layout — footer min/max cannot prune doc_id point lookups), a Bloom
-    sidecar built per file (one map task each, doc_id column only), then
-    an IN-list probe that schedules read tasks only for the row groups of
-    maybe-containing files.  Each read task keeps only the probed values,
-    so the result is bit-equal to the unpruned scan — Bloom false
-    positives never escape — and the plain SQL IN-list is the oracle."""
+    filter built per row group (one plain task each, doc_id column
+    only), then an IN-list probe that reads only the row groups whose
+    filter may hold a probe, each in its own plain task.  Each task keeps
+    only the probed values, so the result is bit-equal to the unpruned
+    scan — Bloom false positives never escape — and the plain SQL
+    IN-list is the oracle."""
     import glob as globmod
     import shutil
     import tempfile
@@ -1191,7 +1201,7 @@ def _verdicts(sf_dir: str, spec) -> pd.DataFrame:
     table, uniqueness included."""
     from ..pipeline import validate_dataset
 
-    results = validate_dataset(_t(sf_dir, spec.name), spec,
+    results = validate_dataset(_row_groups(sf_dir, spec.name), spec,
                                check_uniqueness=True)
     cols = ["n_rows", "n_violations", "quality_score", "passed"]
     return pd.DataFrame([r.verdict_row() for r in results.values()])[cols]

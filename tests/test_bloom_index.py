@@ -1,4 +1,4 @@
-"""Per-file Bloom index (`ops/zonemap.build_bloom_index` /
+"""Per-row-group Bloom index (`ops/zonemap.build_bloom_index` /
 `bloom_pruned_read`): no false negatives, observable pruning on a
 planted disjoint layout, bit-equality of the exact pruned read."""
 import numpy as np
@@ -19,16 +19,16 @@ def _stage(tmp_path, n_files=4, rows_per=50):
 
 
 def test_bloom_index_prunes_planted_layout(ray_session, tmp_path):
-    from driftray.ops.zonemap import _bloom_keep_files, build_bloom_index
+    from driftray.ops.zonemap import _bloom_plan, build_bloom_index
 
     paths = _stage(tmp_path)
-    idx = build_bloom_index(paths, "id").to_pandas()
-    assert len(idx) == 4 and idx["n_rows"].tolist() == [50] * 4
+    idx = build_bloom_index(paths, "id")
+    assert idx.num_rows == 4 and idx["n_rows"].to_pylist() == [50] * 4
     # probe a value only file 2 holds: file 2 MUST be kept (no false
     # negatives); others may only survive as bloom false positives
     # (~1e-3 each — assert the overwhelmingly-likely exact prune)
-    keep = _bloom_keep_files(idx, [117])
-    assert str(tmp_path / "part-2.parquet") in keep
+    keep = _bloom_plan(idx, [117])
+    assert (str(tmp_path / "part-2.parquet"), 0) in keep
     assert len(keep) <= 2
 
 
@@ -56,7 +56,32 @@ def test_bloom_index_reused_across_lookups(ray_session, tmp_path):
     from driftray.ops.zonemap import bloom_pruned_read, build_bloom_index
 
     paths = _stage(tmp_path)
-    idx = build_bloom_index(paths, "id").to_pandas()
+    idx = build_bloom_index(paths, "id")
     a = bloom_pruned_read(paths, "id", [7], index=idx).to_pandas()
     b = bloom_pruned_read(paths, "id", [151], index=idx).to_pandas()
     assert a["id"].tolist() == [7] and b["id"].tolist() == [151]
+
+
+def test_bloom_index_prunes_row_groups_of_one_file(ray_session, tmp_path,
+                                                   monkeypatch):
+    """One filter per row group: a probe held by one row group of a file
+    plans only that row group's read."""
+    from driftray.ops import zonemap
+
+    path = str(tmp_path / "one.parquet")
+    ids = np.arange(200, dtype=np.int64)
+    pq.write_table(pa.table({"id": ids, "v": ids * 2}), path, row_group_size=50)
+    idx = zonemap.build_bloom_index([path], "id")
+    assert list(zip(idx["file"].to_pylist(), idx["row_group"].to_pylist())) == [
+        (path, g) for g in range(4)]
+    plans = []
+    map_row_groups = zonemap.map_row_groups
+
+    def spy(row_groups, *args, **kw):
+        plans.append(list(row_groups))
+        return map_row_groups(row_groups, *args, **kw)
+
+    monkeypatch.setattr(zonemap, "map_row_groups", spy)
+    out = zonemap.bloom_pruned_read([path], "id", [117], index=idx)
+    assert (path, 2) in plans[0] and len(plans[0]) <= 2
+    assert out.to_pydict() == {"id": [117], "v": [234]}

@@ -6,7 +6,6 @@ value to Ray workers (a real out-of-tree package would simply be importable
 on the workers)."""
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pytest
 
@@ -70,13 +69,19 @@ class TestCheckRegistry:
                         & (findings["check"] == "regex")]
         assert list(viol["row_ref"]) == ["BAD PATH!"]
 
-    def test_end_to_end_via_validate_dataset(self, regex_check_cls, ray_session):
-        import ray.data as rd
+    def test_end_to_end_via_validate_dataset(self, regex_check_cls, ray_session,
+                                             tmp_path):
+        """The kernel, custom check included, runs in a Ray task."""
+        from functools import partial
 
+        import pyarrow.parquet as pq
+
+        from driftray.ops.zonemap import map_row_groups
         from driftray.pipeline import validate_dataset
 
-        df = pd.DataFrame({"path": ["ok/one.py", "not ok", "ok/two.py"]})
-        results = validate_dataset(rd.from_pandas(df), _spec(),
+        path = str(tmp_path / "paths.parquet")
+        pq.write_table(pa.table({"path": ["ok/one.py", "not ok", "ok/two.py"]}), path)
+        results = validate_dataset(partial(map_row_groups, [(path, 0)]), _spec(),
                                    check_uniqueness=False)
         res = results[-1]
         assert res.counters.get("regex|path") == 1

@@ -1,14 +1,13 @@
-"""One row-group reader behind every planned read: the same plan gives the
-same table through the Ray Data read (``ops.zonemap.read_row_groups``) and
-through plain tasks (``ops.zonemap.map_row_groups``), both of which run
-``ops.zonemap.read_row_group``."""
+"""One row-group reader behind every planned read: plain tasks
+(``ops.zonemap.map_row_groups``, running ``ops.zonemap.read_row_group``)
+give the rows of ``pq.read_table`` with the same filter, padded to the
+same schema."""
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
-import ray
 
 from driftray.ops import zonemap
 from driftray.sources import read_footers, union_schema
@@ -37,14 +36,22 @@ def _rows(tables) -> list:
 
 
 def _both(plan, columns, **read):
-    """The rows of ``plan`` read through Ray Data and through plain tasks."""
-    members = (None if read.get("value_set") is None
-               else pa.array(read["value_set"], pa.int64()))
-    read = {"col": read["col"], "lo": read.get("lo"), "hi": read.get("hi"),
-            "members": members}
-    via_data = ray.get(zonemap.read_row_groups(plan, columns, **read).to_arrow_refs())
-    via_tasks = zonemap.map_row_groups(plan, lambda t: t, columns, **read)
-    return via_data, via_tasks
+    """The rows of ``plan`` from ``pq.read_table`` of its files with the
+    same filter, in ``columns`` (a schema pads with nulls), and through
+    plain tasks."""
+    col, lo, hi, value_set = (read["col"], read.get("lo"), read.get("hi"),
+                              read.get("value_set"))
+    members = None if value_set is None else pa.array(value_set, pa.int64())
+    via_tasks = zonemap.map_row_groups(plan, lambda t: t, columns, col=col,
+                                       lo=lo, hi=hi, members=members)
+    keep = ((lambda v: v in value_set) if value_set is not None
+            else (lambda v: lo <= v <= hi))
+    schema = columns if isinstance(columns, pa.Schema) else None
+    names = schema.names if schema is not None else list(columns)
+    rows = [{c: r.get(c) for c in names}
+            for f in dict.fromkeys(f for f, _ in plan)
+            for r in pq.read_table(f).to_pylist() if keep(r[col])]
+    return [pa.Table.from_pylist(rows, schema=schema)], via_tasks
 
 
 def _union(footers, columns=None) -> pa.Schema:
@@ -57,11 +64,11 @@ def test_two_schema_member_filter_padded_alike(ray_session, tmp_path):
     plan = zonemap.row_groups_of(footers)
     assert len(plan) == 4
     schema = _union(footers)
-    via_data, via_tasks = _both(plan, schema, col="w", value_set=[1, 4])
-    for tables in (via_data, via_tasks):
+    want, via_tasks = _both(plan, schema, col="w", value_set=[1, 4])
+    for tables in (want, via_tasks):
         assert all(t.schema == schema for t in tables)
     got = _rows(via_tasks)
-    assert _rows(via_data) == got
+    assert _rows(want) == got
     assert [(r["w"], r["extra"]) for r in got[::20]] == [(1, None), (4, 40)]
     assert len(got) == 40
 
@@ -69,14 +76,14 @@ def test_two_schema_member_filter_padded_alike(ray_session, tmp_path):
 def test_range_filter_projected_alike(ray_session, tmp_path):
     footers = read_footers(_two_schemas(tmp_path))
     plan = zonemap.row_groups_of(footers)
-    via_data, via_tasks = _both(plan, ["k", "v"], col="w", lo=2, hi=3)
-    for tables in (via_data, via_tasks):
+    oracle, via_tasks = _both(plan, ["k", "v"], col="w", lo=2, hi=3)
+    for tables in (oracle, via_tasks):
         assert all(t.column_names == ["k", "v"] for t in tables)
     full = pa.concat_tables(pq.read_table(f, columns=["w", "k", "v"])
                             for f in footers)
     want = sorted((r["k"], r["v"]) for r in full.to_pylist() if 2 <= r["w"] <= 3)
     assert len(want) == 40
-    for tables in (via_data, via_tasks):
+    for tables in (oracle, via_tasks):
         assert sorted((r["k"], r["v"])
                       for r in pa.concat_tables(tables).to_pylist()) == want
 
@@ -91,14 +98,14 @@ def test_column_no_schema_supplies_raises(ray_session, tmp_path):
     with pytest.raises(KeyError, match="nowhere"):
         _union(footers, ["k", "nowhere"])
     # a column list supplies nothing: the file without ``extra`` raises,
-    # through the reader, a plain task and a Ray Data read task alike
+    # through the reader and a plain task, with a filter or without
     with pytest.raises(KeyError, match="extra"):
         zonemap.read_row_group(plan[0][0], 0, ["k", "extra"])
     with pytest.raises(Exception, match="extra"):
         zonemap.map_row_groups(plan, lambda t: t, ["k", "extra"])
     with pytest.raises(Exception, match="extra"):
-        zonemap.read_row_groups(plan, ["k", "extra"], col="w", lo=0,
-                                hi=5).materialize()
+        zonemap.map_row_groups(plan, lambda t: t, ["k", "extra"], col="w",
+                               lo=0, hi=5)
 
 
 def test_two_schema_key_plan_is_one_submission(ray_session, tmp_path, monkeypatch):

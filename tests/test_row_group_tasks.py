@@ -1,17 +1,17 @@
 """Plain row-group tasks: ``ops.zonemap.map_row_groups``, and the table
-uniqueness verify that ``run_validation`` runs on them, checked against
-the Ray Data path of ``uniqueness_violations``."""
+uniqueness verify and kernel pass that ``run_validation`` runs on them,
+checked against oracles over the tables ``pq.read_table`` reads."""
 
 import json
 import os
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
-import ray.data as rd
 
-from driftray.pipeline import load_table_report, run_validation, uniqueness_violations
+from driftray.pipeline import load_table_report, run_validation
 from driftray.spec import TableSpec
 
 SPEC = TableSpec(name="u", unique_key=("k1", "k2"), order_column="ord")
@@ -91,11 +91,21 @@ def _table_outputs(out: str):
             sorted(zip(win["key"].to_pylist(), win["win_order"].to_pylist())))
 
 
-def _dataset_outputs(paths):
-    dup, extra, winners = uniqueness_violations(rd.read_parquet(paths), SPEC)
-    return (sorted(zip(dup["row_ref"].to_pylist(), dup["detail"].to_pylist())),
-            extra,
-            sorted(zip(winners["key"].to_pylist(), winners["win_order"].to_pylist())))
+def _oracle_outputs(paths):
+    """``_table_outputs`` computed in pandas from ``pq.read_table``: each
+    key (``checks.join_key``) held by more than one row, its row count
+    and its least order value."""
+    from driftray.checks import join_key
+
+    t = pa.concat_tables(pq.read_table(p) for p in paths)
+    df = pd.DataFrame({"key": join_key(t, list(SPEC.unique_key)),
+                       "ord": t["ord"].to_numpy()})
+    n = df.groupby("key").size()
+    n = n[n > 1]
+    first = df.groupby("key")["ord"].min()
+    return (sorted((k, f"{c} occurrences (kept first by order)") for k, c in n.items()),
+            int((n - 1).sum()),
+            sorted((k, int(first[k])) for k in n.index))
 
 
 def _last_jobs(out: str) -> dict:
@@ -120,13 +130,12 @@ def test_plain_task_verify_matches_dataset_path(ray_session, tmp_path):
 
     out = str(tmp_path / "out")
     run_validation(str(d), out, SPEC)
-    want = _dataset_outputs(paths)
+    want = _oracle_outputs(paths)
     assert want[1] > 0 and any(k.startswith("<null>") for k, _ in want[0])
     assert _table_outputs(out) == want
     jobs = _last_jobs(out)
-    assert jobs["uniqueness"] == {"ray_data": 0, "row_group_tasks": n_row_groups}
+    assert jobs["uniqueness"] == {"row_group_tasks": n_row_groups}
     # the kernel pass is plain tasks too, one per planned row group
-    assert all(j["ray_data"] == 0 for j in jobs.values())
     assert jobs["validate_chunks"]["row_group_tasks"] == n_row_groups
     assert jobs["validate_chunks"]["row_groups"] == n_row_groups
 
@@ -157,16 +166,17 @@ def test_added_key_column_is_null_padded(ray_session, tmp_path):
         2, "k2", pa.nulls(200, pa.int64()))
     keys = pa.concat_tables([padded, *tables[2:]]).select(["k1", "k2"]).to_pandas()
     assert load_table_report(out)["extra_rows"] == int(keys.duplicated().sum())
-    assert _last_jobs(out)["uniqueness"] == {"ray_data": 0, "row_group_tasks": 12}
+    assert _last_jobs(out)["uniqueness"] == {"row_group_tasks": 12}
 
 
 def test_plan_path_equals_dataset_path(ray_session, tmp_path):
     """Two schema groups, several row groups per file, and windows whose
     rows interleave inside a row group: ``run_validation``'s plain-task
-    kernel pass gives the window results of ``validate_dataset`` over a
-    Dataset of the same rows, one block per row group."""
+    kernel pass gives the window results of ``validate_dataset`` over the
+    same rows held in memory, one table per row group, read by
+    ``pyarrow`` and null-padded to the union schema."""
     from driftray.checks import EMPTY_GROUP
-    from driftray.ops.zonemap import read_row_group, row_groups_of
+    from driftray.ops.zonemap import row_groups_of
     from driftray.pipeline import infer_hist_edges, validate_dataset
     from driftray.sources import read_footers, union_schema
     from driftray.spec import ColumnSpec
@@ -192,15 +202,17 @@ def test_plan_path_equals_dataset_path(ray_session, tmp_path):
     plan = row_groups_of(footers)
     assert len(plan) == 6
     schema = union_schema([md.schema.to_arrow_schema() for md in footers.values()])
-    ds = rd.from_arrow([read_row_group(f, g, schema) for f, g in plan])
-    want = validate_dataset(ds, spec, window_column="window_id",
+    tables = [pa.Table.from_pylist(pq.ParquetFile(f).read_row_group(g).to_pylist(),
+                                   schema=schema) for f, g in plan]
+    want = validate_dataset(lambda fn: [fn(t) for t in tables], spec,
+                            window_column="window_id",
                             hist_edges=infer_hist_edges(str(d), spec),
                             check_uniqueness=False)
     got = {r.window_id: r for r in run_validation(
         str(d), str(tmp_path / "out"), spec, check_uniqueness=False)}
     assert sorted(got) == sorted(want) == [0, 1, 2, 3]
     assert (_last_jobs(str(tmp_path / "out"))["validate_chunks"]
-            == {"ray_data": 0, "row_group_tasks": 6, "row_groups": 6})
+            == {"row_group_tasks": 6, "row_groups": 6})
     for w, res in want.items():
         assert got[w].n_rows == res.n_rows == 60
         assert got[w].counters == res.counters
@@ -216,3 +228,40 @@ def test_plan_path_equals_dataset_path(ray_session, tmp_path):
     assert got[0].counters["completeness|extra"] == 60    # padded nulls
     assert got[2].counters["range|extra"] > 0
     assert (EMPTY_GROUP, "v") in got[0].profiles
+
+
+def test_no_ray_data_dataset_is_built(ray_session, tmp_path, monkeypatch):
+    """``run_validation`` (table uniqueness, Bloom membership) and
+    ``validate_dataset`` over in-memory tables build no Ray Data Dataset:
+    with ``Dataset.__init__`` raising they return what they return
+    without it."""
+    import ray.data as rd
+
+    from driftray.fixtures import RepoFilesConfig, write_repo_files
+    from driftray.pipeline import validate_dataset
+    from driftray.spec import repo_files_spec
+
+    data = str(tmp_path / "data")
+    write_repo_files(data, 3000, RepoFilesConfig(window_rows=1000))
+    path = os.path.join(data, "repo_files.parquet")
+    dims = {t: os.path.join(data, f"{t}.parquet") for t in ("repos", "commits")}
+    spec = repo_files_spec()
+    tables = [pq.read_table(path)]
+
+    def results(out: str):
+        run = run_validation(path, out, spec, dim_paths=dims, use_bloom=True)
+        mem = validate_dataset(lambda fn: [fn(t) for t in tables], spec,
+                               window_column="window_id")
+        return ([(r.window_id, r.counters, r.violations.to_pylist()) for r in run],
+                _table_outputs(out),
+                [(w, r.counters, r.violations.to_pylist()) for w, r in mem.items()])
+
+    want = results(str(tmp_path / "free"))
+    assert [w for w, *_ in want[0]] == [0, 1, 2]
+    assert want[1][1] > 0 and want[2][-1][1]["uniqueness|repo|path|commit"] > 0
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a Ray Data Dataset was built")
+
+    monkeypatch.setattr(rd.Dataset, "__init__", refuse)
+    assert results(str(tmp_path / "refused")) == want

@@ -1,4 +1,4 @@
-"""Unit oracles for the zone-map ops: parquet_zone_map and pruned_read
+"""Unit oracles for the zone-map ops: footer_zone_map and pruned_read
 (incl. the planted multi-row-group pruning proof), twins of the q117 and
 q118 oracles."""
 import pandas as pd
@@ -21,11 +21,11 @@ def _write_clustered(tmp_path, n_groups=5, rows_per_group=100):
     return path
 
 
-def test_zone_map_matches_footers(ray_session, tmp_path):
-    from driftray.ops.zonemap import parquet_zone_map
+def test_zone_map_matches_footers(tmp_path):
+    from driftray.ops.zonemap import footer_zone_map
 
     path = _write_clustered(tmp_path)
-    zm = (parquet_zone_map([path], "v").to_pandas()
+    zm = (footer_zone_map([path], "v").to_pandas()
           .sort_values("row_group").reset_index(drop=True))
     assert len(zm) == 5
     assert zm["n_rows"].tolist() == [100] * 5
@@ -33,42 +33,40 @@ def test_zone_map_matches_footers(ray_session, tmp_path):
     assert zm["vmax"].tolist() == [g * 1000 + 99 for g in range(5)]
 
 
-def test_zone_map_types_bounds_from_footer(ray_session, tmp_path):
+def test_zone_map_types_bounds_from_footer(tmp_path):
     """A file written without statistics has null vmin/vmax typed like
-    the column, so its block has the same schema as the others."""
-    import ray
-
-    from driftray.ops.zonemap import parquet_zone_map
+    the column."""
+    from driftray.ops.zonemap import footer_zone_map
 
     path = _write_clustered(tmp_path, n_groups=2)
     bare = str(tmp_path / "bare.parquet")
     pq.write_table(pa.table({"v": pa.array([7, 8], pa.int64()),
                              "grp": pa.array([9, 9], pa.int64())}),
                    bare, write_statistics=False)
-    blocks = ray.get(parquet_zone_map([path, bare], "v").to_arrow_refs())
+    table = footer_zone_map([path, bare], "v")
     for col in ("vmin", "vmax"):
-        assert {b.schema.field(col).type for b in blocks} == {pa.int64()}
-    zm = pa.concat_tables(blocks).to_pandas().sort_values(["file", "row_group"])
+        assert table.schema.field(col).type == pa.int64()
+    zm = table.to_pandas().sort_values(["file", "row_group"])
     assert zm["vmin"].isna().tolist() == [True, False, False]
     assert zm["vmax"].tolist()[1:] == [99, 1099]
 
 
 def test_pruned_read_skips_nonoverlapping_groups(ray_session, tmp_path,
                                                  monkeypatch):
-    """The planted pruning proof: the plan ``pruned_read`` hands to the
-    row-group reader holds only the overlapping row group, so no pruned
+    """The planted pruning proof: the plan ``pruned_read`` hands to
+    ``map_row_groups`` holds only the overlapping row group, so no pruned
     group is ever opened, and the rows equal the exact filter."""
     from driftray.ops import zonemap
 
     path = _write_clustered(tmp_path)
     plans = []
-    read_row_groups = zonemap.read_row_groups
+    map_row_groups = zonemap.map_row_groups
 
     def spy(row_groups, *args, **kw):
         plans.append(list(row_groups))
-        return read_row_groups(row_groups, *args, **kw)
+        return map_row_groups(row_groups, *args, **kw)
 
-    monkeypatch.setattr(zonemap, "read_row_groups", spy)
+    monkeypatch.setattr(zonemap, "map_row_groups", spy)
     out = (zonemap.pruned_read([path], "v", 2000, 2050).to_pandas()
            .sort_values("v").reset_index(drop=True))
     # only row group 2 (v in [2000, 2099]) overlaps [2000, 2050]
@@ -96,5 +94,5 @@ def test_pruned_read_no_overlap_returns_typed_empty(ray_session, tmp_path):
 
     path = _write_clustered(tmp_path)
     out = pruned_read([path], "v", 10**9, 2 * 10**9)
-    assert out.count() == 0
-    assert {f.name for f in out.schema().base_schema} >= {"v", "grp"}
+    assert out.num_rows == 0
+    assert out.schema == pq.read_schema(path)
