@@ -36,7 +36,7 @@ from .spec import TableSpec
 
 FINDINGS_SCHEMA = pa.schema(
     [
-        ("window", pa.int64()),     # window id (-1 = whole input / table-level)
+        ("window", pa.int64()),     # window id (-1 = whole input, no window column)
         ("kind", pa.string()),      # violation | counter | sketch
         ("check", pa.string()),     # completeness | range | sha256 | rows | profile | ...
         ("column", pa.string()),
@@ -232,17 +232,20 @@ def sha256_hex_arrow(col: pa.ChunkedArray | pa.Array) -> list[str]:
 
 
 class CheckContext:
-    """Per-(batch, window) state handed to every check's ``process``.
+    """Per-(batch, window) state handed to every check's ``process``;
+    nothing in it outlives the batch.
 
     ``emit_violations(mask, check, column, detail)`` records the exact
-    counter and up to the remaining budget of violation rows (row refs are
-    built lazily, only for violating rows); ``append(kind, check, ...)``
-    writes a raw findings row (counters/sketches); ``hash_keys(columns)``
-    is ``checks.hash_keys`` over the batch, each column hashed once per
+    counter and the ``budget`` least row refs of the violating rows (a
+    bottom-k sample, which merges exactly; refs are built lazily, only
+    for violating rows); ``emit_column(check, column, n, detail)`` a
+    counter and, unless ``budget`` is 0, one ``"*"`` row for a finding
+    about a whole column; ``append(kind, check, ...)`` writes a raw
+    findings row (counters/sketches); ``hash_keys(columns)`` is
+    ``checks.hash_keys`` over the batch, each column hashed once per
     context whichever checks key on it."""
 
-    __slots__ = ("batch", "window", "spec", "out", "_budget", "_refs",
-                 "_col_hashes")
+    __slots__ = ("batch", "window", "spec", "out", "k", "_refs", "_col_hashes")
 
     def __init__(self, batch: pa.Table, window: int, spec: TableSpec,
                  out: dict, budget: int):
@@ -250,7 +253,7 @@ class CheckContext:
         self.window = window
         self.spec = spec
         self.out = out
-        self._budget = budget
+        self.k = budget
         self._refs = None
         self._col_hashes: dict[str, np.ndarray] = {}
 
@@ -277,13 +280,23 @@ class CheckContext:
                         detail: str) -> None:
         cnt = int(mask.sum())
         _append(self.out, "counter", check, column=column, n=cnt)
-        if cnt == 0 or self._budget <= 0:
+        if cnt == 0 or self.k <= 0:
             return
-        idx = np.flatnonzero(mask)[: self._budget]
-        self._budget -= idx.size
-        for r in self.refs_at(idx):
+        refs = self.refs_at(np.flatnonzero(mask))
+        if cnt > self.k:
+            # Arrow orders strings by UTF-8 bytes, which is code-point
+            # order: the order of the driver's sort
+            refs = refs[pc.bottom_k_unstable(pa.array(refs, pa.string()),
+                                             self.k).to_numpy()]
+        for r in refs:
             _append(self.out, "violation", check, column=column,
                     row_ref=str(r), detail=detail)
+
+    def emit_column(self, check: str, column: str, n: int, detail: str) -> None:
+        _append(self.out, "counter", check, column=column, n=n)
+        if self.k > 0:
+            _append(self.out, "violation", check, column=column,
+                    row_ref="*", detail=detail)
 
 
 class BatchCheck:
@@ -321,9 +334,8 @@ class CompletenessCheck(BatchCheck):
     def process(self, ctx: CheckContext) -> None:
         for name in self.columns:
             if name not in ctx.batch.column_names:
-                ctx.append("counter", "completeness", column=name, n=ctx.n_rows)
-                ctx.append("violation", "completeness", column=name,
-                           row_ref="*", detail="column missing from batch")
+                ctx.emit_column("completeness", name, ctx.n_rows,
+                                "column missing from batch")
                 continue
             mask = _null_or_empty_mask(ctx.batch[name])
             ctx.emit_violations(mask, "completeness", name, "null/empty/NaN")
@@ -347,47 +359,33 @@ class RangeCheck(BatchCheck):
             if cs.max_value is not None:
                 viol = pc.or_kleene(viol, pc.greater(col, cs.max_value))
             viol = pc.fill_null(viol, False)  # nulls are completeness's business
-            mask = np.asarray(viol.to_pandas(), dtype=bool)
-            wm = _when_mask(batch, cs.when, ctx.n_rows, ctx,
-                            _rule_label(cs), owner=self)
-            if wm is not None:
-                mask &= wm
+            mask = _when_mask(ctx, cs, np.asarray(viol.to_pandas(), dtype=bool))
             ctx.emit_violations(mask, "range", _rule_label(cs),
                                 f"outside [{cs.min_value}, {cs.max_value}]")
 
 
-def _when_mask(batch: pa.Table, when: tuple | None, n_rows: int,
-               ctx: "CheckContext", rule_label: str,
-               owner: "BatchCheck") -> np.ndarray | None:
-    """Row-condition mask for conditional (cross-column) rules; None when
-    the rule is unconditional.
+def _when_mask(ctx: CheckContext, cs, mask: np.ndarray) -> np.ndarray:
+    """``mask`` restricted to the rows that meet rule ``cs``'s row
+    condition ``cs.when`` (conditional, cross-column rules); ``mask``
+    itself when the rule is unconditional.
 
     When the gate column is ABSENT from the batch the rule cannot fire,
     but a silent all-False mask would make a misspelled gate column look
-    like a permanently-passing rule — so a distinct ``config`` finding is
-    emitted before masking everything out.  The finding is emitted ONCE
-    per rule per copy of the check a map task runs (tracked on
-    ``owner``), not per batch: a
-    misconfiguration is a per-rule fact, and per-batch emission would
-    make the counter batch-count-dependent and flood the findings table
-    past the violation budget on large tables."""
-    if when is None:
-        return None
-    col, val = when
-    if col not in batch.column_names:
-        warned = owner.__dict__.setdefault("_cfg_warned", set())
-        if rule_label not in warned:
-            warned.add(rule_label)
-            ctx.append("counter", "config", column=rule_label, n=1)
-            if ctx._budget > 0:
-                ctx._budget -= 1
-                ctx.append("violation", "config", column=rule_label,
-                           row_ref="*",
-                           detail=f"when-column {col!r} missing from "
-                                  "batch; conditional rule disabled")
-        return np.zeros(n_rows, dtype=bool)
-    eq = pc.fill_null(pc.equal(batch[col], val), False)
-    return np.asarray(eq.to_pandas(), dtype=bool)
+    like a permanently-passing rule — so a distinct ``config`` finding
+    (counter 1 and a ``"*"`` row) is emitted before masking everything
+    out.  Each batch emits it; ``pipeline.merge_findings`` takes the
+    counter's max and keeps the row once, so a window reports 1 however
+    its rows were split into batches."""
+    if cs.when is None:
+        return mask
+    col, val = cs.when
+    if col not in ctx.batch.column_names:
+        ctx.emit_column("config", _rule_label(cs), 1,
+                        f"when-column {col!r} missing from batch; "
+                        "conditional rule disabled")
+        return np.zeros_like(mask)
+    eq = pc.fill_null(pc.equal(ctx.batch[col], val), False)
+    return mask & np.asarray(eq.to_pandas(), dtype=bool)
 
 
 def _rule_label(cs) -> str:
@@ -417,11 +415,8 @@ class AcceptedValuesCheck(BatchCheck):
             col = batch[cs.name]
             ok = pc.is_in(col, value_set=vset)
             viol = pc.and_kleene(pc.invert(ok), pc.is_valid(col))
-            mask = np.asarray(pc.fill_null(viol, False).to_pandas(), dtype=bool)
-            wm = _when_mask(batch, cs.when, ctx.n_rows, ctx,
-                            _rule_label(cs), owner=self)
-            if wm is not None:
-                mask &= wm
+            mask = _when_mask(ctx, cs, np.asarray(
+                pc.fill_null(viol, False).to_pandas(), dtype=bool))
             ctx.emit_violations(mask, "accepted", _rule_label(cs),
                                 f"not in accepted set ({len(vset)} values)")
 
@@ -444,11 +439,8 @@ class FormatCheck(BatchCheck):
             col = batch[cs.name]
             ok = pc.match_substring_regex(col, rx)
             viol = pc.and_kleene(pc.invert(ok), pc.is_valid(col))
-            mask = np.asarray(pc.fill_null(viol, False).to_pandas(), dtype=bool)
-            wm = _when_mask(batch, cs.when, ctx.n_rows, ctx,
-                            _rule_label(cs), owner=self)
-            if wm is not None:
-                mask &= wm
+            mask = _when_mask(ctx, cs, np.asarray(
+                pc.fill_null(viol, False).to_pandas(), dtype=bool))
             ctx.emit_violations(mask, "format", _rule_label(cs),
                                 f"does not match /{cs.pattern}/")
 
@@ -629,6 +621,10 @@ def build_checks(spec: TableSpec, hist_edges: dict,
     return checks
 
 
+# violation rows sampled per (window, check, column): the least by row ref
+VIOLATION_SAMPLE = 10_000
+
+
 class ValidationKernel:
     """Callable kernel, run once per row group in plain tasks.
 
@@ -642,19 +638,23 @@ class ValidationKernel:
     the batch: a window-ordered batch is neither copied nor filtered
     (only a window whose rows are not contiguous is gathered by a mask).
 
+    A batch's findings depend on that batch alone.  Counters carry exact
+    totals, and each check keeps at most ``cap`` (``VIOLATION_SAMPLE``)
+    violation rows per (check, column), the least by row ref: a
+    pathological window cannot blow up the findings table at 100 TB
+    scale, and the samples of any split of a window merge exactly.
+
     ``hist_edges`` maps profile column → bin edges; edges must be identical
     across windows so histogram partials stay mergeable and PSI-comparable.
-    ``max_violations_per_batch`` caps emitted violation rows (counters always
-    carry exact totals) so a pathological window cannot blow up the findings
-    table at 100 TB scale.  A column without edges gets 10 bins over
-    [0, 1]; ad-hoc checks come in through ``spec.custom_checks``."""
+    A column without edges gets 10 bins over [0, 1]; ad-hoc checks come in
+    through ``spec.custom_checks``."""
+
+    cap = VIOLATION_SAMPLE
 
     def __init__(self, spec: TableSpec, hist_edges: dict | None = None,
-                 max_violations_per_batch: int = 10_000,
                  membership: dict[int, object] | None = None,
                  window_column: str | None = None) -> None:
         self.spec = spec
-        self.cap = max_violations_per_batch
         self.window_column = window_column
         # membership[i] = sorted uint64 key-hash run or BloomFilter for
         # spec.foreign_keys[i] (T4/J2); the row-group tasks get it with

@@ -27,12 +27,17 @@ Scale notes
   the schema groups, the zone map and the histogram edges all plan from
   it.
 * The raw input is read ONCE per window; the kernel's findings output
-  (violations capped per batch + KB-sized sketches) is the only thing
-  materialized.  A row group whose rows all belong to the chunk's
-  windows is neither filtered nor copied: the read passes it on as
-  read, and the kernel checks each window's run of rows as a zero-copy
-  slice.  The findings reduce on the driver in one pass over Python
-  lists, without pandas.
+  (exact counters, a bounded violation sample + KB-sized sketches) is
+  the only thing materialized.  A row group whose rows all belong to the
+  chunk's windows is neither filtered nor copied: the read passes it on
+  as read, and the kernel checks each window's run of rows as a
+  zero-copy slice.  The findings reduce on the driver in one pass over
+  Python lists, without pandas.
+* The kernel keeps no state across batches, and :func:`merge_findings`
+  reduces each window's findings exactly (counters sum, ``config``
+  counters take the max, violation samples are per-(check, column)
+  bottom-k by row ref), so counters, verdicts and ``violations.parquet``
+  do not depend on how the rows were split into files or tasks.
 * Referential membership (a sorted run of the dimension's 8-byte key
   hashes, or a Bloom filter over them at 100 TB scale) travels inside
   the kernel, which ``map_row_groups`` puts in the object store once per
@@ -84,7 +89,8 @@ except ModuleNotFoundError:  # pragma: no cover - aiohttp absent in sandbox
 
 from . import sketches
 from .bloom import BloomFilter
-from .checks import EMPTY_GROUP, ValidationKernel, hash_keys, in_sorted, join_key
+from .checks import (EMPTY_GROUP, FINDINGS_SCHEMA, ValidationKernel, hash_keys,
+                     in_sorted, join_key)
 from .drift import js_divergence, ks_from_digests, mean_difference, psi, _kolmogorov_sf
 from .sketches import ColumnProfile, merge_all
 from .spec import TableSpec
@@ -106,7 +112,7 @@ class WindowResult:
     window_id: int
     n_rows: int
     counters: dict            # check|column → violation count (exact)
-    violations: pa.Table      # sampled violation rows (capped per batch)
+    violations: pa.Table      # bottom-k sample per (check, column), sorted
     profiles: dict            # (group, column) → ColumnProfile
     key_hll_estimate: float | None
     drift_rows: list = field(default_factory=list)
@@ -179,22 +185,31 @@ def build_membership(dim: pa.Table | str, columns, *,
     return np.unique(all_keys)
 
 
-def merge_findings(findings: pa.Table) -> tuple[dict, pa.Table, dict, float | None]:
-    """Split + reduce a materialized findings table (tiny vs the input)
-    in one pass over its columns as Python lists.
+def merge_findings(findings: pa.Table,
+                   kernel: ValidationKernel) -> dict[int, WindowResult]:
+    """Reduce the findings ``kernel`` emitted to one ``WindowResult`` per
+    window, in one pass over the table's columns as Python lists.  This
+    is the one place a window reduces, and each output depends only on
+    the window's rows, not on how they were split into batches:
 
-    Returns (counters, violations, profiles, key_hll_estimate): counters
-    summed per (check, column) and ordered by it, keyed ``check`` or
-    ``check|column``; profiles ordered by (group, column), each merged
-    from its ``profile`` rows in row order."""
-    sums: dict[tuple[str, str], int] = {}
-    merged: dict[tuple[str, str], ColumnProfile] = {}
-    hlls: list[bytes] = []
-    for kind, check, column, group, n, blob in zip(*(
-            findings[c].to_pylist() for c in (
-                "kind", "check", "column", "group", "n", "blob"))):
+    * counters sum per (check, column), except ``config`` counters (one
+      per batch lacking a rule's ``when`` column), which take the max;
+      keyed ``check`` or ``check|column``, ordered by (check, column);
+    * violations: per (check, column), the ``kernel.cap`` least rows by
+      (row_ref, detail) of the union of the batches' bottom-k samples,
+      a column-level row (``row_ref == "*"``) once; sorted;
+    * profiles merge per (group, column) in row order, ordered by it;
+      HLL partials give ``key_hll_estimate``, and the key-hash runs one
+      sorted ``key_hashes`` run (None when the spec has no unique key)."""
+    acc: dict[int, tuple] = {}
+    for w, kind, check, column, group, ref, detail, n, blob in zip(*(
+            findings[c].to_pylist() for c in FINDINGS_SCHEMA.names)):
+        sums, rows, merged, hlls, runs = acc.setdefault(w, ({}, [], {}, [], []))
         if kind == "counter":
-            sums[check, column] = sums.get((check, column), 0) + n
+            old = sums.get((check, column), 0)
+            sums[check, column] = max(old, n) if check == "config" else old + n
+        elif kind == "violation":
+            rows.append((check, column, ref, detail))
         elif kind == "sketch" and check == "profile":
             p = sketches.loads(blob)
             if (group, column) in merged:
@@ -203,16 +218,37 @@ def merge_findings(findings: pa.Table) -> tuple[dict, pa.Table, dict, float | No
                 merged[group, column] = p
         elif kind == "sketch" and check == "uniqueness":
             hlls.append(blob)
-    counters = {check if column == "" else f"{check}|{column}": sums[check, column]
-                for check, column in sorted(sums)}
+        elif kind == "sketch" and check == "key_hashes":
+            runs.append(np.frombuffer(blob, np.int64))
+    results = {}
+    for w in sorted(acc):
+        sums, rows, merged, hlls, runs = acc[w]
+        counters = {check if column == "" else f"{check}|{column}": sums[check, column]
+                    for check, column in sorted(sums)}
+        results[w] = WindowResult(
+            w, int(counters.get("rows", 0)), counters,
+            _violation_sample(rows, kernel.cap),
+            {key: merged[key] for key in sorted(merged)},
+            merge_all(sketches.loads(b) for b in hlls).estimate() if hlls else None,
+            key_hashes=(np.sort(_concat_runs(runs))
+                        if kernel.spec.unique_key else None))
+    return results
 
-    violations = findings.filter(pc.equal(findings["kind"], "violation")).select(
-        ["check", "column", "row_ref", "detail"])
 
-    profiles = {key: merged[key] for key in sorted(merged)}
-    key_hll = (merge_all(sketches.loads(b) for b in hlls).estimate()
-               if hlls else None)
-    return counters, violations, profiles, key_hll
+def _violation_sample(rows: list[tuple], k: int) -> pa.Table:
+    """The sorted ``(check, column, row_ref, detail)`` rows: the ``k``
+    least per (check, column), a ``"*"`` row once."""
+    kept, taken, prev = [], Counter(), None
+    for row in sorted(rows):
+        if row == prev and row[2] == "*":
+            continue
+        prev = row
+        if taken[row[:2]] < k:
+            taken[row[:2]] += 1
+            kept.append(row)
+    cols = list(zip(*kept)) or [()] * len(VIOLATION_COLUMNS)
+    return pa.table({name: pa.array(col, pa.string())
+                     for name, col in zip(VIOLATION_COLUMNS, cols)})
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +256,11 @@ def merge_findings(findings: pa.Table) -> tuple[dict, pa.Table, dict, float | No
 # ---------------------------------------------------------------------------
 
 
+VIOLATION_COLUMNS = ("check", "column", "row_ref", "detail")
+
+
 def _empty_violations() -> pa.Table:
-    return pa.table({c: pa.array([], pa.string())
-                     for c in ("check", "column", "row_ref", "detail")})
+    return pa.table({c: pa.array([], pa.string()) for c in VIOLATION_COLUMNS})
 
 
 def _concat_runs(runs) -> np.ndarray:
@@ -501,28 +539,6 @@ def infer_hist_edges(input_path: str, spec: TableSpec,
     return edges
 
 
-def _findings_to_results(table: pa.Table, spec: TableSpec) -> dict[int, WindowResult]:
-    """Group a findings table by window and reduce each to a WindowResult."""
-    results: dict[int, WindowResult] = {}
-    for w in sorted(set(table["window"].to_pylist())):
-        sub = table.filter(pc.equal(table["window"], w))
-        counters, violations, profiles, key_hll = merge_findings(sub)
-        results[int(w)] = WindowResult(int(w), int(counters.get("rows", 0)),
-                                       counters, violations, profiles, key_hll,
-                                       key_hashes=_key_hash_run(sub, spec))
-    return results
-
-
-def _key_hash_run(findings: pa.Table, spec: TableSpec) -> np.ndarray | None:
-    """The sorted key-hash run of one window's findings (None without a
-    unique key)."""
-    if not spec.unique_key:
-        return None
-    blobs = findings.filter(pc.equal(findings["check"], "key_hashes"))["blob"]
-    return np.sort(_concat_runs(np.frombuffer(b, np.int64)
-                               for b in blobs.to_pylist()))
-
-
 def validate_dataset(
     map_rows,
     spec: TableSpec,
@@ -531,7 +547,6 @@ def validate_dataset(
     membership: dict[int, object] | None = None,
     baseline: Baseline | None = None,
     hist_edges: dict[str, np.ndarray] | None = None,
-    check_uniqueness: bool = True,
 ) -> dict[int, WindowResult]:
     """ONE pass over the rows ``map_rows`` reads, validating every window
     in them.
@@ -542,41 +557,24 @@ def validate_dataset(
     plan of a window chunk, or every row group of a catalogue query's
     file: one plain task per row group), or ``lambda fn: [fn(t) for t in
     tables]`` over in-memory tables.  The kernel runs once per table it
-    is given, and its findings tables reduce on the driver.
+    is given, and ``merge_findings`` reduces its findings tables on the
+    driver.
 
     The kernel tags findings rows with the window id, so N windows cost one
     read + one (tiny) findings table — per-window pipelines
     would pay N read/launch overheads.  Key uniqueness is table-GLOBAL
-    (a key may not repeat across windows): it runs after the pass over the
-    key-hash runs the kernel emitted, and when the input spans multiple
-    windows it is reported on a DEDICATED window -1 result (never silently
-    folded into the first window's quality score); a single-window input
-    reports it on that window."""
+    (a key may not repeat across windows), so it is not checked here:
+    ``uniqueness_violations`` takes the same ``map_rows`` and the results'
+    ``key_hashes`` (``run_validation`` keeps its result under
+    ``out_dir/table/``)."""
     t0 = time.perf_counter()
-    from .checks import FINDINGS_SCHEMA
-
     kernel = ValidationKernel(spec, hist_edges=hist_edges, membership=membership,
                               window_column=window_column)
     parts = [t for t in map_rows(kernel) if t.num_rows]
     table = (pa.concat_tables([t.cast(FINDINGS_SCHEMA) for t in parts])
              if parts else FINDINGS_SCHEMA.empty_table())
-    results = _findings_to_results(table, spec)
-    if not results:
-        results = {-1: WindowResult(-1, 0, {}, _empty_violations(), {}, None)}
-
-    if check_uniqueness and spec.unique_key:
-        dup, extra, _winners = uniqueness_violations(
-            map_rows, spec, _concat_runs(r.key_hashes for r in results.values()))
-        if len(results) == 1:
-            res = results[min(results)]  # single-window input → that window
-        else:
-            # multi-window input: table-global check gets its own window -1
-            # result so no data window's quality score absorbs table-wide
-            # duplicates
-            res = results.setdefault(-1, WindowResult(
-                -1, 0, {}, _empty_violations(), {}, None))
-        res.counters["uniqueness|" + "|".join(spec.unique_key)] = extra
-        res.violations = pa.concat_tables([res.violations, dup])
+    results = merge_findings(table, kernel) or {
+        -1: WindowResult(-1, 0, {}, _empty_violations(), {}, None)}
 
     wall = time.perf_counter() - t0
     for res in results.values():
@@ -914,7 +912,7 @@ def run_validation(
         results = {} if not row_groups else validate_dataset(
             _map_rows(row_groups, schema, window_column, chunk),
             spec, window_column=window_column, membership=membership,
-            baseline=baseline, hist_edges=hist_edges, check_uniqueness=False)
+            baseline=baseline, hist_edges=hist_edges)
         for w in chunk:
             res = results.get(w)
             if res is None:

@@ -21,7 +21,8 @@ copy of it, so their oracles check the engine's own paths:
   row group of the table's file, its partials reduced on the driver):
   the expectation counters of q127, q128, q129, q140 and q173, the
   grouped profiles of q17 and the verdict rows of
-  ``nq_validate_documents`` and ``nq_validate_events``;
+  ``nq_validate_documents`` and ``nq_validate_events`` (with the
+  table-wide count of ``pipeline.uniqueness_violations``);
 - ``sensor.detect_stream``: the detector replay of
   ``nq_unusual_ratio_events``;
 - ``drift.windowed_drift_series``: q145 and ``nq_daily_drift``.
@@ -451,7 +452,7 @@ def _validate(map_rows, spec):
     pass: its ``WindowResult``."""
     from ..pipeline import validate_dataset
 
-    (res,) = validate_dataset(map_rows, spec, check_uniqueness=False).values()
+    (res,) = validate_dataset(map_rows, spec).values()
     return res
 
 
@@ -1198,11 +1199,16 @@ def nq_unusual_ratio_events(sf_dir: str):
 
 def _verdicts(sf_dir: str, spec) -> pd.DataFrame:
     """The verdict rows of ``validate_dataset`` over the ``spec.name``
-    table, uniqueness included."""
-    from ..pipeline import validate_dataset
+    table, with the table-wide uniqueness counter of
+    ``uniqueness_violations`` over the same rows."""
+    from ..pipeline import uniqueness_violations, validate_dataset
 
-    results = validate_dataset(_row_groups(sf_dir, spec.name), spec,
-                               check_uniqueness=True)
+    map_rows = _row_groups(sf_dir, spec.name)
+    results = validate_dataset(map_rows, spec)
+    if spec.unique_key:
+        (res,) = results.values()
+        _dup, extra, _winners = uniqueness_violations(map_rows, spec, res.key_hashes)
+        res.counters["uniqueness|" + "|".join(spec.unique_key)] = extra
     cols = ["n_rows", "n_violations", "quality_score", "passed"]
     return pd.DataFrame([r.verdict_row() for r in results.values()])[cols]
 

@@ -44,16 +44,6 @@ def read_json(path: str, columns=None, **kw) -> rd.Dataset:
     return ds.select_columns(columns) if columns else ds
 
 
-@register_source("text")
-def read_text(path: str, columns=None, **kw) -> rd.Dataset:
-    return rd.read_text(path, **kw)
-
-
-@register_source("binary")
-def read_binary(path: str, columns=None, **kw) -> rd.Dataset:
-    return rd.read_binary_files(path, include_paths=True, **kw)
-
-
 def formats() -> list[str]:
     return sorted(_READERS)
 
@@ -62,7 +52,7 @@ def read_any(path: str, fmt: str | None = None, **kw) -> rd.Dataset:
     """Dispatch on explicit format or file extension."""
     if fmt is None:
         ext = os.path.splitext(path)[1].lstrip(".").lower()
-        fmt = {"pq": "parquet", "jsonl": "json", "txt": "text"}.get(ext, ext)
+        fmt = {"pq": "parquet", "jsonl": "json"}.get(ext, ext)
     if fmt not in _READERS:
         raise ValueError(f"no reader for format {fmt!r}; known: {formats()}")
     return _READERS[fmt](path, **kw)

@@ -1,7 +1,7 @@
 """Regression tests for the round-1 advisor findings (ADVICE.md r1):
 
 * null-stable key hashing across batches (int64-with-null promotion bug),
-* table-global uniqueness reported on a dedicated window -1,
+* table-global uniqueness kept out of every data window,
 * mean_difference returns 0 (not inf) for a zero-std baseline.
 """
 
@@ -73,8 +73,12 @@ class TestMeanDifferenceZeroStd:
 
 
 class TestUniquenessWindowAttribution:
-    def test_multi_window_reports_on_dedicated_minus1(self, ray_session):
-        from driftray.pipeline import validate_dataset
+    def test_uniqueness_stays_out_of_data_windows(self, ray_session):
+        """Key uniqueness is table-global: ``validate_dataset`` folds it
+        into no window's counters, and ``uniqueness_violations`` over the
+        same rows and the windows' key-hash runs counts the repeat."""
+        from driftray.pipeline import (_concat_runs, uniqueness_violations,
+                                       validate_dataset)
 
         # key 42 repeats ACROSS windows 0 and 1
         t = pa.table({
@@ -82,11 +86,12 @@ class TestUniquenessWindowAttribution:
             "ord": pa.array([1, 2, 3, 4], pa.int64()),
             "window_id": pa.array([0, 0, 1, 1], pa.int64()),
         })
-        results = validate_dataset(lambda fn: [fn(t)], _dup_spec(),
-                                   window_column="window_id",
-                                   check_uniqueness=True)
-        assert set(results) == {-1, 0, 1}
-        assert results[-1].counters.get("uniqueness|k") == 1
+        map_rows = lambda fn: [fn(t)]  # noqa: E731
+        results = validate_dataset(map_rows, _dup_spec(), window_column="window_id")
+        assert set(results) == {0, 1}
         for w in (0, 1):
             assert "uniqueness|k" not in results[w].counters
             assert results[w].quality_score == 1.0
+        dup, extra, _winners = uniqueness_violations(
+            map_rows, _dup_spec(), _concat_runs(r.key_hashes for r in results.values()))
+        assert extra == 1 and dup["row_ref"].to_pylist() == ["42"]

@@ -96,3 +96,33 @@ def test_run_validation_calls_validate_dataset_per_chunk(ray_session, tmp_path,
         windows_per_pass=2)
     assert [r.window_id for r in res] == [0, 1, 2, 3, 4]
     assert len(calls) == 3     # chunks [0, 1], [2, 3], [4]
+
+
+def test_kernel_probe_runs_every_built_check(perfbench, tmp_path):
+    """``layers.kernel_probe`` runs each built check on a
+    ``CheckContext`` of its own, as the traced benchmark does: on a
+    200-row repo_files batch with footer-fold histogram edges and Bloom
+    memberships (as ``run.py``'s ``cross_layer_probes`` builds them), it
+    returns a per-check time for every built check and the findings rows
+    per 1000 rows."""
+    import pyarrow.parquet as pq
+
+    from driftray.checks import ValidationKernel
+    from driftray.fixtures import RepoFilesConfig, write_repo_files
+    from driftray.pipeline import build_membership, infer_hist_edges
+
+    _, layers = perfbench
+    data = str(tmp_path / "data")
+    write_repo_files(data, 200, RepoFilesConfig(window_rows=100, content_median=256))
+    spec = repo_files_spec()
+    path = f"{data}/repo_files.parquet"
+    membership = {i: build_membership(pq.read_table(f"{data}/{fk.dim_table}.parquet"),
+                                      fk.dim_columns, use_bloom=True)
+                  for i, fk in enumerate(spec.foreign_keys)}
+    got = layers.kernel_probe(spec, pq.read_table(path).slice(0, 200),
+                              infer_hist_edges(path, spec), membership)
+    built = ValidationKernel(spec, membership=membership).checks
+    for check in built:
+        name = f"checks.{layers.CHECK_NAMES[type(check).__name__]}.s_per_krow"
+        assert got[name] > 0, name
+    assert got["checks.findings_rows_per_krow"] > 0

@@ -81,8 +81,7 @@ class TestCheckRegistry:
 
         path = str(tmp_path / "paths.parquet")
         pq.write_table(pa.table({"path": ["ok/one.py", "not ok", "ok/two.py"]}), path)
-        results = validate_dataset(partial(map_row_groups, [(path, 0)]), _spec(),
-                                   check_uniqueness=False)
+        results = validate_dataset(partial(map_row_groups, [(path, 0)]), _spec())
         res = results[-1]
         assert res.counters.get("regex|path") == 1
         assert res.quality_score == pytest.approx(2 / 3)

@@ -142,7 +142,9 @@ class TestViolationCap:
         spec = make_spec()
         n = 500
         t = pa.table({"sid": [None] * n, "val": [1.0] * n})
-        f = ValidationKernel(spec, max_violations_per_batch=10)(t).to_pandas()
+        kernel = ValidationKernel(spec)
+        kernel.cap = 10
+        f = kernel(t).to_pandas()
         assert len(f[f.kind == "violation"]) == 10
         c = counters_of(pa.Table.from_pandas(f))
         assert c[("completeness", "sid")] == n

@@ -22,6 +22,12 @@ def _findings(n: int = 2000):
     return batch, kernel(batch)
 
 
+def _profiles(kernel: ValidationKernel, batch) -> dict:
+    """The profiles of ``kernel``'s one window over ``batch``."""
+    (res,) = merge_findings(kernel(batch), kernel).values()
+    return res.profiles
+
+
 def test_one_window_batch_emits_one_profile_row_per_group_column():
     batch, findings = _findings()
     prof = findings.filter(pc.equal(findings["check"], "profile"))
@@ -59,8 +65,8 @@ def test_dumps_flushes_the_profile_digest():
 
 
 def test_baseline_save_load_save_is_byte_identical(tmp_path):
-    _, findings = _findings()
-    profiles = merge_findings(findings)[2]
+    profiles = _profiles(ValidationKernel(repo_files_spec(), window_column="window_id"),
+                         _findings()[0])
     first, second = tmp_path / "a.parquet", tmp_path / "b.parquet"
     Baseline(profiles).save(str(first))
     loaded = Baseline.load(str(first))
@@ -81,7 +87,7 @@ def test_empty_string_group_stays_out_of_the_table_profile():
 
     batch = pa.table({"g": ["", "en", "en", ""], "x": [1.0, 2.0, 3.0, 4.0]})
     spec = TableSpec(name="t", profile_columns=("x",), group_column="g")
-    profiles = merge_findings(ValidationKernel(spec)(batch))[2]
+    profiles = _profiles(ValidationKernel(spec), batch)
     assert list(profiles) == [("", "x"), (EMPTY_GROUP, "x"), ("en", "x")]
     assert profiles["", "x"].moments.n == 4
     assert profiles["", "x"].moments.mean == 2.5
@@ -133,7 +139,7 @@ def test_old_baseline_gives_no_categorical_drift_for_empty_group():
            **{(v, "x"): ColumnProfile.of("x", v, x[g == v], edges) for v in ("en", "fr")}}
     spec = TableSpec(name="t", profile_columns=("x",), group_column="g")
     batch = pa.table({"g": g.tolist(), "x": x})
-    current = merge_findings(ValidationKernel(spec, hist_edges={"x": edges})(batch))[2]
+    current = _profiles(ValidationKernel(spec, hist_edges={"x": edges}), batch)
     assert current[EMPTY_GROUP, "x"].moments.n == 500
     assert _categorical_psi(old, current) == 0.0
     # a baseline that has the label compares its share like any group's

@@ -1,7 +1,7 @@
 """The copy-free kernel pass and the pandas-free reduction, each against
 the behaviour it replaced: window runs as zero-copy slices vs the mask
 filter, the fixed-width sha256 compare vs the per-value compare, the
-one-pass ``merge_findings`` vs the pandas reduction (kept here as the
+one-pass ``merge_findings`` vs a pandas reduction (kept here as the
 oracle), the exact filter of ``read_row_group`` passing whole row groups
 on, and one footer read per file per run."""
 
@@ -9,6 +9,7 @@ import hashlib
 from collections import Counter
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -18,7 +19,7 @@ from driftray import sketches
 from driftray.checks import (BatchCheck, CheckContext, Sha256Check,
                              ValidationKernel, _empty_findings, _hex_digests,
                              sha256_hex_arrow)
-from driftray.pipeline import _findings_to_results, merge_findings
+from driftray.pipeline import merge_findings
 from driftray.sketches import merge_all
 from driftray.spec import ColumnSpec, HashInvariant, TableSpec
 
@@ -226,19 +227,24 @@ def test_sha256_binary_hash_column_keeps_per_value_compare():
 # ---------------------------------------------------------------------------
 
 
-def _pandas_merge_findings(findings: pa.Table):
+def _pandas_merge_findings(findings: pa.Table, k: int):
     kinds = np.asarray(findings["kind"].to_pandas(), dtype=object)
     cdf = findings.filter(pa.array(kinds == "counter")).select(
         ["check", "column", "n"]).to_pandas()
+    by = cdf.groupby(["check", "column"])["n"]
     counters = (
-        cdf.groupby(["check", "column"])["n"].sum()
+        by.sum().where(by.sum().index.get_level_values("check") != "config", by.max())
         .reset_index()
         .assign(key=lambda d: np.where(d["column"] == "", d["check"],
                                        d["check"] + "|" + d["column"]))
         .set_index("key")["n"].to_dict()
     )
-    violations = findings.filter(pa.array(kinds == "violation")).select(
-        ["check", "column", "row_ref", "detail"])
+    cols = ["check", "column", "row_ref", "detail"]
+    vdf = findings.filter(pa.array(kinds == "violation")).select(cols).to_pandas()
+    star = vdf["row_ref"] == "*"
+    vdf = pd.concat([vdf[star].drop_duplicates(), vdf[~star]]).sort_values(cols)
+    vdf = vdf[vdf.groupby(["check", "column"]).cumcount() < k]
+    violations = pa.Table.from_pandas(vdf, preserve_index=False)
     sk = findings.filter(pa.array(kinds == "sketch")).to_pandas()
     profiles = {}
     key_hll = None
@@ -251,12 +257,12 @@ def _pandas_merge_findings(findings: pa.Table):
     return counters, violations, profiles, key_hll
 
 
-def _pandas_findings_to_results(table: pa.Table) -> dict:
+def _pandas_findings_to_results(table: pa.Table, k: int) -> dict:
     out = {}
     windows = table["window"].to_pandas()
     for w in sorted(windows.unique()):
         out[int(w)] = _pandas_merge_findings(
-            table.filter(pa.array((windows == w).to_numpy())))
+            table.filter(pa.array((windows == w).to_numpy())), k)
     return out
 
 
@@ -277,40 +283,32 @@ def _assert_same_reduction(got, want) -> None:
     assert hll == w_hll
 
 
-def _batched_findings() -> pa.Table:
+def _batched_findings() -> tuple[ValidationKernel, pa.Table]:
     # five batches, each window spread over two of them
     t = _table(120, [0] * 50 + [1] * 40 + [2] * 30, seed=3)
-    kernel = ValidationKernel(_spec(), window_column="w",
-                              max_violations_per_batch=5)
-    return pa.concat_tables(kernel(t.slice(a, 25)) for a in range(0, 120, 25))
+    kernel = ValidationKernel(_spec(), window_column="w")
+    kernel.cap = 5
+    return kernel, pa.concat_tables(kernel(t.slice(a, 25)) for a in range(0, 120, 25))
 
 
 def test_merge_findings_matches_pandas_reduction():
-    findings = _batched_findings()
-    # every window's findings come from two batches
+    kernel, findings = _batched_findings()
+    # every window's findings come from two batches, whose violation
+    # samples together exceed the cap
     assert Counter(findings.filter(pc.equal(findings["check"], "rows"))
                    ["window"].to_pylist()) == {0: 2, 1: 2, 2: 2}
-    for w in (0, 1, 2):
-        sub = findings.filter(pc.equal(findings["window"], w))
-        _assert_same_reduction(merge_findings(sub), _pandas_merge_findings(sub))
-    # the whole table at once (counters of every window summed)
-    _assert_same_reduction(merge_findings(findings),
-                           _pandas_merge_findings(findings))
-    empty = findings.schema.empty_table()
-    _assert_same_reduction(merge_findings(empty), _pandas_merge_findings(empty))
-
-
-def test_findings_to_results_matches_pandas_split():
-    findings = _batched_findings()
-    spec = _spec()
-    got = _findings_to_results(findings, spec)
-    want = _pandas_findings_to_results(findings)
+    got = merge_findings(findings, kernel)
+    want = _pandas_findings_to_results(findings, kernel.cap)
     assert list(got) == list(want) == [0, 1, 2]
     for w, res in got.items():
         _assert_same_reduction((res.counters, res.violations, res.profiles,
                                 res.key_hll_estimate), want[w])
         assert res.n_rows == want[w][0]["rows"]
         assert len(res.key_hashes) == res.n_rows
+        sample = Counter(zip(*(res.violations[c].to_pylist()
+                               for c in ("check", "column"))))
+        assert max(sample.values()) == kernel.cap
+    assert merge_findings(findings.schema.empty_table(), kernel) == {}
 
 
 # ---------------------------------------------------------------------------

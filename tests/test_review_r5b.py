@@ -1,7 +1,7 @@
 """Regression tests for the round-5 self-review findings (second pass).
 
 checks._when_mask — the config finding for a missing `when` gate column
-is emitted once per rule per check actor, not once per batch.
+is reported once per rule per window, not once per batch.
 """
 from __future__ import annotations
 
@@ -11,26 +11,22 @@ import pytest
 
 class TestConfigFindingOncePerActor:
     def test_two_batches_one_config_finding(self):
-        from driftray.checks import CheckContext, RangeCheck, _empty_findings
+        from driftray.checks import ValidationKernel
+        from driftray.pipeline import merge_findings
         from driftray.spec import ColumnSpec, TableSpec
 
         spec = TableSpec(
             name="t",
             columns=[ColumnSpec("v", min_value=0, max_value=10,
                                 when=("no_such_col", "x"))])
-        check = RangeCheck(spec)  # one actor = one instance
-        out = _empty_findings()
-        for _ in range(3):  # three batches through the SAME instance
-            ctx = CheckContext(pa.table({"v": [5, 50]}), 0, spec, out,
-                               budget=100)
-            check.process(ctx)
-        cfg_counters = [n for k, kd, n in zip(out["check"], out["kind"],
-                                              out["n"])
-                        if k == "config" and kd == "counter"]
-        cfg_viols = [1 for k, kd in zip(out["check"], out["kind"])
-                     if k == "config" and kd == "violation"]
-        assert cfg_counters == [1]   # once per rule per actor, not per batch
-        assert sum(cfg_viols) == 1
+        kernel = ValidationKernel(spec)
+        # three batches of one window through the SAME kernel
+        findings = pa.concat_tables(kernel(pa.table({"v": [5, 50]}))
+                                    for _ in range(3))
+        (res,) = merge_findings(findings, kernel).values()
+        assert res.counters["config|v?no_such_col=x"] == 1  # not per batch
+        cfg = [r for r in res.violations.to_pylist() if r["check"] == "config"]
+        assert [r["row_ref"] for r in cfg] == ["*"]
 
     def test_violation_row_respects_budget(self):
         from driftray.checks import CheckContext, RangeCheck, _empty_findings

@@ -206,8 +206,7 @@ def test_plan_path_equals_dataset_path(ray_session, tmp_path):
                                    schema=schema) for f, g in plan]
     want = validate_dataset(lambda fn: [fn(t) for t in tables], spec,
                             window_column="window_id",
-                            hist_edges=infer_hist_edges(str(d), spec),
-                            check_uniqueness=False)
+                            hist_edges=infer_hist_edges(str(d), spec))
     got = {r.window_id: r for r in run_validation(
         str(d), str(tmp_path / "out"), spec, check_uniqueness=False)}
     assert sorted(got) == sorted(want) == [0, 1, 2, 3]
@@ -231,14 +230,14 @@ def test_plan_path_equals_dataset_path(ray_session, tmp_path):
 
 
 def test_no_ray_data_dataset_is_built(ray_session, tmp_path, monkeypatch):
-    """``run_validation`` (table uniqueness, Bloom membership) and
-    ``validate_dataset`` over in-memory tables build no Ray Data Dataset:
-    with ``Dataset.__init__`` raising they return what they return
-    without it."""
+    """``run_validation`` (table uniqueness, Bloom membership), and
+    ``validate_dataset`` and ``uniqueness_violations`` over in-memory
+    tables, build no Ray Data Dataset: with ``Dataset.__init__`` raising
+    they return what they return without it."""
     import ray.data as rd
 
     from driftray.fixtures import RepoFilesConfig, write_repo_files
-    from driftray.pipeline import validate_dataset
+    from driftray.pipeline import _concat_runs, uniqueness_violations, validate_dataset
     from driftray.spec import repo_files_spec
 
     data = str(tmp_path / "data")
@@ -250,15 +249,18 @@ def test_no_ray_data_dataset_is_built(ray_session, tmp_path, monkeypatch):
 
     def results(out: str):
         run = run_validation(path, out, spec, dim_paths=dims, use_bloom=True)
-        mem = validate_dataset(lambda fn: [fn(t) for t in tables], spec,
-                               window_column="window_id")
+        map_rows = lambda fn: [fn(t) for t in tables]  # noqa: E731
+        mem = validate_dataset(map_rows, spec, window_column="window_id")
+        dup, extra, _winners = uniqueness_violations(
+            map_rows, spec, _concat_runs(r.key_hashes for r in mem.values()))
         return ([(r.window_id, r.counters, r.violations.to_pylist()) for r in run],
                 _table_outputs(out),
-                [(w, r.counters, r.violations.to_pylist()) for w, r in mem.items()])
+                [(w, r.counters, r.violations.to_pylist()) for w, r in mem.items()],
+                (dup.to_pylist(), extra))
 
     want = results(str(tmp_path / "free"))
     assert [w for w, *_ in want[0]] == [0, 1, 2]
-    assert want[1][1] > 0 and want[2][-1][1]["uniqueness|repo|path|commit"] > 0
+    assert want[1][1] > 0 and want[3][1] == want[1][1]
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("a Ray Data Dataset was built")

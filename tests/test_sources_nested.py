@@ -28,7 +28,7 @@ def files(tmp_path_factory, ray_session):
 
 class TestSources:
     def test_formats_registered(self):
-        assert {"parquet", "csv", "json", "text", "binary"} <= set(formats())
+        assert {"parquet", "csv", "json"} <= set(formats())
 
     @pytest.mark.parametrize("name", ["t.parquet", "t.csv", "t.json"])
     def test_read_any_by_extension(self, files, name):
