@@ -297,6 +297,20 @@ def test_merge_findings_matches_pandas_reduction():
     # samples together exceed the cap
     assert Counter(findings.filter(pc.equal(findings["check"], "rows"))
                    ["window"].to_pylist()) == {0: 2, 1: 2, 2: 2}
+    for w in (0, 1, 2):
+        sub = findings.filter(pc.equal(findings["window"], w))
+        got = merge_findings(sub, kernel)
+        assert list(got) == [w]
+        res = got[w]
+        _assert_same_reduction((res.counters, res.violations, res.profiles,
+                                res.key_hll_estimate),
+                               _pandas_merge_findings(sub, kernel.cap))
+    assert merge_findings(findings.schema.empty_table(), kernel) == {}
+
+
+def test_findings_to_results_matches_pandas_split():
+    # the whole table at once: merge_findings splits it by window itself
+    kernel, findings = _batched_findings()
     got = merge_findings(findings, kernel)
     want = _pandas_findings_to_results(findings, kernel.cap)
     assert list(got) == list(want) == [0, 1, 2]
@@ -308,7 +322,6 @@ def test_merge_findings_matches_pandas_reduction():
         sample = Counter(zip(*(res.violations[c].to_pylist()
                                for c in ("check", "column"))))
         assert max(sample.values()) == kernel.cap
-    assert merge_findings(findings.schema.empty_table(), kernel) == {}
 
 
 # ---------------------------------------------------------------------------

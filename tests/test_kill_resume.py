@@ -1,6 +1,11 @@
 """Kill/resume (SURVEY.md §5.2 #6): a validation subprocess is SIGKILLed
 mid-run; the restarted run skips every window already bearing _DONE and the
-final outputs match a clean uninterrupted run."""
+final outputs match a clean uninterrupted run.
+
+The killed run stalls after writing its first window, so the kill lands
+between windows on any machine: the windows of the fixture each take well
+under the parent's poll interval, and a run left to go on could finish
+them all before the kill."""
 
 import json
 import os
@@ -19,10 +24,16 @@ sys.path.insert(0, {repo!r})
 import ray
 ray.init(address="local", num_cpus=4, include_dashboard=False, logging_level="ERROR")
 from ray.data import DataContext; DataContext.get_current().enable_progress_bars = False
-from driftray.pipeline import run_validation
+from driftray import pipeline
 from driftray.spec import repo_files_spec
-run_validation({input!r}, {out!r}, repo_files_spec(),
-               check_uniqueness=False, windows_per_pass=1)
+if {stall!r}:
+    _write = pipeline.write_window_result
+    def write_window_result(out_dir, res):
+        _write(out_dir, res)
+        time.sleep(600)   # stalled until killed
+    pipeline.write_window_result = write_window_result
+pipeline.run_validation({input!r}, {out!r}, repo_files_spec(),
+                        check_uniqueness=False, windows_per_pass=1)
 print("COMPLETE")
 """
 
@@ -36,9 +47,11 @@ def fixture_dir(tmp_path_factory):
     return d
 
 
-def _launch(fixture_dir, out):
+def _launch(fixture_dir, out, stall=False):
+    """A ``run_validation`` subprocess; with ``stall`` it stops making
+    progress once its first window is written."""
     code = RUN_SCRIPT.format(repo=REPO, input=f"{fixture_dir}/repo_files.parquet",
-                             out=out)
+                             out=out, stall=stall)
     return subprocess.Popen([sys.executable, "-c", code], cwd=REPO,
                             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                             text=True)
@@ -66,20 +79,16 @@ def _wait(proc, deadline):
 def test_sigkill_mid_run_then_resume(fixture_dir, tmp_path):
     deadline = time.time() + 600   # the whole test, all three runs
     out = str(tmp_path / "out")
-    proc = _launch(fixture_dir, out)
-    # wait for at least one window to complete, then SIGKILL the whole run
+    proc = _launch(fixture_dir, out, stall=True)
+    # wait for the first window to complete, then SIGKILL the whole run
     while time.time() < deadline and len(_done_windows(out)) < 1:
-        if proc.poll() is not None:
-            break
+        assert proc.poll() is None, "validation subprocess exited before a window was done"
         time.sleep(0.5)
-    if proc.poll() is None:
-        proc.send_signal(signal.SIGKILL)
-        proc.wait()
-        killed = True
-    else:
-        killed = False  # machine was fast enough to finish — still verifies resume
+    assert proc.poll() is None, "validation subprocess exited before the kill"
+    proc.send_signal(signal.SIGKILL)
+    proc.wait()
     done_after_kill = _done_windows(out)
-    assert killed is False or len(done_after_kill) < 6, "kill landed too late to test"
+    assert len(done_after_kill) == 1, "the kill did not land mid-run"
 
     # restart: must complete the remaining windows and touch nothing done
     mtimes = {w: os.path.getmtime(f"{out}/{w}/_DONE") for w in done_after_kill}
