@@ -2,12 +2,12 @@
 
 From-scratch rebuild of the capabilities of the Drift-ML reference
 (koshishtiwari/Drift-ML, see SURVEY.md): declarative per-table schemas and
-constraints (completeness, range, uniqueness, referential integrity, per-row
-sha256 content invariants), per-column statistical profiles via mergeable
-sketches (Welford moments, t-digest quantiles, HyperLogLog uniqueness),
-and distribution-drift detection (reference unusual-ratio detector,
-Kolmogorov-Smirnov, PSI, Jensen-Shannon) between stored baselines and
-current windows.
+constraints (completeness, range, exact key uniqueness from sorted key-hash
+runs, referential integrity, per-row sha256 content invariants), per-column
+statistical profiles via mergeable sketches (Welford moments, t-digest
+quantiles, fixed-edge histograms), and distribution-drift detection
+(reference unusual-ratio detector, Kolmogorov-Smirnov, PSI, Jensen-Shannon)
+between stored baselines and current windows.
 
 The validation engine reads Parquet one way: ``run_validation`` plans on
 the driver from Parquet footers, and its kernel pass, dimension key

@@ -1,10 +1,11 @@
 """Vectorized per-batch check kernels (the map_batches hot path).
 
 One pass over each Arrow batch produces a single narrow "findings" table
-mixing three kinds of rows — violations, counters, and pickled sketch
-partials — so the raw input is read exactly once per window.  Downstream
-stages split by ``kind``; everything after the kernel is tiny relative to
-the input (violations are rare, sketches are KB-sized).
+mixing three kinds of rows — violations, counters, and sketch partials
+(pickled profiles, sorted key-hash runs) — so the raw input is read
+exactly once per window.  Downstream stages split by ``kind``; everything
+after the kernel is tiny relative to the input (violations are rare,
+sketches are KB-sized, a key-hash run is 8 bytes per row).
 
 Semantics sources:
 * completeness — null OR empty-string for strings, null OR NaN for floats
@@ -31,7 +32,7 @@ import pyarrow.compute as pc
 
 from . import sketches
 from .bloom import BloomFilter
-from .sketches import HLL, ColumnProfile
+from .sketches import ColumnProfile
 from .spec import TableSpec
 
 FINDINGS_SCHEMA = pa.schema(
@@ -106,7 +107,7 @@ def _hash_column(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
     Non-null values must hash identically whether or not the batch happens
     to contain nulls: the naive ``to_pandas()`` path promotes an int64
     column with any null to float64, silently changing every hash in that
-    batch (missed duplicates, skewed HLLs, false referential violations).
+    batch (missed duplicates, false referential violations).
     Here each type hashes from a fill_null'ed typed numpy array, then null
     positions are overwritten with a fixed sentinel."""
     from .sketches import hash64
@@ -578,12 +579,14 @@ class ProfileCheck(BatchCheck):
 
 
 class UniquenessHLLCheck(BatchCheck):
-    """A7: mergeable HLL partial over the unique-key hashes, plus the
-    batch's sorted int64 key-hash run (8 bytes/row) as a ``key_hashes``
-    sketch row.  The driver concatenates a window's runs and persists them;
-    the exact table-wide duplicate check (``pipeline.uniqueness_violations``)
-    sorts the runs of every validated window, so it never re-reads or
-    shuffles the keys to find candidates."""
+    """A7: the batch's sorted int64 key-hash run (8 bytes/row) as a
+    ``key_hashes`` sketch row — the one source of key uniqueness.  The
+    driver concatenates a window's runs, counts its distinct keys and
+    persists the run; the exact table-wide duplicate check
+    (``pipeline.uniqueness_violations``) sorts the runs of every
+    validated window, so it never re-reads or shuffles the keys to find
+    candidates.  It emits no HLL; the name stays because the benchmark's
+    per-check timings are keyed by it."""
 
     def __init__(self, spec: TableSpec):
         self.key = spec.unique_key
@@ -591,11 +594,8 @@ class UniquenessHLLCheck(BatchCheck):
     def process(self, ctx: CheckContext) -> None:
         if self.key and all(c in ctx.batch.column_names for c in self.key):
             h = ctx.hash_keys(self.key)
-            column = "|".join(self.key)
-            ctx.append("sketch", "uniqueness", column=column,
-                       detail="hll", blob=sketches.dumps(HLL().update(h)))
-            ctx.append("sketch", "key_hashes", column=column, detail="run",
-                       blob=np.sort(h.view(np.int64)).tobytes())
+            ctx.append("sketch", "key_hashes", column="|".join(self.key),
+                       detail="run", blob=np.sort(h.view(np.int64)).tobytes())
 
 
 def build_checks(spec: TableSpec, hist_edges: dict,

@@ -168,9 +168,15 @@ def ks_2sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     cdf1 = np.searchsorted(a, both, side="right") / n1
     cdf2 = np.searchsorted(b, both, side="right") / n2
     d = float(np.abs(cdf1 - cdf2).max())
-    en = math.sqrt(n1 * n2 / (n1 + n2))
-    p = _kolmogorov_sf((en + 0.12 + 0.11 / en) * d)
-    return d, p
+    return d, ks_pvalue(d, n1, n2)
+
+
+def ks_pvalue(d: float, n1, n2) -> float:
+    """Asymptotic p-value of KS statistic ``d`` between samples of ``n1``
+    and ``n2`` values (the Kolmogorov distribution with scipy's
+    small-sample correction)."""
+    en = (n1 * n2 / (n1 + n2)) ** 0.5
+    return _kolmogorov_sf((en + 0.12 + 0.11 / en) * d)
 
 
 def ks_from_digests(ref: TDigest, cur: TDigest, n_points: int = 256) -> float:
@@ -191,29 +197,41 @@ def ks_from_digests(ref: TDigest, cur: TDigest, n_points: int = 256) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _probs(counts: np.ndarray, eps: float) -> np.ndarray:
+    """Cell counts as probabilities, each floored at ``eps``, renormalized."""
+    p = np.clip(counts / max(counts.sum(), 1), eps, None)
+    return p / p.sum()
+
+
+def _cells(h: Histogram, max_bins: int) -> np.ndarray:
+    """``h`` coarsened to <= ``max_bins`` bins, with its under- and
+    overflow as two extra cells."""
+    h = h.coarsen(max_bins)
+    return np.concatenate(([h.under], h.counts, [h.over])).astype(np.float64)
+
+
 def psi(ref: Histogram, cur: Histogram, eps: float = 1e-6, max_bins: int = 8) -> float:
     """Population Stability Index; common rule-of-thumb: >0.2 ⇒ drifted.
 
     Histograms are coarsened to <= max_bins first — fine-binned PSI on
     small samples inflates purely from sampling noise."""
-    p, q = ref.coarsen(max_bins).probs(eps), cur.coarsen(max_bins).probs(eps)
-    return float(np.sum((q - p) * np.log(q / p)))
+    return psi_from_counts(_cells(ref, max_bins), _cells(cur, max_bins), eps)
 
 
 def psi_from_counts(ref_counts: np.ndarray, cur_counts: np.ndarray, eps: float = 1e-6) -> float:
-    p = np.clip(ref_counts / max(ref_counts.sum(), 1), eps, None)
-    q = np.clip(cur_counts / max(cur_counts.sum(), 1), eps, None)
-    p, q = p / p.sum(), q / q.sum()
+    p, q = _probs(ref_counts, eps), _probs(cur_counts, eps)
     return float(np.sum((q - p) * np.log(q / p)))
 
 
 def js_divergence(ref: Histogram, cur: Histogram, eps: float = 1e-6, max_bins: int = 8) -> float:
     """Jensen-Shannon divergence (base e, in [0, ln 2])."""
-    p, q = ref.coarsen(max_bins).probs(eps), cur.coarsen(max_bins).probs(eps)
+    return _js_from_counts(_cells(ref, max_bins), _cells(cur, max_bins), eps)
+
+
+def _js_from_counts(ref_counts: np.ndarray, cur_counts: np.ndarray, eps: float) -> float:
+    p, q = _probs(ref_counts, eps), _probs(cur_counts, eps)
     m = 0.5 * (p + q)
-    kl_pm = np.sum(p * np.log(p / m))
-    kl_qm = np.sum(q * np.log(q / m))
-    return float(0.5 * kl_pm + 0.5 * kl_qm)
+    return float(0.5 * np.sum(p * np.log(p / m)) + 0.5 * np.sum(q * np.log(q / m)))
 
 
 def mean_difference(ref_mean: float, ref_std: float, cur_mean: float) -> float:
@@ -306,15 +324,10 @@ def windowed_drift_series(ds, ts_col: str, value_col: str,
                          "n_nan": nans[w],
                          "psi": float("nan"), "js": float("nan")})
         else:
-            p = np.clip(prev / max(prev.sum(), 1), eps, None)
-            q = np.clip(cur / max(cur.sum(), 1), eps, None)
-            p, q = p / p.sum(), q / q.sum()
-            m = 0.5 * (p + q)
             rows.append({"window": w, "n": int(cur.sum()),
                          "n_nan": nans[w],
                          "psi": psi_from_counts(prev, cur, eps),
-                         "js": float(0.5 * np.sum(p * np.log(p / m))
-                                     + 0.5 * np.sum(q * np.log(q / m)))})
+                         "js": _js_from_counts(prev, cur, eps)})
         prev = cur
     return pd.DataFrame(rows)
 

@@ -42,12 +42,13 @@ Scale notes
   hashes, or a Bloom filter over them at 100 TB scale) travels inside
   the kernel, which ``map_row_groups`` puts in the object store once per
   pass, and is probed in the same kernel pass — no shuffle join.
-* Exact key-uniqueness needs no shuffle: the kernel pass emits each
-  batch's sorted 8-byte key-hash run, every window persists its run, and
-  the driver sorts the runs of all validated windows to find duplicate
-  hashes.  Only when some exist do plain tasks over the zone-map-pruned
-  row groups of those windows return the candidate rows, which one
-  Arrow ``group_by`` verifies exactly on the driver.
+* Exact key-uniqueness needs no shuffle and has one source: the kernel
+  pass emits each batch's sorted 8-byte key-hash run, each window counts
+  its distinct keys from its run and persists it, and the driver sorts
+  the runs of all validated windows to find duplicate hashes.  Only when
+  some exist do plain tasks over the zone-map-pruned row groups of those
+  windows return the candidate rows, which one Arrow ``group_by``
+  verifies exactly on the driver.
 * Windows are independent → embarrassingly parallel across the cluster;
   a killed run resumes by skipping windows whose ``_DONE`` marker exists.
 """
@@ -91,8 +92,9 @@ from . import sketches
 from .bloom import BloomFilter
 from .checks import (EMPTY_GROUP, FINDINGS_SCHEMA, ValidationKernel, hash_keys,
                      in_sorted, join_key)
-from .drift import js_divergence, ks_from_digests, mean_difference, psi, _kolmogorov_sf
-from .sketches import ColumnProfile, merge_all
+from .drift import (js_divergence, ks_from_digests, ks_pvalue, mean_difference, psi,
+                    psi_from_counts)
+from .sketches import ColumnProfile
 from .spec import TableSpec
 
 # plain row-group tasks ("row_group_tasks") started, and row groups the
@@ -114,11 +116,19 @@ class WindowResult:
     counters: dict            # check|column → violation count (exact)
     violations: pa.Table      # bottom-k sample per (check, column), sorted
     profiles: dict            # (group, column) → ColumnProfile
-    key_hll_estimate: float | None
     drift_rows: list = field(default_factory=list)
     drift_detected: bool = False
     wall_s: float = 0.0
     key_hashes: np.ndarray | None = None  # sorted int64 key-hash run
+
+    @property
+    def distinct_keys(self) -> int | None:
+        """Exact count of distinct key hashes in the window's run; None
+        when the spec has no unique key."""
+        run = self.key_hashes
+        if run is None:
+            return None
+        return int(len(run) > 0) + int(np.count_nonzero(run[1:] != run[:-1]))
 
     @property
     def total_violations(self) -> int:
@@ -199,12 +209,13 @@ def merge_findings(findings: pa.Table,
       (row_ref, detail) of the union of the batches' bottom-k samples,
       a column-level row (``row_ref == "*"``) once; sorted;
     * profiles merge per (group, column) in row order, ordered by it;
-      HLL partials give ``key_hll_estimate``, and the key-hash runs one
-      sorted ``key_hashes`` run (None when the spec has no unique key)."""
+    * the key-hash runs concatenate into one sorted ``key_hashes`` run,
+      whose distinct values give ``distinct_keys`` (None when the spec
+      has no unique key)."""
     acc: dict[int, tuple] = {}
     for w, kind, check, column, group, ref, detail, n, blob in zip(*(
             findings[c].to_pylist() for c in FINDINGS_SCHEMA.names)):
-        sums, rows, merged, hlls, runs = acc.setdefault(w, ({}, [], {}, [], []))
+        sums, rows, merged, runs = acc.setdefault(w, ({}, [], {}, []))
         if kind == "counter":
             old = sums.get((check, column), 0)
             sums[check, column] = max(old, n) if check == "config" else old + n
@@ -216,20 +227,17 @@ def merge_findings(findings: pa.Table,
                 merged[group, column].merge(p)
             else:
                 merged[group, column] = p
-        elif kind == "sketch" and check == "uniqueness":
-            hlls.append(blob)
         elif kind == "sketch" and check == "key_hashes":
             runs.append(np.frombuffer(blob, np.int64))
     results = {}
     for w in sorted(acc):
-        sums, rows, merged, hlls, runs = acc[w]
+        sums, rows, merged, runs = acc[w]
         counters = {check if column == "" else f"{check}|{column}": sums[check, column]
                     for check, column in sorted(sums)}
         results[w] = WindowResult(
             w, int(counters.get("rows", 0)), counters,
             _violation_sample(rows, kernel.cap),
             {key: merged[key] for key in sorted(merged)},
-            merge_all(sketches.loads(b) for b in hlls).estimate() if hlls else None,
             key_hashes=(np.sort(_concat_runs(runs))
                         if kernel.spec.unique_key else None))
     return results
@@ -263,26 +271,30 @@ def _empty_violations() -> pa.Table:
     return pa.table({c: pa.array([], pa.string()) for c in VIOLATION_COLUMNS})
 
 
+def _empty_result(window_id: int, spec: TableSpec) -> WindowResult:
+    """The result of a window that holds no rows."""
+    return WindowResult(window_id, 0, {}, _empty_violations(), {},
+                        key_hashes=np.empty(0, np.int64) if spec.unique_key else None)
+
+
 def _concat_runs(runs) -> np.ndarray:
     """One int64 array from per-batch/per-window key-hash runs."""
     runs = [r for r in runs if r is not None]
     return np.concatenate(runs) if runs else np.empty(0, np.int64)
 
 
-def uniqueness_violations(map_rows, spec: TableSpec,
-                          key_hashes: np.ndarray | None = None,
+def uniqueness_violations(map_rows, spec: TableSpec, key_hashes: np.ndarray,
                           ) -> tuple[pa.Table, int, pa.Table | None]:
     """Exact table-wide duplicate-key detection over the rows
     ``map_rows`` reads, two-tier:
 
     1. Candidates: ``key_hashes`` holds one int64 ``hash_keys`` value per
        row — the runs the kernel pass already emitted (``key_hashes``
-       findings rows), so no read and no shuffle.  The driver sorts them in
-       memory and keeps the adjacent-equal values (real duplicates plus
-       ~n²/2⁶⁴ collisions).  The driver holds 8 bytes per table row (96 KB
-       at 12k rows, 800 MB at 10⁸), plus one sorted copy while it scans.
-       Without ``key_hashes`` the key columns are read and hashed first,
-       8 B per row back to the driver.
+       findings rows, ``WindowResult.key_hashes``), so no read and no
+       shuffle.  The driver sorts them in memory and keeps the
+       adjacent-equal values (real duplicates plus ~n²/2⁶⁴ collisions).
+       The driver holds 8 bytes per table row (96 KB at 12k rows, 800 MB
+       at 10⁸), plus one sorted copy while it scans.
     2. Verification: only when candidates exist, ONE pass over the key
        (+ order) columns keeps the candidate rows (``_fetch_candidates``,
        whose partial carries the sorted candidate array), and one Arrow
@@ -308,10 +320,6 @@ def uniqueness_violations(map_rows, spec: TableSpec,
     key_cols = list(spec.unique_key or ())
     if not key_cols:
         return _empty_violations(), 0, None
-
-    if key_hashes is None:
-        key_hashes = _concat_runs(t["kh"].to_numpy() for t in map_rows(
-            partial(_key_hash_table, key_cols=key_cols)))
 
     from .ops.relational import duplicate_values_sorted
 
@@ -344,14 +352,9 @@ def uniqueness_violations(map_rows, spec: TableSpec,
     return violations, sum(counts) - len(counts), winners
 
 
-# The per-row-group steps below are module-level functions bound with
-# ``functools.partial``: a task pickles them by reference, where a
+# The per-row-group step below is a module-level function bound with
+# ``functools.partial``: a task pickles it by reference, where a
 # closure is pickled by value (cloudpickle then walks ``sys.modules``).
-
-
-def _key_hash_table(b: pa.Table, key_cols: list[str]) -> pa.Table:
-    """``b``'s int64 key hashes as a one-column ``kh`` table."""
-    return pa.table({"kh": hash_keys(b, key_cols).view(np.int64)})
 
 
 def _fetch_candidates(b: pa.Table, key_cols: list[str], order_col,
@@ -418,8 +421,7 @@ def drift_report(baseline: "Baseline", profiles: dict, spec: TableSpec) -> list[
             continue
         ks_stat = ks_from_digests(ref.tdigest, cur.tdigest)
         n1, n2 = ref.moments.n, cur.moments.n
-        en = (n1 * n2 / (n1 + n2)) ** 0.5
-        ks_p = _kolmogorov_sf((en + 0.12 + 0.11 / en) * ks_stat)
+        ks_p = ks_pvalue(ks_stat, n1, n2)
         psi_v = psi(ref.hist, cur.hist)
         js_v = js_divergence(ref.hist, cur.hist)
         md = mean_difference(ref.moments.mean, ref.moments.std, cur.moments.mean)
@@ -444,7 +446,7 @@ def drift_report(baseline: "Baseline", profiles: dict, spec: TableSpec) -> list[
     # A baseline stored before the empty-string group had its own label
     # (EMPTY_GROUP) has no such profile: its empty-string rows were in no
     # group share, so against it they stay out of the current shares too
-    for col in {c for (_, c) in profiles}:
+    for col in sorted({c for (_, c) in profiles}):
         ref_counts, cur_counts = [], []
         skip = {""} if (EMPTY_GROUP, col) in baseline.profiles else {"", EMPTY_GROUP}
         groups = sorted({g for (g, c2) in set(profiles) | set(baseline.profiles)
@@ -456,8 +458,6 @@ def drift_report(baseline: "Baseline", profiles: dict, spec: TableSpec) -> list[
             c2 = profiles.get((g, col))
             ref_counts.append(r.moments.n if r else 0)
             cur_counts.append(c2.moments.n if c2 else 0)
-        from .drift import psi_from_counts
-
         cat_psi = psi_from_counts(np.asarray(ref_counts, dtype=np.float64),
                                   np.asarray(cur_counts, dtype=np.float64))
         rows.append({
@@ -573,8 +573,7 @@ def validate_dataset(
     parts = [t for t in map_rows(kernel) if t.num_rows]
     table = (pa.concat_tables([t.cast(FINDINGS_SCHEMA) for t in parts])
              if parts else FINDINGS_SCHEMA.empty_table())
-    results = merge_findings(table, kernel) or {
-        -1: WindowResult(-1, 0, {}, _empty_violations(), {}, None)}
+    results = merge_findings(table, kernel) or {-1: _empty_result(-1, spec)}
 
     wall = time.perf_counter() - t0
     for res in results.values():
@@ -608,7 +607,7 @@ def write_window_result(out_dir: str, res: WindowResult) -> None:
     lineage = res.verdict_row()
     lineage["profiles"] = [p.to_row() for p in res.profiles.values()]
     lineage["drift"] = res.drift_rows
-    lineage["key_hll_estimate"] = res.key_hll_estimate
+    lineage["distinct_keys"] = res.distinct_keys
     with open(os.path.join(wdir, "lineage.json"), "w") as f:
         # json.dumps encodes in C; json.dump runs the pure-Python encoder
         f.write(json.dumps(lineage, default=float))
@@ -876,51 +875,45 @@ def run_validation(
     def _read_keys(ws: list[int]):
         return _map_rows(*_plan(ws, key_cols), window_column, ws)
 
-    if not pending:
-        if table_uniq:
-            _table_uniqueness(_read_keys, out_dir, spec, {})
-        return []
+    # a run with nothing pending validates nothing and records nothing:
+    # it only brings the table uniqueness result up to date
+    out: list[WindowResult] = []
+    if pending:
+        # per-table namespacing: a directory baseline store resolves to this
+        # spec's file; a missing per-table file simply means no baseline yet
+        bpath = (baseline_file(baseline_path, spec.name)
+                 if baseline_path and os.path.isdir(baseline_path)
+                 else baseline_path)
+        baseline = (Baseline.load(bpath)
+                    if bpath and os.path.exists(bpath) else None)
+        t0 = time.perf_counter()
+        # a baseline pins the bin edges (one set per column, shared by every
+        # group): every run's histograms then share the baseline's bins, so
+        # drift compares like bins and windows' profiles merge; only columns
+        # the baseline lacks get edges from the footers
+        hist_edges = ({c: p.hist.edges for (_g, c), p in baseline.profiles.items()}
+                      if baseline is not None else {})
+        if any(c not in hist_edges for c in spec.profile_columns):
+            hist_edges = {**infer_hist_edges(input_path, spec, footers=_footers),
+                          **hist_edges}
+        _mark("hist_edges", t0)
 
-    # per-table namespacing: a directory baseline store resolves to this
-    # spec's file; a missing per-table file simply means no baseline yet
-    bpath = (baseline_file(baseline_path, spec.name)
-             if baseline_path and os.path.isdir(baseline_path)
-             else baseline_path)
-    baseline = (Baseline.load(bpath)
-                if bpath and os.path.exists(bpath) else None)
-    t0 = time.perf_counter()
-    # a baseline pins the bin edges (one set per column, shared by every
-    # group): every run's histograms then share the baseline's bins, so
-    # drift compares like bins and windows' profiles merge; only columns
-    # the baseline lacks get edges from the footers
-    hist_edges = ({c: p.hist.edges for (_g, c), p in baseline.profiles.items()}
-                  if baseline is not None else {})
-    if any(c not in hist_edges for c in spec.profile_columns):
-        hist_edges = {**infer_hist_edges(input_path, spec, footers=_footers),
-                      **hist_edges}
-    _mark("hist_edges", t0)
-
-    # chunked passes: a killed run loses at most windows_per_pass windows
-    # of work — everything behind a _DONE marker is skipped on resume, and
-    # its persisted key-hash run still feeds the table uniqueness check.
-    # A chunk whose windows no row group holds runs no kernel pass.
-    out = []
-    for lo in range(0, len(pending), windows_per_pass):
-        chunk = pending[lo: lo + windows_per_pass]
-        row_groups, schema = _plan(chunk)
-        _count("row_groups", len(row_groups))
-        results = {} if not row_groups else validate_dataset(
-            _map_rows(row_groups, schema, window_column, chunk),
-            spec, window_column=window_column, membership=membership,
-            baseline=baseline, hist_edges=hist_edges)
-        for w in chunk:
-            res = results.get(w)
-            if res is None:
-                res = WindowResult(w, 0, {}, _empty_violations(), {}, None,
-                                   key_hashes=(np.empty(0, np.int64)
-                                               if spec.unique_key else None))
-            write_window_result(out_dir, res)
-            out.append(res)
+        # chunked passes: a killed run loses at most windows_per_pass windows
+        # of work — everything behind a _DONE marker is skipped on resume, and
+        # its persisted key-hash run still feeds the table uniqueness check.
+        # A chunk whose windows no row group holds runs no kernel pass.
+        for lo in range(0, len(pending), windows_per_pass):
+            chunk = pending[lo: lo + windows_per_pass]
+            row_groups, schema = _plan(chunk)
+            _count("row_groups", len(row_groups))
+            results = {} if not row_groups else validate_dataset(
+                _map_rows(row_groups, schema, window_column, chunk),
+                spec, window_column=window_column, membership=membership,
+                baseline=baseline, hist_edges=hist_edges)
+            for w in chunk:
+                res = results.get(w) or _empty_result(w, spec)
+                write_window_result(out_dir, res)
+                out.append(res)
 
     # table-level uniqueness: GLOBAL across all windows (a key may not
     # repeat anywhere in the table, so it cannot be chunked per window).
@@ -934,6 +927,8 @@ def run_validation(
         if uniq_s is not None:
             stage_s["uniqueness_overlapped"] = round(uniq_s, 3)
         _mark_jobs("uniqueness")
+    if not pending:
+        return out
 
     # threshold alerting over the fresh verdicts (T5, DESIGN.md:674-747);
     # history appends under out_dir/alerts/.  Schema drift is RUN-level
@@ -995,32 +990,31 @@ def _table_uniqueness(read_keys, out_dir: str, spec: TableSpec,
     exactly those windows (``table/lineage.json`` ``windows``).
 
     Key-hash runs come from ``fresh`` (window → run of this process) or
-    from each window's persisted ``key_hashes.npy``.  ``read_keys(windows)``
+    from each window's persisted ``key_hashes.npy``; a ``_DONE`` window
+    with neither raises ``ValueError`` naming it.  ``read_keys(windows)``
     returns those windows' key (+ order) rows as ``uniqueness_violations``
     takes them, which verifies the candidates: the zone-map-pruned
-    row-group plan (plain tasks returning candidate rows).  A ``_DONE``
-    window without a run file (written before runs were persisted) makes
-    the check hash the keys there instead, 8 B per row back to the
-    driver."""
+    row-group plan (plain tasks returning candidate rows)."""
     tdir = os.path.join(out_dir, "table")
     done = done_windows(out_dir)
     if (os.path.exists(os.path.join(tdir, "_DONE"))
             and load_table_report(out_dir).get("windows") == done):
         return None
-    runs: list | None = []
+    runs = []
     for w in done:
         run = fresh.get(w)
         if run is None:
-            path = os.path.join(_window_dir(out_dir, w), KEY_HASHES_FILE)
-            if not os.path.exists(path):
-                runs = None
-                break
-            run = np.load(path)
+            wdir = _window_dir(out_dir, w)
+            if not os.path.exists(os.path.join(wdir, KEY_HASHES_FILE)):
+                raise ValueError(
+                    f"window {w} is marked done but {wdir} has no "
+                    f"{KEY_HASHES_FILE}; remove its _DONE file so the next "
+                    "run validates it again")
+            run = np.load(os.path.join(wdir, KEY_HASHES_FILE))
         runs.append(run)
     map_rows = read_keys(done)
     t0 = time.perf_counter()
-    dup, extra, winners = uniqueness_violations(
-        map_rows, spec, None if runs is None else _concat_runs(runs))
+    dup, extra, winners = uniqueness_violations(map_rows, spec, _concat_runs(runs))
     elapsed = time.perf_counter() - t0
     # the marker goes first and comes back last: a kill mid-write leaves
     # the result stale (recomputed next run), never half-trusted

@@ -609,26 +609,7 @@ def q154_jsonl_roundtrip(sf_dir: str):
     §2.10): documents export to line-delimited JSON, read back through
     the format registry, and must answer the same per-lang aggregate as
     the parquet original — format ingestion never changes answers."""
-    import shutil
-    import tempfile
-
-    from ray.data.aggregate import Count, Sum
-
-    from ..sources import read_any
-
-    docs = _t(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
-    tmp = tempfile.mkdtemp(prefix="driftray_jsonl_")
-    try:
-        docs.write_json(tmp)
-        out = (read_any(tmp, fmt="json")
-               .groupby("lang")
-               .aggregate(Count(alias_name="n_docs"),
-                          Sum("n_chars", alias_name="total_chars"))
-               .to_pandas().sort_values("lang", ignore_index=True))
-        out["total_chars"] = out["total_chars"].astype("int64")
-        return out
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+    return _documents_roundtrip(sf_dir, "json")
 
 
 def q155_csv_roundtrip(sf_dir: str):
@@ -637,6 +618,13 @@ def q155_csv_roundtrip(sf_dir: str):
     inference and reproduce the parquet aggregate.  Text is excluded
     (CSV quoting of free text is a serialization concern, not a reader
     one)."""
+    return _documents_roundtrip(sf_dir, "csv")
+
+
+def _documents_roundtrip(sf_dir: str, fmt: str):
+    """The per-lang document count and ``n_chars`` sum of the documents
+    table written as ``fmt`` ("json" or "csv") and read back through
+    ``sources.read_any``."""
     import shutil
     import tempfile
 
@@ -645,10 +633,10 @@ def q155_csv_roundtrip(sf_dir: str):
     from ..sources import read_any
 
     docs = _t(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
-    tmp = tempfile.mkdtemp(prefix="driftray_csv_")
+    tmp = tempfile.mkdtemp(prefix=f"driftray_{fmt}_")
     try:
-        docs.write_csv(tmp)
-        out = (read_any(tmp, fmt="csv")
+        getattr(docs, f"write_{fmt}")(tmp)
+        out = (read_any(tmp, fmt=fmt)
                .groupby("lang")
                .aggregate(Count(alias_name="n_docs"),
                           Sum("n_chars", alias_name="total_chars"))
@@ -761,7 +749,9 @@ ORACLE_SQL["q118_pruned_range_scan"] = f"""
     FROM orders
     WHERE o_totalprice BETWEEN 100000.0 AND 200000.0"""
 
-ORACLE_SQL["q139_value_drift_w1"] = """
+# the per-bin CDFs of the two halves of the events stream, over 25-wide
+# bins of [0, 500]: q139 sums their gaps (W1), q146 takes the max (KS)
+_HALF_CDF_GAPS = """
     WITH mm AS (SELECT (MIN(event_id) + MAX(event_id)) // 2 AS split
                 FROM events),
     b AS (SELECT CASE WHEN event_id <= split THEN 'a' ELSE 'b' END AS half,
@@ -781,7 +771,9 @@ ORACLE_SQL["q139_value_drift_w1"] = """
             FROM f),
     gap AS (SELECT a.bin, ABS(a.p - b.p) AS g
             FROM cdf a JOIN cdf b ON a.bin = b.bin
-            WHERE a.half = 'a' AND b.half = 'b')
+            WHERE a.half = 'a' AND b.half = 'b')"""
+
+ORACLE_SQL["q139_value_drift_w1"] = _HALF_CDF_GAPS + """
     SELECT CAST((SELECT t FROM tot WHERE half = 'a') AS BIGINT) AS n_a,
            CAST((SELECT t FROM tot WHERE half = 'b') AS BIGINT) AS n_b,
            ROUND(SUM(g) * 25.0, 6) AS w1
@@ -814,27 +806,7 @@ ORACLE_SQL["q140_documents_expectations"] = """
                 THEN 1 END), 0) AS BIGINT)
     FROM documents"""
 
-ORACLE_SQL["q146_value_drift_ks"] = """
-    WITH mm AS (SELECT (MIN(event_id) + MAX(event_id)) // 2 AS split
-                FROM events),
-    b AS (SELECT CASE WHEN event_id <= split THEN 'a' ELSE 'b' END AS half,
-                 LEAST(CAST(FLOOR(value / 25.0) AS BIGINT), 19) AS bin
-          FROM events CROSS JOIN mm
-          WHERE value >= 0 AND value <= 500),
-    c AS (SELECT half, bin, COUNT(*) AS n FROM b GROUP BY 1, 2),
-    tot AS (SELECT half, SUM(n) AS t FROM c GROUP BY 1),
-    grid AS (SELECT h.half, g.bin
-             FROM (SELECT DISTINCT half FROM c) h
-             CROSS JOIN (SELECT unnest(range(0, 20)) AS bin) g),
-    f AS (SELECT grid.half, grid.bin, COALESCE(c.n, 0) AS n
-          FROM grid LEFT JOIN c ON c.half = grid.half AND c.bin = grid.bin),
-    cdf AS (SELECT f.half, f.bin,
-                   SUM(f.n) OVER (PARTITION BY f.half ORDER BY f.bin) * 1.0
-                   / (SELECT t FROM tot WHERE tot.half = f.half) AS p
-            FROM f),
-    gap AS (SELECT a.bin, ABS(a.p - b.p) AS g
-            FROM cdf a JOIN cdf b ON a.bin = b.bin
-            WHERE a.half = 'a' AND b.half = 'b')
+ORACLE_SQL["q146_value_drift_ks"] = _HALF_CDF_GAPS + """
     SELECT CAST((SELECT t FROM tot WHERE half = 'a') AS BIGINT) AS n_a,
            CAST((SELECT t FROM tot WHERE half = 'b') AS BIGINT) AS n_b,
            ROUND(MAX(g), 6) AS ks
@@ -1076,9 +1048,7 @@ SQL_QUERIES = {
 def nq_hll_distinct_users(sf_dir: str):
     """HLL cardinality per event_type (A7 scale path; exact twin is
     q19_distinct_users_per_type)."""
-    import pickle
-
-    from ..sketches import HLL
+    from ..sketches import HLL, dumps, loads, merge_all
 
     ds = _t(sf_dir, "events", ["event_type", "user_id"])
 
@@ -1087,22 +1057,15 @@ def nq_hll_distinct_users(sf_dir: str):
         rows = {"event_type": [], "blob": []}
         for et, grp in df.groupby("event_type"):
             rows["event_type"].append(et)
-            rows["blob"].append(pickle.dumps(
-                HLL(p=12).update(grp["user_id"].to_numpy())))
+            rows["blob"].append(dumps(HLL(p=12).update(grp["user_id"].to_numpy())))
         return pa.table({"event_type": pa.array(rows["event_type"], pa.string()),
                          "blob": pa.array(rows["blob"], pa.binary())})
 
-    import pickle as _p
-
     parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    out = []
-    for et, grp in parts.groupby("event_type"):
-        h = None
-        for b in grp["blob"]:
-            s = _p.loads(b)
-            h = s if h is None else h.merge(s)
-        out.append({"event_type": et, "n_users_approx": int(round(h.estimate()))})
-    return pd.DataFrame(out)
+    return pd.DataFrame([
+        {"event_type": et,
+         "n_users_approx": int(round(merge_all(map(loads, grp["blob"])).estimate()))}
+        for et, grp in parts.groupby("event_type")])
 
 
 def nq_daily_drift(sf_dir: str):

@@ -181,16 +181,6 @@ class Histogram:
         h.under, h.over, h.nan = self.under, self.over, self.nan
         return h
 
-    def probs(self, eps: float = 1e-6) -> np.ndarray:
-        """Bin probabilities incl. under/overflow as two extra cells, floored at eps."""
-        full = np.concatenate(([self.under], self.counts, [self.over])).astype(np.float64)
-        total = full.sum()
-        if total == 0:
-            return np.full(full.size, 1.0 / full.size)
-        p = full / total
-        p = np.clip(p, eps, None)
-        return p / p.sum()
-
 
 # ---------------------------------------------------------------------------
 # t-digest (merging variant) — quantiles / median / ECDF at scale

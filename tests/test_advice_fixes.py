@@ -5,6 +5,7 @@
 * mean_difference returns 0 (not inf) for a zero-std baseline.
 """
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
@@ -53,8 +54,10 @@ class TestNullStableHashing:
                        "ord": pa.array([10, 11, 12], pa.int64())})
         t2 = pa.table({"k": pa.array([42, None, 3], pa.int64()),
                        "ord": pa.array([20, 21, 22], pa.int64())})
+        # each block hashed alone, as the kernel hashes each batch
+        runs = [hash_keys(t, ["k"]).view(np.int64) for t in (t1, t2)]
         dup, extra, winners = uniqueness_violations(
-            lambda fn: [fn(t1), fn(t2)], _dup_spec())
+            lambda fn: [fn(t1), fn(t2)], _dup_spec(), np.concatenate(runs))
         assert extra == 1
         refs = dup["row_ref"].to_pylist()
         assert refs == ["42"]

@@ -247,14 +247,13 @@ def _pandas_merge_findings(findings: pa.Table, k: int):
     violations = pa.Table.from_pandas(vdf, preserve_index=False)
     sk = findings.filter(pa.array(kinds == "sketch")).to_pandas()
     profiles = {}
-    key_hll = None
     prof = sk[sk["check"] == "profile"]
     for (group, column), grp in prof.groupby(["group", "column"]):
         profiles[(group, column)] = merge_all(sketches.loads(b) for b in grp["blob"])
-    uniq = sk[sk["check"] == "uniqueness"]
-    if len(uniq):
-        key_hll = merge_all(sketches.loads(b) for b in uniq["blob"]).estimate()
-    return counters, violations, profiles, key_hll
+    runs = sk[sk["check"] == "key_hashes"]["blob"]
+    distinct = pd.Series(np.concatenate([np.frombuffer(b, np.int64) for b in runs])
+                         ).nunique() if len(runs) else None
+    return counters, violations, profiles, distinct
 
 
 def _pandas_findings_to_results(table: pa.Table, k: int) -> dict:
@@ -272,15 +271,15 @@ def _profile_bytes(profiles: dict) -> list:
 
 
 def _assert_same_reduction(got, want) -> None:
-    counters, violations, profiles, hll = got
-    w_counters, w_violations, w_profiles, w_hll = want
+    counters, violations, profiles, distinct = got
+    w_counters, w_violations, w_profiles, w_distinct = want
     assert list(counters.items()) == list(w_counters.items())
     assert all(type(v) is int for v in counters.values())
     assert violations.equals(w_violations)
     assert _profile_bytes(profiles) == _profile_bytes(w_profiles)
     assert [p.to_row() for p in profiles.values()] == [
         p.to_row() for p in w_profiles.values()]
-    assert hll == w_hll
+    assert distinct == w_distinct
 
 
 def _batched_findings() -> tuple[ValidationKernel, pa.Table]:
@@ -303,7 +302,7 @@ def test_merge_findings_matches_pandas_reduction():
         assert list(got) == [w]
         res = got[w]
         _assert_same_reduction((res.counters, res.violations, res.profiles,
-                                res.key_hll_estimate),
+                                res.distinct_keys),
                                _pandas_merge_findings(sub, kernel.cap))
     assert merge_findings(findings.schema.empty_table(), kernel) == {}
 
@@ -316,7 +315,7 @@ def test_findings_to_results_matches_pandas_split():
     assert list(got) == list(want) == [0, 1, 2]
     for w, res in got.items():
         _assert_same_reduction((res.counters, res.violations, res.profiles,
-                                res.key_hll_estimate), want[w])
+                                res.distinct_keys), want[w])
         assert res.n_rows == want[w][0]["rows"]
         assert len(res.key_hashes) == res.n_rows
         sample = Counter(zip(*(res.violations[c].to_pylist()

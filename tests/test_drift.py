@@ -146,6 +146,52 @@ class TestPSIJS:
         assert 0 < v <= np.log(2) + 1e-9
 
 
+# four profile columns over groups x, y, z, each with its own NaN rows, so
+# each column's group shares (and its categorical PSI row) differ
+_DRIFT_ROWS_SCRIPT = """
+import json
+import numpy as np
+from driftray.pipeline import Baseline, drift_report
+from driftray.sketches import ColumnProfile
+from driftray.spec import TableSpec
+
+COLS = ("stars", "forks", "size", "lines")
+
+def profiles(seed):
+    rng = np.random.default_rng(seed)
+    out = {}
+    for c in COLS:
+        for g in ("x", "y", "z"):
+            v = rng.normal(size=200)
+            v[: rng.integers(0, 100)] = np.nan
+            out[g, c] = ColumnProfile.of(c, g, v, np.linspace(-4, 4, 33))
+    return out
+
+spec = TableSpec(name="t", profile_columns=COLS, group_column="g")
+print(json.dumps(drift_report(Baseline(profiles(0)), profiles(1), spec)))
+"""
+
+
+def test_drift_rows_do_not_depend_on_hash_seed():
+    """``drift_report`` rows, categorical ones included, come in the same
+    order whatever ``PYTHONHASHSEED`` the process runs under."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    rows = []
+    for seed in ("1", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": repo}
+        rows.append(json.loads(subprocess.run(
+            [sys.executable, "-c", _DRIFT_ROWS_SCRIPT], cwd=repo, env=env,
+            capture_output=True, text=True, check=True).stdout))
+    psis = [r["psi"] for r in rows[0] if r["kind"] == "categorical"]
+    assert len(psis) == 4 and len(set(psis)) == 4
+    assert rows[0] == rows[1]
+
+
 def test_windowed_drift_series_matches_direct(ray_session):
     """Distributed per-day PSI/JS series == direct computation on raw
     rows with the same fixed edges."""

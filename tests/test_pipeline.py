@@ -88,7 +88,7 @@ class TestPlantedViolations:
         assert all(r.n_rows == CFG.window_rows for r in res.values())
 
 
-class TestProfilesAndHLL:
+class TestProfilesAndDistinctKeys:
     def test_profile_counts_sum(self, first_run):
         _, _, res = first_run
         for r in res.values():
@@ -98,10 +98,19 @@ class TestProfilesAndHLL:
             grouped = sum(p.moments.n for (g, _), p in r.profiles.items() if g != "")
             assert grouped == CFG.window_rows
 
-    def test_hll_close_to_rows(self, first_run):
-        _, _, res = first_run
-        for r in res.values():
-            assert r.key_hll_estimate == pytest.approx(CFG.window_rows, rel=0.05)
+    def test_distinct_keys_exact(self, first_run):
+        """Each window's ``distinct_keys`` is pandas' count of distinct
+        (repo, path, commit) keys, nulls equal, with planted duplicates."""
+        d, out, res = first_run
+        key = list(repo_files_spec().unique_key)
+        rows = pq.read_table(f"{d}/repo_files.parquet",
+                             columns=["window_id", *key]).to_pandas()
+        assert rows[key].isna().values.any()
+        for w, r in res.items():
+            keys = rows[rows.window_id == w][key]
+            assert keys.duplicated().any()
+            assert r.distinct_keys == len(keys.drop_duplicates())
+            assert load_lineage(out, w)["distinct_keys"] == r.distinct_keys
 
 
 class TestDrift:

@@ -29,7 +29,7 @@ def _outputs(out: str, windows) -> dict:
         with open(os.path.join(wdir, "lineage.json")) as f:
             lin = json.load(f)
         viol = pq.read_table(os.path.join(wdir, "violations.parquet"))
-        got[w] = (lin["n_rows"], lin["counters"], lin["key_hll_estimate"],
+        got[w] = (lin["n_rows"], lin["counters"], lin["distinct_keys"],
                   sorted(lin["profiles"], key=lambda p: (p["group"], p["column"])),
                   sorted(zip(*(viol[c].to_pylist() for c in viol.column_names))))
     tviol = pq.read_table(os.path.join(out, "table", "uniqueness_violations.parquet"))

@@ -113,6 +113,18 @@ def _last_jobs(out: str) -> dict:
         return json.loads(f.read().splitlines()[-1])["jobs"]
 
 
+def _run_records(out: str) -> dict:
+    """Every file under ``out`` outside the window and table directories
+    (the run lineage, the schema snapshot, the alert history), by path."""
+    got = {}
+    for root, dirs, names in os.walk(out):
+        dirs[:] = [d for d in dirs if d != "table" and not d.startswith("window=")]
+        for name in names:
+            with open(os.path.join(root, name), "rb") as f:
+                got[os.path.relpath(os.path.join(root, name), out)] = f.read()
+    return got
+
+
 def test_plain_task_verify_matches_dataset_path(ray_session, tmp_path):
     """Several files and row groups, a row group holding two windows, keys
     repeated across windows, null key components and an order column."""
@@ -139,12 +151,22 @@ def test_plain_task_verify_matches_dataset_path(ray_session, tmp_path):
     assert jobs["validate_chunks"]["row_group_tasks"] == n_row_groups
     assert jobs["validate_chunks"]["row_groups"] == n_row_groups
 
-    # windows without a persisted run: the tasks hash the keys themselves
-    for w in range(4):
-        os.remove(os.path.join(out, f"window={w}", "key_hashes.npy"))
+    # with nothing pending, a stale table result is recomputed from the
+    # persisted runs, and the run records nothing else
+    records = _run_records(out)
+    assert "run_lineage.jsonl" in records and "schema.json" in records
     os.remove(os.path.join(out, "table", "_DONE"))
     assert run_validation(str(d), out, SPEC) == []
     assert _table_outputs(out) == want
+    assert _run_records(out) == records
+
+    # a window marked done without its run is refused by name, and the
+    # table result is left as it was
+    os.remove(os.path.join(out, "window=2", "key_hashes.npy"))
+    os.remove(os.path.join(out, "table", "_DONE"))
+    with pytest.raises(ValueError, match=r"window 2 is marked done .* remove its _DONE"):
+        run_validation(str(d), out, SPEC)
+    assert not os.path.exists(os.path.join(out, "table", "_DONE"))
 
 
 def test_added_key_column_is_null_padded(ray_session, tmp_path):
@@ -218,7 +240,7 @@ def test_plan_path_equals_dataset_path(ray_session, tmp_path):
         assert sorted(got[w].violations.to_pylist(), key=str) == sorted(
             res.violations.to_pylist(), key=str)
         assert np.array_equal(got[w].key_hashes, res.key_hashes)
-        assert got[w].key_hll_estimate == res.key_hll_estimate
+        assert got[w].distinct_keys == res.distinct_keys
         assert list(got[w].profiles) == list(res.profiles)
         for key, p in res.profiles.items():
             assert got[w].profiles[key].to_row() == pytest.approx(p.to_row(),

@@ -3,7 +3,8 @@ no state across batches, and ``pipeline.merge_findings`` reduces the
 findings of any split of the rows to the same counters, violation sample
 and verdicts.  The property test holds ``run_validation``'s outputs to a
 cold run over one file holding one row group, for drawn layouts, chunk
-sizes and partial runs."""
+sizes, partial runs, windows appended between runs and windows whose
+rows interleave inside row groups."""
 
 import json
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftray.checks import ValidationKernel
@@ -29,13 +30,23 @@ CFG = RepoFilesConfig(window_rows=60, content_median=256, p_null_path=0.04,
 N_ROWS = 300          # windows 0-4
 
 
-def _write(table: pa.Table, directory: str, cuts, row_group_size: int) -> None:
+def _write(table: pa.Table, directory: str, cuts, row_group_size: int,
+           prefix: str = "part") -> None:
     """``table`` as one file per run of rows between ``cuts``."""
-    os.makedirs(directory)
+    os.makedirs(directory, exist_ok=True)
     bounds = [0, *sorted(cuts), table.num_rows]
     for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        pq.write_table(table.slice(a, b - a), os.path.join(directory, f"part-{i:03d}.parquet"),
+        pq.write_table(table.slice(a, b - a),
+                       os.path.join(directory, f"{prefix}-{i:03d}.parquet"),
                        row_group_size=row_group_size)
+
+
+def _interleave(table: pa.Table) -> pa.Table:
+    """``table``'s rows dealt round-robin by window (row ``i`` of each
+    window, then row ``i + 1``), so a row group holds each of its windows
+    in many runs of rows and the kernel gathers them by mask."""
+    pos = np.arange(table.num_rows) % CFG.window_rows
+    return table.take(np.argsort(pos, kind="stable"))
 
 
 def _outputs(out_dir: str) -> dict:
@@ -137,16 +148,33 @@ def cold(ray_session, tmp_path_factory):
        cuts=st.lists(st.integers(min_value=1, max_value=N_ROWS - 1),
                      max_size=3, unique=True),
        windows_per_pass=st.integers(min_value=1, max_value=5),
-       first=st.sets(st.integers(min_value=0, max_value=4), max_size=4))
+       first=st.sets(st.integers(min_value=0, max_value=4), max_size=4),
+       appended=st.integers(min_value=0, max_value=3),
+       interleaved=st.booleans())
+@example(row_group_size=70, cuts=[130], windows_per_pass=2, first=set(),
+         appended=2, interleaved=False)
+@example(row_group_size=50, cuts=[], windows_per_pass=4, first=set(),
+         appended=0, interleaved=True)
 def test_outputs_depend_only_on_rows(cold, row_group_size, cuts, windows_per_pass,
-                                     first):
+                                     first, appended, interleaved):
+    """The last ``appended`` windows' files appear only after a first run
+    (of the windows of ``first`` present then, or of all of them), so the
+    second run's table check recomputes over the persisted runs;
+    ``interleaved`` deals each file's rows round-robin by window."""
     base, table, dims, want = cold
     run = tempfile.mkdtemp(dir=base)
     src, out = os.path.join(run, "data"), os.path.join(run, "out")
-    _write(table, src, cuts, row_group_size)
-    if first:
+    split = N_ROWS - appended * CFG.window_rows
+    layout = _interleave if interleaved else (lambda t: t)
+    _write(layout(table.slice(0, split)), src, [c for c in cuts if c < split],
+           row_group_size)
+    if first or appended:
+        present = sorted(w for w in first if w * CFG.window_rows < split)
         run_validation(src, out, repo_files_spec(), dim_paths=dims,
-                       windows=sorted(first), windows_per_pass=windows_per_pass)
+                       windows=present or None, windows_per_pass=windows_per_pass)
+    if appended:
+        _write(layout(table.slice(split)), src, [c - split for c in cuts if c > split],
+               row_group_size, prefix="appended")
     run_validation(src, out, repo_files_spec(), dim_paths=dims,
                    windows_per_pass=windows_per_pass)
     got = _outputs(out)
