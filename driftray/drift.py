@@ -204,10 +204,12 @@ def _probs(counts: np.ndarray, eps: float) -> np.ndarray:
 
 
 def _cells(h: Histogram, max_bins: int) -> np.ndarray:
-    """``h`` coarsened to <= ``max_bins`` bins, with its under- and
-    overflow as two extra cells."""
-    h = h.coarsen(max_bins)
-    return np.concatenate(([h.under], h.counts, [h.over])).astype(np.float64)
+    """``h``'s counts folded to <= ``max_bins`` cells of
+    ``ceil(nbins / max_bins)`` adjacent bins (the last padded with empty
+    bins), with its under- and overflow as two extra cells."""
+    factor = -(-h.nbins // max_bins)
+    counts = np.pad(h.counts, (0, -h.nbins % factor)).reshape(-1, factor).sum(axis=1)
+    return np.concatenate(([h.under], counts, [h.over])).astype(np.float64)
 
 
 def psi(ref: Histogram, cur: Histogram, eps: float = 1e-6, max_bins: int = 8) -> float:
@@ -298,11 +300,10 @@ def windowed_drift_series(ds, ts_col: str, value_col: str,
         g = df.groupby(["w", "b"], sort=False).size().rename("n").reset_index()
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    import ray
-
-    refs = (ds.select_columns([ts_col, value_col])
-            .map_batches(partial, batch_format="pyarrow").to_arrow_refs())
-    parts = [t for t in ray.get(refs) if t.num_rows]
+    # one block per batch: an empty block may come back column-less
+    parts = [t for t in ds.select_columns([ts_col, value_col])
+             .map_batches(partial, batch_format="pyarrow")
+             .iter_batches(batch_size=None, batch_format="pyarrow") if len(t)]
     counts = (pa.concat_tables(parts).to_pandas() if parts
               else pd.DataFrame({"w": [], "b": [], "n": []}))
 
@@ -367,30 +368,38 @@ def wasserstein_from_hist(ref: "Histogram", cur: "Histogram") -> float:
     return float(np.sum(cdf_gap * widths))
 
 
+def _tag_counts(v: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """The sorted distinct non-NaN values of ``v`` and, per value, the sums
+    of the weights ``a`` and ``b`` over its rows (values both sums leave
+    at 0 dropped).  Folding rows (0/1 tags) and folding earlier folds
+    (counts) are the same step."""
+    v = np.asarray(v, dtype=np.float64)
+    ok = ~np.isnan(v)
+    uv, inv = np.unique(v[ok], return_inverse=True)
+    # bincount-with-weights returns float64; counts stay far below 2**53,
+    # so the round-trip is exact
+    ca, cb = (np.bincount(inv, weights=np.asarray(w)[ok],
+                          minlength=uv.size).astype(np.int64) for w in (a, b))
+    keep = (ca > 0) | (cb > 0)
+    return uv[keep], ca[keep], cb[keep]
+
+
 def ks_exact_distributed(ds, value_col: str, a_col: str, b_col: str):
     """FULLY-exact two-sample KS statistic over a Dataset — no binning
     (q146's quantization) and no t-digest tolerance band: the statistic
     is evaluated at every distinct value, exactly as :func:`ks_2sample`
-    does on raw arrays, but distributed.
+    does on raw arrays.
 
     ``ds`` carries the numeric ``value_col`` plus two 0/1 integer tag
     columns (``a_col`` = row belongs to sample A, ``b_col`` = sample B;
     a row may belong to neither).  NaN values are dropped, matching the
     SQL ``value IS NOT NULL`` convention.
 
-    Scale shape (the reason this isn't just ``sort + searchsorted``):
-
-    1. per-batch combiner — ``np.unique`` + ``bincount`` folds each
-       batch to (value, ca, cb) partial counts before any exchange;
-    2. ONE hash exchange: ``groupby(value).sum`` → the distinct-value
-       table (≤ corpus rows, usually far less);
-    3. ONE range exchange: ``sort(value)`` → disjoint ordered blocks,
-       pinned so the two scan passes below don't re-execute it;
-    4. zone pass — one (vmin, Σca, Σcb) row PER BLOCK to the driver
-       (∝ block count, never ∝ rows) → exclusive block offsets,
-       broadcast once via ``ray.put``;
-    5. gap pass — each block computes its local cumsums + offset and
-       returns ONE row: max |cumA·n_b − cumB·n_a| (an exact int64).
+    ONE ``map_batches`` pass (one Ray Data execution) folds each batch to
+    (value, ca, cb) partial counts (``np.unique`` + ``bincount``); the
+    driver fetches them, so it holds one (value, ca, cb) row per distinct
+    value per block, applies the same fold to their concatenation and
+    takes max |cumA·n_b − cumB·n_a| over the cumulative counts.
 
     Returns ``{"n_a", "n_b", "d_num", "d"}`` with
     ``d = d_num / (n_a·n_b)`` — the numerator is an exact integer, so
@@ -398,50 +407,18 @@ def ks_exact_distributed(ds, value_col: str, a_col: str, b_col: str):
     (DuckDB promotes the windowed sums to HUGEINT; we guard the int64
     range loudly instead)."""
     import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-    from ray.data.aggregate import Sum
 
     def partial(t: "pa.Table") -> "pa.Table":
-        v = t[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        a = t[a_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = t[b_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        ok = ~np.isnan(v)
-        v, a, b = v[ok], a[ok], b[ok]
-        uv, inv = np.unique(v, return_inverse=True)
-        # bincount-with-weights returns float64; counts are far below
-        # 2**53 per batch so the round-trip is exact
-        ca = np.bincount(inv, weights=a, minlength=uv.size).astype(np.int64)
-        cb = np.bincount(inv, weights=b, minlength=uv.size).astype(np.int64)
-        keep = (ca > 0) | (cb > 0)
-        return pa.table({"v": pa.array(uv[keep]),
-                         "ca": pa.array(ca[keep]),
-                         "cb": pa.array(cb[keep])})
+        v, ca, cb = _tag_counts(*(t[c].to_numpy(zero_copy_only=False)
+                                  for c in (value_col, a_col, b_col)))
+        return pa.table({"v": v, "ca": ca, "cb": cb})
 
-    g = (ds.map_batches(partial, batch_format="pyarrow")
-         .groupby("v").aggregate(Sum("ca"), Sum("cb"))
-         .map_batches(lambda t: t.rename_columns(["v", "ca", "cb"]),
-                      batch_format="pyarrow")
-         .sort("v")
-         .materialize())   # pin: two scan passes follow (distinct-value
-                           # table only — object store, not driver)
-
-    def zone(t: "pa.Table") -> "pa.Table":
-        if t.num_rows == 0:
-            return pa.table({"vmin": pa.array([], pa.float64()),
-                             "sa": pa.array([], pa.int64()),
-                             "sb": pa.array([], pa.int64())})
-        return pa.table({
-            "vmin": pa.array([t["v"][0].as_py()], pa.float64()),
-            "sa": pa.array([pc.sum(t["ca"]).as_py()], pa.int64()),
-            "sb": pa.array([pc.sum(t["cb"]).as_py()], pa.int64())})
-
-    # batch_size=None ⇒ one batch per block; rows returned ∝ #blocks
-    zones = g.map_batches(zone, batch_size=None,
-                          batch_format="pyarrow").take_all()
-    zones.sort(key=lambda r: r["vmin"])
-    n_a = int(sum(r["sa"] for r in zones))
-    n_b = int(sum(r["sb"] for r in zones))
+    # one block per batch: an empty block may come back column-less
+    parts = [p for p in ds.map_batches(partial, batch_format="pyarrow")
+             .iter_batches(batch_size=None, batch_format="pyarrow") if len(p)]
+    _v, ca, cb = _tag_counts(*(np.concatenate([p[c].to_numpy() for p in parts] or [[]])
+                               for c in ("v", "ca", "cb")))
+    n_a, n_b = int(ca.sum()), int(cb.sum())
     if n_a == 0 or n_b == 0:
         return {"n_a": n_a, "n_b": n_b, "d_num": 0, "d": float("nan")}
     if n_a * n_b >= 2 ** 62:
@@ -449,24 +426,6 @@ def ks_exact_distributed(ds, value_col: str, a_col: str, b_col: str):
             f"ks_exact_distributed gap numerator n_a*n_b = {n_a}*{n_b} "
             "exceeds the exact-int64 range; sample one side or use "
             "ks_from_hist (quantized-exact) at this scale")
-    offs, ca_off, cb_off = {}, 0, 0
-    for r in zones:
-        offs[r["vmin"]] = (ca_off, cb_off)
-        ca_off += int(r["sa"])
-        cb_off += int(r["sb"])
-    offs_ref = ray.put(offs)
-
-    def gap(t: "pa.Table") -> "pa.Table":
-        if t.num_rows == 0:
-            return pa.table({"g": pa.array([], pa.int64())})
-        oa, ob = ray.get(offs_ref)[t["v"][0].as_py()]
-        ca = oa + np.cumsum(t["ca"].to_numpy())
-        cb = ob + np.cumsum(t["cb"].to_numpy())
-        m = int(np.abs(ca * n_b - cb * n_a).max())
-        return pa.table({"g": pa.array([m], pa.int64())})
-
-    d_num = max(int(r["g"]) for r in
-                g.map_batches(gap, batch_size=None,
-                              batch_format="pyarrow").take_all())
+    d_num = int(np.abs(np.cumsum(ca) * n_b - np.cumsum(cb) * n_a).max())
     return {"n_a": n_a, "n_b": n_b, "d_num": d_num,
             "d": d_num / (n_a * n_b)}

@@ -19,8 +19,8 @@ Scale notes
   but its start-up.  The run is
   planned from Parquet footers on the driver: ONE window zone map lists
   each row group's window ids, and every read takes the row groups
-  holding its windows; a read spanning schema versions is padded to its
-  footers' union schema, and histogram edges fold the footer min/max
+  holding its windows, padded to the union schema of every windowed
+  file's footer, and histogram edges fold the footer min/max
   (or come from the baseline).  Nothing is an all-to-all job, and
   ``run_lineage.jsonl`` counts each stage's tasks (``jobs``).
 * Each file's footer is read ONCE per run (``sources.read_footers``);
@@ -689,10 +689,10 @@ def promote_baseline(out_dir: str, window_id: int, baseline_path: str,
 
 def _zone_map_windows(zone: list[tuple], window_column: str) -> list[int]:
     """Every window id of the table, from the zone-map rows' window ids
-    (``(file, row_group, windows, nulls, group)``); a row group holding a
-    null window id raises, naming its file and index."""
+    (``(file, row_group, windows, nulls)``); a row group holding a null
+    window id raises, naming its file and index."""
     found: set[int] = set()
-    for file, row_group, ws, nulls, _group in zone:
+    for file, row_group, ws, nulls in zone:
         if nulls:
             raise ValueError(
                 f"{nulls} row(s) with a null {window_column!r} in "
@@ -709,8 +709,8 @@ def _map_rows(row_groups: list, schema, window_column: str,
     ``windows``), all submitted by one ``ops.zonemap.map_row_groups``
     call.  Each task's read keeps exactly the rows of ``windows``, passes
     a row group they fill on as read, and pads a column its file lacks
-    with typed nulls of ``schema`` (the footers' union schema of the
-    columns read).  ``fn``'s outputs come back to the driver."""
+    with typed nulls of ``schema`` (the union schema of the columns read
+    over every windowed file).  ``fn``'s outputs come back to the driver."""
     from .ops.zonemap import map_row_groups
 
     members = pa.array(windows, pa.int64())
@@ -743,7 +743,8 @@ def run_validation(
       group's window ids (a row group whose footer statistics do not pin
       one window has its window column read), and every read takes the
       row groups holding its windows, padded to the union schema of
-      their footers when they span schema versions;
+      every windowed file's footer (so a window reads the same columns
+      whichever schema versions its chunk spans);
     * ``windows=None`` takes the window ids from the zone map (a null id
       raises, naming its file and row group, and so does a file without
       ``window_column``); the bin edges come from the baseline's
@@ -806,40 +807,39 @@ def run_validation(
     n_schema_groups = len(_fgroups)
 
     # ONE window zone map per run, on the driver, over every file
-    # holding the window column: each row group's window ids (``values``)
-    # and footer schema group.  Every read is planned from it and reads
+    # holding the window column: each row group's window ids
+    # (``values``).  Every read is planned from it and reads
     # ONLY the row groups holding its windows (read_parquet(filter=...)
     # does not prune row groups: every chunk re-scanned the table).  A
     # file without the window column raises when the windows are not
     # given; when they are, no read touches it.
     from .ops.zonemap import footer_zone_map
 
-    group_of = {}
-    for key, (sch, fs) in _fgroups.items():
+    windowed, schemas = [], []
+    for sch, fs in _fgroups.values():
         if window_column in sch.names:
-            group_of.update((f, key) for f in fs)
+            windowed += fs
+            schemas.append(sch)
         elif windows is None:
             raise ValueError(f"no {window_column!r} column in {fs[0]}; "
                              "pass windows= to validate the other files")
-    zm = footer_zone_map(list(group_of), window_column, values=True,
+    zm = footer_zone_map(windowed, window_column, values=True,
                          footers=_footers)
-    # one (file, row_group, window ids, null count, schema group) row per
-    # row group, walked by every plan of the run
-    _zone = [(f, g, set(ws), nulls, group_of[f])
+    # one (file, row_group, window ids, null count) row per row group,
+    # walked by every plan of the run
+    _zone = [(f, g, set(ws), nulls)
              for f, g, ws, nulls in zip(*(zm[c].to_pylist() for c in (
                  "file", "row_group", "values", "nulls")))]
 
     def _plan(ws: list[int], columns=None):
         # the (file, row_group) pairs holding a window of ``ws``, and the
-        # union schema of their footers' ``columns``: a read spanning
-        # schema versions pads the columns a version lacks with nulls
+        # union schema of ``columns`` over every windowed file: a column
+        # one schema version lacks reads as typed nulls in every window,
+        # whichever versions a chunk's row groups span
         wset = set(ws)
-        rows = [(f, g, group) for f, g, held, _nulls, group in _zone
+        rows = [(f, g) for f, g, held, _nulls in _zone
                 if not wset.isdisjoint(held)]
-        keys = list(dict.fromkeys(group for _f, _g, group in rows))
-        return ([(f, g) for f, g, _group in rows],
-                union_schema([_fgroups[k][0] for k in keys], columns)
-                if keys else None)
+        return rows, union_schema(schemas, columns) if rows else None
 
     _mark("schema_preflight", t0)
 

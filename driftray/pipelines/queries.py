@@ -20,12 +20,21 @@ copy of it, so their oracles check the engine's own paths:
 - ``pipeline.validate_dataset`` (the kernel pass, one plain task per
   row group of the table's file, its partials reduced on the driver):
   the expectation counters of q127, q128, q129, q140 and q173, the
-  grouped profiles of q17 and the verdict rows of
+  grouped profiles of q17, the verdict rows of
   ``nq_validate_documents`` and ``nq_validate_events`` (with the
-  table-wide count of ``pipeline.uniqueness_violations``);
+  table-wide count of ``pipeline.uniqueness_violations``), and the
+  profiles of the two halves of the events stream (``_half_profiles``,
+  the halves as windows): q139's and q146's histograms and
+  ``nq_drift_events``' profiles;
+- ``pipeline.drift_report``: the KS/PSI/JS rows of ``nq_drift_events``,
+  with the first half's profiles as the baseline;
 - ``sensor.detect_stream``: the detector replay of
   ``nq_unusual_ratio_events``;
-- ``drift.windowed_drift_series``: q145 and ``nq_daily_drift``.
+- ``drift.windowed_drift_series``: q145 and ``nq_daily_drift``;
+- ``drift.ks_exact_distributed``: q179.
+
+The halves split at ``_midpoint``, one ``pc.min_max`` task per row
+group folded on the driver (q30, q139, q146, ``nq_drift_events``).
 """
 
 from __future__ import annotations
@@ -259,30 +268,66 @@ def q25_source_tiers(sf_dir: str):
             .groupby("tier").aggregate(Count(alias_name="n_docs")))
 
 
+# -- the two halves of the events stream (A5/A6) ------------------------------
+
+def _min_max(column: str, t: pa.Table) -> tuple:
+    mm = pc.min_max(pc.cast(t[column], pa.int64()))
+    return mm["min"].as_py(), mm["max"].as_py()
+
+
+def _midpoint(sf_dir: str, name: str, column: str) -> int:
+    """``(min + max) // 2`` of the ``name`` table's integer or timestamp
+    ``column`` (a timestamp as its int64 count): a ``pc.min_max`` per row
+    group in plain tasks, folded on the driver."""
+    parts = [p for p in _row_groups(sf_dir, name, [column])(
+        functools.partial(_min_max, column)) if p[0] is not None]
+    return (min(lo for lo, _ in parts) + max(hi for _, hi in parts)) // 2
+
+
+def _tag_half(column: str, mid: int, kernel, t: pa.Table) -> pa.Table:
+    """``kernel`` over ``t`` with a ``half`` window column: 0 where
+    ``column`` (as int64) is below ``mid``, 1 from ``mid`` on; a row whose
+    ``column`` is null is in neither half."""
+    half = pc.cast(pc.greater_equal(pc.cast(t[column], pa.int64()), mid), pa.int64())
+    return kernel(t.append_column("half", half).filter(pc.is_valid(half)))
+
+
+def _half_profiles(sf_dir: str, column: str, mid: int, edges: np.ndarray,
+                   group_column: str | None = None):
+    """The events' ``value`` profiles in the two halves of ``_tag_half``
+    (per ``group_column`` value too, when given; histograms over
+    ``edges``), from ``validate_dataset`` with ``window_column="half"``
+    over every row group of the file: ``(spec, first, second)``."""
+    from ..pipeline import validate_dataset
+    from ..spec import TableSpec
+
+    spec = TableSpec(name="events", profile_columns=("value",),
+                     group_column=group_column)
+    read = _row_groups(sf_dir, "events",
+                       [column, "value", *([group_column] if group_column else [])])
+    res = validate_dataset(lambda fn: read(functools.partial(_tag_half, column, mid, fn)),
+                           spec, window_column="half", hist_edges={"value": edges})
+    return spec, res[0].profiles, res[1].profiles
+
+
 # -- drift half-split means, oracle-checked (A5/A6 companion) -----------------
 
 def q30_drift_means(sf_dir: str):
     """Exact per-type means of `value` over the first/second half of the
-    time range — the oracle-checkable core of nq_drift_events (mid-split
-    identical to the sketch pipeline's)."""
-    from ray.data.aggregate import Max, Min, Sum
+    time range — the oracle-checkable core of nq_drift_events, split at
+    the same ``_midpoint`` of ``ts``."""
+    from ray.data.aggregate import Sum
 
-    ds = _t(sf_dir, "events", ["ts", "event_type", "value"])
-    ts_i = ds.map_batches(
-        lambda t: pa.table({"us": pc.cast(pc.cast(t["ts"], pa.timestamp("us")),
-                                          pa.int64())}),
-        batch_format="pyarrow")
-    row = ts_i.aggregate(Min("us", alias_name="lo"), Max("us", alias_name="hi"))
-    mid = (int(row["lo"]) + int(row["hi"])) // 2
+    mid = _midpoint(sf_dir, "events", "ts")
 
     def tag(t: pa.Table) -> pa.Table:
-        us = pc.cast(pc.cast(t["ts"], pa.timestamp("us")), pa.int64())
-        half = pc.cast(pc.greater_equal(us, mid), pa.int64())
+        half = pc.cast(pc.greater_equal(pc.cast(t["ts"], pa.int64()), mid), pa.int64())
         one = pa.array(np.ones(t.num_rows, dtype=np.int64))
         return pa.table({"event_type": t["event_type"], "half": half,
                          "value": t["value"], "one": one})
 
-    parts = (ds.map_batches(tag, batch_format="pyarrow")
+    parts = (_t(sf_dir, "events", ["ts", "event_type", "value"])
+             .map_batches(tag, batch_format="pyarrow")
              .groupby(["event_type", "half"])
              .aggregate(Sum("value", alias_name="s"), Sum("one", alias_name="n"))
              .to_pandas())
@@ -512,42 +557,22 @@ def q129_conditional_rules(sf_dir: str):
 
 def _half_histograms(sf_dir: str):
     """Shared-edge histograms (fixed 25-unit bins over [0, 500]) of
-    events.value in the first and second half of the event_id range, each
-    merged from per-block ``Histogram`` partials."""
-    from ray.data.aggregate import Max, Min
-
-    from .. import sketches
-    from ..sketches import Histogram
-
-    ev = _t(sf_dir, "events", ["event_id", "value"])
-    mm = ev.aggregate(Min("event_id"), Max("event_id"))
-    split = (int(mm["min(event_id)"]) + int(mm["max(event_id)"])) // 2
-    edges = np.linspace(0.0, 500.0, 21)
-
-    def partial(t: pa.Table) -> pa.Table:
-        ids = t["event_id"].to_numpy(zero_copy_only=False)
-        v = t["value"].to_numpy(zero_copy_only=False)
-        blobs, halves = [], []
-        for name, mask in (("a", ids <= split), ("b", ids > split)):
-            h = Histogram.from_edges(edges).update(
-                np.asarray(v[mask], dtype=np.float64))
-            blobs.append(sketches.dumps(h))
-            halves.append(name)
-        return pa.table({"half": pa.array(halves),
-                         "blob": pa.array(blobs, pa.binary())})
-
-    parts = ev.map_batches(partial, batch_format="pyarrow").to_pandas()
-    return tuple(sketches.merge_all(sketches.loads(b)
-                                    for b in parts[parts.half == h]["blob"])
-                 for h in ("a", "b"))
+    events.value in the first and second half of the event_id range, the
+    first half being ``event_id <= (min + max) // 2`` as in the oracle:
+    the profiles' histograms of ``_half_profiles``."""
+    _spec, first, second = _half_profiles(
+        sf_dir, "event_id", _midpoint(sf_dir, "events", "event_id") + 1,
+        np.linspace(0.0, 500.0, 21))
+    return first[("", "value")].hist, second[("", "value")].hist
 
 
 def q139_value_drift_w1(sf_dir: str):
     """Wasserstein-1 distance between the first and second half of the
-    events stream (`drift.wasserstein_from_hist` over ``_half_histograms``):
-    HOW FAR the value distribution moved, in value units — with fixed bin
-    edges the binned W1 is Σ|CDF gap|·width, exactly expressible in SQL,
-    so the sketch math is hash-checked."""
+    events stream (`drift.wasserstein_from_hist` over the histograms of
+    the engine's profiles, ``_half_histograms``): HOW FAR the value
+    distribution moved, in value units — with fixed bin edges the binned
+    W1 is Σ|CDF gap|·width, exactly expressible in SQL, so the sketch
+    math is hash-checked."""
     from ..drift import wasserstein_from_hist
 
     a, b = _half_histograms(sf_dir)
@@ -591,11 +616,11 @@ def q145_daily_psi_js(sf_dir: str):
 
 def q146_value_drift_ks(sf_dir: str):
     """Quantized-exact KS statistic between the first and second half of
-    the events stream (`drift.ks_from_hist` over ``_half_histograms``) —
-    the tolerance-free scale path for the A5 two-sample test: max |CDF
-    gap| at the shared bin edges is a deterministic function of the
-    mergeable integer counts, so the driver hash checks the sketch math
-    exactly."""
+    the events stream (`drift.ks_from_hist` over the histograms of the
+    engine's profiles, ``_half_histograms``) — the tolerance-free scale
+    path for the A5 two-sample test: max |CDF gap| at the shared bin edges
+    is a deterministic function of the mergeable integer counts, so the
+    driver hash checks the sketch math exactly."""
     from ..drift import ks_from_hist
 
     a, b = _half_histograms(sf_dir)
@@ -935,13 +960,12 @@ def q189_bloom_point_lookup(sf_dir: str):
 
 def q179_ks_exact(sf_dir: str):
     """FULLY-exact two-sample KS over events.value, click vs view
-    (`drift.ks_exact_distributed`): one hash exchange to the
-    distinct-value table, one range exchange, then zone/gap block scans
-    — no binning, no digest tolerance.  The driver hashes the exact
+    (`drift.ks_exact_distributed`): one ``map_batches`` pass folds each
+    block to (value, click count, view count) rows and the driver folds
+    those — no binning, no digest tolerance.  The driver hashes the exact
     integer numerator max |cumA·n_b − cumB·n_a| (D = d_num/(n_a·n_b)),
-    so the whole distributed CDF algebra must be bit-correct.  Closes
-    the 'exact KS only at sample scale' gap (VERDICT r4 §missing #4);
-    q146 remains the histogram-quantized scale path."""
+    so the whole CDF algebra must be bit-correct; q146 remains the
+    histogram-quantized scale path."""
     from ..drift import ks_exact_distributed
 
     ev = _t(sf_dir, "events", ["event_type", "value"])
@@ -1085,57 +1109,28 @@ def nq_daily_drift(sf_dir: str):
 
 def nq_drift_events(sf_dir: str):
     """KS/PSI/JS of `value` between the first and second half of the time
-    range, per event_type (A5/A6 over the events stream)."""
-    import pickle
+    range, per event_type (A5/A6 over the events stream): the numeric rows
+    of ``pipeline.drift_report`` with the first half's profiles
+    (``_half_profiles`` split at the ``_midpoint`` of ``ts``) as the
+    baseline, and the halves' means from the profiles' moments."""
+    from ..checks import EMPTY_GROUP
+    from ..pipeline import Baseline, drift_report
 
-    from ..drift import js_divergence, ks_from_digests, psi
-    from ..sketches import ColumnProfile
-
-    ds = _t(sf_dir, "events", ["ts", "event_type", "value"])
-    lohi = ds.map_batches(
-        lambda t: pa.table({"lo": [pc.min(pc.cast(t["ts"], pa.int64())).as_py()],
-                            "hi": [pc.max(pc.cast(t["ts"], pa.int64())).as_py()]}),
-        batch_format="pyarrow").to_pandas()
-    mid = (int(lohi["lo"].min()) + int(lohi["hi"].max())) // 2
-
-    def partial(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        df["half"] = (df["ts"].astype("int64") >= mid).astype(int)
-        rows = {"event_type": [], "half": [], "blob": []}
-        for (et, half), grp in df.groupby(["event_type", "half"]):
-            v = grp["value"].to_numpy(dtype=np.float64)
-            rows["event_type"].append(et)
-            rows["half"].append(half)
-            # pickle, not sketches.dumps: the t-digest stays unflushed,
-            # and the query's ks_stat figures depend on that
-            rows["blob"].append(pickle.dumps(ColumnProfile.of(
-                "value", str(et), v, np.linspace(0, 500, 33))))
-        return pa.table({"event_type": pa.array(rows["event_type"], pa.string()),
-                         "half": pa.array(rows["half"], pa.int64()),
-                         "blob": pa.array(rows["blob"], pa.binary())})
-
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    merged: dict = {}
-    for _, r in parts.iterrows():
-        p = pickle.loads(r["blob"])
-        key = (r["event_type"], r["half"])
-        if key in merged:
-            merged[key].merge(p)
-        else:
-            merged[key] = p
+    spec, first, second = _half_profiles(
+        sf_dir, "ts", _midpoint(sf_dir, "events", "ts"),
+        np.linspace(0, 500, 33), group_column="event_type")
     out = []
-    for et in sorted({k[0] for k in merged}):
-        a = merged.get((et, 0))
-        b = merged.get((et, 1))
-        if not a or not b:
-            continue
+    for r in drift_report(Baseline(first), second, spec):
+        g = r["group"]
+        if r["kind"] != "numeric" or g == "":
+            continue  # the group shares and the ungrouped profile
         out.append({
-            "event_type": et,
-            "ks_stat": round(ks_from_digests(a.tdigest, b.tdigest), 4),
-            "psi": round(psi(a.hist, b.hist), 4),
-            "js": round(js_divergence(a.hist, b.hist), 4),
-            "mean_first": round(a.moments.mean, 4),
-            "mean_second": round(b.moments.mean, 4),
+            "event_type": "" if g == EMPTY_GROUP else g,
+            "ks_stat": round(r["ks_stat"], 4),
+            "psi": round(r["psi"], 4),
+            "js": round(r["js"], 4),
+            "mean_first": round(first[(g, "value")].moments.mean, 4),
+            "mean_second": round(second[(g, "value")].moments.mean, 4),
         })
     return pd.DataFrame(out)
 

@@ -166,21 +166,6 @@ class Histogram:
         self.nan += other.nan
         return self
 
-    def coarsen(self, max_bins: int = 8) -> "Histogram":
-        """Merge adjacent bins down to <= max_bins (noise control for PSI/JS
-        on small samples; counts stay exact)."""
-        if self.nbins <= max_bins:
-            return self
-        factor = int(np.ceil(self.nbins / max_bins))
-        pad = (-self.nbins) % factor
-        counts = np.concatenate([self.counts, np.zeros(pad, dtype=np.int64)])
-        h = Histogram.from_edges(self.edges[::factor].tolist() + [self.edges[-1]]
-                                 if (self.nbins % factor) else self.edges[::factor])
-        h.counts = counts.reshape(-1, factor).sum(axis=1)
-        h.edges = h.edges[: h.counts.size + 1]
-        h.under, h.over, h.nan = self.under, self.over, self.nan
-        return h
-
 
 # ---------------------------------------------------------------------------
 # t-digest (merging variant) — quantiles / median / ECDF at scale

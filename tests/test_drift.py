@@ -232,6 +232,12 @@ def test_windowed_drift_series_matches_direct(ray_session):
         assert out["n"].iloc[i] == len(grp)
         prev = cur
 
+    # more blocks than rows: the empty blocks change nothing
+    few = df.head(5)
+    pd.testing.assert_frame_equal(
+        windowed_drift_series(rd.from_pandas(few).repartition(8), "ts", "v", edges),
+        windowed_drift_series(rd.from_pandas(few), "ts", "v", edges))
+
 
 class TestWasserstein:
     def test_shifted_mass(self):

@@ -141,6 +141,38 @@ def test_nq_drift_events_half_means_match_exact(harness):
     assert got["ks_stat"].between(0, 1).all()
 
 
+def test_nq_drift_events_psi_js_match_exact_histograms(harness):
+    """PSI and JS per event_type from exact histograms of each half: 32
+    bins of [0, 500] folded into 8 cells of 4, plus under- and overflow,
+    each cell's share floored at 1e-6 and renormalized."""
+    import numpy as np
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    entrymod, _ = harness
+    got = _run(entrymod, "nq_drift_events").set_index("event_type")
+    t = pq.read_table(f"{SF}/events.parquet", columns=["ts", "event_type", "value"])
+    ts = pc.cast(t["ts"], "int64").to_numpy()
+    second = ts >= (int(ts.min()) + int(ts.max())) // 2
+    types = t["event_type"].to_numpy(zero_copy_only=False)
+    values = t["value"].to_numpy()
+
+    def shares(v):
+        bins = np.histogram(v, np.linspace(0, 500, 33))[0]
+        cells = np.r_[(v < 0).sum(), bins.reshape(8, 4).sum(axis=1), (v > 500).sum()]
+        p = np.clip(cells / cells.sum(), 1e-6, None)
+        return p / p.sum()
+
+    assert sorted(got.index) == sorted(set(types))
+    for name in got.index:
+        p = shares(values[(types == name) & ~second])
+        q = shares(values[(types == name) & second])
+        m = (p + q) / 2
+        psi = np.sum((q - p) * np.log(q / p))
+        js = (np.sum(p * np.log(p / m)) + np.sum(q * np.log(q / m))) / 2
+        assert (got.loc[name, "psi"], got.loc[name, "js"]) == (round(psi, 4), round(js, 4))
+
+
 def test_nq_unusual_ratio_events_replays_ordered_flags(harness):
     from driftray.drift import unusual_ratio_verdicts
 

@@ -59,13 +59,17 @@ def test_footer_union_schema_rejects_conflicts(tmp_path):
 
 
 def test_run_validation_rejects_conflicts_in_a_chunk(ray_session, tmp_path):
+    """A column whose type differs across files raises ``TypeError``
+    before any window is written, whatever ``windows_per_pass``: every
+    read pads to the union schema of the whole table, so a chunk whose
+    files hold one schema group conflicts too."""
     from driftray.pipeline import run_validation
     from driftray.spec import TableSpec
 
     d = _conflicting_table(tmp_path / "tbl")
-    with pytest.raises(TypeError, match="conflicting"):
-        run_validation(d, str(tmp_path / "out"), TableSpec(name="c"))
-    # chunks that each read one schema group have nothing to reconcile
-    res = run_validation(d, str(tmp_path / "out1"), TableSpec(name="c"),
-                         windows_per_pass=1)
-    assert [(r.window_id, r.n_rows) for r in res] == [(0, 2), (1, 1)]
+    for windows_per_pass in (4, 1):
+        out = tmp_path / f"out{windows_per_pass}"
+        with pytest.raises(TypeError, match="conflicting"):
+            run_validation(d, str(out), TableSpec(name="c"),
+                           windows_per_pass=windows_per_pass)
+        assert not list(out.glob("window=*/_DONE"))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from driftray.bloom import BloomFilter
+from driftray.drift import _cells
 from driftray.sketches import HLL, Histogram, Moments, TDigest, dumps, hash64, loads, merge_all
 
 rng = np.random.default_rng(7)
@@ -106,8 +107,15 @@ class TestHistogram:
         h2 = Histogram(-4, 4, 32).update(x[4000:])
         h = h1.merge(h2)
         assert h.counts.sum() + h.under + h.over == 8000
-        c = h.coarsen(8)
-        assert c.nbins == 8 and c.counts.sum() == h.counts.sum()
+        # PSI/JS fold the 32 bins into 8 cells of 4, plus under/overflow
+        cells = _cells(h, 8)
+        assert cells.size == 8 + 2 and cells[1:-1].sum() == h.counts.sum()
+        assert cells[0] == h.under and cells[-1] == h.over
+        assert (cells[1:-1] == h.counts.reshape(8, 4).sum(axis=1)).all()
+        # 20 bins fold by 3: six full cells and one padded cell of 2 bins
+        h20 = Histogram(-4, 4, 20).update(x)
+        assert (_cells(h20, 8)[1:-1] == [*h20.counts[:18].reshape(6, 3).sum(axis=1),
+                                         h20.counts[18:].sum()]).all()
 
     def test_log_edges(self):
         x = rng.lognormal(7, 1, 10_000)

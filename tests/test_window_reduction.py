@@ -3,12 +3,14 @@ no state across batches, and ``pipeline.merge_findings`` reduces the
 findings of any split of the rows to the same counters, violation sample
 and verdicts.  The property test holds ``run_validation``'s outputs to a
 cold run over one file holding one row group, for drawn layouts, chunk
-sizes, partial runs, windows appended between runs and windows whose
-rows interleave inside row groups."""
+sizes, partial runs, windows appended between runs, windows whose rows
+interleave inside row groups, files in two schema versions and a run
+stopped between windows, then resumed."""
 
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pyarrow as pa
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from driftray import pipeline
 from driftray.checks import ValidationKernel
 from driftray.fixtures import RepoFilesConfig, dimensions, repo_files_batch, write_repo_files
 from driftray.pipeline import (build_membership, load_lineage, merge_findings,
@@ -28,6 +31,9 @@ CFG = RepoFilesConfig(window_rows=60, content_median=256, p_null_path=0.04,
                       p_dup_key=0.04, p_orphan_repo=0.03, p_bad_commit=0.03,
                       p_bad_sha=0.03, p_bad_lang=0.03, p_bad_path_fmt=0.03)
 N_ROWS = 300          # windows 0-4
+# with two schema versions, the files of rows from VERSION_ROW on (inside
+# window 2) lack the non-key column DROPPED
+VERSION_ROW, DROPPED = 150, "lang"
 
 
 def _write(table: pa.Table, directory: str, cuts, row_group_size: int,
@@ -129,18 +135,32 @@ def test_capped_sample_is_per_rule_and_split_free():
 
 @pytest.fixture(scope="module")
 def cold(ray_session, tmp_path_factory):
-    """The fixture rows, its dimension files, and the outputs of a cold
-    run over one file holding one row group."""
+    """The fixture rows, its dimension files, and the outputs of cold runs
+    over one file holding one row group: of the rows as written (key
+    False) and of their null-filled union with ``DROPPED`` null from
+    ``VERSION_ROW`` on (key True)."""
     base = str(tmp_path_factory.mktemp("layouts"))
     write_repo_files(os.path.join(base, "data"), N_ROWS, CFG)
     table = pq.read_table(os.path.join(base, "data", "repo_files.parquet"))
     dims = {name: os.path.join(base, "data", f"{name}.parquet")
             for name in ("repos", "commits")}
-    src, out = os.path.join(base, "one"), os.path.join(base, "one_out")
-    _write(table, src, [], N_ROWS)
-    run_validation(src, out, repo_files_spec(), dim_paths=dims)
-    assert load_lineage(out, 0)["counters"]["referential|repo"] > 0
-    return base, table, dims, _outputs(out)
+    i = table.schema.get_field_index(DROPPED)
+    col = table[DROPPED].combine_chunks()
+    nulled = table.set_column(i, DROPPED, pa.concat_arrays([
+        col.slice(0, VERSION_ROW), pa.nulls(N_ROWS - VERSION_ROW, col.type)]))
+    want = {}
+    for versions, rows in ((False, table), (True, nulled)):
+        src = os.path.join(base, f"one{versions:d}")
+        out = os.path.join(base, f"one{versions:d}_out")
+        _write(rows, src, [], N_ROWS)
+        run_validation(src, out, repo_files_spec(), dim_paths=dims)
+        want[versions] = _outputs(out)
+    assert load_lineage(os.path.join(base, "one0_out"), 0)["counters"]["referential|repo"] > 0
+    return base, table, dims, want
+
+
+class _Stop(Exception):
+    pass
 
 
 @settings(max_examples=10, deadline=None)
@@ -150,34 +170,70 @@ def cold(ray_session, tmp_path_factory):
        windows_per_pass=st.integers(min_value=1, max_value=5),
        first=st.sets(st.integers(min_value=0, max_value=4), max_size=4),
        appended=st.integers(min_value=0, max_value=3),
-       interleaved=st.booleans())
+       interleaved=st.booleans(),
+       versions=st.booleans(),
+       stop=st.none() | st.integers(min_value=0, max_value=4))
 @example(row_group_size=70, cuts=[130], windows_per_pass=2, first=set(),
-         appended=2, interleaved=False)
+         appended=2, interleaved=False, versions=False, stop=None)
 @example(row_group_size=50, cuts=[], windows_per_pass=4, first=set(),
-         appended=0, interleaved=True)
+         appended=0, interleaved=True, versions=False, stop=None)
+@example(row_group_size=40, cuts=[], windows_per_pass=1, first=set(),
+         appended=0, interleaved=False, versions=True, stop=None)
+@example(row_group_size=60, cuts=[200], windows_per_pass=2, first=set(),
+         appended=0, interleaved=False, versions=False, stop=2)
 def test_outputs_depend_only_on_rows(cold, row_group_size, cuts, windows_per_pass,
-                                     first, appended, interleaved):
+                                     first, appended, interleaved, versions, stop):
     """The last ``appended`` windows' files appear only after a first run
     (of the windows of ``first`` present then, or of all of them), so the
     second run's table check recomputes over the persisted runs;
-    ``interleaved`` deals each file's rows round-robin by window."""
+    ``interleaved`` deals each file's rows round-robin by window;
+    ``versions`` writes the rows from ``VERSION_ROW`` on without
+    ``DROPPED``; ``stop`` makes the last run raise after writing that many
+    windows (at a chunk boundary when ``windows_per_pass`` divides it),
+    and a run after it resumes."""
     base, table, dims, want = cold
     run = tempfile.mkdtemp(dir=base)
     src, out = os.path.join(run, "data"), os.path.join(run, "out")
     split = N_ROWS - appended * CFG.window_rows
     layout = _interleave if interleaved else (lambda t: t)
-    _write(layout(table.slice(0, split)), src, [c for c in cuts if c < split],
-           row_group_size)
+    bounds = sorted({0, split, N_ROWS, *([VERSION_ROW] if versions else [])})
+
+    def write(appearing: bool) -> None:
+        # each run of rows between bounds as its own files, cut at ``cuts``
+        for a, b in zip(bounds, bounds[1:]):
+            if (a >= split) == appearing:
+                rows = table.slice(a, b - a)
+                if versions and a >= VERSION_ROW:
+                    rows = rows.drop_columns([DROPPED])
+                _write(layout(rows), src, [c - a for c in cuts if a < c < b],
+                       row_group_size, prefix=f"rows{a:03d}")
+
+    def validate(**kw) -> None:
+        run_validation(src, out, repo_files_spec(), dim_paths=dims,
+                       windows_per_pass=windows_per_pass, **kw)
+
+    write(False)
     if first or appended:
         present = sorted(w for w in first if w * CFG.window_rows < split)
-        run_validation(src, out, repo_files_spec(), dim_paths=dims,
-                       windows=present or None, windows_per_pass=windows_per_pass)
+        validate(windows=present or None)
     if appended:
-        _write(layout(table.slice(split)), src, [c - split for c in cuts if c > split],
-               row_group_size, prefix="appended")
-    run_validation(src, out, repo_files_spec(), dim_paths=dims,
-                   windows_per_pass=windows_per_pass)
+        write(True)
+    if stop is not None:
+        write, written = pipeline.write_window_result, []
+
+        def write_then_stop(out_dir, res):
+            if len(written) == stop:
+                raise _Stop
+            write(out_dir, res)
+            written.append(res.window_id)
+
+        with mock.patch.object(pipeline, "write_window_result", write_then_stop):
+            try:
+                validate()
+            except _Stop:
+                pass
+    validate()
     got = _outputs(out)
-    assert sorted(got) == sorted(want)
-    for name in want:
-        assert got[name] == want[name], name
+    assert sorted(got) == sorted(want[versions])
+    for name in want[versions]:
+        assert got[name] == want[versions][name], name

@@ -3,7 +3,7 @@
 Runs every ``queries()`` entry at sf0.01 and compares SQL-expressible ones
 against ``oracle_sql()`` via DuckDB: row count, column names, and
 order-insensitive value equality (columns sorted by name, rows sorted by
-all columns).  Non-SQL queries get a rows-only check.
+all columns).  Non-SQL queries get a rows-only check: at least one row.
 
 Usage: python tools/check_queries.py [--sf /root/testdata/sf0.01] [--only q01...]
 """
@@ -121,9 +121,11 @@ def main() -> int:
                 n_fail += 1
             print(f"{status} {name}  rows={len(ray_df)}  {dt:.1f}s  {msg if not ok else ''}")
         else:
-            ok = len(ray_df) >= 0
-            n_pass += 1
-            print(f"ROWS {name}  rows={len(ray_df)}  {dt:.1f}s")
+            ok = len(ray_df) > 0
+            n_pass += ok
+            n_fail += not ok
+            print(f"{'ROWS' if ok else 'FAIL'} {name}  rows={len(ray_df)}  {dt:.1f}s"
+                  f"{'' if ok else '  returned no rows'}")
     print(f"\n{n_pass} pass, {n_fail} fail")
     ray.shutdown()
     return 1 if n_fail else 0
